@@ -104,14 +104,15 @@ def _print_digests(output_paths):
 
 
 def _load_label_ids(path, graph):
-    """Label file -> (node index -> class id) with sorted-name class ids."""
+    """Label file -> (node indices, class ids, class names) with class ids
+    in sorted-name order, one entry per labeled node."""
     label_map = load_labels(path, graph)
     class_names = sorted(set(label_map.values()))
     class_id = {name: i for i, name in enumerate(class_names)}
-    pinned = {
-        graph.index_of(node): class_id[cls] for node, cls in label_map.items()
-    }
-    return pinned, class_names
+    nodes = graph.indices_of(list(label_map))
+    classes = np.fromiter(map(class_id.__getitem__, label_map.values()),
+                          np.int64, len(label_map))
+    return nodes, classes, class_names
 
 
 def _cmd_embed(args):
@@ -151,19 +152,18 @@ def _cmd_embed(args):
         k = args.k
         if args.labels:
             inputs["labels"] = args.labels
-            pin_map, class_names = _load_label_ids(args.labels, graph)
+            nodes, classes, class_names = _load_label_ids(args.labels, graph)
             if args.full_label:
-                if len(pin_map) != graph.n:
+                if nodes.size != graph.n:
                     raise ValueError(
                         f"--full-label needs every node labeled "
-                        f"({len(pin_map)} of {graph.n} found)"
+                        f"({nodes.size} of {graph.n} found)"
                     )
                 labels = np.zeros(graph.n, dtype=int)
-                for node, cls in pin_map.items():
-                    labels[node] = cls
+                labels[nodes] = classes
                 k = len(class_names)
             else:
-                pinned = pin_map
+                pinned = dict(zip(nodes.tolist(), classes.tolist()))
                 if k is None or k < len(class_names):
                     raise ValueError(
                         f"--k must be at least the {len(class_names)} labeled classes"

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from operator import methodcaller
 
 import numpy as np
 
 from . import clustering
 from .clustering import ClusterConfig, HARD_THETA, hard_labels
-from .graph import from_bivariate
+from .graph import _parse_floats, from_bivariate
 
 __all__ = [
     "EmbeddingMatrix",
@@ -232,10 +233,11 @@ def multilayer_embed(Q, theta=HARD_THETA, max_sweeps=200, tol=1e-9, seed=0):
 
     Level 0 clusters the full graph with K = n and a hard (argmax-limit)
     temperature; each accepted level pools its partition and re-clusters
-    the supernode graph.  Levels are kept while the composed partition's
-    modularity strictly improves; level 0 is always reported.  Per-level
-    modularity is measured on the original operator with its true
-    diagonal, so values are comparable across levels.
+    the supernode graph.  Levels are kept while they merge supernodes and
+    the composed partition's modularity improves by more than tol; level
+    0 is always reported.  Per-level modularity is measured on the
+    original operator with its true diagonal, so values are comparable
+    across levels.
     """
     levels = []
     Q_full = Q.full_diagonal()
@@ -255,6 +257,10 @@ def multilayer_embed(Q, theta=HARD_THETA, max_sweeps=200, tol=1e-9, seed=0):
         )
         result = clustering.run(Q_level, config)
         coarse_part = hard_labels(result.assignment.H)
+        # A level that merges no supernodes repeats the incumbent
+        # partition; its modularity can differ only by rounding.
+        if level > 0 and np.unique(coarse_part).size == Q_level.n:
+            break
         composed = coarse_part[membership]
         modularity = Q_full.partition_modularity(composed)
         # Improvement below tol is recomputation noise, not structure.
@@ -289,6 +295,11 @@ def multilayer_embed(Q, theta=HARD_THETA, max_sweeps=200, tol=1e-9, seed=0):
     return levels
 
 
+# Rows formatted per write call: enough to amortize the call, few enough
+# that the block's Python floats stay a few megabytes.
+_WRITE_ROWS = 4096
+
+
 def save_embedding_tsv(path, embedding_rows, node_labels):
     """Write `node<TAB>v1<TAB>...<TAB>vC` with 17 significant digits, one
     row per node, byte-stable across runs."""
@@ -297,32 +308,42 @@ def save_embedding_tsv(path, embedding_rows, node_labels):
         raise ValueError(
             f"{rows.shape[0]} rows but {len(node_labels)} node labels"
         )
+    line = "%s\t" + "\t".join(["%.17g"] * rows.shape[1]) + "\n"
+    # zip(block, labels) ends on the block without taking another label.
+    labels = iter(node_labels)
     with open(path, "w", encoding="utf-8") as fh:
-        for lab, row in zip(node_labels, rows):
-            values = "\t".join(f"{v:.17g}" for v in row)
-            fh.write(f"{lab}\t{values}\n")
+        for start in range(0, rows.shape[0], _WRITE_ROWS):
+            block = rows[start:start + _WRITE_ROWS].tolist()
+            fh.writelines(
+                line % (lab, *row) for row, lab in zip(block, labels)
+            )
 
 
 def load_embedding_tsv(path):
     """Read an embedding TSV; returns (node_labels, matrix)."""
-    labels = []
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped:
-                continue
-            parts = stripped.split("\t")
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected node and values")
-            labels.append(parts[0])
-            try:
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad float") from None
+        lines = fh.read().split("\n")
+    rows = list(filter(None, lines))
+    tabs = np.fromiter(map(methodcaller("count", "\t"), rows), np.int64,
+                       len(rows))
+    short = np.flatnonzero(tabs == 0)
+    end = short[0] if short.size else len(rows)
+    fields = "\t".join(rows[:end]).split("\t") if end else []
+    is_label = np.zeros(len(fields), dtype=bool)
+    is_label[np.cumsum(tabs[:end] + 1) - (tabs[:end] + 1)] = True
+    values, bad = _parse_floats(
+        list(map(fields.__getitem__, np.flatnonzero(~is_label).tolist()))
+    )
+    # The first row at fault: a bad value, or else the first short row.
+    fault = end if bad is None else np.searchsorted(np.cumsum(tabs), bad,
+                                                    side="right")
+    if fault < len(rows):
+        lineno = [k for k, line in enumerate(lines, 1) if line][fault]
+        reason = "expected node and values" if bad is None else "bad float"
+        raise ValueError(f"{path}:{lineno}: {reason}")
     if not rows:
         raise ValueError(f"{path}: empty embedding file")
-    matrix = np.array(rows)
-    if any(len(r) != matrix.shape[1] for r in rows):
+    if (tabs != tabs[0]).any():
         raise ValueError(f"{path}: ragged rows")
-    return labels, matrix
+    labels = list(map(fields.__getitem__, np.flatnonzero(is_label).tolist()))
+    return labels, np.array(values).reshape(len(rows), tabs[0])

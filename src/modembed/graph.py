@@ -13,6 +13,10 @@ separate, so applying Q to a matrix costs O((n + m) K).
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
+from itertools import count
+
 import numpy as np
 from scipy import sparse
 
@@ -45,7 +49,7 @@ class SampledGraph:
         self._P.sort_indices()
         self.diag_mass = np.asarray(diag_mass, dtype=float)
         self.node_labels = list(node_labels)
-        self._index = {lab: i for i, lab in enumerate(self.node_labels)}
+        self._index = dict(zip(self.node_labels, range(len(self.node_labels))))
         row_mass = np.add.reduceat(
             np.append(self._P.data, 0.0), self._P.indptr[:-1]
         )
@@ -89,6 +93,14 @@ class SampledGraph:
         except KeyError:
             raise KeyError(f"unknown node label: {label!r}") from None
 
+    def indices_of(self, labels):
+        """Indices of a sequence of labels as an int64 array; a KeyError
+        names the first unknown label."""
+        found = list(map(self._index.get, labels))
+        if None in found:
+            self.index_of(labels[found.index(None)])
+        return np.array(found, dtype=np.int64)
+
     def label_of(self, index):
         return self.node_labels[index]
 
@@ -114,16 +126,23 @@ class SampledGraph:
 
     def edges(self):
         """Unique undirected positive-mass pairs (u, w) with u < w, plus
-        self pairs (u, u) where p(u, u) > 0.  Index order."""
-        out = []
-        for u in range(self.n):
-            if self.diag_mass[u] > 0.0:
-                out.append((u, u))
-            s, e = self._P.indptr[u], self._P.indptr[u + 1]
-            for w in self._P.indices[s:e]:
-                if u < w:
-                    out.append((u, int(w)))
-        return out
+        self pairs (u, u) where p(u, u) > 0, as an (m, 2) int64 array in
+        index order."""
+        u, w, _ = self._pair_weights()
+        return np.column_stack([u, w])
+
+    def _pair_weights(self):
+        """The pairs of `edges()` as columns u, w plus each pair's total
+        mass: p(u, u) for a self pair, p(u, w) + p(w, u) otherwise."""
+        rows = np.repeat(np.arange(self.n), np.diff(self._P.indptr))
+        upper = rows < self._P.indices
+        loops = np.flatnonzero(self.diag_mass > 0.0)
+        u = np.concatenate([loops, rows[upper]])
+        w = np.concatenate([loops, self._P.indices[upper]])
+        mass = np.concatenate([self.diag_mass[loops],
+                               2.0 * self._P.data[upper]])
+        order = np.lexsort((w, u))
+        return u[order], w[order], mass[order]
 
     def _check_index(self, u):
         if not 0 <= u < self.n:
@@ -269,38 +288,54 @@ class ModularityMatrix:
         return Q
 
 
-def _build(n, acc, node_labels):
-    """Assemble a SampledGraph from accumulated symmetric weights.
+def _invalid_weight(wt, u, w):
+    return ValueError(f"invalid weight {wt!r} on edge ({u!r}, {w!r})")
 
-    acc maps (i, j) with i <= j to a positive weight; total weight is
-    normalized out so the stored masses sum to one.
+
+def _assemble(ends, weights, nodes):
+    """Build a sampled graph from edge endpoints and weights.
+
+    ends is the flat label sequence u0, w0, u1, w1, ...; weights are
+    already validated.  Labels get indices in first-appearance order
+    (declared `nodes` first).  Weights of the same unordered pair sum in
+    input order and the total sums the positive pair weights left to
+    right in first-appearance order, so every stored mass is rounded the
+    same way whatever the edge count.
     """
-    total = sum(acc.values())
-    if total <= 0.0:
+    index = defaultdict(count().__next__)
+    if nodes is not None:
+        for lab in nodes:
+            index[lab]
+    ids = np.fromiter(map(index.__getitem__, ends), np.int64, len(ends))
+    n = len(index)
+    ids = ids.reshape(-1, 2)
+    keys = ids.min(axis=1) * n + ids.max(axis=1)
+    keys, first, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    pair_weight = np.bincount(inverse, weights=weights, minlength=keys.size)
+    order = np.argsort(first)
+    order = order[pair_weight[order] > 0.0]
+    if not order.size:
         raise ValueError("empty graph: total weight is zero")
+    keys, pair_weight = keys[order], pair_weight[order]
+    total = np.cumsum(pair_weight)[-1]
+    i, j = keys // n, keys % n
+    loop = i == j
     diag = np.zeros(n)
-    rows, cols, vals = [], [], []
-    for (i, j), wt in acc.items():
-        if i == j:
-            diag[i] = wt / total
-        else:
-            # Off-diagonal mass splits evenly over the two directions.
-            p = wt / (2.0 * total)
-            rows.append(i)
-            cols.append(j)
-            vals.append(p)
-            rows.append(j)
-            cols.append(i)
-            vals.append(p)
-    if vals:
+    diag[i[loop]] = pair_weight[loop] / total
+    # Off-diagonal mass splits evenly over the two directions.
+    p = pair_weight[~loop] / (2.0 * total)
+    i, j = i[~loop], j[~loop]
+    if p.size:
         off = sparse.csr_array(
-            (np.array(vals, dtype=float),
-             (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+            (np.concatenate([p, p]),
+             (np.concatenate([i, j]), np.concatenate([j, i]))),
             shape=(n, n),
         )
     else:
         off = sparse.csr_array((n, n), dtype=float)
-    return SampledGraph(n, off, diag, node_labels)
+    return SampledGraph(n, off, diag, list(index))
 
 
 def from_edge_list(edges, nodes=None):
@@ -314,23 +349,7 @@ def from_edge_list(edges, nodes=None):
 
     Raises ValueError on negative weights or an effectively empty graph.
     """
-    index = {}
-    labels = []
-
-    def idx(lab):
-        i = index.get(lab)
-        if i is None:
-            i = len(labels)
-            index[lab] = i
-            labels.append(lab)
-        return i
-
-    if nodes is not None:
-        for lab in nodes:
-            idx(lab)
-
-    acc = {}
-    count = 0
+    ends, weights = [], []
     for edge in edges:
         if len(edge) == 2:
             u, w = edge
@@ -338,18 +357,13 @@ def from_edge_list(edges, nodes=None):
         else:
             u, w, wt = edge
             wt = float(wt)
-        if wt < 0.0 or not np.isfinite(wt):
-            raise ValueError(f"invalid weight {wt!r} on edge ({u!r}, {w!r})")
-        count += 1
-        i, j = idx(u), idx(w)
-        key = (i, j) if i <= j else (j, i)
-        acc[key] = acc.get(key, 0.0) + wt
-    if count == 0:
+            if wt < 0.0 or not math.isfinite(wt):
+                raise _invalid_weight(wt, u, w)
+        ends += (u, w)
+        weights.append(wt)
+    if not weights:
         raise ValueError("empty graph: no edges")
-    acc = {k: v for k, v in acc.items() if v > 0.0}
-    if not acc:
-        raise ValueError("empty graph: total weight is zero")
-    return _build(len(labels), acc, labels)
+    return _assemble(ends, np.array(weights), nodes)
 
 
 def from_similarity(sim, node_labels=None):
@@ -395,32 +409,85 @@ def from_bivariate(P, node_labels=None):
     return SampledGraph(n, off, diag, node_labels)
 
 
+# Characters that str.split() separates on; none lies above U+3000.
+_SPACE = np.array([chr(c).isspace() for c in range(0x3001)] + [False])
+
+
+def _parse_floats(values):
+    """float() over a list of strings: (floats, None), or (None, k) with
+    k the position of the first string float() rejects."""
+    try:
+        return list(map(float, values)), None
+    except ValueError:
+        pass
+    for k, v in enumerate(values):
+        try:
+            float(v)
+        except ValueError:
+            return None, k
+
+
 def load_edge_list(path, nodes=None):
     """Read a whitespace-separated edge list: `u w [weight]` per line,
     UTF-8, lines whose first nonblank character is `#` ignored.  Labels
-    are arbitrary strings."""
-    edges = []
+    are arbitrary strings.
+
+    The text is split into fields once; each field's line comes from the
+    offsets of its first character and of the newlines, so the per-line
+    checks are array operations rather than a loop over lines.  Errors
+    name the first offending line, as a line-by-line reader would.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) == 2:
-                edges.append((parts[0], parts[1]))
-            elif len(parts) == 3:
-                try:
-                    wt = float(parts[2])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: bad weight {parts[2]!r}"
-                    ) from None
-                edges.append((parts[0], parts[1], wt))
-            else:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'u w [weight]', got {len(parts)} fields"
-                )
-    return from_edge_list(edges, nodes=nodes)
+        text = fh.read()
+    fields = text.split()
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), np.uint8)
+        space = _SPACE[codes]
+    else:
+        codes = np.frombuffer(text.encode("utf-32-le"), np.uint32)
+        space = _SPACE[np.minimum(codes, _SPACE.size - 1)]
+    after_space = np.ones_like(space)
+    after_space[1:] = space[:-1]
+    starts = np.flatnonzero(after_space & ~space)  # one per field
+    line = np.searchsorted(np.flatnonzero(codes == ord("\n")), starts)
+    head = np.ones(line.size, dtype=bool)  # first field of its line
+    head[1:] = line[1:] != line[:-1]
+    comment = np.zeros(line[-1] + 1 if line.size else 0, dtype=bool)
+    comment[line[head & (codes[starts] == ord("#"))]] = True
+    del codes, space, after_space, starts
+
+    kept = np.flatnonzero(~comment[line])
+    heads = kept[head[kept]]
+    width = np.diff(np.append(np.searchsorted(kept, heads), kept.size))
+    lineno = line[heads] + 1
+    bad = np.flatnonzero((width < 2) | (width > 3))
+    three = np.flatnonzero(width == 3)
+    weights_3, bad_weight = _parse_floats(
+        list(map(fields.__getitem__, (heads[three] + 2).tolist()))
+    )
+    if bad.size and (bad_weight is None or bad[0] < three[bad_weight]):
+        raise ValueError(
+            f"{path}:{lineno[bad[0]]}: expected 'u w [weight]', "
+            f"got {width[bad[0]]} fields"
+        )
+    if bad_weight is not None:
+        k = three[bad_weight]
+        raise ValueError(
+            f"{path}:{lineno[k]}: bad weight {fields[heads[k] + 2]!r}"
+        )
+
+    weights = np.ones(heads.size)
+    weights[three] = weights_3
+    ends = np.column_stack([heads, heads + 1]).ravel()
+    ends = list(map(fields.__getitem__, ends.tolist()))
+    del fields
+    invalid = np.flatnonzero((weights < 0.0) | ~np.isfinite(weights))
+    if invalid.size:
+        k = invalid[0]
+        raise _invalid_weight(float(weights[k]), ends[2 * k], ends[2 * k + 1])
+    if not heads.size:
+        raise ValueError("empty graph: no edges")
+    return _assemble(ends, weights, nodes)
 
 
 def save_edge_list(path, graph):
@@ -429,10 +496,10 @@ def save_edge_list(path, graph):
     The absolute scale is the stored probability mass, so a round trip
     reproduces the same distribution (weights renormalize to themselves).
     """
+    u, w, mass = graph._pair_weights()
+    labels = graph.node_labels
     with open(path, "w", encoding="utf-8") as fh:
-        for u, w in graph.edges():
-            if u == w:
-                wt = graph.diag_mass[u]
-            else:
-                wt = 2.0 * graph.pair_mass(u, w)
-            fh.write(f"{graph.label_of(u)}\t{graph.label_of(w)}\t{wt:.17g}\n")
+        fh.writelines(
+            "%s\t%s\t%.17g\n" % (labels[a], labels[b], x)
+            for a, b, x in zip(u.tolist(), w.tolist(), mass.tolist())
+        )

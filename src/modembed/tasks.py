@@ -16,9 +16,9 @@ not inductive generalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import methodcaller
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
     "MetricSummary",
@@ -161,6 +161,24 @@ def macro_f1_score(y_true, y_pred):
     return float(np.mean(scores))
 
 
+def rankdata(values):
+    """Average ranks from 1, ties sharing the mean of their positions
+    (scipy.stats.rankdata's default); all NaN if any value is NaN."""
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.ones(values.size, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    group = np.cumsum(new) - 1
+    bounds = np.append(np.flatnonzero(new), values.size)
+    ranks = np.empty(values.size)
+    # A tie group over sorted positions [a, b) has mean rank (a + b + 1) / 2.
+    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
+    return ranks
+
+
 def roc_auc_ovr(y_true, scores):
     """One-vs-rest AUC by the rank statistic, macro-averaged over classes
     with both positives and negatives present; None if no class
@@ -225,7 +243,9 @@ def _non_edge_sample(graph, count, rng):
     """Uniformly sampled distinct non-adjacent pairs (u < w), rejecting
     edges and self pairs."""
     n = graph.n
-    possible = n * (n - 1) // 2 - sum(1 for u, w in graph.edges() if u != w)
+    pairs = graph.edges()
+    off_diagonal = int(np.count_nonzero(pairs[:, 0] != pairs[:, 1]))
+    possible = n * (n - 1) // 2 - off_diagonal
     if possible < count:
         raise ValueError(
             f"graph too dense: only {possible} non-edges for {count} negatives"
@@ -260,19 +280,17 @@ def link_predict(graph, embeddings, train_fraction=0.5, repetitions=10,
         raise ValueError(
             f"{X.shape[0]} embedding rows vs {graph.n} graph nodes"
         )
-    positives = [(u, w) for u, w in graph.edges() if u != w]
-    if not positives:
+    positives = graph.edges()
+    positives = positives[positives[:, 0] != positives[:, 1]]
+    if not positives.size:
         raise ValueError("graph has no off-diagonal edges to predict")
     accs, f1s, aucs = [], [], []
     for rep in range(repetitions):
         rng = np.random.default_rng([seed, rep])
         negatives = _non_edge_sample(graph, len(positives), rng)
-        pairs = positives + negatives
+        pairs = np.vstack([positives, np.array(negatives, dtype=np.int64)])
         y = np.array([1] * len(positives) + [0] * len(negatives))
-        feats = np.hstack([
-            X[[u for u, _ in pairs]],
-            X[[w for _, w in pairs]],
-        ])
+        feats = np.hstack([X[pairs[:, 0]], X[pairs[:, 1]]])
         train, test, _ = stratified_split(y, train_fraction, rng)
         model = SoftmaxRegression(2).fit(feats[train], y[train])
         proba = model.predict_proba(feats[test])
@@ -290,25 +308,41 @@ def link_predict(graph, embeddings, train_fraction=0.5, repetitions=10,
 
 def load_labels(path, graph):
     """Read `node<TAB>class` lines; every node must exist in the graph,
-    and repeated nodes must agree on their class."""
-    labels = {}
+    and repeated nodes must agree on their class.  Errors name the first
+    offending line."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped or stripped.lstrip().startswith("#"):
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'node<TAB>class', got {len(parts)} fields"
-                )
-            node, cls = parts
-            graph.index_of(node)
-            if node in labels and labels[node] != cls:
-                raise ValueError(
-                    f"{path}:{lineno}: conflicting class for node {node!r}"
-                )
-            labels[node] = cls
+        lines = fh.read().split("\n")
+    comment = np.fromiter(
+        map(methodcaller("startswith", "#"), map(str.lstrip, lines)),
+        dtype=bool, count=len(lines),
+    )
+    blank = np.fromiter(map(len, lines), np.int64, len(lines)) == 0
+    kept = np.flatnonzero(~(comment | blank))
+    rows = list(map(lines.__getitem__, kept.tolist()))
+    tabs = np.fromiter(map(methodcaller("count", "\t"), rows), np.int64,
+                       len(rows))
+    bad = np.flatnonzero(tabs != 1)
+    end = bad[0] if bad.size else len(rows)
+    fields = "\t".join(rows[:end]).split("\t") if end else []
+    nodes, classes = fields[0::2], fields[1::2]
+    labels = dict(zip(nodes, classes))
+    conflict = end
+    if len(labels) < len(nodes):
+        first = dict(zip(reversed(nodes), reversed(classes)))
+        conflict = next((k for k, (node, cls) in enumerate(zip(nodes, classes))
+                         if first[node] != cls), end)
+    # An unknown node raises KeyError here, ahead of any later fault.
+    graph.indices_of(nodes[:conflict])
+    if conflict < end:
+        raise ValueError(
+            f"{path}:{kept[conflict] + 1}: conflicting class for node "
+            f"{nodes[conflict]!r}"
+        )
+    if end < len(rows):
+        raise ValueError(
+            f"{path}:{kept[end] + 1}: expected 'node<TAB>class', "
+            f"got {tabs[end] + 1} fields"
+        )
     if not labels:
         raise ValueError(f"{path}: no labels found")
     return labels
@@ -327,11 +361,12 @@ def labeled_dataset(embeddings, graph, label_map):
         )
     class_names = sorted(set(label_map.values()))
     class_id = {name: i for i, name in enumerate(class_names)}
-    idx = np.array(sorted(graph.index_of(node) for node in label_map))
-    y = np.array([
-        class_id[label_map[graph.label_of(i)]] for i in idx
-    ])
-    return X[idx], y, class_names, idx
+    nodes = graph.indices_of(list(label_map))
+    y = np.fromiter(map(class_id.__getitem__, label_map.values()), np.int64,
+                    len(label_map))
+    order = np.argsort(nodes)
+    idx = nodes[order]
+    return X[idx], y[order], class_names, idx
 
 
 def save_metrics_tsv(path, summary):

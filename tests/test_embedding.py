@@ -168,6 +168,16 @@ def test_multilayer_rejects_noise_levels(karate):
     assert len(np.unique(levels[0].membership)) == 4
 
 
+def test_multilayer_tol_zero_stops_when_nothing_merges(karate):
+    """With tol=0 only the structural test stands between a level that
+    keeps every supernode apart and its rounding-level 'gain' (karate,
+    seed 0: the four clusters again, modularity larger by one ulp)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        levels = multilayer_embed(karate.modularity_matrix(), tol=0.0, seed=0)
+    assert [len(np.unique(layer.membership)) for layer in levels] == [4]
+
+
 def test_embedding_tsv_roundtrip(tmp_path):
     rows = np.array([[1.0, -2.5e-17], [3.1415926535897931, 0.25]])
     path = tmp_path / "emb.tsv"

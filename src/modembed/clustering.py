@@ -149,27 +149,78 @@ def softmax_update(H, u, z, theta, aggregate=None):
     return row
 
 
+def _per_run(aggregate, build, *key):
+    """`build(*key)`, made on a run's first sweep and kept on the run's
+    aggregate for the sweeps after it while the key objects stay the same
+    (compared by identity)."""
+    memo = getattr(aggregate, "_kernel", None)
+    if (memo is None or memo[0] is not build
+            or any(a is not b for a, b in zip(memo[1], key))):
+        memo = aggregate._kernel = (build, key, build(*key))
+    return memo[2]
+
+
+def _softmax_kernel(Q, H, pinned, aggregate):
+    """Prepare `softmax_update` over the unpinned rows for a run.
+
+    Returns (visit, ops): visit(theta) updates every unpinned row in
+    ascending order with the same ufuncs on the same values, in the same
+    order, as `row_covariance` followed by `softmax_update`, so H and the
+    aggregate come out bit for bit the same.  Buffers, row lists and
+    bound ufuncs are set up here, and scalars are passed as 0-d arrays
+    (cheaper to dispatch, same doubles).  ops is the op count of one
+    sweep, the same for every sweep of the run.
+    """
+    covariance, update = Q.row_kernel(H, aggregate)
+    K = H.shape[1]
+    rows = [u for u in range(H.shape[0]) if u not in pinned]
+    ops = sum(map(Q.row_cost, rows)) + K * len(rows)
+    t, e, row = np.empty(K), np.empty(K), np.empty(K)
+    low = np.empty(K, dtype=bool)
+    top, total, clamp = np.empty(()), np.empty(()), np.array(_ZERO_CLAMP)
+    multiply, subtract, divide, exp, less = (
+        np.multiply, np.subtract, np.divide, np.exp, np.less)
+    peak, add_up = np.maximum.reduce, np.add.reduce
+
+    def visit(theta):
+        theta = np.array(theta, dtype=float)
+        for u in rows:
+            z = covariance(u)
+            h = H[u]
+            multiply(theta, z, t)
+            subtract(t, peak(t, 0, None, top), t)
+            exp(t, e)
+            multiply(e, h, row)
+            less(row, clamp, low)
+            row[low] = 0.0
+            if add_up(row, 0, None, total)[()] <= 0.0:
+                divide(e, add_up(e, 0, None, total), row)
+            else:
+                divide(row, total, row)
+            subtract(row, h, t)
+            update(u, t)
+            h[...] = row
+
+    return visit, ops
+
+
 def sweep(Q, assignment, config, aggregate=None):
     """One full pass over unpinned nodes in ascending index order.
 
     Q must have its diagonal zeroed.  Returns (objective, ops) where the
     objective is tr(H^T Q H) after the pass and ops counts the touched
-    sparse entries plus K-vector work per visited node.
+    sparse entries plus K-vector work per visited node.  The row kernel
+    is prepared on the first sweep with a given aggregate and reused by
+    the later ones.
     """
     if not Q.diag_zeroed:
         raise ValueError("sweep requires the operator diagonal zeroed")
     H = assignment.H
     if aggregate is None:
         aggregate = Q.make_aggregate(H)
-    K = assignment.n_clusters
-    pinned = assignment.pinned
-    ops = 0
-    for u in range(assignment.n):
-        if u in pinned:
-            continue
-        z = Q.row_covariance(H, aggregate, u)
-        softmax_update(H, u, z, config.theta, aggregate)
-        ops += Q.row_cost(u) + K
+    visit, ops = _per_run(aggregate, _softmax_kernel,
+                          Q, H, assignment.pinned, aggregate)
+    visit(config.theta)
     objective = float(np.sum(H * Q.apply(H)))
     return objective, ops
 

@@ -254,6 +254,47 @@ class ModularityMatrix:
         z -= pi_u * (agg.S - pi_u * H[u])
         return z
 
+    def row_kernel(self, H, agg):
+        """`row_covariance` and `agg.update` prepared once for a run.
+
+        Returns (covariance, update).  covariance(u) runs the same ufuncs
+        on the same values as `row_covariance(H, agg, u)` but writes into
+        one preallocated K-vector, which it returns on every call; use
+        it before the next call.  update(u, delta) is `agg.update` and
+        scales `delta` in place.  H and the aggregate's S are bound here,
+        so both must keep being updated in place.  Scalars go to the
+        ufuncs as a 0-d array, which numpy dispatches faster than a
+        Python float and which holds the same double.
+        """
+        g = self.graph
+        indptr = g.indptr.tolist()
+        marginal = g.marginal.tolist()
+        data, indices = g.data, g.indices
+        gather = H.take
+        S = agg.S
+        z = np.empty(H.shape[1])
+        t = np.empty(H.shape[1])
+        pi_u = np.empty(())
+        matmul, multiply, subtract, add = (
+            np.matmul, np.multiply, np.subtract, np.add)
+
+        def covariance(u):
+            s, e = indptr[u], indptr[u + 1]
+            matmul(data[s:e], gather(indices[s:e], 0), z)
+            pi_u[()] = marginal[u]
+            multiply(pi_u, H[u], t)
+            subtract(S, t, t)
+            multiply(pi_u, t, t)
+            subtract(z, t, z)
+            return z
+
+        def update(u, delta):
+            pi_u[()] = marginal[u]
+            multiply(pi_u, delta, delta)
+            add(S, delta, S)
+
+        return covariance, update
+
     def partition_modularity(self, partition):
         """sum_k q(S_k, S_k) for a hard partition, in O(n + m).
 

@@ -16,6 +16,7 @@ intrinsic one without changing the Gram matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -115,6 +116,11 @@ class GramOperator:
 
     def row_covariance(self, H, agg, u):
         return agg.W.T @ self.X[u] - self._sq[u] * H[u]
+
+    def row_kernel(self, H, agg):
+        """(covariance, update) for a run: `row_covariance` with H and the
+        aggregate bound, and `agg.update` (same arithmetic)."""
+        return partial(self.row_covariance, H, agg), agg.update
 
     def row_cost(self, u):
         return self.X.shape[1]

@@ -16,6 +16,7 @@ to x can only improve the alignment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +72,9 @@ def jacobi_eigh(A, tol=1e-14, max_sweeps=100):
     """Cyclic Jacobi rotations on a symmetric matrix.
 
     Simple and very accurate; quadratic convergence keeps the sweep count
-    in single digits.  Intended for n up to a couple hundred.
+    in single digits.  Intended for n up to a couple hundred.  Each
+    rotation updates its column pair, then its row pair of A, then its
+    column pair of V in place through preallocated buffers.
     """
     A = np.array(A, dtype=float)
     n = A.shape[0]
@@ -83,6 +86,21 @@ def jacobi_eigh(A, tol=1e-14, max_sweeps=100):
     if scale == 0.0:
         return _finish(np.zeros(n), np.eye(n))
     V = np.eye(n)
+    rows, cols, vecs = list(A), list(A.T), list(V.T)
+    new, tmp = np.empty(n), np.empty(n)
+    cos, sin = np.empty(()), np.empty(())
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+
+    def rotate(x_p, x_q):
+        # (x_p, x_q) <- (c x_p - s x_q, s x_p + c x_q), in place.
+        multiply(cos, x_p, new)
+        multiply(sin, x_q, tmp)
+        subtract(new, tmp, new)
+        multiply(sin, x_p, tmp)
+        multiply(cos, x_q, x_q)
+        add(tmp, x_q, x_q)
+        x_p[...] = new
+
     for _ in range(max_sweeps):
         off = np.abs(A - np.diag(np.diag(A))).max()
         if off <= tol * scale:
@@ -100,21 +118,13 @@ def jacobi_eigh(A, tol=1e-14, max_sweeps=100):
                 t = np.sign(tau) if tau != 0.0 else 1.0
                 t /= abs(tau) + np.hypot(1.0, tau)
                 c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
+                cos[()] = c
+                sin[()] = t * c
+                rotate(cols[p], cols[q])
+                rotate(rows[p], rows[q])
                 A[p, q] = 0.0
                 A[q, p] = 0.0
-                vec_p = V[:, p].copy()
-                vec_q = V[:, q].copy()
-                V[:, p] = c * vec_p - s * vec_q
-                V[:, q] = s * vec_p + c * vec_q
+                rotate(vecs[p], vecs[q])
     else:
         raise ConvergenceError(
             f"Jacobi failed to converge in {max_sweeps} sweeps"
@@ -158,15 +168,32 @@ def _householder_tridiagonalize(A):
 
 def _ql_implicit(d, e, Z, max_iter=50):
     """Implicit-shift QL on a tridiagonal matrix, rotations accumulated
-    into Z.  Mutates and returns (d, Z)."""
+    into Z.  Mutates and returns (d, Z).
+
+    The scalar recurrences run on Python floats (the same doubles and the
+    same operations as on numpy scalars, with less dispatch).  Each
+    Givens rotation acts on two contiguous rows of Z^T through
+    preallocated buffers; scalars reach the ufuncs as 0-d arrays, which
+    numpy dispatches faster.  `np.hypot` stays: `math.hypot` rounds
+    differently.
+    """
     n = d.size
-    e = np.append(e, 0.0)
+    dv = d.tolist()
+    ev = e.tolist() + [0.0]
+    eps = float(np.finfo(float).eps)
+    ZT = np.ascontiguousarray(Z.T)
+    cols = list(ZT)
+    lhs, rhs = np.empty(n), np.empty(n)
+    sin, cos = np.empty(()), np.empty(())
+    leg_f, leg_g, hyp = np.empty(()), np.empty(()), np.empty(())
+    hypot, copysign = np.hypot, math.copysign
+    multiply, add, subtract = np.multiply, np.add, np.subtract
     for l in range(n):
         for iteration in range(max_iter + 1):
             m = l
             while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= np.finfo(float).eps * dd:
+                dd = abs(dv[m]) + abs(dv[m + 1])
+                if abs(ev[m]) <= eps * dd:
                     break
                 m += 1
             if m == l:
@@ -175,36 +202,47 @@ def _ql_implicit(d, e, Z, max_iter=50):
                 raise ConvergenceError(
                     f"QL failed at eigenvalue {l} after {max_iter} shifts"
                 )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + np.copysign(r, g))
+            g = (dv[l + 1] - dv[l]) / (2.0 * ev[l])
+            r = float(hypot(g, 1.0))
+            g = dv[m] - dv[l] + ev[l] / (g + copysign(r, g))
             s = 1.0
             c = 1.0
             p = 0.0
             for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = np.hypot(f, g)
-                e[i + 1] = r
+                f = s * ev[i]
+                b = c * ev[i]
+                leg_f[()] = f
+                leg_g[()] = g
+                r = hypot(leg_f, leg_g, hyp).item()
+                ev[i + 1] = r
                 if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
+                    dv[i + 1] -= p
+                    ev[m] = 0.0
                     break
                 s = f / r
                 c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
+                g = dv[i + 1] - p
+                r = (dv[i] - g) * s + 2.0 * c * b
                 p = s * r
-                d[i + 1] = g + p
+                dv[i + 1] = g + p
                 g = c * r - b
-                col_i = Z[:, i].copy()
-                col_i1 = Z[:, i + 1].copy()
-                Z[:, i + 1] = s * col_i + c * col_i1
-                Z[:, i] = c * col_i - s * col_i1
+                # (z_i, z_i1) <- (c z_i - s z_i1, s z_i + c z_i1)
+                z_i, z_i1 = cols[i], cols[i + 1]
+                sin[()] = s
+                cos[()] = c
+                multiply(sin, z_i, lhs)
+                multiply(cos, z_i1, rhs)
+                add(lhs, rhs, lhs)
+                multiply(cos, z_i, z_i)
+                multiply(sin, z_i1, rhs)
+                subtract(z_i, rhs, z_i)
+                z_i1[...] = lhs
             else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
+                dv[l] -= p
+                ev[l] = g
+                ev[m] = 0.0
+    d[...] = dv
+    Z[...] = ZT.T
     return d, Z
 
 

@@ -13,10 +13,12 @@ embedding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import _per_run
 from .embedding import EmbeddingMatrix, qr_embed
 
 __all__ = [
@@ -90,20 +92,61 @@ def sphere_update(H, u, z, beta, aggregate=None):
     return True
 
 
+def _sphere_kernel(Q, H, aggregate):
+    """Prepare `sphere_update` over all rows for a run.
+
+    Returns visit(beta), which updates every row in ascending order with
+    the same ufuncs on the same values, in the same order, as
+    `row_covariance` followed by `sphere_update` (the norm is
+    sqrt(b . b), as `np.linalg.norm` computes it) and returns the number
+    of degenerate rows it skipped.  Scalars go to the ufuncs as 0-d
+    arrays, as in the softmax kernel.
+    """
+    covariance, update = Q.row_kernel(H, aggregate)
+    n, K = H.shape
+    b, t = np.empty(K), np.empty(K)
+    norm = np.empty(())
+    multiply, add, subtract, divide, dot = (
+        np.multiply, np.add, np.subtract, np.divide, np.dot)
+    sqrt = math.sqrt
+
+    def visit(beta):
+        keep = np.array(1.0 - beta)
+        beta = np.array(beta, dtype=float)
+        degenerate = 0
+        for u in range(n):
+            z = covariance(u)
+            h = H[u]
+            multiply(keep, h, b)
+            multiply(beta, z, t)
+            add(b, t, b)
+            length = sqrt(dot(b, b))
+            if length < _DEGENERATE_NORM:
+                degenerate += 1
+                continue
+            norm[()] = length
+            divide(b, norm, b)
+            subtract(b, h, t)
+            update(u, t)
+            h[...] = b
+        return degenerate
+
+    return visit
+
+
 def sphere_sweep(Q, H, beta, aggregate=None):
     """One ascending pass; returns (objective, degenerate_count).
 
     The objective is reported against the operator's true diagonal: unit
     rows make the diagonal term a constant, so monotonicity transfers.
+    The row kernel is prepared on the first sweep with a given aggregate
+    and reused by the later ones.
     """
     Q_full = Q.full_diagonal()
     if aggregate is None:
         aggregate = Q_full.make_aggregate(H)
-    degenerate = 0
-    for u in range(H.shape[0]):
-        z = Q_full.row_covariance(H, aggregate, u)
-        if not sphere_update(H, u, z, beta, aggregate):
-            degenerate += 1
+    visit = _per_run(aggregate, _sphere_kernel, Q_full, H, aggregate)
+    degenerate = visit(beta)
     objective = float(np.sum(H * Q_full.apply(H)))
     return objective, degenerate
 

@@ -80,6 +80,12 @@ class SoftmaxRegression:
         return (X - self._mean) / self._scale
 
     def fit(self, X, y):
+        """Gradient descent with every iterate in preallocated buffers.
+
+        Each step computes the same values as the plain expression
+        `P = softmax(Z W + b); G = P - Y; W -= step (Z^T G / m + l2 W);
+        b -= step mean(G)`, so W and b come out bit for bit the same.
+        """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
         self._mean = X.mean(axis=0)
@@ -90,13 +96,42 @@ class SoftmaxRegression:
         C = self.n_classes
         Y = np.zeros((m, C))
         Y[np.arange(m), y] = 1.0
-        self.W = np.zeros((d, C))
-        self.b = np.zeros(C)
+        self.W = W = np.zeros((d, C))
+        self.b = b = np.zeros(C)
+        ZT = Z.T
+        G = np.empty((m, C))  # logits, then P, then P - Y
+        columns = list(G.T)
+        row_max, row_sum = np.empty(m), np.empty((m, 1))
+        grad_W, decay, grad_b = np.empty((d, C)), np.empty((d, C)), np.empty(C)
+        step, l2 = self.step, self.l2
+        matmul, add, subtract, multiply, divide, exp, maximum = (
+            np.matmul, np.add, np.subtract, np.multiply, np.divide, np.exp,
+            np.maximum)
         for _ in range(self.iterations):
-            P = self._softmax(Z @ self.W + self.b)
-            G = P - Y
-            self.W -= self.step * (Z.T @ G / m + self.l2 * self.W)
-            self.b -= self.step * G.mean(axis=0)
+            matmul(Z, W, G)
+            add(G, b, G)
+            # Row maxima column by column: far fewer inner loops than a
+            # reduction over rows of length C.  A maximum does not round,
+            # and the one thing its order can change, the sign of a zero
+            # maximum, is lost when exp(logit - max) is taken.
+            row_max[...] = columns[0]
+            for column in columns[1:]:
+                maximum(row_max, column, out=row_max)
+            subtract(G, row_max[:, None], G)
+            exp(G, G)
+            add.reduce(G, 1, None, row_sum, True)
+            divide(G, row_sum, G)
+            subtract(G, Y, G)
+            matmul(ZT, G, grad_W)
+            divide(grad_W, m, grad_W)
+            multiply(l2, W, decay)
+            add(grad_W, decay, grad_W)
+            multiply(step, grad_W, grad_W)
+            subtract(W, grad_W, W)
+            add.reduce(G, 0, None, grad_b)
+            divide(grad_b, m, grad_b)
+            multiply(step, grad_b, grad_b)
+            subtract(b, grad_b, b)
         return self
 
     @staticmethod
@@ -306,10 +341,15 @@ def link_predict(graph, embeddings, train_fraction=0.5, repetitions=10,
     return MetricSummary(acc_m, acc_s, f1_m, f1_s, auc_m, auc_s, repetitions)
 
 
-def load_labels(path, graph):
+def load_labels(path, graph, indices=False):
     """Read `node<TAB>class` lines; every node must exist in the graph,
     and repeated nodes must agree on their class.  Errors name the first
-    offending line."""
+    offending line.
+
+    Returns the {node: class} map; with indices=True, also the graph
+    indices of its nodes in the map's order (each node is looked up
+    once, by the same pass that checks it exists).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     comment = np.fromiter(
@@ -331,13 +371,17 @@ def load_labels(path, graph):
         first = dict(zip(reversed(nodes), reversed(classes)))
         conflict = next((k for k, (node, cls) in enumerate(zip(nodes, classes))
                          if first[node] != cls), end)
-    # An unknown node raises KeyError here, ahead of any later fault.
-    graph.indices_of(nodes[:conflict])
+    # An unknown node before the first fault raises KeyError, ahead of
+    # that fault.  The map's keys are the nodes in first-appearance order,
+    # so without a conflict its first unknown key is the file's first
+    # unknown node.
     if conflict < end:
+        graph.indices_of(nodes[:conflict])
         raise ValueError(
             f"{path}:{kept[conflict] + 1}: conflicting class for node "
             f"{nodes[conflict]!r}"
         )
+    index = graph.indices_of(list(labels))
     if end < len(rows):
         raise ValueError(
             f"{path}:{kept[end] + 1}: expected 'node<TAB>class', "
@@ -345,14 +389,16 @@ def load_labels(path, graph):
         )
     if not labels:
         raise ValueError(f"{path}: no labels found")
-    return labels
+    return (labels, index) if indices else labels
 
 
-def labeled_dataset(embeddings, graph, label_map):
+def labeled_dataset(embeddings, graph, label_map, nodes=None):
     """Align a label map with embedding rows.
 
     Returns (X, y, class_names, node_indices) restricted to labeled
     nodes; class ids follow sorted class-name order for determinism.
+    `nodes` are the graph indices of the map's nodes when already known
+    (as from `load_labels(..., indices=True)`).
     """
     X = np.asarray(embeddings, dtype=float)
     if X.shape[0] != graph.n:
@@ -361,7 +407,8 @@ def labeled_dataset(embeddings, graph, label_map):
         )
     class_names = sorted(set(label_map.values()))
     class_id = {name: i for i, name in enumerate(class_names)}
-    nodes = graph.indices_of(list(label_map))
+    if nodes is None:
+        nodes = graph.indices_of(list(label_map))
     y = np.fromiter(map(class_id.__getitem__, label_map.values()), np.int64,
                     len(label_map))
     order = np.argsort(nodes)

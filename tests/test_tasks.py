@@ -183,6 +183,14 @@ def test_load_labels_and_dataset(tmp_path):
     assert y.tolist() == [0, 0, 1]
     assert np.array_equal(X, emb[idx])
 
+    # Known indices skip the second lookup and give the same dataset.
+    same_labels, nodes = load_labels(path, g, indices=True)
+    assert same_labels == labels
+    got = labeled_dataset(emb, g, same_labels, nodes)
+    assert got[0].tobytes() == X.tobytes()
+    assert got[1].tolist() == y.tolist() and got[2] == names
+    assert got[3].tolist() == idx.tolist()
+
 
 def test_load_labels_rejects_bad_input(tmp_path):
     g = _named_graph()

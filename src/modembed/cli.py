@@ -106,7 +106,7 @@ def _print_digests(output_paths):
 def _load_label_ids(path, graph):
     """Label file -> (node indices, class ids, class names) with class ids
     in sorted-name order, one entry per labeled node."""
-    label_map, nodes = load_labels(path, graph, indices=True)
+    label_map, nodes = load_labels(path, graph)
     class_names = sorted(set(label_map.values()))
     class_id = {name: i for i, name in enumerate(class_names)}
     classes = np.fromiter(map(class_id.__getitem__, label_map.values()),
@@ -377,7 +377,7 @@ def _cmd_eval(args):
         inputs["labels"] = args.labels
         if emb_labels != [str(lab) for lab in graph.node_labels]:
             raise ValueError("embedding rows do not match the graph's nodes")
-        label_map, nodes = load_labels(args.labels, graph, indices=True)
+        label_map, nodes = load_labels(args.labels, graph)
         Xl, y, class_names, _ = labeled_dataset(X, graph, label_map, nodes)
         summary = classify(
             Xl, y, train_fraction=args.train, repetitions=args.reps,

@@ -149,15 +149,23 @@ def softmax_update(H, u, z, theta, aggregate=None):
     return row
 
 
-def _per_run(aggregate, build, *key):
-    """`build(*key)`, made on a run's first sweep and kept on the run's
-    aggregate for the sweeps after it while the key objects stay the same
-    (compared by identity)."""
-    memo = getattr(aggregate, "_kernel", None)
-    if (memo is None or memo[0] is not build
-            or any(a is not b for a, b in zip(memo[1], key))):
-        memo = aggregate._kernel = (build, key, build(*key))
-    return memo[2]
+def prepared_kernel(aggregate, build, *key):
+    """`build(*key)`, kept in `aggregate.kernel` for the run's later sweeps.
+
+    A run passes one aggregate to all its sweeps, so the first sweep
+    prepares the row kernel and the others reuse it.  It is built again
+    when `build` or any key object differs (compared by identity) from
+    the ones it was made with.  A kept kernel stays valid while the key
+    objects change only in place: H's rows are rewritten but H is not
+    rebound, and neither the pinned dict nor the operator's graph or
+    points are mutated.  The aggregate's own array may be rebound; the
+    kernels read it on every call.
+    """
+    kept = aggregate.kernel
+    if (kept is None or kept[0] is not build
+            or any(a is not b for a, b in zip(kept[1], key))):
+        kept = aggregate.kernel = (build, key, build(*key))
+    return kept[2]
 
 
 def _softmax_kernel(Q, H, pinned, aggregate):
@@ -218,8 +226,8 @@ def sweep(Q, assignment, config, aggregate=None):
     H = assignment.H
     if aggregate is None:
         aggregate = Q.make_aggregate(H)
-    visit, ops = _per_run(aggregate, _softmax_kernel,
-                          Q, H, assignment.pinned, aggregate)
+    visit, ops = prepared_kernel(aggregate, _softmax_kernel,
+                                 Q, H, assignment.pinned, aggregate)
     visit(config.theta)
     objective = float(np.sum(H * Q.apply(H)))
     return objective, ops

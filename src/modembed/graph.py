@@ -154,12 +154,15 @@ class MarginalAggregate:
 
     Lets a single row's expected covariance be computed from its sparse
     neighborhood plus this K-vector instead of a full pass over nodes.
-    Kept in sync incrementally as assignment rows change.
+    Kept in sync incrementally as assignment rows change.  `kernel` holds
+    the row kernel a sweep prepared for this aggregate (see
+    `clustering.prepared_kernel`); a new aggregate starts without one.
     """
 
     def __init__(self, marginal, H):
         self.marginal = marginal
         self.S = marginal @ H
+        self.kernel = None
 
     def update(self, u, delta_row):
         self.S += self.marginal[u] * delta_row
@@ -261,9 +264,9 @@ class ModularityMatrix:
         on the same values as `row_covariance(H, agg, u)` but writes into
         one preallocated K-vector, which it returns on every call; use
         it before the next call.  update(u, delta) is `agg.update` and
-        scales `delta` in place.  H and the aggregate's S are bound here,
-        so both must keep being updated in place.  Scalars go to the
-        ufuncs as a 0-d array, which numpy dispatches faster than a
+        scales `delta` in place.  H is bound here, so it must keep being
+        updated in place; `agg.S` is read on every call.  Scalars go to
+        the ufuncs as a 0-d array, which numpy dispatches faster than a
         Python float and which holds the same double.
         """
         g = self.graph
@@ -271,7 +274,6 @@ class ModularityMatrix:
         marginal = g.marginal.tolist()
         data, indices = g.data, g.indices
         gather = H.take
-        S = agg.S
         z = np.empty(H.shape[1])
         t = np.empty(H.shape[1])
         pi_u = np.empty(())
@@ -283,7 +285,7 @@ class ModularityMatrix:
             matmul(data[s:e], gather(indices[s:e], 0), z)
             pi_u[()] = marginal[u]
             multiply(pi_u, H[u], t)
-            subtract(S, t, t)
+            subtract(agg.S, t, t)
             multiply(pi_u, t, t)
             subtract(z, t, z)
             return z
@@ -291,6 +293,7 @@ class ModularityMatrix:
         def update(u, delta):
             pi_u[()] = marginal[u]
             multiply(pi_u, delta, delta)
+            S = agg.S
             add(S, delta, S)
 
         return covariance, update

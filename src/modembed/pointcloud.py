@@ -52,11 +52,14 @@ class CoordinateAggregate:
 
     The per-row covariance against the implicit Gram operator is then
     W^T x_u minus the row's own diagonal term, at O(L K) per node.
+    `kernel` holds the row kernel a sweep prepared for this aggregate (see
+    `clustering.prepared_kernel`); a new aggregate starts without one.
     """
 
     def __init__(self, X, H):
         self.X = X
         self.W = X.T @ H
+        self.kernel = None
 
     def update(self, u, delta_row):
         self.W += np.outer(self.X[u], delta_row)

@@ -72,9 +72,7 @@ def jacobi_eigh(A, tol=1e-14, max_sweeps=100):
     """Cyclic Jacobi rotations on a symmetric matrix.
 
     Simple and very accurate; quadratic convergence keeps the sweep count
-    in single digits.  Intended for n up to a couple hundred.  Each
-    rotation updates its column pair, then its row pair of A, then its
-    column pair of V in place through preallocated buffers.
+    in single digits.  Intended for n up to a couple hundred.
     """
     A = np.array(A, dtype=float)
     n = A.shape[0]
@@ -86,21 +84,6 @@ def jacobi_eigh(A, tol=1e-14, max_sweeps=100):
     if scale == 0.0:
         return _finish(np.zeros(n), np.eye(n))
     V = np.eye(n)
-    rows, cols, vecs = list(A), list(A.T), list(V.T)
-    new, tmp = np.empty(n), np.empty(n)
-    cos, sin = np.empty(()), np.empty(())
-    multiply, add, subtract = np.multiply, np.add, np.subtract
-
-    def rotate(x_p, x_q):
-        # (x_p, x_q) <- (c x_p - s x_q, s x_p + c x_q), in place.
-        multiply(cos, x_p, new)
-        multiply(sin, x_q, tmp)
-        subtract(new, tmp, new)
-        multiply(sin, x_p, tmp)
-        multiply(cos, x_q, x_q)
-        add(tmp, x_q, x_q)
-        x_p[...] = new
-
     for _ in range(max_sweeps):
         off = np.abs(A - np.diag(np.diag(A))).max()
         if off <= tol * scale:
@@ -118,13 +101,21 @@ def jacobi_eigh(A, tol=1e-14, max_sweeps=100):
                 t = np.sign(tau) if tau != 0.0 else 1.0
                 t /= abs(tau) + np.hypot(1.0, tau)
                 c = 1.0 / np.hypot(1.0, t)
-                cos[()] = c
-                sin[()] = t * c
-                rotate(cols[p], cols[q])
-                rotate(rows[p], rows[q])
+                s = t * c
+                col_p = A[:, p].copy()
+                col_q = A[:, q].copy()
+                A[:, p] = c * col_p - s * col_q
+                A[:, q] = s * col_p + c * col_q
+                row_p = A[p, :].copy()
+                row_q = A[q, :].copy()
+                A[p, :] = c * row_p - s * row_q
+                A[q, :] = s * row_p + c * row_q
                 A[p, q] = 0.0
                 A[q, p] = 0.0
-                rotate(vecs[p], vecs[q])
+                vec_p = V[:, p].copy()
+                vec_q = V[:, q].copy()
+                V[:, p] = c * vec_p - s * vec_q
+                V[:, q] = s * vec_p + c * vec_q
     else:
         raise ConvergenceError(
             f"Jacobi failed to converge in {max_sweeps} sweeps"
@@ -202,7 +193,11 @@ def _ql_implicit(d, e, Z, max_iter=50):
                 raise ConvergenceError(
                     f"QL failed at eigenvalue {l} after {max_iter} shifts"
                 )
-            g = (dv[l + 1] - dv[l]) / (2.0 * ev[l])
+            try:
+                g = (dv[l + 1] - dv[l]) / (2.0 * ev[l])
+            except ZeroDivisionError:
+                # e[l] == 0 beside a NaN in d: numpy's inf/nan, as before.
+                g = float(np.float64(dv[l + 1] - dv[l]) / (2.0 * ev[l]))
             r = float(hypot(g, 1.0))
             g = dv[m] - dv[l] + ev[l] / (g + copysign(r, g))
             s = 1.0

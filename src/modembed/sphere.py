@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _per_run
+from .clustering import prepared_kernel
 from .embedding import EmbeddingMatrix, qr_embed
 
 __all__ = [
@@ -145,7 +145,7 @@ def sphere_sweep(Q, H, beta, aggregate=None):
     Q_full = Q.full_diagonal()
     if aggregate is None:
         aggregate = Q_full.make_aggregate(H)
-    visit = _per_run(aggregate, _sphere_kernel, Q_full, H, aggregate)
+    visit = prepared_kernel(aggregate, _sphere_kernel, Q_full, H, aggregate)
     degenerate = visit(beta)
     objective = float(np.sum(H * Q_full.apply(H)))
     return objective, degenerate

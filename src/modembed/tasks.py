@@ -341,14 +341,14 @@ def link_predict(graph, embeddings, train_fraction=0.5, repetitions=10,
     return MetricSummary(acc_m, acc_s, f1_m, f1_s, auc_m, auc_s, repetitions)
 
 
-def load_labels(path, graph, indices=False):
+def load_labels(path, graph):
     """Read `node<TAB>class` lines; every node must exist in the graph,
     and repeated nodes must agree on their class.  Errors name the first
     offending line.
 
-    Returns the {node: class} map; with indices=True, also the graph
-    indices of its nodes in the map's order (each node is looked up
-    once, by the same pass that checks it exists).
+    Returns ({node: class}, node indices): the indices are the graph
+    indices of the map's nodes in the map's order, from the one lookup
+    that checks the nodes exist.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -389,16 +389,16 @@ def load_labels(path, graph, indices=False):
         )
     if not labels:
         raise ValueError(f"{path}: no labels found")
-    return (labels, index) if indices else labels
+    return labels, index
 
 
-def labeled_dataset(embeddings, graph, label_map, nodes=None):
+def labeled_dataset(embeddings, graph, label_map, nodes):
     """Align a label map with embedding rows.
 
-    Returns (X, y, class_names, node_indices) restricted to labeled
-    nodes; class ids follow sorted class-name order for determinism.
-    `nodes` are the graph indices of the map's nodes when already known
-    (as from `load_labels(..., indices=True)`).
+    `nodes` are the graph indices of the map's nodes, in the map's order,
+    as `load_labels` returns them.  Returns (X, y, class_names,
+    node_indices) restricted to labeled nodes; class ids follow sorted
+    class-name order for determinism.
     """
     X = np.asarray(embeddings, dtype=float)
     if X.shape[0] != graph.n:
@@ -407,8 +407,6 @@ def labeled_dataset(embeddings, graph, label_map, nodes=None):
         )
     class_names = sorted(set(label_map.values()))
     class_id = {name: i for i, name in enumerate(class_names)}
-    if nodes is None:
-        nodes = graph.indices_of(list(label_map))
     y = np.fromiter(map(class_id.__getitem__, label_map.values()), np.int64,
                     len(label_map))
     order = np.argsort(nodes)

@@ -1,6 +1,6 @@
 """Prepared fast paths against the plain implementations they replaced,
-which are kept below as oracles.  Sweeps, the Jacobi and QL eigensolvers
-and the classifier fit must agree bit for bit: every array is compared with
+which are kept below as oracles.  Sweeps, the QL eigensolver and the
+classifier fit must agree bit for bit: every array is compared with
 `tobytes()`, every count and trace exactly."""
 
 import numpy as np
@@ -143,55 +143,6 @@ def oracle_ql(d, e, Z, max_iter=50):
                 e[l] = g
                 e[m] = 0.0
     return d, Z
-
-
-def oracle_jacobi(A, tol=1e-14, max_sweeps=100):
-    """Cyclic Jacobi with fresh copies of every rotated column and row."""
-    A = np.array(A, dtype=float)
-    n = A.shape[0]
-    if n == 1:
-        return spectral._finish(np.array([A[0, 0]]), np.ones((1, 1)))
-    scale = np.linalg.norm(A)
-    if scale == 0.0:
-        return spectral._finish(np.zeros(n), np.eye(n))
-    V = np.eye(n)
-    for _ in range(max_sweeps):
-        off = np.abs(A - np.diag(np.diag(A))).max()
-        if off <= tol * scale:
-            break
-        skip = tol * scale / n
-        for p in range(n - 1):
-            row = A[p, p + 1:]
-            if np.abs(row).max() <= skip:
-                continue
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(tau) if tau != 0.0 else 1.0
-                t /= abs(tau) + np.hypot(1.0, tau)
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vec_p = V[:, p].copy()
-                vec_q = V[:, q].copy()
-                V[:, p] = c * vec_p - s * vec_q
-                V[:, q] = s * vec_p + c * vec_q
-    else:
-        raise ConvergenceError(
-            f"Jacobi failed to converge in {max_sweeps} sweeps"
-        )
-    return spectral._finish(np.diag(A).copy(), V)
 
 
 def oracle_fit(model, X, y):
@@ -383,6 +334,37 @@ def test_kept_aggregate_with_a_new_assignment_is_prepared_again(karate):
     assert same_bytes(fast.H, slow.H) and same_bytes(agg.S, slow_agg.S)
 
 
+def test_kept_kernel_follows_a_rebound_aggregate_array(karate):
+    """Rebinding agg.S under the same operator, H and pinned dict keeps
+    the kernel, which must then read and update the new array."""
+    Q0 = karate.modularity_matrix(diag_zeroed=True)
+    config = ClusterConfig(n_clusters=3, theta=20.0, seed=2)
+    fast = init_assignment(Q0.n, config, pinned={0: 1})
+    slow = init_assignment(Q0.n, config, pinned={0: 1})
+    fast_agg, slow_agg = Q0.make_aggregate(fast.H), Q0.make_aggregate(slow.H)
+    for _ in range(3):
+        assert clustering.sweep(Q0, fast, config, fast_agg) == oracle_sweep(
+            Q0, slow, config, slow_agg)
+        assert same_bytes(fast.H, slow.H)
+        assert same_bytes(fast_agg.S, slow_agg.S)
+        fast_agg.S = Q0.make_aggregate(fast.H).S
+        slow_agg.S = Q0.make_aggregate(slow.H).S
+
+
+def test_kept_sphere_kernel_follows_a_rebound_aggregate_array(karate):
+    Q = karate.modularity_matrix()
+    fast = init_sphere(Q.n, 3, seed=4)
+    slow = fast.copy()
+    fast_agg, slow_agg = Q.make_aggregate(fast), Q.make_aggregate(slow)
+    for _ in range(3):
+        assert sphere.sphere_sweep(Q, fast, 0.5, fast_agg) == (
+            oracle_sphere_sweep(Q, slow, 0.5, slow_agg))
+        assert same_bytes(fast, slow)
+        assert same_bytes(fast_agg.S, slow_agg.S)
+        fast_agg.S = Q.make_aggregate(fast).S
+        slow_agg.S = Q.make_aggregate(slow).S
+
+
 # --- sphere sweeps -----------------------------------------------------------
 
 def assert_same_sphere(Q, config, sweeps=3):
@@ -427,7 +409,7 @@ def test_sphere_degenerate_rows_are_counted_alike():
     assert assert_same_sphere(Q, SphereConfig(n_dims=3, beta=1.0)) == 6
 
 
-# --- Jacobi and QL -----------------------------------------------------------
+# --- QL --------------------------------------------------------------------
 
 @st.composite
 def symmetric_matrix(draw):
@@ -450,15 +432,10 @@ def symmetric_matrix(draw):
     return scale * A
 
 
-@SETTINGS
-@given(A=symmetric_matrix(), max_iter=st.sampled_from([0, 1, 2, 50]))
-@example(A=np.zeros((3, 3)), max_iter=50)
-@example(A=np.eye(4), max_iter=0)
-def test_ql_matches_oracle(A, max_iter):
-    d, e, B = spectral._householder_tridiagonalize(A)
-    got = outcome(spectral._ql_implicit, d.copy(), e.copy(), B.copy(),
+def assert_same_ql(d, e, Z, max_iter=50):
+    got = outcome(spectral._ql_implicit, d.copy(), e.copy(), Z.copy(),
                   max_iter=max_iter)
-    want = outcome(oracle_ql, d.copy(), e.copy(), B.copy(),
+    want = outcome(oracle_ql, d.copy(), e.copy(), Z.copy(),
                    max_iter=max_iter)
     assert got[0] == want[0]
     if got[0] == "ok":
@@ -469,25 +446,27 @@ def test_ql_matches_oracle(A, max_iter):
 
 
 @SETTINGS
-@given(A=symmetric_matrix(), max_sweeps=st.sampled_from([1, 3, 100]))
-@example(A=np.zeros((3, 3)), max_sweeps=100)
-@example(A=np.eye(4), max_sweeps=100)
-def test_jacobi_matches_oracle(A, max_sweeps):
-    got = outcome(spectral.jacobi_eigh, A, max_sweeps=max_sweeps)
-    want = outcome(oracle_jacobi, A, max_sweeps=max_sweeps)
-    assert got[0] == want[0]
-    if got[0] == "ok":
-        assert same_bytes(got[1].eigenvalues, want[1].eigenvalues)
-        assert same_bytes(got[1].eigenvectors, want[1].eigenvectors)
-    else:
-        assert got[1] == want[1]
+@given(A=symmetric_matrix(), max_iter=st.sampled_from([0, 1, 2, 50]))
+@example(A=np.zeros((3, 3)), max_iter=50)
+@example(A=np.eye(4), max_iter=0)
+def test_ql_matches_oracle(A, max_iter):
+    assert_same_ql(*spectral._householder_tridiagonalize(A), max_iter)
 
 
-def test_jacobi_matches_oracle_on_karate(karate):
-    Q = karate.modularity_matrix().dense()
-    got, want = spectral.jacobi_eigh(Q), oracle_jacobi(Q)
-    assert same_bytes(got.eigenvalues, want.eigenvalues)
-    assert same_bytes(got.eigenvectors, want.eigenvectors)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("d, e", [
+    # A zero off-diagonal beside a NaN does not deflate, so the shift
+    # divides by 2 e[l] == 0 and must give numpy's inf/nan.
+    ([np.nan, 1.0, 2.0], [0.0, 1.0]),
+    ([1.0, np.nan, 2.0], [0.0, 1.0]),
+    ([1.0, 2.0, np.nan], [0.0, 0.0]),
+    ([1.0, 2.0, 3.0], [np.nan, 1.0]),
+    ([np.inf, 1.0, 2.0], [0.0, 1.0]),
+    ([np.inf, -np.inf, 2.0], [1.0, 1.0]),
+    ([1.0, 2.0, 3.0], [np.inf, 1.0]),
+])
+def test_ql_matches_oracle_on_nan_and_inf(d, e):
+    assert_same_ql(np.array(d), np.array(e), np.eye(3))
 
 
 def test_ql_mutates_its_arguments():

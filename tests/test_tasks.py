@@ -171,25 +171,19 @@ def test_load_labels_and_dataset(tmp_path):
     g = _named_graph()
     path = tmp_path / "labels.tsv"
     path.write_text("a\tleft\nd\tright\nb\tleft\n")
-    labels = load_labels(path, g)
+    labels, nodes = load_labels(path, g)
     assert labels == {"a": "left", "d": "right", "b": "left"}
+    assert nodes.tolist() == [g.index_of(node) for node in labels]
 
     rng = np.random.default_rng(1)
     emb = rng.random((g.n, 2))
-    X, y, names, idx = labeled_dataset(emb, g, labels)
+    X, y, names, idx = labeled_dataset(emb, g, labels, nodes)
     assert names == ["left", "right"]
     assert X.shape == (3, 2)
     # Rows follow sorted node index; class ids follow sorted names.
     assert y.tolist() == [0, 0, 1]
+    assert idx.tolist() == sorted(nodes.tolist())
     assert np.array_equal(X, emb[idx])
-
-    # Known indices skip the second lookup and give the same dataset.
-    same_labels, nodes = load_labels(path, g, indices=True)
-    assert same_labels == labels
-    got = labeled_dataset(emb, g, same_labels, nodes)
-    assert got[0].tobytes() == X.tobytes()
-    assert got[1].tolist() == y.tolist() and got[2] == names
-    assert got[3].tolist() == idx.tolist()
 
 
 def test_load_labels_rejects_bad_input(tmp_path):

@@ -24,7 +24,6 @@ from .clustering import (
     SoftAssignment,
     ClusterResult,
     init_assignment,
-    expected_covariance,
     softmax_update,
     sweep,
     run,

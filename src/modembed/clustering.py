@@ -27,8 +27,8 @@ __all__ = [
     "MarginalAggregate",
     "HARD_THETA",
     "init_assignment",
-    "expected_covariance",
     "softmax_update",
+    "climb",
     "sweep",
     "run",
     "hard_labels",
@@ -118,12 +118,6 @@ def init_assignment(n, config, pinned=None):
     return SoftAssignment(H=H, pinned=pinned)
 
 
-def expected_covariance(Q, H, S, u):
-    """z_u[k] = sum_{w != u} q(w, u) h[w, k] in O(deg(u) + K), using the
-    sparse row of p and the marginal aggregate S."""
-    return Q.row_covariance(H, S, u)
-
-
 def softmax_update(H, u, z, theta, aggregate=None):
     """Multiplicative softmax re-weighting of row u, in place.
 
@@ -149,40 +143,24 @@ def softmax_update(H, u, z, theta, aggregate=None):
     return row
 
 
-def prepared_kernel(aggregate, build, *key):
-    """`build(*key)`, kept in `aggregate.kernel` for the run's later sweeps.
+def _softmax_kernel(Q, H, pinned, theta, aggregate):
+    """Prepare `softmax_update` at inverse temperature theta over the
+    unpinned rows of H, once per run; Q must have its diagonal zeroed.
 
-    A run passes one aggregate to all its sweeps, so the first sweep
-    prepares the row kernel and the others reuse it.  It is built again
-    when `build` or any key object differs (compared by identity) from
-    the ones it was made with.  A kept kernel stays valid while the key
-    objects change only in place: H's rows are rewritten but H is not
-    rebound, and neither the pinned dict nor the operator's graph or
-    points are mutated.  The aggregate's own array may be rebound; the
-    kernels read it on every call.
+    Returns visit(), which updates those rows in ascending order with the
+    same ufuncs on the same values, in the same order, as `row_covariance`
+    followed by `softmax_update` (so H and the aggregate come out bit for
+    bit the same) and returns the op count of the pass.  Buffers, row
+    lists and bound ufuncs are set up here, and scalars are passed as 0-d
+    arrays (cheaper to dispatch, same doubles).
     """
-    kept = aggregate.kernel
-    if (kept is None or kept[0] is not build
-            or any(a is not b for a, b in zip(kept[1], key))):
-        kept = aggregate.kernel = (build, key, build(*key))
-    return kept[2]
-
-
-def _softmax_kernel(Q, H, pinned, aggregate):
-    """Prepare `softmax_update` over the unpinned rows for a run.
-
-    Returns (visit, ops): visit(theta) updates every unpinned row in
-    ascending order with the same ufuncs on the same values, in the same
-    order, as `row_covariance` followed by `softmax_update`, so H and the
-    aggregate come out bit for bit the same.  Buffers, row lists and
-    bound ufuncs are set up here, and scalars are passed as 0-d arrays
-    (cheaper to dispatch, same doubles).  ops is the op count of one
-    sweep, the same for every sweep of the run.
-    """
+    if not Q.diag_zeroed:
+        raise ValueError("sweep requires the operator diagonal zeroed")
     covariance, update = Q.row_kernel(H, aggregate)
     K = H.shape[1]
     rows = [u for u in range(H.shape[0]) if u not in pinned]
     ops = sum(map(Q.row_cost, rows)) + K * len(rows)
+    theta = np.array(theta, dtype=float)
     t, e, row = np.empty(K), np.empty(K), np.empty(K)
     low = np.empty(K, dtype=bool)
     top, total, clamp = np.empty(()), np.empty(()), np.array(_ZERO_CLAMP)
@@ -190,8 +168,7 @@ def _softmax_kernel(Q, H, pinned, aggregate):
         np.multiply, np.subtract, np.divide, np.exp, np.less)
     peak, add_up = np.maximum.reduce, np.add.reduce
 
-    def visit(theta):
-        theta = np.array(theta, dtype=float)
+    def visit():
         for u in rows:
             z = covariance(u)
             h = H[u]
@@ -208,29 +185,40 @@ def _softmax_kernel(Q, H, pinned, aggregate):
             subtract(row, h, t)
             update(u, t)
             h[...] = row
+        return ops
 
-    return visit, ops
+    return visit
 
 
-def sweep(Q, assignment, config, aggregate=None):
-    """One full pass over unpinned nodes in ascending index order.
+def sweep(Q, H, visit):
+    """One pass of a prepared softmax kernel over H.
 
-    Q must have its diagonal zeroed.  Returns (objective, ops) where the
-    objective is tr(H^T Q H) after the pass and ops counts the touched
-    sparse entries plus K-vector work per visited node.  The row kernel
-    is prepared on the first sweep with a given aggregate and reused by
-    the later ones.
+    Returns (objective, ops): tr(H^T Q H) after the pass and the touched
+    sparse entries plus K-vector work per visited node.
     """
-    if not Q.diag_zeroed:
-        raise ValueError("sweep requires the operator diagonal zeroed")
-    H = assignment.H
-    if aggregate is None:
-        aggregate = Q.make_aggregate(H)
-    visit, ops = prepared_kernel(aggregate, _softmax_kernel,
-                                 Q, H, assignment.pinned, aggregate)
-    visit(config.theta)
-    objective = float(np.sum(H * Q.apply(H)))
-    return objective, ops
+    ops = visit()
+    return float(np.sum(H * Q.apply(H))), ops
+
+
+def climb(Q, H, visit, step, config):
+    """Sweep until the objective change drops below `config.tol` or
+    `config.max_sweeps` passes are done.
+
+    step(Q, H, visit) makes one pass and returns (objective, count); the
+    caller passes its module's sweep function so each pass is one call.
+    Returns (objective, sweeps, converged, objective trace, counts), the
+    order of the ClusterResult fields after `assignment`.
+    """
+    trace, counts = [], []
+    previous = float(np.sum(H * Q.apply(H)))
+    converged = False
+    while not converged and len(trace) < config.max_sweeps:
+        objective, count = step(Q, H, visit)
+        trace.append(objective)
+        counts.append(count)
+        converged = abs(objective - previous) < config.tol
+        previous = objective
+    return previous, len(trace), converged, trace, counts
 
 
 def run(Q, config, pinned=None):
@@ -242,29 +230,10 @@ def run(Q, config, pinned=None):
     """
     Q0 = Q.zero_diagonal()
     assignment = init_assignment(Q0.n, config, pinned=pinned)
-    aggregate = Q0.make_aggregate(assignment.H)
-    trace = []
-    ops_trace = []
-    previous = float(np.sum(assignment.H * Q0.apply(assignment.H)))
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, config.max_sweeps + 1):
-        objective, ops = sweep(Q0, assignment, config, aggregate)
-        trace.append(objective)
-        ops_trace.append(ops)
-        if abs(objective - previous) < config.tol:
-            converged = True
-            previous = objective
-            break
-        previous = objective
-    return ClusterResult(
-        assignment=assignment,
-        objective=previous,
-        sweeps=sweeps,
-        converged=converged,
-        objective_trace=trace,
-        ops_per_sweep=ops_trace,
-    )
+    H = assignment.H
+    visit = _softmax_kernel(Q0, H, assignment.pinned, config.theta,
+                            Q0.make_aggregate(H))
+    return ClusterResult(assignment, *climb(Q0, H, visit, sweep, config))
 
 
 def hard_labels(H):

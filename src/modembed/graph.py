@@ -56,16 +56,6 @@ class SampledGraph:
         row_mass[np.diff(self._P.indptr) == 0] = 0.0
         self.marginal = row_mass + self.diag_mass
 
-    # The two marginals coincide for a symmetric distribution; both names
-    # are kept because asymmetric inputs are symmetrized on construction.
-    @property
-    def marginal_u(self):
-        return self.marginal
-
-    @property
-    def marginal_w(self):
-        return self.marginal
-
     @property
     def indptr(self):
         return self._P.indptr
@@ -116,11 +106,6 @@ class SampledGraph:
             return float(self._P.data[s + pos])
         return 0.0
 
-    def neighbors(self, u):
-        """Indices with positive off-diagonal mass against u."""
-        self._check_index(u)
-        return self._P.indices[self._P.indptr[u]:self._P.indptr[u + 1]]
-
     def modularity_matrix(self, diag_zeroed=False):
         return ModularityMatrix(self, diag_zeroed=diag_zeroed)
 
@@ -154,15 +139,12 @@ class MarginalAggregate:
 
     Lets a single row's expected covariance be computed from its sparse
     neighborhood plus this K-vector instead of a full pass over nodes.
-    Kept in sync incrementally as assignment rows change.  `kernel` holds
-    the row kernel a sweep prepared for this aggregate (see
-    `clustering.prepared_kernel`); a new aggregate starts without one.
+    Kept in sync incrementally as assignment rows change.
     """
 
     def __init__(self, marginal, H):
         self.marginal = marginal
         self.S = marginal @ H
-        self.kernel = None
 
     def update(self, u, delta_row):
         self.S += self.marginal[u] * delta_row
@@ -197,24 +179,6 @@ class ModularityMatrix:
         if not self.diag_zeroed:
             return self
         return ModularityMatrix(self.graph, diag_zeroed=False)
-
-    def covariance(self, u, w):
-        """q(u, w) = p(u, w) - p_U(u) p_W(w); zero on the diagonal when
-        the flag is set."""
-        if u == w and self.diag_zeroed:
-            self.graph._check_index(u)
-            return 0.0
-        pi = self.graph.marginal
-        return self.graph.pair_mass(u, w) - float(pi[u] * pi[w])
-
-    def diag(self):
-        """q(u, u) for all u, honoring the flag."""
-        if self.diag_zeroed:
-            return np.zeros(self.n)
-        return self.graph.diag_mass - self.graph.marginal ** 2
-
-    def trace(self):
-        return float(self.diag().sum())
 
     def apply(self, H):
         """Q @ H without materializing Q: sparse part, diagonal mass and

@@ -52,14 +52,11 @@ class CoordinateAggregate:
 
     The per-row covariance against the implicit Gram operator is then
     W^T x_u minus the row's own diagonal term, at O(L K) per node.
-    `kernel` holds the row kernel a sweep prepared for this aggregate (see
-    `clustering.prepared_kernel`); a new aggregate starts without one.
     """
 
     def __init__(self, X, H):
         self.X = X
         self.W = X.T @ H
-        self.kernel = None
 
     def update(self, u, delta_row):
         self.W += np.outer(self.X[u], delta_row)
@@ -90,19 +87,6 @@ class GramOperator:
         if not self.diag_zeroed:
             return self
         return GramOperator(self.X, diag_zeroed=False)
-
-    def covariance(self, u, w):
-        if u == w and self.diag_zeroed:
-            return 0.0
-        return float(self.X[u] @ self.X[w])
-
-    def diag(self):
-        if self.diag_zeroed:
-            return np.zeros(self.n)
-        return self._sq.copy()
-
-    def trace(self):
-        return float(self.diag().sum())
 
     def apply(self, H):
         H = np.asarray(H, dtype=float)

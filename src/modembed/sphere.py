@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import prepared_kernel
+from .clustering import climb
 from .embedding import EmbeddingMatrix, qr_embed
 
 __all__ = [
@@ -92,11 +92,12 @@ def sphere_update(H, u, z, beta, aggregate=None):
     return True
 
 
-def _sphere_kernel(Q, H, aggregate):
-    """Prepare `sphere_update` over all rows for a run.
+def _sphere_kernel(Q, H, beta, aggregate):
+    """Prepare `sphere_update` with blend weight beta over all rows of H,
+    once per run.
 
-    Returns visit(beta), which updates every row in ascending order with
-    the same ufuncs on the same values, in the same order, as
+    Returns visit(), which updates every row in ascending order with the
+    same ufuncs on the same values, in the same order, as
     `row_covariance` followed by `sphere_update` (the norm is
     sqrt(b . b), as `np.linalg.norm` computes it) and returns the number
     of degenerate rows it skipped.  Scalars go to the ufuncs as 0-d
@@ -104,15 +105,15 @@ def _sphere_kernel(Q, H, aggregate):
     """
     covariance, update = Q.row_kernel(H, aggregate)
     n, K = H.shape
+    keep = np.array(1.0 - beta)
+    beta = np.array(beta, dtype=float)
     b, t = np.empty(K), np.empty(K)
     norm = np.empty(())
     multiply, add, subtract, divide, dot = (
         np.multiply, np.add, np.subtract, np.divide, np.dot)
     sqrt = math.sqrt
 
-    def visit(beta):
-        keep = np.array(1.0 - beta)
-        beta = np.array(beta, dtype=float)
+    def visit():
         degenerate = 0
         for u in range(n):
             z = covariance(u)
@@ -134,43 +135,26 @@ def _sphere_kernel(Q, H, aggregate):
     return visit
 
 
-def sphere_sweep(Q, H, beta, aggregate=None):
-    """One ascending pass; returns (objective, degenerate_count).
+def sphere_sweep(Q, H, visit):
+    """One pass of a prepared sphere kernel; returns (objective,
+    degenerate_count).
 
-    The objective is reported against the operator's true diagonal: unit
-    rows make the diagonal term a constant, so monotonicity transfers.
-    The row kernel is prepared on the first sweep with a given aggregate
-    and reused by the later ones.
+    Q carries its true diagonal: unit rows make the diagonal term a
+    constant, so monotonicity transfers to the reported objective.
     """
-    Q_full = Q.full_diagonal()
-    if aggregate is None:
-        aggregate = Q_full.make_aggregate(H)
-    visit = prepared_kernel(aggregate, _sphere_kernel, Q_full, H, aggregate)
-    degenerate = visit(beta)
-    objective = float(np.sum(H * Q_full.apply(H)))
-    return objective, degenerate
+    degenerate = visit()
+    return float(np.sum(H * Q.apply(H))), degenerate
 
 
 def run_sphere(Q, config):
-    """Initialize and sweep until the objective stalls or the cap hits."""
+    """Initialize and sweep until the objective stalls or the cap hits.
+    Returns the SphereResult fields other than `embedding`, as a tuple."""
     H = init_sphere(Q.n, config.n_dims, seed=config.seed)
     Q_full = Q.full_diagonal()
-    aggregate = Q_full.make_aggregate(H)
-    trace = []
-    degenerate = 0
-    previous = float(np.sum(H * Q_full.apply(H)))
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, config.max_sweeps + 1):
-        objective, skipped = sphere_sweep(Q_full, H, config.beta, aggregate)
-        degenerate += skipped
-        trace.append(objective)
-        if abs(objective - previous) < config.tol:
-            converged = True
-            previous = objective
-            break
-        previous = objective
-    return H, previous, sweeps, converged, trace, degenerate
+    visit = _sphere_kernel(Q_full, H, config.beta, Q_full.make_aggregate(H))
+    objective, sweeps, converged, trace, skipped = climb(
+        Q_full, H, visit, sphere_sweep, config)
+    return H, objective, sweeps, converged, trace, sum(skipped)
 
 
 def sphere_embed(Q, config):

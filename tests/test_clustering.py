@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from modembed import clustering, datasets, graph
+from modembed import clustering, datasets, graph, pointcloud, sphere
 from modembed.clustering import (
     ClusterConfig,
     HARD_THETA,
@@ -111,8 +111,7 @@ def test_ops_counter_matches_degrees(karate):
     assert all(ops == expected for ops in result.ops_per_sweep)
 
     pinned = {0: 0, 5: 1}
-    deg0 = len(karate.neighbors(0))
-    deg5 = len(karate.neighbors(5))
+    deg0, deg5 = np.diff(karate.indptr)[[0, 5]]
     result = run(Q, ClusterConfig(n_clusters=K, theta=10.0, seed=2),
                  pinned=pinned)
     expected_pinned = expected - (deg0 + K) - (deg5 + K)
@@ -133,7 +132,45 @@ def test_sweep_requires_zeroed_diagonal(karate):
     Q = karate.modularity_matrix()  # true diagonal
     a = init_assignment(karate.n, ClusterConfig(n_clusters=3))
     with pytest.raises(ValueError, match="diagonal"):
-        clustering.sweep(Q, a, ClusterConfig(n_clusters=3))
+        clustering._softmax_kernel(Q, a.H, a.pinned, 50.0,
+                                   Q.make_aggregate(a.H))
+
+
+@pytest.mark.parametrize("max_sweeps, tol", [(4, 0.0), (60, 1e-4)])
+def test_each_pass_is_one_module_sweep_call(monkeypatch, karate, max_sweeps,
+                                            tol):
+    """Both pipelines look their sweep up on its module once per pass, so
+    a wrapper put there, as a tracer does, sees every pass exactly once,
+    whether the cap or the tolerance ends the run."""
+    assert sphere.sphere_sweep is not clustering.sweep
+    calls = {"sweep": 0, "sphere_sweep": 0}
+    for module, name in ((clustering, "sweep"), (sphere, "sphere_sweep")):
+        def counted(*args, name=name, original=getattr(module, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    Q = karate.modularity_matrix()
+    cloud = pointcloud.torus_cloud(60)
+    pipelines = [
+        ("sweep", lambda: clustering.run(Q, ClusterConfig(
+            n_clusters=3, theta=100.0, max_sweeps=max_sweeps, tol=tol,
+            seed=1)).sweeps),
+        ("sphere_sweep", lambda: sphere.run_sphere(Q, sphere.SphereConfig(
+            n_dims=3, max_sweeps=max_sweeps, tol=tol, seed=1))[2]),
+        ("sweep", lambda: pointcloud.reduce_cloud(
+            cloud, 3, method="cafe", max_sweeps=max_sweeps, tol=tol).sweeps),
+        ("sphere_sweep", lambda: pointcloud.reduce_cloud(
+            cloud, 3, method="sphere", max_sweeps=max_sweeps, tol=tol).sweeps),
+    ]
+    counts = []
+    for name, pipeline in pipelines:
+        calls.update(sweep=0, sphere_sweep=0)
+        sweeps = pipeline()
+        assert calls == {"sweep": 0, "sphere_sweep": 0, name: sweeps}
+        counts.append(sweeps)
+    if tol > 0.0:
+        assert min(counts) < max_sweeps  # some run converged before the cap
 
 
 def test_isolated_node_row_is_fixed():

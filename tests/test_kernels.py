@@ -1,7 +1,10 @@
 """Prepared fast paths against the plain implementations they replaced,
 which are kept below as oracles.  Sweeps, the QL eigensolver and the
 classifier fit must agree bit for bit: every array is compared with
-`tobytes()`, every count and trace exactly."""
+`tobytes()`, every count and trace exactly.  The sweeps' row invariants
+are checked here too, one pass at a time."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from modembed import clustering, graph, spectral, sphere
-from modembed.clustering import ClusterConfig, init_assignment, softmax_update
+from modembed.clustering import (
+    ClusterConfig, SoftAssignment, init_assignment, softmax_update)
 from modembed.pointcloud import GramOperator
 from modembed.sphere import SphereConfig, init_sphere, sphere_update
 from modembed.spectral import ConvergenceError
@@ -21,8 +25,9 @@ from modembed.tasks import SoftmaxRegression
 def oracle_sweep(Q, assignment, config, aggregate, events=None):
     """The per-row softmax sweep: `row_covariance` + `softmax_update`.
 
-    With `events`, also counts rows where the 1e-300 clamp zeroed an entry
-    and rows that fell back to the bare exponentials (total <= 0).
+    With `events`, also collects the rows where the 1e-300 clamp zeroed an
+    entry and the rows that fell back to the bare exponentials
+    (total <= 0).
     """
     H = assignment.H
     K = assignment.n_clusters
@@ -35,9 +40,11 @@ def oracle_sweep(Q, assignment, config, aggregate, events=None):
             t = config.theta * z
             row = np.exp(t - t.max()) * H[u]
             low = row < 1e-300
-            events["clamp"] += bool(low.any() and row[low].any())
+            if low.any() and row[low].any():
+                events["clamp"].add(u)
             row[low] = 0.0
-            events["fallback"] += bool(row.sum() <= 0.0)
+            if row.sum() <= 0.0:
+                events["fallback"].add(u)
         softmax_update(H, u, z, config.theta, aggregate)
         ops += Q.row_cost(u) + K
     return float(np.sum(H * Q.apply(H))), ops
@@ -260,16 +267,22 @@ def assert_same_run(Q, config, pinned):
         objective, sweeps, converged)
 
 
+def softmax_kernel(Q0, assignment, config, aggregate):
+    return clustering._softmax_kernel(Q0, assignment.H, assignment.pinned,
+                                      config.theta, aggregate)
+
+
 def assert_same_sweeps(Q, config, pinned, sweeps=3):
-    """`sweep` with a kept aggregate, H and the aggregate checked after
-    every pass (the prepared kernel is reused from the second on)."""
+    """`sweep` with a kernel prepared once for all passes, H and the
+    aggregate checked after every pass."""
     Q0 = Q.zero_diagonal()
     fast = init_assignment(Q0.n, config, pinned=pinned)
     slow = init_assignment(Q0.n, config, pinned=pinned)
     fast_agg, slow_agg = Q0.make_aggregate(fast.H), Q0.make_aggregate(slow.H)
-    events = {"clamp": 0, "fallback": 0}
+    visit = softmax_kernel(Q0, fast, config, fast_agg)
+    events = {"clamp": set(), "fallback": set()}
     for _ in range(sweeps):
-        got = clustering.sweep(Q0, fast, config, fast_agg)
+        got = clustering.sweep(Q0, fast.H, visit)
         want = oracle_sweep(Q0, slow, config, slow_agg, events)
         assert got == want and type(got[1]) is int
         assert same_bytes(fast.H, slow.H)
@@ -312,38 +325,21 @@ def test_clamp_and_fallback_both_fire():
             events = assert_same_sweeps(Q, config, {1: 0, 13: K - 1},
                                         sweeps=4)
             for key in seen:
-                seen[key] += events[key]
+                seen[key] += len(events[key])
     assert seen["clamp"] > 0 and seen["fallback"] > 0, seen
 
 
-def test_kept_aggregate_with_a_new_assignment_is_prepared_again(karate):
-    """The kernel kept on an aggregate is reused only for the same
-    operator, H and pinned rows."""
-    Q0 = karate.modularity_matrix(diag_zeroed=True)
-    config = ClusterConfig(n_clusters=3, theta=20.0, seed=2)
-    first = init_assignment(Q0.n, config)
-    agg = Q0.make_aggregate(first.H)
-    clustering.sweep(Q0, first, config, agg)
-    # Same aggregate object, restarted for a new pinned assignment.
-    fast = init_assignment(Q0.n, config, pinned={0: 1})
-    agg.S = Q0.make_aggregate(fast.H).S
-    slow = init_assignment(Q0.n, config, pinned={0: 1})
-    slow_agg = Q0.make_aggregate(slow.H)
-    assert clustering.sweep(Q0, fast, config, agg) == oracle_sweep(
-        Q0, slow, config, slow_agg)
-    assert same_bytes(fast.H, slow.H) and same_bytes(agg.S, slow_agg.S)
-
-
 def test_kept_kernel_follows_a_rebound_aggregate_array(karate):
-    """Rebinding agg.S under the same operator, H and pinned dict keeps
-    the kernel, which must then read and update the new array."""
+    """Rebinding agg.S between passes: the kernel prepared for the run
+    must then read and update the new array."""
     Q0 = karate.modularity_matrix(diag_zeroed=True)
     config = ClusterConfig(n_clusters=3, theta=20.0, seed=2)
     fast = init_assignment(Q0.n, config, pinned={0: 1})
     slow = init_assignment(Q0.n, config, pinned={0: 1})
     fast_agg, slow_agg = Q0.make_aggregate(fast.H), Q0.make_aggregate(slow.H)
+    visit = softmax_kernel(Q0, fast, config, fast_agg)
     for _ in range(3):
-        assert clustering.sweep(Q0, fast, config, fast_agg) == oracle_sweep(
+        assert clustering.sweep(Q0, fast.H, visit) == oracle_sweep(
             Q0, slow, config, slow_agg)
         assert same_bytes(fast.H, slow.H)
         assert same_bytes(fast_agg.S, slow_agg.S)
@@ -356,8 +352,9 @@ def test_kept_sphere_kernel_follows_a_rebound_aggregate_array(karate):
     fast = init_sphere(Q.n, 3, seed=4)
     slow = fast.copy()
     fast_agg, slow_agg = Q.make_aggregate(fast), Q.make_aggregate(slow)
+    visit = sphere._sphere_kernel(Q, fast, 0.5, fast_agg)
     for _ in range(3):
-        assert sphere.sphere_sweep(Q, fast, 0.5, fast_agg) == (
+        assert sphere.sphere_sweep(Q, fast, visit) == (
             oracle_sphere_sweep(Q, slow, 0.5, slow_agg))
         assert same_bytes(fast, slow)
         assert same_bytes(fast_agg.S, slow_agg.S)
@@ -379,9 +376,10 @@ def assert_same_sphere(Q, config, sweeps=3):
     slow = fast.copy()
     fast_agg = Q_full.make_aggregate(fast)
     slow_agg = Q_full.make_aggregate(slow)
+    visit = sphere._sphere_kernel(Q_full, fast, config.beta, fast_agg)
     degenerate = 0
     for _ in range(sweeps):
-        result = sphere.sphere_sweep(Q_full, fast, config.beta, fast_agg)
+        result = sphere.sphere_sweep(Q_full, fast, visit)
         assert result == oracle_sphere_sweep(Q_full, slow, config.beta,
                                              slow_agg)
         degenerate += result[1]
@@ -407,6 +405,59 @@ def test_sphere_degenerate_rows_are_counted_alike():
     # With beta = 1 an isolated node's row is its covariance, which is 0.
     Q = _path_graph(6, isolated=2).modularity_matrix()
     assert assert_same_sphere(Q, SphereConfig(n_dims=3, beta=1.0)) == 6
+
+
+# --- sweep invariants ---------------------------------------------------------
+
+def fallback_rows(Q0, assignment, config, aggregate):
+    """Rows whose update in the next pass takes the `total <= 0` branch:
+    the pass replayed with the reference rules on copies of H and the
+    aggregate."""
+    replay = SoftAssignment(assignment.H.copy(), assignment.pinned)
+    events = {"clamp": set(), "fallback": set()}
+    oracle_sweep(Q0, replay, config, copy.deepcopy(aggregate), events)
+    return events["fallback"]
+
+
+@SETTINGS
+@given(case=cluster_case())
+# Clamped zeros and pinned rows occur in both, a fallback row in the first.
+@example(case=(_path_graph(12, isolated=2).modularity_matrix(),
+               ClusterConfig(n_clusters=2, theta=1e5, seed=3), {1: 0, 13: 1}))
+@example(case=(_path_graph(6, isolated=2).modularity_matrix(),
+               ClusterConfig(n_clusters=3, theta=1e5, seed=0), {1: 0}))
+def test_softmax_sweeps_keep_rows_on_the_simplex(case):
+    """After every pass: rows are pmfs within 1e-12, pinned rows are
+    bitwise one-hot, and an exact zero stays zero unless its row took
+    the fallback."""
+    Q, config, pinned = case
+    Q0 = Q.zero_diagonal()
+    assignment = init_assignment(Q0.n, config, pinned=pinned)
+    H = assignment.H
+    aggregate = Q0.make_aggregate(H)
+    visit = softmax_kernel(Q0, assignment, config, aggregate)
+    one_hot = np.eye(config.n_clusters)
+    for _ in range(4):
+        before = H.copy()
+        fallback = fallback_rows(Q0, assignment, config, aggregate)
+        clustering.sweep(Q0, H, visit)
+        assert (H >= 0.0).all()
+        assert np.abs(H.sum(axis=1) - 1.0).max() <= 1e-12
+        for u, k in pinned.items():
+            assert same_bytes(H[u], one_hot[k])
+        revived = ((before == 0.0) & (H != 0.0)).any(axis=1)
+        assert set(np.flatnonzero(revived).tolist()) <= fallback
+
+
+@SETTINGS
+@given(Q=OPERATOR, n_dims=st.integers(1, 12), beta=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 16))
+def test_sphere_sweeps_keep_unit_rows(Q, n_dims, beta, seed):
+    H = init_sphere(Q.n, n_dims, seed=seed)
+    visit = sphere._sphere_kernel(Q, H, beta, Q.make_aggregate(H))
+    for _ in range(4):
+        sphere.sphere_sweep(Q, H, visit)
+        assert np.abs(np.sqrt((H * H).sum(axis=1)) - 1.0).max() <= 1e-12
 
 
 # --- QL --------------------------------------------------------------------

@@ -91,9 +91,6 @@ class SampledGraph:
             self.index_of(labels[found.index(None)])
         return np.array(found, dtype=np.int64)
 
-    def label_of(self, index):
-        return self.node_labels[index]
-
     def pair_mass(self, u, w):
         """p(u, w) by index."""
         self._check_index(u)

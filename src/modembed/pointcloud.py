@@ -16,8 +16,6 @@ intrinsic one without changing the Gram matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-
 import numpy as np
 
 from . import clustering
@@ -105,9 +103,35 @@ class GramOperator:
         return agg.W.T @ self.X[u] - self._sq[u] * H[u]
 
     def row_kernel(self, H, agg):
-        """(covariance, update) for a run: `row_covariance` with H and the
-        aggregate bound, and `agg.update` (same arithmetic)."""
-        return partial(self.row_covariance, H, agg), agg.update
+        """`row_covariance` and `agg.update` prepared once for a run.
+
+        Returns (covariance, update), the same ufuncs on the same values
+        written into preallocated buffers.  covariance(u) returns one
+        K-vector on every call; use it before the next call.  H is bound
+        here, so it must keep being updated in place; `agg.W` is read on
+        every call.
+        """
+        X = self.X
+        sq = self._sq.tolist()
+        z, t = np.empty(H.shape[1]), np.empty(H.shape[1])
+        dW = np.empty((X.shape[1], H.shape[1]))
+        sq_u = np.empty(())
+        matmul, multiply, subtract, add, outer = (
+            np.matmul, np.multiply, np.subtract, np.add, np.multiply.outer)
+
+        def covariance(u):
+            matmul(agg.W.T, X[u], z)
+            sq_u[()] = sq[u]
+            multiply(sq_u, H[u], t)
+            subtract(z, t, z)
+            return z
+
+        def update(u, delta):
+            outer(X[u], delta, out=dW)
+            W = agg.W
+            add(W, dW, W)
+
+        return covariance, update
 
     def row_cost(self, u):
         return self.X.shape[1]

@@ -5,6 +5,9 @@ truth, so the eigensolvers are implemented in-repo rather than delegated:
 cyclic Jacobi rotations for small dense matrices, Householder reduction
 plus implicit-shift QL for mid-sized ones, and orthogonal iteration on
 the implicit operator when only a few leading eigenvectors are needed.
+The Jacobi and QL rotation loops run compiled from `_spectral.c` when a
+C compiler is available (see `_native`), bit for bit as their numpy
+versions here, which run otherwise.
 
 The alignment report quantifies how close a two-cluster assignment's
 leading column is to the top modularity eigenvector: with
@@ -20,6 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
+
+from . import _native
 
 __all__ = [
     "Spectrum",
@@ -72,9 +78,11 @@ def jacobi_eigh(A, tol=1e-14, max_sweeps=100):
     """Cyclic Jacobi rotations on a symmetric matrix.
 
     Simple and very accurate; quadratic convergence keeps the sweep count
-    in single digits.  Intended for n up to a couple hundred.
+    in single digits.  Intended for n up to a couple hundred.  The sweeps
+    run compiled when `_native.library()` is available, with the same
+    bytes as `_jacobi_sweeps`.
     """
-    A = np.array(A, dtype=float)
+    A = np.array(A, dtype=float, order="C")
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"matrix must be square, got {A.shape}")
@@ -84,10 +92,26 @@ def jacobi_eigh(A, tol=1e-14, max_sweeps=100):
     if scale == 0.0:
         return _finish(np.zeros(n), np.eye(n))
     V = np.eye(n)
+    lib = _native.library()
+    if lib is None:
+        converged = _jacobi_sweeps(A, V, tol, scale, max_sweeps)
+    else:
+        converged = lib.modembed_jacobi(n, A, V, tol, scale, max_sweeps)
+    if not converged:
+        raise ConvergenceError(
+            f"Jacobi failed to converge in {max_sweeps} sweeps"
+        )
+    return _finish(np.diag(A).copy(), V)
+
+
+def _jacobi_sweeps(A, V, tol, scale, max_sweeps):
+    """The sweeps of `jacobi_eigh` in numpy, rotating A and V in place;
+    True once the off-diagonal is within tol * scale."""
+    n = A.shape[0]
     for _ in range(max_sweeps):
         off = np.abs(A - np.diag(np.diag(A))).max()
         if off <= tol * scale:
-            break
+            return True
         skip = tol * scale / n
         for p in range(n - 1):
             row = A[p, p + 1:]
@@ -116,11 +140,7 @@ def jacobi_eigh(A, tol=1e-14, max_sweeps=100):
                 vec_q = V[:, q].copy()
                 V[:, p] = c * vec_p - s * vec_q
                 V[:, q] = s * vec_p + c * vec_q
-    else:
-        raise ConvergenceError(
-            f"Jacobi failed to converge in {max_sweeps} sweeps"
-        )
-    return _finish(np.diag(A).copy(), V)
+    return False
 
 
 def _householder_tridiagonalize(A):
@@ -160,6 +180,32 @@ def _householder_tridiagonalize(A):
 def _ql_implicit(d, e, Z, max_iter=50):
     """Implicit-shift QL on a tridiagonal matrix, rotations accumulated
     into Z.  Mutates and returns (d, Z).
+
+    Runs compiled when `_native.library()` is available, on copies
+    written back at the end, with the same bytes as `_ql_loop`.
+    """
+    lib = _native.library()
+    if lib is None:
+        return _ql_loop(d, e, Z, max_iter)
+    n = d.size
+    dv = np.array(d, dtype=float)
+    ev = np.zeros(n)
+    ev[:n - 1] = e[:n - 1]
+    ZT = np.array(Z.T, dtype=float, order="C")
+    if ZT.shape[0] < n:
+        raise ValueError(f"Z needs at least {n} columns, got {ZT.shape[0]}")
+    failed = lib.modembed_ql(n, ZT.shape[1], dv, ev, ZT, max_iter)
+    if failed >= 0:
+        raise ConvergenceError(
+            f"QL failed at eigenvalue {failed} after {max_iter} shifts"
+        )
+    d[...] = dv
+    Z[...] = ZT.T
+    return d, Z
+
+
+def _ql_loop(d, e, Z, max_iter=50):
+    """`_ql_implicit` in Python.
 
     The scalar recurrences run on Python floats (the same doubles and the
     same operations as on numpy scalars, with less dispatch).  Each
@@ -258,6 +304,32 @@ def _dense_spectrum(A):
     return tridiagonal_eigh(A)
 
 
+def _thin_q(At):
+    """Q of the reduced QR of the tall matrix At.T, bit for bit
+    `np.linalg.qr(At.T)[0]`, as a new C-order array.
+
+    At is that matrix in column-major order, a C-contiguous float64
+    array, and is overwritten.  These are the LAPACK calls
+    `np.linalg.qr` makes, dgeqrf then dorgqr with workspaces sized by
+    the same queries, without its copies and its R.  The C-order result
+    matters: `Q.apply` sums an F-order block in another order.
+    """
+    m, n = At.shape
+    if m > n:
+        raise ValueError(f"expected a tall matrix, got {n} x {m}")
+    tau = np.empty(m)
+    for routine, dims in ((lapack_lite.dgeqrf, (n, m)),
+                          (lapack_lite.dorgqr, (n, m, m))):
+        query = np.empty(1)
+        routine(*dims, At, n, tau, query, -1, 0)
+        work = np.empty(max(1, m, int(query[0])))
+        info = routine(*dims, At, n, tau, work, work.size, 0)["info"]
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"QR factorization failed (LAPACK info {info})")
+    return np.ascontiguousarray(At.T)
+
+
 def _orthogonal_iteration(Q, k, tol=1e-10, max_iter=10000):
     """Leading-k eigenpairs of an implicit symmetric operator.
 
@@ -276,7 +348,8 @@ def _orthogonal_iteration(Q, k, tol=1e-10, max_iter=10000):
     shift = Q.spectral_shift()
     m = min(n, k + 8)
     rng = np.random.default_rng(0)
-    Z, _ = np.linalg.qr(rng.standard_normal(size=(n, m)))
+    Z = _thin_q(np.array(rng.standard_normal(size=(n, m)).T, order="C"))
+    buf = np.empty((m, n))
     # Residuals shrink geometrically, so checking on a geometric schedule
     # overshoots the minimal sweep count by at most ~50% while keeping
     # the m x m Ritz solves to O(log) of the total.
@@ -293,7 +366,10 @@ def _orthogonal_iteration(Q, k, tol=1e-10, max_iter=10000):
             if float(np.linalg.norm(residual, axis=0).max()) <= tol:
                 return _finish(mu, ritz)
             next_check = it + 1 + min(it // 2, 63)
-        Z, _ = np.linalg.qr(Y + shift * Z)
+        # Y + shift * Z, formed column-major for LAPACK.
+        np.multiply(shift, Z.T, out=buf)
+        np.add(buf, Y.T, out=buf)
+        Z = _thin_q(buf)
     raise ConvergenceError(
         f"orthogonal iteration: no convergence in {max_iter} iterations"
     )

@@ -134,7 +134,7 @@ def test_edge_list_validation():
 
 
 def test_label_lookup(karate):
-    assert karate.label_of(karate.index_of(33)) == 33
+    assert karate.node_labels[karate.index_of(33)] == 33
     with pytest.raises(KeyError):
         karate.index_of("nope")
 

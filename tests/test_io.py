@@ -121,7 +121,7 @@ def oracle_save_edge_list(path, g):
     with open(path, "w", encoding="utf-8") as fh:
         for u, w in oracle_edges(g):
             wt = g.diag_mass[u] if u == w else 2.0 * g.pair_mass(u, w)
-            fh.write(f"{g.label_of(u)}\t{g.label_of(w)}\t{wt:.17g}\n")
+            fh.write(f"{g.node_labels[u]}\t{g.node_labels[w]}\t{wt:.17g}\n")
 
 
 def oracle_save_embedding_tsv(path, rows, node_labels):

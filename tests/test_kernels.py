@@ -1,20 +1,28 @@
-"""Prepared fast paths against the plain implementations they replaced,
-which are kept below as oracles.  Sweeps, the QL eigensolver and the
-classifier fit must agree bit for bit: every array is compared with
+"""Prepared and compiled fast paths against the plain implementations
+they replaced, which are kept below or in the package as oracles.
+Sweeps, the QL and Jacobi eigensolvers, the thin QR and the classifier
+fit must agree bit for bit: every array is compared with
 `tobytes()`, every count and trace exactly.  The sweeps' row invariants
 are checked here too, one pass at a time."""
 
 import copy
+import os
+import shutil
+import subprocess
+import sys
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from modembed import clustering, graph, spectral, sphere
+from modembed import _native, clustering, graph, spectral, sphere
 from modembed.clustering import (
     ClusterConfig, SoftAssignment, init_assignment, softmax_update)
-from modembed.pointcloud import GramOperator
+from modembed.embedding import qr_embed
+from modembed.pointcloud import GramOperator, center, torus_cloud
 from modembed.sphere import SphereConfig, init_sphere, sphere_update
 from modembed.spectral import ConvergenceError
 from modembed.tasks import SoftmaxRegression
@@ -362,6 +370,24 @@ def test_kept_sphere_kernel_follows_a_rebound_aggregate_array(karate):
         slow_agg.S = Q.make_aggregate(slow).S
 
 
+def test_kept_gram_kernel_follows_a_rebound_aggregate_array():
+    """The point-cloud kernel reads agg.W on every call, as the graph
+    kernel reads agg.S."""
+    Q0 = GramOperator(center(torus_cloud(60)), diag_zeroed=True)
+    config = ClusterConfig(n_clusters=4, theta=0.5, seed=6)
+    fast = init_assignment(Q0.n, config, pinned={3: 2})
+    slow = init_assignment(Q0.n, config, pinned={3: 2})
+    fast_agg, slow_agg = Q0.make_aggregate(fast.H), Q0.make_aggregate(slow.H)
+    visit = softmax_kernel(Q0, fast, config, fast_agg)
+    for _ in range(3):
+        assert clustering.sweep(Q0, fast.H, visit) == oracle_sweep(
+            Q0, slow, config, slow_agg)
+        assert same_bytes(fast.H, slow.H)
+        assert same_bytes(fast_agg.W, slow_agg.W)
+        fast_agg.W = Q0.make_aggregate(fast.H).W
+        slow_agg.W = Q0.make_aggregate(slow.H).W
+
+
 # --- sphere sweeps -----------------------------------------------------------
 
 def assert_same_sphere(Q, config, sweeps=3):
@@ -534,6 +560,124 @@ def test_ql_matches_oracle_at_mid_size():
     got = spectral._ql_implicit(d.copy(), e.copy(), B.copy())
     want = oracle_ql(d.copy(), e.copy(), B.copy())
     assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+
+def in_python(fn, *args, **kwargs):
+    """`outcome` with the compiled library switched off, so the numpy
+    loops run."""
+    with mock.patch.object(_native, "library", lambda: None):
+        return outcome(fn, *args, **kwargs)
+
+
+def test_ql_python_loop_matches_oracle():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((40, 40))
+    d, e, B = spectral._householder_tridiagonalize(A + A.T)
+    got = in_python(spectral._ql_implicit, d.copy(), e.copy(), B.copy())
+    want = oracle_ql(d.copy(), e.copy(), B.copy())
+    assert got[0] == "ok"
+    assert same_bytes(got[1][0], want[0]) and same_bytes(got[1][1], want[1])
+    got = in_python(spectral._ql_implicit, d.copy(), e.copy(), B.copy(),
+                    max_iter=1)
+    assert got == outcome(oracle_ql, d.copy(), e.copy(), B.copy(),
+                          max_iter=1)
+
+
+# --- Jacobi -------------------------------------------------------------------
+
+def assert_same_jacobi(A, max_sweeps=100):
+    """`jacobi_eigh` compiled and in numpy: same bytes or same error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = outcome(spectral.jacobi_eigh, A, max_sweeps=max_sweeps)
+        want = in_python(spectral.jacobi_eigh, A, max_sweeps=max_sweeps)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert same_bytes(got[1].eigenvalues, want[1].eigenvalues)
+        assert same_bytes(got[1].eigenvectors, want[1].eigenvectors)
+    else:
+        assert got[1] == want[1]
+
+
+@SETTINGS
+@given(A=symmetric_matrix(), max_sweeps=st.sampled_from([0, 1, 2, 100]))
+def test_jacobi_matches_python_loop(A, max_sweeps):
+    assert_same_jacobi(A, max_sweeps)
+
+
+@pytest.mark.parametrize("i, j, value", [
+    (0, 0, np.nan), (0, 2, np.nan), (1, 1, np.inf), (0, 1, np.inf),
+    (2, 1, -np.inf), (3, 3, -np.inf),
+])
+@pytest.mark.parametrize("max_sweeps", [1, 3])
+def test_jacobi_matches_python_loop_on_nan_and_inf(i, j, value, max_sweeps):
+    A = np.arange(16.0).reshape(4, 4)
+    A = A + A.T
+    A[i, j] = value
+    assert_same_jacobi(A, max_sweeps)
+
+
+def test_jacobi_matches_python_loop_on_f_order_input():
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal((30, 30))
+    assert_same_jacobi(np.asfortranarray(A + A.T))
+
+
+# --- thin QR ------------------------------------------------------------------
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_thin_q_matches_numpy_qr(order):
+    """Widths 1-40 cross dgeqrf's block size of 32."""
+    rng = np.random.default_rng(4)
+    for width in range(1, 41):
+        for rows in (width, 3 * width + 7):
+            A = np.array(rng.standard_normal((rows, width)), order=order)
+            got = spectral._thin_q(np.array(A.T, order="C"))
+            assert same_bytes(got, np.linalg.qr(A)[0])
+            assert got.flags.c_contiguous
+    A = np.array(rng.standard_normal((10000, 12)), order=order)
+    assert same_bytes(spectral._thin_q(np.array(A.T, order="C")),
+                      np.linalg.qr(A)[0])
+
+
+def test_thin_q_rejects_wide_input():
+    with pytest.raises(ValueError, match="tall"):
+        spectral._thin_q(np.ones((3, 2)))
+
+
+# --- the compiled library -----------------------------------------------------
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_compiled_library_loads():
+    """With a compiler present the rotations must run compiled: the numpy
+    fallback computes the same bytes, so only this test sees it."""
+    assert _native.library() is not None
+
+
+def test_importing_the_cli_builds_and_loads_nothing(tmp_path):
+    code = ("import sys, modembed.cli, modembed._native as native; "
+            "sys.exit(native.library.cache_info().currsize)")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr or "the library was loaded"
+    assert not any(tmp_path.iterdir())
+
+
+# --- QR embedding -------------------------------------------------------------
+
+@SETTINGS
+@given(Q=OPERATOR, C=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+def test_qr_embed_is_an_orthonormal_factorization(Q, C, seed):
+    """Columns orthonormal, R's diagonal nonnegative and H_hat R = Q H,
+    all within 1e-12 (the last relative to Q H)."""
+    H = np.random.default_rng(seed).random((Q.n, C))
+    emb = qr_embed(Q, H, drop_dependent=False)
+    H_hat, R = emb.H_hat, emb.R
+    assert np.abs(H_hat.T @ H_hat - np.eye(H_hat.shape[1])).max() <= 1e-12
+    assert (np.diag(R) >= 0.0).all()
+    M = Q.full_diagonal().apply(H)
+    assert np.abs(H_hat @ R - M).max() <= 1e-12 * max(np.abs(M).max(), 1e-300)
 
 
 # --- classifier fit ----------------------------------------------------------

@@ -2,11 +2,13 @@
 
 `library()` compiles `_spectral.c` with the system C compiler the first
 time it is called, caches the shared library under the user cache
-directory (the temp directory when that is not writable), keyed by the
-sha256 of the source, the flags and the machine, and loads it with
-ctypes.  It returns None when no compiler or cache directory is usable;
-callers then run their Python loops, which compute the same bytes.
-Importing this module compiles and loads nothing.
+directory, keyed by the sha256 of the source, the flags and the
+machine, and loads it with ctypes.  It returns None when no compiler is
+found or the cache directory is not usable: not writable, not owned by
+this user, or writable by anyone else, since whoever can write there
+could plant a library this process would load.  Callers then run their
+Python loops, which compute the same bytes.  Importing this module
+compiles and loads nothing.
 """
 
 from __future__ import annotations
@@ -28,37 +30,45 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
-def _cache_dirs():
+def _cache_dir():
+    """The private cache directory, created if missing, or None."""
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache")
-    return (os.path.join(base, "modembed"),
-            os.path.join(tempfile.gettempdir(), "modembed"))
+    directory = os.path.join(base, "modembed")
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        st = os.stat(directory)
+    except OSError:
+        return None
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        return None
+    return directory
 
 
 def _compile(key):
     """Path of the cached library, compiled first if missing; None when
-    no cache directory is writable or the compiler fails."""
-    for directory in _cache_dirs():
-        path = os.path.join(directory, f"_spectral-{key}.so")
-        if os.path.isfile(path):
-            return path
-        try:
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
-        except OSError:
-            continue
-        os.close(fd)
-        try:
-            subprocess.run(["cc", *_FLAGS, "-o", tmp, _SOURCE, "-lm"],
-                           check=True, capture_output=True)
-            os.replace(tmp, path)
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+    the cache directory is not usable or the compiler fails."""
+    directory = _cache_dir()
+    if directory is None:
+        return None
+    path = os.path.join(directory, f"_spectral-{key}.so")
+    if os.path.isfile(path):
         return path
-    return None
+    try:
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
+    except OSError:
+        return None
+    os.close(fd)
+    try:
+        subprocess.run(["cc", *_FLAGS, "-o", tmp, _SOURCE, "-lm"],
+                       check=True, capture_output=True)
+        os.replace(tmp, path)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return path
 
 
 @functools.cache

@@ -23,6 +23,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# `_thin_q` calls LAPACK through numpy's own lapack_lite, not the public
+# scipy.linalg.lapack: only numpy's module is linked against the BLAS
+# that np.linalg.qr uses (scipy wheels bundle their own OpenBLAS), so
+# only it gives np.linalg.qr's bytes.  Those bytes also rest on numpy's
+# qr workspace rule, max(1, n, query); tests/test_kernels.py compares
+# the two on every run, so a numpy that changes either shows there.
 from numpy.linalg import lapack_lite
 
 from . import _native

@@ -6,10 +6,13 @@ fit must agree bit for bit: every array is compared with
 are checked here too, one pass at a time."""
 
 import copy
+import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from unittest import mock
 
@@ -652,6 +655,57 @@ def test_compiled_library_loads():
     """With a compiler present the rotations must run compiled: the numpy
     fallback computes the same bytes, so only this test sees it."""
     assert _native.library() is not None
+
+
+def plant_library(directory):
+    """A file where `library()` would look for its cached build."""
+    with open(_native._SOURCE, "rb") as fh:
+        digest = hashlib.sha256(fh.read())
+    digest.update(" ".join((*_native._FLAGS, platform.machine())).encode())
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"_spectral-{digest.hexdigest()[:32]}.so")
+    with open(path, "wb") as fh:
+        fh.write(b"planted")
+    return path
+
+
+def load_without_cdll(monkeypatch):
+    """`library()` uncached, with every `ctypes.CDLL` call recorded and
+    refused; returns (result, loaded paths)."""
+    loaded = []
+
+    def cdll(path, *args, **kwargs):
+        loaded.append(path)
+        raise OSError("refused")
+
+    monkeypatch.setattr(_native.ctypes, "CDLL", cdll)
+    return _native.library.__wrapped__(), loaded
+
+
+def test_an_unwritable_user_cache_loads_nothing_from_the_temp_dir(
+        tmp_path, monkeypatch):
+    """The shared temp directory is no fallback: anyone can plant a
+    library there."""
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    plant_library(str(tmp_path / "tmp" / "modembed"))
+    assert load_without_cdll(monkeypatch) == (None, [])
+
+
+def test_a_cache_directory_others_can_write_is_not_used(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    plant_library(str(tmp_path / "modembed"))
+    os.chmod(tmp_path / "modembed", 0o777)
+    assert load_without_cdll(monkeypatch) == (None, [])
+
+
+def test_a_new_cache_directory_is_private(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _native._cache_dir() == str(tmp_path / "modembed")
+    assert (tmp_path / "modembed").stat().st_mode & 0o077 == 0
 
 
 def test_importing_the_cli_builds_and_loads_nothing(tmp_path):

@@ -1,14 +1,17 @@
-"""Build-on-first-use loader for the compiled rotation loops.
+"""Build-on-first-use loader for the compiled loops in `_native.c`.
 
-`library()` compiles `_spectral.c` with the system C compiler the first
-time it is called, caches the shared library under the user cache
-directory, keyed by the sha256 of the source, the flags and the
-machine, and loads it with ctypes.  It returns None when no compiler is
-found or the cache directory is not usable: not writable, not owned by
-this user, or writable by anyone else, since whoever can write there
-could plant a library this process would load.  Callers then run their
-Python loops, which compute the same bytes.  Importing this module
-compiles and loads nothing.
+The library holds the rotation loops of the dense eigensolvers
+(`spectral`) and the '%.17g' row formatter behind every TSV writer
+(`graph._write_rows`); each computes the same bytes as the Python code
+it stands in for.  `library()` compiles `_native.c` with the system C
+compiler the first time it is called, caches the shared library under
+the user cache directory, keyed by the sha256 of the source, the flags
+and the machine, and loads it with ctypes.  It returns None when no
+compiler is found or the cache directory is not usable: not writable,
+not owned by this user, or writable by anyone else, since whoever can
+write there could plant a library this process would load.  Callers
+then run their Python loops, which compute the same bytes.  Importing
+this module compiles and loads nothing.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ import tempfile
 import numpy as np
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       "_spectral.c")
+                       "_native.c")
 # Fused multiply-adds (-ffp-contract, -march=native) and reassociation
-# (-ffast-math) would round differently from the numpy loops.
+# (-ffast-math) would round differently from the numpy loops; the row
+# formatter's exact path is integer arithmetic.
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
@@ -51,7 +55,7 @@ def _compile(key):
     directory = _cache_dir()
     if directory is None:
         return None
-    path = os.path.join(directory, f"_spectral-{key}.so")
+    path = os.path.join(directory, f"_native-{key}.so")
     if os.path.isfile(path):
         return path
     try:
@@ -73,7 +77,7 @@ def _compile(key):
 
 @functools.cache
 def library():
-    """The loaded ctypes library with its two entry points declared, or
+    """The loaded ctypes library with its entry points declared, or
     None."""
     try:
         with open(_SOURCE, "rb") as fh:
@@ -97,4 +101,11 @@ def library():
     lib.modembed_jacobi.argtypes = (size, array, array, ctypes.c_double,
                                     ctypes.c_double, size)
     lib.modembed_jacobi.restype = ctypes.c_int
+    rows = np.ctypeslib.ndpointer(np.float64, ndim=2,
+                                  flags=("C_CONTIGUOUS", "ALIGNED"))
+    offsets = np.ctypeslib.ndpointer(np.intp, ndim=1,
+                                     flags=("C_CONTIGUOUS", "ALIGNED"))
+    lib.modembed_format_rows.argtypes = (size, size, rows, ctypes.c_char_p,
+                                         offsets, ctypes.POINTER(ctypes.c_char))
+    lib.modembed_format_rows.restype = size
     return lib

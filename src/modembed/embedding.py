@@ -21,7 +21,7 @@ import numpy as np
 
 from . import clustering
 from .clustering import ClusterConfig, HARD_THETA, hard_labels
-from .graph import _parse_floats, from_bivariate
+from .graph import _parse_floats, _write_rows, from_bivariate
 
 __all__ = [
     "EmbeddingMatrix",
@@ -295,11 +295,6 @@ def multilayer_embed(Q, theta=HARD_THETA, max_sweeps=200, tol=1e-9, seed=0):
     return levels
 
 
-# Rows formatted per write call: enough to amortize the call, few enough
-# that the block's Python floats stay a few megabytes.
-_WRITE_ROWS = 4096
-
-
 def save_embedding_tsv(path, embedding_rows, node_labels):
     """Write `node<TAB>v1<TAB>...<TAB>vC` with 17 significant digits, one
     row per node, byte-stable across runs."""
@@ -308,15 +303,7 @@ def save_embedding_tsv(path, embedding_rows, node_labels):
         raise ValueError(
             f"{rows.shape[0]} rows but {len(node_labels)} node labels"
         )
-    line = "%s\t" + "\t".join(["%.17g"] * rows.shape[1]) + "\n"
-    # zip(block, labels) ends on the block without taking another label.
-    labels = iter(node_labels)
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, rows.shape[0], _WRITE_ROWS):
-            block = rows[start:start + _WRITE_ROWS].tolist()
-            fh.writelines(
-                line % (lab, *row) for row, lab in zip(block, labels)
-            )
+    _write_rows(path, rows, node_labels)
 
 
 def load_embedding_tsv(path):

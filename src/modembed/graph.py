@@ -13,12 +13,15 @@ separate, so applying Q to a matrix costs O((n + m) K).
 
 from __future__ import annotations
 
+import ctypes
 import math
 from collections import defaultdict
 from itertools import count
 
 import numpy as np
 from scipy import sparse
+
+from . import _native
 
 __all__ = [
     "SampledGraph",
@@ -503,8 +506,62 @@ def save_edge_list(path, graph):
     """
     u, w, mass = graph._pair_weights()
     labels = graph.node_labels
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            "%s\t%s\t%.17g\n" % (labels[a], labels[b], x)
-            for a, b, x in zip(u.tolist(), w.tolist(), mass.tolist())
-        )
+    _write_rows(path, mass[:, None],
+                ("%s\t%s" % (labels[a], labels[b])
+                 for a, b in zip(u.tolist(), w.tolist())))
+
+
+# Rows formatted per write call: enough to amortize the call, few enough
+# that the block's buffers stay a few megabytes.
+_WRITE_ROWS = 4096
+# The longest '%.17g' of a double, "-1.2345678901234567e-308", and a tab.
+_VALUE_BYTES = 25
+
+
+def _write_rows(path, rows, labels):
+    """Write `label<TAB>v1<TAB>...<TAB>vC` per row of the array `rows`,
+    each value as Python's '%.17g', labels as `str()` in UTF-8, taken in
+    order from the iterable `labels`.
+
+    Rows of bool, integers or floats up to float64 are converted to
+    float64 (exactly, or rounded as Python's int -> float) and formatted
+    by the compiled library a block at a time; other rows, or no
+    library, run the Python loop, which writes the same bytes.
+    """
+    labels = iter(labels)
+    kind, size = rows.dtype.kind, rows.dtype.itemsize
+    lib = None
+    if rows.ndim == 2 and (kind in "iub" or (kind == "f" and size <= 8)):
+        lib = _native.library()
+    if lib is None:
+        line = "%s\t" + "\t".join(["%.17g"] * rows.shape[1]) + "\n"
+        # zip(block, labels) ends on the block without taking another label.
+        with open(path, "w", encoding="utf-8") as fh:
+            for start in range(0, rows.shape[0], _WRITE_ROWS):
+                block = rows[start:start + _WRITE_ROWS].tolist()
+                fh.writelines(
+                    line % (lab, *row) for row, lab in zip(block, labels)
+                )
+        return
+    n, c = rows.shape
+    buf = ctypes.create_string_buffer(0)
+    with open(path, "wb") as fh:
+        for start in range(0, n, _WRITE_ROWS):
+            block = np.ascontiguousarray(rows[start:start + _WRITE_ROWS],
+                                         dtype=np.float64)
+            k = block.shape[0]
+            # zip(range(k), labels) ends on the range without taking
+            # another label; fromiter's count rejects a short one.
+            names = [str(lab).encode("utf-8") for _, lab in zip(range(k),
+                                                                labels)]
+            offsets = np.zeros(k + 1, dtype=np.intp)
+            np.cumsum(np.fromiter(map(len, names), np.intp, k),
+                      out=offsets[1:])
+            need = int(offsets[-1]) + k * (_VALUE_BYTES * c + 2)
+            if len(buf) < need:
+                buf = ctypes.create_string_buffer(need)
+            written = lib.modembed_format_rows(k, c, block, b"".join(names),
+                                               offsets, buf)
+            if written < 0:
+                raise MemoryError("no C locale for the row formatter")
+            fh.write(memoryview(buf)[:written])

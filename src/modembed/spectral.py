@@ -5,7 +5,7 @@ truth, so the eigensolvers are implemented in-repo rather than delegated:
 cyclic Jacobi rotations for small dense matrices, Householder reduction
 plus implicit-shift QL for mid-sized ones, and orthogonal iteration on
 the implicit operator when only a few leading eigenvectors are needed.
-The Jacobi and QL rotation loops run compiled from `_spectral.c` when a
+The Jacobi and QL rotation loops run compiled from `_native.c` when a
 C compiler is available (see `_native`), bit for bit as their numpy
 versions here, which run otherwise.
 

@@ -2,9 +2,12 @@
 replaced, which are kept below as oracles: graphs must match bit for bit,
 written files byte for byte, and errors in type, message and line."""
 
+import locale
 import math
+import shutil
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from modembed import graph
+from modembed import _native, graph
 from modembed.embedding import load_embedding_tsv, save_embedding_tsv
 from modembed.tasks import load_labels, rankdata
 
@@ -371,6 +374,198 @@ def test_save_embedding_tsv_across_batches(tmp_path, n, cols, seed):
     oracle_save_embedding_tsv(tmp_path / "old.tsv", rows, labels)
     assert (tmp_path / "new.tsv").read_bytes() == \
         (tmp_path / "old.tsv").read_bytes()
+
+
+# The writer's two paths: the compiled formatter (when a compiler is
+# found) and the Python loop it falls back to.
+@pytest.fixture(params=["compiled", "python"])
+def writer(request):
+    if request.param == "compiled":
+        yield request.param
+        return
+    with mock.patch.object(_native, "library", lambda: None):
+        yield request.param
+
+
+def assert_writes_like_oracle(tmp_path, rows, labels):
+    save_embedding_tsv(tmp_path / "new.tsv", rows, labels)
+    oracle_save_embedding_tsv(tmp_path / "old.tsv", rows, labels)
+    assert (tmp_path / "new.tsv").read_bytes() == \
+        (tmp_path / "old.tsv").read_bytes()
+
+
+def from_bits(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+def neighbours(x, ulps=2):
+    """x and the doubles up to `ulps` steps either side of it."""
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(ulps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def formatter_edge_cases():
+    """Doubles where a '%.17g' formatter goes wrong first."""
+    values = []
+    for k in range(-20, 21):
+        values += neighbours(float(f"1e{k}"))
+    values += neighbours(1e-16, 4) + neighbours(1e17, 4)
+    values += [(2.0 ** 52 + k) / 4 for k in range(-40, 41)]
+    values += [(2.0 ** 53 + k) * 2 ** e for k in (1, 3) for e in (-80, 0, 3)]
+    values += [5e-324, 1e-323, 2.2250738585072009e-308,
+               2.2250738585072014e-308, 1.5e-310, 0.0, -0.0]
+    values += [2.0 ** e for e in range(-1074, 1024, 7)]
+    values += list(from_bits([0xFFF8000000000000, 0x7FF8000000000001,
+                              0xFFF0000000000001, 0x7FFFFFFFFFFFFFFF,
+                              0x7FF4000000000000]))
+    values += [math.inf, -math.inf, 1.7976931348623157e308, 1e-5, 1e-4,
+               0.5, 123456789.125, 9007199254740993.0]
+    values = np.array(values, dtype=np.float64)
+    return np.concatenate([values, -values])
+
+
+def test_writer_matches_oracle_on_edge_cases(tmp_path, writer):
+    values = formatter_edge_cases()
+    assert_writes_like_oracle(tmp_path, values[:, None],
+                              list(range(values.size)))
+    rows = values[:values.size // 3 * 3].reshape(-1, 3)
+    assert_writes_like_oracle(tmp_path, rows, list(range(len(rows))))
+
+
+# Raw patterns, plus doubles around the formatter's exact range.
+BITS = st.integers(0, 2 ** 64 - 1) | st.floats(-1e18, 1e18).map(
+    lambda v: int(np.float64(v).view(np.uint64)))
+
+
+@IO_SETTINGS
+@given(bits=st.lists(BITS, min_size=1, max_size=60),
+       cols=st.sampled_from([1, 2, 3]))
+def test_writer_matches_oracle_on_any_bit_pattern(tmp_path, writer, bits,
+                                                  cols):
+    values = from_bits(bits[:len(bits) // cols * cols] or bits[:1] * cols)
+    rows = values.reshape(-1, cols)
+    assert_writes_like_oracle(tmp_path, rows, list(range(len(rows))))
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([[2 ** 53 + 1, -2 ** 63, 2 ** 63 - 1],
+              [-(2 ** 53) - 3, 123456789012345678, 0]], dtype=np.int64),
+    np.array([[2 ** 64 - 1, 2 ** 63 + 1, 2 ** 53 + 1]], dtype=np.uint64),
+    np.array([[-128, 127]], dtype=np.int8),
+    np.array([[True, False], [False, True]]),
+    np.array([[0.1, 65504, -6e-8, np.nan, np.inf]], dtype=np.float16),
+    np.array([[0.1, 3.4e38, -1e-45, np.nan, -np.inf]], dtype=np.float32),
+    np.array([[1.5, 2.5]], dtype=np.longdouble),
+    np.array([[1.5, 2 ** 70, -3]], dtype=object),
+], ids=lambda rows: str(rows.dtype))
+def test_writer_matches_oracle_on_every_dtype(tmp_path, writer, rows):
+    assert_writes_like_oracle(tmp_path, rows, list(range(len(rows))))
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+def test_writer_matches_oracle_on_empty_shapes(tmp_path, writer, shape):
+    assert_writes_like_oracle(tmp_path, np.zeros(shape), list(range(shape[0])))
+
+
+def test_writer_matches_oracle_on_any_label(tmp_path, writer):
+    labels = ["a", 7, ("t", 1), "é ß字", "", "x\ty", np.int64(3), 2.5,
+              "𝄞"]
+    rows = np.arange(2.0 * len(labels)).reshape(-1, 2) / 3
+    assert_writes_like_oracle(tmp_path, rows, labels)
+    with pytest.raises(UnicodeEncodeError):
+        save_embedding_tsv(tmp_path / "bad.tsv", rows[:1], ["\udc80"])
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+def test_writer_matches_oracle_across_block_edges(tmp_path, writer, n):
+    rows = np.random.default_rng(n).standard_normal((n, 2)) * 1e-3
+    assert_writes_like_oracle(tmp_path, rows, [f"n{i}" for i in range(n)])
+
+
+def test_save_edge_list_python_loop_matches_oracle(tmp_path):
+    g = graph.from_edge_list([("a", "b", 0.1), ("b", "c", 1e-300),
+                              ("c", "c", 2.0), (1, "a", 3.0)])
+    with mock.patch.object(_native, "library", lambda: None):
+        graph.save_edge_list(tmp_path / "new.tsv", g)
+    oracle_save_edge_list(tmp_path / "old.tsv", g)
+    assert (tmp_path / "new.tsv").read_bytes() == \
+        (tmp_path / "old.tsv").read_bytes()
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_writer_runs_compiled_when_a_compiler_is_found(tmp_path,
+                                                       monkeypatch):
+    """The Python loop writes the same bytes, so only this test sees a
+    silent fallback."""
+    lib = _native.library()
+    assert lib is not None
+    calls = []
+    formatter = lib.modembed_format_rows
+
+    def spy(*args):
+        calls.append(args[:2])
+        return formatter(*args)
+
+    monkeypatch.setattr(lib, "modembed_format_rows", spy)
+    rows = np.random.default_rng(0).standard_normal((5000, 3))
+    save_embedding_tsv(tmp_path / "e.tsv", rows, list(range(5000)))
+    assert calls == [(4096, 3), (904, 3)]
+
+
+def comma_locale():
+    """Name of an installed locale whose decimal point is a comma, or
+    None."""
+    for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8",
+                 "nl_NL.UTF-8", "ru_RU.UTF-8"):
+        try:
+            locale.setlocale(locale.LC_NUMERIC, name)
+        except locale.Error:
+            continue
+        finally:
+            locale.setlocale(locale.LC_NUMERIC, "C")
+        return name
+    return None
+
+
+@pytest.mark.skipif(comma_locale() is None, reason="no comma locale")
+def test_writer_ignores_the_numeric_locale(tmp_path, writer):
+    """Python's % never reads LC_NUMERIC, so printf's fallback must not
+    either, and the caller's locale survives the call."""
+    rows = np.array([[1e300, 5e-324, 0.5, 1e-17]])
+    locale.setlocale(locale.LC_NUMERIC, comma_locale())
+    try:
+        assert_writes_like_oracle(tmp_path, rows, ["a"])
+        assert locale.localeconv()["decimal_point"] == ","
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, "C")
+    assert (tmp_path / "new.tsv").read_bytes() == (
+        b"a\t1.0000000000000001e+300\t4.9406564584124654e-324\t0.5"
+        b"\t1.0000000000000001e-17\n")
+
+
+@IO_SETTINGS
+@given(values=st.lists(st.floats() | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072009e-308, 1e308, -1.7976931348623157e308,
+     math.inf, -math.inf, math.nan]), min_size=1, max_size=40),
+    cols=st.sampled_from([1, 2, 4]))
+def test_embedding_round_trips_bit_for_bit(tmp_path, writer, values, cols):
+    """Every finite double comes back with its bits, -0.0 and subnormals
+    included; inf comes back as inf and NaN as NaN."""
+    values = (values * cols)[:len(values) // cols * cols or cols]
+    rows = np.array(values, dtype=np.float64).reshape(-1, cols)
+    labels = [f"v{i}" for i in range(len(rows))]
+    save_embedding_tsv(tmp_path / "e.tsv", rows, labels)
+    got_labels, got = load_embedding_tsv(tmp_path / "e.tsv")
+    assert got_labels == labels
+    assert got.shape == rows.shape
+    nan = np.isnan(rows)
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == rows[~nan].tobytes()
 
 
 EMB_FIELD = st.sampled_from(["1", "-0", "2.5e-3", "nan", "inf", " 3 ", "x", "",

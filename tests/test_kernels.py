@@ -663,7 +663,7 @@ def plant_library(directory):
         digest = hashlib.sha256(fh.read())
     digest.update(" ".join((*_native._FLAGS, platform.machine())).encode())
     os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"_spectral-{digest.hexdigest()[:32]}.so")
+    path = os.path.join(directory, f"_native-{digest.hexdigest()[:32]}.so")
     with open(path, "wb") as fh:
         fh.write(b"planted")
     return path

@@ -284,19 +284,15 @@ static char *put_value(char *out, double v, locale_t *c_locale,
     if (a >= 1e-16 && a < 1e17 && exact_digits(a, &d, &x))
         return put_digits(out, signbit(v) != 0, d, x);
 #endif
-    if (isnan(v)) {   /* Python drops NaN's sign; printf writes -nan. */
-        memcpy(out, "nan", 3);
-        return out + 3;
-    }
-    if (isinf(v) || v == 0.0) {
-        if (signbit(v))
+    const char *word = isnan(v) ? "nan" : isinf(v) ? "inf"
+                     : v == 0.0 ? "0" : NULL;
+    if (word != NULL) {
+        /* Python drops NaN's sign, where printf writes -nan. */
+        if (signbit(v) && !isnan(v))
             *out++ = '-';
-        *out++ = v == 0.0 ? '0' : 'i';
-        if (v != 0.0) {
-            memcpy(out, "nf", 2);
-            out += 2;
-        }
-        return out;
+        size_t len = strlen(word);
+        memcpy(out, word, len);
+        return out + len;
     }
     if (*c_locale == (locale_t)0) {
         *c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);

@@ -381,10 +381,10 @@ def test_save_embedding_tsv_across_batches(tmp_path, n, cols, seed):
 @pytest.fixture(params=["compiled", "python"])
 def writer(request):
     if request.param == "compiled":
-        yield request.param
+        yield
         return
     with mock.patch.object(_native, "library", lambda: None):
-        yield request.param
+        yield
 
 
 def assert_writes_like_oracle(tmp_path, rows, labels):

@@ -34,7 +34,7 @@ from .embedding import (
     save_embedding_tsv,
     load_embedding_tsv,
 )
-from .graph import load_edge_list
+from .graph import _write_rows, load_edge_list
 from .pointcloud import (
     concentric_circles,
     load_xyz,
@@ -280,9 +280,8 @@ def _cmd_verify(args):
         print(f"{name}\t{value:.12g}")
     outputs = []
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for name, value in rows:
-                fh.write(f"{name}\t{value:.17g}\n")
+        names, values = zip(*rows)
+        _write_rows(args.out, np.array(values)[:, None], names)
         outputs.append(args.out)
         _write_manifest(
             args.out, "verify",
@@ -303,9 +302,8 @@ def _cmd_eigs(args):
     graph = load_edge_list(args.graph)
     Q = graph.modularity_matrix()
     spectrum = eigendecompose(Q, k=args.topk)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for rank, value in enumerate(spectrum.eigenvalues):
-            fh.write(f"{rank}\t{value:.17g}\n")
+    _write_rows(args.out, spectrum.eigenvalues[:, None],
+                range(spectrum.eigenvalues.size))
     outputs = [args.out]
     if args.vectors_out:
         save_embedding_tsv(
@@ -343,9 +341,9 @@ def _cmd_reduce(args):
     stem, suffix = os.path.splitext(args.out)
     suffix = suffix or ".tsv"
     residual_path = f"{stem}.residuals{suffix}"
-    with open(residual_path, "w", encoding="utf-8") as fh:
-        for j, (res, sel) in enumerate(zip(result.residuals, result.selected)):
-            fh.write(f"{j}\t{res:.17g}\t{int(sel)}\n")
+    _write_rows(residual_path,
+                np.column_stack([result.residuals, result.selected]),
+                range(result.residuals.size))
     recon_path = f"{stem}.reconstruction{suffix}"
     save_embedding_tsv(recon_path, result.reconstruction, node_labels)
     outputs = [args.out, residual_path, recon_path]
@@ -370,13 +368,12 @@ def _cmd_reduce(args):
 def _cmd_eval(args):
     started = time.time()
     emb_labels, X = load_embedding_tsv(args.embeddings)
-    inputs = {"embeddings": args.embeddings}
+    graph = load_edge_list(args.graph)
+    inputs = {"embeddings": args.embeddings, "graph": args.graph}
+    if emb_labels != [str(lab) for lab in graph.node_labels]:
+        raise ValueError("embedding rows do not match the graph's nodes")
     if args.task == "classify":
-        graph = load_edge_list(args.graph)
-        inputs["graph"] = args.graph
         inputs["labels"] = args.labels
-        if emb_labels != [str(lab) for lab in graph.node_labels]:
-            raise ValueError("embedding rows do not match the graph's nodes")
         label_map, nodes = load_labels(args.labels, graph)
         Xl, y, class_names, _ = labeled_dataset(X, graph, label_map, nodes)
         summary = classify(
@@ -384,10 +381,6 @@ def _cmd_eval(args):
             seed=args.seed,
         )
     else:
-        graph = load_edge_list(args.graph)
-        inputs["graph"] = args.graph
-        if emb_labels != [str(lab) for lab in graph.node_labels]:
-            raise ValueError("embedding rows do not match the graph's nodes")
         summary = link_predict(
             graph, X, train_fraction=args.train, repetitions=args.reps,
             seed=args.seed,

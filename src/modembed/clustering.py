@@ -18,13 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import MarginalAggregate
-
 __all__ = [
     "ClusterConfig",
     "SoftAssignment",
     "ClusterResult",
-    "MarginalAggregate",
     "HARD_THETA",
     "init_assignment",
     "softmax_update",

@@ -57,10 +57,6 @@ class EmbeddingMatrix:
     R: np.ndarray
 
     @property
-    def n(self):
-        return self.H_hat.shape[0]
-
-    @property
     def C(self):
         return self.H_hat.shape[1]
 
@@ -92,7 +88,6 @@ class LayerResult:
     embedding: EmbeddingMatrix
     membership: np.ndarray  # original node -> this level's cluster
     modularity: float
-    Q_pooled: np.ndarray  # dense C x C pooled covariance
 
 
 def prune_zero_columns(H, threshold=ZERO_COLUMN_THRESHOLD):
@@ -268,11 +263,8 @@ def multilayer_embed(Q, theta=HARD_THETA, max_sweeps=200, tol=1e-9, seed=0):
             break
         H_soft, kept = prune_zero_columns(result.assignment.H)
         embedding = qr_embed(Q_level, H_soft)
-        Q_next, coarse_membership, P_pooled = coarsen(Q_level, coarse_part)
+        Q_next, coarse_membership, _ = coarsen(Q_level, coarse_part)
         composed = coarse_membership[membership]
-        Q_dense = P_pooled - np.outer(
-            P_pooled.sum(axis=1), P_pooled.sum(axis=1)
-        )
         levels.append(
             LayerResult(
                 level=level,
@@ -281,7 +273,6 @@ def multilayer_embed(Q, theta=HARD_THETA, max_sweeps=200, tol=1e-9, seed=0):
                 embedding=embedding,
                 membership=composed,
                 modularity=modularity,
-                Q_pooled=Q_dense,
             )
         )
         if level == 0 and modularity <= incumbent:

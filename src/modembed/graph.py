@@ -72,11 +72,6 @@ class SampledGraph:
         return self._P.data
 
     @property
-    def nnz(self):
-        """Stored off-diagonal entries (both directions counted)."""
-        return self._P.nnz
-
-    @property
     def total_mass(self):
         return float(self._P.data.sum() + self.diag_mass.sum())
 

@@ -15,7 +15,9 @@ intrinsic one without changing the Gram matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from . import clustering
@@ -30,14 +32,11 @@ __all__ = [
     "ReduceResult",
     "center",
     "embed_lift",
-    "weight_iteration",
-    "weights_from_assignment",
     "pca_basis",
     "reduce_cloud",
     "concentric_circles",
     "torus_cloud",
     "load_xyz",
-    "save_xyz",
 ]
 
 # Embedding columns at or below this residual carry principal-subspace
@@ -169,39 +168,6 @@ def embed_lift(X, L, seed=0):
     return X @ Qfac.T
 
 
-def weights_from_assignment(X, H):
-    """Feature-space cluster weights W = X^T H; for a hard partition,
-    column j is exactly the coordinate sum of cluster j's points."""
-    return np.asarray(X, dtype=float).T @ np.asarray(H, dtype=float)
-
-
-def weight_iteration(X, H0, theta, max_sweeps=200, tol=1e-9):
-    """Synchronous fixed-point iteration on the cluster weights:
-
-        W  <-  X^T softmax(theta * X W)
-
-    updating all rows at once (unlike the sequential graph sweeps).
-    Returns (W, H, iterations, converged) with H the last activation.
-    """
-    X = np.asarray(X, dtype=float)
-    W = weights_from_assignment(X, H0)
-    H = np.asarray(H0, dtype=float)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_sweeps + 1):
-        Z = theta * (X @ W)
-        Z -= Z.max(axis=1, keepdims=True)
-        H = np.exp(Z)
-        H /= H.sum(axis=1, keepdims=True)
-        W_next = X.T @ H
-        delta = np.abs(W_next - W).max()
-        W = W_next
-        if delta < tol:
-            converged = True
-            break
-    return W, H, iterations, converged
-
-
 def pca_basis(X, k):
     """Top principal directions of a centered cloud as unit columns.
 
@@ -321,7 +287,8 @@ def torus_cloud(n=240, major=2.0, minor=0.7):
 
 def load_xyz(path):
     """Whitespace-separated coordinates, two or three per line; `#`
-    comment lines ignored."""
+    comment lines ignored.  A coordinate that does not parse, or parses
+    to nan or inf, is an error naming its line."""
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -339,17 +306,15 @@ def load_xyz(path):
             elif len(parts) != width:
                 raise ValueError(f"{path}:{lineno}: inconsistent column count")
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad coordinate") from None
+                row = None
+            # A nan or inf coordinate would run the whole iteration and
+            # then fail the eigensolver.
+            if row is None or not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{lineno}: bad coordinate")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty point cloud")
     return np.array(rows)
 
-
-def save_xyz(path, points):
-    """Write one point per line with 17 significant digits."""
-    points = np.asarray(points, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in points:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")

@@ -20,6 +20,8 @@ from operator import methodcaller
 
 import numpy as np
 
+from .graph import _write_rows
+
 __all__ = [
     "MetricSummary",
     "SoftmaxRegression",
@@ -144,9 +146,6 @@ class SoftmaxRegression:
         Z = self._standardize(np.asarray(X, dtype=float))
         return self._softmax(Z @ self.W + self.b)
 
-    def predict(self, X):
-        return np.argmax(self.predict_proba(X), axis=1)
-
 
 def stratified_split(y, train_fraction, rng):
     """Class-proportional train/test indices.
@@ -240,38 +239,43 @@ def _summarize(per_rep):
     return float(arr.mean()), float(arr.std())
 
 
-def classify(embeddings, y, train_fraction=0.5, repetitions=100, seed=0):
-    """Repeated stratified splits; each repetition draws its RNG stream
-    from (seed, repetition) so runs are reproducible and independent."""
-    X = np.asarray(embeddings, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if X.shape[0] != y.size:
-        raise ValueError(
-            f"{X.shape[0]} embedding rows vs {y.size} labels"
-        )
-    n_classes = int(y.max()) + 1
-    counts = np.bincount(y, minlength=n_classes)
-    auc_applicable = (counts != 1).all()
+def _evaluate(draw, train_fraction, repetitions, seed):
+    """Repeated stratified splits of the dataset `draw(rng) -> (features,
+    y)`; each repetition draws its RNG stream from (seed, repetition) so
+    runs are reproducible and independent.  AUC is reported when no
+    class of y has a single member."""
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     accs, f1s, aucs = [], [], []
     for rep in range(repetitions):
         rng = np.random.default_rng([seed, rep])
+        X, y = draw(rng)
+        n_classes = int(y.max()) + 1
+        auc_applicable = (np.bincount(y, minlength=n_classes) != 1).all()
         train, test, _ = stratified_split(y, train_fraction, rng)
         model = SoftmaxRegression(n_classes).fit(X[train], y[train])
         proba = model.predict_proba(X[test])
         pred = np.argmax(proba, axis=1)
         accs.append(accuracy_score(y[test], pred))
         f1s.append(macro_f1_score(y[test], pred))
-        if auc_applicable:
-            auc = roc_auc_ovr(y[test], proba)
-            if auc is not None:
-                aucs.append(auc)
+        auc = roc_auc_ovr(y[test], proba) if auc_applicable else None
+        if auc is not None:
+            aucs.append(auc)
     acc_m, acc_s = _summarize(accs)
     f1_m, f1_s = _summarize(f1s)
-    if auc_applicable and aucs:
-        auc_m, auc_s = _summarize(aucs)
-    else:
-        auc_m = auc_s = None
+    auc_m, auc_s = _summarize(aucs) if aucs else (None, None)
     return MetricSummary(acc_m, acc_s, f1_m, f1_s, auc_m, auc_s, repetitions)
+
+
+def classify(embeddings, y, train_fraction=0.5, repetitions=100, seed=0):
+    """Node classification over repeated stratified splits."""
+    X = np.asarray(embeddings, dtype=float)
+    y = np.asarray(y, dtype=int)
+    if X.shape[0] != y.size:
+        raise ValueError(
+            f"{X.shape[0]} embedding rows vs {y.size} labels"
+        )
+    return _evaluate(lambda rng: (X, y), train_fraction, repetitions, seed)
 
 
 def _non_edge_sample(graph, count, rng):
@@ -319,26 +323,14 @@ def link_predict(graph, embeddings, train_fraction=0.5, repetitions=10,
     positives = positives[positives[:, 0] != positives[:, 1]]
     if not positives.size:
         raise ValueError("graph has no off-diagonal edges to predict")
-    accs, f1s, aucs = [], [], []
-    for rep in range(repetitions):
-        rng = np.random.default_rng([seed, rep])
+    y = np.array([1] * len(positives) + [0] * len(positives))
+
+    def draw(rng):
         negatives = _non_edge_sample(graph, len(positives), rng)
         pairs = np.vstack([positives, np.array(negatives, dtype=np.int64)])
-        y = np.array([1] * len(positives) + [0] * len(negatives))
-        feats = np.hstack([X[pairs[:, 0]], X[pairs[:, 1]]])
-        train, test, _ = stratified_split(y, train_fraction, rng)
-        model = SoftmaxRegression(2).fit(feats[train], y[train])
-        proba = model.predict_proba(feats[test])
-        pred = np.argmax(proba, axis=1)
-        accs.append(accuracy_score(y[test], pred))
-        f1s.append(macro_f1_score(y[test], pred))
-        auc = roc_auc_ovr(y[test], proba)
-        if auc is not None:
-            aucs.append(auc)
-    acc_m, acc_s = _summarize(accs)
-    f1_m, f1_s = _summarize(f1s)
-    auc_m, auc_s = _summarize(aucs) if aucs else (None, None)
-    return MetricSummary(acc_m, acc_s, f1_m, f1_s, auc_m, auc_s, repetitions)
+        return np.hstack([X[pairs[:, 0]], X[pairs[:, 1]]]), y
+
+    return _evaluate(draw, train_fraction, repetitions, seed)
 
 
 def load_labels(path, graph):
@@ -416,6 +408,5 @@ def labeled_dataset(embeddings, graph, label_map, nodes):
 
 def save_metrics_tsv(path, summary):
     """Write `metric<TAB>mean<TAB>std` rows with 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for name, mean, std in summary.rows():
-            fh.write(f"{name}\t{mean:.17g}\t{std:.17g}\n")
+    names, means, stds = zip(*summary.rows())
+    _write_rows(path, np.array([means, stds]).T, names)

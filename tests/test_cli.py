@@ -12,7 +12,6 @@ from modembed import datasets
 from modembed.cli import main
 from modembed.graph import load_edge_list
 from modembed.embedding import load_embedding_tsv
-from modembed.pointcloud import save_xyz
 
 
 def _sha(path):
@@ -222,7 +221,7 @@ def test_reduce_points_file(tmp_path):
     angles = rng.uniform(0.0, 2 * np.pi, size=60)
     pts = np.column_stack([np.cos(angles), np.sin(angles)])
     cloud = tmp_path / "cloud.xyz"
-    save_xyz(cloud, pts)
+    np.savetxt(cloud, pts, fmt="%.17g")
     out = tmp_path / "red.tsv"
     code = main(["reduce", "--points", str(cloud), "--k", "3",
                  "--out", str(out)])
@@ -253,6 +252,31 @@ def test_eval_classify_and_link(tmp_path, sbm_file, capsys):
                  "--out", str(link_metrics)])
     assert code == 0
     assert link_metrics.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_reduce_rejects_non_finite_points(tmp_path, capsys, value):
+    cloud = tmp_path / "cloud.xyz"
+    cloud.write_text("0 0\n1 0\n0 1\n1 1\n%s 2\n2 2\n" % value)
+    code = main(["reduce", "--points", str(cloud), "--k", "2",
+                 "--out", str(tmp_path / "red.tsv")])
+    assert code == 1
+    assert f"{cloud}:5: bad coordinate" in capsys.readouterr().err
+    assert not (tmp_path / "red.tsv").exists()
+
+
+def test_eval_rejects_zero_reps(tmp_path, sbm_file, capsys):
+    graph_path, _ = sbm_file
+    emb = tmp_path / "emb.tsv"
+    main(["embed", "sphere", "--graph", str(graph_path), "--k", "2",
+          "--out", str(emb)])
+    capsys.readouterr()
+    out = tmp_path / "link.tsv"
+    code = main(["eval", "link", "--graph", str(graph_path),
+                 "--embeddings", str(emb), "--reps", "0", "--out", str(out)])
+    assert code == 1
+    assert "repetitions must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_classify_requires_labels(tmp_path, sbm_file):

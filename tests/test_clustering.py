@@ -106,7 +106,7 @@ def test_ops_counter_matches_degrees(karate):
     """Per-sweep op count is sum over visited nodes of deg(u) + K."""
     Q = karate.modularity_matrix()
     K = 4
-    expected = karate.nnz + karate.n * K  # every node unpinned
+    expected = karate.indices.size + karate.n * K  # every node unpinned
     result = run(Q, ClusterConfig(n_clusters=K, theta=10.0, seed=2))
     assert all(ops == expected for ops in result.ops_per_sweep)
 

@@ -152,7 +152,6 @@ def test_multilayer_levels_structure():
         assert abs(L.modularity - want) < 1e-12
         Hh = L.embedding.H_hat
         assert np.abs(Hh.T @ Hh - np.eye(Hh.shape[1])).max() < 1e-10
-        assert L.Q_pooled.shape == (L.C, L.C)
     # Each finer cluster lands inside exactly one coarser cluster.
     for a, b in zip(levels, levels[1:]):
         for c in np.unique(a.membership):

@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from modembed import datasets, graph
+from modembed import graph
 
 from conftest import dense_masses, dense_modularity, graph_from, random_edges
 
 
 def test_karate_shape_and_mass(karate):
     assert karate.n == 34
-    assert karate.nnz == 156  # 78 undirected edges, mirrored
+    assert karate.indices.size == 156  # 78 undirected edges, mirrored
     assert abs(karate.total_mass - 1.0) < 1e-12
     # Node 0 has degree 16 out of 2*78 endpoint slots.
     assert abs(karate.marginal[karate.index_of(0)] - 16.0 / 156.0) < 1e-12
@@ -169,16 +171,29 @@ def test_from_bivariate_validation():
         graph.from_bivariate(bad)
 
 
-def test_edge_list_roundtrip(tmp_path, karate):
+# Weighted edges over a few labels, so pairs repeat and self-loops occur.
+# Weights stay positive: save_edge_list writes no isolated nodes.
+WEIGHTED_EDGES = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7), st.floats(1e-8, 1e8)),
+    min_size=1, max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edges=WEIGHTED_EDGES)
+def test_edge_list_roundtrip(tmp_path, edges):
     """Save/load preserves the distribution keyed by node label."""
-    path = tmp_path / "karate.tsv"
-    graph.save_edge_list(path, karate)
+    g = graph.from_edge_list(edges)
+    path = tmp_path / "g.tsv"
+    graph.save_edge_list(path, g)
     back = graph.load_edge_list(path)
-    assert back.n == karate.n
-    for u, w in datasets.karate_club_edges():
-        a = karate.pair_mass(karate.index_of(u), karate.index_of(w))
-        b = back.pair_mass(back.index_of(str(u)), back.index_of(str(w)))
-        assert abs(a - b) < 1e-15
+    assert back.n == g.n
+    perm = back.indices_of([str(lab) for lab in g.node_labels])
+    assert np.abs(back.marginal[perm] - g.marginal).max() < 1e-15
+    assert np.abs(back.diag_mass[perm] - g.diag_mass).max() < 1e-15
+    dense = back.modularity_matrix().dense()[np.ix_(perm, perm)]
+    assert np.abs(dense - g.modularity_matrix().dense()).max() < 1e-15
 
 
 def test_load_edge_list_comments_and_weights(tmp_path):

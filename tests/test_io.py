@@ -11,13 +11,21 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from modembed import _native, graph
+from modembed import _native, cli, clustering, datasets, graph
+from modembed.clustering import ClusterConfig
 from modembed.embedding import load_embedding_tsv, save_embedding_tsv
-from modembed.tasks import load_labels, rankdata
+from modembed.pointcloud import concentric_circles, reduce_cloud
+from modembed.spectral import alignment_bounds, eigendecompose
+from modembed.tasks import (
+    MetricSummary,
+    load_labels,
+    rankdata,
+    save_metrics_tsv,
+)
 
 
 # --- oracles -----------------------------------------------------------------
@@ -133,6 +141,30 @@ def oracle_save_embedding_tsv(path, rows, node_labels):
         for lab, row in zip(node_labels, rows):
             values = "\t".join(f"{v:.17g}" for v in row)
             fh.write(f"{lab}\t{values}\n")
+
+
+def oracle_save_metrics_tsv(path, summary):
+    with open(path, "w", encoding="utf-8") as fh:
+        for name, mean, std in summary.rows():
+            fh.write(f"{name}\t{mean:.17g}\t{std:.17g}\n")
+
+
+def oracle_save_eigenvalues(path, eigenvalues):
+    with open(path, "w", encoding="utf-8") as fh:
+        for rank, value in enumerate(eigenvalues):
+            fh.write(f"{rank}\t{value:.17g}\n")
+
+
+def oracle_save_report(path, rows):
+    with open(path, "w", encoding="utf-8") as fh:
+        for name, value in rows:
+            fh.write(f"{name}\t{value:.17g}\n")
+
+
+def oracle_save_residuals(path, residuals, selected):
+    with open(path, "w", encoding="utf-8") as fh:
+        for j, (res, sel) in enumerate(zip(residuals, selected)):
+            fh.write(f"{j}\t{res:.17g}\t{int(sel)}\n")
 
 
 def oracle_load_embedding_tsv(path):
@@ -595,6 +627,105 @@ def test_load_embedding_tsv_matches_oracle(tmp_path, lines):
         assert got[1][0] == want[1][0]
         assert got[1][1].shape == want[1][1].shape
         assert got[1][1].tobytes() == want[1][1].tobytes()
+
+
+# --- the small writers: metrics, eigenvalues, reports, residuals -----------
+
+# Any double, with the ones a formatter gets wrong first drawn often.
+VALUE = st.floats() | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1e-17, 1e17,
+     math.inf, -math.inf, math.nan])
+# Each run covers both writer paths; fewer examples keep the suite quick.
+SMALL_WRITER_SETTINGS = settings(IO_SETTINGS, max_examples=100)
+REPORT_NAMES = ["lambda1", "lambda2", "lambda_min", "delta1", "epsilon",
+                "cos_x", "bound_x", "cos_qx", "bound_qx", "applicable",
+                "holds"]
+
+
+def assert_same_bytes(tmp_path):
+    assert (tmp_path / "new.tsv").read_bytes() == \
+        (tmp_path / "old.tsv").read_bytes()
+
+
+@SMALL_WRITER_SETTINGS
+@given(values=st.lists(VALUE, min_size=6, max_size=6), auc=st.booleans())
+def test_save_metrics_tsv_matches_oracle(tmp_path, writer, values, auc):
+    if not auc:
+        values[4:] = [None, None]
+    summary = MetricSummary(*values, repetitions=3)
+    save_metrics_tsv(tmp_path / "new.tsv", summary)
+    oracle_save_metrics_tsv(tmp_path / "old.tsv", summary)
+    assert_same_bytes(tmp_path)
+
+
+@SMALL_WRITER_SETTINGS
+@given(values=st.lists(VALUE, min_size=1, max_size=40))
+def test_eigenvalue_rows_match_oracle(tmp_path, writer, values):
+    values = np.array(values)
+    graph._write_rows(tmp_path / "new.tsv", values[:, None],
+                      range(values.size))
+    oracle_save_eigenvalues(tmp_path / "old.tsv", values)
+    assert_same_bytes(tmp_path)
+
+
+@SMALL_WRITER_SETTINGS
+@given(values=st.lists(VALUE, min_size=len(REPORT_NAMES),
+                       max_size=len(REPORT_NAMES)))
+@example(values=[0.5, 0.25, -0.5, 0.5, 2.0, 0.9, math.nan, 0.8, math.nan,
+                 0.0, 1.0])
+def test_report_rows_match_oracle(tmp_path, writer, values):
+    """The explicit example is a report that does not apply: NaN bounds."""
+    rows = list(zip(REPORT_NAMES, values))
+    graph._write_rows(tmp_path / "new.tsv", np.array(values)[:, None],
+                      REPORT_NAMES)
+    oracle_save_report(tmp_path / "old.tsv", rows)
+    assert_same_bytes(tmp_path)
+
+
+@SMALL_WRITER_SETTINGS
+@given(rows=st.lists(st.tuples(VALUE, st.booleans()), min_size=1,
+                     max_size=12))
+def test_residual_rows_match_oracle(tmp_path, writer, rows):
+    residuals = np.array([res for res, _ in rows])
+    selected = np.array([sel for _, sel in rows])
+    graph._write_rows(tmp_path / "new.tsv",
+                      np.column_stack([residuals, selected]),
+                      range(residuals.size))
+    oracle_save_residuals(tmp_path / "old.tsv", residuals, selected)
+    assert_same_bytes(tmp_path)
+
+
+def test_cli_small_writers_match_oracles(tmp_path, writer):
+    """verify, eigs and reduce files equal the oracles' bytes for the
+    same values computed in process."""
+    path = tmp_path / "karate.tsv"
+    path.write_text("".join(f"{u}\t{w}\n"
+                            for u, w in datasets.karate_club_edges()))
+    Q = graph.load_edge_list(path).modularity_matrix()
+
+    assert cli.main(["verify", "--graph", str(path),
+                     "--out", str(tmp_path / "new.tsv")]) == 0
+    config = ClusterConfig(n_clusters=2, theta=50.0, max_sweeps=200,
+                           tol=1e-9, seed=0)
+    report = alignment_bounds(Q, clustering.run(Q, config).assignment.H)
+    oracle_save_report(tmp_path / "old.tsv",
+                       [(name, float(getattr(report, name)))
+                        for name in REPORT_NAMES])
+    assert_same_bytes(tmp_path)
+
+    assert cli.main(["eigs", "--graph", str(path),
+                     "--out", str(tmp_path / "new.tsv")]) == 0
+    oracle_save_eigenvalues(tmp_path / "old.tsv",
+                            eigendecompose(Q).eigenvalues)
+    assert_same_bytes(tmp_path)
+
+    assert cli.main(["reduce", "--cloud", "circles", "--k", "6",
+                     "--out", str(tmp_path / "red.tsv")]) == 0
+    result = reduce_cloud(concentric_circles(), 6)
+    oracle_save_residuals(tmp_path / "old.tsv", result.residuals,
+                          result.selected)
+    (tmp_path / "red.residuals.tsv").rename(tmp_path / "new.tsv")
+    assert_same_bytes(tmp_path)
 
 
 # --- label files -------------------------------------------------------------

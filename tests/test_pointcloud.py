@@ -1,7 +1,12 @@
 """Point-cloud reduction: gram operator, PCA basis, residual selection."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from modembed.pointcloud import (
     GramOperator,
@@ -11,10 +16,7 @@ from modembed.pointcloud import (
     load_xyz,
     pca_basis,
     reduce_cloud,
-    save_xyz,
     torus_cloud,
-    weight_iteration,
-    weights_from_assignment,
 )
 
 
@@ -65,33 +67,9 @@ def test_weights_are_cluster_coordinate_sums():
     labels = rng.integers(0, 4, size=20)
     H = np.zeros((20, 4))
     H[np.arange(20), labels] = 1.0
-    W = weights_from_assignment(X, H)
+    W = GramOperator(X).make_aggregate(H).W
     for k in range(4):
         assert np.abs(W[:, k] - X[labels == k].sum(axis=0)).max() < 1e-12
-
-
-def test_weight_iteration_single_cluster_collapses():
-    """K = 1 forces H = 1, so W = X^T 1 = 0 on a centered cloud."""
-    rng = np.random.default_rng(15)
-    X = center(rng.standard_normal((30, 3)))
-    W, H, iterations, converged = weight_iteration(X, np.ones((30, 1)),
-                                                   theta=0.5)
-    assert converged
-    assert np.abs(W).max() < 1e-12
-    assert np.array_equal(H, np.ones((30, 1)))
-
-
-def test_weight_iteration_fixed_point():
-    rng = np.random.default_rng(16)
-    X = center(rng.standard_normal((40, 3)))
-    H0 = rng.random((40, 3))
-    H0 /= H0.sum(axis=1, keepdims=True)
-    # Gentle temperatures contract slowly; ~450 rounds observed here.
-    W, H, iterations, converged = weight_iteration(X, H0, theta=0.05,
-                                                   max_sweeps=1000)
-    assert converged
-    # At the fixed point the weights reproduce themselves.
-    assert np.abs(weights_from_assignment(X, H) - W).max() < 1e-8
 
 
 def test_pca_basis_matches_numpy():
@@ -164,12 +142,18 @@ def test_builtin_clouds_shapes():
     assert t.shape == (240, 3)
 
 
-def test_xyz_roundtrip(tmp_path):
-    pts = np.array([[0.1, -2.0, 3.5], [1.0 / 3.0, 0.0, 1e-9]])
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pts=arrays(np.float64,
+                  st.tuples(st.integers(1, 20), st.sampled_from([2, 3])),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_xyz_roundtrip(tmp_path, pts):
+    """Every finite double comes back with its bits, -0.0 included."""
     path = tmp_path / "cloud.xyz"
-    save_xyz(path, pts)
+    np.savetxt(path, pts, fmt="%.17g")
     back = load_xyz(path)
-    assert np.array_equal(back, pts)
+    assert back.shape == pts.shape
+    assert back.tobytes() == pts.tobytes()
 
 
 def test_load_xyz_two_columns(tmp_path):
@@ -179,4 +163,15 @@ def test_load_xyz_two_columns(tmp_path):
     assert pts.shape == (2, 2)
     path.write_text("1.0\n")
     with pytest.raises(ValueError):
+        load_xyz(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_xyz_rejects_non_finite(tmp_path, value):
+    path = tmp_path / "cloud.xyz"
+    rows = [f"{k} {k % 3}.5" for k in range(6)]
+    rows[4] = f"4 {value}"
+    path.write_text("# points\n" + "\n".join(rows) + "\n")
+    message = re.escape(f"{path}:6: bad coordinate")
+    with pytest.raises(ValueError, match=message):
         load_xyz(path)

@@ -1,5 +1,7 @@
 """Evaluation harness: metrics against hand counts, splits, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,8 +91,8 @@ def test_softmax_regression_separable_and_deterministic():
     a = SoftmaxRegression(2).fit(X, y)
     b = SoftmaxRegression(2).fit(X, y)
     assert np.array_equal(a.W, b.W) and np.array_equal(a.b, b.b)
-    assert accuracy_score(y, a.predict(X)) == 1.0
     proba = a.predict_proba(X)
+    assert accuracy_score(y, np.argmax(proba, axis=1)) == 1.0
     assert np.abs(proba.sum(axis=1) - 1.0).max() < 1e-12
 
 
@@ -99,7 +101,8 @@ def test_softmax_regression_constant_feature():
     X = np.column_stack([np.ones(10), np.arange(10.0)])
     y = (np.arange(10) >= 5).astype(int)
     model = SoftmaxRegression(2).fit(X, y)
-    assert accuracy_score(y, model.predict(X)) == 1.0
+    pred = np.argmax(model.predict_proba(X), axis=1)
+    assert accuracy_score(y, pred) == 1.0
 
 
 def _blob_data(seed=3):
@@ -138,6 +141,19 @@ def test_classify_singleton_class_disables_auc():
 def test_classify_shape_mismatch():
     with pytest.raises(ValueError, match="rows"):
         classify(np.zeros((4, 2)), [0, 1], repetitions=1)
+
+
+@pytest.mark.parametrize("repetitions", [0, -1])
+def test_evaluation_needs_a_repetition(repetitions):
+    X, y = _blob_data()
+    message = f"repetitions must be >= 1, got {repetitions}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            classify(X, y, repetitions=repetitions)
+        with pytest.raises(ValueError, match=message):
+            link_predict(_ring_graph(), np.zeros((12, 2)),
+                         repetitions=repetitions)
 
 
 def _ring_graph(n=12):

@@ -18,6 +18,7 @@ failures (invariant or bound violations, non-convergence of the oracle).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -43,13 +44,7 @@ from .pointcloud import (
 )
 from .spectral import ConvergenceError, alignment_bounds, eigendecompose
 from .sphere import SphereConfig, sphere_embed
-from .tasks import (
-    classify,
-    labeled_dataset,
-    link_predict,
-    load_labels,
-    save_metrics_tsv,
-)
+from .tasks import classify, link_predict, load_labels, save_metrics_tsv
 
 __all__ = ["main", "build_parser"]
 
@@ -185,7 +180,7 @@ def _cmd_embed(args):
             outputs.append(args.assignment_out)
         extra["objective_trace"] = result.objective_trace
         print(
-            f"C={result.C} objective={result.objective:.12g} "
+            f"C={result.embedding.C} objective={result.objective:.12g} "
             f"sweeps={result.sweeps} converged={result.converged}"
         )
         params = {
@@ -263,19 +258,8 @@ def _cmd_verify(args):
         )
         H = clustering.run(Q, config).assignment.H
     report = alignment_bounds(Q, H)
-    rows = [
-        ("lambda1", report.lambda1),
-        ("lambda2", report.lambda2),
-        ("lambda_min", report.lambda_min),
-        ("delta1", report.delta1),
-        ("epsilon", report.epsilon),
-        ("cos_x", report.cos_x),
-        ("bound_x", report.bound_x),
-        ("cos_qx", report.cos_qx),
-        ("bound_qx", report.bound_qx),
-        ("applicable", float(report.applicable)),
-        ("holds", float(report.holds)),
-    ]
+    rows = [(field.name, float(getattr(report, field.name)))
+            for field in dataclasses.fields(report)]
     for name, value in rows:
         print(f"{name}\t{value:.12g}")
     outputs = []
@@ -374,11 +358,11 @@ def _cmd_eval(args):
         raise ValueError("embedding rows do not match the graph's nodes")
     if args.task == "classify":
         inputs["labels"] = args.labels
-        label_map, nodes = load_labels(args.labels, graph)
-        Xl, y, class_names, _ = labeled_dataset(X, graph, label_map, nodes)
+        nodes, classes, _ = _load_label_ids(args.labels, graph)
+        order = np.argsort(nodes)
         summary = classify(
-            Xl, y, train_fraction=args.train, repetitions=args.reps,
-            seed=args.seed,
+            X[nodes[order]], classes[order], train_fraction=args.train,
+            repetitions=args.reps, seed=args.seed,
         )
     else:
         summary = link_predict(

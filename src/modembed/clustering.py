@@ -73,14 +73,6 @@ class SoftAssignment:
     H: np.ndarray
     pinned: dict = field(default_factory=dict)
 
-    @property
-    def n(self):
-        return self.H.shape[0]
-
-    @property
-    def n_clusters(self):
-        return self.H.shape[1]
-
 
 @dataclass
 class ClusterResult:

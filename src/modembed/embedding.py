@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from operator import methodcaller
 
 import numpy as np
 
 from . import clustering
 from .clustering import ClusterConfig, HARD_THETA, hard_labels
-from .graph import _parse_floats, _write_rows, from_bivariate
+from .graph import _write_rows, from_bivariate
 
 __all__ = [
     "EmbeddingMatrix",
@@ -73,10 +72,6 @@ class CafeResult:
     converged: bool
     objective_trace: list
 
-    @property
-    def C(self):
-        return self.embedding.C
-
 
 @dataclass
 class LayerResult:
@@ -90,14 +85,14 @@ class LayerResult:
     modularity: float
 
 
-def prune_zero_columns(H, threshold=ZERO_COLUMN_THRESHOLD):
-    """Drop columns whose maximum entry is below threshold.
+def prune_zero_columns(H):
+    """Drop columns whose maximum entry is below ZERO_COLUMN_THRESHOLD.
 
     Returns (H_kept, kept_indices).  Rows are not renormalized; the mass
-    removed is below threshold per row by construction.
+    removed is below the threshold per row by construction.
     """
     H = np.asarray(H)
-    keep = np.flatnonzero(H.max(axis=0) >= threshold)
+    keep = np.flatnonzero(H.max(axis=0) >= ZERO_COLUMN_THRESHOLD)
     if keep.size == 0:
         raise ValueError("all columns empty; nothing to embed")
     return H[:, keep], keep
@@ -167,32 +162,17 @@ def cafe_embed(Q, config, pinned=None, labels=None):
         embeds the label indicator (semi-supervision with every node
         pinned reduces to the same thing).
     """
-    if labels is not None:
-        H = indicator_matrix(labels, config.n_clusters)
-        H, kept = prune_zero_columns(H)
-        embedding = qr_embed(Q, H)
-        objective = float(np.sum(H * Q.zero_diagonal().apply(H)))
-        return CafeResult(
-            embedding=embedding,
-            assignment=H,
-            kept_columns=kept,
-            objective=objective,
-            sweeps=0,
-            converged=True,
-            objective_trace=[],
-        )
-    result = clustering.run(Q, config, pinned=pinned)
-    H, kept = prune_zero_columns(result.assignment.H)
-    embedding = qr_embed(Q, H)
-    return CafeResult(
-        embedding=embedding,
-        assignment=H,
-        kept_columns=kept,
-        objective=result.objective,
-        sweeps=result.sweeps,
-        converged=result.converged,
-        objective_trace=result.objective_trace,
-    )
+    if labels is None:
+        result = clustering.run(Q, config, pinned=pinned)
+        H, kept = prune_zero_columns(result.assignment.H)
+        stats = (result.objective, result.sweeps, result.converged,
+                 result.objective_trace)
+    else:
+        H, kept = prune_zero_columns(
+            indicator_matrix(labels, config.n_clusters))
+        # No sweep runs; the objective is the one a sweep would report.
+        stats = (float(np.sum(H * Q.zero_diagonal().apply(H))), 0, True, [])
+    return CafeResult(qr_embed(Q, H), H, kept, *stats)
 
 
 def coarsen(Q, partition):
@@ -298,30 +278,23 @@ def save_embedding_tsv(path, embedding_rows, node_labels):
 
 
 def load_embedding_tsv(path):
-    """Read an embedding TSV; returns (node_labels, matrix)."""
+    """Read an embedding TSV, skipping blank lines; returns (node_labels,
+    matrix).  Errors name the first offending line."""
+    labels, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    rows = list(filter(None, lines))
-    tabs = np.fromiter(map(methodcaller("count", "\t"), rows), np.int64,
-                       len(rows))
-    short = np.flatnonzero(tabs == 0)
-    end = short[0] if short.size else len(rows)
-    fields = "\t".join(rows[:end]).split("\t") if end else []
-    is_label = np.zeros(len(fields), dtype=bool)
-    is_label[np.cumsum(tabs[:end] + 1) - (tabs[:end] + 1)] = True
-    values, bad = _parse_floats(
-        list(map(fields.__getitem__, np.flatnonzero(~is_label).tolist()))
-    )
-    # The first row at fault: a bad value, or else the first short row.
-    fault = end if bad is None else np.searchsorted(np.cumsum(tabs), bad,
-                                                    side="right")
-    if fault < len(rows):
-        lineno = [k for k, line in enumerate(lines, 1) if line][fault]
-        reason = "expected node and values" if bad is None else "bad float"
-        raise ValueError(f"{path}:{lineno}: {reason}")
+        for lineno, line in enumerate(fh, start=1):
+            label, *values = line.rstrip("\n").split("\t")
+            if not values:
+                if not label:
+                    continue
+                raise ValueError(f"{path}:{lineno}: expected node and values")
+            try:
+                rows.append(list(map(float, values)))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad float") from None
+            labels.append(label)
     if not rows:
         raise ValueError(f"{path}: empty embedding file")
-    if (tabs != tabs[0]).any():
+    if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError(f"{path}: ragged rows")
-    labels = list(map(fields.__getitem__, np.flatnonzero(is_label).tolist()))
-    return labels, np.array(values).reshape(len(rows), tabs[0])
+    return labels, np.array(rows)

@@ -161,10 +161,6 @@ class ModularityMatrix:
     def n(self):
         return self.graph.n
 
-    @property
-    def marginal(self):
-        return self.graph.marginal
-
     def zero_diagonal(self):
         if self.diag_zeroed:
             return self
@@ -498,9 +494,30 @@ def save_edge_list(path, graph):
 
     The absolute scale is the stored probability mass, so a round trip
     reproduces the same distribution (weights renormalize to themselves).
+    A pair whose first label starts with `#`, a comment to
+    `load_edge_list`, is written the other way round.  Labels that
+    cannot be read back (empty text or whitespace, two nodes with one
+    text, two `#` labels in a pair) raise before the file is opened.
     """
     u, w, mass = graph._pair_weights()
     labels = graph.node_labels
+    text = {}
+    for i in np.unique(np.append(u, w)).tolist():
+        t = str(labels[i])
+        if t.split() != [t]:
+            raise ValueError(f"node label {labels[i]!r} is empty or holds "
+                             f"whitespace")
+        if text.setdefault(t, i) != i:
+            raise ValueError(f"node labels {labels[text[t]]!r} and "
+                             f"{labels[i]!r} both write as {t!r}")
+    hashed = np.zeros(len(labels), dtype=bool)
+    hashed[[i for t, i in text.items() if t[0] == "#"]] = True
+    both = np.flatnonzero(hashed[u] & hashed[w])
+    if both.size:
+        a, b = u[both[0]], w[both[0]]
+        raise ValueError(f"edge ({labels[a]!r}, {labels[b]!r}): both node "
+                         f"labels start with '#'")
+    u, w = np.where(hashed[u], w, u), np.where(hashed[u], u, w)
     _write_rows(path, mass[:, None],
                 ("%s\t%s" % (labels[a], labels[b])
                  for a, b in zip(u.tolist(), w.tolist())))

@@ -24,7 +24,7 @@ from . import clustering
 from .clustering import ClusterConfig
 from .embedding import qr_embed
 from .sphere import SphereConfig, run_sphere
-from .spectral import jacobi_eigh, projection_residual
+from .spectral import _fix_signs, jacobi_eigh, projection_residual
 
 __all__ = [
     "GramOperator",
@@ -60,9 +60,10 @@ class CoordinateAggregate:
 
 
 class GramOperator:
-    """Implicit Q = X X^T over a centered cloud, mirroring the interface
-    of the sparse modularity operator (apply, row_covariance, aggregate,
-    diagonal handling) so every downstream stage reuses it."""
+    """Implicit Q = X X^T over a centered cloud.  It mirrors the part of
+    the sparse modularity operator that the sweeps and the thin QR use
+    (apply, row_covariance, aggregate, diagonal handling), not the
+    spectral part: no pipeline hands it to an eigensolver."""
 
     def __init__(self, X, diag_zeroed=False):
         self.X = np.asarray(X, dtype=float)
@@ -135,19 +136,6 @@ class GramOperator:
     def row_cost(self, u):
         return self.X.shape[1]
 
-    def spectral_shift(self):
-        # X X^T is positive semidefinite; zeroing the diagonal can push
-        # eigenvalues down by at most the largest squared row norm.
-        return float(self._sq.max()) if self.diag_zeroed else 0.0
-
-    def dense(self):
-        if self.n > 5000:
-            raise ValueError(f"refusing to densify at n={self.n} (> 5000)")
-        Q = self.X @ self.X.T
-        if self.diag_zeroed:
-            np.fill_diagonal(Q, 0.0)
-        return Q
-
 
 def center(X):
     """Subtract per-coordinate means; idempotent."""
@@ -184,10 +172,7 @@ def pca_basis(X, k):
     if take == 0:
         raise ValueError("cloud has zero variance; nothing to project on")
     sigma = np.sqrt(lam[:take])
-    V = (X @ small.eigenvectors[:, :take]) / sigma
-    idx = np.argmax(np.abs(V), axis=0)
-    V *= np.where(V[idx, np.arange(take)] < 0.0, -1.0, 1.0)
-    return V, sigma
+    return _fix_signs((X @ small.eigenvectors[:, :take]) / sigma), sigma
 
 
 @dataclass
@@ -221,6 +206,8 @@ def reduce_cloud(points, n_dims, theta=0.010, method="cafe", seed=0,
     output width always equals n_dims.
     """
     X = center(points)
+    if n_dims > X.shape[0]:
+        raise ValueError(f"n_dims={n_dims} exceeds the {X.shape[0]} points")
     gram = GramOperator(X)
     if method == "cafe":
         config = ClusterConfig(

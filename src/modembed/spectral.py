@@ -48,6 +48,8 @@ __all__ = [
 # Dense full decompositions get slow and memory-hungry past this.
 _DENSE_LIMIT = 5000
 _JACOBI_LIMIT = 200
+_JACOBI_TOL = 1e-14  # off-diagonal at which Jacobi stops, relative to |A|
+_RITZ_TOL = 1e-10  # Ritz residual at which orthogonal iteration stops
 
 
 class ConvergenceError(RuntimeError):
@@ -80,7 +82,7 @@ def _finish(values, vectors):
     )
 
 
-def jacobi_eigh(A, tol=1e-14, max_sweeps=100):
+def jacobi_eigh(A, max_sweeps=100):
     """Cyclic Jacobi rotations on a symmetric matrix.
 
     Simple and very accurate; quadratic convergence keeps the sweep count
@@ -100,9 +102,10 @@ def jacobi_eigh(A, tol=1e-14, max_sweeps=100):
     V = np.eye(n)
     lib = _native.library()
     if lib is None:
-        converged = _jacobi_sweeps(A, V, tol, scale, max_sweeps)
+        converged = _jacobi_sweeps(A, V, _JACOBI_TOL, scale, max_sweeps)
     else:
-        converged = lib.modembed_jacobi(n, A, V, tol, scale, max_sweeps)
+        converged = lib.modembed_jacobi(n, A, V, _JACOBI_TOL, scale,
+                                        max_sweeps)
     if not converged:
         raise ConvergenceError(
             f"Jacobi failed to converge in {max_sweeps} sweeps"
@@ -336,7 +339,7 @@ def _thin_q(At):
     return np.ascontiguousarray(At.T)
 
 
-def _orthogonal_iteration(Q, k, tol=1e-10, max_iter=10000):
+def _orthogonal_iteration(Q, k, max_iter=10000):
     """Leading-k eigenpairs of an implicit symmetric operator.
 
     Iterates on a shifted operator (shift from the operator's own bound
@@ -369,7 +372,7 @@ def _orthogonal_iteration(Q, k, tol=1e-10, max_iter=10000):
             V = inner.eigenvectors[:, :k]
             ritz = Z @ V
             residual = Y @ V - ritz * mu
-            if float(np.linalg.norm(residual, axis=0).max()) <= tol:
+            if float(np.linalg.norm(residual, axis=0).max()) <= _RITZ_TOL:
                 return _finish(mu, ritz)
             next_check = it + 1 + min(it // 2, 63)
         # Y + shift * Z, formed column-major for LAPACK.
@@ -381,7 +384,7 @@ def _orthogonal_iteration(Q, k, tol=1e-10, max_iter=10000):
     )
 
 
-def eigendecompose(Q, k=None, tol=1e-10, max_iter=10000):
+def eigendecompose(Q, k=None, max_iter=10000):
     """Spectrum of a modularity-style operator or plain symmetric array.
 
     k=None densifies and solves fully (bounded at n=5000); otherwise the
@@ -395,7 +398,7 @@ def eigendecompose(Q, k=None, tol=1e-10, max_iter=10000):
         return Spectrum(full.eigenvalues[:k], full.eigenvectors[:, :k])
     if k is None:
         return _dense_spectrum(Q.dense())
-    return _orthogonal_iteration(Q, k, tol=tol, max_iter=max_iter)
+    return _orthogonal_iteration(Q, k, max_iter=max_iter)
 
 
 def cosine(y, z):
@@ -426,8 +429,8 @@ class AlignmentReport:
     delta1: float
     epsilon: float
     cos_x: float
-    cos_qx: float
     bound_x: float
+    cos_qx: float
     bound_qx: float
     applicable: bool
     holds: bool
@@ -467,39 +470,26 @@ def alignment_bounds(Q, H):
     cos_x = cosine(v1, x)
     cos_qx = cosine(v1, qx) if np.linalg.norm(qx) > 0.0 else float("nan")
 
-    if lambda1 <= 0.0:
-        return AlignmentReport(
-            lambda1, lambda2, lambda_min, float("nan"), float("nan"),
-            cos_x, cos_qx, float("nan"), float("nan"),
-            applicable=False, holds=True,
-        )
-    delta1 = max(lambda2, -lambda_min) / lambda1
-    epsilon = 1.0 - float(x @ qx) / lambda1
-    # Roundoff can push an exact-eigenvector epsilon a hair negative.
-    if -1e-12 < epsilon < 0.0:
-        epsilon = 0.0
-
+    # Without a positive lambda1 the derived fields stay NaN: not applicable.
+    delta1 = epsilon = bound_x = bound_qx = float("nan")
+    if lambda1 > 0.0:
+        delta1 = max(lambda2, -lambda_min) / lambda1
+        epsilon = 1.0 - float(x @ qx) / lambda1
+        # Roundoff can push an exact-eigenvector epsilon a hair negative.
+        if -1e-12 < epsilon < 0.0:
+            epsilon = 0.0
     applicable = delta1 < 1.0 and 0.0 <= epsilon <= 1.0 - delta1
-    if not applicable:
-        return AlignmentReport(
-            lambda1, lambda2, lambda_min, delta1, epsilon,
-            cos_x, cos_qx, float("nan"), float("nan"),
-            applicable=False, holds=True,
-        )
-    bound_x = np.sqrt((1.0 - epsilon - delta1) / (1.0 - delta1))
-    bound_qx = np.sqrt(
-        (1.0 - epsilon - delta1) / (1.0 - epsilon - delta1 + delta1 ** 2)
-    )
-    holds = (
-        cos_x >= bound_x - _BOUND_SLACK
-        and cos_qx >= cos_x - _BOUND_SLACK
-        and cos_qx >= bound_qx - _BOUND_SLACK
-    )
-    return AlignmentReport(
-        lambda1, lambda2, lambda_min, delta1, epsilon,
-        cos_x, cos_qx, float(bound_x), float(bound_qx),
-        applicable=True, holds=bool(holds),
-    )
+    holds = True
+    if applicable:
+        bound_x = float(np.sqrt((1.0 - epsilon - delta1) / (1.0 - delta1)))
+        bound_qx = float(np.sqrt((1.0 - epsilon - delta1)
+                                 / (1.0 - epsilon - delta1 + delta1 ** 2)))
+        holds = bool(cos_x >= bound_x - _BOUND_SLACK
+                     and cos_qx >= cos_x - _BOUND_SLACK
+                     and cos_qx >= bound_qx - _BOUND_SLACK)
+    return AlignmentReport(lambda1, lambda2, lambda_min, delta1, epsilon,
+                           cos_x, bound_x, cos_qx, bound_qx, applicable,
+                           holds)
 
 
 def projection_residual(H_hat, basis):

@@ -32,9 +32,12 @@ __all__ = [
     "classify",
     "link_predict",
     "load_labels",
-    "labeled_dataset",
     "save_metrics_tsv",
 ]
+
+# The classifier's fixed gradient step and L2 penalty on the weights.
+_STEP = 0.1
+_L2 = 1e-4
 
 
 @dataclass
@@ -68,11 +71,9 @@ class SoftmaxRegression:
     zero initialization makes fits deterministic.
     """
 
-    def __init__(self, n_classes, l2=1e-4, iterations=500, step=0.1):
+    def __init__(self, n_classes, iterations=500):
         self.n_classes = int(n_classes)
-        self.l2 = float(l2)
         self.iterations = int(iterations)
-        self.step = float(step)
         self.W = None
         self.b = None
         self._mean = None
@@ -105,7 +106,7 @@ class SoftmaxRegression:
         columns = list(G.T)
         row_max, row_sum = np.empty(m), np.empty((m, 1))
         grad_W, decay, grad_b = np.empty((d, C)), np.empty((d, C)), np.empty(C)
-        step, l2 = self.step, self.l2
+        step, l2 = _STEP, _L2
         matmul, add, subtract, multiply, divide, exp, maximum = (
             np.matmul, np.add, np.subtract, np.multiply, np.divide, np.exp,
             np.maximum)
@@ -382,28 +383,6 @@ def load_labels(path, graph):
     if not labels:
         raise ValueError(f"{path}: no labels found")
     return labels, index
-
-
-def labeled_dataset(embeddings, graph, label_map, nodes):
-    """Align a label map with embedding rows.
-
-    `nodes` are the graph indices of the map's nodes, in the map's order,
-    as `load_labels` returns them.  Returns (X, y, class_names,
-    node_indices) restricted to labeled nodes; class ids follow sorted
-    class-name order for determinism.
-    """
-    X = np.asarray(embeddings, dtype=float)
-    if X.shape[0] != graph.n:
-        raise ValueError(
-            f"{X.shape[0]} embedding rows vs {graph.n} graph nodes"
-        )
-    class_names = sorted(set(label_map.values()))
-    class_id = {name: i for i, name in enumerate(class_names)}
-    y = np.fromiter(map(class_id.__getitem__, label_map.values()), np.int64,
-                    len(label_map))
-    order = np.argsort(nodes)
-    idx = nodes[order]
-    return X[idx], y[order], class_names, idx
 
 
 def save_metrics_tsv(path, summary):

@@ -1,9 +1,12 @@
-"""The public surface: every exported name exists and every demo runs.
+"""The public surface: every exported name exists, every demo runs and
+every function the benchmark traces exists.
 
-A name deleted from a module but left in its `__all__`, or still used
-by a demo, fails here rather than in a user's script."""
+A name deleted from a module but left in its `__all__`, still used by a
+demo or still wrapped by `bench/traced.py`, fails here rather than in a
+user's script or a traced benchmark run."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -17,7 +20,8 @@ import modembed
 MODULES = sorted(info.name for info in pkgutil.iter_modules(modembed.__path__)
                  if not info.name.startswith("_"))
 SRC = Path(modembed.__file__).resolve().parents[1]
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -38,3 +42,17 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_bench_wrap_target_resolves():
+    """The traced benchmark lists a target it cannot find as missing
+    rather than failing, so only this test notices a deleted one."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_traced", ROOT / "bench" / "traced.py")
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    targets = [target[:2] for target in traced.SPANS + traced.COUNTERS]
+    assert len(targets) > 20
+    missing = [f"{module}.{attr}" for module, attr in targets
+               if traced._resolve(module, attr) is None]
+    assert not missing

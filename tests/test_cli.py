@@ -5,13 +5,18 @@ import json
 import subprocess
 import sys
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from modembed import datasets
+from modembed import clustering, datasets
 from modembed.cli import main
 from modembed.graph import load_edge_list
-from modembed.embedding import load_embedding_tsv
+from modembed.embedding import load_embedding_tsv, save_embedding_tsv
+from modembed.tasks import classify, load_labels, save_metrics_tsv
 
 
 def _sha(path):
@@ -252,6 +257,70 @@ def test_eval_classify_and_link(tmp_path, sbm_file, capsys):
                  "--out", str(link_metrics)])
     assert code == 0
     assert link_metrics.exists()
+
+
+def oracle_labeled_dataset(embeddings, graph, label_map, nodes):
+    """The rows and class ids `eval classify` fed to `classify` before
+    it shared `_load_label_ids` with `embed`."""
+    X = np.asarray(embeddings, dtype=float)
+    if X.shape[0] != graph.n:
+        raise ValueError(
+            f"{X.shape[0]} embedding rows vs {graph.n} graph nodes"
+        )
+    class_names = sorted(set(label_map.values()))
+    class_id = {name: i for i, name in enumerate(class_names)}
+    y = np.fromiter(map(class_id.__getitem__, label_map.values()), np.int64,
+                    len(label_map))
+    order = np.argsort(nodes)
+    idx = nodes[order]
+    return X[idx], y[order], class_names, idx
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(order=st.permutations(range(24)), labelled=st.integers(6, 23),
+       names=st.lists(st.sampled_from(["b", "a", "c", "10", "9"]),
+                      min_size=2, max_size=3, unique=True),
+       repeats=st.lists(st.integers(0, 5), max_size=3))
+def test_eval_classify_matches_former_dataset(tmp_path, sbm_file, order,
+                                              labelled, names, repeats):
+    """Label files in any line order, some nodes unlabelled, some lines
+    repeated: the metrics file is `classify` on the old dataset's arrays."""
+    graph_path, _ = sbm_file
+    g = load_edge_list(graph_path)
+    emb = tmp_path / "emb.tsv"
+    save_embedding_tsv(emb, np.random.default_rng(labelled).standard_normal(
+        (g.n, 3)), g.node_labels)
+    lines = [f"{g.node_labels[u]}\t{names[k % len(names)]}\n"
+             for k, u in enumerate(order[:labelled])]
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("".join(lines + [lines[k] for k in repeats]))
+    out = tmp_path / "new.tsv"
+    assert main(["eval", "classify", "--graph", str(graph_path),
+                 "--embeddings", str(emb), "--labels", str(labels),
+                 "--reps", "3", "--seed", "5", "--out", str(out)]) == 0
+    X, y, _, _ = oracle_labeled_dataset(load_embedding_tsv(emb)[1], g,
+                                        *load_labels(labels, g))
+    save_metrics_tsv(tmp_path / "old.tsv",
+                     classify(X, y, repetitions=3, seed=5))
+    assert out.read_bytes() == (tmp_path / "old.tsv").read_bytes()
+
+
+def test_reduce_rejects_more_columns_than_points(tmp_path, capsys):
+    """--k above the point count fails before any sweep; --k equal to it
+    runs."""
+    cloud = tmp_path / "cloud.xyz"
+    cloud.write_text("0 0\n1 0\n0 1\n1 1.5\n")
+    out = tmp_path / "red.tsv"
+    with mock.patch.object(clustering, "run", side_effect=AssertionError):
+        code = main(["reduce", "--points", str(cloud), "--k", "6",
+                     "--out", str(out)])
+    assert code == 1
+    assert "error: n_dims=6 exceeds the 4 points" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["reduce", "--points", str(cloud), "--k", "4",
+                 "--out", str(out)]) == 0
+    assert load_embedding_tsv(out)[1].shape == (4, 4)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -94,6 +94,33 @@ def test_cafe_embed_label_path(karate):
     assert np.abs(np.linalg.norm(result.embedding.H_hat[:, 0]) - 1.0) < 1e-12
 
 
+def test_cafe_embed_label_path_matches_its_former_branch(karate):
+    """The label path's result, field by field, as its own branch built
+    it: the pruned indicator, its QR and the objective with the diagonal
+    zeroed, after no sweep."""
+    rng = np.random.default_rng(4)
+    Q = karate.modularity_matrix()
+    for labels, K in [(rng.integers(0, 3, 34), 3),
+                      (rng.choice([0, 2, 4], 34), 6),
+                      (np.arange(34) % 5, 5)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+            result = cafe_embed(Q, ClusterConfig(n_clusters=K),
+                                labels=labels)
+            H, kept = prune_zero_columns(indicator_matrix(labels, K))
+            want = qr_embed(Q, H)
+        objective = float(np.sum(H * Q.zero_diagonal().apply(H)))
+        assert type(result.objective) is float
+        assert np.float64(result.objective).tobytes() == \
+            np.float64(objective).tobytes()
+        assert result.sweeps == 0 and result.converged is True
+        assert result.objective_trace == []
+        assert result.assignment.tobytes() == H.tobytes()
+        assert result.kept_columns.tolist() == kept.tolist()
+        assert result.embedding.H_hat.tobytes() == want.H_hat.tobytes()
+        assert result.embedding.R.tobytes() == want.R.tobytes()
+
+
 def test_cafe_embed_clustered_path(karate):
     Q = karate.modularity_matrix()
     config = ClusterConfig(n_clusters=2, theta=50.0, seed=0)

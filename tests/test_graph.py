@@ -1,5 +1,7 @@
 """Graph construction, normalization, and the modularity operator."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -194,6 +196,72 @@ def test_edge_list_roundtrip(tmp_path, edges):
     assert np.abs(back.diag_mass[perm] - g.diag_mass).max() < 1e-15
     dense = back.modularity_matrix().dense()[np.ix_(perm, perm)]
     assert np.abs(dense - g.modularity_matrix().dense()).max() < 1e-15
+
+
+# Label texts a line cannot carry as they are: '#' first, whitespace,
+# empty, and ints beside strings of the same text.
+ODD_LABEL = st.sampled_from(
+    ["a", "b", "é", "x#", "#c", "#", "#2", "x y", " ", "", "\t", "z\n",
+     "\u3000", "\x1c", 1, "1", 2, -1, "-1"])
+
+
+def unreadable(g):
+    """A pattern of the reasons `save_edge_list` may give to refuse the
+    graph, or None: label faults come before the '#' pairs."""
+    text = [str(lab) for lab in g.node_labels]
+    reasons = []
+    if any(t.split() != [t] for t in text):
+        reasons.append("is empty or holds whitespace")
+    if len(set(text)) < len(text):
+        reasons.append("both write as")
+    if not reasons and any(text[u].startswith("#") and text[w].startswith("#")
+                           for u, w in g.edges().tolist()):
+        reasons.append("labels start with '#'")
+    return "|".join(reasons) or None
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edges=st.lists(st.tuples(ODD_LABEL, ODD_LABEL, st.floats(1e-8, 1e8)),
+                      min_size=1, max_size=10))
+def test_save_edge_list_refuses_or_round_trips(tmp_path, edges):
+    """A graph either raises, naming why, with no file written, or reads
+    back as the same distribution keyed by label text."""
+    g = graph.from_edge_list(edges)
+    path = tmp_path / "g.tsv"
+    path.unlink(missing_ok=True)
+    reason = unreadable(g)
+    if reason is not None:
+        with pytest.raises(ValueError, match=reason):
+            graph.save_edge_list(path, g)
+        assert not path.exists()
+        return
+    graph.save_edge_list(path, g)
+    back = graph.load_edge_list(path)
+    assert back.n == g.n
+    perm = back.indices_of([str(lab) for lab in g.node_labels])
+    assert np.abs(back.marginal[perm] - g.marginal).max() < 1e-15
+    assert np.abs(back.diag_mass[perm] - g.diag_mass).max() < 1e-15
+    dense = back.modularity_matrix().dense()[np.ix_(perm, perm)]
+    assert np.abs(dense - g.modularity_matrix().dense()).max() < 1e-15
+
+
+def test_save_edge_list_swaps_or_refuses_hash_labels(tmp_path):
+    path = tmp_path / "g.tsv"
+    g = graph.from_edge_list([("#b", "a"), ("a", "c"), ("z", "c")])
+    graph.save_edge_list(path, g)
+    assert path.read_text().split("\n")[0].split("\t")[:2] == ["a", "#b"]
+    assert graph.load_edge_list(path).n == 4
+    for edges, message in [
+            ([("#b", "#c")], "edge ('#b', '#c'): both node labels start"),
+            ([("a", "b"), ("#b", "#b")], "edge ('#b', '#b')"),
+            ([("a", "x y")], "node label 'x y' is empty or holds"),
+            ([("a", "")], "node label '' is empty"),
+            ([(1, "a"), ("1", "a")], "node labels 1 and '1' both write as")]:
+        path.unlink(missing_ok=True)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            graph.save_edge_list(path, graph.from_edge_list(edges))
+        assert not path.exists()
 
 
 def test_load_edge_list_comments_and_weights(tmp_path):

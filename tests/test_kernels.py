@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from modembed import _native, clustering, graph, spectral, sphere
+from modembed import _native, clustering, graph, spectral, sphere, tasks
 from modembed.clustering import (
     ClusterConfig, SoftAssignment, init_assignment, softmax_update)
 from modembed.embedding import qr_embed
@@ -41,9 +41,9 @@ def oracle_sweep(Q, assignment, config, aggregate, events=None):
     (total <= 0).
     """
     H = assignment.H
-    K = assignment.n_clusters
+    n, K = H.shape
     ops = 0
-    for u in range(assignment.n):
+    for u in range(n):
         if u in assignment.pinned:
             continue
         z = Q.row_covariance(H, aggregate, u)
@@ -180,8 +180,8 @@ def oracle_fit(model, X, y):
     for _ in range(model.iterations):
         P = model._softmax(Z @ model.W + model.b)
         G = P - Y
-        model.W -= model.step * (Z.T @ G / m + model.l2 * model.W)
-        model.b -= model.step * G.mean(axis=0)
+        model.W -= tasks._STEP * (Z.T @ G / m + tasks._L2 * model.W)
+        model.b -= tasks._STEP * G.mean(axis=0)
     return model
 
 

@@ -1,7 +1,11 @@
 """In-repo eigensolvers and spectral alignment, validated against numpy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from modembed import datasets, graph
 from modembed.clustering import ClusterConfig, run
@@ -172,3 +176,138 @@ def test_alignment_vacuous_when_gap_fails(karate):
     assert report.holds  # vacuously
     assert report.delta1 > 1.0
     assert np.isnan(report.bound_x)
+
+
+def oracle_alignment_bounds(Q, H):
+    """The three-branch `alignment_bounds` that one merged return
+    replaced, returning each branch's own report."""
+    H = np.asarray(H, dtype=float)
+    h1 = H[:, 0]
+    x = h1 / np.linalg.norm(h1)
+    Q_full = Q.full_diagonal()
+    spectrum = eigendecompose(Q_full)
+    lam = spectrum.eigenvalues
+    lambda1, lambda2, lambda_min = (float(lam[0]), float(lam[1]),
+                                    float(lam[-1]))
+    v1 = spectrum.eigenvectors[:, 0]
+    if v1 @ x < 0.0:
+        v1 = -v1
+    qx = Q_full.apply(x)
+    cos_x = cosine(v1, x)
+    cos_qx = cosine(v1, qx) if np.linalg.norm(qx) > 0.0 else float("nan")
+    nan = float("nan")
+    if lambda1 <= 0.0:
+        return AlignmentReport(
+            lambda1=lambda1, lambda2=lambda2, lambda_min=lambda_min,
+            delta1=nan, epsilon=nan, cos_x=cos_x, cos_qx=cos_qx,
+            bound_x=nan, bound_qx=nan, applicable=False, holds=True)
+    delta1 = max(lambda2, -lambda_min) / lambda1
+    epsilon = 1.0 - float(x @ qx) / lambda1
+    if -1e-12 < epsilon < 0.0:
+        epsilon = 0.0
+    applicable = delta1 < 1.0 and 0.0 <= epsilon <= 1.0 - delta1
+    if not applicable:
+        return AlignmentReport(
+            lambda1=lambda1, lambda2=lambda2, lambda_min=lambda_min,
+            delta1=delta1, epsilon=epsilon, cos_x=cos_x, cos_qx=cos_qx,
+            bound_x=nan, bound_qx=nan, applicable=False, holds=True)
+    bound_x = np.sqrt((1.0 - epsilon - delta1) / (1.0 - delta1))
+    bound_qx = np.sqrt(
+        (1.0 - epsilon - delta1) / (1.0 - epsilon - delta1 + delta1 ** 2))
+    holds = (cos_x >= bound_x - 1e-10 and cos_qx >= cos_x - 1e-10
+             and cos_qx >= bound_qx - 1e-10)
+    return AlignmentReport(
+        lambda1=lambda1, lambda2=lambda2, lambda_min=lambda_min,
+        delta1=delta1, epsilon=epsilon, cos_x=cos_x, cos_qx=cos_qx,
+        bound_x=float(bound_x), bound_qx=float(bound_qx), applicable=True,
+        holds=bool(holds))
+
+
+def assert_same_report(got, want):
+    """Every field of the same type and bit for bit, any NaN equal to any
+    NaN."""
+    for field in dataclasses.fields(AlignmentReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b), field.name
+        if isinstance(a, bool):
+            assert a == b, field.name
+        elif not (np.isnan(a) and np.isnan(b)):
+            assert np.float64(a).tobytes() == np.float64(b).tobytes(), \
+                field.name
+
+
+# Weighted pairs on up to six labels, self-loops and repeats included.
+SMALL_EDGES = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 5),
+              st.sampled_from([1.0, 0.5, 2.0, 1e-3, 7.25])),
+    min_size=1, max_size=15)
+# Two-column assignments; the first column gets a positive entry.
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def graph_and_assignment(draw):
+    edges = draw(SMALL_EDGES)
+    g = graph.from_edge_list(edges)
+    H = np.array(draw(st.lists(st.tuples(UNIT, UNIT), min_size=g.n,
+                               max_size=g.n)))
+    H[draw(st.integers(0, g.n - 1)), 0] = draw(st.floats(0.01, 1.0))
+    return g, H
+
+
+# The single edge's top eigenvalue comes out as exactly 0 and K4's as
+# -1.6e-17: the lambda1 <= 0 branch.  The triangle's comes out +5.7e-18.
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=graph_and_assignment())
+@example(case=(graph.from_edge_list([(0, 1)]), np.array([[1.0, 0.0],
+                                                          [0.0, 1.0]])))
+@example(case=(graph.from_edge_list(datasets.clique_edges(range(4))),
+               np.array([[1.0, 0.0], [0.2, 0.8], [0.0, 1.0], [0.5, 0.5]])))
+def test_alignment_bounds_matches_three_branch_oracle(case):
+    g, H = case
+    Q = g.modularity_matrix()
+    got = outcome(alignment_bounds, Q, H)
+    want = outcome(oracle_alignment_bounds, Q, H)
+    if got[0] == "ok" and want[0] == "ok":
+        assert_same_report(got[1], want[1])
+    else:
+        assert got == want
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (ValueError, IndexError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+def test_alignment_oracle_cases_cover_every_branch(karate):
+    """The three branches each occur: lambda1 <= 0, a failed precondition
+    (delta1 > 1 on karate, epsilon > 1 - delta1 on a gapped SBM with a
+    random assignment) and an applicable report."""
+    edges, _ = datasets.sbm_edges([20, 20], [[0.9, 0.05], [0.05, 0.9]],
+                                  seed=3)
+    sbm = graph.from_edge_list(edges).modularity_matrix()
+    single = graph.from_edge_list([(0, 1)]).modularity_matrix()
+    cases = [
+        (single, np.eye(2)),
+        (karate.modularity_matrix(), run(
+            karate.modularity_matrix(),
+            ClusterConfig(n_clusters=2, seed=0)).assignment.H),
+        (sbm, np.random.default_rng(0).random((40, 2))),
+        (sbm, run(sbm, ClusterConfig(n_clusters=2, theta=80.0,
+                                     seed=0)).assignment.H),
+    ]
+    reports = []
+    for Q, H in cases:
+        reports.append(alignment_bounds(Q, H))
+        assert_same_report(reports[-1], oracle_alignment_bounds(Q, H))
+    nan_delta, big_delta, big_epsilon, applicable = reports
+    assert nan_delta.lambda1 <= 0.0 and np.isnan(nan_delta.delta1)
+    assert np.isnan(nan_delta.epsilon) and not nan_delta.applicable
+    assert big_delta.delta1 > 1.0 and not big_delta.applicable
+    assert big_epsilon.delta1 < 1.0
+    assert big_epsilon.epsilon > 1.0 - big_epsilon.delta1
+    assert not big_epsilon.applicable and np.isnan(big_epsilon.bound_x)
+    assert applicable.applicable and applicable.holds

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from modembed import graph
+from modembed.cli import _load_label_ids
 from modembed.tasks import (
     SoftmaxRegression,
     accuracy_score,
     classify,
-    labeled_dataset,
     link_predict,
     load_labels,
     macro_f1_score,
@@ -193,7 +193,10 @@ def test_load_labels_and_dataset(tmp_path):
 
     rng = np.random.default_rng(1)
     emb = rng.random((g.n, 2))
-    X, y, names, idx = labeled_dataset(emb, g, labels, nodes)
+    nodes, classes, names = _load_label_ids(path, g)
+    order = np.argsort(nodes)
+    idx = nodes[order]
+    X, y = emb[idx], classes[order]
     assert names == ["left", "right"]
     assert X.shape == (3, 2)
     # Rows follow sorted node index; class ids follow sorted names.

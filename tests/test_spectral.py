@@ -236,6 +236,14 @@ def assert_same_report(got, want):
                 field.name
 
 
+def outcome(fn, *args):
+    """('ok', value) or (exception type, message)."""
+    try:
+        return "ok", fn(*args)
+    except (ValueError, IndexError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
 # Weighted pairs on up to six labels, self-loops and repeats included.
 SMALL_EDGES = st.lists(
     st.tuples(st.integers(0, 5), st.integers(0, 5),
@@ -273,13 +281,6 @@ def test_alignment_bounds_matches_three_branch_oracle(case):
         assert_same_report(got[1], want[1])
     else:
         assert got == want
-
-
-def outcome(fn, *args):
-    try:
-        return "ok", fn(*args)
-    except (ValueError, IndexError, ConvergenceError) as exc:
-        return type(exc), str(exc)
 
 
 def test_alignment_oracle_cases_cover_every_branch(karate):

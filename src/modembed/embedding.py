@@ -20,7 +20,7 @@ import numpy as np
 
 from . import clustering
 from .clustering import ClusterConfig, HARD_THETA, hard_labels
-from .graph import _write_rows, from_bivariate
+from .graph import _DENSE_LIMIT, _write_rows, from_bivariate
 
 __all__ = [
     "EmbeddingMatrix",
@@ -214,6 +214,9 @@ def multilayer_embed(Q, theta=HARD_THETA, max_sweeps=200, tol=1e-9, seed=0):
     original operator with its true diagonal, so values are comparable
     across levels.
     """
+    if Q.n > _DENSE_LIMIT:
+        raise ValueError(f"refusing a dense K = n first level at n={Q.n} "
+                         f"(> {_DENSE_LIMIT})")
     levels = []
     Q_full = Q.full_diagonal()
     Q_level = Q_full

@@ -34,6 +34,15 @@ __all__ = [
     "save_edge_list",
 ]
 
+# Largest n for which anything n x n is built densely: the dense
+# operator, full decompositions and multilayer's K = n first level.
+_DENSE_LIMIT = 5000
+# Values per block of `ModularityMatrix.apply`'s rank-one and diagonal
+# terms.  glibc serves 64 KiB temporaries from its heap, while n x K ones
+# are mapped and unmapped on every call unless an earlier large free
+# raised its mmap threshold (190k page faults in one `eigs` at n = 10k).
+_APPLY_BLOCK_VALUES = 8192
+
 
 class SampledGraph:
     """Symmetric pair distribution stored as CSR off-diagonal mass plus a
@@ -172,8 +181,10 @@ class ModularityMatrix:
         return ModularityMatrix(self.graph, diag_zeroed=False)
 
     def apply(self, H):
-        """Q @ H without materializing Q: sparse part, diagonal mass and
-        rank-one correction, summed in fixed (ascending index) order."""
+        """Q @ H without materializing Q: the sparse part, minus the
+        rank-one correction, plus the diagonal mass, in that order for
+        every entry.  The last two terms are formed a block of rows at
+        a time, so no temporary as large as H is made."""
         H = np.asarray(H, dtype=float)
         squeeze = H.ndim == 1
         if squeeze:
@@ -181,11 +192,13 @@ class ModularityMatrix:
         g = self.graph
         out = g._P @ H
         pi = g.marginal
-        out -= np.outer(pi, pi @ H)
-        if self.diag_zeroed:
-            out += (pi ** 2)[:, None] * H
-        else:
-            out += g.diag_mass[:, None] * H
+        c = pi @ H
+        diag = pi ** 2 if self.diag_zeroed else g.diag_mass
+        step = max(1, _APPLY_BLOCK_VALUES // max(1, H.shape[1]))
+        for s in range(0, g.n, step):
+            block = out[s:s + step]
+            block -= np.outer(pi[s:s + step], c)
+            block += diag[s:s + step, None] * H[s:s + step]
         return out[:, 0] if squeeze else out
 
     def make_aggregate(self, H):
@@ -276,8 +289,9 @@ class ModularityMatrix:
 
     def dense(self):
         """Materialize Q (oracle/debug only); guarded against large n."""
-        if self.n > 5000:
-            raise ValueError(f"refusing to densify at n={self.n} (> 5000)")
+        if self.n > _DENSE_LIMIT:
+            raise ValueError(
+                f"refusing to densify at n={self.n} (> {_DENSE_LIMIT})")
         g = self.graph
         Q = g._P.toarray()
         Q += np.diag(g.diag_mass)
@@ -408,83 +422,37 @@ def from_bivariate(P, node_labels=None):
     return SampledGraph(n, off, diag, node_labels)
 
 
-# Characters that str.split() separates on; none lies above U+3000.
-_SPACE = np.array([chr(c).isspace() for c in range(0x3001)] + [False])
-
-
-def _parse_floats(values):
-    """float() over a list of strings: (floats, None), or (None, k) with
-    k the position of the first string float() rejects."""
-    try:
-        return list(map(float, values)), None
-    except ValueError:
-        pass
-    for k, v in enumerate(values):
-        try:
-            float(v)
-        except ValueError:
-            return None, k
-
-
 def load_edge_list(path, nodes=None):
     """Read a whitespace-separated edge list: `u w [weight]` per line,
     UTF-8, lines whose first nonblank character is `#` ignored.  Labels
-    are arbitrary strings.
-
-    The text is split into fields once; each field's line comes from the
-    offsets of its first character and of the newlines, so the per-line
-    checks are array operations rather than a loop over lines.  Errors
-    name the first offending line, as a line-by-line reader would.
+    are arbitrary strings.  Errors name the first offending line; a
+    negative or non-finite weight is rejected once the whole file has
+    parsed.
     """
+    ends, weights = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    fields = text.split()
-    if text.isascii():
-        codes = np.frombuffer(text.encode("ascii"), np.uint8)
-        space = _SPACE[codes]
-    else:
-        codes = np.frombuffer(text.encode("utf-32-le"), np.uint32)
-        space = _SPACE[np.minimum(codes, _SPACE.size - 1)]
-    after_space = np.ones_like(space)
-    after_space[1:] = space[:-1]
-    starts = np.flatnonzero(after_space & ~space)  # one per field
-    line = np.searchsorted(np.flatnonzero(codes == ord("\n")), starts)
-    head = np.ones(line.size, dtype=bool)  # first field of its line
-    head[1:] = line[1:] != line[:-1]
-    comment = np.zeros(line[-1] + 1 if line.size else 0, dtype=bool)
-    comment[line[head & (codes[starts] == ord("#"))]] = True
-    del codes, space, after_space, starts
-
-    kept = np.flatnonzero(~comment[line])
-    heads = kept[head[kept]]
-    width = np.diff(np.append(np.searchsorted(kept, heads), kept.size))
-    lineno = line[heads] + 1
-    bad = np.flatnonzero((width < 2) | (width > 3))
-    three = np.flatnonzero(width == 3)
-    weights_3, bad_weight = _parse_floats(
-        list(map(fields.__getitem__, (heads[three] + 2).tolist()))
-    )
-    if bad.size and (bad_weight is None or bad[0] < three[bad_weight]):
-        raise ValueError(
-            f"{path}:{lineno[bad[0]]}: expected 'u w [weight]', "
-            f"got {width[bad[0]]} fields"
-        )
-    if bad_weight is not None:
-        k = three[bad_weight]
-        raise ValueError(
-            f"{path}:{lineno[k]}: bad weight {fields[heads[k] + 2]!r}"
-        )
-
-    weights = np.ones(heads.size)
-    weights[three] = weights_3
-    ends = np.column_stack([heads, heads + 1]).ravel()
-    ends = list(map(fields.__getitem__, ends.tolist()))
-    del fields
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields or fields[0][0] == "#":
+                continue
+            if len(fields) == 2:
+                weights.append(1.0)
+            elif len(fields) == 3:
+                try:
+                    weights.append(float(fields[2]))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: bad weight "
+                                     f"{fields[2]!r}") from None
+            else:
+                raise ValueError(f"{path}:{lineno}: expected 'u w [weight]', "
+                                 f"got {len(fields)} fields")
+            ends += fields[:2]
+    weights = np.array(weights)
     invalid = np.flatnonzero((weights < 0.0) | ~np.isfinite(weights))
     if invalid.size:
         k = invalid[0]
         raise _invalid_weight(float(weights[k]), ends[2 * k], ends[2 * k + 1])
-    if not heads.size:
+    if not weights.size:
         raise ValueError("empty graph: no edges")
     return _assemble(ends, weights, nodes)
 
@@ -496,8 +464,9 @@ def save_edge_list(path, graph):
     reproduces the same distribution (weights renormalize to themselves).
     A pair whose first label starts with `#`, a comment to
     `load_edge_list`, is written the other way round.  Labels that
-    cannot be read back (empty text or whitespace, two nodes with one
-    text, two `#` labels in a pair) raise before the file is opened.
+    cannot be read back (empty text or whitespace, text that is not
+    UTF-8, two nodes with one text, two `#` labels in a pair) raise
+    before the file is opened.
     """
     u, w, mass = graph._pair_weights()
     labels = graph.node_labels
@@ -507,6 +476,11 @@ def save_edge_list(path, graph):
         if t.split() != [t]:
             raise ValueError(f"node label {labels[i]!r} is empty or holds "
                              f"whitespace")
+        try:
+            t.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"node label {labels[i]!r} does not encode "
+                             f"as UTF-8") from None
         if text.setdefault(t, i) != i:
             raise ValueError(f"node labels {labels[text[t]]!r} and "
                              f"{labels[i]!r} both write as {t!r}")

@@ -32,6 +32,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from . import _native
+from .graph import _DENSE_LIMIT
 
 __all__ = [
     "Spectrum",
@@ -45,8 +46,6 @@ __all__ = [
     "projection_residual",
 ]
 
-# Dense full decompositions get slow and memory-hungry past this.
-_DENSE_LIMIT = 5000
 _JACOBI_LIMIT = 200
 _JACOBI_TOL = 1e-14  # off-diagonal at which Jacobi stops, relative to |A|
 _RITZ_TOL = 1e-10  # Ritz residual at which orthogonal iteration stops
@@ -447,6 +446,9 @@ def alignment_bounds(Q, H):
     eigenvector's sign is fixed by nonnegative correlation with x (x is
     entrywise nonnegative, so this is the meaningful direction).
     """
+    if Q.n < 2:
+        raise ValueError(f"alignment bounds need lambda2, so at least 2 "
+                         f"nodes; the graph has n={Q.n}")
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[1] != 2:
         raise ValueError(f"expected a two-column assignment, got {H.shape}")

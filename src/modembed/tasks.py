@@ -16,7 +16,6 @@ not inductive generalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import methodcaller
 
 import numpy as np
 
@@ -343,43 +342,24 @@ def load_labels(path, graph):
     indices of the map's nodes in the map's order, from the one lookup
     that checks the nodes exist.
     """
+    labels = {}
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    comment = np.fromiter(
-        map(methodcaller("startswith", "#"), map(str.lstrip, lines)),
-        dtype=bool, count=len(lines),
-    )
-    blank = np.fromiter(map(len, lines), np.int64, len(lines)) == 0
-    kept = np.flatnonzero(~(comment | blank))
-    rows = list(map(lines.__getitem__, kept.tolist()))
-    tabs = np.fromiter(map(methodcaller("count", "\t"), rows), np.int64,
-                       len(rows))
-    bad = np.flatnonzero(tabs != 1)
-    end = bad[0] if bad.size else len(rows)
-    fields = "\t".join(rows[:end]).split("\t") if end else []
-    nodes, classes = fields[0::2], fields[1::2]
-    labels = dict(zip(nodes, classes))
-    conflict = end
-    if len(labels) < len(nodes):
-        first = dict(zip(reversed(nodes), reversed(classes)))
-        conflict = next((k for k, (node, cls) in enumerate(zip(nodes, classes))
-                         if first[node] != cls), end)
-    # An unknown node before the first fault raises KeyError, ahead of
-    # that fault.  The map's keys are the nodes in first-appearance order,
-    # so without a conflict its first unknown key is the file's first
-    # unknown node.
-    if conflict < end:
-        graph.indices_of(nodes[:conflict])
-        raise ValueError(
-            f"{path}:{kept[conflict] + 1}: conflicting class for node "
-            f"{nodes[conflict]!r}"
-        )
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line or line.lstrip().startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                error = f"expected 'node<TAB>class', got {len(fields)} fields"
+            elif labels.setdefault(*fields) != fields[1]:
+                error = f"conflicting class for node {fields[0]!r}"
+            else:
+                continue
+            # An unknown node on an earlier line is reported first; the
+            # map's keys are the nodes in first-appearance order.
+            graph.indices_of(list(labels))
+            raise ValueError(f"{path}:{lineno}: {error}")
     index = graph.indices_of(list(labels))
-    if end < len(rows):
-        raise ValueError(
-            f"{path}:{kept[end] + 1}: expected 'node<TAB>class', "
-            f"got {tabs[end] + 1} fields"
-        )
     if not labels:
         raise ValueError(f"{path}: no labels found")
     return labels, index

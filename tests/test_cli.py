@@ -323,6 +323,31 @@ def test_reduce_rejects_more_columns_than_points(tmp_path, capsys):
     assert load_embedding_tsv(out)[1].shape == (4, 4)
 
 
+def test_verify_rejects_a_one_node_graph(tmp_path, capsys):
+    path = tmp_path / "one.tsv"
+    path.write_text("a a\n")
+    code = main(["verify", "--graph", str(path),
+                 "--out", str(tmp_path / "v.tsv")])
+    assert code == 1
+    assert "error: alignment bounds need lambda2, so at least 2 nodes; " \
+        "the graph has n=1" in capsys.readouterr().err
+    assert not (tmp_path / "v.tsv").exists()
+
+
+def test_embed_multilayer_refuses_graphs_above_the_dense_limit(tmp_path,
+                                                               capsys):
+    path = tmp_path / "path.tsv"
+    path.write_text("".join(f"{i}\t{i + 1}\n" for i in range(5000)))
+    out = tmp_path / "emb.tsv"
+    with mock.patch.object(clustering, "run", side_effect=AssertionError):
+        code = main(["embed", "multilayer", "--graph", str(path),
+                     "--out", str(out)])
+    assert code == 1
+    assert "refusing a dense K = n first level at n=5001 (> 5000)" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_reduce_rejects_non_finite_points(tmp_path, capsys, value):
     cloud = tmp_path / "cloud.xyz"

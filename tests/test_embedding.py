@@ -1,11 +1,12 @@
 """Embedding: pruning, orthonormalization, coarsening, multilayer stack."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from modembed import datasets, graph
+from modembed import clustering, datasets, graph
 from modembed.clustering import ClusterConfig
 from modembed.embedding import (
     RankDeficiencyWarning,
@@ -183,6 +184,16 @@ def test_multilayer_levels_structure():
     for a, b in zip(levels, levels[1:]):
         for c in np.unique(a.membership):
             assert len(set(b.membership[a.membership == c])) == 1
+
+
+def test_multilayer_refuses_graphs_above_the_dense_limit():
+    """Level 0 clusters with K = n; past the dense limit that fails before
+    any clustering, naming n."""
+    g = graph.from_edge_list([(i, i + 1) for i in range(5000)])
+    assert g.n == 5001
+    with mock.patch.object(clustering, "run", side_effect=AssertionError):
+        with pytest.raises(ValueError, match="at n=5001 \\(> 5000\\)"):
+            multilayer_embed(g.modularity_matrix())
 
 
 def test_multilayer_rejects_noise_levels(karate):

@@ -199,10 +199,10 @@ def test_edge_list_roundtrip(tmp_path, edges):
 
 
 # Label texts a line cannot carry as they are: '#' first, whitespace,
-# empty, and ints beside strings of the same text.
+# empty, a lone surrogate and ints beside strings of the same text.
 ODD_LABEL = st.sampled_from(
     ["a", "b", "é", "x#", "#c", "#", "#2", "x y", " ", "", "\t", "z\n",
-     "\u3000", "\x1c", 1, "1", 2, -1, "-1"])
+     "\u3000", "\x1c", "\ud800", 1, "1", 2, -1, "-1"])
 
 
 def unreadable(g):
@@ -212,6 +212,8 @@ def unreadable(g):
     reasons = []
     if any(t.split() != [t] for t in text):
         reasons.append("is empty or holds whitespace")
+    if any(re.search("[\ud800-\udfff]", t) for t in text):
+        reasons.append("does not encode as UTF-8")
     if len(set(text)) < len(text):
         reasons.append("both write as")
     if not reasons and any(text[u].startswith("#") and text[w].startswith("#")
@@ -257,6 +259,7 @@ def test_save_edge_list_swaps_or_refuses_hash_labels(tmp_path):
             ([("a", "b"), ("#b", "#b")], "edge ('#b', '#b')"),
             ([("a", "x y")], "node label 'x y' is empty or holds"),
             ([("a", "")], "node label '' is empty"),
+            ([("\ud800", "a")], "node label '\\ud800' does not encode"),
             ([(1, "a"), ("1", "a")], "node labels 1 and '1' both write as")]:
         path.unlink(missing_ok=True)
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -260,7 +260,7 @@ WEIGHT = st.one_of(
                      "abc", "0x10", "1e", "\u0663"]),
 )
 SEP = st.sampled_from([" ", "\t", "  \t", "\x0b", "\x0c", "\x1c", "\xa0",
-                       "　", " "])
+                       "　", "\x85", "\u2028"])
 EOL = st.sampled_from(["\n", "\r\n", "\r"])
 
 
@@ -740,14 +740,15 @@ def label_line(draw):
         return "\n"
     if kind == "space":
         return " \n"
-    node = draw(st.sampled_from(["a", "b", "c", "é", "zz", " a"]))
+    node = draw(st.sampled_from(["a", "b", "c", "é", "zz", " a", "f\x0cg"]))
     cls = draw(st.sampled_from(["k1", "k2", ""]))
     if kind == "fields":
         return draw(st.sampled_from([node, f"{node}\t{cls}\tq"])) + "\n"
     return f"{node}\t{cls}" + draw(EOL)
 
 
-LABEL_GRAPH = graph.from_edge_list([("a", "b"), ("b", "c"), ("c", "é")])
+LABEL_GRAPH = graph.from_edge_list([("a", "b"), ("b", "c"), ("c", "é"),
+                                    ("é", "f\x0cg")])
 
 
 @IO_SETTINGS

@@ -185,6 +185,23 @@ def oracle_fit(model, X, y):
     return model
 
 
+def oracle_apply(Q, H):
+    """`ModularityMatrix.apply` with whole-matrix temporaries."""
+    H = np.asarray(H, dtype=float)
+    squeeze = H.ndim == 1
+    if squeeze:
+        H = H[:, None]
+    g = Q.graph
+    out = g._P @ H
+    pi = g.marginal
+    out -= np.outer(pi, pi @ H)
+    if Q.diag_zeroed:
+        out += (pi ** 2)[:, None] * H
+    else:
+        out += g.diag_mass[:, None] * H
+    return out[:, 0] if squeeze else out
+
+
 def outcome(fn, *args, **kwargs):
     try:
         return "ok", fn(*args, **kwargs)
@@ -624,6 +641,19 @@ def test_jacobi_matches_python_loop_on_f_order_input():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((30, 30))
     assert_same_jacobi(np.asfortranarray(A + A.T))
+
+
+# --- operator apply -----------------------------------------------------------
+
+# Shapes on both sides of the 8192-value row blocks, K = 0 included.
+@pytest.mark.parametrize("n, K", [(5, 0), (9000, 1), (3000, 3), (40, 205),
+                                  (7, 8192), (5, 8193)])
+@pytest.mark.parametrize("diag_zeroed", [False, True])
+def test_apply_matches_oracle(n, K, diag_zeroed):
+    Q = _path_graph(n, isolated=2).modularity_matrix(diag_zeroed=diag_zeroed)
+    H = np.random.default_rng(n + K).standard_normal((n + 2, K))
+    for X in (H, np.asfortranarray(H), H[:, 0] if K else H[:, :0]):
+        assert same_bytes(Q.apply(X), oracle_apply(Q, X))
 
 
 # --- thin QR ------------------------------------------------------------------

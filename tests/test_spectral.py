@@ -130,6 +130,14 @@ def test_alignment_requires_two_columns(karate):
         alignment_bounds(Q, np.ones((34, 3)))
 
 
+def test_alignment_requires_two_nodes():
+    """lambda2 does not exist on one node: the size is named before any
+    decomposition."""
+    Q = graph.from_edge_list([("a", "a")]).modularity_matrix()
+    with pytest.raises(ValueError, match="at least 2 nodes; the graph has n=1"):
+        alignment_bounds(Q, np.array([[1.0, 0.0]]))
+
+
 def test_alignment_on_gapped_sbm():
     """A clean two-block graph satisfies the precondition and the bounds."""
     edges, _ = datasets.sbm_edges([20, 20], [[0.9, 0.05], [0.05, 0.9]],
@@ -180,7 +188,11 @@ def test_alignment_vacuous_when_gap_fails(karate):
 
 def oracle_alignment_bounds(Q, H):
     """The three-branch `alignment_bounds` that one merged return
-    replaced, returning each branch's own report."""
+    replaced, returning each branch's own report, behind the same
+    two-node precondition."""
+    if Q.n < 2:
+        raise ValueError(f"alignment bounds need lambda2, so at least 2 "
+                         f"nodes; the graph has n={Q.n}")
     H = np.asarray(H, dtype=float)
     h1 = H[:, 0]
     x = h1 / np.linalg.norm(h1)

@@ -3,9 +3,11 @@
 Subcommands mirror the library stages: `embed` (cafe, multilayer,
 sphere), `verify` (spectral alignment bounds for a two-cluster run),
 `eigs` (oracle eigenpairs), `reduce` (point-cloud reduction), and `eval`
-(classification / link prediction).  Every run is seeded, every output
-file is TSV with 17 significant digits, and each command writes a JSON
-manifest next to its primary output recording resolved parameters, input
+(classification / link prediction).  Each `embed` mode has its own
+sub-parser that declares only the options the mode reads, so any other
+option is a usage error.  Every run is seeded, every output file is TSV
+with 17 significant digits, and `main` writes a JSON manifest next to
+each command's primary output recording resolved parameters, input
 digests, output digests, and the objective trace, so results can be
 audited and reproduced byte for byte.  `--digest` additionally prints
 each output file's sha256 to stdout.
@@ -28,7 +30,7 @@ import time
 import numpy as np
 
 from . import __version__, clustering
-from .clustering import ClusterConfig, hard_labels
+from .clustering import ClusterConfig
 from .embedding import (
     cafe_embed,
     multilayer_embed,
@@ -71,8 +73,8 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _write_manifest(primary_out, command, params, input_paths, output_paths,
-                    started, extra=None):
+def _write_manifest(command, params, input_paths, output_paths, started,
+                    extra):
     manifest = {
         "command": command,
         "version": __version__,
@@ -86,16 +88,11 @@ def _write_manifest(primary_out, command, params, input_paths, output_paths,
     }
     if extra:
         manifest.update(extra)
-    path = f"{primary_out}.manifest.json"
+    path = f"{output_paths[0]}.manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def _print_digests(output_paths):
-    for p in sorted(str(p) for p in output_paths):
-        print(f"{_sha256(p)}  {p}")
 
 
 def _load_label_ids(path, graph):
@@ -109,141 +106,128 @@ def _load_label_ids(path, graph):
     return nodes, classes, class_names
 
 
-def _cmd_embed(args):
-    started = time.time()
-    graph = load_edge_list(args.graph)
-    Q = graph.modularity_matrix()
-    inputs = {"graph": args.graph}
-    outputs = []
-    extra = {}
-    if args.theta is None:
-        args.theta = clustering.HARD_THETA if args.mode == "multilayer" else 50.0
+def _sweep(args):
+    """The sweep settings every iteration takes, under the keyword names
+    of the configs, the library calls and the manifest params."""
+    return {"seed": args.seed, "tol": args.tol, "max_sweeps": args.max_sweeps}
 
-    if args.mode == "sphere":
-        if args.k is None:
-            raise ValueError("embed sphere requires --k")
-        config = SphereConfig(
-            n_dims=args.k, beta=args.beta, max_sweeps=args.max_sweeps,
-            tol=args.tol, seed=args.seed,
-        )
-        result = sphere_embed(Q, config)
-        save_embedding_tsv(args.out, result.embedding.H_hat, graph.node_labels)
-        outputs.append(args.out)
-        extra["objective_trace"] = result.objective_trace
-        extra["degenerate_updates"] = result.degenerate_updates
-        print(
-            f"C={result.embedding.C} objective={result.objective:.12g} "
-            f"sweeps={result.sweeps} converged={result.converged}"
-        )
-        params = {
-            "mode": "sphere", "k": args.k, "beta": args.beta,
-            "seed": args.seed, "tol": args.tol, "max_sweeps": args.max_sweeps,
-        }
 
-    elif args.mode == "cafe":
-        pinned = None
-        labels = None
-        k = args.k
-        if args.labels:
-            inputs["labels"] = args.labels
-            nodes, classes, class_names = _load_label_ids(args.labels, graph)
-            if args.full_label:
-                if nodes.size != graph.n:
-                    raise ValueError(
-                        f"--full-label needs every node labeled "
-                        f"({nodes.size} of {graph.n} found)"
-                    )
-                labels = np.zeros(graph.n, dtype=int)
-                labels[nodes] = classes
-                k = len(class_names)
-            else:
-                pinned = dict(zip(nodes.tolist(), classes.tolist()))
-                if k is None or k < len(class_names):
-                    raise ValueError(
-                        f"--k must be at least the {len(class_names)} labeled classes"
-                    )
-        elif args.full_label:
-            raise ValueError("--full-label requires --labels")
-        if k is None:
-            raise ValueError("embed cafe requires --k")
-        config = ClusterConfig(
-            n_clusters=k, theta=args.theta, max_sweeps=args.max_sweeps,
-            tol=args.tol, seed=args.seed,
-        )
-        result = cafe_embed(Q, config, pinned=pinned, labels=labels)
-        save_embedding_tsv(args.out, result.embedding.H_hat, graph.node_labels)
-        outputs.append(args.out)
-        if args.assignment_out:
-            save_embedding_tsv(
-                args.assignment_out, result.assignment, graph.node_labels
-            )
-            outputs.append(args.assignment_out)
-        extra["objective_trace"] = result.objective_trace
-        print(
-            f"C={result.embedding.C} objective={result.objective:.12g} "
-            f"sweeps={result.sweeps} converged={result.converged}"
-        )
-        params = {
-            "mode": "cafe", "k": k, "theta": args.theta, "seed": args.seed,
-            "tol": args.tol, "max_sweeps": args.max_sweeps,
-            "full_label": bool(args.full_label),
-        }
+def _sibling(out, tag):
+    """`emb.tsv` -> `emb.TAG.tsv`; a suffix-less `out` gets `.tsv`."""
+    stem, suffix = os.path.splitext(out)
+    return f"{stem}.{tag}{suffix or '.tsv'}"
 
-    else:  # multilayer
-        levels = multilayer_embed(
-            Q, theta=args.theta, max_sweeps=args.max_sweeps,
-            tol=args.tol, seed=args.seed,
-        )
-        stem, suffix = os.path.splitext(args.out)
-        suffix = suffix or ".tsv"
-        level_info = []
-        for layer in levels:
-            if layer.level == 0:
-                path = args.out
-                rows = layer.embedding.H_hat
-            else:
-                path = f"{stem}.level{layer.level}{suffix}"
-                # Lift supernode embeddings back to original nodes.
-                rows = layer.embedding.H_hat[layer.membership]
-            save_embedding_tsv(path, rows, graph.node_labels)
-            outputs.append(path)
-            level_info.append({
-                "level": layer.level,
-                "clusters": int(layer.C),
-                "columns": int(layer.embedding.C),
-                "modularity": layer.modularity,
-                "file": str(path),
-            })
-            print(
-                f"level={layer.level} clusters={layer.C} "
-                f"modularity={layer.modularity:.12g}"
-            )
-        membership_path = f"{stem}.membership{suffix}"
-        member_rows = np.column_stack([layer.membership for layer in levels])
-        save_embedding_tsv(membership_path, member_rows, graph.node_labels)
-        outputs.append(membership_path)
-        extra["levels"] = level_info
-        params = {
-            "mode": "multilayer", "theta": args.theta, "seed": args.seed,
-            "tol": args.tol, "max_sweeps": args.max_sweeps,
-        }
 
-    manifest = _write_manifest(
-        args.out, f"embed {args.mode}", params, inputs, outputs, started, extra
+def _print_run(result):
+    print(
+        f"C={result.embedding.C} objective={result.objective:.12g} "
+        f"sweeps={result.sweeps} converged={result.converged}"
     )
-    print(f"wrote {len(outputs)} file(s); manifest {manifest}")
-    if args.digest:
-        _print_digests(outputs)
-    return 0
+
+
+def _cmd_embed_cafe(args):
+    graph = load_edge_list(args.graph)
+    inputs = {"graph": args.graph}
+    pinned = None
+    labels = None
+    k = args.k
+    if args.labels:
+        inputs["labels"] = args.labels
+        nodes, classes, class_names = _load_label_ids(args.labels, graph)
+        if args.full_label:
+            if nodes.size != graph.n:
+                raise ValueError(
+                    f"--full-label needs every node labeled "
+                    f"({nodes.size} of {graph.n} found)"
+                )
+            labels = np.zeros(graph.n, dtype=int)
+            labels[nodes] = classes
+            k = len(class_names)
+        else:
+            pinned = dict(zip(nodes.tolist(), classes.tolist()))
+            if k is None or k < len(class_names):
+                raise ValueError(
+                    f"--k must be at least the {len(class_names)} labeled classes"
+                )
+    elif args.full_label:
+        raise ValueError("--full-label requires --labels")
+    if k is None:
+        raise ValueError("embed cafe requires --k")
+    sweep = _sweep(args)
+    config = ClusterConfig(n_clusters=k, theta=args.theta, **sweep)
+    result = cafe_embed(graph.modularity_matrix(), config, pinned=pinned,
+                        labels=labels)
+    save_embedding_tsv(args.out, result.embedding.H_hat, graph.node_labels)
+    outputs = [args.out]
+    if args.assignment_out:
+        save_embedding_tsv(args.assignment_out, result.assignment,
+                           graph.node_labels)
+        outputs.append(args.assignment_out)
+    _print_run(result)
+    params = {"mode": "cafe", "k": k, "theta": args.theta,
+              "full_label": args.full_label, **sweep}
+    extra = {"objective_trace": result.objective_trace}
+    return outputs, inputs, params, extra, 0
+
+
+def _cmd_embed_sphere(args):
+    graph = load_edge_list(args.graph)
+    if args.k is None:
+        raise ValueError("embed sphere requires --k")
+    sweep = _sweep(args)
+    config = SphereConfig(n_dims=args.k, beta=args.beta, **sweep)
+    result = sphere_embed(graph.modularity_matrix(), config)
+    save_embedding_tsv(args.out, result.embedding.H_hat, graph.node_labels)
+    _print_run(result)
+    params = {"mode": "sphere", "k": args.k, "beta": args.beta, **sweep}
+    extra = {"objective_trace": result.objective_trace,
+             "degenerate_updates": result.degenerate_updates}
+    return [args.out], {"graph": args.graph}, params, extra, 0
+
+
+def _cmd_embed_multilayer(args):
+    graph = load_edge_list(args.graph)
+    sweep = _sweep(args)
+    levels = multilayer_embed(graph.modularity_matrix(), theta=args.theta,
+                              **sweep)
+    outputs = []
+    level_info = []
+    for layer in levels:
+        if layer.level == 0:
+            path = args.out
+            rows = layer.embedding.H_hat
+        else:
+            path = _sibling(args.out, f"level{layer.level}")
+            # Lift supernode embeddings back to original nodes.
+            rows = layer.embedding.H_hat[layer.membership]
+        save_embedding_tsv(path, rows, graph.node_labels)
+        outputs.append(path)
+        level_info.append({
+            "level": layer.level,
+            "clusters": int(layer.C),
+            "columns": int(layer.embedding.C),
+            "modularity": layer.modularity,
+            "file": str(path),
+        })
+        print(
+            f"level={layer.level} clusters={layer.C} "
+            f"modularity={layer.modularity:.12g}"
+        )
+    membership_path = _sibling(args.out, "membership")
+    member_rows = np.column_stack([layer.membership for layer in levels])
+    save_embedding_tsv(membership_path, member_rows, graph.node_labels)
+    outputs.append(membership_path)
+    params = {"mode": "multilayer", "theta": args.theta, **sweep}
+    return outputs, {"graph": args.graph}, params, {"levels": level_info}, 0
 
 
 def _cmd_verify(args):
-    started = time.time()
     graph = load_edge_list(args.graph)
     Q = graph.modularity_matrix()
     inputs = {"graph": args.graph}
     if args.k != 2:
         raise ValueError("verify checks two-cluster assignments; --k must be 2")
+    sweep = _sweep(args)
     if args.assignment:
         inputs["assignment"] = args.assignment
         labels, H = load_embedding_tsv(args.assignment)
@@ -252,10 +236,7 @@ def _cmd_verify(args):
         if H.shape[1] != 2:
             raise ValueError(f"assignment must have 2 columns, got {H.shape[1]}")
     else:
-        config = ClusterConfig(
-            n_clusters=2, theta=args.theta, max_sweeps=args.max_sweeps,
-            tol=args.tol, seed=args.seed,
-        )
+        config = ClusterConfig(n_clusters=2, theta=args.theta, **sweep)
         H = clustering.run(Q, config).assignment.H
     report = alignment_bounds(Q, H)
     rows = [(field.name, float(getattr(report, field.name)))
@@ -267,46 +248,29 @@ def _cmd_verify(args):
         names, values = zip(*rows)
         _write_rows(args.out, np.array(values)[:, None], names)
         outputs.append(args.out)
-        _write_manifest(
-            args.out, "verify",
-            {"k": 2, "theta": args.theta, "seed": args.seed,
-             "tol": args.tol, "max_sweeps": args.max_sweeps},
-            inputs, outputs, started,
-        )
-    if args.digest:
-        _print_digests(outputs)
-    if report.applicable and not report.holds:
+    violated = report.applicable and not report.holds
+    if violated:
         print("bound violation", file=sys.stderr)
-        return 2
-    return 0
+    params = {"k": 2, "theta": args.theta, **sweep}
+    return outputs, inputs, params, None, 2 if violated else 0
 
 
 def _cmd_eigs(args):
-    started = time.time()
     graph = load_edge_list(args.graph)
-    Q = graph.modularity_matrix()
-    spectrum = eigendecompose(Q, k=args.topk)
+    spectrum = eigendecompose(graph.modularity_matrix(), k=args.topk)
     _write_rows(args.out, spectrum.eigenvalues[:, None],
                 range(spectrum.eigenvalues.size))
     outputs = [args.out]
     if args.vectors_out:
-        save_embedding_tsv(
-            args.vectors_out, spectrum.eigenvectors, graph.node_labels
-        )
+        save_embedding_tsv(args.vectors_out, spectrum.eigenvectors,
+                           graph.node_labels)
         outputs.append(args.vectors_out)
     head = ", ".join(f"{v:.6g}" for v in spectrum.eigenvalues[:5])
     print(f"eigenvalues ({spectrum.eigenvalues.size}): {head} ...")
-    _write_manifest(
-        args.out, "eigs", {"topk": args.topk}, {"graph": args.graph},
-        outputs, started,
-    )
-    if args.digest:
-        _print_digests(outputs)
-    return 0
+    return outputs, {"graph": args.graph}, {"topk": args.topk}, None, 0
 
 
 def _cmd_reduce(args):
-    started = time.time()
     inputs = {}
     if args.points:
         inputs["points"] = args.points
@@ -315,42 +279,31 @@ def _cmd_reduce(args):
     else:
         points = _BUILTIN_CLOUDS[args.cloud]()
         source = f"builtin:{args.cloud}"
-    result = reduce_cloud(
-        points, args.k, theta=args.theta, method=args.method,
-        seed=args.seed, beta=args.beta, max_sweeps=args.max_sweeps,
-        tol=args.tol,
-    )
+    sweep = _sweep(args)
+    result = reduce_cloud(points, args.k, theta=args.theta,
+                          method=args.method, beta=args.beta, **sweep)
     node_labels = list(range(points.shape[0]))
     save_embedding_tsv(args.out, result.embedding, node_labels)
-    stem, suffix = os.path.splitext(args.out)
-    suffix = suffix or ".tsv"
-    residual_path = f"{stem}.residuals{suffix}"
+    residual_path = _sibling(args.out, "residuals")
     _write_rows(residual_path,
                 np.column_stack([result.residuals, result.selected]),
                 range(result.residuals.size))
-    recon_path = f"{stem}.reconstruction{suffix}"
+    recon_path = _sibling(args.out, "reconstruction")
     save_embedding_tsv(recon_path, result.reconstruction, node_labels)
-    outputs = [args.out, residual_path, recon_path]
     kept = int(result.selected.sum())
     print(
         f"columns={args.k} selected={kept} "
         f"residuals={np.array2string(result.residuals, precision=4)} "
         f"sweeps={result.sweeps} converged={result.converged}"
     )
-    _write_manifest(
-        args.out, "reduce",
-        {"source": source, "k": args.k, "theta": args.theta,
-         "method": args.method, "beta": args.beta, "seed": args.seed,
-         "tol": args.tol, "max_sweeps": args.max_sweeps},
-        inputs, outputs, started,
-    )
-    if args.digest:
-        _print_digests(outputs)
-    return 0
+    params = {"source": source, "k": args.k, "theta": args.theta,
+              "method": args.method, "beta": args.beta, **sweep}
+    return [args.out, residual_path, recon_path], inputs, params, None, 0
 
 
 def _cmd_eval(args):
-    started = time.time()
+    if args.task == "classify" and not args.labels:
+        raise ValueError("eval classify requires --labels")
     emb_labels, X = load_embedding_tsv(args.embeddings)
     graph = load_edge_list(args.graph)
     inputs = {"embeddings": args.embeddings, "graph": args.graph}
@@ -372,27 +325,8 @@ def _cmd_eval(args):
     save_metrics_tsv(args.out, summary)
     for name, mean, std in summary.rows():
         print(f"{name}\t{mean:.6f}\t±{std:.6f}")
-    _write_manifest(
-        args.out, f"eval {args.task}",
-        {"train": args.train, "reps": args.reps, "seed": args.seed},
-        inputs, [args.out], started,
-    )
-    if args.digest:
-        _print_digests([args.out])
-    return 0
-
-
-def _add_common(parser, *, theta_default=50.0, theta_help=None):
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="objective-change convergence threshold")
-    parser.add_argument("--max-sweeps", type=int, default=200,
-                        help="cap on full passes over the nodes")
-    parser.add_argument("--theta", type=float, default=theta_default,
-                        help=theta_help
-                        or "inverse temperature of the softmax update")
-    parser.add_argument("--digest", action="store_true",
-                        help="print sha256 of each output file")
+    params = {"train": args.train, "reps": args.reps, "seed": args.seed}
+    return [args.out], inputs, params, None, 0
 
 
 def build_parser():
@@ -403,54 +337,74 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Parent parsers: options that several commands read, declared once.
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--graph", required=True, help="edge-list file")
+    files.add_argument("--out", required=True,
+                       help="output TSV path; the manifest is "
+                            "OUT.manifest.json")
+    digest = argparse.ArgumentParser(add_help=False)
+    digest.add_argument("--digest", action="store_true",
+                        help="print sha256 of each output file")
+    sweeps = argparse.ArgumentParser(add_help=False)
+    sweeps.add_argument("--seed", type=int, default=0, help="RNG seed")
+    sweeps.add_argument("--tol", type=float, default=1e-9,
+                        help="objective-change convergence threshold")
+    sweeps.add_argument("--max-sweeps", type=int, default=200,
+                        help="cap on full passes over the nodes")
+    theta_help = "inverse temperature of the softmax update"
+
     embed = sub.add_parser("embed", help="compute node embeddings")
-    embed.add_argument("mode", choices=("cafe", "multilayer", "sphere"),
-                       help="clustering pipeline, multi-level hierarchy, or "
-                            "unit-sphere iteration")
-    embed.add_argument("--graph", required=True, help="edge-list file")
-    embed.add_argument("--k", type=int, default=None,
-                       help="clusters (cafe) or dimensions (sphere)")
-    embed.add_argument("--beta", type=float, default=0.5,
-                       help="sphere blend weight in [0, 1]")
-    embed.add_argument("--labels", default=None,
-                       help="node<TAB>class file pinning known nodes")
-    embed.add_argument("--full-label", action="store_true",
-                       help="all nodes labeled: skip clustering entirely")
-    embed.add_argument("--assignment-out", default=None,
-                       help="also write the soft assignment rows (cafe)")
-    embed.add_argument("--out", required=True, help="embedding TSV path")
-    _add_common(
-        embed, theta_default=None,
-        theta_help="inverse temperature (default 50 for cafe; multilayer "
-                   "defaults to the hard argmax limit)",
-    )
-    embed.set_defaults(func=_cmd_embed)
+    modes = embed.add_subparsers(dest="mode", required=True)
+    cafe = modes.add_parser("cafe", parents=[files, digest, sweeps],
+                            help="softmax clustering, then QR")
+    cafe.add_argument("--k", type=int, default=None, help="clusters")
+    cafe.add_argument("--theta", type=float, default=50.0, help=theta_help)
+    cafe.add_argument("--labels", default=None,
+                      help="node<TAB>class file pinning known nodes")
+    cafe.add_argument("--full-label", action="store_true",
+                      help="all nodes labeled: skip clustering entirely")
+    cafe.add_argument("--assignment-out", default=None,
+                      help="also write the soft assignment rows")
+    cafe.set_defaults(func=_cmd_embed_cafe)
+    sphere = modes.add_parser("sphere", parents=[files, digest, sweeps],
+                              help="unit-sphere iteration")
+    sphere.add_argument("--k", type=int, default=None, help="dimensions")
+    sphere.add_argument("--beta", type=float, default=0.5,
+                        help="blend weight in [0, 1]")
+    sphere.set_defaults(func=_cmd_embed_sphere)
+    multilayer = modes.add_parser("multilayer",
+                                  parents=[files, digest, sweeps],
+                                  help="multi-level hierarchy")
+    multilayer.add_argument("--theta", type=float,
+                            default=clustering.HARD_THETA,
+                            help=f"{theta_help} (default: the hard limit)")
+    multilayer.set_defaults(func=_cmd_embed_multilayer)
 
     verify = sub.add_parser(
-        "verify", help="check spectral alignment bounds for a K=2 run"
+        "verify", parents=[digest, sweeps],
+        help="check spectral alignment bounds for a K=2 run",
     )
     verify.add_argument("--graph", required=True, help="edge-list file")
     verify.add_argument("--k", type=int, default=2,
                         help="must be 2 (bounds address two clusters)")
+    verify.add_argument("--theta", type=float, default=50.0, help=theta_help)
     verify.add_argument("--assignment", default=None,
                         help="reuse a saved soft assignment instead of "
                              "re-running the clustering")
     verify.add_argument("--out", default=None, help="optional report TSV")
-    _add_common(verify)
     verify.set_defaults(func=_cmd_verify)
 
-    eigs = sub.add_parser("eigs", help="oracle eigenvalues/eigenvectors")
-    eigs.add_argument("--graph", required=True, help="edge-list file")
+    eigs = sub.add_parser("eigs", parents=[files, digest],
+                          help="oracle eigenvalues/eigenvectors")
     eigs.add_argument("--topk", type=int, default=None,
                       help="leading pairs only (default: full spectrum)")
     eigs.add_argument("--vectors-out", default=None,
                       help="also write eigenvector columns per node")
-    eigs.add_argument("--out", required=True, help="eigenvalue TSV path")
-    eigs.add_argument("--digest", action="store_true",
-                      help="print sha256 of each output file")
     eigs.set_defaults(func=_cmd_eigs)
 
-    reduce_p = sub.add_parser("reduce", help="embed a point cloud")
+    reduce_p = sub.add_parser("reduce", parents=[digest, sweeps],
+                              help="embed a point cloud")
     src = reduce_p.add_mutually_exclusive_group(required=True)
     src.add_argument("--points", default=None,
                      help="whitespace x y [z] coordinate file")
@@ -458,17 +412,18 @@ def build_parser():
                      default=None, help="built-in demo cloud")
     reduce_p.add_argument("--k", type=int, required=True,
                           help="embedding columns")
+    reduce_p.add_argument("--theta", type=float, default=0.010,
+                          help=theta_help)
     reduce_p.add_argument("--method", choices=("cafe", "sphere"),
                           default="cafe")
     reduce_p.add_argument("--beta", type=float, default=0.5,
                           help="sphere blend weight in [0, 1]")
     reduce_p.add_argument("--out", required=True, help="embedding TSV path")
-    _add_common(reduce_p, theta_default=0.010)
     reduce_p.set_defaults(func=_cmd_reduce)
 
-    ev = sub.add_parser("eval", help="score embeddings on downstream tasks")
+    ev = sub.add_parser("eval", parents=[files, digest],
+                        help="score embeddings on downstream tasks")
     ev.add_argument("task", choices=("classify", "link"))
-    ev.add_argument("--graph", required=True, help="edge-list file")
     ev.add_argument("--embeddings", required=True, help="embedding TSV")
     ev.add_argument("--labels", default=None,
                     help="node<TAB>class file (classify)")
@@ -477,22 +432,31 @@ def build_parser():
     ev.add_argument("--reps", type=int, default=10,
                     help="repetitions to aggregate")
     ev.add_argument("--seed", type=int, default=0, help="RNG seed")
-    ev.add_argument("--out", required=True, help="metric TSV path")
-    ev.add_argument("--digest", action="store_true",
-                    help="print sha256 of each output file")
     ev.set_defaults(func=_cmd_eval)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "task", None) == "classify" and not args.labels:
-        print("error: eval classify requires --labels", file=sys.stderr)
-        return 1
+    """Parse `argv`, run the command, then write its manifest next to its
+    first output and print the `--digest` lines.  A command returns
+    (outputs, inputs, params, extra manifest fields, exit code)."""
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        outputs, inputs, params, extra, code = args.func(args)
+        if outputs:
+            command = " ".join(filter(None, (
+                args.command, getattr(args, "mode", None),
+                getattr(args, "task", None))))
+            manifest = _write_manifest(command, params, inputs, outputs,
+                                       started, extra)
+            if args.command == "embed":
+                print(f"wrote {len(outputs)} file(s); manifest {manifest}")
+        if args.digest:
+            for path in sorted(map(str, outputs)):
+                print(f"{_sha256(path)}  {path}")
+        return code
     except ConvergenceError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

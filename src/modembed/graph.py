@@ -13,8 +13,10 @@ separate, so applying Q to a matrix costs O((n + m) K).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
+import os
 from collections import defaultdict
 from itertools import count
 
@@ -504,6 +506,19 @@ _WRITE_ROWS = 4096
 _VALUE_BYTES = 25
 
 
+@contextlib.contextmanager
+def _new_file(path, mode, **kwargs):
+    """open(path, mode) that removes the file when the block raises, so
+    a failed write leaves no partial file behind."""
+    with open(path, mode, **kwargs) as fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
+
+
 def _write_rows(path, rows, labels):
     """Write `label<TAB>v1<TAB>...<TAB>vC` per row of the array `rows`,
     each value as Python's '%.17g', labels as `str()` in UTF-8, taken in
@@ -512,7 +527,8 @@ def _write_rows(path, rows, labels):
     Rows of bool, integers or floats up to float64 are converted to
     float64 (exactly, or rounded as Python's int -> float) and formatted
     by the compiled library a block at a time; other rows, or no
-    library, run the Python loop, which writes the same bytes.
+    library, run the Python loop, which writes the same bytes.  A write
+    that raises removes the file.
     """
     labels = iter(labels)
     kind, size = rows.dtype.kind, rows.dtype.itemsize
@@ -522,7 +538,7 @@ def _write_rows(path, rows, labels):
     if lib is None:
         line = "%s\t" + "\t".join(["%.17g"] * rows.shape[1]) + "\n"
         # zip(block, labels) ends on the block without taking another label.
-        with open(path, "w", encoding="utf-8") as fh:
+        with _new_file(path, "w", encoding="utf-8") as fh:
             for start in range(0, rows.shape[0], _WRITE_ROWS):
                 block = rows[start:start + _WRITE_ROWS].tolist()
                 fh.writelines(
@@ -531,7 +547,7 @@ def _write_rows(path, rows, labels):
         return
     n, c = rows.shape
     buf = ctypes.create_string_buffer(0)
-    with open(path, "wb") as fh:
+    with _new_file(path, "wb") as fh:
         for start in range(0, n, _WRITE_ROWS):
             block = np.ascontiguousarray(rows[start:start + _WRITE_ROWS],
                                          dtype=np.float64)

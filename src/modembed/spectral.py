@@ -384,17 +384,13 @@ def _orthogonal_iteration(Q, k, max_iter=10000):
 
 
 def eigendecompose(Q, k=None, max_iter=10000):
-    """Spectrum of a modularity-style operator or plain symmetric array.
+    """Spectrum of a modularity-style operator (anything with `dense()`
+    and `apply`).
 
     k=None densifies and solves fully (bounded at n=5000); otherwise the
     leading k pairs come from orthogonal iteration without materializing
     the operator.
     """
-    if isinstance(Q, np.ndarray):
-        if k is None:
-            return _dense_spectrum(Q)
-        full = _dense_spectrum(Q)
-        return Spectrum(full.eigenvalues[:k], full.eigenvectors[:, :k])
     if k is None:
         return _dense_spectrum(Q.dense())
     return _orthogonal_iteration(Q, k, max_iter=max_iter)

@@ -1,10 +1,11 @@
 """End-to-end CLI: files in, files out, manifests, exit codes."""
 
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
-
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,11 +13,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from modembed import clustering, datasets
-from modembed.cli import main
+from modembed import cli, clustering, datasets
+from modembed.cli import build_parser, main
 from modembed.graph import load_edge_list
 from modembed.embedding import load_embedding_tsv, save_embedding_tsv
 from modembed.tasks import classify, load_labels, save_metrics_tsv
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _sha(path):
@@ -129,6 +133,7 @@ def test_embed_multilayer_outputs(tmp_path, sbm_file, capsys):
     labels, M = load_embedding_tsv(membership)
     assert len(labels) == 24
     manifest = json.loads((tmp_path / "ml.tsv.manifest.json").read_text())
+    assert manifest["params"]["theta"] == clustering.HARD_THETA
     assert manifest["levels"][0]["level"] == 0
     assert "level=0" in capsys.readouterr().out
     # Per-level files exist for every reported level.
@@ -412,6 +417,74 @@ def test_usage_errors_exit_one(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["embed", "cafe", "--out", str(tmp_path / "e.tsv")])
     assert exc.value.code == 1  # --graph is required
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--graph", "g.tsv", "cafe", "--k", "2",
+              "--out", str(tmp_path / "e.tsv")])
+    assert exc.value.code == 1  # options follow the mode word
+
+
+def _load_bench_run():
+    """bench/run.py as a module, loaded without writing bytecode under
+    bench/.  It imports its sibling modules by name and turns bytecode
+    writing off; both are undone here."""
+    bench = str(ROOT / "bench")
+    saved = sys.dont_write_bytecode
+    sys.path.insert(0, bench)
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run",
+                                                      ROOT / "bench" / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(bench)
+        sys.dont_write_bytecode = saved
+    return run
+
+
+def test_every_bench_command_parses():
+    """The benchmark's command lines run as child processes, where a
+    parse error only shows as a failed operation."""
+    expected = {
+        "embed cafe": cli._cmd_embed_cafe,
+        "embed sphere": cli._cmd_embed_sphere,
+        "embed multilayer": cli._cmd_embed_multilayer,
+        "eval classify": cli._cmd_eval,
+        "verify": cli._cmd_verify,
+        "eigs": cli._cmd_eigs,
+        "reduce": cli._cmd_reduce,
+    }
+    parser = build_parser()
+    seen = set()
+    for workload in _load_bench_run().WORKLOADS.values():
+        for cmd in workload.commands:
+            words = cmd.args[:2] if cmd.args[0] in ("embed", "eval") \
+                else cmd.args[:1]
+            key = " ".join(words)
+            assert parser.parse_args(cmd.args).func is expected[key], key
+            seen.add(key)
+    assert seen == set(expected)
+
+
+@pytest.mark.parametrize("case", [
+    ("sphere", "--theta", "5"),
+    ("sphere", "--labels", "y.tsv"),
+    ("sphere", "--full-label"),
+    ("sphere", "--assignment-out", "a.tsv"),
+    ("multilayer", "--k", "3"),
+    ("multilayer", "--beta", "0.5"),
+    ("multilayer", "--labels", "y.tsv"),
+    ("cafe", "--beta", "0.5"),
+], ids=lambda case: "".join(case[:2]))
+def test_embed_modes_reject_options_they_never_read(tmp_path, sbm_file,
+                                                    capsys, case):
+    graph_path, _ = sbm_file
+    out = tmp_path / "e.tsv"
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", *case, "--graph", str(graph_path), "--out", str(out)])
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_identical_invocations_are_byte_identical(tmp_path, sbm_file):

@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modembed import clustering, datasets, graph
 from modembed.clustering import ClusterConfig
@@ -20,7 +22,7 @@ from modembed.embedding import (
     save_embedding_tsv,
 )
 
-from conftest import dense_masses, dense_modularity, graph_from, random_edges
+from conftest import dense_masses, dense_modularity, graph_from
 
 
 def test_prune_drops_only_tiny_columns():
@@ -132,29 +134,42 @@ def test_cafe_embed_clustered_path(karate):
     assert result.assignment.shape[1] == len(result.kept_columns)
 
 
-def test_coarsen_matches_pooled_covariance():
-    """Pooled operator equals H^T Q H for the partition indicator."""
-    rng = np.random.default_rng(21)
-    for trial in range(5):
-        n = int(rng.integers(10, 40))
-        edges = random_edges(rng, n, weighted=True, self_loops=True)
-        g = graph_from(edges, n)
-        Qd = dense_modularity(dense_masses(edges, n))
-        part = rng.integers(0, 4, size=n)
-        Q_coarse, membership, P_pooled = coarsen(g.modularity_matrix(), part)
+@st.composite
+def graph_and_partition(draw):
+    """Weighted edges on nodes 0..n-1 (self-loops, repeated pairs and
+    edgeless nodes occur) and a partition whose ids leave gaps and need
+    not start at 0."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    weight = st.one_of(st.sampled_from([1.0, 0.5, 3.0, 1e-3, 1e3]),
+                       st.floats(1e-3, 1e3))
+    edges = draw(st.lists(st.tuples(node, node, weight), min_size=1,
+                          max_size=3 * n))
+    part = draw(st.lists(st.integers(-3, 2 * n + 3), min_size=n,
+                         max_size=n))
+    return edges, n, np.array(part)
 
-        H = indicator_matrix(membership)
-        want = H.T @ Qd @ H
-        got = Q_coarse.dense()
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() < 1e-12
 
-        assert np.abs(P_pooled - P_pooled.T).max() == 0.0
-        assert abs(P_pooled.sum() - 1.0) < 1e-12
-        assert np.abs(got.sum(axis=1)).max() < 1e-12
-        # Pooled trace is exactly the partition modularity.
-        mod = g.modularity_matrix().partition_modularity(part)
-        assert abs(np.trace(got) - mod) < 1e-13
+@settings(max_examples=300, deadline=None)
+@given(case=graph_and_partition())
+def test_coarsen_is_exact(case):
+    """The pooled operator is H^T Q H for the partition indicator, and
+    its trace is the partition modularity."""
+    edges, n, part = case
+    g = graph_from(edges, n)
+    Q_coarse, membership, P_pooled = coarsen(g.modularity_matrix(), part)
+
+    H = indicator_matrix(membership)
+    want = H.T @ dense_modularity(dense_masses(edges, n)) @ H
+    got = Q_coarse.dense()
+    assert got.shape == want.shape == (np.unique(part).size,) * 2
+    assert np.abs(got - want).max() < 1e-12
+
+    assert np.abs(P_pooled - P_pooled.T).max() == 0.0
+    assert abs(P_pooled.sum() - 1.0) < 1e-12
+    assert np.abs(got.sum(axis=1)).max() < 1e-12
+    mod = g.modularity_matrix().partition_modularity(part)
+    assert abs(np.trace(got) - mod) < 1e-13
 
 
 def test_coarsen_drops_empty_clusters(karate):

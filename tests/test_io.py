@@ -509,8 +509,14 @@ def test_writer_matches_oracle_on_any_label(tmp_path, writer):
               "𝄞"]
     rows = np.arange(2.0 * len(labels)).reshape(-1, 2) / 3
     assert_writes_like_oracle(tmp_path, rows, labels)
-    with pytest.raises(UnicodeEncodeError):
-        save_embedding_tsv(tmp_path / "bad.tsv", rows[:1], ["\udc80"])
+    # A label that does not encode fails the write and leaves no file,
+    # also after earlier blocks were written.
+    for bad_rows, bad_labels in [
+            (rows[:1], ["\udc80"]),
+            (np.ones((5000, 1)), ["a"] * 4500 + ["\udc80"] + ["b"] * 499)]:
+        with pytest.raises(UnicodeEncodeError):
+            save_embedding_tsv(tmp_path / "bad.tsv", bad_rows, bad_labels)
+        assert not (tmp_path / "bad.tsv").exists()
 
 
 @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])

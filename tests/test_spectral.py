@@ -12,6 +12,7 @@ from modembed.clustering import ClusterConfig, run
 from modembed.spectral import (
     AlignmentReport,
     ConvergenceError,
+    _dense_spectrum,
     alignment_bounds,
     cosine,
     eigendecompose,
@@ -61,10 +62,10 @@ def test_tridiagonal_path_matches_numpy():
     _match_spectra(tridiagonal_eigh(A), A, atol=1e-8)
 
 
-def test_eigendecompose_dispatches_by_size():
+def test_dense_spectrum_dispatches_by_size():
     rng = np.random.default_rng(23)
     A = _random_symmetric(rng, 250)  # beyond the Jacobi cutoff
-    _match_spectra(eigendecompose(A), A, atol=1e-8)
+    _match_spectra(_dense_spectrum(A), A, atol=1e-8)
 
 
 def test_topk_matches_full(karate, karate_dense):

@@ -1,6 +1,7 @@
 /* Compiled loops behind _native.library(): the rotation loops of the
- * dense eigensolvers in spectral.py and the %.17g row writer behind
- * embedding.save_embedding_tsv and graph.save_edge_list.
+ * dense eigensolvers in spectral.py, the %.17g row writer behind
+ * embedding.save_embedding_tsv and graph.save_edge_list, and the CAFE
+ * softmax and sphere sweeps of clustering.py and sphere.py.
  *
  * Each rotation function repeats its Python loop operation for
  * operation: the same IEEE operations on the same doubles in the same
@@ -13,6 +14,13 @@
  * of m * 2^e to 17 digits with 128-bit arithmetic, half to even, as
  * Python's dtoa); the rest go to the C library's printf, which is exact,
  * run in the "C" locale because Python's % never reads LC_NUMERIC.
+ *
+ * The sweeps repeat clustering.softmax_update and sphere.sphere_update
+ * after the operators' row_covariance, row by row.  What numpy computes
+ * in a vectorised or BLAS loop (matmul, the max and sum reductions,
+ * exp) goes through numpy's own inner loop with numpy's arguments, read
+ * from the ufunc objects by _native.numpy_loop; the elementwise + - * /
+ * and comparisons are plain C, exact under -ffp-contract=off.
  */
 #define _POSIX_C_SOURCE 200809L
 #include <locale.h>
@@ -334,4 +342,185 @@ ptrdiff_t modembed_format_rows(ptrdiff_t n, ptrdiff_t c, const double *x,
         freelocale(c_locale);
     }
     return out == NULL ? -1 : out - start;
+}
+
+/* --- sweeps ------------------------------------------------------------ */
+
+/* A numpy inner loop (PyUFuncGenericFunction). */
+typedef void (*numpy_loop)(char **args, const ptrdiff_t *dimensions,
+                           const ptrdiff_t *steps, void *data);
+
+/* numpy's float64 loops for np.matmul, np.maximum, np.exp and np.add,
+ * each with its data pointer. */
+struct modembed_loops {
+    numpy_loop matmul, maximum, exp, add;
+    void *matmul_data, *maximum_data, *exp_data, *add_data;
+};
+
+/* The operator a sweep reads and the aggregate it keeps.  A modularity
+ * operator gives its CSR rows of p (indptr, indices, data), the marginal
+ * and S (K values at byte stride agg_col); a Gram operator (indptr NULL)
+ * gives the n x L cloud x at byte strides (x_row, x_col), its squared
+ * row norms sq and W = X^T H (L x K at byte strides agg_row, agg_col).
+ * gather holds max degree x K doubles. */
+struct modembed_operator {
+    const ptrdiff_t *indptr, *indices;
+    const double *data, *marginal;
+    const char *x;
+    const double *sq;
+    char *agg;
+    double *gather;
+    ptrdiff_t L, x_row, x_col, agg_row, agg_col;
+};
+
+#define ZERO_CLAMP 1e-300      /* clustering._ZERO_CLAMP */
+#define DEGENERATE_NORM 1e-300 /* sphere._DEGENERATE_NORM */
+#define AT(base, offset) (*(double *)((base) + (offset)))
+
+/* out = a @ b for a (m x n) and b (n x p) at the given byte strides, as
+ * np.matmul calls its loop; a 1-D operand is a row (a) or column (b). */
+static void matmul(const struct modembed_loops *lp, const void *a,
+                   const void *b, double *out, ptrdiff_t m, ptrdiff_t n,
+                   ptrdiff_t p, ptrdiff_t a_m, ptrdiff_t a_n, ptrdiff_t b_n,
+                   ptrdiff_t b_p)
+{
+    char *args[3] = {(char *)a, (char *)b, (char *)out};
+    ptrdiff_t dims[4] = {1, m, n, p};
+    ptrdiff_t steps[9] = {0, 0, 0, a_m, a_n, b_n, b_p,
+                          p * (ptrdiff_t)sizeof(double), sizeof(double)};
+    lp->matmul(args, dims, steps, lp->matmul_data);
+}
+
+/* A binary loop as numpy's reduction calls it: the accumulator, seeded
+ * with `seed`, is both first operand and output at stride 0. */
+static double reduce(numpy_loop loop, void *data, double seed,
+                     const double *x, ptrdiff_t n)
+{
+    char *args[3] = {(char *)&seed, (char *)x, (char *)&seed};
+    ptrdiff_t steps[3] = {0, sizeof(double), 0};
+    loop(args, &n, steps, data);
+    return seed;
+}
+
+/* z = row u's covariance, as the operator's row_covariance forms it. */
+static void covariance(const struct modembed_operator *op,
+                       const struct modembed_loops *lp, const double *hs,
+                       ptrdiff_t k, ptrdiff_t u, double *z)
+{
+    const double *h = hs + u * k;
+    const ptrdiff_t w = sizeof(double);
+    if (op->indptr != NULL) {
+        ptrdiff_t s = op->indptr[u], d = op->indptr[u + 1] - s;
+        for (ptrdiff_t j = 0; j < d; j++)
+            memcpy(op->gather + j * k, hs + op->indices[s + j] * k,
+                   (size_t)k * sizeof(double));
+        matmul(lp, op->data + s, op->gather, z, 1, d, k, d * w, w, k * w, w);
+        double pi = op->marginal[u];
+        for (ptrdiff_t i = 0; i < k; i++)
+            z[i] -= pi * (AT(op->agg, i * op->agg_col) - pi * h[i]);
+    } else {
+        matmul(lp, op->agg, op->x + u * op->x_row, z, k, op->L, 1,
+               op->agg_col, op->agg_row, op->x_col, w);
+        double sq = op->sq[u];
+        for (ptrdiff_t i = 0; i < k; i++)
+            z[i] -= sq * h[i];
+    }
+}
+
+/* The aggregate's update for row u changing by delta. */
+static void update(const struct modembed_operator *op, ptrdiff_t k,
+                   ptrdiff_t u, const double *delta)
+{
+    if (op->indptr != NULL) {
+        double pi = op->marginal[u];
+        for (ptrdiff_t i = 0; i < k; i++)
+            AT(op->agg, i * op->agg_col) += pi * delta[i];
+        return;
+    }
+    for (ptrdiff_t l = 0; l < op->L; l++) {
+        double xl = AT(op->x, u * op->x_row + l * op->x_col);
+        char *wl = op->agg + l * op->agg_row;
+        for (ptrdiff_t i = 0; i < k; i++)
+            AT(wl, i * op->agg_col) += xl * delta[i];
+    }
+}
+
+/* softmax_update at inverse temperature theta on each listed row of the
+ * row-major n x k array hs, in order; scratch holds 4 k doubles. */
+void modembed_softmax_sweep(const struct modembed_operator *op,
+                            const struct modembed_loops *lp, double *hs,
+                            ptrdiff_t k, const ptrdiff_t *rows,
+                            ptrdiff_t n_rows, double theta, double *scratch)
+{
+    double *z = scratch, *t = z + k, *e = t + k, *row = e + k;
+    ptrdiff_t unit[2] = {sizeof(double), sizeof(double)};
+    for (ptrdiff_t r = 0; r < n_rows; r++) {
+        ptrdiff_t u = rows[r];
+        double *h = hs + u * k;
+        covariance(op, lp, hs, k, u, z);
+        for (ptrdiff_t i = 0; i < k; i++)
+            t[i] = theta * z[i];
+        /* np.maximum.reduce starts from the first value. */
+        double top = k > 1 ? reduce(lp->maximum, lp->maximum_data, t[0],
+                                    t + 1, k - 1) : t[0];
+        for (ptrdiff_t i = 0; i < k; i++)
+            t[i] -= top;
+        char *args[2] = {(char *)t, (char *)e};
+        lp->exp(args, &k, unit, lp->exp_data);
+        for (ptrdiff_t i = 0; i < k; i++) {
+            row[i] = e[i] * h[i];
+            if (row[i] < ZERO_CLAMP)
+                row[i] = 0.0;
+        }
+        /* np.add.reduce starts from 0.0 and sums all k values. */
+        double total = reduce(lp->add, lp->add_data, 0.0, row, k);
+        if (total <= 0.0) {
+            double sum = reduce(lp->add, lp->add_data, 0.0, e, k);
+            for (ptrdiff_t i = 0; i < k; i++)
+                row[i] = e[i] / sum;
+        } else {
+            for (ptrdiff_t i = 0; i < k; i++)
+                row[i] = row[i] / total;
+        }
+        for (ptrdiff_t i = 0; i < k; i++)
+            t[i] = row[i] - h[i];
+        update(op, k, u, t);
+        memcpy(h, row, (size_t)k * sizeof(double));
+    }
+}
+
+/* sphere_update with blend weight beta on each listed row of hs, in
+ * order; scratch holds 2 k doubles.  Returns the rows skipped as
+ * degenerate. */
+ptrdiff_t modembed_sphere_sweep(const struct modembed_operator *op,
+                                const struct modembed_loops *lp, double *hs,
+                                ptrdiff_t k, const ptrdiff_t *rows,
+                                ptrdiff_t n_rows, double beta,
+                                double *scratch)
+{
+    double *z = scratch, *b = z + k, keep = 1.0 - beta;
+    const ptrdiff_t w = sizeof(double);
+    ptrdiff_t degenerate = 0;
+    for (ptrdiff_t r = 0; r < n_rows; r++) {
+        ptrdiff_t u = rows[r];
+        double *h = hs + u * k;
+        covariance(op, lp, hs, k, u, z);
+        for (ptrdiff_t i = 0; i < k; i++)
+            b[i] = keep * h[i] + beta * z[i];
+        /* np.linalg.norm: sqrt(b . b), the dot through matmul's loop. */
+        double sq;
+        matmul(lp, b, b, &sq, 1, k, 1, k * w, w, w, w);
+        double norm = sqrt(sq);
+        if (norm < DEGENERATE_NORM) {
+            degenerate++;
+            continue;
+        }
+        for (ptrdiff_t i = 0; i < k; i++) {
+            b[i] = b[i] / norm;
+            z[i] = b[i] - h[i];
+        }
+        update(op, k, u, z);
+        memcpy(h, b, (size_t)k * sizeof(double));
+    }
+    return degenerate;
 }

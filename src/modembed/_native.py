@@ -1,9 +1,12 @@
 """Build-on-first-use loader for the compiled loops in `_native.c`.
 
 The library holds the rotation loops of the dense eigensolvers
-(`spectral`) and the '%.17g' row formatter behind every TSV writer
-(`graph._write_rows`); each computes the same bytes as the Python code
-it stands in for.  `library()` compiles `_native.c` with the system C
+(`spectral`), the '%.17g' row formatter behind every TSV writer
+(`graph._write_rows`) and the softmax and sphere sweeps (`sweep`); each
+computes the same bytes as the Python code it stands in for.  The sweeps
+call numpy's own inner loops for exp, the reductions and the matrix
+products, which `numpy_loop` reads from the ufunc objects.
+`library()` compiles `_native.c` with the system C
 compiler the first time it is called, caches the shared library under
 the user cache directory, keyed by the sha256 of the source, the flags
 and the machine, and loads it with ctypes.  It returns None when no
@@ -108,4 +111,131 @@ def library():
     lib.modembed_format_rows.argtypes = (size, size, rows, ctypes.c_char_p,
                                          offsets, ctypes.POINTER(ctypes.c_char))
     lib.modembed_format_rows.restype = size
+    sweep = (ctypes.POINTER(_Operator), ctypes.c_void_p * 8, array, size,
+             offsets, size, ctypes.c_double, array)
+    lib.modembed_softmax_sweep.argtypes = sweep
+    lib.modembed_softmax_sweep.restype = None
+    lib.modembed_sphere_sweep.argtypes = sweep
+    lib.modembed_sphere_sweep.restype = size
     return lib
+
+
+# The head of numpy's PyUFuncObject (numpy/_core/include/numpy/
+# ufuncobject.h), up to the type table of its inner loops.
+class _UFunc(ctypes.Structure):
+    _fields_ = [("object_head", ctypes.c_char * object.__basicsize__),
+                *((name, ctypes.c_int) for name in (
+                    "nin", "nout", "nargs", "identity")),
+                ("functions", ctypes.POINTER(ctypes.c_void_p)),
+                ("data", ctypes.POINTER(ctypes.c_void_p)),
+                ("ntypes", ctypes.c_int), ("reserved1", ctypes.c_int),
+                ("name", ctypes.c_char_p), ("types", ctypes.c_void_p)]
+
+
+_LOOP = ctypes.CFUNCTYPE(None, *(ctypes.POINTER(t) for t in (
+    ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t)), ctypes.c_void_p)
+
+
+def numpy_loop(ufunc, types):
+    """(loop, data) addresses of the ufunc's inner loop for the dtype
+    codes `types` (inputs then outputs, "dd" for np.exp), or None.
+
+    They are read from the ufunc object and accepted only if its struct
+    holds the ufunc's name, argument count and loop count and the loop,
+    called on a fixed vector (a 3 x 11 by 11 x 3 product for matmul),
+    reproduces the ufunc's bytes.  Other gufuncs give None.
+    """
+    if not isinstance(ufunc, np.ufunc) or len(types) != ufunc.nargs or (
+            ufunc.signature not in (None, "(n?,k),(k,m?)->(n?,m?)")) or (
+            type(ufunc).__basicsize__ < ctypes.sizeof(_UFunc)):
+        return None
+    head = _UFunc.from_address(id(ufunc))
+    # The counts are read before the name pointer is followed.
+    if (head.nargs, head.ntypes) != (ufunc.nargs, ufunc.ntypes) or (
+            head.name != ufunc.__name__.encode()):
+        return None
+    wanted = bytes(np.dtype(code).num for code in types)
+    table = ctypes.string_at(head.types, head.nargs * head.ntypes)
+    for i in range(head.ntypes):
+        if table[i * head.nargs:(i + 1) * head.nargs] == wanted:
+            found = head.functions[i], head.data[i]
+            return found if _probe(ufunc, types, *found) else None
+    return None
+
+
+def _probe(ufunc, types, loop, data):
+    x = np.linspace(-4.0, 4.0, 33).astype(types[0])
+    item = x.itemsize
+    if ufunc.signature is None:
+        operands, dims = [x, x[::-1].copy()][:ufunc.nin], (33,)
+        steps = (item,) * ufunc.nargs
+    else:
+        operands, dims = [x.reshape(3, 11), x.reshape(11, 3)], (1, 3, 11, 3)
+        steps = (0, 0, 0, 11 * item, item, 3 * item, item, 3 * item, item)
+    want = ufunc(*operands)
+    got = np.zeros(want.shape, types[-1])
+    pointers = [a.ctypes.data for a in (*operands, got)]
+    _LOOP(loop)((ctypes.c_void_p * len(pointers))(*pointers),
+                (ctypes.c_ssize_t * len(dims))(*dims),
+                (ctypes.c_ssize_t * len(steps))(*steps), data)
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class _Operator(ctypes.Structure):
+    """The C struct modembed_operator."""
+    _fields_ = [*((name, ctypes.c_void_p) for name in (
+        "indptr", "indices", "data", "marginal", "x", "sq", "agg", "gather")),
+        *((name, ctypes.c_ssize_t) for name in (
+            "L", "x_row", "x_col", "agg_row", "agg_col"))]
+
+
+def sweep(rule, Q, H, aggregate, rows, weight):
+    """visit() that runs the compiled `rule` on `rows` of the C-ordered
+    float64 matrix H in order, or None when the library or a numpy loop
+    is missing.
+
+    The rule is "softmax" at inverse temperature `weight` or "sphere" at
+    blend weight `weight` (its visit() returns the degenerate count).  Q
+    is a `ModularityMatrix` or a `GramOperator`.  H, Q and the aggregate
+    may change only in place, but the aggregate's array (`S` or `W`) may
+    be rebound: visit() reads and checks it on every call.
+    """
+    lib = library()
+    found = [numpy_loop(np.matmul, "ddd"), numpy_loop(np.maximum, "ddd"),
+             numpy_loop(np.exp, "dd"), numpy_loop(np.add, "ddd")]
+    if lib is None or None in found:
+        return None
+    loops = (ctypes.c_void_p * 8)(*(loop for loop, _ in found),
+                                  *(data for _, data in found))
+    K = H.shape[1]
+    graph = getattr(Q, "graph", None)
+    if graph is not None:
+        arrays = [np.ascontiguousarray(a, dtype=dtype) for a, dtype in (
+            (graph.indptr, np.intp), (graph.indices, np.intp),
+            (graph.data, np.float64), (graph.marginal, np.float64))]
+        degree = int(np.diff(arrays[0]).max(initial=0))
+        op = _Operator(*(a.ctypes.data for a in arrays))
+        shape, name = (K,), "S"
+    else:
+        arrays, degree = [Q.X, Q._sq], 0
+        op = _Operator(x=Q.X.ctypes.data, L=Q.X.shape[1], x_row=Q.X.strides[0],
+                       x_col=Q.X.strides[1], sq=Q._sq.ctypes.data)
+        shape, name = Q.X.shape[1:] + (K,), "W"
+    # Four K-vectors, then the gather buffer for the densest row.
+    scratch = np.empty((4 + degree) * K)
+    op.gather = scratch.ctypes.data + 4 * K * scratch.itemsize
+    op.arrays = arrays  # what op points into lives as long as op
+    rows = np.array(rows, dtype=np.intp)
+    run = getattr(lib, f"modembed_{rule}_sweep")
+
+    def visit():
+        A = getattr(aggregate, name)
+        if not (isinstance(A, np.ndarray) and A.dtype == np.float64 and
+                A.shape == shape and A.flags.aligned and A.flags.writeable):
+            raise ValueError(f"aggregate {name} must be a writeable "
+                             f"float64 array of shape {shape}")
+        op.agg, op.agg_col = A.ctypes.data, A.strides[-1]
+        op.agg_row = A.strides[0] if A.ndim == 2 else 0
+        return run(op, loops, H, K, rows, rows.size, weight, scratch)
+
+    return visit

@@ -140,6 +140,10 @@ def _cmd_embed_cafe(args):
                     f"--full-label needs every node labeled "
                     f"({nodes.size} of {graph.n} found)"
                 )
+            if k is not None and k != len(class_names):
+                raise ValueError(
+                    f"--full-label takes K from the labels: --k {k} given, "
+                    f"but the labels hold {len(class_names)} classes")
             labels = np.zeros(graph.n, dtype=int)
             labels[nodes] = classes
             k = len(class_names)
@@ -227,7 +231,7 @@ def _cmd_verify(args):
     inputs = {"graph": args.graph}
     if args.k != 2:
         raise ValueError("verify checks two-cluster assignments; --k must be 2")
-    sweep = _sweep(args)
+    params = {"k": 2}
     if args.assignment:
         inputs["assignment"] = args.assignment
         labels, H = load_embedding_tsv(args.assignment)
@@ -236,7 +240,9 @@ def _cmd_verify(args):
         if H.shape[1] != 2:
             raise ValueError(f"assignment must have 2 columns, got {H.shape[1]}")
     else:
-        config = ClusterConfig(n_clusters=2, theta=args.theta, **sweep)
+        sweep = {"theta": args.theta, **_sweep(args)}
+        params.update(sweep)
+        config = ClusterConfig(n_clusters=2, **sweep)
         H = clustering.run(Q, config).assignment.H
     report = alignment_bounds(Q, H)
     rows = [(field.name, float(getattr(report, field.name)))
@@ -251,7 +257,6 @@ def _cmd_verify(args):
     violated = report.applicable and not report.holds
     if violated:
         print("bound violation", file=sys.stderr)
-    params = {"k": 2, "theta": args.theta, **sweep}
     return outputs, inputs, params, None, 2 if violated else 0
 
 

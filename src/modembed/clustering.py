@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _native
+
 __all__ = [
     "ClusterConfig",
     "SoftAssignment",
@@ -136,44 +138,25 @@ def _softmax_kernel(Q, H, pinned, theta, aggregate):
     """Prepare `softmax_update` at inverse temperature theta over the
     unpinned rows of H, once per run; Q must have its diagonal zeroed.
 
-    Returns visit(), which updates those rows in ascending order with the
-    same ufuncs on the same values, in the same order, as `row_covariance`
-    followed by `softmax_update` (so H and the aggregate come out bit for
-    bit the same) and returns the op count of the pass.  Buffers, row
-    lists and bound ufuncs are set up here, and scalars are passed as 0-d
-    arrays (cheaper to dispatch, same doubles).
+    Returns visit(), which updates those rows in ascending order, as
+    `row_covariance` followed by `softmax_update` does (H and the
+    aggregate come out bit for bit the same), and returns the op count
+    of the pass.  Each pass is one call of the compiled sweep, or the
+    plain rules row by row where that is not available.
     """
     if not Q.diag_zeroed:
         raise ValueError("sweep requires the operator diagonal zeroed")
-    covariance, update = Q.row_kernel(H, aggregate)
-    K = H.shape[1]
     rows = [u for u in range(H.shape[0]) if u not in pinned]
-    ops = sum(map(Q.row_cost, rows)) + K * len(rows)
-    theta = np.array(theta, dtype=float)
-    t, e, row = np.empty(K), np.empty(K), np.empty(K)
-    low = np.empty(K, dtype=bool)
-    top, total, clamp = np.empty(()), np.empty(()), np.array(_ZERO_CLAMP)
-    multiply, subtract, divide, exp, less = (
-        np.multiply, np.subtract, np.divide, np.exp, np.less)
-    peak, add_up = np.maximum.reduce, np.add.reduce
+    ops = sum(map(Q.row_cost, rows)) + H.shape[1] * len(rows)
+    compiled = _native.sweep("softmax", Q, H, aggregate, rows, theta)
 
     def visit():
-        for u in rows:
-            z = covariance(u)
-            h = H[u]
-            multiply(theta, z, t)
-            subtract(t, peak(t, 0, None, top), t)
-            exp(t, e)
-            multiply(e, h, row)
-            less(row, clamp, low)
-            row[low] = 0.0
-            if add_up(row, 0, None, total)[()] <= 0.0:
-                divide(e, add_up(e, 0, None, total), row)
-            else:
-                divide(row, total, row)
-            subtract(row, h, t)
-            update(u, t)
-            h[...] = row
+        if compiled is not None:
+            compiled()
+        else:
+            for u in rows:
+                z = Q.row_covariance(H, aggregate, u)
+                softmax_update(H, u, z, theta, aggregate)
         return ops
 
     return visit

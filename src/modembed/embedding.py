@@ -226,13 +226,9 @@ def multilayer_embed(Q, theta=HARD_THETA, max_sweeps=200, tol=1e-9, seed=0):
     incumbent = 0.0
     level = 0
     while True:
-        config = ClusterConfig(
-            n_clusters=Q_level.n,
-            theta=theta,
-            max_sweeps=max_sweeps,
-            tol=tol,
-            seed=seed + level,
-        )
+        config = ClusterConfig(n_clusters=Q_level.n, theta=theta,
+                               max_sweeps=max_sweeps, tol=tol,
+                               seed=seed + level)
         result = clustering.run(Q_level, config)
         coarse_part = hard_labels(result.assignment.H)
         # A level that merges no supernodes repeats the incumbent
@@ -248,16 +244,8 @@ def multilayer_embed(Q, theta=HARD_THETA, max_sweeps=200, tol=1e-9, seed=0):
         embedding = qr_embed(Q_level, H_soft)
         Q_next, coarse_membership, _ = coarsen(Q_level, coarse_part)
         composed = coarse_membership[membership]
-        levels.append(
-            LayerResult(
-                level=level,
-                C=H_soft.shape[1],
-                assignment=H_soft,
-                embedding=embedding,
-                membership=composed,
-                modularity=modularity,
-            )
-        )
+        levels.append(LayerResult(level, H_soft.shape[1], H_soft, embedding,
+                                  composed, modularity))
         if level == 0 and modularity <= incumbent:
             break
         if Q_next.n <= 1:

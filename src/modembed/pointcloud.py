@@ -102,37 +102,6 @@ class GramOperator:
     def row_covariance(self, H, agg, u):
         return agg.W.T @ self.X[u] - self._sq[u] * H[u]
 
-    def row_kernel(self, H, agg):
-        """`row_covariance` and `agg.update` prepared once for a run.
-
-        Returns (covariance, update), the same ufuncs on the same values
-        written into preallocated buffers.  covariance(u) returns one
-        K-vector on every call; use it before the next call.  H is bound
-        here, so it must keep being updated in place; `agg.W` is read on
-        every call.
-        """
-        X = self.X
-        sq = self._sq.tolist()
-        z, t = np.empty(H.shape[1]), np.empty(H.shape[1])
-        dW = np.empty((X.shape[1], H.shape[1]))
-        sq_u = np.empty(())
-        matmul, multiply, subtract, add, outer = (
-            np.matmul, np.multiply, np.subtract, np.add, np.multiply.outer)
-
-        def covariance(u):
-            matmul(agg.W.T, X[u], z)
-            sq_u[()] = sq[u]
-            multiply(sq_u, H[u], t)
-            subtract(z, t, z)
-            return z
-
-        def update(u, delta):
-            outer(X[u], delta, out=dW)
-            W = agg.W
-            add(W, dW, W)
-
-        return covariance, update
-
     def row_cost(self, u):
         return self.X.shape[1]
 
@@ -209,21 +178,15 @@ def reduce_cloud(points, n_dims, theta=0.010, method="cafe", seed=0,
     if n_dims > X.shape[0]:
         raise ValueError(f"n_dims={n_dims} exceeds the {X.shape[0]} points")
     gram = GramOperator(X)
+    sweep = {"max_sweeps": max_sweeps, "tol": tol, "seed": seed}
     if method == "cafe":
-        config = ClusterConfig(
-            n_clusters=n_dims, theta=theta, max_sweeps=max_sweeps,
-            tol=tol, seed=seed,
-        )
+        config = ClusterConfig(n_clusters=n_dims, theta=theta, **sweep)
         result = clustering.run(gram, config)
-        H = result.assignment.H
-        objective = result.objective
-        sweeps = result.sweeps
-        converged = result.converged
+        H, objective, sweeps, converged = (
+            result.assignment.H, result.objective, result.sweeps,
+            result.converged)
     elif method == "sphere":
-        config = SphereConfig(
-            n_dims=n_dims, beta=beta, max_sweeps=max_sweeps,
-            tol=tol, seed=seed,
-        )
+        config = SphereConfig(n_dims=n_dims, beta=beta, **sweep)
         H, objective, sweeps, converged, _, _ = run_sphere(gram, config)
     else:
         raise ValueError(f"unknown method {method!r} (want cafe or sphere)")
@@ -234,16 +197,8 @@ def reduce_cloud(points, n_dims, theta=0.010, method="cafe", seed=0,
     scale = np.zeros(n_dims)
     scale[: sigma.size] = sigma
     reconstruction = embedding[:, selected] * scale[selected]
-    return ReduceResult(
-        embedding=embedding,
-        residuals=residuals,
-        singular_values=sigma,
-        selected=selected,
-        reconstruction=reconstruction,
-        objective=objective,
-        sweeps=sweeps,
-        converged=converged,
-    )
+    return ReduceResult(embedding, residuals, sigma, selected,
+                        reconstruction, objective, sweeps, converged)
 
 
 def concentric_circles(n=200, radii=(1.0, 2.0)):

@@ -412,7 +412,7 @@ class AlignmentReport:
     """Alignment of a two-cluster assignment with the leading eigenvector.
 
     applicable is False when the spectrum lacks a positive leading gap or
-    the shortfall epsilon falls outside [0, 1 - delta1]; the cosine
+    the shortfall epsilon falls outside [0, 1 - delta1] or is 1; the cosine
     fields are still reported for inspection.  holds records whether all
     three bounds were met (with 1e-10 slack for roundoff), and is True
     vacuously when not applicable.
@@ -476,7 +476,10 @@ def alignment_bounds(Q, H):
         # Roundoff can push an exact-eigenvector epsilon a hair negative.
         if -1e-12 < epsilon < 0.0:
             epsilon = 0.0
-    applicable = delta1 < 1.0 and 0.0 <= epsilon <= 1.0 - delta1
+    # epsilon = 1 (so delta1 = 0: x is orthogonal to v1 and Qx = 0)
+    # would make the Qx bound 0 / 0; there is nothing to bound.
+    applicable = (delta1 < 1.0 and 0.0 <= epsilon <= 1.0 - delta1
+                  and epsilon < 1.0)
     holds = True
     if applicable:
         bound_x = float(np.sqrt((1.0 - epsilon - delta1) / (1.0 - delta1)))

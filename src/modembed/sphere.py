@@ -13,11 +13,11 @@ embedding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .clustering import climb
 from .embedding import EmbeddingMatrix, qr_embed
 
@@ -96,41 +96,19 @@ def _sphere_kernel(Q, H, beta, aggregate):
     """Prepare `sphere_update` with blend weight beta over all rows of H,
     once per run.
 
-    Returns visit(), which updates every row in ascending order with the
-    same ufuncs on the same values, in the same order, as
-    `row_covariance` followed by `sphere_update` (the norm is
-    sqrt(b . b), as `np.linalg.norm` computes it) and returns the number
-    of degenerate rows it skipped.  Scalars go to the ufuncs as 0-d
-    arrays, as in the softmax kernel.
+    Returns visit(), which updates every row in ascending order, as
+    `row_covariance` followed by `sphere_update` does, and returns the
+    number of degenerate rows it skipped: one call of the compiled sweep
+    per pass, or the plain rules row by row where that is not available.
     """
-    covariance, update = Q.row_kernel(H, aggregate)
-    n, K = H.shape
-    keep = np.array(1.0 - beta)
-    beta = np.array(beta, dtype=float)
-    b, t = np.empty(K), np.empty(K)
-    norm = np.empty(())
-    multiply, add, subtract, divide, dot = (
-        np.multiply, np.add, np.subtract, np.divide, np.dot)
-    sqrt = math.sqrt
+    rows = range(H.shape[0])
+    compiled = _native.sweep("sphere", Q, H, aggregate, rows, beta)
 
     def visit():
-        degenerate = 0
-        for u in range(n):
-            z = covariance(u)
-            h = H[u]
-            multiply(keep, h, b)
-            multiply(beta, z, t)
-            add(b, t, b)
-            length = sqrt(dot(b, b))
-            if length < _DEGENERATE_NORM:
-                degenerate += 1
-                continue
-            norm[()] = length
-            divide(b, norm, b)
-            subtract(b, h, t)
-            update(u, t)
-            h[...] = b
-        return degenerate
+        if compiled is not None:
+            return compiled()
+        return sum(not sphere_update(H, u, Q.row_covariance(H, aggregate, u),
+                                     beta, aggregate) for u in rows)
 
     return visit
 
@@ -159,14 +137,5 @@ def run_sphere(Q, config):
 
 def sphere_embed(Q, config):
     """Sphere iteration followed by the shared thin-QR orthonormalization."""
-    H, objective, sweeps, converged, trace, degenerate = run_sphere(Q, config)
-    embedding = qr_embed(Q, H)
-    return SphereResult(
-        H=H,
-        embedding=embedding,
-        objective=objective,
-        sweeps=sweeps,
-        converged=converged,
-        objective_trace=trace,
-        degenerate_updates=degenerate,
-    )
+    H, *fields = run_sphere(Q, config)
+    return SphereResult(H, qr_embed(Q, H), *fields)

@@ -44,9 +44,12 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_every_bench_wrap_target_resolves():
+def test_every_bench_wrap_target_resolves(monkeypatch):
     """The traced benchmark lists a target it cannot find as missing
-    rather than failing, so only this test notices a deleted one."""
+    rather than failing, so only this test notices a deleted one.  It
+    is loaded without writing bytecode, so no `__pycache__` is left
+    under `bench/`."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
         "bench_traced", ROOT / "bench" / "traced.py")
     traced = importlib.util.module_from_spec(spec)

@@ -115,6 +115,26 @@ def test_embed_cafe_label_modes(tmp_path, sbm_file):
     assert code == 1
 
 
+def test_full_label_refuses_a_k_other_than_the_class_count(
+        tmp_path, sbm_file, capsys):
+    graph_path, labels_path = sbm_file
+    run = ["embed", "cafe", "--graph", str(graph_path), "--labels",
+           str(labels_path), "--full-label", "--out"]
+    wrong = tmp_path / "wrong.tsv"
+    capsys.readouterr()
+    assert main(run + [str(wrong), "--k", "7"]) == 1
+    err = capsys.readouterr().err
+    assert "--k 7" in err and "2 classes" in err
+    assert not wrong.exists()
+    # A --k that matches changes nothing.
+    plain, same = tmp_path / "plain.tsv", tmp_path / "same.tsv"
+    assert main(run + [str(plain)]) == 0
+    assert main(run + [str(same), "--k", "2"]) == 0
+    assert same.read_bytes() == plain.read_bytes()
+    manifest = json.loads(Path(f"{same}.manifest.json").read_text())
+    assert manifest["params"]["k"] == 2
+
+
 def test_embed_cafe_requires_k(tmp_path, sbm_file):
     graph_path, _ = sbm_file
     code = main(["embed", "cafe", "--graph", str(graph_path),
@@ -185,6 +205,34 @@ def test_verify_accepts_saved_assignment(tmp_path, sbm_file):
     code = main(["verify", "--graph", str(graph_path),
                  "--assignment", str(emb)])
     assert code == 1
+
+
+def test_verify_records_clustering_params_only_when_it_clusters(
+        tmp_path, sbm_file):
+    graph_path, _ = sbm_file
+    soft = tmp_path / "soft.tsv"
+    main(["embed", "cafe", "--graph", str(graph_path), "--k", "2",
+          "--theta", "80", "--out", str(tmp_path / "emb.tsv"),
+          "--assignment-out", str(soft)])
+    sweep = ["--theta", "123", "--seed", "9", "--tol", "0.5",
+             "--max-sweeps", "3"]
+    reused, clustered = tmp_path / "reused.tsv", tmp_path / "clustered.tsv"
+    assert main(["verify", "--graph", str(graph_path), "--assignment",
+                 str(soft), "--out", str(reused)] + sweep) == 0
+    assert main(["verify", "--graph", str(graph_path), "--out",
+                 str(clustered)] + sweep) == 0
+
+    def params(path):
+        return json.loads(Path(f"{path}.manifest.json").read_text())["params"]
+
+    assert params(reused) == {"k": 2}
+    assert params(clustered) == {"k": 2, "theta": 123.0, "seed": 9,
+                                 "tol": 0.5, "max_sweeps": 3}
+    # The sweep options do not reach a reused assignment's report.
+    again = tmp_path / "again.tsv"
+    assert main(["verify", "--graph", str(graph_path), "--assignment",
+                 str(soft), "--out", str(again)]) == 0
+    assert again.read_bytes() == reused.read_bytes()
 
 
 def test_verify_k_must_be_two(tmp_path, sbm_file):

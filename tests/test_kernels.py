@@ -2,10 +2,14 @@
 they replaced, which are kept below or in the package as oracles.
 Sweeps, the QL and Jacobi eigensolvers, the thin QR and the classifier
 fit must agree bit for bit: every array is compared with
-`tobytes()`, every count and trace exactly.  The sweeps' row invariants
-are checked here too, one pass at a time."""
+`tobytes()`, every count and trace exactly.  Every sweep check runs on
+the compiled sweeps and again on the plain rules they fall back to.
+The sweeps' row invariants are checked here too, one pass at a time,
+and the objective after every single row update."""
 
+import contextlib
 import copy
+import ctypes
 import hashlib
 import os
 import platform
@@ -215,6 +219,28 @@ def same_bytes(a, b):
         a.tobytes() == b.tobytes())
 
 
+PATHS = ("compiled", "plain")
+
+
+def sweep_path(path):
+    """The compiled sweeps, or the plain rules they fall back to when a
+    numpy loop is reported missing."""
+    if path == "plain":
+        return mock.patch.object(_native, "numpy_loop",
+                                 lambda ufunc, types: None)
+    return contextlib.nullcontext()
+
+
+def on_both_paths(check, *args, **kwargs):
+    """`check` on the compiled sweeps, then on the plain rules; returns
+    both results."""
+    results = []
+    for path in PATHS:
+        with sweep_path(path):
+            results.append(check(*args, **kwargs))
+    return results
+
+
 # --- strategies --------------------------------------------------------------
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -325,13 +351,18 @@ def _aggregate(agg):
 @SETTINGS
 @given(case=cluster_case())
 def test_softmax_run_matches_oracle(case):
-    assert_same_run(*case)
+    on_both_paths(assert_same_run, *case)
 
 
 @SETTINGS
 @given(case=cluster_case())
+# K = n on a graph and on a cloud.
+@example(case=(_path_graph(5, isolated=2).modularity_matrix(),
+               ClusterConfig(n_clusters=7, theta=1e4, seed=1), {0: 6}))
+@example(case=(GramOperator(center(torus_cloud(9))),
+               ClusterConfig(n_clusters=9, theta=2.0, seed=1), {}))
 def test_softmax_sweeps_match_oracle(case):
-    assert_same_sweeps(*case)
+    on_both_paths(assert_same_sweeps, *case)
 
 
 @pytest.mark.parametrize("theta", [1e-6, 1.0, 1e4, 1e5, 1e8])
@@ -340,7 +371,8 @@ def test_softmax_sweeps_match_on_path_graph(theta, K):
     # K = 17 and 140 take numpy's unrolled and recursive pairwise sums.
     Q = _path_graph(12, isolated=2).modularity_matrix()
     config = ClusterConfig(n_clusters=K, theta=theta, seed=3)
-    assert_same_sweeps(Q, config, {1: 0, 13: K - 1}, sweeps=4)
+    on_both_paths(assert_same_sweeps, Q, config, {1: 0, 13: K - 1},
+                  sweeps=4)
 
 
 def test_clamp_and_fallback_both_fire():
@@ -350,62 +382,73 @@ def test_clamp_and_fallback_both_fire():
         for K in (2, 9):
             Q = _path_graph(12, isolated=2).modularity_matrix()
             config = ClusterConfig(n_clusters=K, theta=theta, seed=3)
-            events = assert_same_sweeps(Q, config, {1: 0, 13: K - 1},
-                                        sweeps=4)
-            for key in seen:
-                seen[key] += len(events[key])
+            for events in on_both_paths(assert_same_sweeps, Q, config,
+                                        {1: 0, 13: K - 1}, sweeps=4):
+                for key in seen:
+                    seen[key] += len(events[key])
     assert seen["clamp"] > 0 and seen["fallback"] > 0, seen
 
 
 def test_kept_kernel_follows_a_rebound_aggregate_array(karate):
     """Rebinding agg.S between passes: the kernel prepared for the run
     must then read and update the new array."""
-    Q0 = karate.modularity_matrix(diag_zeroed=True)
-    config = ClusterConfig(n_clusters=3, theta=20.0, seed=2)
-    fast = init_assignment(Q0.n, config, pinned={0: 1})
-    slow = init_assignment(Q0.n, config, pinned={0: 1})
-    fast_agg, slow_agg = Q0.make_aggregate(fast.H), Q0.make_aggregate(slow.H)
-    visit = softmax_kernel(Q0, fast, config, fast_agg)
-    for _ in range(3):
-        assert clustering.sweep(Q0, fast.H, visit) == oracle_sweep(
-            Q0, slow, config, slow_agg)
-        assert same_bytes(fast.H, slow.H)
-        assert same_bytes(fast_agg.S, slow_agg.S)
-        fast_agg.S = Q0.make_aggregate(fast.H).S
-        slow_agg.S = Q0.make_aggregate(slow.H).S
+    def check(karate):
+        Q0 = karate.modularity_matrix(diag_zeroed=True)
+        config = ClusterConfig(n_clusters=3, theta=20.0, seed=2)
+        fast = init_assignment(Q0.n, config, pinned={0: 1})
+        slow = init_assignment(Q0.n, config, pinned={0: 1})
+        fast_agg = Q0.make_aggregate(fast.H)
+        slow_agg = Q0.make_aggregate(slow.H)
+        visit = softmax_kernel(Q0, fast, config, fast_agg)
+        for _ in range(3):
+            assert clustering.sweep(Q0, fast.H, visit) == oracle_sweep(
+                Q0, slow, config, slow_agg)
+            assert same_bytes(fast.H, slow.H)
+            assert same_bytes(fast_agg.S, slow_agg.S)
+            fast_agg.S = Q0.make_aggregate(fast.H).S
+            slow_agg.S = Q0.make_aggregate(slow.H).S
+
+    on_both_paths(check, karate)
 
 
 def test_kept_sphere_kernel_follows_a_rebound_aggregate_array(karate):
-    Q = karate.modularity_matrix()
-    fast = init_sphere(Q.n, 3, seed=4)
-    slow = fast.copy()
-    fast_agg, slow_agg = Q.make_aggregate(fast), Q.make_aggregate(slow)
-    visit = sphere._sphere_kernel(Q, fast, 0.5, fast_agg)
-    for _ in range(3):
-        assert sphere.sphere_sweep(Q, fast, visit) == (
-            oracle_sphere_sweep(Q, slow, 0.5, slow_agg))
-        assert same_bytes(fast, slow)
-        assert same_bytes(fast_agg.S, slow_agg.S)
-        fast_agg.S = Q.make_aggregate(fast).S
-        slow_agg.S = Q.make_aggregate(slow).S
+    def check(karate):
+        Q = karate.modularity_matrix()
+        fast = init_sphere(Q.n, 3, seed=4)
+        slow = fast.copy()
+        fast_agg, slow_agg = Q.make_aggregate(fast), Q.make_aggregate(slow)
+        visit = sphere._sphere_kernel(Q, fast, 0.5, fast_agg)
+        for _ in range(3):
+            assert sphere.sphere_sweep(Q, fast, visit) == (
+                oracle_sphere_sweep(Q, slow, 0.5, slow_agg))
+            assert same_bytes(fast, slow)
+            assert same_bytes(fast_agg.S, slow_agg.S)
+            fast_agg.S = Q.make_aggregate(fast).S
+            slow_agg.S = Q.make_aggregate(slow).S
+
+    on_both_paths(check, karate)
 
 
 def test_kept_gram_kernel_follows_a_rebound_aggregate_array():
     """The point-cloud kernel reads agg.W on every call, as the graph
     kernel reads agg.S."""
-    Q0 = GramOperator(center(torus_cloud(60)), diag_zeroed=True)
-    config = ClusterConfig(n_clusters=4, theta=0.5, seed=6)
-    fast = init_assignment(Q0.n, config, pinned={3: 2})
-    slow = init_assignment(Q0.n, config, pinned={3: 2})
-    fast_agg, slow_agg = Q0.make_aggregate(fast.H), Q0.make_aggregate(slow.H)
-    visit = softmax_kernel(Q0, fast, config, fast_agg)
-    for _ in range(3):
-        assert clustering.sweep(Q0, fast.H, visit) == oracle_sweep(
-            Q0, slow, config, slow_agg)
-        assert same_bytes(fast.H, slow.H)
-        assert same_bytes(fast_agg.W, slow_agg.W)
-        fast_agg.W = Q0.make_aggregate(fast.H).W
-        slow_agg.W = Q0.make_aggregate(slow.H).W
+    def check():
+        Q0 = GramOperator(center(torus_cloud(60)), diag_zeroed=True)
+        config = ClusterConfig(n_clusters=4, theta=0.5, seed=6)
+        fast = init_assignment(Q0.n, config, pinned={3: 2})
+        slow = init_assignment(Q0.n, config, pinned={3: 2})
+        fast_agg = Q0.make_aggregate(fast.H)
+        slow_agg = Q0.make_aggregate(slow.H)
+        visit = softmax_kernel(Q0, fast, config, fast_agg)
+        for _ in range(3):
+            assert clustering.sweep(Q0, fast.H, visit) == oracle_sweep(
+                Q0, slow, config, slow_agg)
+            assert same_bytes(fast.H, slow.H)
+            assert same_bytes(fast_agg.W, slow_agg.W)
+            fast_agg.W = Q0.make_aggregate(fast.H).W
+            slow_agg.W = Q0.make_aggregate(slow.H).W
+
+    on_both_paths(check)
 
 
 # --- sphere sweeps -----------------------------------------------------------
@@ -436,21 +479,152 @@ def assert_same_sphere(Q, config, sweeps=3):
 
 @SETTINGS
 @given(case=sphere_case())
+@example(case=(_path_graph(5, isolated=2).modularity_matrix(),
+               SphereConfig(n_dims=7, beta=0.5, seed=1)))
 def test_sphere_matches_oracle(case):
-    assert_same_sphere(*case)
+    on_both_paths(assert_same_sphere, *case)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("K", [1, 3, 17])
 def test_sphere_matches_on_path_graph(beta, K):
     Q = _path_graph(12, isolated=2).modularity_matrix()
-    assert_same_sphere(Q, SphereConfig(n_dims=K, beta=beta, seed=5))
+    on_both_paths(assert_same_sphere, Q,
+                  SphereConfig(n_dims=K, beta=beta, seed=5))
 
 
 def test_sphere_degenerate_rows_are_counted_alike():
     # With beta = 1 an isolated node's row is its covariance, which is 0.
     Q = _path_graph(6, isolated=2).modularity_matrix()
-    assert assert_same_sphere(Q, SphereConfig(n_dims=3, beta=1.0)) == 6
+    assert on_both_paths(assert_same_sphere, Q,
+                         SphereConfig(n_dims=3, beta=1.0)) == [6, 6]
+
+
+START = st.one_of(st.sampled_from([0.0, -0.0, np.nan, 1e-300, 5e-324, 1.0]),
+                  st.floats(-2.0, 2.0))
+
+
+@st.composite
+def any_start(draw):
+    """An operator and an arbitrary start H (NaN, -0.0, zero rows and
+    subnormals included) for both rules, with pinned rows, theta and
+    beta."""
+    Q = draw(OPERATOR)
+    K = draw(st.integers(1, Q.n + 3))
+    H = np.array(draw(st.lists(START, min_size=Q.n * K,
+                               max_size=Q.n * K))).reshape(Q.n, K)
+    pinned = draw(st.dictionaries(st.integers(0, Q.n - 1),
+                                  st.integers(0, K - 1), max_size=Q.n))
+    return Q, H, pinned, draw(THETA), draw(st.sampled_from([0.0, 0.5, 1.0]))
+
+
+def assert_same_from(Q, H, pinned, theta, beta, sweeps=2):
+    """Both kernels from the start H against the plain per-row sweeps:
+    H, the aggregate and the op or degenerate counts, every pass."""
+    config = ClusterConfig(n_clusters=H.shape[1], theta=theta)
+    for Qr in (Q.zero_diagonal(), Q.full_diagonal()):
+        fast, slow = H.copy(), H.copy()
+        fast_agg, slow_agg = Qr.make_aggregate(fast), Qr.make_aggregate(slow)
+        if Qr.diag_zeroed:
+            visit = clustering._softmax_kernel(Qr, fast, pinned, theta,
+                                               fast_agg)
+        else:
+            visit = sphere._sphere_kernel(Qr, fast, beta, fast_agg)
+        for _ in range(sweeps):
+            if Qr.diag_zeroed:
+                want = oracle_sweep(Qr, SoftAssignment(slow, pinned), config,
+                                    slow_agg)[1]
+            else:
+                want = oracle_sphere_sweep(Qr, slow, beta, slow_agg)[1]
+            assert visit() == want
+            assert same_bytes(fast, slow)
+            assert same_bytes(_aggregate(fast_agg), _aggregate(slow_agg))
+
+
+@SETTINGS
+@given(case=any_start())
+@example(case=(GramOperator(np.array([[np.nan, 1.0], [-0.0, 2.0]])),
+               np.array([[0.5, -0.0], [np.nan, 1.0]]), {}, 1e4, 0.5))
+def test_sweeps_match_oracle_from_any_start(case):
+    with np.errstate(all="ignore"):
+        on_both_paths(assert_same_from, *case)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_compiled_sweeps_run_when_a_compiler_is_found(karate, monkeypatch):
+    """One library call per pass and no plain rule: the plain rules give
+    the same bytes, so only this test sees which path ran."""
+    lib = _native.library()
+    calls = []
+    for rule in ("softmax", "sphere"):
+        name = f"modembed_{rule}_sweep"
+
+        def spy(*args, _run=getattr(lib, name), _rule=rule):
+            calls.append(_rule)
+            return _run(*args)
+
+        monkeypatch.setattr(lib, name, spy)
+    monkeypatch.setattr(clustering, "softmax_update", None)
+    monkeypatch.setattr(sphere, "sphere_update", None)
+    Q = karate.modularity_matrix()
+    clustering.run(Q, ClusterConfig(n_clusters=3, max_sweeps=2, tol=0.0))
+    sphere.run_sphere(Q, SphereConfig(n_dims=3, max_sweeps=3, tol=0.0))
+    assert calls == ["softmax"] * 2 + ["sphere"] * 3
+
+
+def edited_struct(monkeypatch, ufunc, **fields):
+    """`numpy_loop` reads a copy of the ufunc's struct with `fields`
+    changed, and the other ufuncs' structs as they are."""
+    struct = _native._UFunc
+
+    class Edited(struct):
+        @classmethod
+        def from_address(cls, address):
+            head = struct.from_buffer_copy(
+                ctypes.string_at(address, ctypes.sizeof(struct)))
+            if address == id(ufunc):
+                for name, value in fields.items():
+                    setattr(head, name, value)
+            return head
+
+    monkeypatch.setattr(_native, "_UFunc", Edited)
+
+
+def test_numpy_loop_reads_numpy_own_loops():
+    for ufunc, types in ((np.exp, "dd"), (np.add, "ddd"),
+                         (np.maximum, "ddd"), (np.matmul, "ddd")):
+        assert _native.numpy_loop(ufunc, types) is not None
+    assert _native.numpy_loop(np.exp, "ddd") is None
+    assert _native.numpy_loop(np.exp, "??") is None
+    assert _native.numpy_loop(np.linalg._umath_linalg.det, "dd") is None
+
+
+def test_numpy_loop_refuses_a_struct_with_another_name(monkeypatch):
+    edited_struct(monkeypatch, np.exp, name=b"log")
+    assert _native.numpy_loop(np.exp, "dd") is None
+
+
+@pytest.mark.parametrize("field", ["nargs", "ntypes"])
+def test_numpy_loop_refuses_a_struct_with_other_counts(monkeypatch, field):
+    edited_struct(monkeypatch, np.add, **{field: 2})
+    assert _native.numpy_loop(np.add, "ddd") is None
+
+
+def test_numpy_loop_refuses_a_loop_that_fails_the_probe(monkeypatch):
+    loop, data = _native.numpy_loop(np.sin, "dd")
+    count = _native._UFunc.from_address(id(np.exp)).ntypes
+    functions = (ctypes.c_void_p * count)(*[loop] * count)
+    datas = (ctypes.c_void_p * count)(*[data] * count)
+    edited_struct(monkeypatch, np.exp,
+                  functions=ctypes.cast(functions,
+                                        ctypes.POINTER(ctypes.c_void_p)),
+                  data=ctypes.cast(datas, ctypes.POINTER(ctypes.c_void_p)))
+    assert _native.numpy_loop(np.exp, "dd") is None
+    # Without a loop the kernels take the plain rules.
+    H = np.full((3, 2), 0.5)
+    Q = graph.from_edge_list([(0, 1), (1, 2)]).modularity_matrix()
+    assert _native.sweep("softmax", Q.zero_diagonal(), H,
+                         Q.make_aggregate(H), [0], 1.0) is None
 
 
 # --- sweep invariants ---------------------------------------------------------
@@ -476,7 +650,10 @@ def test_softmax_sweeps_keep_rows_on_the_simplex(case):
     """After every pass: rows are pmfs within 1e-12, pinned rows are
     bitwise one-hot, and an exact zero stays zero unless its row took
     the fallback."""
-    Q, config, pinned = case
+    on_both_paths(assert_simplex_rows, *case)
+
+
+def assert_simplex_rows(Q, config, pinned):
     Q0 = Q.zero_diagonal()
     assignment = init_assignment(Q0.n, config, pinned=pinned)
     H = assignment.H
@@ -499,11 +676,81 @@ def test_softmax_sweeps_keep_rows_on_the_simplex(case):
 @given(Q=OPERATOR, n_dims=st.integers(1, 12), beta=st.floats(0.0, 1.0),
        seed=st.integers(0, 2 ** 16))
 def test_sphere_sweeps_keep_unit_rows(Q, n_dims, beta, seed):
+    on_both_paths(assert_unit_rows, Q, n_dims, beta, seed)
+
+
+def assert_unit_rows(Q, n_dims, beta, seed):
     H = init_sphere(Q.n, n_dims, seed=seed)
     visit = sphere._sphere_kernel(Q, H, beta, Q.make_aggregate(H))
     for _ in range(4):
         sphere.sphere_sweep(Q, H, visit)
         assert np.abs(np.sqrt((H * H).sum(axis=1)) - 1.0).max() <= 1e-12
+
+
+@st.composite
+def monotone_case(draw):
+    """A weighted graph (degree-0 nodes occur), K, pinned rows, theta,
+    beta and a seed."""
+    g = draw(weighted_graph())
+    K = draw(st.integers(1, g.n + 3))
+    pinned = draw(st.dictionaries(st.integers(0, g.n - 1),
+                                  st.integers(0, K - 1), max_size=g.n))
+    return (g.modularity_matrix(), K, pinned, draw(THETA),
+            draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2 ** 16)))
+
+
+def update_row(rule, Q, H, aggregate, u, weight):
+    """Row u's update alone: the compiled sweep over the row list [u],
+    or the plain rule."""
+    compiled = _native.sweep(rule, Q, H, aggregate, [u], weight)
+    if compiled is not None:
+        compiled()
+        return
+    update = softmax_update if rule == "softmax" else sphere_update
+    update(H, u, Q.row_covariance(H, aggregate, u), weight, aggregate)
+
+
+def assert_monotone_rows(rule, Q, H, rows, weight, passes=2):
+    """tr(H^T Q H) never drops after a single row update by more than
+    1e-12 of sum |H|^T |Q| |H|, its scale."""
+    dense = Q.dense()
+    aggregate = Q.make_aggregate(H)
+    before = float(np.sum(H * (dense @ H)))
+    for _ in range(passes):
+        for u in rows:
+            update_row(rule, Q, H, aggregate, u, weight)
+            after = float(np.sum(H * (dense @ H)))
+            scale = float(np.sum(np.abs(H) * (np.abs(dense) @ np.abs(H))))
+            assert after >= before - 1e-12 * scale, (u, before, after)
+            before = after
+
+
+@SETTINGS
+@given(case=monotone_case())
+def test_single_softmax_row_updates_are_monotone(case):
+    """With the diagonal zeroed, each row's softmax update alone never
+    lowers the objective; pinned rows are not updated."""
+    Q, K, pinned, theta, _, seed = case
+    Q0 = Q.zero_diagonal()
+    config = ClusterConfig(n_clusters=K, theta=theta, seed=seed)
+    rows = [u for u in range(Q.n) if u not in pinned]
+    for path in PATHS:
+        with sweep_path(path):
+            H = init_assignment(Q.n, config, pinned=pinned).H
+            assert_monotone_rows("softmax", Q0, H, rows, theta)
+
+
+@SETTINGS
+@given(case=monotone_case())
+def test_single_sphere_row_updates_are_monotone(case):
+    """With the full diagonal and unit rows, each row's sphere update
+    alone never lowers the objective."""
+    Q, K, _, _, beta, seed = case
+    for path in PATHS:
+        with sweep_path(path):
+            H = init_sphere(Q.n, K, seed=seed)
+            assert_monotone_rows("sphere", Q.full_diagonal(), H,
+                                 range(Q.n), beta)
 
 
 # --- QL --------------------------------------------------------------------

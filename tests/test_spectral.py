@@ -218,7 +218,8 @@ def oracle_alignment_bounds(Q, H):
     epsilon = 1.0 - float(x @ qx) / lambda1
     if -1e-12 < epsilon < 0.0:
         epsilon = 0.0
-    applicable = delta1 < 1.0 and 0.0 <= epsilon <= 1.0 - delta1
+    applicable = delta1 < 1.0 and 0.0 <= epsilon <= 1.0 - delta1 and (
+        epsilon < 1.0)
     if not applicable:
         return AlignmentReport(
             lambda1=lambda1, lambda2=lambda2, lambda_min=lambda_min,
@@ -285,6 +286,9 @@ def graph_and_assignment(draw):
                                                           [0.0, 1.0]])))
 @example(case=(graph.from_edge_list(datasets.clique_edges(range(4))),
                np.array([[1.0, 0.0], [0.2, 0.8], [0.0, 1.0], [0.5, 0.5]])))
+# Two self-loops: Q has rank one, x lies in its kernel and epsilon = 1.
+@example(case=(graph.from_edge_list([(0, 0), (1, 1)]),
+               np.array([[1.0, 0.0], [1.0, 0.0]])))
 def test_alignment_bounds_matches_three_branch_oracle(case):
     g, H = case
     Q = g.modularity_matrix()
@@ -294,6 +298,17 @@ def test_alignment_bounds_matches_three_branch_oracle(case):
         assert_same_report(got[1], want[1])
     else:
         assert got == want
+
+
+def test_alignment_bounds_with_x_in_the_kernel_of_a_rank_one_q():
+    """Two self-loops: Q has rank one and x = (1, 1)/sqrt(2) lies in its
+    kernel, so epsilon = 1, delta1 = 0 and Qx = 0.  The report is not
+    applicable, where the Qx bound used to divide 0 by 0."""
+    Q = graph.from_edge_list([(0, 0), (1, 1)]).modularity_matrix()
+    report = alignment_bounds(Q, np.array([[1.0, 0.0], [1.0, 0.0]]))
+    assert report.epsilon == 1.0 and report.delta1 == 0.0
+    assert not report.applicable and report.holds
+    assert np.isnan(report.bound_x) and np.isnan(report.bound_qx)
 
 
 def test_alignment_oracle_cases_cover_every_branch(karate):

@@ -1,7 +1,7 @@
 /* Compiled loops behind _native.library(): the rotation loops of the
  * dense eigensolvers in spectral.py, the %.17g row writer behind
- * embedding.save_embedding_tsv and graph.save_edge_list, and the CAFE
- * softmax and sphere sweeps of clustering.py and sphere.py.
+ * embedding.save_embedding_tsv and graph.save_edge_list, and the one
+ * CAFE and sphere sweep behind clustering._kernel, modembed_sweep.
  *
  * Each rotation function repeats its Python loop operation for
  * operation: the same IEEE operations on the same doubles in the same
@@ -15,12 +15,14 @@
  * Python's dtoa); the rest go to the C library's printf, which is exact,
  * run in the "C" locale because Python's % never reads LC_NUMERIC.
  *
- * The sweeps repeat clustering.softmax_update and sphere.sphere_update
- * after the operators' row_covariance, row by row.  What numpy computes
- * in a vectorised or BLAS loop (matmul, the max and sum reductions,
- * exp) goes through numpy's own inner loop with numpy's arguments, read
- * from the ufunc objects by _native.numpy_loop; the elementwise + - * /
- * and comparisons are plain C, exact under -ffp-contract=off.
+ * modembed_sweep runs one row loop (the operator's row_covariance, the
+ * rule, delta, aggregate update, store) with the two rules,
+ * clustering.softmax_update and sphere.sphere_update, as static
+ * helpers.  What numpy computes in a vectorised or BLAS loop (matmul,
+ * the max and sum reductions, exp) goes through numpy's own inner loop
+ * with numpy's arguments, read from the ufunc objects by
+ * _native.numpy_loop; the elementwise + - * / and comparisons are plain
+ * C, exact under -ffp-contract=off.
  */
 #define _POSIX_C_SOURCE 200809L
 #include <locale.h>
@@ -445,82 +447,83 @@ static void update(const struct modembed_operator *op, ptrdiff_t k,
     }
 }
 
-/* softmax_update at inverse temperature theta on each listed row of the
- * row-major n x k array hs, in order; scratch holds 4 k doubles. */
-void modembed_softmax_sweep(const struct modembed_operator *op,
-                            const struct modembed_loops *lp, double *hs,
-                            ptrdiff_t k, const ptrdiff_t *rows,
-                            ptrdiff_t n_rows, double theta, double *scratch)
+/* softmax_update's row for h and its covariance z at inverse temperature
+ * theta, into row, with t and e as scratch; it never skips a row. */
+static int softmax_row(const struct modembed_loops *lp, const double *h,
+                       const double *z, ptrdiff_t k, double theta,
+                       double *row, double *t, double *e)
 {
-    double *z = scratch, *t = z + k, *e = t + k, *row = e + k;
     ptrdiff_t unit[2] = {sizeof(double), sizeof(double)};
-    for (ptrdiff_t r = 0; r < n_rows; r++) {
-        ptrdiff_t u = rows[r];
-        double *h = hs + u * k;
-        covariance(op, lp, hs, k, u, z);
-        for (ptrdiff_t i = 0; i < k; i++)
-            t[i] = theta * z[i];
-        /* np.maximum.reduce starts from the first value. */
-        double top = k > 1 ? reduce(lp->maximum, lp->maximum_data, t[0],
-                                    t + 1, k - 1) : t[0];
-        for (ptrdiff_t i = 0; i < k; i++)
-            t[i] -= top;
-        char *args[2] = {(char *)t, (char *)e};
-        lp->exp(args, &k, unit, lp->exp_data);
-        for (ptrdiff_t i = 0; i < k; i++) {
-            row[i] = e[i] * h[i];
-            if (row[i] < ZERO_CLAMP)
-                row[i] = 0.0;
-        }
-        /* np.add.reduce starts from 0.0 and sums all k values. */
-        double total = reduce(lp->add, lp->add_data, 0.0, row, k);
-        if (total <= 0.0) {
-            double sum = reduce(lp->add, lp->add_data, 0.0, e, k);
-            for (ptrdiff_t i = 0; i < k; i++)
-                row[i] = e[i] / sum;
-        } else {
-            for (ptrdiff_t i = 0; i < k; i++)
-                row[i] = row[i] / total;
-        }
-        for (ptrdiff_t i = 0; i < k; i++)
-            t[i] = row[i] - h[i];
-        update(op, k, u, t);
-        memcpy(h, row, (size_t)k * sizeof(double));
+    for (ptrdiff_t i = 0; i < k; i++)
+        t[i] = theta * z[i];
+    /* np.maximum.reduce starts from the first value. */
+    double top = k > 1 ? reduce(lp->maximum, lp->maximum_data, t[0],
+                                t + 1, k - 1) : t[0];
+    for (ptrdiff_t i = 0; i < k; i++)
+        t[i] -= top;
+    char *args[2] = {(char *)t, (char *)e};
+    lp->exp(args, &k, unit, lp->exp_data);
+    for (ptrdiff_t i = 0; i < k; i++) {
+        row[i] = e[i] * h[i];
+        if (row[i] < ZERO_CLAMP)
+            row[i] = 0.0;
     }
+    /* np.add.reduce starts from 0.0 and sums all k values. */
+    double total = reduce(lp->add, lp->add_data, 0.0, row, k);
+    const double *mass = row;
+    if (total <= 0.0) {
+        mass = e;
+        total = reduce(lp->add, lp->add_data, 0.0, e, k);
+    }
+    for (ptrdiff_t i = 0; i < k; i++)
+        row[i] = mass[i] / total;
+    return 1;
 }
 
-/* sphere_update with blend weight beta on each listed row of hs, in
- * order; scratch holds 2 k doubles.  Returns the rows skipped as
- * degenerate. */
-ptrdiff_t modembed_sphere_sweep(const struct modembed_operator *op,
-                                const struct modembed_loops *lp, double *hs,
-                                ptrdiff_t k, const ptrdiff_t *rows,
-                                ptrdiff_t n_rows, double beta,
-                                double *scratch)
+/* sphere_update's row for h and its covariance z at blend weight beta,
+ * into row; 0 when the blend is degenerate and the row is skipped. */
+static int sphere_row(const struct modembed_loops *lp, const double *h,
+                      const double *z, ptrdiff_t k, double beta, double *row)
 {
-    double *z = scratch, *b = z + k, keep = 1.0 - beta;
     const ptrdiff_t w = sizeof(double);
-    ptrdiff_t degenerate = 0;
+    double keep = 1.0 - beta;
+    for (ptrdiff_t i = 0; i < k; i++)
+        row[i] = keep * h[i] + beta * z[i];
+    /* np.linalg.norm: sqrt(b . b), the dot through matmul's loop. */
+    double sq;
+    matmul(lp, row, row, &sq, 1, k, 1, k * w, w, w, w);
+    double norm = sqrt(sq);
+    if (norm < DEGENERATE_NORM)
+        return 0;
+    for (ptrdiff_t i = 0; i < k; i++)
+        row[i] = row[i] / norm;
+    return 1;
+}
+
+/* One pass over the listed rows of the row-major n x k array hs, in
+ * order: softmax_update at inverse temperature weight (sphere 0) or
+ * sphere_update at blend weight weight (sphere 1), the aggregate kept
+ * in step; scratch holds 4 k doubles.  Returns the rows skipped. */
+ptrdiff_t modembed_sweep(const struct modembed_operator *op,
+                         const struct modembed_loops *lp, double *hs,
+                         ptrdiff_t k, const ptrdiff_t *rows, ptrdiff_t n_rows,
+                         int sphere, double weight, double *scratch)
+{
+    double *z = scratch, *row = z + k, *delta = row + k, *e = delta + k;
+    ptrdiff_t skipped = 0;
     for (ptrdiff_t r = 0; r < n_rows; r++) {
         ptrdiff_t u = rows[r];
         double *h = hs + u * k;
         covariance(op, lp, hs, k, u, z);
-        for (ptrdiff_t i = 0; i < k; i++)
-            b[i] = keep * h[i] + beta * z[i];
-        /* np.linalg.norm: sqrt(b . b), the dot through matmul's loop. */
-        double sq;
-        matmul(lp, b, b, &sq, 1, k, 1, k * w, w, w, w);
-        double norm = sqrt(sq);
-        if (norm < DEGENERATE_NORM) {
-            degenerate++;
+        if (!(sphere ? sphere_row(lp, h, z, k, weight, row)
+                     : softmax_row(lp, h, z, k, weight, row, delta, e))) {
+            skipped++;
             continue;
         }
-        for (ptrdiff_t i = 0; i < k; i++) {
-            b[i] = b[i] / norm;
-            z[i] = b[i] - h[i];
-        }
-        update(op, k, u, z);
-        memcpy(h, b, (size_t)k * sizeof(double));
+        for (ptrdiff_t i = 0; i < k; i++)
+            delta[i] = row[i] - h[i];
+        update(op, k, u, delta);
+        memcpy(h, row, (size_t)k * sizeof(double));
     }
-    return degenerate;
+    return skipped;
 }

@@ -2,11 +2,12 @@
 
 The library holds the rotation loops of the dense eigensolvers
 (`spectral`), the '%.17g' row formatter behind every TSV writer
-(`graph._write_rows`) and the softmax and sphere sweeps (`sweep`); each
-computes the same bytes as the Python code it stands in for.  The sweeps
-call numpy's own inner loops for exp, the reductions and the matrix
-products, which `numpy_loop` reads from the ufunc objects.
-`library()` compiles `_native.c` with the system C
+(`graph._write_rows`) and `modembed_sweep`, one pass of the softmax or
+sphere rule, which `sweep` prepares for the one kernel builder,
+`clustering._kernel`; each computes the same bytes as the Python code
+it stands in for.  The sweep calls numpy's own inner loops for exp,
+the reductions and the matrix products, which `numpy_loop` reads from
+the ufunc objects.  `library()` compiles `_native.c` with the system C
 compiler the first time it is called, caches the shared library under
 the user cache directory, keyed by the sha256 of the source, the flags
 and the machine, and loads it with ctypes.  It returns None when no
@@ -111,12 +112,10 @@ def library():
     lib.modembed_format_rows.argtypes = (size, size, rows, ctypes.c_char_p,
                                          offsets, ctypes.POINTER(ctypes.c_char))
     lib.modembed_format_rows.restype = size
-    sweep = (ctypes.POINTER(_Operator), ctypes.c_void_p * 8, array, size,
-             offsets, size, ctypes.c_double, array)
-    lib.modembed_softmax_sweep.argtypes = sweep
-    lib.modembed_softmax_sweep.restype = None
-    lib.modembed_sphere_sweep.argtypes = sweep
-    lib.modembed_sphere_sweep.restype = size
+    lib.modembed_sweep.argtypes = (
+        ctypes.POINTER(_Operator), ctypes.c_void_p * 8, array, size, offsets,
+        size, ctypes.c_int, ctypes.c_double, array)
+    lib.modembed_sweep.restype = size
     return lib
 
 
@@ -195,10 +194,11 @@ def sweep(rule, Q, H, aggregate, rows, weight):
     is missing.
 
     The rule is "softmax" at inverse temperature `weight` or "sphere" at
-    blend weight `weight` (its visit() returns the degenerate count).  Q
-    is a `ModularityMatrix` or a `GramOperator`.  H, Q and the aggregate
-    may change only in place, but the aggregate's array (`S` or `W`) may
-    be rebound: visit() reads and checks it on every call.
+    blend weight `weight`; visit() returns the degenerate rows skipped, 0
+    for the softmax.  Q is a `ModularityMatrix` or a `GramOperator`.  H,
+    Q and the aggregate may change only in place, but the aggregate's
+    array (`S` or `W`) may be rebound: visit() reads and checks it on
+    every call.
     """
     lib = library()
     found = [numpy_loop(np.matmul, "ddd"), numpy_loop(np.maximum, "ddd"),
@@ -226,7 +226,8 @@ def sweep(rule, Q, H, aggregate, rows, weight):
     op.gather = scratch.ctypes.data + 4 * K * scratch.itemsize
     op.arrays = arrays  # what op points into lives as long as op
     rows = np.array(rows, dtype=np.intp)
-    run = getattr(lib, f"modembed_{rule}_sweep")
+    index = ("softmax", "sphere").index(rule)
+    run = lib.modembed_sweep
 
     def visit():
         A = getattr(aggregate, name)
@@ -236,6 +237,6 @@ def sweep(rule, Q, H, aggregate, rows, weight):
                              f"float64 array of shape {shape}")
         op.agg, op.agg_col = A.ctypes.data, A.strides[-1]
         op.agg_row = A.strides[0] if A.ndim == 2 else 0
-        return run(op, loops, H, K, rows, rows.size, weight, scratch)
+        return run(op, loops, H, K, rows, rows.size, index, weight, scratch)
 
     return visit

@@ -109,14 +109,14 @@ def init_assignment(n, config, pinned=None):
     return SoftAssignment(H=H, pinned=pinned)
 
 
-def softmax_update(H, u, z, theta, aggregate=None):
+def softmax_update(H, u, z, theta, aggregate):
     """Multiplicative softmax re-weighting of row u, in place.
 
     Uses max-subtraction for overflow safety; exact zeros in h_u stay
     zero.  If every surviving entry underflows (possible only when h_u
     vanished on all near-argmax coordinates), the row is rebuilt from the
     bare exponentials instead, so the result is always a valid pmf.
-    Passing the marginal aggregate keeps it in sync with the new row.
+    The marginal aggregate is kept in sync with the new row.
     """
     t = theta * z
     t -= t.max()
@@ -128,45 +128,29 @@ def softmax_update(H, u, z, theta, aggregate=None):
         row = e / e.sum()
     else:
         row = row / total
-    if aggregate is not None:
-        aggregate.update(u, row - H[u])
+    aggregate.update(u, row - H[u])
     H[u] = row
     return row
 
 
-def _softmax_kernel(Q, H, pinned, theta, aggregate):
-    """Prepare `softmax_update` at inverse temperature theta over the
-    unpinned rows of H, once per run; Q must have its diagonal zeroed.
-
-    Returns visit(), which updates those rows in ascending order, as
-    `row_covariance` followed by `softmax_update` does (H and the
-    aggregate come out bit for bit the same), and returns the op count
-    of the pass.  Each pass is one call of the compiled sweep, or the
-    plain rules row by row where that is not available.
+def _kernel(rule, update, Q, H, aggregate, rows, weight):
+    """visit() for the row rule `rule` ("softmax" at inverse temperature
+    `weight`, "sphere" at blend weight `weight`) over `rows` of H in
+    order, prepared once per run: one call of the compiled sweep, or
+    `row_covariance` and the plain rule `update` row by row, with the
+    same bytes in H and the aggregate.  visit() returns the number of
+    rows skipped, those whose update returned False.
     """
-    if not Q.diag_zeroed:
-        raise ValueError("sweep requires the operator diagonal zeroed")
-    rows = [u for u in range(H.shape[0]) if u not in pinned]
-    ops = sum(map(Q.row_cost, rows)) + H.shape[1] * len(rows)
-    compiled = _native.sweep("softmax", Q, H, aggregate, rows, theta)
-
-    def visit():
-        if compiled is not None:
-            compiled()
-        else:
-            for u in rows:
-                z = Q.row_covariance(H, aggregate, u)
-                softmax_update(H, u, z, theta, aggregate)
-        return ops
-
-    return visit
+    return _native.sweep(rule, Q, H, aggregate, rows, weight) or (
+        lambda: sum(update(H, u, Q.row_covariance(H, aggregate, u), weight,
+                           aggregate) is False for u in rows))
 
 
 def sweep(Q, H, visit):
     """One pass of a prepared softmax kernel over H.
 
-    Returns (objective, ops): tr(H^T Q H) after the pass and the touched
-    sparse entries plus K-vector work per visited node.
+    Returns (objective, ops): tr(H^T Q H) after the pass and visit()'s
+    count of touched sparse entries plus K-vector work per node.
     """
     ops = visit()
     return float(np.sum(H * Q.apply(H))), ops
@@ -203,8 +187,15 @@ def run(Q, config, pinned=None):
     Q0 = Q.zero_diagonal()
     assignment = init_assignment(Q0.n, config, pinned=pinned)
     H = assignment.H
-    visit = _softmax_kernel(Q0, H, assignment.pinned, config.theta,
-                            Q0.make_aggregate(H))
+    rows = np.delete(np.arange(Q0.n), list(assignment.pinned))
+    ops = Q0.row_cost(rows) + H.shape[1] * rows.size
+    kernel = _kernel("softmax", softmax_update, Q0, H, Q0.make_aggregate(H),
+                     rows, config.theta)
+
+    def visit():
+        kernel()
+        return ops
+
     return ClusterResult(assignment, *climb(Q0, H, visit, sweep, config))
 
 

@@ -64,6 +64,9 @@ class SampledGraph:
         self.diag_mass = np.asarray(diag_mass, dtype=float)
         self.node_labels = list(node_labels)
         self._index = dict(zip(self.node_labels, range(len(self.node_labels))))
+        if len(self._index) != self.n:
+            raise ValueError(f"expected {self.n} distinct node labels, got "
+                             f"{len(self._index)}")
         row_mass = np.add.reduceat(
             np.append(self._P.data, 0.0), self._P.indptr[:-1]
         )
@@ -206,10 +209,9 @@ class ModularityMatrix:
     def make_aggregate(self, H):
         return MarginalAggregate(self.graph.marginal, H)
 
-    def row_cost(self, u):
-        """Stored entries touched when forming row u's covariance."""
-        g = self.graph
-        return int(g.indptr[u + 1] - g.indptr[u])
+    def row_cost(self, rows):
+        """Stored entries touched forming the covariances of `rows`."""
+        return int(np.diff(self.graph.indptr)[rows].sum())
 
     def spectral_shift(self):
         """A bound c >= -lambda_min, from row absolute sums: each row of

@@ -102,8 +102,8 @@ class GramOperator:
     def row_covariance(self, H, agg, u):
         return agg.W.T @ self.X[u] - self._sq[u] * H[u]
 
-    def row_cost(self, u):
-        return self.X.shape[1]
+    def row_cost(self, rows):
+        return self.X.shape[1] * len(rows)
 
 
 def center(X):

@@ -32,7 +32,6 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from . import _native
-from .graph import _DENSE_LIMIT
 
 __all__ = [
     "Spectrum",
@@ -304,10 +303,7 @@ def tridiagonal_eigh(A):
 
 
 def _dense_spectrum(A):
-    n = A.shape[0]
-    if n > _DENSE_LIMIT:
-        raise ValueError(f"refusing full decomposition at n={n} (> {_DENSE_LIMIT})")
-    if n <= _JACOBI_LIMIT:
+    if A.shape[0] <= _JACOBI_LIMIT:
         return jacobi_eigh(A)
     return tridiagonal_eigh(A)
 

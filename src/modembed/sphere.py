@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _native
-from .clustering import climb
+from .clustering import _kernel, climb
 from .embedding import EmbeddingMatrix, qr_embed
 
 __all__ = [
@@ -75,42 +74,20 @@ def init_sphere(n, n_dims, seed=0):
     return H
 
 
-def sphere_update(H, u, z, beta, aggregate=None):
-    """Blend row u toward z and renormalize, in place.
+def sphere_update(H, u, z, beta, aggregate):
+    """Blend row u toward z and renormalize, in place, aggregate too.
 
     Returns True if the row moved; a blended vector with vanishing norm
-    leaves the row untouched (the caller counts these).
+    leaves the row untouched and returns False (the caller counts these).
     """
     blended = (1.0 - beta) * H[u] + beta * z
     norm = np.linalg.norm(blended)
     if norm < _DEGENERATE_NORM:
         return False
     row = blended / norm
-    if aggregate is not None:
-        aggregate.update(u, row - H[u])
+    aggregate.update(u, row - H[u])
     H[u] = row
     return True
-
-
-def _sphere_kernel(Q, H, beta, aggregate):
-    """Prepare `sphere_update` with blend weight beta over all rows of H,
-    once per run.
-
-    Returns visit(), which updates every row in ascending order, as
-    `row_covariance` followed by `sphere_update` does, and returns the
-    number of degenerate rows it skipped: one call of the compiled sweep
-    per pass, or the plain rules row by row where that is not available.
-    """
-    rows = range(H.shape[0])
-    compiled = _native.sweep("sphere", Q, H, aggregate, rows, beta)
-
-    def visit():
-        if compiled is not None:
-            return compiled()
-        return sum(not sphere_update(H, u, Q.row_covariance(H, aggregate, u),
-                                     beta, aggregate) for u in rows)
-
-    return visit
 
 
 def sphere_sweep(Q, H, visit):
@@ -129,7 +106,8 @@ def run_sphere(Q, config):
     Returns the SphereResult fields other than `embedding`, as a tuple."""
     H = init_sphere(Q.n, config.n_dims, seed=config.seed)
     Q_full = Q.full_diagonal()
-    visit = _sphere_kernel(Q_full, H, config.beta, Q_full.make_aggregate(H))
+    visit = _kernel("sphere", sphere_update, Q_full, H,
+                    Q_full.make_aggregate(H), np.arange(Q.n), config.beta)
     objective, sweeps, converged, trace, skipped = climb(
         Q_full, H, visit, sphere_sweep, config)
     return H, objective, sweeps, converged, trace, sum(skipped)

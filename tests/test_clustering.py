@@ -128,14 +128,6 @@ def test_pinned_rows_never_move(karate):
     assert H[33, 1] == 1.0 and H[33].sum() == 1.0
 
 
-def test_sweep_requires_zeroed_diagonal(karate):
-    Q = karate.modularity_matrix()  # true diagonal
-    a = init_assignment(karate.n, ClusterConfig(n_clusters=3))
-    with pytest.raises(ValueError, match="diagonal"):
-        clustering._softmax_kernel(Q, a.H, a.pinned, 50.0,
-                                   Q.make_aggregate(a.H))
-
-
 @pytest.mark.parametrize("max_sweeps, tol", [(4, 0.0), (60, 1e-4)])
 def test_each_pass_is_one_module_sweep_call(monkeypatch, karate, max_sweeps,
                                             tol):
@@ -187,7 +179,7 @@ def test_underflow_falls_back_to_bare_softmax():
     """A row whose surviving mass underflows is rebuilt from e^{theta z}."""
     H = np.array([[1e-305, 1e-305, 1.0 - 2e-305]])
     z = np.array([800.0, 0.0, 0.0])
-    row = softmax_update(H, 0, z, theta=1.0)
+    row = softmax_update(H, 0, z, 1.0, graph.MarginalAggregate(np.ones(1), H))
     assert row[0] == 1.0 and row[1] == 0.0 and row[2] == 0.0
     assert np.array_equal(H[0], row)
 

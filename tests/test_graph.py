@@ -1,6 +1,7 @@
 """Graph construction, normalization, and the modularity operator."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from modembed import graph
+from modembed.embedding import multilayer_embed
+from modembed.spectral import alignment_bounds, eigendecompose
 
 from conftest import dense_masses, dense_modularity, graph_from, random_edges
 
@@ -171,6 +174,69 @@ def test_from_bivariate_validation():
     bad = np.array([[0.6, -0.1], [-0.1, 0.6]])
     with pytest.raises(ValueError, match="negative"):
         graph.from_bivariate(bad)
+
+
+DENSE_CONSTRUCTORS = [
+    lambda labels: graph.from_bivariate(np.full((3, 3), 1.0 / 9.0),
+                                        node_labels=labels),
+    lambda labels: graph.from_similarity(np.arange(9.0).reshape(3, 3),
+                                         node_labels=labels),
+]
+
+
+@pytest.mark.parametrize("build", DENSE_CONSTRUCTORS)
+@pytest.mark.parametrize("labels", [["a"], ["a", "b", "c", "d"]])
+def test_dense_constructors_reject_a_wrong_label_count(build, labels):
+    with pytest.raises(ValueError, match="expected 3 distinct node labels"):
+        build(labels)
+
+
+@pytest.mark.parametrize("build", DENSE_CONSTRUCTORS)
+def test_dense_constructors_reject_repeated_labels(build):
+    """Two nodes labelled "x" would leave `index_of("x")` naming one."""
+    with pytest.raises(ValueError, match="expected 3 distinct node labels"):
+        build(["x", "x", "y"])
+
+
+@st.composite
+def graph_past_the_dense_limit(draw):
+    """A path, a star or a random tree on 5001 to 5004 nodes."""
+    n = draw(st.integers(graph._DENSE_LIMIT + 1, graph._DENSE_LIMIT + 4))
+    shape = draw(st.sampled_from(["path", "star", "tree"]))
+    children = np.arange(1, n)
+    if shape == "path":
+        parents = children - 1
+    elif shape == "star":
+        parents = np.zeros_like(children)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        parents = rng.integers(0, children)
+    return graph.from_edge_list(zip(parents.tolist(), children.tolist()))
+
+
+DENSE_CALLS = [
+    lambda Q: Q.dense(),
+    eigendecompose,
+    lambda Q: alignment_bounds(Q, np.full((Q.n, 2), 0.5)),
+    multilayer_embed,
+]
+
+
+@settings(max_examples=12, deadline=None)
+@given(g=graph_past_the_dense_limit())
+def test_dense_calls_refuse_past_the_limit_before_allocating(g):
+    """Every call that builds something n x n raises naming n and the
+    limit, with a traced peak far below one n x n float64 array."""
+    Q = g.modularity_matrix()
+    for call in DENSE_CALLS:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"at n={g.n} \\(> 5000\\)"):
+                call(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * g.n * g.n // 100
 
 
 # Weighted edges over a few labels, so pairs repeat and self-loops occur.

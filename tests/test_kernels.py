@@ -61,7 +61,10 @@ def oracle_sweep(Q, assignment, config, aggregate, events=None):
             if row.sum() <= 0.0:
                 events["fallback"].add(u)
         softmax_update(H, u, z, config.theta, aggregate)
-        ops += Q.row_cost(u) + K
+        # Counted here, not by the `row_cost` under test: the CSR row
+        # length for a graph, L for a cloud, plus K.
+        ops += K + (Q.X.shape[1] if isinstance(Q, GramOperator) else
+                    int(Q.graph.indptr[u + 1] - Q.graph.indptr[u]))
     return float(np.sum(H * Q.apply(H))), ops
 
 
@@ -322,8 +325,24 @@ def assert_same_run(Q, config, pinned):
 
 
 def softmax_kernel(Q0, assignment, config, aggregate):
-    return clustering._softmax_kernel(Q0, assignment.H, assignment.pinned,
-                                      config.theta, aggregate)
+    """The kernel `run` prepares, over the unpinned rows; its visit()
+    checks that no row was skipped and returns the op count `run` uses."""
+    rows = np.delete(np.arange(Q0.n), list(assignment.pinned))
+    ops = Q0.row_cost(rows) + config.n_clusters * rows.size
+    kernel = clustering._kernel("softmax", softmax_update, Q0, assignment.H,
+                                aggregate, rows, config.theta)
+
+    def visit():
+        assert kernel() == 0
+        return ops
+
+    return visit
+
+
+def sphere_kernel(Q, H, beta, aggregate):
+    """The kernel `run_sphere` prepares, over every row."""
+    return clustering._kernel("sphere", sphere_update, Q, H, aggregate,
+                              np.arange(Q.n), beta)
 
 
 def assert_same_sweeps(Q, config, pinned, sweeps=3):
@@ -417,7 +436,7 @@ def test_kept_sphere_kernel_follows_a_rebound_aggregate_array(karate):
         fast = init_sphere(Q.n, 3, seed=4)
         slow = fast.copy()
         fast_agg, slow_agg = Q.make_aggregate(fast), Q.make_aggregate(slow)
-        visit = sphere._sphere_kernel(Q, fast, 0.5, fast_agg)
+        visit = sphere_kernel(Q, fast, 0.5, fast_agg)
         for _ in range(3):
             assert sphere.sphere_sweep(Q, fast, visit) == (
                 oracle_sphere_sweep(Q, slow, 0.5, slow_agg))
@@ -465,7 +484,7 @@ def assert_same_sphere(Q, config, sweeps=3):
     slow = fast.copy()
     fast_agg = Q_full.make_aggregate(fast)
     slow_agg = Q_full.make_aggregate(slow)
-    visit = sphere._sphere_kernel(Q_full, fast, config.beta, fast_agg)
+    visit = sphere_kernel(Q_full, fast, config.beta, fast_agg)
     degenerate = 0
     for _ in range(sweeps):
         result = sphere.sphere_sweep(Q_full, fast, visit)
@@ -526,10 +545,10 @@ def assert_same_from(Q, H, pinned, theta, beta, sweeps=2):
         fast, slow = H.copy(), H.copy()
         fast_agg, slow_agg = Qr.make_aggregate(fast), Qr.make_aggregate(slow)
         if Qr.diag_zeroed:
-            visit = clustering._softmax_kernel(Qr, fast, pinned, theta,
-                                               fast_agg)
+            visit = softmax_kernel(Qr, SoftAssignment(fast, pinned), config,
+                                   fast_agg)
         else:
-            visit = sphere._sphere_kernel(Qr, fast, beta, fast_agg)
+            visit = sphere_kernel(Qr, fast, beta, fast_agg)
         for _ in range(sweeps):
             if Qr.diag_zeroed:
                 want = oracle_sweep(Qr, SoftAssignment(slow, pinned), config,
@@ -556,14 +575,12 @@ def test_compiled_sweeps_run_when_a_compiler_is_found(karate, monkeypatch):
     the same bytes, so only this test sees which path ran."""
     lib = _native.library()
     calls = []
-    for rule in ("softmax", "sphere"):
-        name = f"modembed_{rule}_sweep"
 
-        def spy(*args, _run=getattr(lib, name), _rule=rule):
-            calls.append(_rule)
-            return _run(*args)
+    def spy(*args, _run=lib.modembed_sweep):
+        calls.append(("softmax", "sphere")[args[6]])
+        return _run(*args)
 
-        monkeypatch.setattr(lib, name, spy)
+    monkeypatch.setattr(lib, "modembed_sweep", spy)
     monkeypatch.setattr(clustering, "softmax_update", None)
     monkeypatch.setattr(sphere, "sphere_update", None)
     Q = karate.modularity_matrix()
@@ -681,7 +698,7 @@ def test_sphere_sweeps_keep_unit_rows(Q, n_dims, beta, seed):
 
 def assert_unit_rows(Q, n_dims, beta, seed):
     H = init_sphere(Q.n, n_dims, seed=seed)
-    visit = sphere._sphere_kernel(Q, H, beta, Q.make_aggregate(H))
+    visit = sphere_kernel(Q, H, beta, Q.make_aggregate(H))
     for _ in range(4):
         sphere.sphere_sweep(Q, H, visit)
         assert np.abs(np.sqrt((H * H).sum(axis=1)) - 1.0).max() <= 1e-12
@@ -700,14 +717,9 @@ def monotone_case(draw):
 
 
 def update_row(rule, Q, H, aggregate, u, weight):
-    """Row u's update alone: the compiled sweep over the row list [u],
-    or the plain rule."""
-    compiled = _native.sweep(rule, Q, H, aggregate, [u], weight)
-    if compiled is not None:
-        compiled()
-        return
+    """Row u's update alone: the kernel over the row list [u]."""
     update = softmax_update if rule == "softmax" else sphere_update
-    update(H, u, Q.row_covariance(H, aggregate, u), weight, aggregate)
+    clustering._kernel(rule, update, Q, H, aggregate, [u], weight)()
 
 
 def assert_monotone_rows(rule, Q, H, rows, weight, passes=2):
@@ -932,6 +944,15 @@ def test_compiled_library_loads():
     """With a compiler present the rotations must run compiled: the numpy
     fallback computes the same bytes, so only this test sees it."""
     assert _native.library() is not None
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_native_source_compiles_without_warnings(tmp_path):
+    proc = subprocess.run(
+        ["cc", *_native._FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "native.so"), _native._SOURCE, "-lm"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def plant_library(directory):

@@ -98,9 +98,10 @@ def test_degenerate_rows_are_skipped_and_counted():
 
 def test_sphere_update_reports_movement():
     H = init_sphere(2, 3, seed=1)
-    moved = sphere_update(H, 0, np.zeros(3), beta=1.0)
+    agg = graph.MarginalAggregate(np.full(2, 0.5), H)
+    moved = sphere_update(H, 0, np.zeros(3), 1.0, agg)
     assert not moved
-    moved = sphere_update(H, 0, np.array([1.0, 0.0, 0.0]), beta=1.0)
+    moved = sphere_update(H, 0, np.array([1.0, 0.0, 0.0]), 1.0, agg)
     assert moved and np.array_equal(H[0], [1.0, 0.0, 0.0])
 
 

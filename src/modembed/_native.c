@@ -1,7 +1,9 @@
 /* Compiled loops behind _native.library(): the rotation loops of the
  * dense eigensolvers in spectral.py, the %.17g row writer behind
- * embedding.save_embedding_tsv and graph.save_edge_list, and the one
- * CAFE and sphere sweep behind clustering._kernel, modembed_sweep.
+ * embedding.save_embedding_tsv and graph.save_edge_list, the one CAFE
+ * and sphere sweep behind clustering._kernel, modembed_sweep, and the
+ * one TSV scanner behind graph.load_edge_list, tasks.load_labels and
+ * embedding.load_embedding_tsv, modembed_scan.
  *
  * Each rotation function repeats its Python loop operation for
  * operation: the same IEEE operations on the same doubles in the same
@@ -23,6 +25,16 @@
  * with numpy's arguments, read from the ufunc objects by
  * _native.numpy_loop; the elementwise + - * / and comparisons are plain
  * C, exact under -ffp-contract=off.
+ *
+ * modembed_scan reads a file's bytes once.  It takes the file only when
+ * the text is ASCII with no NUL, '\r', '\x0b', '\x0c' or '\x1c'-'\x1f',
+ * every line is one the Python loop accepts, and every number has the
+ * form [+-]?digits[.digits][(e|E)[+-]digits].  It declines anything
+ * else, errors included, and the loop then reads the file, so every
+ * message keeps its words and line.  Numbers go through strtod in the
+ * "C" locale, which rounds correctly as Python's float() does (Clinger,
+ * PLDI 1990); labels are hashed and numbered in first-appearance order,
+ * so Python decodes each distinct label once.
  */
 #define _POSIX_C_SOURCE 200809L
 #include <locale.h>
@@ -30,6 +42,7 @@
 #include <stddef.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* max of fabs over n doubles, NaN if any is NaN (numpy's max). */
@@ -526,4 +539,353 @@ ptrdiff_t modembed_sweep(const struct modembed_operator *op,
         memcpy(h, row, (size_t)k * sizeof(double));
     }
     return skipped;
+}
+
+/* --- TSV readers ------------------------------------------------------- */
+
+/* Bytes the scanner leaves to the Python loops: non-ASCII, NUL and the
+ * whitespace other than ' ', '\t' and '\n', where str.split, str.lstrip
+ * and universal newlines would not split as a byte scan does. */
+static int foreign(unsigned char c)
+{
+    return c >= 0x80 || c == 0 || c == '\r' || c == '\x0b' || c == '\x0c' ||
+           (c >= 0x1c && c <= 0x1f);
+}
+
+/* The length of the number [+-]?digits[.digits][(e|E)[+-]digits] that
+ * starts s, n bytes long; 0 when s starts with none. */
+static ptrdiff_t number_length(const char *s, ptrdiff_t n)
+{
+    ptrdiff_t i = 0, digits;
+    if (i < n && (s[i] == '+' || s[i] == '-'))
+        i++;
+    for (digits = i; i < n && s[i] >= '0' && s[i] <= '9'; i++)
+        ;
+    if (i == digits)
+        return 0;
+    if (i < n && s[i] == '.') {
+        for (digits = ++i; i < n && s[i] >= '0' && s[i] <= '9'; i++)
+            ;
+        if (i == digits)
+            return 0;
+    }
+    if (i < n && (s[i] == 'e' || s[i] == 'E')) {
+        ptrdiff_t mark = i++;
+        if (i < n && (s[i] == '+' || s[i] == '-'))
+            i++;
+        for (digits = i; i < n && s[i] >= '0' && s[i] <= '9'; i++)
+            ;
+        if (i == digits)
+            return mark;
+    }
+    return i;
+}
+
+/* The n-byte field s as a double in *value; 0 unless all of it is one
+ * number.  strtod reads a NUL-terminated copy, since the field may end
+ * the buffer, in the "C" locale the caller set; it rounds correctly, as
+ * Python's float() does, so both give the same double. */
+static int parse_number(const char *s, ptrdiff_t n, double *value)
+{
+    char small[64], *copy = small;
+    if (n == 0 || number_length(s, n) != n)
+        return 0;
+    if (n >= (ptrdiff_t)sizeof small && (copy = malloc((size_t)n + 1)) == NULL)
+        return 0;
+    memcpy(copy, s, (size_t)n);
+    copy[n] = '\0';
+    *value = strtod(copy, NULL);
+    if (copy != small)
+        free(copy);
+    return 1;
+}
+
+/* A label: its n bytes at s, its first 8 bytes zero-padded and 32 bits
+ * of its hash. */
+struct label {
+    const char *s;
+    ptrdiff_t n;
+    uint64_t head;
+    uint32_t tag;
+};
+
+static struct label label_of(const char *s, ptrdiff_t n)
+{
+    struct label key = {s, n, 0, 0};
+    uint64_t h = (uint64_t)n * 0x9E3779B97F4A7C15ULL;
+    for (ptrdiff_t i = 0; i < n; i += 8) {
+        uint64_t word = 0;
+        memcpy(&word, s + i, n - i < 8 ? (size_t)(n - i) : 8);
+        if (i == 0)
+            key.head = word;
+        h = (h ^ word) * 0xBF58476D1CE4E5B9ULL;
+        h ^= h >> 31;
+    }
+    h *= 0x94D049BB133111EBULL;
+    key.tag = (uint32_t)(h >> 32);
+    return key;
+}
+
+/* Edge-list labels queued for their ids, so that the random reads of
+ * their slots overlap instead of waiting one at a time. */
+#define QUEUE 64
+#ifdef __GNUC__
+#define PREFETCH(p) __builtin_prefetch(p)
+#else
+#define PREFETCH(p) ((void)(p))
+#endif
+
+/* Distinct labels in first-appearance order, each appended to text and
+ * followed by '\n'.  Label i is text[entries[i].name, entries[i + 1].name
+ * - 1); a label file keeps node i's class the same way in cls.  A slot
+ * holds a label's head and tag, the tag also placing the slot (so
+ * growing rehashes no label), and its id + 1, 0 when empty.  No label
+ * holds a NUL, so a label shorter than 8 bytes is known by its head
+ * alone, without a visit to entries or text.  The queue holds edge-list
+ * labels whose slots are prefetched; queue[k]'s id goes to ids[done + k]. */
+struct table {
+    struct slot { uint64_t head; uint32_t tag, id; } *slots;
+    uint64_t mask;
+    struct entry { ptrdiff_t name, cls; } *entries;
+    ptrdiff_t count, capacity, size, done;
+    char *text;
+    struct label queue[QUEUE];
+    int queued;
+};
+
+/* Room for one more label: entries grow when full, slots double at half
+ * load.  0 when memory or the 31-bit ids run out. */
+static int table_reserve(struct table *t)
+{
+    if (t->count >= 0x7FFFFFFF)
+        return 0;
+    if (t->count + 2 > t->capacity) {
+        ptrdiff_t capacity = t->capacity ? 2 * t->capacity : 1024;
+        struct entry *entries = realloc(t->entries,
+                                        (size_t)capacity * sizeof *entries);
+        if (entries == NULL)
+            return 0;
+        if (t->capacity == 0)
+            entries[0].name = entries[0].cls = 0;
+        t->entries = entries;
+        t->capacity = capacity;
+    }
+    if ((uint64_t)t->count * 2 < t->mask)
+        return 1;
+    uint64_t mask = t->mask ? 2 * t->mask + 1 : 2047;
+    struct slot *slots = calloc(mask + 1, sizeof *slots);
+    if (slots == NULL)
+        return 0;
+    for (uint64_t i = 0; t->slots != NULL && i <= t->mask; i++) {
+        uint64_t j = t->slots[i].tag;
+        if (t->slots[i].id == 0)
+            continue;
+        while (slots[j & mask].id != 0)
+            j++;
+        slots[j & mask] = t->slots[i];
+    }
+    free(t->slots);
+    t->slots = slots;
+    t->mask = mask;
+    return 1;
+}
+
+/* The id of the label, added if new (*added set to 1); -1 when memory
+ * runs out. */
+static ptrdiff_t table_id(struct table *t, const struct label *key,
+                          int *added)
+{
+    if (!table_reserve(t))
+        return -1;
+    uint64_t j = key->tag;
+    for (struct slot *slot; (slot = t->slots + (j & t->mask))->id != 0; j++) {
+        if (slot->tag != key->tag || slot->head != key->head)
+            continue;
+        ptrdiff_t id = (ptrdiff_t)slot->id - 1, at = t->entries[id].name;
+        if (key->n < 8 || (t->entries[id + 1].name - at - 1 == key->n &&
+                           memcmp(t->text + at, key->s, (size_t)key->n) == 0)) {
+            *added = 0;
+            return id;
+        }
+    }
+    ptrdiff_t id = t->count++;
+    t->slots[j & t->mask] = (struct slot){key->head, key->tag,
+                                          (uint32_t)(id + 1)};
+    memcpy(t->text + t->size, key->s, (size_t)key->n);
+    t->size += key->n;
+    t->text[t->size++] = '\n';
+    t->entries[id + 1].name = t->size;
+    *added = 1;
+    return id;
+}
+
+/* Give the queued labels their ids, in order; 0 when memory runs out. */
+static int flush(struct table *t, int64_t *ids)
+{
+    int added;
+    for (int k = 0; k < t->queued; k++) {
+        ptrdiff_t id = table_id(t, t->queue + k, &added);
+        if (id < 0)
+            return 0;
+        ids[t->done++] = id;
+    }
+    t->queued = 0;
+    return 1;
+}
+
+/* The arrays modembed_scan fills, sized by the caller for a text of
+ * `size` bytes, L newlines and T tabs: ids 2 (L + 1) and values L + 1
+ * for an edge list, values T for embedding rows, names and classes
+ * size + 1 bytes. */
+struct modembed_scan {
+    int64_t *ids;   /* edges: the two label ids of each edge */
+    double *values; /* edges: weights; rows: the rows x columns values */
+    char *names;    /* distinct labels (edges), nodes (labels) or row
+                       labels (rows), each followed by '\n' */
+    char *classes;  /* labels: each node's class, followed by '\n' */
+    ptrdiff_t rows; /* edges, distinct labelled nodes or embedding rows */
+    ptrdiff_t columns, names_size, classes_size;
+};
+
+enum { SCAN_EDGES, SCAN_LABELS, SCAN_ROWS };
+
+/* An edge-list line [s, e): `u w [weight]` split on runs of ' ' and
+ * '\t'; blank, or a comment when its first field starts with '#'. */
+static int edge_line(struct table *t, const char *s, const char *e,
+                     struct modembed_scan *out)
+{
+    const char *field[3][2];
+    int count = 0;
+    for (;;) {
+        while (s < e && (*s == ' ' || *s == '\t'))
+            s++;
+        if (s == e)
+            break;
+        if (count == 3)
+            return 0;
+        field[count][0] = s;
+        while (s < e && *s != ' ' && *s != '\t')
+            s++;
+        field[count++][1] = s;
+    }
+    if (count == 0 || *field[0][0] == '#')
+        return 1;
+    double weight = 1.0;
+    if (count == 1 || (count == 3 && !(parse_number(
+            field[2][0], field[2][1] - field[2][0], &weight) &&
+            weight >= 0.0 && !isinf(weight))))
+        return 0;
+    for (int j = 0; j < 2; j++) {
+        struct label *key = t->queue + t->queued++;
+        *key = label_of(field[j][0], field[j][1] - field[j][0]);
+        if (t->slots != NULL)
+            PREFETCH(t->slots + (key->tag & t->mask));
+    }
+    out->values[out->rows++] = weight;
+    return t->queued < QUEUE || flush(t, out->ids);
+}
+
+/* A label-file line [s, e): `node<TAB>class`; empty, or a comment when
+ * its first character after spaces and tabs is '#'.  A node seen before
+ * must come with the same class. */
+static int label_line(struct table *t, const char *s, const char *e,
+                      struct modembed_scan *out)
+{
+    const char *p = s;
+    while (p < e && (*p == ' ' || *p == '\t'))
+        p++;
+    if (s == e || (p < e && *p == '#'))
+        return 1;
+    const char *tab = memchr(s, '\t', (size_t)(e - s));
+    if (tab == NULL || memchr(tab + 1, '\t', (size_t)(e - tab - 1)) != NULL)
+        return 0;
+    const char *cls = tab + 1;
+    ptrdiff_t n = e - cls;
+    struct label key = label_of(s, tab - s);
+    int added;
+    ptrdiff_t id = table_id(t, &key, &added);
+    if (id < 0)
+        return 0;
+    struct entry *entry = t->entries + id;
+    if (!added)
+        return entry[1].cls - entry->cls - 1 == n &&
+               memcmp(out->classes + entry->cls, cls, (size_t)n) == 0;
+    memcpy(out->classes + out->classes_size, cls, (size_t)n);
+    out->classes_size += n;
+    out->classes[out->classes_size++] = '\n';
+    entry[1].cls = out->classes_size;
+    out->rows++;
+    return 1;
+}
+
+/* An embedding line [s, e): `label<TAB>v1<TAB>...<TAB>vC` with the C of
+ * the first row, or empty. */
+static int row_line(const char *s, const char *e, struct modembed_scan *out)
+{
+    const char *tab = memchr(s, '\t', (size_t)(e - s)), *stop;
+    if (tab == NULL)
+        return s == e;
+    double *row = out->values + out->rows * out->columns;
+    ptrdiff_t columns = 0;
+    for (const char *v = tab; v < e; v = stop) {
+        v++;
+        stop = memchr(v, '\t', (size_t)(e - v));
+        if (stop == NULL)
+            stop = e;
+        if ((out->rows > 0 && columns == out->columns) ||
+            !parse_number(v, stop - v, row + columns))
+            return 0;
+        columns++;
+    }
+    if (out->rows > 0 && columns != out->columns)
+        return 0;
+    memcpy(out->names + out->names_size, s, (size_t)(tab - s));
+    out->names_size += tab - s;
+    out->names[out->names_size++] = '\n';
+    out->columns = columns;
+    out->rows++;
+    return 1;
+}
+
+/* Read the size bytes at text as an edge list (kind SCAN_EDGES), a label
+ * file (SCAN_LABELS) or embedding rows (SCAN_ROWS) into *out, as
+ * graph.load_edge_list, tasks.load_labels and
+ * embedding.load_embedding_tsv read them.  Returns 1 when read, and 0,
+ * with *out unspecified, when the text is not the scanner's to read: a
+ * foreign() byte, a line the Python loop would reject (field counts, a
+ * number not of number_length's form, a negative or infinite weight, a
+ * conflicting class, ragged rows), no edge, label or row at all, or no
+ * memory or "C" locale left.  The Python loop then reads the file and
+ * gives its result or its error. */
+int modembed_scan(int kind, const char *text, ptrdiff_t size,
+                  struct modembed_scan *out)
+{
+    for (ptrdiff_t i = 0; i < size; i++)
+        if (foreign((unsigned char)text[i]))
+            return 0;
+    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+    if (c_locale == (locale_t)0)
+        return 0;
+    locale_t caller = uselocale(c_locale);
+    struct table t = {.text = out->names};
+    out->rows = out->columns = out->names_size = out->classes_size = 0;
+    int ok = 1;
+    const char *end = text + size;
+    for (const char *s = text, *e; ok && s < end; s = e + (e < end)) {
+        e = memchr(s, '\n', (size_t)(end - s));
+        if (e == NULL)
+            e = end;
+        ok = kind == SCAN_EDGES ? edge_line(&t, s, e, out)
+           : kind == SCAN_LABELS ? label_line(&t, s, e, out)
+           : row_line(s, e, out);
+    }
+    if (kind == SCAN_EDGES)
+        ok = ok && flush(&t, out->ids);
+    if (kind != SCAN_ROWS)
+        out->names_size = t.size;
+    free(t.slots);
+    free(t.entries);
+    uselocale(caller);
+    freelocale(c_locale);
+    return ok && out->rows > 0;
 }

@@ -2,11 +2,17 @@
 
 The library holds the rotation loops of the dense eigensolvers
 (`spectral`), the '%.17g' row formatter behind every TSV writer
-(`graph._write_rows`) and `modembed_sweep`, one pass of the softmax or
+(`graph._write_rows`), `modembed_sweep`, one pass of the softmax or
 sphere rule, which `sweep` prepares for the one kernel builder,
-`clustering._kernel`; each computes the same bytes as the Python code
-it stands in for.  The sweep calls numpy's own inner loops for exp,
-the reductions and the matrix products, which `numpy_loop` reads from
+`clustering._kernel`, and `modembed_scan`, the one scanner behind the
+edge-list, label and embedding readers, which `scan` calls; each
+computes the same bytes as the Python code it stands in for.  The
+scanner reads only files that the readers' line loops would read the
+same way (ASCII, no NUL, '\\r', '\\x0b', '\\x0c' or '\\x1c'-'\\x1f', every
+line well formed, every number of the form
+`[+-]?digits[.digits][(e|E)[+-]digits]`) and leaves all others, errors
+included, to the loops.  The sweep calls numpy's own inner loops for
+exp, the reductions and the matrix products, which `numpy_loop` reads from
 the ufunc objects.  `library()` compiles `_native.c` with the system C
 compiler the first time it is called, caches the shared library under
 the user cache directory, keyed by the sha256 of the source, the flags
@@ -116,6 +122,9 @@ def library():
         ctypes.POINTER(_Operator), ctypes.c_void_p * 8, array, size, offsets,
         size, ctypes.c_int, ctypes.c_double, array)
     lib.modembed_sweep.restype = size
+    lib.modembed_scan.argtypes = (ctypes.c_int, ctypes.c_char_p, size,
+                                  ctypes.POINTER(_Scan))
+    lib.modembed_scan.restype = ctypes.c_int
     return lib
 
 
@@ -240,3 +249,57 @@ def sweep(rule, Q, H, aggregate, rows, weight):
         return run(op, loops, H, K, rows, rows.size, index, weight, scratch)
 
     return visit
+
+
+class _Scan(ctypes.Structure):
+    """The C struct modembed_scan."""
+    _fields_ = [*((name, ctypes.c_void_p) for name in (
+        "ids", "values", "names", "classes")),
+        *((name, ctypes.c_ssize_t) for name in (
+            "rows", "columns", "names_size", "classes_size"))]
+
+
+_SCAN_KINDS = ("edges", "labels", "rows")
+
+
+def scan(kind, path):
+    """The file at `path` as the compiled scanner reads it, or None when
+    the library is missing or the scanner leaves the file to the Python
+    loop, which gives the same result or raises the error.
+
+    kind "edges" gives (ids, weights, labels) for an edge list: the two
+    label ids of each edge as 2 m int64, the m weights and the distinct
+    labels in first-appearance order.  "labels" gives (nodes, classes)
+    for a label file: the distinct nodes in first-appearance order and
+    the class of each.  "rows" gives (labels, values) for an embedding
+    TSV: the row labels and the rows as an m x C float64 array.  Only
+    regular files are scanned: the loop must be able to read a declined
+    file again, which a pipe does not allow.
+    """
+    lib = library()
+    if lib is None or not os.path.isfile(path):
+        return None
+    with open(path, "rb") as fh:
+        text = fh.read()
+    # The sizes modembed_scan's contract asks for; pages never written
+    # are never touched.
+    lines = text.count(b"\n") + 1 if kind == "edges" else 0
+    ids = np.empty(2 * lines, np.int64)
+    values = np.empty(text.count(b"\t") if kind == "rows" else lines)
+    names = np.empty(len(text) + 1, np.uint8)
+    classes = np.empty(len(text) + 1 if kind == "labels" else 0, np.uint8)
+    out = _Scan(*(a.ctypes.data for a in (ids, values, names, classes)))
+    if not lib.modembed_scan(_SCAN_KINDS.index(kind), text, len(text),
+                             ctypes.byref(out)):
+        return None
+    labels = _lines(names, out.names_size)
+    if kind == "labels":
+        return labels, _lines(classes, out.classes_size)
+    if kind == "rows":
+        return labels, values.reshape(out.rows, out.columns)
+    return ids[:2 * out.rows], values[:out.rows], labels
+
+
+def _lines(buffer, size):
+    """The '\\n'-terminated ASCII lines in the first `size` bytes."""
+    return str(memoryview(buffer)[:size], "ascii").split("\n")[:-1]

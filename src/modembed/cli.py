@@ -106,6 +106,17 @@ def _load_label_ids(path, graph):
     return nodes, classes, class_names
 
 
+def _load_finite_rows(path):
+    """load_embedding_tsv, refusing a file that holds NaN or infinity,
+    which would make every bound, fit and score computed from it NaN."""
+    labels, rows = load_embedding_tsv(path)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite value in the row of node "
+                         f"{labels[bad[0]]!r}")
+    return labels, rows
+
+
 def _sweep(args):
     """The sweep settings every iteration takes, under the keyword names
     of the configs, the library calls and the manifest params."""
@@ -234,7 +245,7 @@ def _cmd_verify(args):
     params = {"k": 2}
     if args.assignment:
         inputs["assignment"] = args.assignment
-        labels, H = load_embedding_tsv(args.assignment)
+        labels, H = _load_finite_rows(args.assignment)
         if labels != [str(lab) for lab in graph.node_labels]:
             raise ValueError("assignment rows do not match the graph's nodes")
         if H.shape[1] != 2:
@@ -309,7 +320,7 @@ def _cmd_reduce(args):
 def _cmd_eval(args):
     if args.task == "classify" and not args.labels:
         raise ValueError("eval classify requires --labels")
-    emb_labels, X = load_embedding_tsv(args.embeddings)
+    emb_labels, X = _load_finite_rows(args.embeddings)
     graph = load_edge_list(args.graph)
     inputs = {"embeddings": args.embeddings, "graph": args.graph}
     if emb_labels != [str(lab) for lab in graph.node_labels]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import clustering
+from . import _native, clustering
 from .clustering import ClusterConfig, HARD_THETA, hard_labels
 from .graph import _DENSE_LIMIT, _write_rows, from_bivariate
 
@@ -270,7 +270,12 @@ def save_embedding_tsv(path, embedding_rows, node_labels):
 
 def load_embedding_tsv(path):
     """Read an embedding TSV, skipping blank lines; returns (node_labels,
-    matrix).  Errors name the first offending line."""
+    matrix).  Errors name the first offending line.  The compiled
+    scanner reads the file when it can (see `_native.scan`); otherwise
+    the line loop below does, with the same result or error."""
+    scanned = _native.scan("rows", path)
+    if scanned is not None:
+        return scanned
     labels, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -268,22 +268,39 @@ def _invalid_weight(wt, u, w):
     return ValueError(f"invalid weight {wt!r} on edge ({u!r}, {w!r})")
 
 
+def _label_ids(labels, nodes):
+    """(int64 indices of `labels`, indexed labels in index order), with
+    indices handed out in first-appearance order, declared `nodes` (or
+    None) first."""
+    index = defaultdict(count().__next__)
+    if nodes is not None:
+        for lab in nodes:
+            index[lab]
+    ids = np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
+    return ids, list(index)
+
+
 def _assemble(ends, weights, nodes):
     """Build a sampled graph from edge endpoints and weights.
 
     ends is the flat label sequence u0, w0, u1, w1, ...; weights are
     already validated.  Labels get indices in first-appearance order
-    (declared `nodes` first).  Weights of the same unordered pair sum in
-    input order and the total sums the positive pair weights left to
-    right in first-appearance order, so every stored mass is rounded the
-    same way whatever the edge count.
+    (declared `nodes` first).
     """
-    index = defaultdict(count().__next__)
-    if nodes is not None:
-        for lab in nodes:
-            index[lab]
-    ids = np.fromiter(map(index.__getitem__, ends), np.int64, len(ends))
-    n = len(index)
+    ids, labels = _label_ids(ends, nodes)
+    return _from_ids(ids, weights, labels)
+
+
+def _from_ids(ids, weights, labels):
+    """Build a sampled graph from the flat int64 label indices u0, w0,
+    u1, w1, ... of its edges, their validated weights and the labels.
+
+    Weights of the same unordered pair sum in input order and the total
+    sums the positive pair weights left to right in first-appearance
+    order, so every stored mass is rounded the same way whatever the
+    edge count.
+    """
+    n = len(labels)
     ids = ids.reshape(-1, 2)
     keys = ids.min(axis=1) * n + ids.max(axis=1)
     keys, first, inverse = np.unique(
@@ -311,7 +328,7 @@ def _assemble(ends, weights, nodes):
         )
     else:
         off = sparse.csr_array((n, n), dtype=float)
-    return SampledGraph(n, off, diag, list(index))
+    return SampledGraph(n, off, diag, labels)
 
 
 def from_edge_list(edges, nodes=None):
@@ -391,7 +408,19 @@ def load_edge_list(path, nodes=None):
     are arbitrary strings.  Errors name the first offending line; a
     negative or non-finite weight is rejected once the whole file has
     parsed.
+
+    The compiled scanner reads the file when it can (see `_native.scan`)
+    and hands out label indices itself; declared `nodes` then index its
+    distinct labels, not every endpoint.  Otherwise the line loop below
+    reads it, with the same result or error.
     """
+    scanned = _native.scan("edges", path)
+    if scanned is not None:
+        ids, weights, labels = scanned
+        if nodes is not None:
+            remap, labels = _label_ids(labels, nodes)
+            ids = remap[ids]
+        return _from_ids(ids, weights, labels)
     ends, weights = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

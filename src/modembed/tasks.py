@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .graph import _write_rows
 
 __all__ = [
@@ -169,7 +170,8 @@ def stratified_split(y, train_fraction, rng):
         k = min(max(k, 1), members.size - 1)
         train.extend(members[:k].tolist())
         test.extend(members[k:].tolist())
-    return np.array(sorted(train)), np.array(sorted(test)), singletons
+    return (np.array(sorted(train), dtype=np.int64),
+            np.array(sorted(test), dtype=np.int64), singletons)
 
 
 def accuracy_score(y_true, y_pred):
@@ -253,6 +255,8 @@ def _evaluate(draw, train_fraction, repetitions, seed):
         n_classes = int(y.max()) + 1
         auc_applicable = (np.bincount(y, minlength=n_classes) != 1).all()
         train, test, _ = stratified_split(y, train_fraction, rng)
+        if not test.size:
+            raise ValueError("empty test set")
         model = SoftmaxRegression(n_classes).fit(X[train], y[train])
         proba = model.predict_proba(X[test])
         pred = np.argmax(proba, axis=1)
@@ -340,8 +344,14 @@ def load_labels(path, graph):
 
     Returns ({node: class}, node indices): the indices are the graph
     indices of the map's nodes in the map's order, from the one lookup
-    that checks the nodes exist.
+    that checks the nodes exist.  The compiled scanner reads the file
+    when it can (see `_native.scan`); otherwise the line loop below
+    does, with the same result or error.
     """
+    scanned = _native.scan("labels", path)
+    if scanned is not None:
+        nodes, classes = scanned
+        return dict(zip(nodes, classes)), graph.indices_of(nodes)
     labels = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -444,6 +444,46 @@ def test_eval_rejects_mismatched_embeddings(tmp_path, sbm_file):
     assert code == 1
 
 
+def test_eval_classify_rejects_a_split_without_test_nodes(tmp_path, capsys):
+    """Every labelled class has one member, so each goes whole to train."""
+    graph_path, labels, emb = (tmp_path / name for name in
+                               ("g.tsv", "l.tsv", "e.tsv"))
+    graph_path.write_text("a\tb\nb\tc\n")
+    labels.write_text("a\tx\nb\ty\n")
+    emb.write_text("a\t1\t0\nb\t0\t1\nc\t1\t1\n")
+    out = tmp_path / "m.tsv"
+    code = main(["eval", "classify", "--graph", str(graph_path),
+                 "--embeddings", str(emb), "--labels", str(labels),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: empty test set\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["verify", "classify", "link"])
+def test_non_finite_rows_are_user_errors(tmp_path, sbm_file, capsys, command,
+                                         value):
+    graph_path, labels_path = sbm_file
+    nodes = load_edge_list(graph_path).node_labels
+    rows = np.full((len(nodes), 2), 0.5)
+    rows[5, 1] = float(value)
+    emb = tmp_path / "rows.tsv"
+    save_embedding_tsv(emb, rows, nodes)
+    out = tmp_path / "out.tsv"
+    if command == "verify":
+        argv = ["verify", "--assignment", str(emb)]
+    else:
+        argv = ["eval", command, "--embeddings", str(emb), "--labels",
+                str(labels_path)]
+    code = main(argv + ["--graph", str(graph_path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {emb}: non-finite value in the row of node "
+        f"{str(nodes[5])!r}\n")
+    assert not out.exists()
+
+
 def test_missing_input_is_user_error(tmp_path):
     code = main(["embed", "cafe", "--graph", str(tmp_path / "absent.tsv"),
                  "--k", "2", "--out", str(tmp_path / "e.tsv")])

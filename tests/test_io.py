@@ -2,11 +2,15 @@
 replaced, which are kept below as oracles: graphs must match bit for bit,
 written files byte for byte, and errors in type, message and line."""
 
+import decimal
 import locale
 import math
+import os
+import re
 import shutil
 import subprocess
 import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -225,6 +229,14 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def both_paths(fn, *args, **kwargs):
+    """[outcome() on the compiled path, outcome() with the library patched
+    away]: a reader's compiled scanner and its line loop."""
+    compiled = outcome(fn, *args, **kwargs)
+    with mock.patch.object(_native, "library", lambda: None):
+        return [compiled, outcome(fn, *args, **kwargs)]
+
+
 def assert_same_graph(a, b):
     for name in ("indptr", "indices", "data", "diag_mass", "marginal"):
         x, y = getattr(a, name), getattr(b, name)
@@ -302,10 +314,7 @@ def test_load_edge_list_matches_oracle(tmp_path, lines, nodes, final_eol):
         text = text.rstrip("\r\n")
     path = tmp_path / "g.tsv"
     path.write_bytes(text.encode("utf-8"))
-    got = outcome(graph.load_edge_list, path, nodes=nodes)
-    want = outcome(oracle_load_edge_list, path, nodes=nodes)
-    if assert_same_outcome(got, want):
-        assert_same_graph(got[1], want[1])
+    assert_reads_like_oracle("edges", path, nodes=nodes)
 
 
 # 1, 1.0 and True are one dict key; the first one seen names the node.
@@ -343,12 +352,11 @@ def test_from_edge_list_matches_oracle(edges, nodes):
 def test_load_edge_list_errors(tmp_path, text, message):
     path = tmp_path / "g.tsv"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError) as got:
-        graph.load_edge_list(path)
     with pytest.raises(ValueError) as want:
         oracle_load_edge_list(path)
-    assert str(got.value) == str(want.value)
-    assert str(got.value).replace(str(tmp_path) + "/", "") == message
+    assert str(want.value).replace(str(tmp_path) + "/", "") == message
+    for got in both_paths(graph.load_edge_list, path):
+        assert got == (ValueError, str(want.value))
 
 
 def test_edges_and_save_edge_list_match_oracle(tmp_path):
@@ -627,12 +635,7 @@ def emb_line(draw):
 def test_load_embedding_tsv_matches_oracle(tmp_path, lines):
     path = tmp_path / "e.tsv"
     path.write_bytes("".join(lines).encode("utf-8"))
-    got = outcome(load_embedding_tsv, path)
-    want = outcome(oracle_load_embedding_tsv, path)
-    if assert_same_outcome(got, want):
-        assert got[1][0] == want[1][0]
-        assert got[1][1].shape == want[1][1].shape
-        assert got[1][1].tobytes() == want[1][1].tobytes()
+    assert_reads_like_oracle("rows", path)
 
 
 # --- the small writers: metrics, eigenvalues, reports, residuals -----------
@@ -762,14 +765,7 @@ LABEL_GRAPH = graph.from_edge_list([("a", "b"), ("b", "c"), ("c", "é"),
 def test_load_labels_matches_oracle(tmp_path, lines):
     path = tmp_path / "l.tsv"
     path.write_bytes("".join(lines).encode("utf-8"))
-    got = outcome(load_labels, path, LABEL_GRAPH)
-    want = outcome(oracle_load_labels, path, LABEL_GRAPH)
-    if assert_same_outcome(got, want):
-        labels, index = got[1]
-        assert list(labels.items()) == list(want[1].items())
-        assert index.dtype == np.int64
-        assert index.tolist() == [LABEL_GRAPH.index_of(node)
-                                  for node in want[1]]
+    assert_reads_like_oracle("labels", path)
 
 
 def test_indices_of_names_first_unknown_label(karate):
@@ -777,6 +773,251 @@ def test_indices_of_names_first_unknown_label(karate):
         karate.index_of(33), karate.index_of(0)]
     with pytest.raises(KeyError, match="'x'"):
         karate.indices_of([0, "x", "y"])
+
+
+# --- the compiled scanner ----------------------------------------------------
+
+def assert_reads_like_oracle(kind, path, nodes=None, labelled=LABEL_GRAPH):
+    """The reader of `kind` ("edges", "labels" or "rows") gives the
+    oracle's result or error on both paths; label files name the nodes
+    of `labelled`."""
+    if kind == "edges":
+        want = outcome(oracle_load_edge_list, path, nodes=nodes)
+        for got in both_paths(graph.load_edge_list, path, nodes=nodes):
+            if assert_same_outcome(got, want):
+                assert_same_graph(got[1], want[1])
+    elif kind == "labels":
+        want = outcome(oracle_load_labels, path, labelled)
+        for got in both_paths(load_labels, path, labelled):
+            if assert_same_outcome(got, want):
+                labels, index = got[1]
+                assert list(labels.items()) == list(want[1].items())
+                assert index.dtype == np.int64
+                assert index.tolist() == [labelled.index_of(node)
+                                          for node in want[1]]
+    else:
+        want = outcome(oracle_load_embedding_tsv, path)
+        for got in both_paths(load_embedding_tsv, path):
+            if assert_same_outcome(got, want):
+                assert got[1][0] == want[1][0]
+                assert got[1][1].dtype == want[1][1].dtype
+                assert got[1][1].shape == want[1][1].shape
+                assert got[1][1].tobytes() == want[1][1].tobytes()
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler")
+GRAMMAR = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+DIGITS = st.text("0123456789", min_size=1, max_size=24)
+# Numbers of the scanner's grammar: 20+ digit mantissas, exponents past
+# either end of the double range.
+NUMBER = st.builds(
+    "{}{}{}{}".format, st.sampled_from(["", "", "+", "-"]), DIGITS,
+    st.just("") | DIGITS.map(".".__add__),
+    st.just("") | st.builds("{}{}{}".format, st.sampled_from("eE"),
+                            st.sampled_from(["", "+", "-"]),
+                            st.integers(0, 400).map(str)
+                            | st.just("99999999999999999999")))
+
+
+def midpoint(x):
+    """The exact decimal halfway between x >= 0 and the next double."""
+    with decimal.localcontext() as context:
+        context.prec = 1200
+        return str((decimal.Decimal(x) +
+                    decimal.Decimal(math.nextafter(x, math.inf))) / 2)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+GRAMMAR_NUMBER = (NUMBER | FINITE.map(repr)
+                  | st.tuples(st.sampled_from(["", "-"]),
+                              FINITE.map(abs).filter(
+                                  lambda x: x < sys.float_info.max)
+                              .map(midpoint)).map("".join))
+
+
+@needs_cc
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(numbers=st.lists(GRAMMAR_NUMBER, min_size=1, max_size=20))
+@example(numbers=[
+    "-0", "-0.0e-5", "+0", "4.9406564584124654e-324",
+    "2.4703282292062327e-324", "2.4703282292062328e-324",
+    "2.2250738585072011e-308", "1.7976931348623157e308",
+    "1.7976931348623158e308", "1.7976931348623159e308",
+    "9007199254740993", "9007199254740995",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203124",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "0.1", "1e23", "8.41e21", "1" + "0" * 400, "0." + "0" * 400 + "1",
+    "1e-400", "1e400", "123456789012345678901234567890",
+    "1e99999999999999999999", "1e-99999999999999999999",
+    "0e99999999999999999999", "3" * 1000])
+def test_strtod_matches_float_on_the_scanner_grammar(tmp_path, numbers):
+    """The scanner's strtod gives float()'s double, by bits: subnormals,
+    long mantissas, halfway cases, -0 and exponent overflow included."""
+    assert all(GRAMMAR.fullmatch(x) for x in numbers)
+    path = tmp_path / "n.tsv"
+    path.write_text("".join(f"v\t{x}\n" for x in numbers))
+    scanned = _native.scan("rows", path)
+    assert scanned is not None
+    want = np.array([[float(x)] for x in numbers])
+    assert scanned[1].tobytes() == want.tobytes()
+
+
+# ASCII files of the kinds the scanner reads, with a few lines it leaves
+# to the loop: numbers outside its grammar, negative or infinite weights,
+# bad field counts, conflicting classes, ragged rows.  Labels of 8 bytes
+# and more, two of them alike in their first 8, reach the full compare.
+ASCII_LABELS = ["a", "b", "c", "dd", "0", "00", "x#", "12345678",
+                "node_label_a", "node_label_b"]
+ASCII_GRAPH = graph.from_edge_list(
+    [(u, w) for u, w in zip(ASCII_LABELS, ASCII_LABELS[1:])]
+    + [("a b", "a"), (" a", "a")])
+OFF_GRAMMAR = st.sampled_from(["1.", ".5", "1_0", "inf", "nan", "0x1", "-1"])
+
+
+@st.composite
+def ascii_file(draw, kind):
+    columns = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        shape = draw(st.sampled_from(
+            ["line"] * 8 + ["weighted", "weighted", "comment", "blank",
+                            "odd"]))
+        if shape == "comment" and kind != "rows":
+            line = draw(st.sampled_from(["#", "# a b", " \t#x\ty", "#1 2"]))
+        elif shape == "blank":
+            line = ""
+        elif kind == "edges":
+            sep = draw(st.sampled_from([" ", "\t", "  \t"]))
+            fields = [draw(st.sampled_from(ASCII_LABELS)),
+                      draw(st.sampled_from(ASCII_LABELS + ["#h"]))]
+            if shape == "weighted":
+                fields.append(draw(NUMBER.filter(lambda x: x[0] != "-")
+                                   | st.just("-0.0") | OFF_GRAMMAR))
+            elif shape == "odd":
+                fields = draw(st.sampled_from([fields[:1], fields * 2]))
+            line = sep.join(fields)
+        elif kind == "labels":
+            label = draw(st.sampled_from(ASCII_LABELS + ["a b", " a", "q"]))
+            cls = f"k{len(label) % 3}"
+            if shape == "odd":
+                cls = draw(st.sampled_from(["k0", "", "k1\tx"]))
+            line = f"{label}\t{cls}"
+        else:
+            label = draw(st.sampled_from(ASCII_LABELS + ["", "#c", " d"]))
+            width = columns + (shape == "odd")
+            value = NUMBER | OFF_GRAMMAR if shape == "weighted" else NUMBER
+            values = draw(st.lists(value, min_size=width, max_size=width))
+            line = "\t".join([label] + values)
+        lines.append(line + "\n")
+    text = "".join(lines)
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+@needs_cc
+@pytest.mark.parametrize("kind", ["edges", "labels", "rows"])
+def test_compiled_scanner_reads_most_ascii_files(tmp_path, monkeypatch, kind):
+    """Each drawn file reads as the oracle reads it on both paths, and a
+    good share of them is read by the compiled scanner, not the loop."""
+    lib = _native.library()
+    accepted = []
+
+    def spy(*args, _scan=lib.modembed_scan):
+        accepted.append(_scan(*args))
+        return accepted[-1]
+
+    monkeypatch.setattr(lib, "modembed_scan", spy)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=ascii_file(kind), nodes=st.none() | st.lists(
+        st.sampled_from(ASCII_LABELS + ["iso"]), max_size=4))
+    def check(text, nodes):
+        path = tmp_path / "f.tsv"
+        path.write_bytes(text.encode("ascii"))
+        assert_reads_like_oracle(kind, path, nodes=nodes,
+                                 labelled=ASCII_GRAPH)
+
+    check()
+    assert len(accepted) >= 100
+    assert sum(accepted) >= len(accepted) / 4, (sum(accepted), len(accepted))
+
+
+@pytest.mark.parametrize("kind, clean, tail", [
+    ("edges", "a b\nb c 2\n", "c d\r"),
+    ("edges", "a b\nb c 2\n", "c dé"),
+    ("edges", "a b\nb c 2\n", "c d 1_0"),
+    ("edges", "a b\nb c 2\n", "c d nan"),
+    ("edges", "a b\nb c 2\n", "c d 1e999"),
+    ("labels", "a\tk1\nb\tk2\n", "c\tk1\r"),
+    ("labels", "a\tk1\nb\tk2\n", "c\tké"),
+    ("labels", "a\tk1\nb\tk2\n", "a\tk2"),
+    ("rows", "a\t1\t2\n", "b\t3\t1_0"),
+    ("rows", "a\t1\t2\n", "b\t3\tnan"),
+    ("rows", "a\t1\t2\n", "b\t3"),
+    ("rows", "a\t1\t2\n", "b\t3\t4\r"),
+    ("rows", "a\t1\t2\n", "é\t3\t4"),
+])
+def test_files_the_scanner_declines_at_the_end_read_like_the_loop(
+        tmp_path, kind, clean, tail):
+    """A file the scanner reads up to its last line, which then holds a
+    byte or a line that the scanner leaves to the loop: the loop reads
+    the whole file and gives its result or error."""
+    path = tmp_path / "f.tsv"
+    if _native.library() is not None:
+        path.write_text(clean, encoding="utf-8")
+        assert _native.scan(kind, path) is not None
+        path.write_text(clean + tail, encoding="utf-8", newline="")
+        assert _native.scan(kind, path) is None
+    path.write_text(clean + tail, encoding="utf-8", newline="")
+    labelled = graph.from_edge_list([("a", "b"), ("b", "c")])
+    assert_reads_like_oracle(kind, path, labelled=labelled)
+
+
+def test_readers_read_a_pipe_once(tmp_path):
+    """A pipe cannot be read twice, so the loop reads it, errors and
+    all, and the scanner never opens it."""
+    fifo = tmp_path / "g.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("a b\nc\n",),
+                              daemon=True)
+    writer.start()
+    got = []
+    reader = threading.Thread(
+        target=lambda: got.append(outcome(graph.load_edge_list, fifo)),
+        daemon=True)
+    reader.start()
+    reader.join(timeout=30)
+    writer.join(timeout=30)
+    assert not reader.is_alive() and not writer.is_alive()
+    assert got == [(ValueError, f"{fifo}:2: expected 'u w [weight]', got "
+                                f"1 fields")]
+
+
+@needs_cc
+def test_scanner_survives_hostile_buffers_under_sanitizers(tmp_path):
+    """tests/native_scan_check.c feeds the scanner empty, unterminated,
+    comment-only, 64 KiB-label, 1,000-digit and 100,000-field texts, every
+    byte value and random texts, each in a block of its exact size."""
+    flags = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+             "-g", "-O1", "-ffp-contract=off"]
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    built = subprocess.run(["cc", *flags, "-o", str(tmp_path / "probe"),
+                            str(probe)], capture_output=True)
+    if built.returncode or subprocess.run([str(tmp_path / "probe")],
+                                          capture_output=True).returncode:
+        pytest.skip("no sanitizer support")
+    driver = os.path.join(os.path.dirname(__file__), "native_scan_check.c")
+    binary = tmp_path / "scan_check"
+    built = subprocess.run(["cc", *flags, "-o", str(binary), driver,
+                            _native._SOURCE, "-lm"],
+                           capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    run = subprocess.run([str(binary)], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
 
 
 # --- ranks and start-up ----------------------------------------------------

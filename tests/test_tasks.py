@@ -81,6 +81,16 @@ def test_stratified_split_keeps_both_sides_nonempty():
     assert (y[train] == 0).sum() == 1 and (y[test] == 0).sum() == 1
 
 
+def test_stratified_split_of_singletons_has_an_empty_int_test_side():
+    train, test, singletons = stratified_split(
+        np.array([0, 1]), 0.5, np.random.default_rng(0))
+    assert train.dtype == test.dtype == np.int64
+    assert train.tolist() == [0, 1] and test.size == 0
+    assert singletons == [0, 1]
+    with pytest.raises(ValueError, match="^empty test set$"):
+        classify(np.eye(2), [0, 1], repetitions=1)
+
+
 def test_softmax_regression_separable_and_deterministic():
     rng = np.random.default_rng(8)
     X = np.vstack([

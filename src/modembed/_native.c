@@ -1,9 +1,10 @@
 /* Compiled loops behind _native.library(): the rotation loops of the
  * dense eigensolvers in spectral.py, the %.17g row writer behind
  * embedding.save_embedding_tsv and graph.save_edge_list, the one CAFE
- * and sphere sweep behind clustering._kernel, modembed_sweep, and the
- * one TSV scanner behind graph.load_edge_list, tasks.load_labels and
- * embedding.load_embedding_tsv, modembed_scan.
+ * and sphere sweep behind clustering._kernel, modembed_sweep, the
+ * modularity operator's Q @ H behind ModularityMatrix.apply,
+ * modembed_apply, and the one TSV scanner behind graph.load_edge_list,
+ * tasks.load_labels and embedding.load_embedding_tsv, modembed_scan.
  *
  * Each rotation function repeats its Python loop operation for
  * operation: the same IEEE operations on the same doubles in the same
@@ -25,6 +26,14 @@
  * with numpy's arguments, read from the ufunc objects by
  * _native.numpy_loop; the elementwise + - * / and comparisons are plain
  * C, exact under -ffp-contract=off.
+ *
+ * modembed_apply forms Q @ H for ModularityMatrix.apply in one pass over
+ * the CSR rows, reusing the sweep's struct modembed_operator with H as its
+ * strided block x; every entry takes the operations of the numpy path in
+ * the same order, so the bytes are the same.  The one exception is the
+ * sign of a NaN made where NaNs of both signs meet in an add: x86 returns
+ * one operand's, and numpy's own add loop picks a different operand from
+ * one position to the next.
  *
  * modembed_scan reads a file's bytes once.  It takes the file only when
  * the text is ASCII with no NUL, '\r', '\x0b', '\x0c' or '\x1c'-'\x1f',
@@ -539,6 +548,53 @@ ptrdiff_t modembed_sweep(const struct modembed_operator *op,
         memcpy(h, row, (size_t)k * sizeof(double));
     }
     return skipped;
+}
+
+/* --- Q @ H ---------------------------------------------------------------- */
+
+/* out = Q @ H for the modularity operator of op's graph, as
+ * ModularityMatrix.apply forms it: H is op's n x k block x at byte
+ * strides (x_row, x_col), c = marginal @ H, diag the diagonal mass (or
+ * the squared marginal for a zeroed diagonal), out a row-major n x k
+ * array.  Each entry's sparse part starts at 0.0 and adds
+ * data[p] * H[indices[p], j] over the row's stored entries in order, as
+ * scipy's csr_matvecs and the numpy fallback do; then it becomes
+ * (sum - pi_i * c_j) + diag_i * H[i, j].  Four columns are summed at a
+ * time in registers, so each stored entry is read once per four columns
+ * and no partial sum goes through memory. */
+void modembed_apply(const struct modembed_operator *op, ptrdiff_t n,
+                    ptrdiff_t k, const double *c, const double *diag,
+                    double *out)
+{
+    const ptrdiff_t hr = op->x_row, hc = op->x_col;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const ptrdiff_t s = op->indptr[i], e = op->indptr[i + 1];
+        const double pi = op->marginal[i], d = diag[i];
+        const char *hi = op->x + i * hr;
+        double *o = out + i * k;
+        ptrdiff_t j = 0;
+        for (; j + 4 <= k; j += 4) {
+            double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+            for (ptrdiff_t p = s; p < e; p++) {
+                const double a = op->data[p];
+                const char *x = op->x + op->indices[p] * hr + j * hc;
+                s0 = s0 + a * AT(x, 0);
+                s1 = s1 + a * AT(x, hc);
+                s2 = s2 + a * AT(x, 2 * hc);
+                s3 = s3 + a * AT(x, 3 * hc);
+            }
+            o[j] = (s0 - pi * c[j]) + d * AT(hi, j * hc);
+            o[j + 1] = (s1 - pi * c[j + 1]) + d * AT(hi, (j + 1) * hc);
+            o[j + 2] = (s2 - pi * c[j + 2]) + d * AT(hi, (j + 2) * hc);
+            o[j + 3] = (s3 - pi * c[j + 3]) + d * AT(hi, (j + 3) * hc);
+        }
+        for (; j < k; j++) {
+            double s0 = 0.0;
+            for (ptrdiff_t p = s; p < e; p++)
+                s0 = s0 + op->data[p] * AT(op->x, op->indices[p] * hr + j * hc);
+            o[j] = (s0 - pi * c[j]) + d * AT(hi, j * hc);
+        }
+    }
 }
 
 /* --- TSV readers ------------------------------------------------------- */

@@ -4,9 +4,11 @@ The library holds the rotation loops of the dense eigensolvers
 (`spectral`), the '%.17g' row formatter behind every TSV writer
 (`graph._write_rows`), `modembed_sweep`, one pass of the softmax or
 sphere rule, which `sweep` prepares for the one kernel builder,
-`clustering._kernel`, and `modembed_scan`, the one scanner behind the
-edge-list, label and embedding readers, which `scan` calls; each
-computes the same bytes as the Python code it stands in for.  The
+`clustering._kernel`, `modembed_apply`, the modularity operator's
+Q @ H in one pass over the CSR rows, which `apply` calls for
+`graph.ModularityMatrix.apply`, and `modembed_scan`, the one scanner
+behind the edge-list, label and embedding readers, which `scan` calls;
+each computes the same bytes as the Python code it stands in for.  The
 scanner reads only files that the readers' line loops would read the
 same way (ASCII, no NUL, '\\r', '\\x0b', '\\x0c' or '\\x1c'-'\\x1f', every
 line well formed, every number of the form
@@ -31,8 +33,6 @@ import functools
 import hashlib
 import os
 import platform
-import subprocess
-import tempfile
 
 import numpy as np
 
@@ -68,6 +68,11 @@ def _compile(key):
     path = os.path.join(directory, f"_native-{key}.so")
     if os.path.isfile(path):
         return path
+    # Only a build needs these, and importing them costs every process
+    # that finds its library cached about 15 ms.
+    import subprocess
+    import tempfile
+
     try:
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
     except OSError:
@@ -122,6 +127,11 @@ def library():
         ctypes.POINTER(_Operator), ctypes.c_void_p * 8, array, size, offsets,
         size, ctypes.c_int, ctypes.c_double, array)
     lib.modembed_sweep.restype = size
+    vector = np.ctypeslib.ndpointer(np.float64, ndim=1,
+                                    flags=("C_CONTIGUOUS", "ALIGNED"))
+    lib.modembed_apply.argtypes = (ctypes.POINTER(_Operator), size, size,
+                                   vector, vector, array)
+    lib.modembed_apply.restype = None
     lib.modembed_scan.argtypes = (ctypes.c_int, ctypes.c_char_p, size,
                                   ctypes.POINTER(_Scan))
     lib.modembed_scan.restype = ctypes.c_int
@@ -197,6 +207,15 @@ class _Operator(ctypes.Structure):
             "L", "x_row", "x_col", "agg_row", "agg_col"))]
 
 
+def _graph_arrays(graph):
+    """The graph's indptr, indices, data and marginal as the struct's
+    pointers read them: C-contiguous ptrdiff_t and float64 arrays (the
+    graph's own on 64-bit platforms)."""
+    return [np.ascontiguousarray(a, dtype=dtype) for a, dtype in (
+        (graph.indptr, np.intp), (graph.indices, np.intp),
+        (graph.data, np.float64), (graph.marginal, np.float64))]
+
+
 def sweep(rule, Q, H, aggregate, rows, weight):
     """visit() that runs the compiled `rule` on `rows` of the C-ordered
     float64 matrix H in order, or None when the library or a numpy loop
@@ -219,9 +238,7 @@ def sweep(rule, Q, H, aggregate, rows, weight):
     K = H.shape[1]
     graph = getattr(Q, "graph", None)
     if graph is not None:
-        arrays = [np.ascontiguousarray(a, dtype=dtype) for a, dtype in (
-            (graph.indptr, np.intp), (graph.indices, np.intp),
-            (graph.data, np.float64), (graph.marginal, np.float64))]
+        arrays = _graph_arrays(graph)
         degree = int(np.diff(arrays[0]).max(initial=0))
         op = _Operator(*(a.ctypes.data for a in arrays))
         shape, name = (K,), "S"
@@ -249,6 +266,24 @@ def sweep(rule, Q, H, aggregate, rows, weight):
         return run(op, loops, H, K, rows, rows.size, index, weight, scratch)
 
     return visit
+
+
+def apply(graph, H, c, diag):
+    """Q @ H for the modularity operator of `graph`, as a new C-order
+    array, from the float64 n x K block H (any strides), c = marginal @ H
+    and the diagonal `diag`; None when the library is missing.  The bytes
+    are those of `ModularityMatrix.apply`'s numpy path."""
+    lib = library()
+    if lib is None:
+        return None
+    if not H.flags.aligned:
+        H = H.copy()
+    arrays = _graph_arrays(graph)
+    op = _Operator(*(a.ctypes.data for a in arrays), x=H.ctypes.data,
+                   x_row=H.strides[0], x_col=H.strides[1])
+    out = np.empty(H.shape)
+    lib.modembed_apply(ctypes.byref(op), *H.shape, c, diag, out)
+    return out
 
 
 class _Scan(ctypes.Structure):

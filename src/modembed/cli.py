@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from . import __version__, clustering
+from . import __version__, _native, clustering
 from .clustering import ClusterConfig
 from .embedding import (
     cafe_embed,
@@ -85,6 +85,9 @@ def _write_manifest(command, params, input_paths, output_paths, started,
         },
         "outputs": {str(p): _sha256(p) for p in output_paths},
         "wall_clock_s": round(time.time() - started, 6),
+        # Whether the compiled loops ran; the Python loops give the same
+        # bytes, only slower.
+        "compiled": _native.library() is not None,
     }
     if extra:
         manifest.update(extra)
@@ -127,6 +130,12 @@ def _sibling(out, tag):
     """`emb.tsv` -> `emb.TAG.tsv`; a suffix-less `out` gets `.tsv`."""
     stem, suffix = os.path.splitext(out)
     return f"{stem}.{tag}{suffix or '.tsv'}"
+
+
+def _stop_reason(result):
+    """Why the sweeps stopped: the objective change fell below tol, or
+    the sweep cap came first."""
+    return "tol" if result.converged else "max_sweeps"
 
 
 def _print_run(result):
@@ -181,7 +190,8 @@ def _cmd_embed_cafe(args):
     _print_run(result)
     params = {"mode": "cafe", "k": k, "theta": args.theta,
               "full_label": args.full_label, **sweep}
-    extra = {"objective_trace": result.objective_trace}
+    extra = {"objective_trace": result.objective_trace,
+             "stop_reason": _stop_reason(result)}
     return outputs, inputs, params, extra, 0
 
 
@@ -196,7 +206,8 @@ def _cmd_embed_sphere(args):
     _print_run(result)
     params = {"mode": "sphere", "k": args.k, "beta": args.beta, **sweep}
     extra = {"objective_trace": result.objective_trace,
-             "degenerate_updates": result.degenerate_updates}
+             "degenerate_updates": result.degenerate_updates,
+             "stop_reason": _stop_reason(result)}
     return [args.out], {"graph": args.graph}, params, extra, 0
 
 
@@ -314,7 +325,8 @@ def _cmd_reduce(args):
     )
     params = {"source": source, "k": args.k, "theta": args.theta,
               "method": args.method, "beta": args.beta, **sweep}
-    return [args.out, residual_path, recon_path], inputs, params, None, 0
+    return ([args.out, residual_path, recon_path], inputs, params,
+            {"stop_reason": _stop_reason(result)}, 0)
 
 
 def _cmd_eval(args):

@@ -21,7 +21,6 @@ from collections import defaultdict
 from itertools import count
 
 import numpy as np
-from scipy import sparse
 
 from . import _native
 
@@ -50,44 +49,44 @@ class SampledGraph:
     """Symmetric pair distribution stored as CSR off-diagonal mass plus a
     diagonal mass vector.
 
+    Row u of the off-diagonal mass p(u, w), w != u, is
+    data[indptr[u]:indptr[u + 1]] at the columns
+    indices[indptr[u]:indptr[u + 1]], which rise strictly within the row.
+    The constructor stores indptr and indices as int64 and data as
+    float64, and raises ValueError on arrays that are not such a CSR
+    matrix, n x n with n = len(indptr) - 1.
+
     Attributes:
         n: number of nodes.
+        indptr, indices, data: the CSR arrays of the off-diagonal mass.
         node_labels: list of original labels in index order.
         diag_mass: length-n vector of p(u, u).
         marginal: length-n vector p_U = p_W (equal by symmetry).
     """
 
-    def __init__(self, n, off_diag, diag_mass, node_labels):
-        self.n = int(n)
-        self._P = sparse.csr_array(off_diag)
-        self._P.sort_indices()
-        self.diag_mass = np.asarray(diag_mass, dtype=float)
+    def __init__(self, indptr, indices, data, diag_mass, node_labels):
+        # Contiguous and aligned, as the compiled loops read them.
+        self.indptr = np.require(indptr, np.int64, "CA")
+        self.indices = np.require(indices, np.int64, "CA")
+        self.data = np.require(data, np.float64, "CA")
+        self.n = self.indptr.size - 1
+        self.diag_mass = np.require(diag_mass, np.float64, "CA")
+        _check_csr(self.n, self.indptr, self.indices, self.data,
+                   self.diag_mass)
         self.node_labels = list(node_labels)
         self._index = dict(zip(self.node_labels, range(len(self.node_labels))))
         if len(self._index) != self.n:
             raise ValueError(f"expected {self.n} distinct node labels, got "
                              f"{len(self._index)}")
         row_mass = np.add.reduceat(
-            np.append(self._P.data, 0.0), self._P.indptr[:-1]
+            np.append(self.data, 0.0), self.indptr[:-1]
         )
-        row_mass[np.diff(self._P.indptr) == 0] = 0.0
+        row_mass[np.diff(self.indptr) == 0] = 0.0
         self.marginal = row_mass + self.diag_mass
 
     @property
-    def indptr(self):
-        return self._P.indptr
-
-    @property
-    def indices(self):
-        return self._P.indices
-
-    @property
-    def data(self):
-        return self._P.data
-
-    @property
     def total_mass(self):
-        return float(self._P.data.sum() + self.diag_mass.sum())
+        return float(self.data.sum() + self.diag_mass.sum())
 
     def index_of(self, label):
         try:
@@ -109,10 +108,10 @@ class SampledGraph:
         self._check_index(w)
         if u == w:
             return float(self.diag_mass[u])
-        s, e = self._P.indptr[u], self._P.indptr[u + 1]
-        pos = np.searchsorted(self._P.indices[s:e], w)
-        if pos < e - s and self._P.indices[s + pos] == w:
-            return float(self._P.data[s + pos])
+        s, e = self.indptr[u], self.indptr[u + 1]
+        pos = np.searchsorted(self.indices[s:e], w)
+        if pos < e - s and self.indices[s + pos] == w:
+            return float(self.data[s + pos])
         return 0.0
 
     def modularity_matrix(self, diag_zeroed=False):
@@ -128,19 +127,49 @@ class SampledGraph:
     def _pair_weights(self):
         """The pairs of `edges()` as columns u, w plus each pair's total
         mass: p(u, u) for a self pair, p(u, w) + p(w, u) otherwise."""
-        rows = np.repeat(np.arange(self.n), np.diff(self._P.indptr))
-        upper = rows < self._P.indices
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = rows < self.indices
         loops = np.flatnonzero(self.diag_mass > 0.0)
         u = np.concatenate([loops, rows[upper]])
-        w = np.concatenate([loops, self._P.indices[upper]])
+        w = np.concatenate([loops, self.indices[upper]])
         mass = np.concatenate([self.diag_mass[loops],
-                               2.0 * self._P.data[upper]])
+                               2.0 * self.data[upper]])
         order = np.lexsort((w, u))
         return u[order], w[order], mass[order]
 
     def _check_index(self, u):
         if not 0 <= u < self.n:
             raise IndexError(f"node index {u} out of range [0, {self.n})")
+
+
+def _check_csr(n, indptr, indices, data, diag_mass):
+    """Raise ValueError unless the arrays are an n x n CSR matrix with no
+    diagonal entry and strictly rising columns in every row, plus a
+    length-n diagonal."""
+    m = indices.size
+    if indptr.ndim != 1 or n < 0 or indices.ndim != 1 or (
+            data.shape != indices.shape or diag_mass.shape != (n,)):
+        raise ValueError(
+            f"expected 1-D indptr, indices and data of one length and "
+            f"{n} diagonal masses, got shapes {indptr.shape}, "
+            f"{indices.shape}, {data.shape} and {diag_mass.shape}")
+    if indptr[0] != 0 or indptr[-1] != m or (indptr[1:] < indptr[:-1]).any():
+        raise ValueError(f"indptr must rise from 0 to {m}")
+    if m and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError(f"column indices must lie in [0, {n})")
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    if (rows == indices).any():
+        raise ValueError("the diagonal mass belongs in diag_mass, not in "
+                         "the CSR arrays")
+    if not ((indices[1:] > indices[:-1]) | (rows[1:] > rows[:-1])).all():
+        raise ValueError("column indices must rise strictly within each row")
+
+
+def _indptr(counts):
+    """CSR row pointers for the per-row entry counts, as int64."""
+    indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
 
 
 class MarginalAggregate:
@@ -186,24 +215,39 @@ class ModularityMatrix:
         return ModularityMatrix(self.graph, diag_zeroed=False)
 
     def apply(self, H):
-        """Q @ H without materializing Q: the sparse part, minus the
-        rank-one correction, plus the diagonal mass, in that order for
-        every entry.  The last two terms are formed a block of rows at
-        a time, so no temporary as large as H is made."""
+        """Q @ H without materializing Q.  Every entry is the sparse
+        part, its row's stored entries summed in order from 0.0, minus
+        the rank-one correction pi_i * (pi @ H)_k, plus the diagonal mass
+        times H's entry, in that order.  The compiled library forms it
+        in one pass over the rows (`_native.apply`); without it, numpy
+        sums the k-th stored entry of every row at step k and forms the
+        last two terms a block of rows at a time, so no temporary as
+        large as H is made.  Both give the same bytes, but for the sign
+        of a NaN made where NaNs of both signs meet."""
         H = np.asarray(H, dtype=float)
         squeeze = H.ndim == 1
         if squeeze:
             H = H[:, None]
         g = self.graph
-        out = g._P @ H
+        if H.ndim != 2 or H.shape[0] != g.n:
+            raise ValueError(f"expected {g.n} rows, got shape {H.shape}")
         pi = g.marginal
         c = pi @ H
         diag = pi ** 2 if self.diag_zeroed else g.diag_mass
-        step = max(1, _APPLY_BLOCK_VALUES // max(1, H.shape[1]))
-        for s in range(0, g.n, step):
-            block = out[s:s + step]
-            block -= np.outer(pi[s:s + step], c)
-            block += diag[s:s + step, None] * H[s:s + step]
+        out = _native.apply(g, H, c, diag)
+        if out is None:
+            out = np.zeros(H.shape)
+            counts = np.diff(g.indptr)
+            rows = np.arange(g.n)
+            for k in range(int(counts.max(initial=0))):
+                rows = rows[counts[rows] > k]
+                at = g.indptr[rows] + k
+                out[rows] += g.data[at, None] * H[g.indices[at]]
+            step = max(1, _APPLY_BLOCK_VALUES // max(1, H.shape[1]))
+            for s in range(0, g.n, step):
+                block = out[s:s + step]
+                block -= np.outer(pi[s:s + step], c)
+                block += diag[s:s + step, None] * H[s:s + step]
         return out[:, 0] if squeeze else out
 
     def make_aggregate(self, H):
@@ -256,7 +300,9 @@ class ModularityMatrix:
             raise ValueError(
                 f"refusing to densify at n={self.n} (> {_DENSE_LIMIT})")
         g = self.graph
-        Q = g._P.toarray()
+        Q = np.zeros((g.n, g.n))
+        rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+        np.add.at(Q, (rows, g.indices), g.data)
         Q += np.diag(g.diag_mass)
         Q -= np.outer(g.marginal, g.marginal)
         if self.diag_zeroed:
@@ -320,15 +366,17 @@ def _from_ids(ids, weights, labels):
     # Off-diagonal mass splits evenly over the two directions.
     p = pair_weight[~loop] / (2.0 * total)
     i, j = i[~loop], j[~loop]
-    if p.size:
-        off = sparse.csr_array(
-            (np.concatenate([p, p]),
-             (np.concatenate([i, j]), np.concatenate([j, i]))),
-            shape=(n, n),
-        )
-    else:
-        off = sparse.csr_array((n, n), dtype=float)
-    return SampledGraph(n, off, diag, labels)
+    # Each pair in both directions, (i, j) then (j, i), sorted by row and
+    # column; the keys are distinct, so any sort gives the same order.
+    key = np.concatenate([i * n + j, j * n + i])
+    order = np.argsort(key)
+    indices = key[order]
+    indices %= n
+    del key
+    indptr = _indptr(np.bincount(i, minlength=n) + np.bincount(j, minlength=n))
+    # order < p.size picks p[order], the rest p[order - p.size].
+    return SampledGraph(indptr, indices, np.take(p, order, mode="wrap"),
+                        diag, labels)
 
 
 def from_edge_list(edges, nodes=None):
@@ -398,8 +446,10 @@ def from_bivariate(P, node_labels=None):
     if node_labels is None:
         node_labels = list(range(n))
     diag = np.diag(P).copy()
-    off = sparse.csr_array(P - np.diag(diag))
-    return SampledGraph(n, off, diag, node_labels)
+    off = P - np.diag(diag)
+    rows, indices = np.nonzero(off)
+    return SampledGraph(_indptr(np.bincount(rows, minlength=n)), indices,
+                        off[rows, indices], diag, node_labels)
 
 
 def load_edge_list(path, nodes=None):

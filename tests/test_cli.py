@@ -1,8 +1,10 @@
 """End-to-end CLI: files in, files out, manifests, exit codes."""
 
+import contextlib
 import hashlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from modembed import cli, clustering, datasets
+from modembed import _native, cli, clustering, datasets
 from modembed.cli import build_parser, main
 from modembed.graph import load_edge_list
 from modembed.embedding import load_embedding_tsv, save_embedding_tsv
@@ -584,3 +586,120 @@ def test_identical_invocations_are_byte_identical(tmp_path, sbm_file):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# --- manifests: which path ran, why the sweeps stopped ----------------------
+
+def _manifest(path):
+    return json.loads(Path(f"{path}.manifest.json").read_text())
+
+
+def _compiled_path(compiled):
+    """The compiled loops as found, or none at all."""
+    if compiled:
+        if _native.library() is None:
+            pytest.skip("no compiled library")
+        return contextlib.nullcontext()
+    return mock.patch.object(_native, "library", lambda: None)
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_manifests_record_the_path_and_the_stop_reason(tmp_path, sbm_file,
+                                                       capsys, compiled):
+    graph_path, labels_path = sbm_file
+    g = str(graph_path)
+    runs = {
+        "cafe": ["embed", "cafe", "--graph", g, "--k", "2"],
+        "capped": ["embed", "cafe", "--graph", g, "--k", "3",
+                   "--max-sweeps", "1", "--tol", "0"],
+        "sphere": ["embed", "sphere", "--graph", g, "--k", "3",
+                   "--max-sweeps", "2", "--tol", "0"],
+        "reduce": ["reduce", "--cloud", "circles", "--k", "2"],
+        "multilayer": ["embed", "multilayer", "--graph", g],
+        "verify": ["verify", "--graph", g],
+        "eigs": ["eigs", "--graph", g, "--topk", "2"],
+        "classify": ["eval", "classify", "--graph", g, "--embeddings",
+                     str(tmp_path / "sphere.tsv"), "--labels",
+                     str(labels_path), "--reps", "2"],
+    }
+    with _compiled_path(compiled):
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}.tsv"
+            assert main([*argv, "--out", str(out)]) == 0, name
+            manifest = _manifest(out)
+            assert manifest["compiled"] is compiled, name
+            printed = capsys.readouterr().out
+            if name in ("cafe", "capped", "sphere", "reduce"):
+                converged = "converged=True" in printed
+                assert "converged=False" in printed or converged
+                assert manifest["stop_reason"] == (
+                    "tol" if converged else "max_sweeps"), name
+            else:
+                assert "stop_reason" not in manifest, name
+    for name in ("capped", "sphere"):
+        assert _manifest(tmp_path / f"{name}.tsv")["stop_reason"] == \
+            "max_sweeps"
+    assert _manifest(tmp_path / "cafe.tsv")["stop_reason"] == "tol"
+
+
+# --- scipy is not a runtime dependency ---------------------------------------
+
+# Runs `cli.main` on each argv list of the JSON file argv[2], in order.
+# With argv[1] == "block", a meta-path finder first makes every import of
+# scipy fail.
+_RUN_COMMANDS = """
+import json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, BlockScipy())
+    try:
+        import scipy
+    except ImportError:
+        pass
+    else:
+        sys.exit("scipy imported through the block")
+from modembed.cli import main
+for argv in json.load(open(sys.argv[2])):
+    if main(argv) != 0:
+        sys.exit(f"failed: {argv}")
+"""
+
+
+def test_every_command_runs_the_same_without_scipy(tmp_path, sbm_file):
+    graph_path, labels_path = sbm_file
+    g = str(graph_path)
+    commands = [
+        ["embed", "cafe", "--graph", g, "--k", "3", "--out", "cafe.tsv"],
+        ["embed", "sphere", "--graph", g, "--k", "3", "--out", "sphere.tsv"],
+        ["embed", "multilayer", "--graph", g, "--out", "ml.tsv"],
+        ["verify", "--graph", g, "--out", "verify.tsv"],
+        ["eigs", "--graph", g, "--topk", "3", "--vectors-out", "vec.tsv",
+         "--out", "eigs.tsv"],
+        ["eval", "classify", "--graph", g, "--embeddings", "sphere.tsv",
+         "--labels", str(labels_path), "--reps", "3", "--out", "cls.tsv"],
+    ]
+    script = tmp_path / "run.py"
+    script.write_text(_RUN_COMMANDS)
+    (tmp_path / "commands.json").write_text(json.dumps(commands))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    written = {}
+    for mode in ("block", "free"):
+        work = tmp_path / mode
+        work.mkdir()
+        proc = subprocess.run(
+            [sys.executable, str(script), mode,
+             str(tmp_path / "commands.json")],
+            cwd=work, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        written[mode] = {p.name: p.read_bytes()
+                         for p in sorted(work.glob("*.tsv"))}
+    assert {"cafe.tsv", "sphere.tsv", "ml.tsv", "ml.membership.tsv",
+            "verify.tsv", "eigs.tsv", "vec.tsv", "cls.tsv"} <= set(
+                written["free"])
+    assert written["block"] == written["free"]

@@ -93,7 +93,33 @@ def oracle_from_edge_list(edges, nodes=None):
         )
     else:
         off = sparse.csr_array((n, n), dtype=float)
-    return graph.SampledGraph(n, off, diag, labels)
+    return scipy_graph(off, diag, labels)
+
+
+def scipy_graph(off, diag, labels):
+    """The graph of scipy's CSR build, its indices sorted in place."""
+    off.sort_indices()
+    return graph.SampledGraph(off.indptr, off.indices, off.data, diag, labels)
+
+
+def oracle_from_bivariate(P):
+    """`from_bivariate` on valid input, with scipy's dense-to-CSR build."""
+    P = np.asarray(P, dtype=float)
+    diag = np.diag(P).copy()
+    return scipy_graph(sparse.csr_array(P - np.diag(diag)), diag,
+                       list(range(P.shape[0])))
+
+
+def oracle_dense(Q):
+    """`ModularityMatrix.dense` through scipy's `toarray`."""
+    g = Q.graph
+    out = sparse.csr_array((g.data, g.indices, g.indptr),
+                           shape=(g.n, g.n)).toarray()
+    out += np.diag(g.diag_mass)
+    out -= np.outer(g.marginal, g.marginal)
+    if Q.diag_zeroed:
+        np.fill_diagonal(out, 0.0)
+    return out
 
 
 def oracle_load_edge_list(path, nodes=None):
@@ -334,6 +360,68 @@ def test_from_edge_list_matches_oracle(edges, nodes):
     want = outcome(oracle_from_edge_list, edges, nodes=nodes)
     if assert_same_outcome(got, want):
         assert_same_graph(got[1], want[1])
+
+
+@st.composite
+def mass_matrix(draw):
+    """Symmetric nonnegative matrices summing to one: zeros, a zero
+    diagonal, subnormal and repeated values all occur."""
+    n = draw(st.integers(1, 8))
+    values = st.sampled_from([0.0, 0.0, 1.0, 2.5, 1e-300, 5e-324]) | (
+        st.floats(0.0, 1e3))
+    A = np.array(draw(st.lists(values, min_size=n * n, max_size=n * n)))
+    A = A.reshape(n, n)
+    A = np.triu(A) + np.triu(A, 1).T
+    if draw(st.booleans()):
+        np.fill_diagonal(A, 0.0)
+    total = A.sum()
+    if total == 0.0:
+        A[0, 0], total = 1.0, 1.0
+    return A / total
+
+
+@IO_SETTINGS
+@given(P=mass_matrix())
+def test_from_bivariate_matches_scipy(P):
+    got = outcome(graph.from_bivariate, P)
+    if got[0] == "ok":
+        assert_same_graph(got[1], oracle_from_bivariate(P))
+
+
+@IO_SETTINGS
+@given(edges=st.lists(EDGE, min_size=1, max_size=30), zeroed=st.booleans())
+def test_dense_matches_scipy(edges, zeroed):
+    got = outcome(graph.from_edge_list, edges)
+    if got[0] == "ok":
+        Q = got[1].modularity_matrix(diag_zeroed=zeroed)
+        want = oracle_dense(Q)
+        assert Q.dense().dtype == want.dtype
+        assert Q.dense().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("arrays, message", [
+    (([0, 1], [0], [1.0], [0.5]), "diagonal"),
+    (([1, 1], [0], [1.0], [0.5]), "indptr"),
+    (([0, 2, 1], [1, 0], [1.0, 1.0], [0.0, 0.0]), "indptr"),
+    (([0, 1, 2], [2, 0], [1.0, 1.0], [0.0, 0.0]), r"\[0, 2\)"),
+    (([0, 1, 2], [-1, 0], [1.0, 1.0], [0.0, 0.0]), r"\[0, 2\)"),
+    (([0, 2, 2], [1, 1], [1.0, 1.0], [0.0, 0.0]), "rise strictly"),
+    (([0, 2, 2, 2], [2, 1], [1.0, 1.0], [0.0] * 3), "rise strictly"),
+    (([0, 1, 1], [1], [1.0, 2.0], [0.0, 0.0]), "one length"),
+    (([], [], [], []), "one length"),
+])
+def test_constructor_rejects_arrays_that_are_not_csr(arrays, message):
+    indptr, indices, data, diag = arrays
+    with pytest.raises(ValueError, match=message):
+        graph.SampledGraph(indptr, indices, data, diag,
+                           list(range(max(len(indptr) - 1, 0))))
+
+
+def test_constructor_keeps_a_row_that_starts_below_the_last_one():
+    g = graph.SampledGraph([0, 1, 2, 2], [2, 0], [0.25, 0.25], [0.5, 0, 0],
+                           "abc")
+    assert g.pair_mass(0, 2) == 0.25 and g.pair_mass(1, 0) == 0.25
+    assert g.indptr.dtype == g.indices.dtype == np.int64
 
 
 @pytest.mark.parametrize("text, message", [
@@ -1034,6 +1122,15 @@ def test_rankdata_matches_scipy(values):
     assert got.dtype == want.dtype
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, modembed.cli; "
+            "sys.exit(' '.join(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy') or None)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

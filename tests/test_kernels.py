@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from modembed import _native, clustering, graph, spectral, sphere, tasks
 from modembed.clustering import (
@@ -193,13 +194,15 @@ def oracle_fit(model, X, y):
 
 
 def oracle_apply(Q, H):
-    """`ModularityMatrix.apply` with whole-matrix temporaries."""
+    """`ModularityMatrix.apply` with whole-matrix temporaries and scipy's
+    CSR product."""
     H = np.asarray(H, dtype=float)
     squeeze = H.ndim == 1
     if squeeze:
         H = H[:, None]
     g = Q.graph
-    out = g._P @ H
+    out = sparse.csr_array((g.data, g.indices, g.indptr),
+                           shape=(g.n, g.n)) @ H
     pi = g.marginal
     out -= np.outer(pi, pi @ H)
     if Q.diag_zeroed:
@@ -904,7 +907,15 @@ def test_jacobi_matches_python_loop_on_f_order_input():
 
 # --- operator apply -----------------------------------------------------------
 
-# Shapes on both sides of the 8192-value row blocks, K = 0 included.
+def apply_path(path):
+    """`Q.apply` compiled, or on its numpy path when no library loads."""
+    if path == "plain":
+        return mock.patch.object(_native, "library", lambda: None)
+    return contextlib.nullcontext()
+
+
+# Shapes on both sides of the 8192-value row blocks and of the compiled
+# pass's four-column chunks, K = 0 included.
 @pytest.mark.parametrize("n, K", [(5, 0), (9000, 1), (3000, 3), (40, 205),
                                   (7, 8192), (5, 8193)])
 @pytest.mark.parametrize("diag_zeroed", [False, True])
@@ -912,7 +923,56 @@ def test_apply_matches_oracle(n, K, diag_zeroed):
     Q = _path_graph(n, isolated=2).modularity_matrix(diag_zeroed=diag_zeroed)
     H = np.random.default_rng(n + K).standard_normal((n + 2, K))
     for X in (H, np.asfortranarray(H), H[:, 0] if K else H[:, :0]):
-        assert same_bytes(Q.apply(X), oracle_apply(Q, X))
+        for path in PATHS:
+            with apply_path(path):
+                assert same_bytes(Q.apply(X), oracle_apply(Q, X)), path
+
+
+# Special values come from one family per block.  Where a NaN meets a
+# NaN of the other sign (np.nan against the -NaN that inf - inf or
+# 0 * inf makes), x86 returns one operand's sign, and numpy's own add
+# loop picks a different operand from one position to the next, so no
+# two paths could agree on those bytes.
+SPECIALS = st.sampled_from([(0.0, -0.0, np.nan), (0.0, -0.0, np.inf, -np.inf)])
+
+
+@st.composite
+def apply_case(draw):
+    """A weighted graph (isolated nodes, self-loops and empty rows all
+    occur) and a block H over it in C order, F order, with strided
+    columns or 1-D, K = 1 to 40."""
+    g = draw(weighted_graph())
+    K = draw(st.integers(1, 40))
+    value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(draw(SPECIALS)))
+    H = np.array(draw(st.lists(value, min_size=g.n * 2 * K,
+                               max_size=g.n * 2 * K))).reshape(g.n, 2 * K)
+    layout = draw(st.sampled_from(["C", "F", "strided", "1-D"]))
+    if layout == "strided":
+        H = H[:, ::2]
+    else:
+        H = np.array(H[:, :K], order="F" if layout == "F" else "C")
+        if layout == "1-D":
+            H = H[:, 0]
+    return g.modularity_matrix(diag_zeroed=draw(st.booleans())), H
+
+
+@SETTINGS
+@given(case=apply_case(), path=st.sampled_from(PATHS))
+def test_apply_matches_oracle_on_any_block(case, path):
+    Q, H = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with apply_path(path):
+            got = Q.apply(H)
+        assert same_bytes(got, oracle_apply(Q, H))
+
+
+def test_apply_rejects_a_block_of_another_height(karate):
+    Q = karate.modularity_matrix()
+    for H in (np.ones((karate.n + 1, 2)), np.ones(3), np.ones((karate.n, 2, 2))):
+        for path in PATHS:
+            with apply_path(path), pytest.raises(ValueError, match="rows"):
+                Q.apply(H)
 
 
 # --- thin QR ------------------------------------------------------------------

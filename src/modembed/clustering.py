@@ -14,7 +14,7 @@ maximum.  Rows pinned by known labels are never touched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,9 +47,9 @@ class ClusterConfig:
     """Knobs for a clustering run.
 
     n_clusters: number of columns K.
-    theta: inverse temperature (> 0); higher is harder.
+    theta: inverse temperature (finite, > 0); higher is harder.
     max_sweeps: cap on full passes over the nodes.
-    tol: absolute objective-change threshold declaring convergence.
+    tol: absolute objective-change threshold declaring convergence (>= 0).
     seed: RNG seed for row initialization.
     """
 
@@ -62,10 +62,14 @@ class ClusterConfig:
     def __post_init__(self):
         if self.n_clusters < 1:
             raise ValueError(f"n_clusters must be >= 1, got {self.n_clusters}")
-        if not self.theta > 0.0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
+        if not 0.0 < self.theta < np.inf:
+            raise ValueError(f"theta must be positive and finite, got "
+                             f"{self.theta}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+        # A NaN or negative tol could never be met.
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass
@@ -73,7 +77,7 @@ class SoftAssignment:
     """Row-stochastic assignment matrix plus the set of pinned rows."""
 
     H: np.ndarray
-    pinned: dict = field(default_factory=dict)
+    pinned: dict
 
 
 @dataclass

@@ -66,7 +66,6 @@ class CafeResult:
 
     embedding: EmbeddingMatrix
     assignment: np.ndarray  # pruned soft assignment actually fed to QR
-    kept_columns: np.ndarray
     objective: float
     sweeps: int
     converged: bool
@@ -79,7 +78,6 @@ class LayerResult:
 
     level: int
     C: int
-    assignment: np.ndarray  # soft rows over this level's supernodes
     embedding: EmbeddingMatrix
     membership: np.ndarray  # original node -> this level's cluster
     modularity: float
@@ -88,14 +86,14 @@ class LayerResult:
 def prune_zero_columns(H):
     """Drop columns whose maximum entry is below ZERO_COLUMN_THRESHOLD.
 
-    Returns (H_kept, kept_indices).  Rows are not renormalized; the mass
-    removed is below the threshold per row by construction.
+    Rows are not renormalized; the mass removed is below the threshold
+    per row by construction.
     """
     H = np.asarray(H)
     keep = np.flatnonzero(H.max(axis=0) >= ZERO_COLUMN_THRESHOLD)
     if keep.size == 0:
         raise ValueError("all columns empty; nothing to embed")
-    return H[:, keep], keep
+    return H[:, keep]
 
 
 def qr_embed(Q, H, drop_dependent=True):
@@ -143,10 +141,10 @@ def qr_embed(Q, H, drop_dependent=True):
     return EmbeddingMatrix(H_hat=H_hat, R=R)
 
 
-def indicator_matrix(labels, n_clusters=None):
-    """One-hot rows from integer labels."""
+def indicator_matrix(labels, n_clusters):
+    """One-hot rows over n_clusters columns from integer labels."""
     labels = np.asarray(labels, dtype=int)
-    K = int(labels.max()) + 1 if n_clusters is None else int(n_clusters)
+    K = int(n_clusters)
     if labels.min() < 0 or labels.max() >= K:
         raise ValueError("labels out of range")
     H = np.zeros((labels.size, K))
@@ -164,26 +162,24 @@ def cafe_embed(Q, config, pinned=None, labels=None):
     """
     if labels is None:
         result = clustering.run(Q, config, pinned=pinned)
-        H, kept = prune_zero_columns(result.assignment.H)
+        H = prune_zero_columns(result.assignment.H)
         stats = (result.objective, result.sweeps, result.converged,
                  result.objective_trace)
     else:
-        H, kept = prune_zero_columns(
-            indicator_matrix(labels, config.n_clusters))
+        H = prune_zero_columns(indicator_matrix(labels, config.n_clusters))
         # No sweep runs; the objective is the one a sweep would report.
         stats = (float(np.sum(H * Q.zero_diagonal().apply(H))), 0, True, [])
-    return CafeResult(qr_embed(Q, H), H, kept, *stats)
+    return CafeResult(qr_embed(Q, H), H, *stats)
 
 
 def coarsen(Q, partition):
     """Pool the pair distribution over a hard partition.
 
     Empty clusters are dropped and ids remapped densely.  Returns
-    (Q_coarse, membership, P_pooled) where Q_coarse is the modularity
-    operator of the pooled sampled graph on the surviving clusters,
-    membership maps each node to its surviving cluster id, and P_pooled
-    is the dense pooled mass matrix.  Pooling is exact: the coarse
-    covariance equals H^T Q H for the partition indicator H.
+    (Q_coarse, membership) where Q_coarse is the modularity operator of
+    the pooled sampled graph on the surviving clusters and membership
+    maps each node to its surviving cluster id.  Pooling is exact: the
+    coarse covariance equals H^T Q H for the partition indicator H.
     """
     g = Q.graph
     part = np.asarray(partition)
@@ -200,7 +196,7 @@ def coarsen(Q, partition):
     # Exact symmetry survives pooling up to addition order; enforce it.
     P = (P + P.T) / 2.0
     coarse = from_bivariate(P / P.sum())
-    return coarse.modularity_matrix(), membership, P
+    return coarse.modularity_matrix(), membership
 
 
 def multilayer_embed(Q, theta=HARD_THETA, max_sweeps=200, tol=1e-9, seed=0):
@@ -240,12 +236,12 @@ def multilayer_embed(Q, theta=HARD_THETA, max_sweeps=200, tol=1e-9, seed=0):
         # Improvement below tol is recomputation noise, not structure.
         if level > 0 and modularity <= incumbent + tol:
             break
-        H_soft, kept = prune_zero_columns(result.assignment.H)
+        H_soft = prune_zero_columns(result.assignment.H)
         embedding = qr_embed(Q_level, H_soft)
-        Q_next, coarse_membership, _ = coarsen(Q_level, coarse_part)
+        Q_next, coarse_membership = coarsen(Q_level, coarse_part)
         composed = coarse_membership[membership]
-        levels.append(LayerResult(level, H_soft.shape[1], H_soft, embedding,
-                                  composed, modularity))
+        levels.append(LayerResult(level, H_soft.shape[1], embedding, composed,
+                                  modularity))
         if level == 0 and modularity <= incumbent:
             break
         if Q_next.n <= 1:

@@ -38,11 +38,6 @@ __all__ = [
 # Largest n for which anything n x n is built densely: the dense
 # operator, full decompositions and multilayer's K = n first level.
 _DENSE_LIMIT = 5000
-# Values per block of `ModularityMatrix.apply`'s rank-one and diagonal
-# terms.  glibc serves 64 KiB temporaries from its heap, while n x K ones
-# are mapped and unmapped on every call unless an earlier large free
-# raised its mmap threshold (190k page faults in one `eigs` at n = 10k).
-_APPLY_BLOCK_VALUES = 8192
 
 
 class SampledGraph:
@@ -205,14 +200,10 @@ class ModularityMatrix:
         return self.graph.n
 
     def zero_diagonal(self):
-        if self.diag_zeroed:
-            return self
         return ModularityMatrix(self.graph, diag_zeroed=True)
 
     def full_diagonal(self):
-        if not self.diag_zeroed:
-            return self
-        return ModularityMatrix(self.graph, diag_zeroed=False)
+        return ModularityMatrix(self.graph)
 
     def apply(self, H):
         """Q @ H without materializing Q.  Every entry is the sparse
@@ -220,10 +211,10 @@ class ModularityMatrix:
         the rank-one correction pi_i * (pi @ H)_k, plus the diagonal mass
         times H's entry, in that order.  The compiled library forms it
         in one pass over the rows (`_native.apply`); without it, numpy
-        sums the k-th stored entry of every row at step k and forms the
-        last two terms a block of rows at a time, so no temporary as
-        large as H is made.  Both give the same bytes, but for the sign
-        of a NaN made where NaNs of both signs meet."""
+        sums the k-th stored entry of every row at step k, then subtracts
+        and adds the last two terms over the whole block.  Both give the
+        same bytes, but for the sign of a NaN made where NaNs of both
+        signs meet."""
         H = np.asarray(H, dtype=float)
         squeeze = H.ndim == 1
         if squeeze:
@@ -243,11 +234,8 @@ class ModularityMatrix:
                 rows = rows[counts[rows] > k]
                 at = g.indptr[rows] + k
                 out[rows] += g.data[at, None] * H[g.indices[at]]
-            step = max(1, _APPLY_BLOCK_VALUES // max(1, H.shape[1]))
-            for s in range(0, g.n, step):
-                block = out[s:s + step]
-                block -= np.outer(pi[s:s + step], c)
-                block += diag[s:s + step, None] * H[s:s + step]
+            out -= np.outer(pi, c)
+            out += diag[:, None] * H
         return out[:, 0] if squeeze else out
 
     def make_aggregate(self, H):
@@ -326,20 +314,10 @@ def _label_ids(labels, nodes):
     return ids, list(index)
 
 
-def _assemble(ends, weights, nodes):
-    """Build a sampled graph from edge endpoints and weights.
-
-    ends is the flat label sequence u0, w0, u1, w1, ...; weights are
-    already validated.  Labels get indices in first-appearance order
-    (declared `nodes` first).
-    """
-    ids, labels = _label_ids(ends, nodes)
-    return _from_ids(ids, weights, labels)
-
-
 def _from_ids(ids, weights, labels):
     """Build a sampled graph from the flat int64 label indices u0, w0,
     u1, w1, ... of its edges, their validated weights and the labels.
+    Both `load_edge_list` paths and `from_edge_list` build through it.
 
     Weights of the same unordered pair sum in input order and the total
     sums the positive pair weights left to right in first-appearance
@@ -404,7 +382,8 @@ def from_edge_list(edges, nodes=None):
         weights.append(wt)
     if not weights:
         raise ValueError("empty graph: no edges")
-    return _assemble(ends, np.array(weights), nodes)
+    ids, labels = _label_ids(ends, nodes)
+    return _from_ids(ids, np.array(weights), labels)
 
 
 def from_similarity(sim, node_labels=None):
@@ -452,25 +431,20 @@ def from_bivariate(P, node_labels=None):
                         off[rows, indices], diag, node_labels)
 
 
-def load_edge_list(path, nodes=None):
+def load_edge_list(path):
     """Read a whitespace-separated edge list: `u w [weight]` per line,
     UTF-8, lines whose first nonblank character is `#` ignored.  Labels
-    are arbitrary strings.  Errors name the first offending line; a
-    negative or non-finite weight is rejected once the whole file has
-    parsed.
+    are arbitrary strings, indexed in first-appearance order.  Errors
+    name the first offending line; a negative or non-finite weight is
+    rejected once the whole file has parsed.
 
     The compiled scanner reads the file when it can (see `_native.scan`)
-    and hands out label indices itself; declared `nodes` then index its
-    distinct labels, not every endpoint.  Otherwise the line loop below
+    and hands out label indices itself.  Otherwise the line loop below
     reads it, with the same result or error.
     """
     scanned = _native.scan("edges", path)
     if scanned is not None:
-        ids, weights, labels = scanned
-        if nodes is not None:
-            remap, labels = _label_ids(labels, nodes)
-            ids = remap[ids]
-        return _from_ids(ids, weights, labels)
+        return _from_ids(*scanned)
     ends, weights = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -496,7 +470,8 @@ def load_edge_list(path, nodes=None):
         raise _invalid_weight(float(weights[k]), ends[2 * k], ends[2 * k + 1])
     if not weights.size:
         raise ValueError("empty graph: no edges")
-    return _assemble(ends, weights, nodes)
+    ids, labels = _label_ids(ends, None)
+    return _from_ids(ids, weights, labels)
 
 
 def save_edge_list(path, graph):
@@ -567,13 +542,17 @@ def _write_rows(path, rows, labels):
     Rows of bool, integers or floats up to float64 are converted to
     float64 (exactly, or rounded as Python's int -> float) and formatted
     by the compiled library a block at a time; other rows, or no
-    library, run the Python loop, which writes the same bytes.  A write
+    library, run the Python loop, which writes the same bytes.  An array
+    that is not 2-D raises ValueError before the file is opened; a write
     that raises removes the file.
     """
+    if rows.ndim != 2:
+        raise ValueError(f"expected a 2-D array of rows, got shape "
+                         f"{rows.shape}")
     labels = iter(labels)
     kind, size = rows.dtype.kind, rows.dtype.itemsize
     lib = None
-    if rows.ndim == 2 and (kind in "iub" or (kind == "f" and size <= 8)):
+    if kind in "iub" or (kind == "f" and size <= 8):
         lib = _native.library()
     if lib is None:
         line = "%s\t" + "\t".join(["%.17g"] * rows.shape[1]) + "\n"

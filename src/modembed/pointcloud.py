@@ -77,24 +77,17 @@ class GramOperator:
         return self.X.shape[0]
 
     def zero_diagonal(self):
-        if self.diag_zeroed:
-            return self
         return GramOperator(self.X, diag_zeroed=True)
 
     def full_diagonal(self):
-        if not self.diag_zeroed:
-            return self
-        return GramOperator(self.X, diag_zeroed=False)
+        return GramOperator(self.X)
 
     def apply(self, H):
         H = np.asarray(H, dtype=float)
-        squeeze = H.ndim == 1
-        if squeeze:
-            H = H[:, None]
         out = self.X @ (self.X.T @ H)
         if self.diag_zeroed:
             out -= self._sq[:, None] * H
-        return out[:, 0] if squeeze else out
+        return out
 
     def make_aggregate(self, H):
         return CoordinateAggregate(self.X, H)
@@ -158,7 +151,6 @@ class ReduceResult:
     singular_values: np.ndarray
     selected: np.ndarray
     reconstruction: np.ndarray
-    objective: float
     sweeps: int
     converged: bool
 
@@ -182,12 +174,11 @@ def reduce_cloud(points, n_dims, theta=0.010, method="cafe", seed=0,
     if method == "cafe":
         config = ClusterConfig(n_clusters=n_dims, theta=theta, **sweep)
         result = clustering.run(gram, config)
-        H, objective, sweeps, converged = (
-            result.assignment.H, result.objective, result.sweeps,
-            result.converged)
+        H, sweeps, converged = (result.assignment.H, result.sweeps,
+                                result.converged)
     elif method == "sphere":
         config = SphereConfig(n_dims=n_dims, beta=beta, **sweep)
-        H, objective, sweeps, converged, _, _ = run_sphere(gram, config)
+        H, _, sweeps, converged, _, _ = run_sphere(gram, config)
     else:
         raise ValueError(f"unknown method {method!r} (want cafe or sphere)")
     embedding = qr_embed(gram, H, drop_dependent=False).H_hat
@@ -198,22 +189,21 @@ def reduce_cloud(points, n_dims, theta=0.010, method="cafe", seed=0,
     scale[: sigma.size] = sigma
     reconstruction = embedding[:, selected] * scale[selected]
     return ReduceResult(embedding, residuals, sigma, selected,
-                        reconstruction, objective, sweeps, converged)
+                        reconstruction, sweeps, converged)
 
 
-def concentric_circles(n=200, radii=(1.0, 2.0)):
-    """Two concentric circles, n points split evenly, as a 2-D cloud."""
-    half = n // 2
-    counts = (half, n - half)
-    pts = []
-    for radius, count in zip(radii, counts):
-        angles = 2.0 * np.pi * np.arange(count) / count
-        pts.append(radius * np.column_stack([np.cos(angles), np.sin(angles)]))
-    return np.vstack(pts)
+def concentric_circles():
+    """Two concentric circles of radii 1 and 2, 100 evenly spaced points
+    each, as a 2-D cloud."""
+    angles = 2.0 * np.pi * np.arange(100) / 100
+    ring = np.column_stack([np.cos(angles), np.sin(angles)])
+    return np.vstack([radius * ring for radius in (1.0, 2.0)])
 
 
-def torus_cloud(n=240, major=2.0, minor=0.7):
-    """Deterministic grid on a torus; spans three ambient dimensions."""
+def torus_cloud(n=240):
+    """Deterministic grid of about n points on a torus of radii 2 and
+    0.7; spans three ambient dimensions."""
+    major, minor = 2.0, 0.7
     nu = max(int(np.sqrt(n)), 3)
     nv = max(n // nu, 3)
     u = 2.0 * np.pi * np.arange(nu) / nu

@@ -47,6 +47,7 @@ __all__ = [
 
 _JACOBI_LIMIT = 200
 _JACOBI_TOL = 1e-14  # off-diagonal at which Jacobi stops, relative to |A|
+_JACOBI_SWEEPS = 100  # sweeps after which Jacobi gives up
 _RITZ_TOL = 1e-10  # Ritz residual at which orthogonal iteration stops
 
 
@@ -80,7 +81,7 @@ def _finish(values, vectors):
     )
 
 
-def jacobi_eigh(A, max_sweeps=100):
+def jacobi_eigh(A):
     """Cyclic Jacobi rotations on a symmetric matrix.
 
     Simple and very accurate; quadratic convergence keeps the sweep count
@@ -100,13 +101,13 @@ def jacobi_eigh(A, max_sweeps=100):
     V = np.eye(n)
     lib = _native.library()
     if lib is None:
-        converged = _jacobi_sweeps(A, V, _JACOBI_TOL, scale, max_sweeps)
+        converged = _jacobi_sweeps(A, V, _JACOBI_TOL, scale, _JACOBI_SWEEPS)
     else:
         converged = lib.modembed_jacobi(n, A, V, _JACOBI_TOL, scale,
-                                        max_sweeps)
+                                        _JACOBI_SWEEPS)
     if not converged:
         raise ConvergenceError(
-            f"Jacobi failed to converge in {max_sweeps} sweeps"
+            f"Jacobi failed to converge in {_JACOBI_SWEEPS} sweeps"
         )
     return _finish(np.diag(A).copy(), V)
 
@@ -379,7 +380,7 @@ def _orthogonal_iteration(Q, k, max_iter=10000):
     )
 
 
-def eigendecompose(Q, k=None, max_iter=10000):
+def eigendecompose(Q, k=None):
     """Spectrum of a modularity-style operator (anything with `dense()`
     and `apply`).
 
@@ -389,7 +390,7 @@ def eigendecompose(Q, k=None, max_iter=10000):
     """
     if k is None:
         return _dense_spectrum(Q.dense())
-    return _orthogonal_iteration(Q, k, max_iter=max_iter)
+    return _orthogonal_iteration(Q, k)
 
 
 def cosine(y, z):

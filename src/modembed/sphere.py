@@ -38,7 +38,7 @@ _DEGENERATE_NORM = 1e-300
 @dataclass
 class SphereConfig:
     """Knobs for a sphere run: embedding width, blend weight beta in
-    [0, 1], sweep cap, convergence tolerance, and init seed."""
+    [0, 1], sweep cap, convergence tolerance (>= 0), and init seed."""
 
     n_dims: int
     beta: float = 0.5
@@ -53,11 +53,12 @@ class SphereConfig:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass
 class SphereResult:
-    H: np.ndarray
     embedding: EmbeddingMatrix
     objective: float
     sweeps: int
@@ -103,7 +104,8 @@ def sphere_sweep(Q, H, visit):
 
 def run_sphere(Q, config):
     """Initialize and sweep until the objective stalls or the cap hits.
-    Returns the SphereResult fields other than `embedding`, as a tuple."""
+    Returns the unit rows H, then the SphereResult fields after
+    `embedding`, as a tuple."""
     H = init_sphere(Q.n, config.n_dims, seed=config.seed)
     Q_full = Q.full_diagonal()
     visit = _kernel("sphere", sphere_update, Q_full, H,
@@ -116,4 +118,4 @@ def run_sphere(Q, config):
 def sphere_embed(Q, config):
     """Sphere iteration followed by the shared thin-QR orthonormalization."""
     H, *fields = run_sphere(Q, config)
-    return SphereResult(H, qr_embed(Q, H), *fields)
+    return SphereResult(qr_embed(Q, H), *fields)

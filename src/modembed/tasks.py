@@ -35,7 +35,9 @@ __all__ = [
     "save_metrics_tsv",
 ]
 
-# The classifier's fixed gradient step and L2 penalty on the weights.
+# The classifier's fixed iteration count, gradient step and L2 penalty on
+# the weights.
+_ITERATIONS = 500
 _STEP = 0.1
 _L2 = 1e-4
 
@@ -51,7 +53,6 @@ class MetricSummary:
     macro_f1_std: float
     roc_auc: float | None
     roc_auc_std: float | None
-    repetitions: int
 
     def rows(self):
         out = [
@@ -71,9 +72,8 @@ class SoftmaxRegression:
     zero initialization makes fits deterministic.
     """
 
-    def __init__(self, n_classes, iterations=500):
+    def __init__(self, n_classes):
         self.n_classes = int(n_classes)
-        self.iterations = int(iterations)
         self.W = None
         self.b = None
         self._mean = None
@@ -110,7 +110,7 @@ class SoftmaxRegression:
         matmul, add, subtract, multiply, divide, exp, maximum = (
             np.matmul, np.add, np.subtract, np.multiply, np.divide, np.exp,
             np.maximum)
-        for _ in range(self.iterations):
+        for _ in range(_ITERATIONS):
             matmul(Z, W, G)
             add(G, b, G)
             # Row maxima column by column: far fewer inner loops than a
@@ -153,25 +153,25 @@ def stratified_split(y, train_fraction, rng):
 
     Within each class the train count is round(fraction * size), clamped
     so both sides stay nonempty when the class has at least two members;
-    singleton classes go entirely to train and are reported back.
+    a singleton class goes entirely to train.  Returns (train, test) as
+    sorted int64 arrays.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     y = np.asarray(y, dtype=int)
-    train, test, singletons = [], [], []
+    train, test = [], []
     for cls in np.unique(y):
         members = np.flatnonzero(y == cls)
         members = members[rng.permutation(members.size)]
         if members.size == 1:
             train.extend(members.tolist())
-            singletons.append(int(cls))
             continue
         k = int(round(train_fraction * members.size))
         k = min(max(k, 1), members.size - 1)
         train.extend(members[:k].tolist())
         test.extend(members[k:].tolist())
     return (np.array(sorted(train), dtype=np.int64),
-            np.array(sorted(test), dtype=np.int64), singletons)
+            np.array(sorted(test), dtype=np.int64))
 
 
 def accuracy_score(y_true, y_pred):
@@ -254,7 +254,7 @@ def _evaluate(draw, train_fraction, repetitions, seed):
         X, y = draw(rng)
         n_classes = int(y.max()) + 1
         auc_applicable = (np.bincount(y, minlength=n_classes) != 1).all()
-        train, test, _ = stratified_split(y, train_fraction, rng)
+        train, test = stratified_split(y, train_fraction, rng)
         if not test.size:
             raise ValueError("empty test set")
         model = SoftmaxRegression(n_classes).fit(X[train], y[train])
@@ -268,7 +268,7 @@ def _evaluate(draw, train_fraction, repetitions, seed):
     acc_m, acc_s = _summarize(accs)
     f1_m, f1_s = _summarize(f1s)
     auc_m, auc_s = _summarize(aucs) if aucs else (None, None)
-    return MetricSummary(acc_m, acc_s, f1_m, f1_s, auc_m, auc_s, repetitions)
+    return MetricSummary(acc_m, acc_s, f1_m, f1_s, auc_m, auc_s)
 
 
 def classify(embeddings, y, train_fraction=0.5, repetitions=100, seed=0):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from modembed import _native, cli, clustering, datasets
+from modembed import _native, cli, clustering, datasets, pointcloud
 from modembed.cli import build_parser, main
 from modembed.graph import load_edge_list
 from modembed.embedding import load_embedding_tsv, save_embedding_tsv
@@ -378,6 +378,34 @@ def test_reduce_rejects_more_columns_than_points(tmp_path, capsys):
     assert load_embedding_tsv(out)[1].shape == (4, 4)
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["reduce", "--cloud", "circles", "--k", "3", "--theta", "inf"], "theta"),
+    (["embed", "cafe", "--k", "2", "--theta", "inf"], "theta"),
+    (["verify", "--theta", "inf"], "theta"),
+    (["embed", "multilayer", "--theta", "inf"], "theta"),
+    (["embed", "cafe", "--k", "2", "--tol", "nan"], "tol"),
+    (["embed", "sphere", "--k", "2", "--tol=-1e-9"], "tol"),
+    (["embed", "multilayer", "--tol", "nan"], "tol"),
+    (["reduce", "--cloud", "circles", "--k", "3", "--method", "sphere",
+      "--tol", "nan"], "tol"),
+    (["verify", "--tol=-1"], "tol"),
+], ids=["reduce-theta", "cafe-theta", "verify-theta", "multilayer-theta",
+        "cafe-tol", "sphere-tol", "multilayer-tol", "reduce-sphere-tol",
+        "verify-tol"])
+def test_infinite_theta_and_bad_tol_are_user_errors(tmp_path, sbm_file,
+                                                     capsys, argv, field):
+    """An infinite theta would run every sweep and write NaN rows, and a
+    NaN or negative tol could never be met: both fail before any sweep,
+    naming the option, and write nothing."""
+    graph_path, _ = sbm_file
+    out = tmp_path / "out.tsv"
+    if argv[0] != "reduce":
+        argv = argv + ["--graph", str(graph_path)]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_rejects_a_one_node_graph(tmp_path, capsys):
     path = tmp_path / "one.tsv"
     path.write_text("a a\n")
@@ -703,3 +731,67 @@ def test_every_command_runs_the_same_without_scipy(tmp_path, sbm_file):
             "verify.tsv", "eigs.tsv", "vec.tsv", "cls.tsv"} <= set(
                 written["free"])
     assert written["block"] == written["free"]
+
+
+# --- the compiled library and the Python fallbacks ---------------------------
+
+@pytest.mark.filterwarnings("ignore::modembed.embedding.RankDeficiencyWarning")
+def test_every_command_shape_writes_the_same_bytes_without_the_library(
+        tmp_path):
+    """The benchmark's command shapes plus `embed cafe --full-label`,
+    pinned `--labels`, the full `eigs` spectrum, `reduce --method sphere`
+    and `eval link`, on a 120-node SBM: with the compiled library and
+    with every Python fallback, each `.tsv` has the same bytes."""
+    if _native.library() is None:
+        pytest.skip("no compiled library")
+    probs = np.full((3, 3), 0.03) + np.eye(3) * 0.27
+    edges, blocks = datasets.sbm_edges([40, 40, 40], probs, seed=5)
+    graph_path = tmp_path / "sbm.tsv"
+    graph_path.write_text("".join(f"{u}\t{w}\n" for u, w in edges))
+    classes = [f"{u}\tc{b}\n" for u, b in enumerate(blocks)]
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("".join(classes))
+    pinned = tmp_path / "pinned.tsv"
+    pinned.write_text("".join(classes[::10]))
+    points = tmp_path / "torus.xyz"
+    np.savetxt(points, pointcloud.torus_cloud(200), fmt="%.17g")
+    g = str(graph_path)
+    written = {}
+    for mode in ("compiled", "python"):
+        d = tmp_path / mode
+        d.mkdir()
+        commands = [
+            ["embed", "cafe", "--graph", g, "--k", "4", "--theta", "1e5",
+             "--max-sweeps", "8", "--tol", "0",
+             "--assignment-out", f"{d}/cafe.assign.tsv",
+             "--out", f"{d}/cafe.tsv"],
+            ["embed", "sphere", "--graph", g, "--k", "4", "--max-sweeps",
+             "8", "--tol", "0", "--out", f"{d}/sphere.tsv"],
+            ["eval", "classify", "--graph", g, "--embeddings",
+             f"{d}/cafe.tsv", "--labels", str(labels), "--reps", "1",
+             "--out", f"{d}/classify.tsv"],
+            ["embed", "multilayer", "--graph", g, "--max-sweeps", "30",
+             "--out", f"{d}/ml.tsv"],
+            ["verify", "--graph", g, "--k", "2", "--theta", "2e4",
+             "--out", f"{d}/verify.tsv"],
+            ["eigs", "--graph", g, "--topk", "4", "--out", f"{d}/eigs.tsv"],
+            ["reduce", "--points", str(points), "--k", "6", "--max-sweeps",
+             "20", "--tol", "0", "--out", f"{d}/reduce.tsv"],
+            ["embed", "cafe", "--graph", g, "--full-label", "--labels",
+             str(labels), "--out", f"{d}/labels.tsv"],
+            ["embed", "cafe", "--graph", g, "--k", "4", "--labels",
+             str(pinned), "--out", f"{d}/pinned.tsv"],
+            ["eigs", "--graph", g, "--vectors-out", f"{d}/vectors.tsv",
+             "--out", f"{d}/spectrum.tsv"],
+            ["reduce", "--cloud", "circles", "--k", "3", "--method",
+             "sphere", "--out", f"{d}/circles.tsv"],
+            ["eval", "link", "--graph", g, "--embeddings", f"{d}/sphere.tsv",
+             "--reps", "1", "--out", f"{d}/link.tsv"],
+        ]
+        with _compiled_path(mode == "compiled"):
+            for argv in commands:
+                assert main(argv) == 0, argv
+        assert _manifest(d / "cafe.tsv")["compiled"] is (mode == "compiled")
+        written[mode] = {p.name: p.read_bytes() for p in d.glob("*.tsv")}
+    assert len(written["compiled"]) == 19, sorted(written["compiled"])
+    assert written["python"] == written["compiled"]

@@ -29,8 +29,18 @@ def test_config_validation():
         ClusterConfig(n_clusters=2, theta=0.0)
     with pytest.raises(ValueError, match="theta"):
         ClusterConfig(n_clusters=2, theta=-1.0)
+    # An infinite theta makes the softmax update NaN.
+    for theta in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="theta must be positive and "
+                                             "finite"):
+            ClusterConfig(n_clusters=2, theta=theta)
     with pytest.raises(ValueError, match="max_sweeps"):
         ClusterConfig(n_clusters=2, max_sweeps=0)
+    for tol in (np.nan, -1e-9):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            ClusterConfig(n_clusters=2, tol=tol)
+    ClusterConfig(n_clusters=2, theta=1e300, tol=0.0)
+    ClusterConfig(n_clusters=2, tol=np.inf)
 
 
 def test_init_rows_are_pmfs():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from modembed import clustering, datasets, graph
 from modembed.clustering import ClusterConfig
 from modembed.embedding import (
+    ZERO_COLUMN_THRESHOLD,
     RankDeficiencyWarning,
     cafe_embed,
     coarsen,
@@ -27,9 +28,7 @@ from conftest import dense_masses, dense_modularity, graph_from
 
 def test_prune_drops_only_tiny_columns():
     H = np.array([[0.5, 1e-12, 0.5], [0.3, 0.0, 0.7]])
-    kept_H, kept = prune_zero_columns(H)
-    assert kept.tolist() == [0, 2]
-    assert np.array_equal(kept_H, H[:, [0, 2]])
+    assert np.array_equal(prune_zero_columns(H), H[:, [0, 2]])
     with pytest.raises(ValueError):
         prune_zero_columns(np.zeros((3, 2)))
 
@@ -78,12 +77,14 @@ def test_qr_embed_keep_width(karate):
 
 
 def test_indicator_matrix():
-    H = indicator_matrix([0, 2, 1, 2])
+    H = indicator_matrix([0, 2, 1, 2], 3)
     assert H.shape == (4, 3)
     assert np.array_equal(H.sum(axis=1), np.ones(4))
     assert H[1, 2] == 1.0
-    wide = indicator_matrix([0, 1], n_clusters=4)
+    wide = indicator_matrix([0, 1], 4)
     assert wide.shape == (2, 4)
+    with pytest.raises(ValueError, match="out of range"):
+        indicator_matrix([0, 2], 2)
 
 
 def test_cafe_embed_label_path(karate):
@@ -110,7 +111,7 @@ def test_cafe_embed_label_path_matches_its_former_branch(karate):
             warnings.simplefilter("ignore", RankDeficiencyWarning)
             result = cafe_embed(Q, ClusterConfig(n_clusters=K),
                                 labels=labels)
-            H, kept = prune_zero_columns(indicator_matrix(labels, K))
+            H = prune_zero_columns(indicator_matrix(labels, K))
             want = qr_embed(Q, H)
         objective = float(np.sum(H * Q.zero_diagonal().apply(H)))
         assert type(result.objective) is float
@@ -119,7 +120,6 @@ def test_cafe_embed_label_path_matches_its_former_branch(karate):
         assert result.sweeps == 0 and result.converged is True
         assert result.objective_trace == []
         assert result.assignment.tobytes() == H.tobytes()
-        assert result.kept_columns.tolist() == kept.tolist()
         assert result.embedding.H_hat.tobytes() == want.H_hat.tobytes()
         assert result.embedding.R.tobytes() == want.R.tobytes()
 
@@ -131,7 +131,8 @@ def test_cafe_embed_clustered_path(karate):
         result = cafe_embed(Q, config)
     assert result.objective == result.objective_trace[-1]
     assert result.embedding.C == 1
-    assert result.assignment.shape[1] == len(result.kept_columns)
+    # The assignment fed to the QR keeps only columns that hold mass.
+    assert (result.assignment.max(axis=0) >= ZERO_COLUMN_THRESHOLD).all()
 
 
 @st.composite
@@ -157,16 +158,16 @@ def test_coarsen_is_exact(case):
     its trace is the partition modularity."""
     edges, n, part = case
     g = graph_from(edges, n)
-    Q_coarse, membership, P_pooled = coarsen(g.modularity_matrix(), part)
+    Q_coarse, membership = coarsen(g.modularity_matrix(), part)
 
-    H = indicator_matrix(membership)
+    H = indicator_matrix(membership, np.unique(part).size)
     want = H.T @ dense_modularity(dense_masses(edges, n)) @ H
     got = Q_coarse.dense()
     assert got.shape == want.shape == (np.unique(part).size,) * 2
     assert np.abs(got - want).max() < 1e-12
 
-    assert np.abs(P_pooled - P_pooled.T).max() == 0.0
-    assert abs(P_pooled.sum() - 1.0) < 1e-12
+    assert np.abs(got - got.T).max() == 0.0
+    assert abs(Q_coarse.graph.total_mass - 1.0) < 1e-12
     assert np.abs(got.sum(axis=1)).max() < 1e-12
     mod = g.modularity_matrix().partition_modularity(part)
     assert abs(np.trace(got) - mod) < 1e-13
@@ -174,7 +175,7 @@ def test_coarsen_is_exact(case):
 
 def test_coarsen_drops_empty_clusters(karate):
     part = np.array([5 if u < 17 else 9 for u in range(34)])
-    Q_coarse, membership, _ = coarsen(karate.modularity_matrix(), part)
+    Q_coarse, membership = coarsen(karate.modularity_matrix(), part)
     assert Q_coarse.n == 2
     assert set(membership.tolist()) == {0, 1}
 

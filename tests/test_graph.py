@@ -96,16 +96,21 @@ def test_row_covariance_matches_dense():
 
 
 def test_partition_modularity_vs_brute():
+    """Both diagonal modes against the dense sum over each cluster's
+    block; the self-loops give the zeroed diagonal something to drop."""
     rng = np.random.default_rng(11)
     n = 25
     edges = random_edges(rng, n, weighted=True, self_loops=True)
     g = graph_from(edges, n)
-    Qd = dense_modularity(dense_masses(edges, n))
-    Q = g.modularity_matrix()
-    for k in (1, 2, 5):
-        part = rng.integers(0, k, size=n)
-        brute = sum(Qd[np.ix_(part == c, part == c)].sum() for c in range(k))
-        assert abs(Q.partition_modularity(part) - brute) < 1e-14
+    assert (g.diag_mass > 0.0).any()
+    for zero_diag in (False, True):
+        Qd = dense_modularity(dense_masses(edges, n), zero_diag=zero_diag)
+        Q = g.modularity_matrix(diag_zeroed=zero_diag)
+        for k in (1, 2, 5):
+            part = rng.integers(0, k, size=n)
+            brute = sum(Qd[np.ix_(part == c, part == c)].sum()
+                        for c in range(k))
+            assert abs(Q.partition_modularity(part) - brute) < 1e-14
 
 
 def test_self_loop_becomes_diagonal_mass():

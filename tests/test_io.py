@@ -122,7 +122,7 @@ def oracle_dense(Q):
     return out
 
 
-def oracle_load_edge_list(path, nodes=None):
+def oracle_load_edge_list(path):
     edges = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -144,7 +144,7 @@ def oracle_load_edge_list(path, nodes=None):
                 raise ValueError(
                     f"{path}:{lineno}: expected 'u w [weight]', got {len(parts)} fields"
                 )
-    return oracle_from_edge_list(edges, nodes=nodes)
+    return oracle_from_edge_list(edges)
 
 
 def oracle_edges(g):
@@ -331,16 +331,14 @@ def edge_line(draw):
 # --- edge lists --------------------------------------------------------------
 
 @IO_SETTINGS
-@given(lines=st.lists(edge_line(), max_size=25),
-       nodes=st.none() | st.lists(LABEL | st.just("iso"), max_size=4),
-       final_eol=st.booleans())
-def test_load_edge_list_matches_oracle(tmp_path, lines, nodes, final_eol):
+@given(lines=st.lists(edge_line(), max_size=25), final_eol=st.booleans())
+def test_load_edge_list_matches_oracle(tmp_path, lines, final_eol):
     text = "".join(lines)
     if not final_eol:
         text = text.rstrip("\r\n")
     path = tmp_path / "g.tsv"
     path.write_bytes(text.encode("utf-8"))
-    assert_reads_like_oracle("edges", path, nodes=nodes)
+    assert_reads_like_oracle("edges", path)
 
 
 # 1, 1.0 and True are one dict key; the first one seen names the node.
@@ -615,6 +613,18 @@ def test_writer_matches_oracle_on_any_label(tmp_path, writer):
         assert not (tmp_path / "bad.tsv").exists()
 
 
+@pytest.mark.parametrize("shape", [(3,), (3, 2, 2)])
+def test_writer_rejects_rows_that_are_not_2d(tmp_path, writer, shape):
+    """Both writer paths raise ValueError naming the shape before the
+    file is opened, through `save_embedding_tsv` and `_write_rows`."""
+    rows = np.ones(shape)
+    message = re.escape(f"expected a 2-D array of rows, got shape {shape}")
+    for write in (save_embedding_tsv, graph._write_rows):
+        with pytest.raises(ValueError, match=message):
+            write(tmp_path / "bad.tsv", rows, ["a", "b", "c"])
+        assert not (tmp_path / "bad.tsv").exists()
+
+
 @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
 def test_writer_matches_oracle_across_block_edges(tmp_path, writer, n):
     rows = np.random.default_rng(n).standard_normal((n, 2)) * 1e-3
@@ -749,7 +759,7 @@ def assert_same_bytes(tmp_path):
 def test_save_metrics_tsv_matches_oracle(tmp_path, writer, values, auc):
     if not auc:
         values[4:] = [None, None]
-    summary = MetricSummary(*values, repetitions=3)
+    summary = MetricSummary(*values)
     save_metrics_tsv(tmp_path / "new.tsv", summary)
     oracle_save_metrics_tsv(tmp_path / "old.tsv", summary)
     assert_same_bytes(tmp_path)
@@ -865,13 +875,13 @@ def test_indices_of_names_first_unknown_label(karate):
 
 # --- the compiled scanner ----------------------------------------------------
 
-def assert_reads_like_oracle(kind, path, nodes=None, labelled=LABEL_GRAPH):
+def assert_reads_like_oracle(kind, path, labelled=LABEL_GRAPH):
     """The reader of `kind` ("edges", "labels" or "rows") gives the
     oracle's result or error on both paths; label files name the nodes
     of `labelled`."""
     if kind == "edges":
-        want = outcome(oracle_load_edge_list, path, nodes=nodes)
-        for got in both_paths(graph.load_edge_list, path, nodes=nodes):
+        want = outcome(oracle_load_edge_list, path)
+        for got in both_paths(graph.load_edge_list, path):
             if assert_same_outcome(got, want):
                 assert_same_graph(got[1], want[1])
     elif kind == "labels":
@@ -1019,13 +1029,11 @@ def test_compiled_scanner_reads_most_ascii_files(tmp_path, monkeypatch, kind):
     monkeypatch.setattr(lib, "modembed_scan", spy)
 
     @settings(max_examples=200, deadline=None)
-    @given(text=ascii_file(kind), nodes=st.none() | st.lists(
-        st.sampled_from(ASCII_LABELS + ["iso"]), max_size=4))
-    def check(text, nodes):
+    @given(text=ascii_file(kind))
+    def check(text):
         path = tmp_path / "f.tsv"
         path.write_bytes(text.encode("ascii"))
-        assert_reads_like_oracle(kind, path, nodes=nodes,
-                                 labelled=ASCII_GRAPH)
+        assert_reads_like_oracle(kind, path, labelled=ASCII_GRAPH)
 
     check()
     assert len(accepted) >= 100

@@ -185,7 +185,7 @@ def oracle_fit(model, X, y):
     Y[np.arange(m), y] = 1.0
     model.W = np.zeros((d, C))
     model.b = np.zeros(C)
-    for _ in range(model.iterations):
+    for _ in range(tasks._ITERATIONS):
         P = model._softmax(Z @ model.W + model.b)
         G = P - Y
         model.W -= tasks._STEP * (Z.T @ G / m + tasks._L2 * model.W)
@@ -868,11 +868,13 @@ def test_ql_python_loop_matches_oracle():
 # --- Jacobi -------------------------------------------------------------------
 
 def assert_same_jacobi(A, max_sweeps=100):
-    """`jacobi_eigh` compiled and in numpy: same bytes or same error."""
-    with warnings.catch_warnings():
+    """`jacobi_eigh` compiled and in numpy, given up after `max_sweeps`
+    sweeps: same bytes or same error."""
+    with warnings.catch_warnings(), mock.patch.object(
+            spectral, "_JACOBI_SWEEPS", max_sweeps):
         warnings.simplefilter("ignore", RuntimeWarning)
-        got = outcome(spectral.jacobi_eigh, A, max_sweeps=max_sweeps)
-        want = in_python(spectral.jacobi_eigh, A, max_sweeps=max_sweeps)
+        got = outcome(spectral.jacobi_eigh, A)
+        want = in_python(spectral.jacobi_eigh, A)
     assert got[0] == want[0]
     if got[0] == "ok":
         assert same_bytes(got[1].eigenvalues, want[1].eigenvalues)
@@ -1110,8 +1112,9 @@ def fit_case(draw):
 @given(case=fit_case())
 def test_fit_matches_oracle(case):
     X, y, C, iterations = case
-    got = SoftmaxRegression(C, iterations=iterations).fit(X, y)
-    want = oracle_fit(SoftmaxRegression(C, iterations=iterations), X, y)
+    with mock.patch.object(tasks, "_ITERATIONS", iterations):
+        got = SoftmaxRegression(C).fit(X, y)
+        want = oracle_fit(SoftmaxRegression(C), X, y)
     assert same_bytes(got.W, want.W) and same_bytes(got.b, want.b)
     assert same_bytes(got.predict_proba(X), want.predict_proba(X))
 

@@ -32,6 +32,10 @@ def test_config_validation():
         SphereConfig(n_dims=2, beta=-0.1)
     with pytest.raises(ValueError, match="max_sweeps"):
         SphereConfig(n_dims=2, max_sweeps=0)
+    for tol in (float("nan"), -1e-9):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            SphereConfig(n_dims=2, tol=tol)
+    SphereConfig(n_dims=2, tol=0.0)
     SphereConfig(n_dims=2, beta=0.0)
     SphereConfig(n_dims=2, beta=1.0)
 
@@ -119,5 +123,5 @@ def test_seed_determinism(karate):
     Q = karate.modularity_matrix()
     a = sphere_embed(Q, SphereConfig(n_dims=3, beta=0.3, seed=5))
     b = sphere_embed(Q, SphereConfig(n_dims=3, beta=0.3, seed=5))
-    assert np.array_equal(a.H, b.H)
+    assert np.array_equal(a.embedding.H_hat, b.embedding.H_hat)
     assert a.objective_trace == b.objective_trace

@@ -64,8 +64,7 @@ def test_roc_auc_none_without_both_sides():
 def test_stratified_split_proportions():
     y = np.array([0] * 10 + [1] * 6 + [2] * 1)
     rng = np.random.default_rng(5)
-    train, test, singletons = stratified_split(y, 0.5, rng)
-    assert singletons == [2]
+    train, test = stratified_split(y, 0.5, rng)
     assert sorted(np.concatenate([train, test])) == list(range(17))
     assert (y[train] == 0).sum() == 5 and (y[test] == 0).sum() == 5
     assert (y[train] == 1).sum() == 3 and (y[test] == 1).sum() == 3
@@ -77,16 +76,15 @@ def test_stratified_split_proportions():
 def test_stratified_split_keeps_both_sides_nonempty():
     y = np.array([0, 0, 1, 1])
     rng = np.random.default_rng(0)
-    train, test, _ = stratified_split(y, 0.9, rng)
+    train, test = stratified_split(y, 0.9, rng)
     assert (y[train] == 0).sum() == 1 and (y[test] == 0).sum() == 1
 
 
 def test_stratified_split_of_singletons_has_an_empty_int_test_side():
-    train, test, singletons = stratified_split(
+    train, test = stratified_split(
         np.array([0, 1]), 0.5, np.random.default_rng(0))
     assert train.dtype == test.dtype == np.int64
     assert train.tolist() == [0, 1] and test.size == 0
-    assert singletons == [0, 1]
     with pytest.raises(ValueError, match="^empty test set$"):
         classify(np.eye(2), [0, 1], repetitions=1)
 
@@ -132,11 +130,10 @@ def test_classify_reproducible_and_accurate():
     assert a == b
     assert a.accuracy > 0.95
     assert a.roc_auc is not None and a.roc_auc > 0.95
-    assert a.repetitions == 5
     # Different seeds draw different split streams even when the scores
     # coincide on separable data.
-    s1, _, _ = stratified_split(y, 0.5, np.random.default_rng([11, 0]))
-    s2, _, _ = stratified_split(y, 0.5, np.random.default_rng([12, 0]))
+    s1, _ = stratified_split(y, 0.5, np.random.default_rng([11, 0]))
+    s2, _ = stratified_split(y, 0.5, np.random.default_rng([12, 0]))
     assert not np.array_equal(s1, s2)
 
 

@@ -223,10 +223,9 @@ def sweep(rule, Q, H, aggregate, rows, weight):
 
     The rule is "softmax" at inverse temperature `weight` or "sphere" at
     blend weight `weight`; visit() returns the degenerate rows skipped, 0
-    for the softmax.  Q is a `ModularityMatrix` or a `GramOperator`.  H,
-    Q and the aggregate may change only in place, but the aggregate's
-    array (`S` or `W`) may be rebound: visit() reads and checks it on
-    every call.
+    for the softmax.  Q is a `ModularityMatrix` or a `GramOperator`.  The
+    aggregate's array (`S` or `W`) is checked and bound here, once; H, Q
+    and that array may then change only in place.
     """
     lib = library()
     found = [numpy_loop(np.matmul, "ddd"), numpy_loop(np.maximum, "ddd"),
@@ -247,25 +246,21 @@ def sweep(rule, Q, H, aggregate, rows, weight):
         op = _Operator(x=Q.X.ctypes.data, L=Q.X.shape[1], x_row=Q.X.strides[0],
                        x_col=Q.X.strides[1], sq=Q._sq.ctypes.data)
         shape, name = Q.X.shape[1:] + (K,), "W"
+    A = getattr(aggregate, name)
+    if not (isinstance(A, np.ndarray) and A.dtype == np.float64 and
+            A.shape == shape and A.flags.aligned and A.flags.writeable):
+        raise ValueError(f"aggregate {name} must be a writeable "
+                         f"float64 array of shape {shape}")
+    op.agg, op.agg_col = A.ctypes.data, A.strides[-1]
+    op.agg_row = A.strides[0] if A.ndim == 2 else 0
     # Four K-vectors, then the gather buffer for the densest row.
     scratch = np.empty((4 + degree) * K)
     op.gather = scratch.ctypes.data + 4 * K * scratch.itemsize
-    op.arrays = arrays  # what op points into lives as long as op
+    op.arrays = arrays, A  # what op points into lives as long as op
     rows = np.array(rows, dtype=np.intp)
-    index = ("softmax", "sphere").index(rule)
-    run = lib.modembed_sweep
-
-    def visit():
-        A = getattr(aggregate, name)
-        if not (isinstance(A, np.ndarray) and A.dtype == np.float64 and
-                A.shape == shape and A.flags.aligned and A.flags.writeable):
-            raise ValueError(f"aggregate {name} must be a writeable "
-                             f"float64 array of shape {shape}")
-        op.agg, op.agg_col = A.ctypes.data, A.strides[-1]
-        op.agg_row = A.strides[0] if A.ndim == 2 else 0
-        return run(op, loops, H, K, rows, rows.size, index, weight, scratch)
-
-    return visit
+    args = (op, loops, H, K, rows, rows.size,
+            ("softmax", "sphere").index(rule), weight, scratch)
+    return lambda: lib.modembed_sweep(*args)
 
 
 def apply(graph, H, c, diag):

@@ -91,22 +91,12 @@ def _write_manifest(command, params, input_paths, output_paths, started,
     }
     if extra:
         manifest.update(extra)
+    # Strict JSON: NaN or infinity raises before the file is opened.
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     path = f"{output_paths[0]}.manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
-
-
-def _load_label_ids(path, graph):
-    """Label file -> (node indices, class ids, class names) with class ids
-    in sorted-name order, one entry per labeled node."""
-    label_map, nodes = load_labels(path, graph)
-    class_names = sorted(set(label_map.values()))
-    class_id = {name: i for i, name in enumerate(class_names)}
-    classes = np.fromiter(map(class_id.__getitem__, label_map.values()),
-                          np.int64, len(label_map))
-    return nodes, classes, class_names
 
 
 def _load_finite_rows(path):
@@ -153,7 +143,7 @@ def _cmd_embed_cafe(args):
     k = args.k
     if args.labels:
         inputs["labels"] = args.labels
-        nodes, classes, class_names = _load_label_ids(args.labels, graph)
+        nodes, classes, class_names = load_labels(args.labels, graph)
         if args.full_label:
             if nodes.size != graph.n:
                 raise ValueError(
@@ -188,10 +178,12 @@ def _cmd_embed_cafe(args):
                            graph.node_labels)
         outputs.append(args.assignment_out)
     _print_run(result)
-    params = {"mode": "cafe", "k": k, "theta": args.theta,
-              "full_label": args.full_label, **sweep}
-    extra = {"objective_trace": result.objective_trace,
-             "stop_reason": _stop_reason(result)}
+    params = {"mode": "cafe", "k": k, "full_label": args.full_label}
+    extra = None
+    if labels is None:  # only a clustering run reads or makes these
+        params.update(theta=args.theta, **sweep)
+        extra = {"objective_trace": result.objective_trace,
+                 "stop_reason": _stop_reason(result)}
     return outputs, inputs, params, extra, 0
 
 
@@ -323,8 +315,10 @@ def _cmd_reduce(args):
         f"residuals={np.array2string(result.residuals, precision=4)} "
         f"sweeps={result.sweeps} converged={result.converged}"
     )
-    params = {"source": source, "k": args.k, "theta": args.theta,
-              "method": args.method, "beta": args.beta, **sweep}
+    # Each method reads only its own weight.
+    weight = "theta" if args.method == "cafe" else "beta"
+    params = {"source": source, "k": args.k, "method": args.method,
+              weight: getattr(args, weight), **sweep}
     return ([args.out, residual_path, recon_path], inputs, params,
             {"stop_reason": _stop_reason(result)}, 0)
 
@@ -339,7 +333,7 @@ def _cmd_eval(args):
         raise ValueError("embedding rows do not match the graph's nodes")
     if args.task == "classify":
         inputs["labels"] = args.labels
-        nodes, classes, _ = _load_label_ids(args.labels, graph)
+        nodes, classes, _ = load_labels(args.labels, graph)
         order = np.argsort(nodes)
         summary = classify(
             X[nodes[order]], classes[order], train_fraction=args.train,

@@ -49,7 +49,7 @@ class ClusterConfig:
     n_clusters: number of columns K.
     theta: inverse temperature (finite, > 0); higher is harder.
     max_sweeps: cap on full passes over the nodes.
-    tol: absolute objective-change threshold declaring convergence (>= 0).
+    tol: absolute objective change declaring convergence (finite, >= 0).
     seed: RNG seed for row initialization.
     """
 
@@ -67,9 +67,9 @@ class ClusterConfig:
                              f"{self.theta}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        # A NaN or negative tol could never be met.
-        if not self.tol >= 0.0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        # A NaN or negative tol is never met, an infinite one always.
+        if not 0.0 <= self.tol < np.inf:
+            raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
 
 
 @dataclass

@@ -61,11 +61,8 @@ def barbell_edges(clique_size, path_length=0):
 
 
 def erdos_renyi_edges(n, p, seed):
-    """G(n, p) on nodes 0..n-1; returns the realized edge list."""
-    rng = np.random.default_rng(seed)
-    rows, cols = np.triu_indices(n, k=1)
-    mask = rng.random(rows.size) < p
-    return list(zip(rows[mask].tolist(), cols[mask].tolist()))
+    """G(n, p) on nodes 0..n-1 as a one-block SBM; the edge list."""
+    return sbm_edges([n], [[p]], seed)[0]
 
 
 def sbm_edges(sizes, block_probs, seed):

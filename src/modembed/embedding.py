@@ -179,7 +179,8 @@ def coarsen(Q, partition):
     (Q_coarse, membership) where Q_coarse is the modularity operator of
     the pooled sampled graph on the surviving clusters and membership
     maps each node to its surviving cluster id.  Pooling is exact: the
-    coarse covariance equals H^T Q H for the partition indicator H.
+    coarse covariance equals H^T Q H for the partition indicator H.  The
+    K x K pooled mass is dense, so K past the dense limit raises first.
     """
     g = Q.graph
     part = np.asarray(partition)
@@ -189,6 +190,9 @@ def coarsen(Q, partition):
         )
     clusters, membership = np.unique(part, return_inverse=True)
     K = clusters.size
+    if K > _DENSE_LIMIT:
+        raise ValueError(f"refusing a dense pooled graph at n={K} "
+                         f"(> {_DENSE_LIMIT})")
     P = np.zeros((K, K))
     rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
     np.add.at(P, (membership[rows], membership[g.indices]), g.data)
@@ -204,11 +208,11 @@ def multilayer_embed(Q, theta=HARD_THETA, max_sweeps=200, tol=1e-9, seed=0):
 
     Level 0 clusters the full graph with K = n and a hard (argmax-limit)
     temperature; each accepted level pools its partition and re-clusters
-    the supernode graph.  Levels are kept while they merge supernodes and
-    the composed partition's modularity improves by more than tol; level
-    0 is always reported.  Per-level modularity is measured on the
-    original operator with its true diagonal, so values are comparable
-    across levels.
+    the supernode graph.  Level 0 is always reported; a later level is
+    kept unless it merges no supernodes or the composed partition's
+    modularity gains no more than tol.  Per-level modularity is measured
+    on the original operator with its true diagonal, so values are
+    comparable across levels.
     """
     if Q.n > _DENSE_LIMIT:
         raise ValueError(f"refusing a dense K = n first level at n={Q.n} "
@@ -227,14 +231,12 @@ def multilayer_embed(Q, theta=HARD_THETA, max_sweeps=200, tol=1e-9, seed=0):
                                seed=seed + level)
         result = clustering.run(Q_level, config)
         coarse_part = hard_labels(result.assignment.H)
+        modularity = Q_full.partition_modularity(coarse_part[membership])
         # A level that merges no supernodes repeats the incumbent
-        # partition; its modularity can differ only by rounding.
-        if level > 0 and np.unique(coarse_part).size == Q_level.n:
-            break
-        composed = coarse_part[membership]
-        modularity = Q_full.partition_modularity(composed)
-        # Improvement below tol is recomputation noise, not structure.
-        if level > 0 and modularity <= incumbent + tol:
+        # partition, so its modularity can differ only by rounding, and
+        # an improvement below tol is recomputation noise, not structure.
+        if level > 0 and (np.unique(coarse_part).size == Q_level.n or
+                          modularity <= incumbent + tol):
             break
         H_soft = prune_zero_columns(result.assignment.H)
         embedding = qr_embed(Q_level, H_soft)
@@ -242,9 +244,8 @@ def multilayer_embed(Q, theta=HARD_THETA, max_sweeps=200, tol=1e-9, seed=0):
         composed = coarse_membership[membership]
         levels.append(LayerResult(level, H_soft.shape[1], embedding, composed,
                                   modularity))
-        if level == 0 and modularity <= incumbent:
-            break
-        if Q_next.n <= 1:
+        # Past level 0 the test above has made this false.
+        if modularity <= incumbent:
             break
         incumbent = modularity
         membership = composed

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import math
 import os
 from collections import defaultdict
 from itertools import count
@@ -298,8 +297,19 @@ class ModularityMatrix:
         return Q
 
 
-def _invalid_weight(wt, u, w):
-    return ValueError(f"invalid weight {wt!r} on edge ({u!r}, {w!r})")
+def _from_edges(ends, weights, nodes=None):
+    """The tail of `from_edge_list` and `load_edge_list`'s line loop, from
+    the endpoint labels u0, w0, u1, w1, ... and the edge weights."""
+    weights = np.array(weights)
+    invalid = np.flatnonzero((weights < 0.0) | ~np.isfinite(weights))
+    if invalid.size:
+        k = invalid[0]
+        raise ValueError(f"invalid weight {float(weights[k])!r} on edge "
+                         f"({ends[2 * k]!r}, {ends[2 * k + 1]!r})")
+    if not weights.size:
+        raise ValueError("empty graph: no edges")
+    ids, labels = _label_ids(ends, nodes)
+    return _from_ids(ids, weights, labels)
 
 
 def _label_ids(labels, nodes):
@@ -366,7 +376,7 @@ def from_edge_list(edges, nodes=None):
     `nodes` optionally declares labels up front (so isolated nodes exist,
     with zero marginals) and fixes their index order.
 
-    Raises ValueError on negative weights or an effectively empty graph.
+    Raises ValueError on a malformed edge, a bad weight or an empty graph.
     """
     ends, weights = [], []
     for edge in edges:
@@ -376,14 +386,9 @@ def from_edge_list(edges, nodes=None):
         else:
             u, w, wt = edge
             wt = float(wt)
-            if wt < 0.0 or not math.isfinite(wt):
-                raise _invalid_weight(wt, u, w)
         ends += (u, w)
         weights.append(wt)
-    if not weights:
-        raise ValueError("empty graph: no edges")
-    ids, labels = _label_ids(ends, nodes)
-    return _from_ids(ids, np.array(weights), labels)
+    return _from_edges(ends, weights, nodes)
 
 
 def from_similarity(sim, node_labels=None):
@@ -463,15 +468,7 @@ def load_edge_list(path):
                 raise ValueError(f"{path}:{lineno}: expected 'u w [weight]', "
                                  f"got {len(fields)} fields")
             ends += fields[:2]
-    weights = np.array(weights)
-    invalid = np.flatnonzero((weights < 0.0) | ~np.isfinite(weights))
-    if invalid.size:
-        k = invalid[0]
-        raise _invalid_weight(float(weights[k]), ends[2 * k], ends[2 * k + 1])
-    if not weights.size:
-        raise ValueError("empty graph: no edges")
-    ids, labels = _label_ids(ends, None)
-    return _from_ids(ids, weights, labels)
+    return _from_edges(ends, weights)
 
 
 def save_edge_list(path, graph):
@@ -539,37 +536,32 @@ def _write_rows(path, rows, labels):
     each value as Python's '%.17g', labels as `str()` in UTF-8, taken in
     order from the iterable `labels`.
 
-    Rows of bool, integers or floats up to float64 are converted to
-    float64 (exactly, or rounded as Python's int -> float) and formatted
-    by the compiled library a block at a time; other rows, or no
-    library, run the Python loop, which writes the same bytes.  An array
-    that is not 2-D raises ValueError before the file is opened; a write
-    that raises removes the file.
+    One loop writes a block of rows at a time.  Rows of bool, integers
+    or floats up to float64 are converted to float64 (exactly, or
+    rounded as Python's int -> float) and formatted by the compiled
+    library; other rows, or no library, take Python's `%` format, with
+    the same bytes.  An array that is not 2-D raises ValueError before
+    the file is opened; a write that raises removes the file.
     """
     if rows.ndim != 2:
         raise ValueError(f"expected a 2-D array of rows, got shape "
                          f"{rows.shape}")
     labels = iter(labels)
     kind, size = rows.dtype.kind, rows.dtype.itemsize
-    lib = None
-    if kind in "iub" or (kind == "f" and size <= 8):
-        lib = _native.library()
-    if lib is None:
-        line = "%s\t" + "\t".join(["%.17g"] * rows.shape[1]) + "\n"
-        # zip(block, labels) ends on the block without taking another label.
-        with _new_file(path, "w", encoding="utf-8") as fh:
-            for start in range(0, rows.shape[0], _WRITE_ROWS):
-                block = rows[start:start + _WRITE_ROWS].tolist()
-                fh.writelines(
-                    line % (lab, *row) for row, lab in zip(block, labels)
-                )
-        return
+    lib = (_native.library() if kind in "iub" or (kind == "f" and size <= 8)
+           else None)
     n, c = rows.shape
+    line = "%s\t" + "\t".join(["%.17g"] * c) + "\n"
     buf = ctypes.create_string_buffer(0)
     with _new_file(path, "wb") as fh:
         for start in range(0, n, _WRITE_ROWS):
-            block = np.ascontiguousarray(rows[start:start + _WRITE_ROWS],
-                                         dtype=np.float64)
+            block = rows[start:start + _WRITE_ROWS]
+            if lib is None:
+                # zip ends on the block without taking another label.
+                fh.write("".join(line % (lab, *row) for row, lab in zip(
+                    block.tolist(), labels)).encode("utf-8"))
+                continue
+            block = np.ascontiguousarray(block, dtype=np.float64)
             k = block.shape[0]
             # zip(range(k), labels) ends on the range without taking
             # another label; fromiter's count rejects a short one.

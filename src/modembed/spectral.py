@@ -317,7 +317,7 @@ def _thin_q(At):
     array, and is overwritten.  These are the LAPACK calls
     `np.linalg.qr` makes, dgeqrf then dorgqr with workspaces sized by
     the same queries, without its copies and its R.  The C-order result
-    matters: `Q.apply` sums an F-order block in another order.
+    matters: of `Q.apply`'s work only `c = pi @ H` depends on the layout.
     """
     m, n = At.shape
     if m > n:

@@ -38,7 +38,7 @@ _DEGENERATE_NORM = 1e-300
 @dataclass
 class SphereConfig:
     """Knobs for a sphere run: embedding width, blend weight beta in
-    [0, 1], sweep cap, convergence tolerance (>= 0), and init seed."""
+    [0, 1], sweep cap, finite convergence tolerance >= 0, init seed."""
 
     n_dims: int
     beta: float = 0.5
@@ -53,8 +53,8 @@ class SphereConfig:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if not self.tol >= 0.0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if not 0.0 <= self.tol < np.inf:
+            raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
 
 
 @dataclass

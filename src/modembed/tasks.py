@@ -342,37 +342,41 @@ def load_labels(path, graph):
     and repeated nodes must agree on their class.  Errors name the first
     offending line.
 
-    Returns ({node: class}, node indices): the indices are the graph
-    indices of the map's nodes in the map's order, from the one lookup
-    that checks the nodes exist.  The compiled scanner reads the file
-    when it can (see `_native.scan`); otherwise the line loop below
-    does, with the same result or error.
+    Returns (node indices, class ids, class names): the labelled nodes'
+    graph indices in first-appearance order and their classes' ids in
+    sorted-name order, both int64.  The compiled scanner reads the file
+    when it can (see `_native.scan`); otherwise the line loop below does,
+    with the same result or error.
     """
     scanned = _native.scan("labels", path)
     if scanned is not None:
         nodes, classes = scanned
-        return dict(zip(nodes, classes)), graph.indices_of(nodes)
-    labels = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                error = f"expected 'node<TAB>class', got {len(fields)} fields"
-            elif labels.setdefault(*fields) != fields[1]:
-                error = f"conflicting class for node {fields[0]!r}"
-            else:
-                continue
-            # An unknown node on an earlier line is reported first; the
-            # map's keys are the nodes in first-appearance order.
-            graph.indices_of(list(labels))
-            raise ValueError(f"{path}:{lineno}: {error}")
-    index = graph.indices_of(list(labels))
-    if not labels:
+    else:
+        labels = {}
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line or line.lstrip().startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 2:
+                    error = (f"expected 'node<TAB>class', got {len(fields)} "
+                             f"fields")
+                elif labels.setdefault(*fields) != fields[1]:
+                    error = f"conflicting class for node {fields[0]!r}"
+                else:
+                    continue
+                # An unknown node on an earlier line is reported first;
+                # the map's keys are the nodes in first-appearance order.
+                graph.indices_of(list(labels))
+                raise ValueError(f"{path}:{lineno}: {error}")
+        nodes, classes = list(labels), list(labels.values())
+    index = graph.indices_of(nodes)
+    if not nodes:
         raise ValueError(f"{path}: no labels found")
-    return labels, index
+    names = sorted(set(classes))
+    class_id = dict(zip(names, range(len(names))))
+    return index, np.array([class_id[c] for c in classes], np.int64), names
 
 
 def save_metrics_tsv(path, summary):

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from modembed import _native, cli, clustering, datasets, pointcloud
 from modembed.cli import build_parser, main
-from modembed.graph import load_edge_list
+from modembed.graph import from_edge_list, load_edge_list, save_edge_list
 from modembed.embedding import load_embedding_tsv, save_embedding_tsv
-from modembed.tasks import classify, load_labels, save_metrics_tsv
+from modembed.spectral import AlignmentReport, ConvergenceError
+from modembed.tasks import classify, save_metrics_tsv
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -315,8 +316,9 @@ def test_eval_classify_and_link(tmp_path, sbm_file, capsys):
 
 
 def oracle_labeled_dataset(embeddings, graph, label_map, nodes):
-    """The rows and class ids `eval classify` fed to `classify` before
-    it shared `_load_label_ids` with `embed`."""
+    """The rows and class ids `eval classify` fed to `classify` when the
+    CLI built them from `load_labels`' {node: class} map and node
+    indices."""
     X = np.asarray(embeddings, dtype=float)
     if X.shape[0] != graph.n:
         raise ValueError(
@@ -354,8 +356,11 @@ def test_eval_classify_matches_former_dataset(tmp_path, sbm_file, order,
     assert main(["eval", "classify", "--graph", str(graph_path),
                  "--embeddings", str(emb), "--labels", str(labels),
                  "--reps", "3", "--seed", "5", "--out", str(out)]) == 0
+    label_map = dict(line.split("\t") for line in labels.read_text(
+    ).splitlines())
     X, y, _, _ = oracle_labeled_dataset(load_embedding_tsv(emb)[1], g,
-                                        *load_labels(labels, g))
+                                        label_map,
+                                        g.indices_of(list(label_map)))
     save_metrics_tsv(tmp_path / "old.tsv",
                      classify(X, y, repetitions=3, seed=5))
     assert out.read_bytes() == (tmp_path / "old.tsv").read_bytes()
@@ -385,18 +390,20 @@ def test_reduce_rejects_more_columns_than_points(tmp_path, capsys):
     (["embed", "multilayer", "--theta", "inf"], "theta"),
     (["embed", "cafe", "--k", "2", "--tol", "nan"], "tol"),
     (["embed", "sphere", "--k", "2", "--tol=-1e-9"], "tol"),
+    (["embed", "sphere", "--k", "2", "--tol", "inf"], "tol"),
     (["embed", "multilayer", "--tol", "nan"], "tol"),
     (["reduce", "--cloud", "circles", "--k", "3", "--method", "sphere",
       "--tol", "nan"], "tol"),
     (["verify", "--tol=-1"], "tol"),
 ], ids=["reduce-theta", "cafe-theta", "verify-theta", "multilayer-theta",
-        "cafe-tol", "sphere-tol", "multilayer-tol", "reduce-sphere-tol",
-        "verify-tol"])
+        "cafe-tol", "sphere-tol", "sphere-tol-inf", "multilayer-tol",
+        "reduce-sphere-tol", "verify-tol"])
 def test_infinite_theta_and_bad_tol_are_user_errors(tmp_path, sbm_file,
                                                      capsys, argv, field):
-    """An infinite theta would run every sweep and write NaN rows, and a
-    NaN or negative tol could never be met: both fail before any sweep,
-    naming the option, and write nothing."""
+    """An infinite theta would run every sweep and write NaN rows, a NaN
+    or negative tol could never be met and an infinite one is met by any
+    first sweep: all fail before any sweep, naming the option, and write
+    nothing."""
     graph_path, _ = sbm_file
     out = tmp_path / "out.tsv"
     if argv[0] != "reduce":
@@ -429,6 +436,23 @@ def test_embed_multilayer_refuses_graphs_above_the_dense_limit(tmp_path,
     assert "refusing a dense K = n first level at n=5001 (> 5000)" in \
         capsys.readouterr().err
     assert not out.exists()
+
+
+def test_embed_multilayer_on_a_saved_clique_reports_level_zero(tmp_path,
+                                                               capsys):
+    """A 5-clique read back from its file gives a one-cluster level 0
+    below the zero of the trivial partition, which ends the hierarchy."""
+    path, out = tmp_path / "clique.tsv", tmp_path / "ml.tsv"
+    save_edge_list(path, from_edge_list(datasets.clique_edges(range(5))))
+    assert main(["embed", "multilayer", "--graph", str(path),
+                 "--out", str(out)]) == 0
+    assert "level=0 clusters=1 modularity=-2.22044604925e-16\n" in \
+        capsys.readouterr().out
+    levels = _manifest(out)["levels"]
+    assert [(lv["level"], lv["clusters"], lv["columns"], lv["modularity"])
+            for lv in levels] == [(0, 1, 1, -2.220446049250313e-16)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "clique.tsv", "ml.membership.tsv", "ml.tsv", "ml.tsv.manifest.json"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -539,6 +563,135 @@ def test_usage_errors_exit_one(tmp_path):
         main(["embed", "--graph", "g.tsv", "cafe", "--k", "2",
               "--out", str(tmp_path / "e.tsv")])
     assert exc.value.code == 1  # options follow the mode word
+
+
+# --- exit codes of the branches no other test takes -------------------------
+
+@pytest.mark.parametrize("error, message", [
+    (ConvergenceError("no convergence after 9 sweeps"),
+     "internal error: no convergence after 9 sweeps\n"),
+    (RuntimeError("boom"), "internal error: RuntimeError: boom\n"),
+])
+def test_internal_failures_exit_two(tmp_path, sbm_file, capsys, error,
+                                    message):
+    graph_path, _ = sbm_file
+    out = tmp_path / "eigs.tsv"
+    with mock.patch.object(cli, "eigendecompose", side_effect=error):
+        assert main(["eigs", "--graph", str(graph_path),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_verify_exits_two_on_a_bound_violation(tmp_path, sbm_file, capsys):
+    """The report is still written, with its manifest."""
+    graph_path, _ = sbm_file
+    report = AlignmentReport(*[0.5] * 9, applicable=True, holds=False)
+    out = tmp_path / "v.tsv"
+    with mock.patch.object(cli, "alignment_bounds", return_value=report):
+        assert main(["verify", "--graph", str(graph_path),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "bound violation\n"
+    assert out.read_text().endswith("applicable\t1\nholds\t0\n")
+    assert _manifest(out)["command"] == "verify"
+
+
+def _rows_file(path, labels, rows):
+    save_embedding_tsv(path, np.array(rows, dtype=float), labels)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", [
+    "full-label-without-labels", "assignment-rows", "assignment-zero",
+    "topk-zero", "mixed-widths", "bad-coordinate", "no-points",
+    "link-self-loops"])
+def test_user_errors_exit_one_naming_the_fault(tmp_path, sbm_file, capsys,
+                                               case):
+    graph_path, _ = sbm_file
+    nodes = load_edge_list(graph_path).node_labels
+    out = tmp_path / "out.tsv"
+    cloud = tmp_path / "cloud.xyz"
+    graph = ["--graph", str(graph_path)]
+    argv, message = {
+        "full-label-without-labels": (
+            ["embed", "cafe", *graph, "--k", "2", "--full-label"],
+            "error: --full-label requires --labels\n"),
+        "assignment-rows": (
+            ["verify", *graph, "--assignment", _rows_file(
+                tmp_path / "rev.tsv", nodes[::-1], [[0.5, 0.5]] * len(nodes))],
+            "error: assignment rows do not match the graph's nodes\n"),
+        "assignment-zero": (
+            ["verify", *graph, "--assignment", _rows_file(
+                tmp_path / "a.tsv", nodes, [[0.0, 1.0]] * len(nodes))],
+            "error: first assignment column is identically zero\n"),
+        "topk-zero": (["eigs", *graph, "--topk", "0"],
+                      "error: k must lie in [1, 24], got 0\n"),
+        "mixed-widths": (["reduce", "--points", str(cloud), "--k", "2"],
+                         f"error: {cloud}:2: inconsistent column count\n"),
+        "bad-coordinate": (["reduce", "--points", str(cloud), "--k", "2"],
+                           f"error: {cloud}:2: bad coordinate\n"),
+        "no-points": (["reduce", "--points", str(cloud), "--k", "2"],
+                      f"error: {cloud}: empty point cloud\n"),
+        "link-self-loops": (
+            ["eval", "link", "--graph", str(tmp_path / "loops.tsv"),
+             "--embeddings", _rows_file(tmp_path / "e.tsv", ["a", "b"],
+                                        [[1.0], [2.0]])],
+            "error: graph has no off-diagonal edges to predict\n"),
+    }[case]
+    cloud.write_text({"mixed-widths": "0 0\n1 0 1\n",
+                      "bad-coordinate": "0 0\n1 x\n",
+                      "no-points": "# nothing\n\n"}.get(case, ""))
+    (tmp_path / "loops.tsv").write_text("a a\nb b\n")
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+# --- manifests record only what a run reads, as strict JSON -----------------
+
+def _strict_manifest(path):
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(Path(f"{path}.manifest.json").read_text(),
+                      parse_constant=refuse)
+
+
+def test_reduce_records_only_the_weight_its_method_reads(tmp_path):
+    """Neither method reads the other's weight, so an infinite one is
+    neither checked nor recorded."""
+    out = tmp_path / "red.tsv"
+    run = ["reduce", "--cloud", "circles", "--k", "2", "--out", str(out)]
+    assert main(run + ["--method", "sphere", "--theta", "inf"]) == 0
+    params = _strict_manifest(out)["params"]
+    assert params["beta"] == 0.5 and "theta" not in params
+    assert main(run + ["--method", "cafe", "--beta", "inf"]) == 0
+    params = _strict_manifest(out)["params"]
+    assert params["theta"] == 0.01 and "beta" not in params
+
+
+def test_full_label_manifest_records_no_sweep_settings(tmp_path, sbm_file):
+    """No sweep runs, so there are no sweep settings, trace or stop
+    reason to record."""
+    graph_path, labels_path = sbm_file
+    out = tmp_path / "full.tsv"
+    assert main(["embed", "cafe", "--graph", str(graph_path), "--labels",
+                 str(labels_path), "--full-label", "--theta", "7",
+                 "--seed", "3", "--out", str(out)]) == 0
+    manifest = _strict_manifest(out)
+    assert manifest["params"] == {"mode": "cafe", "k": 2, "full_label": True}
+    assert "stop_reason" not in manifest
+    assert "objective_trace" not in manifest
+
+
+def test_manifest_refuses_a_non_finite_value(tmp_path):
+    out = tmp_path / "o.tsv"
+    out.write_text("a\t1\n")
+    with pytest.raises(ValueError, match="JSON"):
+        cli._write_manifest("eigs", {"topk": float("nan")}, {}, [out], 0.0,
+                            None)
+    assert not Path(f"{out}.manifest.json").exists()
 
 
 def _load_bench_run():

@@ -36,11 +36,11 @@ def test_config_validation():
             ClusterConfig(n_clusters=2, theta=theta)
     with pytest.raises(ValueError, match="max_sweeps"):
         ClusterConfig(n_clusters=2, max_sweeps=0)
-    for tol in (np.nan, -1e-9):
-        with pytest.raises(ValueError, match="tol must be >= 0"):
+    for tol in (np.nan, -1e-9, np.inf):
+        with pytest.raises(ValueError, match="tol must be >= 0 and finite"):
             ClusterConfig(n_clusters=2, tol=tol)
     ClusterConfig(n_clusters=2, theta=1e300, tol=0.0)
-    ClusterConfig(n_clusters=2, tol=np.inf)
+    ClusterConfig(n_clusters=2, tol=1e300)
 
 
 def test_init_rows_are_pmfs():

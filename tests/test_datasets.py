@@ -31,6 +31,17 @@ def test_erdos_renyi_seeded():
     assert all(u < w for u, w in a)
 
 
+@pytest.mark.parametrize("n, p, seed", [
+    (30, 0.2, 4), (0, 0.5, 1), (1, 1.0, 2), (2, 1, 3), (60, 0.1, 9),
+    (200, 0.03, 123)])
+def test_erdos_renyi_draws_its_former_edges(n, p, seed):
+    """The one-block SBM gives the edges of the former G(n, p) sampler."""
+    rows, cols = np.triu_indices(n, k=1)
+    mask = np.random.default_rng(seed).random(rows.size) < p
+    assert datasets.erdos_renyi_edges(n, p, seed) == list(
+        zip(rows[mask].tolist(), cols[mask].tolist()))
+
+
 def test_sbm_block_structure():
     edges, blocks = datasets.sbm_edges([10, 10], [[0.9, 0.05], [0.05, 0.9]],
                                        seed=2)

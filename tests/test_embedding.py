@@ -231,6 +231,41 @@ def test_multilayer_tol_zero_stops_when_nothing_merges(karate):
     assert [len(np.unique(layer.membership)) for layer in levels] == [4]
 
 
+def _levels(edges, **kwargs):
+    """(level, width, clusters, modularity) of each multilayer level."""
+    Q = graph.from_edge_list(edges).modularity_matrix()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        levels = multilayer_embed(Q, **kwargs)
+    return [(layer.level, layer.C, len(np.unique(layer.membership)),
+             layer.modularity) for layer in levels]
+
+
+@pytest.mark.parametrize("graph_seed, seed, want", [
+    # Level 1 gains, level 2 does not.
+    (10, 2, [(0, 4, 4, 0.4284119897959185),
+             (1, 3, 3, 0.45087514172335585)]),
+    # Level 1 merges supernodes but gains nothing.
+    (13, 1, [(0, 3, 3, 0.49114871883656486)]),
+])
+def test_multilayer_stops_at_a_level_without_gain(graph_seed, seed, want):
+    edges, _ = datasets.two_level_block_edges(10, 0.6, 0.22, 0.02,
+                                              seed=graph_seed)
+    assert _levels(edges, seed=seed) == want
+
+
+@pytest.mark.parametrize("size, modularity", [
+    # Level 0 is one cluster at a modularity rounded above zero: the
+    # one-supernode level 1 merges nothing.
+    (6, 2.220446049250313e-16),
+    # Level 0 does not beat the one-cluster partition's zero.
+    (9, -2.220446049250313e-16),
+])
+def test_multilayer_on_a_clique_reports_level_zero_alone(size, modularity):
+    assert _levels(datasets.clique_edges(range(size))) == [
+        (0, 1, 1, modularity)]
+
+
 def test_embedding_tsv_roundtrip(tmp_path):
     rows = np.array([[1.0, -2.5e-17], [3.1415926535897931, 0.25]])
     path = tmp_path / "emb.tsv"

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from modembed import graph
-from modembed.embedding import multilayer_embed
+from modembed.embedding import coarsen, multilayer_embed
 from modembed.spectral import alignment_bounds, eigendecompose
 
 from conftest import dense_masses, dense_modularity, graph_from, random_edges
@@ -224,6 +224,7 @@ DENSE_CALLS = [
     eigendecompose,
     lambda Q: alignment_bounds(Q, np.full((Q.n, 2), 0.5)),
     multilayer_embed,
+    lambda Q: coarsen(Q, np.arange(Q.n)),
 ]
 
 

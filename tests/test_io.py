@@ -888,11 +888,13 @@ def assert_reads_like_oracle(kind, path, labelled=LABEL_GRAPH):
         want = outcome(oracle_load_labels, path, labelled)
         for got in both_paths(load_labels, path, labelled):
             if assert_same_outcome(got, want):
-                labels, index = got[1]
-                assert list(labels.items()) == list(want[1].items())
-                assert index.dtype == np.int64
+                index, classes, names = got[1]
+                assert names == sorted(set(want[1].values()))
+                assert index.dtype == classes.dtype == np.int64
                 assert index.tolist() == [labelled.index_of(node)
                                           for node in want[1]]
+                assert classes.tolist() == [names.index(name)
+                                            for name in want[1].values()]
     else:
         want = outcome(oracle_load_embedding_tsv, path)
         for got in both_paths(load_embedding_tsv, path):

@@ -411,68 +411,6 @@ def test_clamp_and_fallback_both_fire():
     assert seen["clamp"] > 0 and seen["fallback"] > 0, seen
 
 
-def test_kept_kernel_follows_a_rebound_aggregate_array(karate):
-    """Rebinding agg.S between passes: the kernel prepared for the run
-    must then read and update the new array."""
-    def check(karate):
-        Q0 = karate.modularity_matrix(diag_zeroed=True)
-        config = ClusterConfig(n_clusters=3, theta=20.0, seed=2)
-        fast = init_assignment(Q0.n, config, pinned={0: 1})
-        slow = init_assignment(Q0.n, config, pinned={0: 1})
-        fast_agg = Q0.make_aggregate(fast.H)
-        slow_agg = Q0.make_aggregate(slow.H)
-        visit = softmax_kernel(Q0, fast, config, fast_agg)
-        for _ in range(3):
-            assert clustering.sweep(Q0, fast.H, visit) == oracle_sweep(
-                Q0, slow, config, slow_agg)
-            assert same_bytes(fast.H, slow.H)
-            assert same_bytes(fast_agg.S, slow_agg.S)
-            fast_agg.S = Q0.make_aggregate(fast.H).S
-            slow_agg.S = Q0.make_aggregate(slow.H).S
-
-    on_both_paths(check, karate)
-
-
-def test_kept_sphere_kernel_follows_a_rebound_aggregate_array(karate):
-    def check(karate):
-        Q = karate.modularity_matrix()
-        fast = init_sphere(Q.n, 3, seed=4)
-        slow = fast.copy()
-        fast_agg, slow_agg = Q.make_aggregate(fast), Q.make_aggregate(slow)
-        visit = sphere_kernel(Q, fast, 0.5, fast_agg)
-        for _ in range(3):
-            assert sphere.sphere_sweep(Q, fast, visit) == (
-                oracle_sphere_sweep(Q, slow, 0.5, slow_agg))
-            assert same_bytes(fast, slow)
-            assert same_bytes(fast_agg.S, slow_agg.S)
-            fast_agg.S = Q.make_aggregate(fast).S
-            slow_agg.S = Q.make_aggregate(slow).S
-
-    on_both_paths(check, karate)
-
-
-def test_kept_gram_kernel_follows_a_rebound_aggregate_array():
-    """The point-cloud kernel reads agg.W on every call, as the graph
-    kernel reads agg.S."""
-    def check():
-        Q0 = GramOperator(center(torus_cloud(60)), diag_zeroed=True)
-        config = ClusterConfig(n_clusters=4, theta=0.5, seed=6)
-        fast = init_assignment(Q0.n, config, pinned={3: 2})
-        slow = init_assignment(Q0.n, config, pinned={3: 2})
-        fast_agg = Q0.make_aggregate(fast.H)
-        slow_agg = Q0.make_aggregate(slow.H)
-        visit = softmax_kernel(Q0, fast, config, fast_agg)
-        for _ in range(3):
-            assert clustering.sweep(Q0, fast.H, visit) == oracle_sweep(
-                Q0, slow, config, slow_agg)
-            assert same_bytes(fast.H, slow.H)
-            assert same_bytes(fast_agg.W, slow_agg.W)
-            fast_agg.W = Q0.make_aggregate(fast.H).W
-            slow_agg.W = Q0.make_aggregate(slow.H).W
-
-    on_both_paths(check)
-
-
 # --- sphere sweeps -----------------------------------------------------------
 
 def assert_same_sphere(Q, config, sweeps=3):

@@ -32,8 +32,8 @@ def test_config_validation():
         SphereConfig(n_dims=2, beta=-0.1)
     with pytest.raises(ValueError, match="max_sweeps"):
         SphereConfig(n_dims=2, max_sweeps=0)
-    for tol in (float("nan"), -1e-9):
-        with pytest.raises(ValueError, match="tol must be >= 0"):
+    for tol in (float("nan"), -1e-9, float("inf")):
+        with pytest.raises(ValueError, match="tol must be >= 0 and finite"):
             SphereConfig(n_dims=2, tol=tol)
     SphereConfig(n_dims=2, tol=0.0)
     SphereConfig(n_dims=2, beta=0.0)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from modembed import graph
-from modembed.cli import _load_label_ids
 from modembed.tasks import (
     SoftmaxRegression,
     accuracy_score,
@@ -194,13 +193,15 @@ def test_load_labels_and_dataset(tmp_path):
     g = _named_graph()
     path = tmp_path / "labels.tsv"
     path.write_text("a\tleft\nd\tright\nb\tleft\n")
-    labels, nodes = load_labels(path, g)
-    assert labels == {"a": "left", "d": "right", "b": "left"}
-    assert nodes.tolist() == [g.index_of(node) for node in labels]
+    nodes, classes, names = load_labels(path, g)
+    # One entry per node in first-appearance order, class ids in
+    # sorted-name order.
+    assert nodes.tolist() == [g.index_of(node) for node in "adb"]
+    assert classes.tolist() == [0, 1, 0]
+    assert nodes.dtype == classes.dtype == np.int64
 
     rng = np.random.default_rng(1)
     emb = rng.random((g.n, 2))
-    nodes, classes, names = _load_label_ids(path, g)
     order = np.argsort(nodes)
     idx = nodes[order]
     X, y = emb[idx], classes[order]

@@ -3,8 +3,11 @@
  * embedding.save_embedding_tsv and graph.save_edge_list, the one CAFE
  * and sphere sweep behind clustering._kernel, modembed_sweep, the
  * modularity operator's Q @ H behind ModularityMatrix.apply,
- * modembed_apply, and the one TSV scanner behind graph.load_edge_list,
- * tasks.load_labels and embedding.load_embedding_tsv, modembed_scan.
+ * modembed_apply, the one TSV scanner behind graph.load_edge_list,
+ * tasks.load_labels and embedding.load_embedding_tsv, modembed_scan, the
+ * lookup of scanned labels behind SampledGraph.indices_of,
+ * modembed_lookup, and the graph build behind graph._from_ids,
+ * modembed_build.
  *
  * Each rotation function repeats its Python loop operation for
  * operation: the same IEEE operations on the same doubles in the same
@@ -43,7 +46,14 @@
  * message keeps its words and line.  Numbers go through strtod in the
  * "C" locale, which rounds correctly as Python's float() does (Clinger,
  * PLDI 1990); labels are hashed and numbered in first-appearance order,
- * so Python decodes each distinct label once.
+ * so Python decodes each distinct label once.  modembed_lookup finds
+ * scanned labels among a scanned graph's with the same hash table.
+ *
+ * modembed_build repeats graph._csr_of_ids's arithmetic: each pair's
+ * weight summed in input order from 0.0, the total summed left to right
+ * over the pairs in first-appearance order, the same two divisions.  Only
+ * the order of the work differs (a hash instead of np.unique, counting
+ * and row sorts instead of argsort), and no value depends on it.
  */
 #define _POSIX_C_SOURCE 200809L
 #include <locale.h>
@@ -216,7 +226,12 @@ static int exact_digits(double a, uint64_t *digits, int *exp10)
     memcpy(&bits, &a, sizeof bits);
     uint64_t m = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
     int e = (int)(bits >> 52) - 1075;
-    int x = (int)floor(log10(a));
+    /* floor((e + 52) log10(2)), with 78913 / 2^18 for log10(2), lies
+     * within 1 of floor(log10(a)) on this range; the loop moves x to the
+     * one exponent that puts a * 10^(16 - x) in [1e16, 1e17), so the
+     * digits do not depend on the first guess. */
+    int t = (e + 52) * 78913;
+    int x = t >= 0 ? t >> 18 : -((-t + (1 << 18) - 1) >> 18);
     for (int tries = 0; tries < 3; tries++) {
         /* a * 10^p = m * 5^p * 2^(e + p), with m * 5^p < 2^128. */
         int p = 16 - x;
@@ -709,14 +724,18 @@ struct table {
     int queued;
 };
 
-/* Room for one more label: entries grow when full, slots double at half
- * load.  0 when memory or the 31-bit ids run out. */
-static int table_reserve(struct table *t)
+/* Room for `more` labels beyond those held: entries double until they
+ * fit, slots until under half load.  0 when memory or the 31-bit ids run
+ * out. */
+static int table_reserve(struct table *t, ptrdiff_t more)
 {
-    if (t->count >= 0x7FFFFFFF)
+    ptrdiff_t count = t->count + more;
+    if (count > 0x7FFFFFFF)
         return 0;
-    if (t->count + 2 > t->capacity) {
+    if (count + 1 > t->capacity) {
         ptrdiff_t capacity = t->capacity ? 2 * t->capacity : 1024;
+        while (count + 1 > capacity)
+            capacity *= 2;
         struct entry *entries = realloc(t->entries,
                                         (size_t)capacity * sizeof *entries);
         if (entries == NULL)
@@ -726,9 +745,11 @@ static int table_reserve(struct table *t)
         t->entries = entries;
         t->capacity = capacity;
     }
-    if ((uint64_t)t->count * 2 < t->mask)
+    if ((uint64_t)(count - 1) * 2 < t->mask)
         return 1;
     uint64_t mask = t->mask ? 2 * t->mask + 1 : 2047;
+    while ((uint64_t)(count - 1) * 2 >= mask)
+        mask = 2 * mask + 1;
     struct slot *slots = calloc(mask + 1, sizeof *slots);
     if (slots == NULL)
         return 0;
@@ -746,27 +767,36 @@ static int table_reserve(struct table *t)
     return 1;
 }
 
-/* The id of the label, added if new (*added set to 1); -1 when memory
- * runs out. */
-static ptrdiff_t table_id(struct table *t, const struct label *key,
-                          int *added)
+/* The slot holding the label, or the empty slot where it would go; the
+ * table must have slots. */
+static struct slot *table_slot(const struct table *t, const struct label *key)
 {
-    if (!table_reserve(t))
-        return -1;
     uint64_t j = key->tag;
     for (struct slot *slot; (slot = t->slots + (j & t->mask))->id != 0; j++) {
         if (slot->tag != key->tag || slot->head != key->head)
             continue;
         ptrdiff_t id = (ptrdiff_t)slot->id - 1, at = t->entries[id].name;
         if (key->n < 8 || (t->entries[id + 1].name - at - 1 == key->n &&
-                           memcmp(t->text + at, key->s, (size_t)key->n) == 0)) {
-            *added = 0;
-            return id;
-        }
+                           memcmp(t->text + at, key->s, (size_t)key->n) == 0))
+            return slot;
+    }
+    return t->slots + (j & t->mask);
+}
+
+/* The id of the label, added if new (*added set to 1); -1 when memory
+ * runs out. */
+static ptrdiff_t table_id(struct table *t, const struct label *key,
+                          int *added)
+{
+    if (!table_reserve(t, 1))
+        return -1;
+    struct slot *slot = table_slot(t, key);
+    if (slot->id != 0) {
+        *added = 0;
+        return (ptrdiff_t)slot->id - 1;
     }
     ptrdiff_t id = t->count++;
-    t->slots[j & t->mask] = (struct slot){key->head, key->tag,
-                                          (uint32_t)(id + 1)};
+    *slot = (struct slot){key->head, key->tag, (uint32_t)(id + 1)};
     memcpy(t->text + t->size, key->s, (size_t)key->n);
     t->size += key->n;
     t->text[t->size++] = '\n';
@@ -944,4 +974,245 @@ int modembed_scan(int kind, const char *text, ptrdiff_t size,
     uselocale(caller);
     freelocale(c_locale);
     return ok && out->rows > 0;
+}
+
+/* The ids of the labels in queries among the distinct labels in names,
+ * label i of names having id i, into ids: -1 for a label names lacks.
+ * Both hold their labels each followed by '\n', in names_size and
+ * queries_size bytes; ids holds one id per query label.  Returns 1, or 0
+ * when memory runs out. */
+int modembed_lookup(const char *names, ptrdiff_t names_size,
+                    const char *queries, ptrdiff_t queries_size, int64_t *ids)
+{
+    /* One table sized for every name, so that it never grows. */
+    ptrdiff_t count = 1;
+    for (const char *s = names; (s = memchr(s, '\n', (size_t)(names +
+                                 names_size - s))) != NULL; s++)
+        count++;
+    struct table t = {.text = malloc((size_t)names_size + 1)};
+    int ok = t.text != NULL && table_reserve(&t, count), added;
+    /* Names, then queries, are queued, as edge-list labels are, with
+     * their slots prefetched; the table never grows, so the slots stay. */
+    for (int pass = 0; pass < 2; pass++) {
+        const char *s = pass ? queries : names, *e;
+        const char *end = s + (pass ? queries_size : names_size);
+        for (; ok && s < end; s = e + (e < end)) {
+            e = memchr(s, '\n', (size_t)(end - s));
+            if (e == NULL)
+                e = end;
+            struct label *key = t.queue + t.queued++;
+            *key = label_of(s, e - s);
+            PREFETCH(t.slots + (key->tag & t.mask));
+            if (t.queued < QUEUE && e < end && e + 1 < end)
+                continue;
+            for (int k = 0; ok && k < t.queued; k++) {
+                if (pass)
+                    *ids++ = (int64_t)table_slot(&t, t.queue + k)->id - 1;
+                else
+                    ok = table_id(&t, t.queue + k, &added) >= 0;
+            }
+            t.queued = 0;
+        }
+    }
+    free(t.slots);
+    free(t.entries);
+    free(t.text);
+    return ok;
+}
+
+/* --- graph build ------------------------------------------------------- */
+
+/* The arrays modembed_build fills, sized by the caller for n nodes and m
+ * edges: indptr n + 1, indices and data 2 m, diag n; nnz is the stored
+ * entry count. */
+struct modembed_graph {
+    int64_t *indptr, *indices;
+    double *data, *diag;
+    ptrdiff_t nnz;
+};
+
+/* A pair's slot: 32 bits of its key's hash, which also place the slot,
+ * and its id + 1, 0 when empty. */
+struct pair_slot {
+    uint32_t tag, id;
+};
+
+/* The splitmix64 finalizer. */
+static uint64_t mix64(uint64_t h)
+{
+    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
+    return h ^ (h >> 31);
+}
+
+/* Edge e's unordered pair as (min << 32) | max, or UINT64_MAX when an id
+ * lies outside [0, n). */
+static uint64_t pair_key(const int64_t *ids, ptrdiff_t e, ptrdiff_t n)
+{
+    int64_t a = ids[2 * e], b = ids[2 * e + 1];
+    if (a < 0 || b < 0 || a >= n || b >= n)
+        return UINT64_MAX;
+    return a < b ? (uint64_t)a << 32 | (uint64_t)b
+                 : (uint64_t)b << 32 | (uint64_t)a;
+}
+
+/* A stored entry while a row is sorted. */
+struct cell {
+    int64_t column;
+    double value;
+};
+
+static int by_column(const void *x, const void *y)
+{
+    int64_t a = ((const struct cell *)x)->column;
+    int64_t b = ((const struct cell *)y)->column;
+    return (a > b) - (a < b);
+}
+
+/* Sort the d entries of a row by column, which are distinct; cells has
+ * room for d. */
+static void sort_row(int64_t *indices, double *data, ptrdiff_t d,
+                     struct cell *cells)
+{
+    if (d <= 16) {
+        for (ptrdiff_t i = 1; i < d; i++) {
+            int64_t c = indices[i];
+            double v = data[i];
+            ptrdiff_t j = i;
+            for (; j > 0 && indices[j - 1] > c; j--) {
+                indices[j] = indices[j - 1];
+                data[j] = data[j - 1];
+            }
+            indices[j] = c;
+            data[j] = v;
+        }
+        return;
+    }
+    for (ptrdiff_t i = 0; i < d; i++)
+        cells[i] = (struct cell){indices[i], data[i]};
+    qsort(cells, (size_t)d, sizeof *cells, by_column);
+    for (ptrdiff_t i = 0; i < d; i++) {
+        indices[i] = cells[i].column;
+        data[i] = cells[i].value;
+    }
+}
+
+/* The sampled graph of m edges between n nodes, as graph._from_ids builds
+ * it: edge e joins ids[2 e] and ids[2 e + 1] with weight weights[e].  The
+ * unordered pairs are deduplicated with a hash and numbered in first-
+ * appearance order; each pair's weight sums its edges' weights in input
+ * order from 0.0, as np.bincount does; pairs of zero weight are dropped;
+ * total sums the remaining pair weights left to right.  A self pair's
+ * mass goes to diag as weight / total, every other pair's weight /
+ * (2.0 * total) to both (i, j) and (j, i); a counting sort by row, then
+ * a sort of each row by column, orders the entries.  Returns 1 when
+ * built, 0 when no pair has weight, and -1 when an id lies outside
+ * [0, n), n exceeds 2^32, m reaches 2^31 or memory runs out. */
+int modembed_build(ptrdiff_t n, ptrdiff_t m, const int64_t *ids,
+                   const double *weights, struct modembed_graph *out)
+{
+    if (n < 0 || m < 0 || (uint64_t)n > (1ULL << 32) ||
+        (uint64_t)m >= (1ULL << 31))
+        return -1;
+    if (m == 0)
+        return 0;
+    /* Slots for m pairs at most two thirds full. */
+    uint64_t mask = 15;
+    while (mask + 1 < 3 * (uint64_t)m / 2)
+        mask = 2 * mask + 1;
+    struct pair_slot *slots = calloc(mask + 1, sizeof *slots);
+    uint64_t *keys = malloc((size_t)m * sizeof *keys);
+    double *mass = malloc((size_t)m * sizeof *mass);
+    int64_t *next = NULL;
+    struct cell *cells = NULL;
+    int status = -1;
+    if (slots == NULL || keys == NULL || mass == NULL)
+        goto done;
+    /* The slot of edge e + QUEUE is fetched while edge e is placed. */
+    ptrdiff_t pairs = 0;
+    for (ptrdiff_t e = 0; e < m; e++) {
+        if (e + QUEUE < m)
+            PREFETCH(slots + ((mix64(pair_key(ids, e + QUEUE, n)) >> 32) &
+                              mask));
+        uint64_t key = pair_key(ids, e, n);
+        if (key == UINT64_MAX)
+            goto done;
+        uint32_t tag = (uint32_t)(mix64(key) >> 32);
+        uint64_t j = tag;
+        struct pair_slot *slot;
+        while ((slot = slots + (j & mask))->id != 0 &&
+               (slot->tag != tag || keys[slot->id - 1] != key))
+            j++;
+        if (slot->id == 0) {
+            *slot = (struct pair_slot){tag, (uint32_t)(pairs + 1)};
+            keys[pairs] = key;
+            mass[pairs++] = 0.0;
+        }
+        mass[slot->id - 1] += weights[e];
+    }
+    free(slots);
+    slots = NULL;
+    double total = 0.0;
+    ptrdiff_t kept = 0;
+    for (ptrdiff_t p = 0; p < pairs; p++) {
+        if (mass[p] > 0.0) {
+            total += mass[p];
+            kept++;
+        }
+    }
+    if (kept == 0) {
+        status = 0;
+        goto done;
+    }
+    /* Row counts into indptr[1:], then their running sum. */
+    for (ptrdiff_t i = 0; i < n; i++)
+        out->diag[i] = 0.0;
+    memset(out->indptr, 0, (size_t)(n + 1) * sizeof *out->indptr);
+    for (ptrdiff_t p = 0; p < pairs; p++) {
+        uint64_t a = keys[p] >> 32, b = keys[p] & 0xFFFFFFFFu;
+        if (mass[p] > 0.0 && a != b) {
+            out->indptr[a + 1]++;
+            out->indptr[b + 1]++;
+        }
+    }
+    ptrdiff_t widest = 0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        if (out->indptr[i + 1] > widest)
+            widest = out->indptr[i + 1];
+        out->indptr[i + 1] += out->indptr[i];
+    }
+    next = malloc((size_t)(n ? n : 1) * sizeof *next);
+    cells = malloc((size_t)(widest ? widest : 1) * sizeof *cells);
+    if (next == NULL || cells == NULL)
+        goto done;
+    memcpy(next, out->indptr, (size_t)n * sizeof *next);
+    double half = 2.0 * total;
+    for (ptrdiff_t p = 0; p < pairs; p++) {
+        uint64_t a = keys[p] >> 32, b = keys[p] & 0xFFFFFFFFu;
+        if (!(mass[p] > 0.0))
+            continue;
+        if (a == b) {
+            out->diag[a] = mass[p] / total;
+            continue;
+        }
+        double v = mass[p] / half;
+        out->indices[next[a]] = (int64_t)b;
+        out->data[next[a]++] = v;
+        out->indices[next[b]] = (int64_t)a;
+        out->data[next[b]++] = v;
+    }
+    for (ptrdiff_t i = 0; i < n; i++) {
+        int64_t s = out->indptr[i];
+        sort_row(out->indices + s, out->data + s, out->indptr[i + 1] - s,
+                 cells);
+    }
+    out->nnz = out->indptr[n];
+    status = 1;
+done:
+    free(slots);
+    free(keys);
+    free(mass);
+    free(next);
+    free(cells);
+    return status;
 }

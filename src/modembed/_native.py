@@ -1,29 +1,40 @@
 """Build-on-first-use loader for the compiled loops in `_native.c`.
 
-The library holds the rotation loops of the dense eigensolvers
-(`spectral`), the '%.17g' row formatter behind every TSV writer
-(`graph._write_rows`), `modembed_sweep`, one pass of the softmax or
-sphere rule, which `sweep` prepares for the one kernel builder,
-`clustering._kernel`, `modembed_apply`, the modularity operator's
-Q @ H in one pass over the CSR rows, which `apply` calls for
-`graph.ModularityMatrix.apply`, and `modembed_scan`, the one scanner
-behind the edge-list, label and embedding readers, which `scan` calls;
-each computes the same bytes as the Python code it stands in for.  The
-scanner reads only files that the readers' line loops would read the
+The library's entry points, each computing the same bytes as the Python
+code it stands in for, which stays as the fallback and the tests' oracle:
+
+- `modembed_ql` and `modembed_jacobi`, the rotation loops of the dense
+  eigensolvers (`spectral`);
+- `modembed_format_rows`, the '%.17g' row formatter behind every TSV
+  writer (`graph._write_rows`);
+- `modembed_sweep`, one pass of the softmax or sphere rule, which `sweep`
+  prepares for the one kernel builder, `clustering._kernel`;
+- `modembed_apply`, the modularity operator's Q @ H in one pass over the
+  CSR rows, which `apply` calls for `graph.ModularityMatrix.apply`;
+- `modembed_scan`, the one scanner behind the edge-list, label and
+  embedding readers, which `scan` calls;
+- `modembed_lookup`, the indices of scanned labels among a scanned
+  graph's, which `lookup` calls for `graph.SampledGraph.indices_of`;
+- `modembed_build`, the CSR arrays of a sampled graph from its edges'
+  label ids and weights, which `build` calls for `graph._from_ids`.
+
+The scanner reads only files that the readers' line loops would read the
 same way (ASCII, no NUL, '\\r', '\\x0b', '\\x0c' or '\\x1c'-'\\x1f', every
 line well formed, every number of the form
 `[+-]?digits[.digits][(e|E)[+-]digits]`) and leaves all others, errors
-included, to the loops.  The sweep calls numpy's own inner loops for
-exp, the reductions and the matrix products, which `numpy_loop` reads from
-the ufunc objects.  `library()` compiles `_native.c` with the system C
-compiler the first time it is called, caches the shared library under
-the user cache directory, keyed by the sha256 of the source, the flags
-and the machine, and loads it with ctypes.  It returns None when no
-compiler is found or the cache directory is not usable: not writable,
-not owned by this user, or writable by anyone else, since whoever can
-write there could plant a library this process would load.  Callers
-then run their Python loops, which compute the same bytes.  Importing
-this module compiles and loads nothing.
+included, to the loops.  The labels it reads come back as `Labels`,
+which keep their bytes for `lookup` and the row writer.  The sweep calls
+numpy's own inner loops for exp, the reductions and the matrix products,
+which `numpy_loop` reads from the ufunc objects.  `library()` compiles
+`_native.c` with the system C compiler the first time it is called,
+caches the shared library under the user cache directory, keyed by the
+sha256 of the source, the flags and the machine, and loads it with
+ctypes.  It returns None when no compiler is found or the cache
+directory is not usable: not writable, not owned by this user, or
+writable by anyone else, since whoever can write there could plant a
+library this process would load.  Callers then run their Python loops,
+which compute the same bytes.  Importing this module compiles and loads
+nothing.
 """
 
 from __future__ import annotations
@@ -135,6 +146,14 @@ def library():
     lib.modembed_scan.argtypes = (ctypes.c_int, ctypes.c_char_p, size,
                                   ctypes.POINTER(_Scan))
     lib.modembed_scan.restype = ctypes.c_int
+    int64 = np.ctypeslib.ndpointer(np.int64, ndim=1,
+                                   flags=("C_CONTIGUOUS", "ALIGNED"))
+    lib.modembed_lookup.argtypes = (ctypes.c_char_p, size, ctypes.c_char_p,
+                                    size, int64)
+    lib.modembed_lookup.restype = ctypes.c_int
+    lib.modembed_build.argtypes = (size, size, int64, vector,
+                                   ctypes.POINTER(_Graph))
+    lib.modembed_build.restype = ctypes.c_int
     return lib
 
 
@@ -271,7 +290,9 @@ def apply(graph, H, c, diag):
     lib = library()
     if lib is None:
         return None
-    if not H.flags.aligned:
+    # The pass gathers whole rows of H, so a column-major or strided H is
+    # read from a C-order copy; the bytes do not depend on the layout.
+    if not (H.flags.aligned and H.flags.c_contiguous):
         H = H.copy()
     arrays = _graph_arrays(graph)
     op = _Operator(*(a.ctypes.data for a in arrays), x=H.ctypes.data,
@@ -299,9 +320,9 @@ def scan(kind, path):
 
     kind "edges" gives (ids, weights, labels) for an edge list: the two
     label ids of each edge as 2 m int64, the m weights and the distinct
-    labels in first-appearance order.  "labels" gives (nodes, classes)
-    for a label file: the distinct nodes in first-appearance order and
-    the class of each.  "rows" gives (labels, values) for an embedding
+    labels in first-appearance order as `Labels`.  "labels" gives (nodes,
+    classes) for a label file: the distinct nodes in first-appearance
+    order as `Labels` and the class of each.  "rows" gives (labels, values) for an embedding
     TSV: the row labels and the rows as an m x C float64 array.  Only
     regular files are scanned: the loop must be able to read a declined
     file again, which a pipe does not allow.
@@ -322,14 +343,80 @@ def scan(kind, path):
     if not lib.modembed_scan(_SCAN_KINDS.index(kind), text, len(text),
                              ctypes.byref(out)):
         return None
-    labels = _lines(names, out.names_size)
+    if kind == "rows":
+        return (_lines(names, out.names_size),
+                values.reshape(out.rows, out.columns))
+    labels = Labels(names, out.names_size)
     if kind == "labels":
         return labels, _lines(classes, out.classes_size)
-    if kind == "rows":
-        return labels, values.reshape(out.rows, out.columns)
     return ids[:2 * out.rows], values[:out.rows], labels
 
 
 def _lines(buffer, size):
     """The '\\n'-terminated ASCII lines in the first `size` bytes."""
     return str(memoryview(buffer)[:size], "ascii").split("\n")[:-1]
+
+
+class Labels(list):
+    """The labels a scan read, as str, with `text`, their ASCII bytes
+    each followed by '\\n'.  `lookup` and the row writer read the bytes,
+    so a list of these is not to be changed in place."""
+
+    def __init__(self, buffer, size):
+        self.text = bytes(memoryview(buffer)[:size])
+        super().__init__(str(self.text, "ascii").split("\n")[:-1])
+
+    @functools.cached_property
+    def joined(self):
+        """(the labels' bytes back to back, int offsets): label i is
+        bytes[offsets[i]:offsets[i + 1]]."""
+        ends = np.flatnonzero(np.frombuffer(self.text, np.uint8) == 10)
+        offsets = np.zeros(ends.size + 1, np.intp)
+        offsets[1:] = ends - np.arange(ends.size)
+        return self.text.replace(b"\n", b""), offsets
+
+
+def lookup(names, queries):
+    """The indices of the `Labels` queries among the distinct `Labels`
+    names as an int64 array, -1 for a label names lacks; None when the
+    library is missing or out of memory."""
+    lib = library()
+    # modembed_lookup writes one id per '\n'-terminated label of the text.
+    if lib is None or not queries.text.endswith(b"\n") or (
+            queries.text.count(b"\n") != len(queries)):
+        return None
+    ids = np.empty(len(queries), np.int64)
+    if not lib.modembed_lookup(names.text, len(names.text), queries.text,
+                               len(queries.text), ids):
+        return None
+    return ids
+
+
+class _Graph(ctypes.Structure):
+    """The C struct modembed_graph."""
+    _fields_ = [*((name, ctypes.c_void_p) for name in (
+        "indptr", "indices", "data", "diag")), ("nnz", ctypes.c_ssize_t)]
+
+
+def build(ids, weights, n):
+    """(indptr, indices, data, diag_mass) of the sampled graph on n nodes
+    whose edges join the int64 ids u0, w0, u1, w1, ... with `weights`,
+    as `graph._from_ids` builds them; None when the library is missing,
+    no pair has weight or the build declines.  The bytes are those of
+    the numpy build `graph._csr_of_ids`."""
+    lib = library()
+    if lib is None:
+        return None
+    ids = np.ascontiguousarray(ids, np.int64).reshape(-1)
+    weights = np.ascontiguousarray(weights, np.float64).reshape(-1)
+    if ids.size != 2 * weights.size:
+        return None
+    # Pages past the stored entries are never written, so never touched.
+    arrays = (np.empty(n + 1, np.int64), np.empty(2 * weights.size, np.int64),
+              np.empty(2 * weights.size), np.empty(n))
+    out = _Graph(*(a.ctypes.data for a in arrays))
+    if lib.modembed_build(n, weights.size, ids, weights,
+                          ctypes.byref(out)) != 1:
+        return None
+    indptr, indices, data, diag = arrays
+    return indptr, indices[:out.nnz], data[:out.nnz], diag

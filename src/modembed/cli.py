@@ -128,6 +128,13 @@ def _stop_reason(result):
     return "tol" if result.converged else "max_sweeps"
 
 
+def _rank(embedding):
+    """The manifest record of a QR's rank decision: the columns of Q H
+    dropped as dependent and the test that chose them."""
+    return {"dropped_columns": list(embedding.dropped_columns),
+            "rank_test": embedding.rank_test}
+
+
 def _print_run(result):
     print(
         f"C={result.embedding.C} objective={result.objective:.12g} "
@@ -168,7 +175,9 @@ def _cmd_embed_cafe(args):
     if k is None:
         raise ValueError("embed cafe requires --k")
     sweep = _sweep(args)
-    config = ClusterConfig(n_clusters=k, theta=args.theta, **sweep)
+    # A full-label run reads only K, so only K is checked.
+    config = (ClusterConfig(n_clusters=k) if labels is not None else
+              ClusterConfig(n_clusters=k, theta=args.theta, **sweep))
     result = cafe_embed(graph.modularity_matrix(), config, pinned=pinned,
                         labels=labels)
     save_embedding_tsv(args.out, result.embedding.H_hat, graph.node_labels)
@@ -179,11 +188,11 @@ def _cmd_embed_cafe(args):
         outputs.append(args.assignment_out)
     _print_run(result)
     params = {"mode": "cafe", "k": k, "full_label": args.full_label}
-    extra = None
+    extra = _rank(result.embedding)
     if labels is None:  # only a clustering run reads or makes these
         params.update(theta=args.theta, **sweep)
-        extra = {"objective_trace": result.objective_trace,
-                 "stop_reason": _stop_reason(result)}
+        extra.update(objective_trace=result.objective_trace,
+                     stop_reason=_stop_reason(result))
     return outputs, inputs, params, extra, 0
 
 
@@ -226,6 +235,7 @@ def _cmd_embed_multilayer(args):
             "columns": int(layer.embedding.C),
             "modularity": layer.modularity,
             "file": str(path),
+            **_rank(layer.embedding),
         })
         print(
             f"level={layer.level} clusters={layer.C} "

@@ -50,10 +50,18 @@ class RankDeficiencyWarning(UserWarning):
 @dataclass
 class EmbeddingMatrix:
     """Column-orthonormal node embedding Hhat with the triangular factor
-    R linking it back to Q H (Hhat @ R == Q H up to roundoff)."""
+    R linking it back to Q H (Hhat @ R == Q H up to roundoff), over the
+    columns of Q H that the rank test kept.
+
+    dropped_columns: the columns of Q H dropped as dependent, ascending.
+    rank_test: the test that chose them, "residuals" or "loop" (see
+        `qr_embed`); None when no column may be dropped.
+    """
 
     H_hat: np.ndarray
     R: np.ndarray
+    dropped_columns: tuple = ()
+    rank_test: str | None = None
 
     @property
     def C(self):
@@ -96,6 +104,21 @@ def prune_zero_columns(H):
     return H[:, keep]
 
 
+# The unit roundoff u of float64.
+_U = np.finfo(float).eps / 2
+# The factor by which the rank test's band exceeds the first-order
+# rounding bound it rests on (see `_residual_rank`), for the terms of
+# order u^2 that the bound leaves out.
+_RANK_BAND_SLACK = 4.0
+
+
+def _gamma(m):
+    """Higham's gamma_m = m u / (1 - m u), which bounds the relative
+    error of m roundings (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, Lemma 3.1)."""
+    return m * _U / (1.0 - m * _U)
+
+
 def qr_embed(Q, H, drop_dependent=True):
     """Thin QR of Q @ H with the operator's true diagonal.
 
@@ -105,28 +128,29 @@ def qr_embed(Q, H, drop_dependent=True):
     RankDeficiencyWarning (drop_dependent=True), or kept so the output
     width always matches the input (drop_dependent=False; trailing
     columns then pad the basis beyond range(Q H)).
+
+    A column is dependent when its Gram-Schmidt residual against the
+    columns kept before it is at most tol = n eps max_j ||Q H e_j||, as
+    `_loop_rank` computes it.  A faster test over contiguous rows,
+    `_residual_rank`, decides when every residual lies outside a band
+    around tol wide enough to hold the difference of the two tests'
+    rounding; otherwise the loop decides.  Either way the same columns
+    are kept, and `np.linalg.qr` of them gives Hhat and R.
     """
     M = Q.full_diagonal().apply(H)
     n, C = M.shape
+    dropped, rank_test = (), None
     if drop_dependent:
-        scale = np.linalg.norm(M, axis=0).max()
+        norms = np.linalg.norm(M, axis=0)
+        scale = norms.max()
         if scale == 0.0:
             raise ValueError("Q H is identically zero; nothing to embed")
         tol = n * np.finfo(float).eps * scale
-        basis = []
-        kept = []
-        for j in range(C):
-            v = M[:, j].copy()
-            for b in basis:
-                v -= (b @ M[:, j]) * b
-            # One re-orthogonalization pass keeps the rank test honest.
-            for b in basis:
-                v -= (b @ v) * b
-            norm = np.linalg.norm(v)
-            if norm > tol:
-                basis.append(v / norm)
-                kept.append(j)
+        kept, rank_test = _residual_rank(M, norms, tol), "residuals"
+        if kept is None:
+            kept, rank_test = _loop_rank(M, tol), "loop"
         if len(kept) < C:
+            dropped = tuple(sorted(set(range(C)) - set(kept)))
             warnings.warn(
                 f"dropped {C - len(kept)} dependent column(s) of Q H "
                 f"(rank {len(kept)} < {C})",
@@ -138,7 +162,89 @@ def qr_embed(Q, H, drop_dependent=True):
     signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
     H_hat = H_hat * signs
     R = R * signs[:, None]
-    return EmbeddingMatrix(H_hat=H_hat, R=R)
+    return EmbeddingMatrix(H_hat=H_hat, R=R, dropped_columns=dropped,
+                           rank_test=rank_test)
+
+
+def _loop_rank(M, tol):
+    """The columns of M kept by Gram-Schmidt with one re-orthogonalization
+    pass, each kept when its residual norm exceeds tol."""
+    basis = []
+    kept = []
+    for j in range(M.shape[1]):
+        v = M[:, j].copy()
+        for b in basis:
+            v -= (b @ M[:, j]) * b
+        # One re-orthogonalization pass keeps the rank test honest.
+        for b in basis:
+            v -= (b @ v) * b
+        norm = np.linalg.norm(v)
+        if norm > tol:
+            basis.append(v / norm)
+            kept.append(j)
+    return kept
+
+
+def _residual_rank(M, norms, tol):
+    """The columns `_loop_rank(M, tol)` keeps, found by classical
+    Gram-Schmidt twice (CGS2) over the rows of a contiguous copy of M^T;
+    None when the residuals cannot tell.
+
+    Each test computes r_j, the distance of column m_j from the span of
+    the kept columns M_K before it, with rounding.  A pass against k unit
+    vectors rounds each entry of the column 2k times, so the two passes
+    of either test give the exact residual of columns perturbed by at
+    most g ||m_i||, g = 2 gamma_2C (1 + sqrt(C)) + u, for C >= k.  That
+    moves the span of M_K by an angle whose sine is at most
+    growth = ||M_K||_F / (sigma_min(M_K) - g ||M_K||_F) (Stewart, SIAM
+    Review 19, 1977), and the final norm adds at most
+    (1 + sqrt(C)) gamma_n r_j.  So each test lies within
+    g ||m_j|| (1 + growth) + (1 + sqrt(C)) gamma_n r_j of r_j, to first
+    order in u, and the two within twice that of each other.  The band
+    is that difference times _RANK_BAND_SLACK; sigma_min(M_K) is taken
+    from the computed R less g ||M_K||_F.  When it holds every r_j the
+    fast test keeps the loop's columns.  When even a zero residual in
+    the longest column would lie in it (small n against C), the fast
+    test is not run.
+    """
+    n, C = M.shape
+    g = 2.0 * _gamma(2 * C) * (1.0 + np.sqrt(C)) + _U
+    # Two tests, each within the bound of the exact residual.
+    factor = 2.0 * _RANK_BAND_SLACK
+    if factor * 2.0 * g * norms.max() >= tol:
+        return None
+    # Row j of this copy holds column j until it is processed; rows below
+    # the kept count then hold the orthonormal basis.
+    B = M.T.copy()
+    R = np.zeros((C, C))
+    residual = np.empty(C)
+    kept = []
+    for j in range(C):
+        k = len(kept)
+        v, basis = B[j], B[:k]
+        if k:
+            s = basis @ v
+            v -= s @ basis
+            t = basis @ v
+            v -= t @ basis
+            R[:k, k] = s + t
+        residual[j] = r = np.linalg.norm(v)
+        if r > tol:
+            R[k, k] = r
+            np.divide(v, r, out=B[k])
+            kept.append(j)
+    del B
+    # Some column is kept: were none, each residual would be its
+    # column's norm, and the longest one exceeds tol.
+    k = len(kept)
+    F = np.sqrt(np.sum(norms[kept] ** 2))
+    sigma = np.linalg.svd(R[:k, :k], compute_uv=False)[-1] - g * F
+    if sigma <= g * F:
+        return None
+    growth = F / (sigma - g * F)
+    band = factor * (g * norms * (1.0 + growth) +
+                     (1.0 + np.sqrt(C)) * _gamma(n) * residual)
+    return kept if (np.abs(residual - tol) > band).all() else None
 
 
 def indicator_matrix(labels, n_clusters):

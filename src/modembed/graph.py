@@ -17,7 +17,7 @@ import contextlib
 import ctypes
 import os
 from collections import defaultdict
-from itertools import count
+from itertools import count, repeat
 
 import numpy as np
 
@@ -67,7 +67,10 @@ class SampledGraph:
         self.diag_mass = np.require(diag_mass, np.float64, "CA")
         _check_csr(self.n, self.indptr, self.indices, self.data,
                    self.diag_mass)
-        self.node_labels = list(node_labels)
+        # A scanned graph keeps its labels' bytes for lookups and writes.
+        self.node_labels = (node_labels
+                            if isinstance(node_labels, _native.Labels)
+                            else list(node_labels))
         self._index = dict(zip(self.node_labels, range(len(self.node_labels))))
         if len(self._index) != self.n:
             raise ValueError(f"expected {self.n} distinct node labels, got "
@@ -90,11 +93,20 @@ class SampledGraph:
 
     def indices_of(self, labels):
         """Indices of a sequence of labels as an int64 array; a KeyError
-        names the first unknown label."""
-        found = list(map(self._index.get, labels))
-        if None in found:
-            self.index_of(labels[found.index(None)])
-        return np.array(found, dtype=np.int64)
+        names the first unknown label.  Labels scanned from a file are
+        looked up by their bytes in the compiled library when the graph's
+        own labels were scanned too (`_native.lookup`)."""
+        found = None
+        if isinstance(labels, _native.Labels) and isinstance(
+                self.node_labels, _native.Labels):
+            found = _native.lookup(self.node_labels, labels)
+        if found is None:
+            found = np.fromiter(map(self._index.get, labels, repeat(-1)),
+                                np.int64, len(labels))
+        unknown = np.flatnonzero(found < 0)
+        if unknown.size:
+            self.index_of(labels[unknown[0]])
+        return found
 
     def pair_mass(self, u, w):
         """p(u, w) by index."""
@@ -327,14 +339,24 @@ def _label_ids(labels, nodes):
 def _from_ids(ids, weights, labels):
     """Build a sampled graph from the flat int64 label indices u0, w0,
     u1, w1, ... of its edges, their validated weights and the labels.
-    Both `load_edge_list` paths and `from_edge_list` build through it.
+    Both `load_edge_list` paths and `from_edge_list` build through it:
+    the compiled library builds the arrays (`_native.build`), and
+    `_csr_of_ids` does without it, with the same bytes."""
+    n = len(labels)
+    arrays = _native.build(ids, weights, n)
+    if arrays is None:
+        arrays = _csr_of_ids(ids, weights, n)
+    return SampledGraph(*arrays, labels)
+
+
+def _csr_of_ids(ids, weights, n):
+    """(indptr, indices, data, diag_mass) for `_from_ids` with numpy.
 
     Weights of the same unordered pair sum in input order and the total
     sums the positive pair weights left to right in first-appearance
     order, so every stored mass is rounded the same way whatever the
     edge count.
     """
-    n = len(labels)
     ids = ids.reshape(-1, 2)
     keys = ids.min(axis=1) * n + ids.max(axis=1)
     keys, first, inverse = np.unique(
@@ -363,8 +385,7 @@ def _from_ids(ids, weights, labels):
     del key
     indptr = _indptr(np.bincount(i, minlength=n) + np.bincount(j, minlength=n))
     # order < p.size picks p[order], the rest p[order - p.size].
-    return SampledGraph(indptr, indices, np.take(p, order, mode="wrap"),
-                        diag, labels)
+    return indptr, indices, np.take(p, order, mode="wrap"), diag
 
 
 def from_edge_list(edges, nodes=None):
@@ -534,7 +555,8 @@ def _new_file(path, mode, **kwargs):
 def _write_rows(path, rows, labels):
     """Write `label<TAB>v1<TAB>...<TAB>vC` per row of the array `rows`,
     each value as Python's '%.17g', labels as `str()` in UTF-8, taken in
-    order from the iterable `labels`.
+    order from the iterable `labels`; the compiled path copies the bytes
+    of scanned `_native.Labels`, one per row, which are those same bytes.
 
     One loop writes a block of rows at a time.  Rows of bool, integers
     or floats up to float64 are converted to float64 (exactly, or
@@ -546,11 +568,14 @@ def _write_rows(path, rows, labels):
     if rows.ndim != 2:
         raise ValueError(f"expected a 2-D array of rows, got shape "
                          f"{rows.shape}")
+    n, c = rows.shape
+    # Labels a scan read are written from their bytes.
+    scanned = (labels.joined if isinstance(labels, _native.Labels) and
+               len(labels) == n else None)
     labels = iter(labels)
     kind, size = rows.dtype.kind, rows.dtype.itemsize
     lib = (_native.library() if kind in "iub" or (kind == "f" and size <= 8)
            else None)
-    n, c = rows.shape
     line = "%s\t" + "\t".join(["%.17g"] * c) + "\n"
     buf = ctypes.create_string_buffer(0)
     with _new_file(path, "wb") as fh:
@@ -563,18 +588,23 @@ def _write_rows(path, rows, labels):
                 continue
             block = np.ascontiguousarray(block, dtype=np.float64)
             k = block.shape[0]
-            # zip(range(k), labels) ends on the range without taking
-            # another label; fromiter's count rejects a short one.
-            names = [str(lab).encode("utf-8") for _, lab in zip(range(k),
-                                                                labels)]
-            offsets = np.zeros(k + 1, dtype=np.intp)
-            np.cumsum(np.fromiter(map(len, names), np.intp, k),
-                      out=offsets[1:])
-            need = int(offsets[-1]) + k * (_VALUE_BYTES * c + 2)
+            if scanned is not None:
+                names, offsets = scanned
+                offsets = offsets[start:start + k + 1]
+            else:
+                # zip(range(k), labels) ends on the range without taking
+                # another label; fromiter's count rejects a short one.
+                names = [str(lab).encode("utf-8")
+                         for _, lab in zip(range(k), labels)]
+                offsets = np.zeros(k + 1, dtype=np.intp)
+                np.cumsum(np.fromiter(map(len, names), np.intp, k),
+                          out=offsets[1:])
+                names = b"".join(names)
+            need = int(offsets[-1] - offsets[0]) + k * (_VALUE_BYTES * c + 2)
             if len(buf) < need:
                 buf = ctypes.create_string_buffer(need)
-            written = lib.modembed_format_rows(k, c, block, b"".join(names),
-                                               offsets, buf)
+            written = lib.modembed_format_rows(k, c, block, names, offsets,
+                                               buf)
             if written < 0:
                 raise MemoryError("no C locale for the row formatter")
             fh.write(memoryview(buf)[:written])

@@ -685,6 +685,50 @@ def test_full_label_manifest_records_no_sweep_settings(tmp_path, sbm_file):
     assert "objective_trace" not in manifest
 
 
+@pytest.mark.filterwarnings("ignore::modembed.embedding.RankDeficiencyWarning")
+@pytest.mark.parametrize("option", [
+    ["--theta", "inf"], ["--theta", "-1"], ["--tol", "nan"],
+    ["--tol", "-1"], ["--max-sweeps", "-3"], ["--max-sweeps", "0"],
+    ["--seed", "-5"]])
+def test_full_label_ignores_the_sweep_options(tmp_path, sbm_file, option):
+    """A full-label run reads no sweep setting, so none is checked: any
+    value gives the bytes of a run without it."""
+    graph_path, labels_path = sbm_file
+    run = ["embed", "cafe", "--graph", str(graph_path), "--labels",
+           str(labels_path), "--full-label", "--out"]
+    plain, other = tmp_path / "plain.tsv", tmp_path / "other.tsv"
+    assert main(run + [str(plain)]) == 0
+    assert main(run + [str(other)] + option) == 0
+    assert other.read_bytes() == plain.read_bytes()
+    assert _strict_manifest(other)["params"] == \
+        _strict_manifest(plain)["params"]
+
+
+@pytest.mark.filterwarnings("ignore::modembed.embedding.RankDeficiencyWarning")
+def test_manifests_record_the_rank_decision(tmp_path, sbm_file):
+    """cafe manifests and each multilayer level name the columns of Q H
+    dropped as dependent and the rank test that chose them."""
+    graph_path, labels_path = sbm_file
+    full, cafe, ml = (tmp_path / f"{name}.tsv"
+                      for name in ("full", "cafe", "ml"))
+    assert main(["embed", "cafe", "--graph", str(graph_path), "--labels",
+                 str(labels_path), "--full-label", "--out", str(full)]) == 0
+    assert main(["embed", "cafe", "--graph", str(graph_path), "--k", "3",
+                 "--out", str(cafe)]) == 0
+    assert main(["embed", "multilayer", "--graph", str(graph_path),
+                 "--out", str(ml)]) == 0
+    records = [_strict_manifest(full), _strict_manifest(cafe),
+               *_strict_manifest(ml)["levels"]]
+    for record in records:
+        # 24 nodes are too few for the fast test to tell a zero residual.
+        assert record["rank_test"] == "loop"
+        assert all(type(j) is int for j in record["dropped_columns"])
+    # Two label columns sum to the all-ones vector, which Q maps to 0.
+    assert records[0]["dropped_columns"] == [1]
+    assert all(len(r["dropped_columns"]) ==
+               r["clusters"] - r["columns"] for r in records[2:])
+
+
 def test_manifest_refuses_a_non_finite_value(tmp_path):
     out = tmp_path / "o.tsv"
     out.write_text("a\t1\n")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modembed import clustering, datasets, graph
+from modembed import clustering, datasets, embedding, graph
 from modembed.clustering import ClusterConfig
 from modembed.embedding import (
     ZERO_COLUMN_THRESHOLD,
@@ -74,6 +74,161 @@ def test_qr_embed_keep_width(karate):
         emb = qr_embed(Q, H, drop_dependent=False)
     assert emb.H_hat.shape == (34, 5)
     assert np.abs(emb.H_hat.T @ emb.H_hat - np.eye(5)).max() < 1e-10
+
+
+# --- the rank test ------------------------------------------------------------
+
+class FixedProduct:
+    """An operator whose Q H is the given M, whatever H is."""
+
+    def __init__(self, M):
+        self.M = M
+
+    def full_diagonal(self):
+        return self
+
+    def apply(self, H):
+        return self.M.copy()
+
+
+def loop_only(Q, H):
+    """qr_embed as it runs when the fast rank test cannot tell."""
+    with mock.patch.object(embedding, "_residual_rank",
+                           lambda M, norms, tol: None):
+        return qr_embed(Q, H)
+
+
+def assert_same_embedding(got, want):
+    assert got.H_hat.tobytes() == want.H_hat.tobytes()
+    assert got.R.tobytes() == want.R.tobytes()
+    assert got.dropped_columns == want.dropped_columns
+
+
+@st.composite
+def near_tol_columns(draw):
+    """An n x C block whose chosen columns are earlier ones mixed, plus a
+    part orthogonal to all earlier columns whose norm is t times the rank
+    test's tol, t from 0.5 to 2 or far off (1e-4, 1e8)."""
+    n = draw(st.sampled_from([7, 60, 500, 4000, 30000]))
+    C = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    M = rng.standard_normal((n, C))
+    M /= np.linalg.norm(M, axis=0)
+    tol = n * np.finfo(float).eps
+    for j in range(1, C):
+        if not draw(st.booleans()):
+            continue
+        t = draw(st.floats(0.5, 2.0) | st.sampled_from([1e-4, 1e8]))
+        mix = M[:, :j] @ rng.standard_normal(j)
+        mix *= 0.9 / np.linalg.norm(mix)
+        basis = np.linalg.qr(M[:, :j])[0]
+        v = rng.standard_normal(n)
+        v -= basis @ (basis.T @ v)
+        v -= basis @ (basis.T @ v)
+        M[:, j] = mix + t * tol * v / np.linalg.norm(v)
+    # Column 0 keeps norm 1, the largest, so tol is as computed above.
+    return M
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=near_tol_columns(), layout=st.sampled_from("CF"))
+def test_rank_tests_keep_the_same_columns(M, layout):
+    """Whichever test decides, qr_embed keeps the loop's columns and
+    gives the loop's bytes, with columns at 0.5-2x tol."""
+    M = np.array(M, order=layout)
+    Q, H = FixedProduct(M), np.zeros(M.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        got, want = qr_embed(Q, H), loop_only(Q, H)
+    assert_same_embedding(got, want)
+    assert got.rank_test in ("residuals", "loop")
+    assert want.rank_test == "loop"
+    norms = np.linalg.norm(M, axis=0)
+    tol = M.shape[0] * np.finfo(float).eps * norms.max()
+    before = M.copy()
+    kept = embedding._residual_rank(M, norms, tol)
+    assert M.tobytes() == before.tobytes()
+    assert kept is None or kept == embedding._loop_rank(M, tol)
+
+
+def test_residuals_decide_far_from_tol():
+    """At n = 20000 a dependent column (the sum of the others, as a
+    row-stochastic H makes) and independent ones lie far outside the
+    band, so the fast test decides."""
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((20000, 6))
+    M[:, 5] = -M[:, :5].sum(axis=1)
+    with pytest.warns(RankDeficiencyWarning):
+        got = qr_embed(FixedProduct(M), np.zeros(M.shape))
+    assert got.rank_test == "residuals"
+    assert got.dropped_columns == (5,)
+    with pytest.warns(RankDeficiencyWarning):
+        assert_same_embedding(got, loop_only(FixedProduct(M),
+                                             np.zeros(M.shape)))
+
+
+def test_no_rank_test_when_nothing_may_drop(karate):
+    H = np.random.default_rng(1).random((34, 3))
+    emb = qr_embed(karate.modularity_matrix(), H, drop_dependent=False)
+    assert emb.rank_test is None and emb.dropped_columns == ()
+
+
+# Level 1 of `embed multilayer --max-sweeps 30` on the multilevel-1k5
+# benchmark graph of seed 4: the 6-supernode pooled graph (complete, so
+# its CSR data are row by row) and the pruned assignment fed to qr_embed.
+# The loop's residual for column 4 is 0.62 tol, while LAPACK's |R_44|
+# reads 1.004 tol, so only the loop may decide it.
+LEVEL1_DATA = [
+    "0x1.d0f8355913bd4p-7", "0x1.9332c0316ac7ap-6", "0x1.dc3361ebeca42p-7",
+    "0x1.af46afa089068p-13", "0x1.801af46afa0b8p-7", "0x1.d0f8355913bd4p-7",
+    "0x1.3a78e00fb9411p-6", "0x1.06cf1305d3814p-6", "0x1.1f847515b0af0p-13",
+    "0x1.d9f45901c142cp-7", "0x1.9332c0316ac7ap-6", "0x1.3a78e00fb9411p-6",
+    "0x1.b603ca5f0b2d1p-6", "0x1.f727cce5f5323p-12", "0x1.35face3b627e5p-6",
+    "0x1.dc3361ebeca42p-7", "0x1.06cf1305d3814p-6", "0x1.b603ca5f0b2d1p-6",
+    "0x1.8b5620fdd2f09p-11", "0x1.4a321e76e8eacp-6", "0x1.af46afa089068p-13",
+    "0x1.1f847515b0af0p-13", "0x1.f727cce5f5323p-12", "0x1.8b5620fdd2f09p-11",
+    "0x1.af46afa089068p-13", "0x1.801af46afa0b8p-7", "0x1.d9f45901c142cp-7",
+    "0x1.35face3b627e5p-6", "0x1.4a321e76e8eacp-6", "0x1.af46afa089068p-13",
+]
+LEVEL1_DIAG = [
+    "0x1.a40b830db0245p-4", "0x1.2e1e2f07caa53p-4", "0x1.55fd0d444c9f9p-3",
+    "0x1.495a7b1f189dfp-3", "0x1.1f847515b0af0p-12", "0x1.0c24c831fa8a8p-3",
+]
+LEVEL1_H = [
+    ["0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+     "0x0.0p+0", "0x0.0p+0"],
+    ["0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+     "0x0.0p+0", "0x0.0p+0"],
+    ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0",
+     "0x0.0p+0", "0x0.0p+0"],
+    ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+     "0x1.0000000000000p+0", "0x0.0p+0"],
+    ["0x0.0p+0", "0x0.0p+0", "0x1.4ea71c0ba96e8p-884",
+     "0x1.b44a293821111p-905", "0x1.0000000000000p+0",
+     "0x1.019377d4d0492p-929"],
+    ["0x0.0p+0", "0x0.0p+0", "0x1.c4cb480c85b8dp-2", "0x0.0p+0",
+     "0x0.0p+0", "0x1.1d9a5bf9bd239p-1"],
+]
+
+
+def test_a_residual_near_tol_takes_the_loop():
+    """The closest rank decision on record is left to the loop, which
+    drops column 4 at 0.62 tol and column 5 at 0.04 tol."""
+    n = 6
+    indices = [j for i in range(n) for j in range(n) if j != i]
+    g = graph.SampledGraph(np.arange(n + 1) * (n - 1), indices,
+                           [float.fromhex(x) for x in LEVEL1_DATA],
+                           [float.fromhex(x) for x in LEVEL1_DIAG],
+                           range(n))
+    H = np.array([[float.fromhex(x) for x in row] for row in LEVEL1_H])
+    Q = g.modularity_matrix()
+    M = Q.apply(H)
+    tol = n * np.finfo(float).eps * np.linalg.norm(M, axis=0).max()
+    assert embedding._loop_rank(M, tol) == [0, 1, 2, 3]
+    with pytest.warns(RankDeficiencyWarning):
+        got = qr_embed(Q, H)
+    assert got.rank_test == "loop"
+    assert got.dropped_columns == (4, 5)
 
 
 def test_indicator_matrix():

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -546,6 +547,9 @@ def formatter_edge_cases():
     values += [5e-324, 1e-323, 2.2250738585072009e-308,
                2.2250738585072014e-308, 1.5e-310, 0.0, -0.0]
     values += [2.0 ** e for e in range(-1074, 1024, 7)]
+    # Both ends of every binade of the exact range, where the formatter's
+    # first guess at the decimal exponent changes.
+    values += [y for e in range(-54, 58) for y in neighbours(2.0 ** e, 1)]
     values += list(from_bits([0xFFF8000000000000, 0x7FF8000000000001,
                               0xFFF0000000000001, 0x7FFFFFFFFFFFFFFF,
                               0x7FF4000000000000]))
@@ -1097,7 +1101,10 @@ def test_readers_read_a_pipe_once(tmp_path):
 def test_scanner_survives_hostile_buffers_under_sanitizers(tmp_path):
     """tests/native_scan_check.c feeds the scanner empty, unterminated,
     comment-only, 64 KiB-label, 1,000-digit and 100,000-field texts, every
-    byte value and random texts, each in a block of its exact size."""
+    byte value and random texts, each in a block of its exact size, and
+    the graph build and label lookup one edge, repeated pairs, self-loops,
+    ids up to n - 1, out-of-range ids and pairs and labels whose hash tags
+    collide."""
     flags = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all",
              "-g", "-O1", "-ffp-contract=off"]
     probe = tmp_path / "probe.c"
@@ -1116,6 +1123,124 @@ def test_scanner_survives_hostile_buffers_under_sanitizers(tmp_path):
     run = subprocess.run([str(binary)], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stderr == ""
+
+
+# --- the compiled build and scanned label bytes ----------------------------
+
+def same_arrays(got, want):
+    return all(x.dtype == y.dtype and x.shape == y.shape and
+               x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+
+# Weights that sum to zero, overflow, or underflow when divided.
+BUILD_WEIGHT = st.floats(0.0, 1e6) | st.sampled_from(
+    [0.0, -0.0, 1.0, 2.5, 0.1, 5e-324, 1e-300, 1e300, 1.7e308])
+
+
+@needs_cc
+@IO_SETTINGS
+@given(n=st.integers(1, 12), data=st.data())
+def test_compiled_build_matches_numpy_build(n, data):
+    """`_native.build` gives `_csr_of_ids`'s arrays by bytes, or declines
+    exactly where the numpy build raises: duplicate and reversed pairs,
+    self-loops, zero and all-zero weights, isolated nodes."""
+    m = data.draw(st.integers(0, 30))
+    ends = data.draw(st.lists(st.integers(0, n - 1), min_size=2 * m,
+                              max_size=2 * m))
+    weights = np.array(data.draw(st.lists(BUILD_WEIGHT, min_size=m,
+                                          max_size=m)), dtype=float)
+    ids = np.array(ends, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = outcome(graph._csr_of_ids, ids, weights, n)
+        got = _native.build(ids, weights, n)
+    if want[0] == "ok":
+        assert got is not None and same_arrays(got, want[1])
+    else:
+        assert want == (ValueError, "empty graph: total weight is zero")
+        assert got is None
+
+
+@IO_SETTINGS
+@given(edges=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
+                                BUILD_WEIGHT), max_size=20),
+       nodes=st.none() | st.lists(st.integers(0, 12), max_size=8))
+def test_from_edge_list_builds_alike_on_both_paths(edges, nodes):
+    """Declared nodes, isolated ones among them, give the same graph, or
+    the same error, with and without the library."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got, want = both_paths(graph.from_edge_list, edges, nodes=nodes)
+    if assert_same_outcome(got, want):
+        assert_same_graph(got[1], want[1])
+
+
+def test_all_zero_weights_raise_on_both_paths():
+    for got in both_paths(graph.from_edge_list, [(1, 2, 0.0), (2, 1, -0.0)]):
+        assert got == (ValueError, "empty graph: total weight is zero")
+
+
+SCANNED_LABELS = ["a", "b", "c", "0", "00", "12345678", "node_label_a",
+                  "node_label_b", "node_label"]
+
+
+def scanned_graph(tmp_path, labels):
+    """A graph read by the scanner, so that its labels keep their bytes,
+    on a path through `labels` in order."""
+    path = tmp_path / "g.tsv"
+    path.write_text("".join(f"{u}\t{w}\n" for u, w in zip(labels,
+                                                            labels[1:])))
+    g = graph.load_edge_list(path)
+    assert isinstance(g.node_labels, _native.Labels)
+    return g
+
+
+@needs_cc
+@IO_SETTINGS
+@given(nodes=st.lists(st.sampled_from(SCANNED_LABELS + ["d", "node_label_c",
+                                                        "12345679"]),
+                      max_size=12))
+def test_scanned_label_lookup_matches_the_dict(tmp_path, nodes):
+    """Nodes of a scanned label file are looked up among a scanned
+    graph's label bytes with the index, and the unknown-label error, of
+    the graph's dict."""
+    g = scanned_graph(tmp_path, SCANNED_LABELS)
+    path = tmp_path / "l.tsv"
+    path.write_text("".join(f"{node}\tk\n" for node in nodes))
+    got = outcome(load_labels, path, g)
+    with mock.patch.object(_native, "lookup", lambda names, queries: None):
+        want = outcome(load_labels, path, g)
+    if assert_same_outcome(got, want):
+        assert same_arrays(got[1][:2], want[1][:2])
+
+
+def test_lookup_finds_labels_by_bytes(tmp_path):
+    if _native.library() is None:
+        pytest.skip("no C compiler")
+    g = scanned_graph(tmp_path, SCANNED_LABELS)
+    path = tmp_path / "l.tsv"
+    path.write_text("node_label\tk\nnode_label_c\tk\na\tj\n")
+    nodes, _ = _native.scan("labels", path)
+    assert _native.lookup(g.node_labels, nodes).tolist() == [8, -1, 0]
+    with pytest.raises(KeyError, match="'node_label_c'"):
+        g.indices_of(nodes)
+
+
+@needs_cc
+@pytest.mark.parametrize("n", [1, 4096, 4097, 9000])
+def test_writer_copies_scanned_label_bytes(tmp_path, n):
+    """Rows written with a scanned graph's labels have the bytes of rows
+    written with the same labels as str, across the writer's blocks."""
+    labels = [f"n{i}" if i % 3 else f"label_{i:08d}" for i in range(n + 1)]
+    g = scanned_graph(tmp_path, labels)
+    rows = np.random.default_rng(n).standard_normal((g.n, 3))
+    save_embedding_tsv(tmp_path / "a.tsv", rows, g.node_labels)
+    save_embedding_tsv(tmp_path / "b.tsv", rows, list(g.node_labels))
+    assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+    # A block of rows shorter than the labels takes the labels as str.
+    graph._write_rows(tmp_path / "c.tsv", rows[:2], g.node_labels)
+    graph._write_rows(tmp_path / "d.tsv", rows[:2], list(g.node_labels))
+    assert (tmp_path / "c.tsv").read_bytes() == (tmp_path / "d.tsv").read_bytes()
 
 
 # --- ranks and start-up ----------------------------------------------------

@@ -880,20 +880,34 @@ SPECIALS = st.sampled_from([(0.0, -0.0, np.nan), (0.0, -0.0, np.inf, -np.inf)])
 def apply_case(draw):
     """A weighted graph (isolated nodes, self-loops and empty rows all
     occur) and a block H over it in C order, F order, with strided
-    columns or 1-D, K = 1 to 40."""
+    columns, unaligned or 1-D, K = 1 to 40."""
     g = draw(weighted_graph())
     K = draw(st.integers(1, 40))
     value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(draw(SPECIALS)))
     H = np.array(draw(st.lists(value, min_size=g.n * 2 * K,
                                max_size=g.n * 2 * K))).reshape(g.n, 2 * K)
-    layout = draw(st.sampled_from(["C", "F", "strided", "1-D"]))
+    layout = draw(st.sampled_from(["C", "F", "strided", "unaligned", "1-D"]))
     if layout == "strided":
         H = H[:, ::2]
+    elif layout == "unaligned":
+        H = unaligned(H[:, :K], order=draw(st.sampled_from("CF")))
     else:
         H = np.array(H[:, :K], order="F" if layout == "F" else "C")
         if layout == "1-D":
             H = H[:, 0]
     return g.modularity_matrix(diag_zeroed=draw(st.booleans())), H
+
+
+def unaligned(H, order="C"):
+    """A copy of H in the given order whose data start one byte past an
+    8-byte boundary."""
+    raw = np.zeros(H.size * H.itemsize + 1, np.uint8)[1:]
+    shape = H.shape if order == "C" else H.shape[::-1]
+    out = raw.view(np.float64).reshape(shape)
+    out = out if order == "C" else out.T
+    out[...] = H
+    assert not out.flags.aligned
+    return out
 
 
 @SETTINGS

@@ -4,10 +4,8 @@
  * and sphere sweep behind clustering._kernel, modembed_sweep, the
  * modularity operator's Q @ H behind ModularityMatrix.apply,
  * modembed_apply, the one TSV scanner behind graph.load_edge_list,
- * tasks.load_labels and embedding.load_embedding_tsv, modembed_scan, the
- * lookup of scanned labels behind SampledGraph.indices_of,
- * modembed_lookup, and the graph build behind graph._from_ids,
- * modembed_build.
+ * tasks.load_labels and embedding.load_embedding_tsv, modembed_scan, and
+ * the graph build behind graph._from_ids, modembed_build.
  *
  * Each rotation function repeats its Python loop operation for
  * operation: the same IEEE operations on the same doubles in the same
@@ -31,9 +29,9 @@
  * C, exact under -ffp-contract=off.
  *
  * modembed_apply forms Q @ H for ModularityMatrix.apply in one pass over
- * the CSR rows, reusing the sweep's struct modembed_operator with H as its
- * strided block x; every entry takes the operations of the numpy path in
- * the same order, so the bytes are the same.  The one exception is the
+ * the CSR rows of the sweep's struct modembed_operator, H a row-major
+ * block; every entry takes the operations of the numpy path in the same
+ * order, so the bytes are the same.  The one exception is the
  * sign of a NaN made where NaNs of both signs meet in an add: x86 returns
  * one operand's, and numpy's own add loop picks a different operand from
  * one position to the next.
@@ -45,9 +43,10 @@
  * else, errors included, and the loop then reads the file, so every
  * message keeps its words and line.  Numbers go through strtod in the
  * "C" locale, which rounds correctly as Python's float() does (Clinger,
- * PLDI 1990); labels are hashed and numbered in first-appearance order,
- * so Python decodes each distinct label once.  modembed_lookup finds
- * scanned labels among a scanned graph's with the same hash table.
+ * PLDI 1990); edge-list labels are hashed and numbered in first-appearance
+ * order, so Python decodes each distinct label once.  A label file's
+ * nodes are found in a table seeded with the labels of the graph they
+ * label, a scanned graph's, so each node comes back as its graph index.
  *
  * modembed_build repeats graph._csr_of_ids's arithmetic: each pair's
  * weight summed in input order from 0.0, the total summed left to right
@@ -568,46 +567,44 @@ ptrdiff_t modembed_sweep(const struct modembed_operator *op,
 /* --- Q @ H ---------------------------------------------------------------- */
 
 /* out = Q @ H for the modularity operator of op's graph, as
- * ModularityMatrix.apply forms it: H is op's n x k block x at byte
- * strides (x_row, x_col), c = marginal @ H, diag the diagonal mass (or
- * the squared marginal for a zeroed diagonal), out a row-major n x k
- * array.  Each entry's sparse part starts at 0.0 and adds
- * data[p] * H[indices[p], j] over the row's stored entries in order, as
- * scipy's csr_matvecs and the numpy fallback do; then it becomes
- * (sum - pi_i * c_j) + diag_i * H[i, j].  Four columns are summed at a
- * time in registers, so each stored entry is read once per four columns
- * and no partial sum goes through memory. */
+ * ModularityMatrix.apply forms it: h is the row-major n x k block H,
+ * c = marginal @ H, diag the diagonal mass (or the squared marginal for a
+ * zeroed diagonal), out a row-major n x k array.  Each entry's sparse
+ * part starts at 0.0 and adds data[p] * H[indices[p], j] over the row's
+ * stored entries in order, as scipy's csr_matvecs and the numpy fallback
+ * do; then it becomes (sum - pi_i * c_j) + diag_i * H[i, j].  Four
+ * columns are summed at a time in registers, so each stored entry is
+ * read once per four columns and no partial sum goes through memory. */
 void modembed_apply(const struct modembed_operator *op, ptrdiff_t n,
-                    ptrdiff_t k, const double *c, const double *diag,
-                    double *out)
+                    ptrdiff_t k, const double *h, const double *c,
+                    const double *diag, double *out)
 {
-    const ptrdiff_t hr = op->x_row, hc = op->x_col;
     for (ptrdiff_t i = 0; i < n; i++) {
         const ptrdiff_t s = op->indptr[i], e = op->indptr[i + 1];
         const double pi = op->marginal[i], d = diag[i];
-        const char *hi = op->x + i * hr;
+        const double *hi = h + i * k;
         double *o = out + i * k;
         ptrdiff_t j = 0;
         for (; j + 4 <= k; j += 4) {
             double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
             for (ptrdiff_t p = s; p < e; p++) {
                 const double a = op->data[p];
-                const char *x = op->x + op->indices[p] * hr + j * hc;
-                s0 = s0 + a * AT(x, 0);
-                s1 = s1 + a * AT(x, hc);
-                s2 = s2 + a * AT(x, 2 * hc);
-                s3 = s3 + a * AT(x, 3 * hc);
+                const double *x = h + op->indices[p] * k + j;
+                s0 = s0 + a * x[0];
+                s1 = s1 + a * x[1];
+                s2 = s2 + a * x[2];
+                s3 = s3 + a * x[3];
             }
-            o[j] = (s0 - pi * c[j]) + d * AT(hi, j * hc);
-            o[j + 1] = (s1 - pi * c[j + 1]) + d * AT(hi, (j + 1) * hc);
-            o[j + 2] = (s2 - pi * c[j + 2]) + d * AT(hi, (j + 2) * hc);
-            o[j + 3] = (s3 - pi * c[j + 3]) + d * AT(hi, (j + 3) * hc);
+            o[j] = (s0 - pi * c[j]) + d * hi[j];
+            o[j + 1] = (s1 - pi * c[j + 1]) + d * hi[j + 1];
+            o[j + 2] = (s2 - pi * c[j + 2]) + d * hi[j + 2];
+            o[j + 3] = (s3 - pi * c[j + 3]) + d * hi[j + 3];
         }
         for (; j < k; j++) {
             double s0 = 0.0;
             for (ptrdiff_t p = s; p < e; p++)
-                s0 = s0 + op->data[p] * AT(op->x, op->indices[p] * hr + j * hc);
-            o[j] = (s0 - pi * c[j]) + d * AT(hi, j * hc);
+                s0 = s0 + op->data[p] * h[op->indices[p] * k + j];
+            o[j] = (s0 - pi * c[j]) + d * hi[j];
         }
     }
 }
@@ -708,12 +705,13 @@ static struct label label_of(const char *s, ptrdiff_t n)
 
 /* Distinct labels in first-appearance order, each appended to text and
  * followed by '\n'.  Label i is text[entries[i].name, entries[i + 1].name
- * - 1); a label file keeps node i's class the same way in cls.  A slot
- * holds a label's head and tag, the tag also placing the slot (so
- * growing rehashes no label), and its id + 1, 0 when empty.  No label
- * holds a NUL, so a label shorter than 8 bytes is known by its head
- * alone, without a visit to entries or text.  The queue holds edge-list
- * labels whose slots are prefetched; queue[k]'s id goes to ids[done + k]. */
+ * - 1); a label file keeps 1 + the offset of node i's class in
+ * entries[i].cls, 0 while node i has none.  A slot holds a label's head
+ * and tag, the tag also placing the slot (so growing rehashes no label),
+ * and its id + 1, 0 when empty.  No label holds a NUL, so a label shorter
+ * than 8 bytes is known by its head alone, without a visit to entries or
+ * text.  The queue holds labels whose slots are prefetched; an edge-list
+ * label's id goes from queue[k] to ids[done + k]. */
 struct table {
     struct slot { uint64_t head; uint32_t tag, id; } *slots;
     uint64_t mask;
@@ -819,15 +817,50 @@ static int flush(struct table *t, int64_t *ids)
     return 1;
 }
 
+/* Give the labels of names, names_size bytes each followed by '\n' (the
+ * last may lack it), the ids 0, 1, ... in order, with no class yet.  The
+ * table is sized for all of them first, so it never grows and their
+ * slots are prefetched a queue at a time.  0 when memory runs out or a
+ * label repeats. */
+static int table_seed(struct table *t, const char *names,
+                      ptrdiff_t names_size)
+{
+    ptrdiff_t count = 1;
+    const char *end = names + names_size;
+    for (const char *s = names; (s = memchr(s, '\n', (size_t)(end - s)));
+         s++)
+        count++;
+    int ok = table_reserve(t, count), added;
+    for (const char *s = names, *e; ok && s < end; s = e + (e < end)) {
+        e = memchr(s, '\n', (size_t)(end - s));
+        if (e == NULL)
+            e = end;
+        struct label *key = t->queue + t->queued++;
+        *key = label_of(s, e - s);
+        PREFETCH(t->slots + (key->tag & t->mask));
+        if (t->queued < QUEUE && end - e > 1)
+            continue;
+        for (int k = 0; ok && k < t->queued; k++)
+            ok = table_id(t, t->queue + k, &added) >= 0 && added;
+        t->queued = 0;
+    }
+    for (ptrdiff_t i = 0; ok && i < t->count; i++)
+        t->entries[i].cls = 0;
+    return ok;
+}
+
 /* The arrays modembed_scan fills, sized by the caller for a text of
- * `size` bytes, L newlines and T tabs: ids 2 (L + 1) and values L + 1
- * for an edge list, values T for embedding rows, names and classes
- * size + 1 bytes. */
+ * `size` bytes, L newlines and T tabs and a graph's node labels of
+ * nodes_size bytes: ids 2 (L + 1) and values L + 1 for an edge list,
+ * values T for embedding rows, ids L + 1 for a label file, names
+ * size + 1 bytes (nodes_size + 1 for a label file) and classes size + 1
+ * bytes. */
 struct modembed_scan {
-    int64_t *ids;   /* edges: the two label ids of each edge */
+    int64_t *ids;   /* edges: the two label ids of each edge; labels: the
+                       graph index of each distinct node */
     double *values; /* edges: weights; rows: the rows x columns values */
-    char *names;    /* distinct labels (edges), nodes (labels) or row
-                       labels (rows), each followed by '\n' */
+    char *names;    /* distinct labels (edges) or row labels (rows), each
+                       followed by '\n'; the table's text (labels) */
     char *classes;  /* labels: each node's class, followed by '\n' */
     ptrdiff_t rows; /* edges, distinct labelled nodes or embedding rows */
     ptrdiff_t columns, names_size, classes_size;
@@ -872,8 +905,9 @@ static int edge_line(struct table *t, const char *s, const char *e,
 }
 
 /* A label-file line [s, e): `node<TAB>class`; empty, or a comment when
- * its first character after spaces and tabs is '#'.  A node seen before
- * must come with the same class. */
+ * its first character after spaces and tabs is '#'.  The node must be
+ * one of the graph's, which seed the table, and a node seen before must
+ * come with the same class. */
 static int label_line(struct table *t, const char *s, const char *e,
                       struct modembed_scan *out)
 {
@@ -888,19 +922,22 @@ static int label_line(struct table *t, const char *s, const char *e,
     const char *cls = tab + 1;
     ptrdiff_t n = e - cls;
     struct label key = label_of(s, tab - s);
-    int added;
-    ptrdiff_t id = table_id(t, &key, &added);
-    if (id < 0)
+    const struct slot *slot = table_slot(t, &key);
+    if (slot->id == 0)
         return 0;
+    ptrdiff_t id = (ptrdiff_t)slot->id - 1;
     struct entry *entry = t->entries + id;
-    if (!added)
-        return entry[1].cls - entry->cls - 1 == n &&
-               memcmp(out->classes + entry->cls, cls, (size_t)n) == 0;
+    if (entry->cls != 0) {
+        const char *old = out->classes + entry->cls - 1;
+        const char *stop = memchr(old, '\n', (size_t)(out->classes +
+                                  out->classes_size - old));
+        return stop - old == n && memcmp(old, cls, (size_t)n) == 0;
+    }
+    entry->cls = out->classes_size + 1;
     memcpy(out->classes + out->classes_size, cls, (size_t)n);
     out->classes_size += n;
     out->classes[out->classes_size++] = '\n';
-    entry[1].cls = out->classes_size;
-    out->rows++;
+    out->ids[out->rows++] = id;
     return 1;
 }
 
@@ -936,14 +973,19 @@ static int row_line(const char *s, const char *e, struct modembed_scan *out)
 /* Read the size bytes at text as an edge list (kind SCAN_EDGES), a label
  * file (SCAN_LABELS) or embedding rows (SCAN_ROWS) into *out, as
  * graph.load_edge_list, tasks.load_labels and
- * embedding.load_embedding_tsv read them.  Returns 1 when read, and 0,
- * with *out unspecified, when the text is not the scanner's to read: a
- * foreign() byte, a line the Python loop would reject (field counts, a
- * number not of number_length's form, a negative or infinite weight, a
- * conflicting class, ragged rows), no edge, label or row at all, or no
- * memory or "C" locale left.  The Python loop then reads the file and
- * gives its result or its error. */
+ * embedding.load_embedding_tsv read them.  A label file names the nodes
+ * of the graph whose labels are the nodes_size bytes at nodes, each
+ * followed by '\n' (the last may lack it), label i being node i; other
+ * kinds ignore nodes.  Returns 1 when read, and 0, with *out
+ * unspecified, when the text is not the scanner's to read: a foreign()
+ * byte, a line the Python loop would reject (field counts, a number not
+ * of number_length's form, a negative or infinite weight, a node not in
+ * the graph, a conflicting class, ragged rows), no edge, label or row at
+ * all, no graph or one whose labels repeat, or no memory or "C" locale
+ * left.  The Python loop then reads the file and gives its result or its
+ * error. */
 int modembed_scan(int kind, const char *text, ptrdiff_t size,
+                  const char *nodes, ptrdiff_t nodes_size,
                   struct modembed_scan *out)
 {
     for (ptrdiff_t i = 0; i < size; i++)
@@ -955,7 +997,8 @@ int modembed_scan(int kind, const char *text, ptrdiff_t size,
     locale_t caller = uselocale(c_locale);
     struct table t = {.text = out->names};
     out->rows = out->columns = out->names_size = out->classes_size = 0;
-    int ok = 1;
+    int ok = kind != SCAN_LABELS ||
+             (nodes != NULL && table_seed(&t, nodes, nodes_size));
     const char *end = text + size;
     for (const char *s = text, *e; ok && s < end; s = e + (e < end)) {
         e = memchr(s, '\n', (size_t)(end - s));
@@ -965,59 +1008,15 @@ int modembed_scan(int kind, const char *text, ptrdiff_t size,
            : kind == SCAN_LABELS ? label_line(&t, s, e, out)
            : row_line(s, e, out);
     }
-    if (kind == SCAN_EDGES)
+    if (kind == SCAN_EDGES) {
         ok = ok && flush(&t, out->ids);
-    if (kind != SCAN_ROWS)
         out->names_size = t.size;
+    }
     free(t.slots);
     free(t.entries);
     uselocale(caller);
     freelocale(c_locale);
     return ok && out->rows > 0;
-}
-
-/* The ids of the labels in queries among the distinct labels in names,
- * label i of names having id i, into ids: -1 for a label names lacks.
- * Both hold their labels each followed by '\n', in names_size and
- * queries_size bytes; ids holds one id per query label.  Returns 1, or 0
- * when memory runs out. */
-int modembed_lookup(const char *names, ptrdiff_t names_size,
-                    const char *queries, ptrdiff_t queries_size, int64_t *ids)
-{
-    /* One table sized for every name, so that it never grows. */
-    ptrdiff_t count = 1;
-    for (const char *s = names; (s = memchr(s, '\n', (size_t)(names +
-                                 names_size - s))) != NULL; s++)
-        count++;
-    struct table t = {.text = malloc((size_t)names_size + 1)};
-    int ok = t.text != NULL && table_reserve(&t, count), added;
-    /* Names, then queries, are queued, as edge-list labels are, with
-     * their slots prefetched; the table never grows, so the slots stay. */
-    for (int pass = 0; pass < 2; pass++) {
-        const char *s = pass ? queries : names, *e;
-        const char *end = s + (pass ? queries_size : names_size);
-        for (; ok && s < end; s = e + (e < end)) {
-            e = memchr(s, '\n', (size_t)(end - s));
-            if (e == NULL)
-                e = end;
-            struct label *key = t.queue + t.queued++;
-            *key = label_of(s, e - s);
-            PREFETCH(t.slots + (key->tag & t.mask));
-            if (t.queued < QUEUE && e < end && e + 1 < end)
-                continue;
-            for (int k = 0; ok && k < t.queued; k++) {
-                if (pass)
-                    *ids++ = (int64_t)table_slot(&t, t.queue + k)->id - 1;
-                else
-                    ok = table_id(&t, t.queue + k, &added) >= 0;
-            }
-            t.queued = 0;
-        }
-    }
-    free(t.slots);
-    free(t.entries);
-    free(t.text);
-    return ok;
 }
 
 /* --- graph build ------------------------------------------------------- */

@@ -12,9 +12,8 @@ code it stands in for, which stays as the fallback and the tests' oracle:
 - `modembed_apply`, the modularity operator's Q @ H in one pass over the
   CSR rows, which `apply` calls for `graph.ModularityMatrix.apply`;
 - `modembed_scan`, the one scanner behind the edge-list, label and
-  embedding readers, which `scan` calls;
-- `modembed_lookup`, the indices of scanned labels among a scanned
-  graph's, which `lookup` calls for `graph.SampledGraph.indices_of`;
+  embedding readers, which `scan` calls; a label file's nodes are found
+  among the labels of a scanned graph;
 - `modembed_build`, the CSR arrays of a sampled graph from its edges'
   label ids and weights, which `build` calls for `graph._from_ids`.
 
@@ -22,16 +21,16 @@ The scanner reads only files that the readers' line loops would read the
 same way (ASCII, no NUL, '\\r', '\\x0b', '\\x0c' or '\\x1c'-'\\x1f', every
 line well formed, every number of the form
 `[+-]?digits[.digits][(e|E)[+-]digits]`) and leaves all others, errors
-included, to the loops.  The labels it reads come back as `Labels`,
-which keep their bytes for `lookup` and the row writer.  The sweep calls
-numpy's own inner loops for exp, the reductions and the matrix products,
-which `numpy_loop` reads from the ufunc objects.  `library()` compiles
-`_native.c` with the system C compiler the first time it is called,
-caches the shared library under the user cache directory, keyed by the
-sha256 of the source, the flags and the machine, and loads it with
-ctypes.  It returns None when no compiler is found or the cache
-directory is not usable: not writable, not owned by this user, or
-writable by anyone else, since whoever can write there could plant a
+included, to the loops.  The edge-list labels it reads come back as
+`Labels`, which keep their bytes for the label scan and the row writer.
+The sweep calls numpy's own inner loops for exp, the reductions and the
+matrix products, which `numpy_loop` reads from the ufunc objects.
+`library()` compiles `_native.c` with the system C compiler the first
+time it is called, caches the shared library under the user cache
+directory, keyed by the sha256 of the source, the flags and the machine,
+and loads it with ctypes.  It returns None when no compiler is found or
+the cache directory is not usable: not writable, not owned by this user,
+or writable by anyone else, since whoever can write there could plant a
 library this process would load.  Callers then run their Python loops,
 which compute the same bytes.  Importing this module compiles and loads
 nothing.
@@ -141,16 +140,14 @@ def library():
     vector = np.ctypeslib.ndpointer(np.float64, ndim=1,
                                     flags=("C_CONTIGUOUS", "ALIGNED"))
     lib.modembed_apply.argtypes = (ctypes.POINTER(_Operator), size, size,
-                                   vector, vector, array)
+                                   rows, vector, vector, array)
     lib.modembed_apply.restype = None
     lib.modembed_scan.argtypes = (ctypes.c_int, ctypes.c_char_p, size,
+                                  ctypes.c_char_p, size,
                                   ctypes.POINTER(_Scan))
     lib.modembed_scan.restype = ctypes.c_int
     int64 = np.ctypeslib.ndpointer(np.int64, ndim=1,
                                    flags=("C_CONTIGUOUS", "ALIGNED"))
-    lib.modembed_lookup.argtypes = (ctypes.c_char_p, size, ctypes.c_char_p,
-                                    size, int64)
-    lib.modembed_lookup.restype = ctypes.c_int
     lib.modembed_build.argtypes = (size, size, int64, vector,
                                    ctypes.POINTER(_Graph))
     lib.modembed_build.restype = ctypes.c_int
@@ -294,11 +291,9 @@ def apply(graph, H, c, diag):
     # read from a C-order copy; the bytes do not depend on the layout.
     if not (H.flags.aligned and H.flags.c_contiguous):
         H = H.copy()
-    arrays = _graph_arrays(graph)
-    op = _Operator(*(a.ctypes.data for a in arrays), x=H.ctypes.data,
-                   x_row=H.strides[0], x_col=H.strides[1])
+    op = _Operator(*(a.ctypes.data for a in _graph_arrays(graph)))
     out = np.empty(H.shape)
-    lib.modembed_apply(ctypes.byref(op), *H.shape, c, diag, out)
+    lib.modembed_apply(ctypes.byref(op), *H.shape, H, c, diag, out)
     return out
 
 
@@ -313,43 +308,49 @@ class _Scan(ctypes.Structure):
 _SCAN_KINDS = ("edges", "labels", "rows")
 
 
-def scan(kind, path):
+def scan(kind, path, nodes=None):
     """The file at `path` as the compiled scanner reads it, or None when
     the library is missing or the scanner leaves the file to the Python
     loop, which gives the same result or raises the error.
 
     kind "edges" gives (ids, weights, labels) for an edge list: the two
     label ids of each edge as 2 m int64, the m weights and the distinct
-    labels in first-appearance order as `Labels`.  "labels" gives (nodes,
-    classes) for a label file: the distinct nodes in first-appearance
-    order as `Labels` and the class of each.  "rows" gives (labels, values) for an embedding
-    TSV: the row labels and the rows as an m x C float64 array.  Only
-    regular files are scanned: the loop must be able to read a declined
-    file again, which a pipe does not allow.
+    labels in first-appearance order as `Labels`.  "labels" gives
+    (indices, classes) for a label file naming the nodes of a scanned
+    graph, whose `Labels` are `nodes`: the index of each distinct node in
+    first-appearance order as int64 and the class of each; a file that
+    names another node, or `nodes` that are not `Labels`, is left to the
+    loop.  "rows" gives (labels, values) for an embedding TSV: the row
+    labels and the rows as an m x C float64 array.  Only regular files
+    are scanned: the loop must be able to read a declined file again,
+    which a pipe does not allow.
     """
     lib = library()
-    if lib is None or not os.path.isfile(path):
+    labelled = kind == "labels"
+    if lib is None or not os.path.isfile(path) or (
+            labelled and not isinstance(nodes, Labels)):
         return None
     with open(path, "rb") as fh:
         text = fh.read()
+    seed = nodes.text if labelled else b""
     # The sizes modembed_scan's contract asks for; pages never written
     # are never touched.
-    lines = text.count(b"\n") + 1 if kind == "edges" else 0
-    ids = np.empty(2 * lines, np.int64)
-    values = np.empty(text.count(b"\t") if kind == "rows" else lines)
-    names = np.empty(len(text) + 1, np.uint8)
-    classes = np.empty(len(text) + 1 if kind == "labels" else 0, np.uint8)
+    lines = 0 if kind == "rows" else text.count(b"\n") + 1
+    ids = np.empty(2 * lines if kind == "edges" else lines, np.int64)
+    values = np.empty(text.count(b"\t") if kind == "rows" else
+                      lines if kind == "edges" else 0)
+    names = np.empty(len(seed if labelled else text) + 1, np.uint8)
+    classes = np.empty(len(text) + 1 if labelled else 0, np.uint8)
     out = _Scan(*(a.ctypes.data for a in (ids, values, names, classes)))
-    if not lib.modembed_scan(_SCAN_KINDS.index(kind), text, len(text),
-                             ctypes.byref(out)):
+    if not lib.modembed_scan(_SCAN_KINDS.index(kind), text, len(text), seed,
+                             len(seed), ctypes.byref(out)):
         return None
     if kind == "rows":
         return (_lines(names, out.names_size),
                 values.reshape(out.rows, out.columns))
-    labels = Labels(names, out.names_size)
-    if kind == "labels":
-        return labels, _lines(classes, out.classes_size)
-    return ids[:2 * out.rows], values[:out.rows], labels
+    if labelled:
+        return ids[:out.rows], _lines(classes, out.classes_size)
+    return ids[:2 * out.rows], values[:out.rows], Labels(names, out.names_size)
 
 
 def _lines(buffer, size):
@@ -358,9 +359,9 @@ def _lines(buffer, size):
 
 
 class Labels(list):
-    """The labels a scan read, as str, with `text`, their ASCII bytes
-    each followed by '\\n'.  `lookup` and the row writer read the bytes,
-    so a list of these is not to be changed in place."""
+    """The labels an edge-list scan read, as str, with `text`, their ASCII
+    bytes each followed by '\\n'.  The label scan and the row writer read
+    the bytes, so a list of these is not to be changed in place."""
 
     def __init__(self, buffer, size):
         self.text = bytes(memoryview(buffer)[:size])
@@ -374,22 +375,6 @@ class Labels(list):
         offsets = np.zeros(ends.size + 1, np.intp)
         offsets[1:] = ends - np.arange(ends.size)
         return self.text.replace(b"\n", b""), offsets
-
-
-def lookup(names, queries):
-    """The indices of the `Labels` queries among the distinct `Labels`
-    names as an int64 array, -1 for a label names lacks; None when the
-    library is missing or out of memory."""
-    lib = library()
-    # modembed_lookup writes one id per '\n'-terminated label of the text.
-    if lib is None or not queries.text.endswith(b"\n") or (
-            queries.text.count(b"\n") != len(queries)):
-        return None
-    ids = np.empty(len(queries), np.int64)
-    if not lib.modembed_lookup(names.text, len(names.text), queries.text,
-                               len(queries.text), ids):
-        return None
-    return ids
 
 
 class _Graph(ctypes.Structure):

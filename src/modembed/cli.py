@@ -96,7 +96,7 @@ def _write_manifest(command, params, input_paths, output_paths, started,
     path = f"{output_paths[0]}.manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-    return path
+    return path, manifest["outputs"]
 
 
 def _load_finite_rows(path):
@@ -481,13 +481,13 @@ def main(argv=None):
             command = " ".join(filter(None, (
                 args.command, getattr(args, "mode", None),
                 getattr(args, "task", None))))
-            manifest = _write_manifest(command, params, inputs, outputs,
-                                       started, extra)
+            manifest, digests = _write_manifest(command, params, inputs,
+                                                outputs, started, extra)
             if args.command == "embed":
                 print(f"wrote {len(outputs)} file(s); manifest {manifest}")
-        if args.digest:
-            for path in sorted(map(str, outputs)):
-                print(f"{_sha256(path)}  {path}")
+            if args.digest:
+                for path in sorted(map(str, outputs)):
+                    print(f"{digests[path]}  {path}")
         return code
     except ConvergenceError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

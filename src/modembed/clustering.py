@@ -50,7 +50,7 @@ class ClusterConfig:
     theta: inverse temperature (finite, > 0); higher is harder.
     max_sweeps: cap on full passes over the nodes.
     tol: absolute objective change declaring convergence (finite, >= 0).
-    seed: RNG seed for row initialization.
+    seed: RNG seed for row initialization (>= 0).
     """
 
     n_clusters: int
@@ -65,11 +65,19 @@ class ClusterConfig:
         if not 0.0 < self.theta < np.inf:
             raise ValueError(f"theta must be positive and finite, got "
                              f"{self.theta}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        # A NaN or negative tol is never met, an infinite one always.
-        if not 0.0 <= self.tol < np.inf:
-            raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
+        _check_sweeps(self)
+
+
+def _check_sweeps(config):
+    """Check the sweep settings that `ClusterConfig` and
+    `sphere.SphereConfig` share: max_sweeps, tol and seed."""
+    if config.max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {config.max_sweeps}")
+    # A NaN or negative tol is never met, an infinite one always.
+    if not 0.0 <= config.tol < np.inf:
+        raise ValueError(f"tol must be >= 0 and finite, got {config.tol}")
+    if config.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {config.seed}")
 
 
 @dataclass

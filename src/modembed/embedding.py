@@ -145,6 +145,10 @@ def qr_embed(Q, H, drop_dependent=True):
         scale = norms.max()
         if scale == 0.0:
             raise ValueError("Q H is identically zero; nothing to embed")
+        # Neither rank test can rank a NaN or infinite column.
+        if not np.isfinite(scale):
+            raise ValueError(f"Q H is not finite: its largest column norm "
+                             f"is {scale}")
         tol = n * np.finfo(float).eps * scale
         kept, rank_test = _residual_rank(M, norms, tol), "residuals"
         if kept is None:

@@ -17,7 +17,7 @@ import contextlib
 import ctypes
 import os
 from collections import defaultdict
-from itertools import count, repeat
+from itertools import count
 
 import numpy as np
 
@@ -67,7 +67,8 @@ class SampledGraph:
         self.diag_mass = np.require(diag_mass, np.float64, "CA")
         _check_csr(self.n, self.indptr, self.indices, self.data,
                    self.diag_mass)
-        # A scanned graph keeps its labels' bytes for lookups and writes.
+        # A scanned graph keeps its labels' bytes for the label scan and
+        # the row writer.
         self.node_labels = (node_labels
                             if isinstance(node_labels, _native.Labels)
                             else list(node_labels))
@@ -93,20 +94,11 @@ class SampledGraph:
 
     def indices_of(self, labels):
         """Indices of a sequence of labels as an int64 array; a KeyError
-        names the first unknown label.  Labels scanned from a file are
-        looked up by their bytes in the compiled library when the graph's
-        own labels were scanned too (`_native.lookup`)."""
-        found = None
-        if isinstance(labels, _native.Labels) and isinstance(
-                self.node_labels, _native.Labels):
-            found = _native.lookup(self.node_labels, labels)
-        if found is None:
-            found = np.fromiter(map(self._index.get, labels, repeat(-1)),
-                                np.int64, len(labels))
-        unknown = np.flatnonzero(found < 0)
-        if unknown.size:
-            self.index_of(labels[unknown[0]])
-        return found
+        names the first unknown label."""
+        found = list(map(self._index.get, labels))
+        if None in found:
+            self.index_of(labels[found.index(None)])
+        return np.array(found, dtype=np.int64)
 
     def pair_mass(self, u, w):
         """p(u, w) by index."""

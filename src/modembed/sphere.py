@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _kernel, climb
+from .clustering import _check_sweeps, _kernel, climb
 from .embedding import EmbeddingMatrix, qr_embed
 
 __all__ = [
@@ -38,7 +38,7 @@ _DEGENERATE_NORM = 1e-300
 @dataclass
 class SphereConfig:
     """Knobs for a sphere run: embedding width, blend weight beta in
-    [0, 1], sweep cap, finite convergence tolerance >= 0, init seed."""
+    [0, 1], sweep cap, finite convergence tolerance >= 0, init seed >= 0."""
 
     n_dims: int
     beta: float = 0.5
@@ -51,10 +51,7 @@ class SphereConfig:
             raise ValueError(f"n_dims must be >= 1, got {self.n_dims}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if not 0.0 <= self.tol < np.inf:
-            raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
+        _check_sweeps(self)
 
 
 @dataclass

@@ -345,12 +345,13 @@ def load_labels(path, graph):
     Returns (node indices, class ids, class names): the labelled nodes'
     graph indices in first-appearance order and their classes' ids in
     sorted-name order, both int64.  The compiled scanner reads the file
-    when it can (see `_native.scan`); otherwise the line loop below does,
-    with the same result or error.
+    when it can, finding the nodes among the labels of a scanned graph
+    (see `_native.scan`); otherwise the line loop below does, with the
+    same result or error.
     """
-    scanned = _native.scan("labels", path)
+    scanned = _native.scan("labels", path, graph.node_labels)
     if scanned is not None:
-        nodes, classes = scanned
+        index, classes = scanned
     else:
         labels = {}
         with open(path, "r", encoding="utf-8") as fh:
@@ -370,10 +371,9 @@ def load_labels(path, graph):
                 # the map's keys are the nodes in first-appearance order.
                 graph.indices_of(list(labels))
                 raise ValueError(f"{path}:{lineno}: {error}")
-        nodes, classes = list(labels), list(labels.values())
-    index = graph.indices_of(nodes)
-    if not nodes:
-        raise ValueError(f"{path}: no labels found")
+        index, classes = graph.indices_of(list(labels)), list(labels.values())
+        if not labels:
+            raise ValueError(f"{path}: no labels found")
     names = sorted(set(classes))
     class_id = dict(zip(names, range(len(names))))
     return index, np.array([class_id[c] for c in classes], np.int64), names

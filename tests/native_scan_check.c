@@ -1,70 +1,71 @@
 /* Hostile inputs for modembed_scan, the TSV scanner in _native.c, and for
- * modembed_lookup and modembed_build, which read what it gives, built
- * with -fsanitize=address,undefined by tests/test_io.py.
+ * modembed_build, which reads what it gives, built with
+ * -fsanitize=address,undefined by tests/test_io.py.  The driver is one
+ * unit with _native.c, which it includes (the test puts its directory on
+ * the include path), so every call and struct is checked against the
+ * source's own declarations.
  *
  * Each text is copied to a heap block of exactly its size, with no NUL
  * after it, and each output array is allocated at the size the entry's
  * contract names (struct modembed_scan and struct modembed_graph in
  * _native.c), so a read or write past any of them stops the run.  Exits 0
  * when every call returned what it should, 1 otherwise. */
-#include <stddef.h>
-#include <stdint.h>
-#include <stdio.h>
-#include <stdlib.h>
-#include <string.h>
+#include "_native.c"
 
-struct modembed_scan {
-    int64_t *ids;
-    double *values;
-    char *names;
-    char *classes;
-    ptrdiff_t rows, columns, names_size, classes_size;
-};
-
-int modembed_scan(int kind, const char *text, ptrdiff_t size,
-                  struct modembed_scan *out);
-
-struct modembed_graph {
-    int64_t *indptr, *indices;
-    double *data, *diag;
-    ptrdiff_t nnz;
-};
-
-int modembed_build(ptrdiff_t n, ptrdiff_t m, const int64_t *ids,
-                   const double *weights, struct modembed_graph *out);
-int modembed_lookup(const char *names, ptrdiff_t names_size,
-                    const char *queries, ptrdiff_t queries_size, int64_t *ids);
-
-enum { EDGES, LABELS, ROWS };
 #define ANY (-1)
 
 static int failures;
 
-/* Scan size bytes as kind; want is 1 (read), 0 (declined) or ANY.  The
- * number of rows read is returned. */
-static ptrdiff_t check(const char *name, int kind, const char *bytes,
-                       size_t size, int want)
+/* The graph whose nodes the label files of check() name: short labels
+ * that the random texts below can spell. */
+static const char *const NODES = "a\nb\nA\n0\n1\ne\nE\n_\n+\naA\nnode____0\n";
+
+/* Scan size bytes as kind, a label file naming the nodes of the graph
+ * whose labels are the text nodes (NULL for no graph); want is 1 (read),
+ * 0 (declined) or ANY.  A label file read must give the graph indices
+ * ids, count of them, unless ids is NULL.  Returns the number of rows
+ * read, -1 when declined. */
+static ptrdiff_t scan_check(const char *name, int kind, const char *bytes,
+                            size_t size, const char *nodes, int want,
+                            const int64_t *ids, size_t count)
 {
     char *text = malloc(size);
     if (size)
         memcpy(text, bytes, size);
-    size_t lines = 1, tabs = 0;
+    size_t lines = 1, tabs = 0, seed = nodes ? strlen(nodes) : 0;
     for (size_t i = 0; i < size; i++) {
         lines += bytes[i] == '\n';
         tabs += bytes[i] == '\t';
     }
+    char *graph = nodes ? malloc(seed) : NULL;
+    if (seed)
+        memcpy(graph, nodes, seed);
     struct modembed_scan out = {
-        malloc(kind == EDGES ? 2 * lines * sizeof(int64_t) : 0),
-        malloc((kind == EDGES ? lines : kind == ROWS ? tabs : 0) *
+        malloc((kind == SCAN_EDGES ? 2 * lines
+                : kind == SCAN_LABELS ? lines : 0) * sizeof(int64_t)),
+        malloc((kind == SCAN_EDGES ? lines : kind == SCAN_ROWS ? tabs : 0) *
                sizeof(double)),
-        malloc(size + 1), malloc(kind == LABELS ? size + 1 : 0), 0, 0, 0, 0};
-    int got = modembed_scan(kind, text, (ptrdiff_t)size, &out);
+        malloc((kind == SCAN_LABELS ? seed : size) + 1),
+        malloc(kind == SCAN_LABELS ? size + 1 : 0), 0, 0, 0, 0};
+    int got = modembed_scan(kind, text, (ptrdiff_t)size, graph,
+                            (ptrdiff_t)seed, &out);
     if (want != ANY && got != want) {
         fprintf(stderr, "%s (kind %d): got %d, want %d\n", name, kind, got,
                 want);
         failures++;
     }
+    if (got && ids != NULL) {
+        ptrdiff_t i = 0;
+        while (i < out.rows && (size_t)i < count && out.ids[i] == ids[i])
+            i++;
+        if (out.rows != (ptrdiff_t)count || i < out.rows) {
+            fprintf(stderr, "%s: %ld of %ld nodes found, want %zu\n", name,
+                    (long)i, (long)out.rows, count);
+            failures++;
+        }
+    }
     free(text);
+    free(graph);
     free(out.ids);
     free(out.values);
     free(out.names);
@@ -72,9 +73,26 @@ static ptrdiff_t check(const char *name, int kind, const char *bytes,
     return got ? out.rows : -1;
 }
 
+static ptrdiff_t check(const char *name, int kind, const char *bytes,
+                       size_t size, int want)
+{
+    return scan_check(name, kind, bytes, size,
+                      kind == SCAN_LABELS ? NODES : NULL, want, NULL, 0);
+}
+
 static void check_text(const char *name, int kind, const char *text, int want)
 {
     check(name, kind, text, strlen(text), want);
+}
+
+/* Scan the label file text naming the nodes of the graph whose labels
+ * are nodes; when read, it must give the graph indices ids. */
+static void check_labels(const char *name, const char *nodes,
+                         const char *text, int want, const int64_t *ids,
+                         size_t count)
+{
+    scan_check(name, SCAN_LABELS, text, strlen(text), nodes, want, ids,
+               count);
 }
 
 /* prefix, then `count` copies of unit, then suffix, in a new string. */
@@ -141,52 +159,6 @@ static void check_build(const char *name, ptrdiff_t n, ptrdiff_t m,
     free(g.diag);
 }
 
-/* Look the queries up among the names, each text in a block of its exact
- * size; want[i] is query i's id. */
-static void check_lookup(const char *name, const char *names,
-                         const char *queries, const int64_t *want,
-                         size_t count)
-{
-    size_t a = strlen(names), b = strlen(queries);
-    char *x = malloc(a + 1), *y = malloc(b + 1);
-    memcpy(x, names, a);
-    memcpy(y, queries, b);
-    int64_t *ids = malloc(count * sizeof *ids + 1);
-    if (!modembed_lookup(x, (ptrdiff_t)a, y, (ptrdiff_t)b, ids))
-        failures++;
-    for (size_t i = 0; i < count; i++) {
-        if (ids[i] != want[i]) {
-            fprintf(stderr, "%s: query %zu got %ld, want %ld\n", name, i,
-                    (long)ids[i], (long)want[i]);
-            failures++;
-        }
-    }
-    free(x);
-    free(y);
-    free(ids);
-}
-
-/* The hashes of _native.c, copied so that inputs whose tags collide can
- * be searched for: mix64 for node pairs, label_hash for labels. */
-static uint64_t mix64(uint64_t h)
-{
-    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
-    return h ^ (h >> 31);
-}
-
-static uint64_t label_hash(const char *s, size_t n)
-{
-    uint64_t h = (uint64_t)n * 0x9E3779B97F4A7C15ULL;
-    for (size_t i = 0; i < n; i += 8) {
-        uint64_t word = 0;
-        memcpy(&word, s + i, n - i < 8 ? n - i : 8);
-        h = (h ^ word) * 0xBF58476D1CE4E5B9ULL;
-        h ^= h >> 31;
-    }
-    return h * 0x94D049BB133111EBULL;
-}
-
 struct tagged {
     uint32_t tag, i;
 };
@@ -198,14 +170,14 @@ static int by_tag(const void *x, const void *y)
                             : (a->i > b->i) - (a->i < b->i);
 }
 
-/* Up to max indices i < count, in pairs, whose tags (high 32 bits of
- * hash(i)) are equal; returns how many were found. */
-static size_t colliding(uint64_t (*hash)(uint32_t), uint32_t count,
+/* Up to max indices i < count, in pairs, whose tags are equal; returns
+ * how many were found. */
+static size_t colliding(uint32_t (*tag)(uint32_t), uint32_t count,
                         uint32_t *found, size_t max)
 {
     struct tagged *t = malloc(count * sizeof *t);
     for (uint32_t i = 0; i < count; i++)
-        t[i] = (struct tagged){(uint32_t)(hash(i) >> 32), i};
+        t[i] = (struct tagged){tag(i), i};
     qsort(t, count, sizeof *t, by_tag);
     size_t k = 0;
     for (uint32_t i = 1; i < count && k + 2 <= max; i++) {
@@ -222,17 +194,19 @@ static size_t colliding(uint64_t (*hash)(uint32_t), uint32_t count,
 #define PAIR_A(i) ((int64_t)((i) / 4096))
 #define PAIR_B(i) ((int64_t)(4096 + (i) % 4096))
 
-static uint64_t pair_hash(uint32_t i)
+/* modembed_build's tag of pair i. */
+static uint32_t pair_tag(uint32_t i)
 {
-    return mix64((uint64_t)PAIR_A(i) << 32 | (uint64_t)PAIR_B(i));
+    return (uint32_t)(mix64((uint64_t)PAIR_A(i) << 32 | (uint64_t)PAIR_B(i))
+                      >> 32);
 }
 
-static char label_text[32];
-
-static uint64_t name_hash(uint32_t i)
+/* The table's tag of the label node____i. */
+static uint32_t name_tag(uint32_t i)
 {
-    int n = sprintf(label_text, "node____%u", i);
-    return label_hash(label_text, (size_t)n);
+    char text[32];
+    int n = sprintf(text, "node____%u", i);
+    return label_of(text, n).tag;
 }
 
 static void build_cases(void)
@@ -277,7 +251,7 @@ static void build_cases(void)
 
     /* Pairs whose hash tags are equal, each given twice. */
     uint32_t found[16];
-    size_t k = colliding(pair_hash, 1u << 18, found, 16);
+    size_t k = colliding(pair_tag, 1u << 18, found, 16);
     if (k == 0) {
         fprintf(stderr, "no colliding pair tags found\n");
         failures++;
@@ -294,112 +268,157 @@ static void build_cases(void)
                 pair_w, 1, (ptrdiff_t)(2 * k));
 }
 
-static void lookup_cases(void)
+/* The label file of the nodes `i % 2 ? n<i> : node____<i>` for i from
+ * count - 1 down to 0, with the node node____<count + 1>, which a graph
+ * of the first count lacks, on line `unknown` (0 for first, count for
+ * last, -1 for none). */
+static char *reversed_labels(int count, int unknown)
 {
-    const int64_t none[] = {-1, -1};
-    check_lookup("no names", "", "a\nb\n", none, 2);
-    const int64_t known[] = {1, 0, -1, 2, -1, -1};
-    check_lookup("short and long labels", "b\na\nlabel_long_1\n",
-                 "a\nb\nlabel_long_2\nlabel_long_1\nlabel_lon\n\n",
-                 known, 6);
-    const int64_t last[] = {0, 1};
-    check_lookup("unterminated", "x\ny", "x\ny", last, 2);
-
-    /* 20,000 names, some alike in their first 8 bytes, looked up in
-     * reverse order with unknown ones between. */
-    enum { COUNT = 20000 };
-    char *names = malloc(COUNT * 24), *queries = malloc(2 * COUNT * 24);
-    int64_t *want = malloc(2 * COUNT * sizeof *want);
-    size_t a = 0, b = 0;
-    for (int i = 0; i < COUNT; i++)
-        a += (size_t)sprintf(names + a, "%s%d\n", i % 2 ? "n" : "node____",
-                             i);
-    for (int i = COUNT - 1; i >= 0; i--) {
-        b += (size_t)sprintf(queries + b, "%s%d\n", i % 2 ? "n" : "node____",
-                             i);
-        want[2 * (COUNT - 1 - i)] = i;
-        b += (size_t)sprintf(queries + b, "node____%d\n", COUNT + i);
-        want[2 * (COUNT - 1 - i) + 1] = -1;
+    char *text = malloc(((size_t)count + 1) * 32), *p = text;
+    for (int line = 0; line <= count; line++) {
+        if (line == unknown)
+            p += sprintf(p, "node____%d\tk\n", count + 1);
+        if (line < count) {
+            int i = count - 1 - line;
+            p += sprintf(p, "%s%d\tk%d\n", i % 2 ? "n" : "node____", i,
+                         i % 3);
+        }
     }
-    check_lookup("20,000 names", names, queries, want, 2 * COUNT);
-    free(names);
-    free(queries);
+    return text;
+}
+
+static void label_cases(void)
+{
+    check_labels("no graph", NULL, "a\tk\n", 0, NULL, 0);
+    check_labels("no names", "", "a\tk\nb\tk\n", 0, NULL, 0);
+    check_labels("repeated names", "a\nb\na\n", "b\tk\n", 0, NULL, 0);
+    const char *names = "b\na\nlabel_long_1\n";
+    check_labels("short and long labels", names,
+                 "a\tk\nb\tj\n# c\tk\n\n  \t#x\nlabel_long_1\tk\na\tk\n", 1,
+                 (const int64_t[]){1, 0, 2}, 3);
+    check_labels("unknown long label", names, "a\tk\nlabel_long_2\tk\n", 0,
+                 NULL, 0);
+    check_labels("unknown prefix", names, "label_lon\tk\n", 0, NULL, 0);
+    check_labels("unknown longer label", names, "label_long_12\tk\n", 0,
+                 NULL, 0);
+    check_labels("empty node", names, "\tk\n", 0, NULL, 0);
+    check_labels("unterminated", "x\ny", "y\tk\nx\tj", 1,
+                 (const int64_t[]){1, 0}, 2);
+    check_labels("same class again", "a\n", "a\tk\na\tk\n", 1,
+                 (const int64_t[]){0}, 1);
+    check_labels("longer, then shorter class", "a\n", "a\tkk\na\tk\n", 0,
+                 NULL, 0);
+    check_labels("shorter, then longer class", "a\n", "a\tk\na\tkk\n", 0,
+                 NULL, 0);
+    check_labels("empty, then other class", "a\nb\n", "b\t\na\tk\nb\tk", 0,
+                 NULL, 0);
+    check_labels("empty class again", "a\nb\n", "b\t\na\tk\nb\t", 1,
+                 (const int64_t[]){1, 0}, 2);
+
+    /* 20,000 names, some alike in their first 8 bytes, labelled in
+     * reverse order; an unknown node first or last declines the file. */
+    enum { COUNT = 20000 };
+    char *all = malloc(COUNT * 24), *text;
+    int64_t *want = malloc(COUNT * sizeof *want);
+    size_t a = 0;
+    for (int i = 0; i < COUNT; i++) {
+        a += (size_t)sprintf(all + a, "%s%d\n", i % 2 ? "n" : "node____", i);
+        want[i] = COUNT - 1 - i;
+    }
+    text = reversed_labels(COUNT, -1);
+    check_labels("20,000 names", all, text, 1, want, COUNT);
+    free(text);
+    text = reversed_labels(COUNT, 0);
+    check_labels("20,000 names, unknown first", all, text, 0, NULL, 0);
+    free(text);
+    text = reversed_labels(COUNT, COUNT);
+    check_labels("20,000 names, unknown last", all, text, 0, NULL, 0);
+    free(text);
+    free(all);
     free(want);
 
     /* Labels alike in their first 8 bytes whose tags are equal: the first
-     * of each pair is a name, the second is looked up and missing. */
+     * of each pair is a graph's node, the second is not. */
     uint32_t found[16];
-    size_t k = colliding(name_hash, 1u << 18, found, 16);
+    size_t k = colliding(name_tag, 1u << 18, found, 16);
     if (k == 0) {
         fprintf(stderr, "no colliding label tags found\n");
         failures++;
     }
-    char text[2][16 * 32];
-    int64_t ids[16];
-    size_t size[2] = {0, 0};
-    for (size_t j = 0; j < k; j++) {
-        size_t half = j % 2;
-        size[half] += (size_t)sprintf(text[half] + size[half], "node____%u\n",
-                                      found[j]);
+    char graph[16 * 32], file[16 * 32], line[32];
+    int64_t ids[8];
+    size_t size = 0, used = 0;
+    for (size_t j = 0; j < k; j += 2) {
+        size += (size_t)sprintf(graph + size, "node____%u\n", found[j]);
+        used += (size_t)sprintf(file + used, "node____%u\tk\n", found[j]);
+        ids[j / 2] = (int64_t)(j / 2);
     }
-    for (size_t j = 0; j < k / 2; j++)
-        ids[j] = -1;
-    check_lookup("colliding label tags", text[0], text[1], ids, k / 2);
-    check_lookup("colliding label tags, found", text[0], text[0],
-                 (const int64_t[]){0, 1, 2, 3, 4, 5, 6, 7}, k / 2);
+    check_labels("colliding label tags, found", graph, file, 1, ids, k / 2);
+    for (size_t j = 1; j < k; j += 2) {
+        sprintf(line, "node____%u\tk\n", found[j]);
+        check_labels("colliding label tags, missing", graph, line, 0, NULL,
+                     0);
+    }
 }
 
 int main(void)
 {
     build_cases();
-    lookup_cases();
-    for (int kind = EDGES; kind <= ROWS; kind++) {
+    label_cases();
+    for (int kind = SCAN_EDGES; kind <= SCAN_ROWS; kind++) {
         check("empty file", kind, "", 0, 0);
         check_text("comments only", kind, "# x\n#y\t1\n  # z", 0);
         check_text("blank lines only", kind, "\n\n", 0);
     }
-    check_text("no final newline", EDGES, "a b\nb c 2.5", 1);
-    check_text("no final newline", LABELS, "a\tk\nb\tj", 1);
-    check_text("no final newline", ROWS, "a\t1\t2\nb\t3\t4", 1);
-    check_text("comment lines", EDGES, "# x\na b\n  \t#y\n", 1);
+    check_text("no final newline", SCAN_EDGES, "a b\nb c 2.5", 1);
+    check_text("no final newline", SCAN_LABELS, "a\tk\nb\tj", 1);
+    check_text("no final newline", SCAN_ROWS, "a\t1\t2\nb\t3\t4", 1);
+    check_text("comment lines", SCAN_EDGES, "# x\na b\n  \t#y\n", 1);
 
     /* A 64 KiB label, repeated so the second lookup compares it. */
     char *big = repeat("", "A", 65536, "");
     char *text = malloc(4 * 65536 + 64);
     sprintf(text, "%s b\nb %s 1e3", big, big);
-    if (check("64 KiB label", EDGES, text, strlen(text), 1) != 2)
+    if (check("64 KiB label", SCAN_EDGES, text, strlen(text), 1) != 2)
         failures++;
+    char *nodes = repeat("a\n", "A", 65536, "\n");
     sprintf(text, "%s\tk\n%s\tk", big, big);
-    check("64 KiB label", LABELS, text, strlen(text), 1);
+    scan_check("64 KiB label", SCAN_LABELS, text, strlen(text), nodes, 1,
+               (const int64_t[]){1}, 1);
     sprintf(text, "%s\tk\n%s\tj", big, big);
-    check("64 KiB label, conflict", LABELS, text, strlen(text), 0);
+    scan_check("64 KiB label, conflict", SCAN_LABELS, text, strlen(text),
+               nodes, 0, NULL, 0);
+    sprintf(text, "%sA\tk", big);
+    scan_check("64 KiB label, one byte longer", SCAN_LABELS, text,
+               strlen(text), nodes, 0, NULL, 0);
+    free(nodes);
     sprintf(text, "%s\t1\n", big);
-    check("64 KiB label", ROWS, text, strlen(text), 1);
+    check("64 KiB label", SCAN_ROWS, text, strlen(text), 1);
     free(big);
     free(text);
 
     /* 1,000-digit numbers, the last ending the buffer. */
     char *digits = repeat("a b 0.", "7", 1000, "\nb c ");
     text = repeat(digits, "9", 1000, "");
-    check("1,000-digit weights", EDGES, text, strlen(text), 0);
+    check("1,000-digit weights", SCAN_EDGES, text, strlen(text), 0);
     free(text);
     text = repeat(digits, "9", 1000, "e-2000");
-    check("1,000-digit weights", EDGES, text, strlen(text), 1);
+    check("1,000-digit weights", SCAN_EDGES, text, strlen(text), 1);
     free(text);
     free(digits);
     text = repeat("a\t", "3", 1000, "");
-    check("1,000-digit value", ROWS, text, strlen(text), 1);
+    check("1,000-digit value", SCAN_ROWS, text, strlen(text), 1);
     free(text);
 
     /* Lines of 100,000 fields. */
     text = repeat("a", "\t1.5", 100000, "\n");
-    check("100,000 values", ROWS, text, strlen(text), 1);
+    check("100,000 values", SCAN_ROWS, text, strlen(text), 1);
     free(text);
     text = repeat("a", " b", 100000, "\n");
-    check("100,000 fields", EDGES, text, strlen(text), 0);
+    check("100,000 fields", SCAN_EDGES, text, strlen(text), 0);
     free(text);
     text = repeat("a", "\tb", 100000, "\n");
-    check("100,000 fields", LABELS, text, strlen(text), 0);
+    check("100,000 fields", SCAN_LABELS, text, strlen(text), 0);
     free(text);
 
     /* Enough distinct labels to grow the table several times, some of
@@ -408,7 +427,7 @@ int main(void)
     size_t size = 0;
     for (int i = 0; i < 50000; i++)
         size += (size_t)sprintf(text + size, "label___%d n%d\n", i, i / 3);
-    if (check("50,000 edges", EDGES, text, size, 1) != 50000)
+    if (check("50,000 edges", SCAN_EDGES, text, size, 1) != 50000)
         failures++;
     free(text);
 
@@ -417,7 +436,7 @@ int main(void)
         for (int at = 0; at < 6; at++) {
             char line[7] = "a b\t1\n";
             line[at] = (char)c;
-            for (int kind = EDGES; kind <= ROWS; kind++)
+            for (int kind = SCAN_EDGES; kind <= SCAN_ROWS; kind++)
                 check("one byte changed", kind, line, 6, ANY);
         }
     }

@@ -413,6 +413,47 @@ def test_infinite_theta_and_bad_tol_are_user_errors(tmp_path, sbm_file,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["embed", "cafe", "--k", "2"], ["embed", "sphere", "--k", "2"],
+    ["embed", "multilayer"], ["verify"],
+    ["reduce", "--cloud", "circles", "--k", "2"],
+    ["reduce", "--cloud", "circles", "--k", "2", "--method", "sphere"],
+], ids=["cafe", "sphere", "multilayer", "verify", "reduce-cafe",
+        "reduce-sphere"])
+def test_a_negative_seed_is_a_user_error_naming_the_seed(tmp_path, sbm_file,
+                                                         capsys, argv):
+    """numpy's generator refuses a negative seed in words that name no
+    option; every sweep configuration refuses it first, by name."""
+    graph_path, _ = sbm_file
+    out = tmp_path / "out.tsv"
+    if argv[0] != "reduce":
+        argv = argv + ["--graph", str(graph_path)]
+    assert main(argv + ["--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::modembed.embedding.RankDeficiencyWarning")
+def test_digest_lines_are_the_manifest_digests(tmp_path, sbm_file, capsys,
+                                               monkeypatch):
+    """--digest prints the digests the manifest computed, without reading
+    the outputs again: one hash per input and output."""
+    graph_path, _ = sbm_file
+    out, assignment = tmp_path / "emb.tsv", tmp_path / "h.tsv"
+    hashed = []
+    monkeypatch.setattr(cli, "_sha256",
+                        lambda path, _hash=cli._sha256:
+                        hashed.append(str(path)) or _hash(path))
+    assert main(["embed", "cafe", "--graph", str(graph_path), "--k", "2",
+                 "--out", str(out), "--assignment-out", str(assignment),
+                 "--digest"]) == 0
+    assert sorted(hashed) == sorted(map(str, (graph_path, out, assignment)))
+    digests = _manifest(out)["outputs"]
+    lines = capsys.readouterr().out.splitlines()[-2:]
+    assert lines == [f"{digests[p]}  {p}" for p in sorted(digests)]
+    assert digests == {str(p): _sha(p) for p in (out, assignment)}
+
+
 def test_verify_rejects_a_one_node_graph(tmp_path, capsys):
     path = tmp_path / "one.tsv"
     path.write_text("a a\n")

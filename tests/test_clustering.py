@@ -39,8 +39,10 @@ def test_config_validation():
     for tol in (np.nan, -1e-9, np.inf):
         with pytest.raises(ValueError, match="tol must be >= 0 and finite"):
             ClusterConfig(n_clusters=2, tol=tol)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ClusterConfig(n_clusters=2, seed=-1)
     ClusterConfig(n_clusters=2, theta=1e300, tol=0.0)
-    ClusterConfig(n_clusters=2, tol=1e300)
+    ClusterConfig(n_clusters=2, tol=1e300, seed=0)
 
 
 def test_init_rows_are_pmfs():

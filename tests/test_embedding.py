@@ -167,6 +167,23 @@ def test_residuals_decide_far_from_tol():
                                              np.zeros(M.shape)))
 
 
+@pytest.fixture(scope="module")
+def ba3000():
+    return graph.from_edge_list(datasets.barabasi_albert_edges(3000, 3, 5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("rank", [qr_embed, loop_only], ids=["fast", "loop"])
+def test_qr_embed_refuses_a_non_finite_product(ba3000, bad, rank):
+    """A NaN or infinity in H makes Q H non-finite and tol with it, so no
+    residual exceeds tol: both rank tests would keep no column (the fast
+    one then fails on the empty R).  Both refuse it first, by name."""
+    H = np.random.default_rng(2).random((ba3000.n, 4))
+    H[7, 1] = bad
+    with pytest.raises(ValueError, match="^Q H is not finite"):
+        rank(ba3000.modularity_matrix(), H)
+
+
 def test_no_rank_test_when_nothing_may_drop(karate):
     H = np.random.default_rng(1).random((34, 3))
     emb = qr_embed(karate.modularity_matrix(), H, drop_dependent=False)

@@ -862,12 +862,35 @@ LABEL_GRAPH = graph.from_edge_list([("a", "b"), ("b", "c"), ("c", "é"),
                                     ("é", "f\x0cg")])
 
 
+def scanned_graph(directory, labels):
+    """A graph on a path through `labels` in order, read from a file in
+    `directory` by the scanner when the library is found, so that its
+    labels keep their bytes and label files are scanned against them."""
+    path = directory / "g.tsv"
+    path.write_text("".join(f"{u}\t{w}\n" for u, w in zip(labels,
+                                                            labels[1:])))
+    g = graph.load_edge_list(path)
+    assert _native.library() is None or isinstance(g.node_labels,
+                                                   _native.Labels)
+    return g
+
+
+@pytest.fixture(scope="module")
+def scanned_twins(tmp_path_factory):
+    """Scanned graphs on the labels of LABEL_GRAPH and ASCII_GRAPH that an
+    edge list can hold, in another order, so that the label-file oracle
+    cases also run through the compiled label scan."""
+    directory = tmp_path_factory.mktemp("twins")
+    return (scanned_graph(directory, ["c", "a", "b"]),
+            scanned_graph(directory, ASCII_LABELS[::-1]))
+
+
 @IO_SETTINGS
 @given(lines=st.lists(label_line(), max_size=12))
-def test_load_labels_matches_oracle(tmp_path, lines):
+def test_load_labels_matches_oracle(tmp_path, scanned_twins, lines):
     path = tmp_path / "l.tsv"
     path.write_bytes("".join(lines).encode("utf-8"))
-    assert_reads_like_oracle("labels", path)
+    assert_reads_like_oracle("labels", path, (LABEL_GRAPH, scanned_twins[0]))
 
 
 def test_indices_of_names_first_unknown_label(karate):
@@ -879,26 +902,27 @@ def test_indices_of_names_first_unknown_label(karate):
 
 # --- the compiled scanner ----------------------------------------------------
 
-def assert_reads_like_oracle(kind, path, labelled=LABEL_GRAPH):
+def assert_reads_like_oracle(kind, path, labelled=()):
     """The reader of `kind` ("edges", "labels" or "rows") gives the
-    oracle's result or error on both paths; label files name the nodes
-    of `labelled`."""
+    oracle's result or error on both paths; a label file is read against
+    each graph in `labelled`."""
     if kind == "edges":
         want = outcome(oracle_load_edge_list, path)
         for got in both_paths(graph.load_edge_list, path):
             if assert_same_outcome(got, want):
                 assert_same_graph(got[1], want[1])
     elif kind == "labels":
-        want = outcome(oracle_load_labels, path, labelled)
-        for got in both_paths(load_labels, path, labelled):
-            if assert_same_outcome(got, want):
-                index, classes, names = got[1]
-                assert names == sorted(set(want[1].values()))
-                assert index.dtype == classes.dtype == np.int64
-                assert index.tolist() == [labelled.index_of(node)
-                                          for node in want[1]]
-                assert classes.tolist() == [names.index(name)
-                                            for name in want[1].values()]
+        for g in labelled:
+            want = outcome(oracle_load_labels, path, g)
+            for got in both_paths(load_labels, path, g):
+                if assert_same_outcome(got, want):
+                    index, classes, names = got[1]
+                    assert names == sorted(set(want[1].values()))
+                    assert index.dtype == classes.dtype == np.int64
+                    assert index.tolist() == [g.index_of(node)
+                                              for node in want[1]]
+                    assert classes.tolist() == [names.index(name)
+                                                for name in want[1].values()]
     else:
         want = outcome(oracle_load_embedding_tsv, path)
         for got in both_paths(load_embedding_tsv, path):
@@ -1022,9 +1046,11 @@ def ascii_file(draw, kind):
 
 @needs_cc
 @pytest.mark.parametrize("kind", ["edges", "labels", "rows"])
-def test_compiled_scanner_reads_most_ascii_files(tmp_path, monkeypatch, kind):
+def test_compiled_scanner_reads_most_ascii_files(tmp_path, monkeypatch,
+                                                 scanned_twins, kind):
     """Each drawn file reads as the oracle reads it on both paths, and a
-    good share of them is read by the compiled scanner, not the loop."""
+    good share of them is read by the compiled scanner, not the loop;
+    label files are scanned against the scanned graph."""
     lib = _native.library()
     accepted = []
 
@@ -1039,7 +1065,7 @@ def test_compiled_scanner_reads_most_ascii_files(tmp_path, monkeypatch, kind):
     def check(text):
         path = tmp_path / "f.tsv"
         path.write_bytes(text.encode("ascii"))
-        assert_reads_like_oracle(kind, path, labelled=ASCII_GRAPH)
+        assert_reads_like_oracle(kind, path, (ASCII_GRAPH, scanned_twins[1]))
 
     check()
     assert len(accepted) >= 100
@@ -1067,14 +1093,15 @@ def test_files_the_scanner_declines_at_the_end_read_like_the_loop(
     byte or a line that the scanner leaves to the loop: the loop reads
     the whole file and gives its result or error."""
     path = tmp_path / "f.tsv"
+    scanned = scanned_graph(tmp_path, ["a", "b", "c"])
     if _native.library() is not None:
         path.write_text(clean, encoding="utf-8")
-        assert _native.scan(kind, path) is not None
+        assert _native.scan(kind, path, scanned.node_labels) is not None
         path.write_text(clean + tail, encoding="utf-8", newline="")
-        assert _native.scan(kind, path) is None
+        assert _native.scan(kind, path, scanned.node_labels) is None
     path.write_text(clean + tail, encoding="utf-8", newline="")
     labelled = graph.from_edge_list([("a", "b"), ("b", "c")])
-    assert_reads_like_oracle(kind, path, labelled=labelled)
+    assert_reads_like_oracle(kind, path, (labelled, scanned))
 
 
 def test_readers_read_a_pipe_once(tmp_path):
@@ -1099,12 +1126,14 @@ def test_readers_read_a_pipe_once(tmp_path):
 
 @needs_cc
 def test_scanner_survives_hostile_buffers_under_sanitizers(tmp_path):
-    """tests/native_scan_check.c feeds the scanner empty, unterminated,
-    comment-only, 64 KiB-label, 1,000-digit and 100,000-field texts, every
-    byte value and random texts, each in a block of its exact size, and
-    the graph build and label lookup one edge, repeated pairs, self-loops,
-    ids up to n - 1, out-of-range ids and pairs and labels whose hash tags
-    collide."""
+    """tests/native_scan_check.c, one unit with _native.c, feeds the
+    scanner empty, unterminated, comment-only, 64 KiB-label, 1,000-digit
+    and 100,000-field texts, every byte value and random texts, each in a
+    block of its exact size; label files whose nodes are unknown, repeat
+    with a longer or a shorter class or collide in their hash tags with
+    the graph's; and the graph build one edge, repeated pairs,
+    self-loops, ids up to n - 1, out-of-range ids and pairs whose hash
+    tags collide."""
     flags = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all",
              "-g", "-O1", "-ffp-contract=off"]
     probe = tmp_path / "probe.c"
@@ -1116,8 +1145,9 @@ def test_scanner_survives_hostile_buffers_under_sanitizers(tmp_path):
         pytest.skip("no sanitizer support")
     driver = os.path.join(os.path.dirname(__file__), "native_scan_check.c")
     binary = tmp_path / "scan_check"
-    built = subprocess.run(["cc", *flags, "-o", str(binary), driver,
-                            _native._SOURCE, "-lm"],
+    built = subprocess.run(["cc", *flags, "-I",
+                            os.path.dirname(_native._SOURCE), "-o",
+                            str(binary), driver, "-lm"],
                            capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
     run = subprocess.run([str(binary)], capture_output=True, text=True)
@@ -1184,34 +1214,43 @@ SCANNED_LABELS = ["a", "b", "c", "0", "00", "12345678", "node_label_a",
                   "node_label_b", "node_label"]
 
 
-def scanned_graph(tmp_path, labels):
-    """A graph read by the scanner, so that its labels keep their bytes,
-    on a path through `labels` in order."""
-    path = tmp_path / "g.tsv"
-    path.write_text("".join(f"{u}\t{w}\n" for u, w in zip(labels,
-                                                            labels[1:])))
-    g = graph.load_edge_list(path)
-    assert isinstance(g.node_labels, _native.Labels)
-    return g
+@st.composite
+def scanned_label_file(draw):
+    """Label-file lines over SCANNED_LABELS and nodes the graph lacks,
+    three of them alike in their first 8 bytes, with repeats in the same,
+    a longer, a shorter or another class, comments and blank lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["row"] * 10 + ["unknown", "comment",
+                                                     "blank"]))
+        if shape == "comment":
+            lines.append(draw(st.sampled_from(["#", "# a\tk", " \t#x"])))
+        elif shape == "blank":
+            lines.append("")
+        else:
+            node = draw(st.sampled_from(
+                SCANNED_LABELS if shape == "row"
+                else ["d", "node_label_c", "12345679", "node_labe"]))
+            cls = draw(st.sampled_from(["k"] * 6 + ["kk", "j", ""]))
+            lines.append(f"{node}\t{cls}")
+    return "".join(line + "\n" for line in lines)
 
 
 @needs_cc
 @IO_SETTINGS
-@given(nodes=st.lists(st.sampled_from(SCANNED_LABELS + ["d", "node_label_c",
-                                                        "12345679"]),
-                      max_size=12))
-def test_scanned_label_lookup_matches_the_dict(tmp_path, nodes):
-    """Nodes of a scanned label file are looked up among a scanned
-    graph's label bytes with the index, and the unknown-label error, of
-    the graph's dict."""
+@given(text=scanned_label_file())
+def test_scanned_label_lookup_matches_the_dict(tmp_path, text):
+    """A label file scanned against a scanned graph's label bytes gives
+    the indices, class ids and names of the line loop and the graph's
+    dict by bytes, or their exact error: unknown nodes first or later,
+    repeated nodes with the same or a conflicting class."""
     g = scanned_graph(tmp_path, SCANNED_LABELS)
     path = tmp_path / "l.tsv"
-    path.write_text("".join(f"{node}\tk\n" for node in nodes))
-    got = outcome(load_labels, path, g)
-    with mock.patch.object(_native, "lookup", lambda names, queries: None):
-        want = outcome(load_labels, path, g)
+    path.write_text(text)
+    got, want = both_paths(load_labels, path, g)
     if assert_same_outcome(got, want):
         assert same_arrays(got[1][:2], want[1][:2])
+        assert got[1][2] == want[1][2]
 
 
 def test_lookup_finds_labels_by_bytes(tmp_path):
@@ -1219,11 +1258,16 @@ def test_lookup_finds_labels_by_bytes(tmp_path):
         pytest.skip("no C compiler")
     g = scanned_graph(tmp_path, SCANNED_LABELS)
     path = tmp_path / "l.tsv"
+    path.write_text("node_label\tk\na\tj\nnode_label\tk\n")
+    index, classes = _native.scan("labels", path, g.node_labels)
+    assert index.dtype == np.int64
+    assert (index.tolist(), classes) == ([8, 0], ["k", "j"])
+    # Only a scanned graph's labels are searched.
+    assert _native.scan("labels", path, list(g.node_labels)) is None
     path.write_text("node_label\tk\nnode_label_c\tk\na\tj\n")
-    nodes, _ = _native.scan("labels", path)
-    assert _native.lookup(g.node_labels, nodes).tolist() == [8, -1, 0]
+    assert _native.scan("labels", path, g.node_labels) is None
     with pytest.raises(KeyError, match="'node_label_c'"):
-        g.indices_of(nodes)
+        load_labels(path, g)
 
 
 @needs_cc

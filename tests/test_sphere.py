@@ -35,7 +35,9 @@ def test_config_validation():
     for tol in (float("nan"), -1e-9, float("inf")):
         with pytest.raises(ValueError, match="tol must be >= 0 and finite"):
             SphereConfig(n_dims=2, tol=tol)
-    SphereConfig(n_dims=2, tol=0.0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SphereConfig(n_dims=2, seed=-1)
+    SphereConfig(n_dims=2, tol=0.0, seed=0)
     SphereConfig(n_dims=2, beta=0.0)
     SphereConfig(n_dims=2, beta=1.0)
 

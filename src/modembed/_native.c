@@ -1,11 +1,13 @@
-/* Compiled loops behind _native.library(): the rotation loops of the
- * dense eigensolvers in spectral.py, the %.17g row writer behind
- * embedding.save_embedding_tsv and graph.save_edge_list, the one CAFE
- * and sphere sweep behind clustering._kernel, modembed_sweep, the
- * modularity operator's Q @ H behind ModularityMatrix.apply,
- * modembed_apply, the one TSV scanner behind graph.load_edge_list,
- * tasks.load_labels and embedding.load_embedding_tsv, modembed_scan, and
- * the graph build behind graph._from_ids, modembed_build.
+/* Compiled loops behind _native.library(), each called only through a
+ * wrapper in _native.py: the rotation loops of the dense eigensolvers in
+ * spectral.py (modembed_ql, modembed_jacobi), the %.17g row writer behind
+ * every TSV writer (modembed_format_rows), the one CAFE and sphere sweep
+ * behind clustering._kernel (modembed_sweep), the modularity operator's
+ * Q @ H behind ModularityMatrix.apply (modembed_apply), the one TSV
+ * scanner behind graph.load_edge_list, tasks.load_labels and
+ * embedding.load_embedding_tsv (modembed_scan), and the graph build
+ * behind graph._from_ids (modembed_build).  Every array they take is
+ * contiguous: int64 indices, row-major doubles, bytes.
  *
  * Each rotation function repeats its Python loop operation for
  * operation: the same IEEE operations on the same doubles in the same
@@ -29,12 +31,11 @@
  * C, exact under -ffp-contract=off.
  *
  * modembed_apply forms Q @ H for ModularityMatrix.apply in one pass over
- * the CSR rows of the sweep's struct modembed_operator, H a row-major
- * block; every entry takes the operations of the numpy path in the same
- * order, so the bytes are the same.  The one exception is the
- * sign of a NaN made where NaNs of both signs meet in an add: x86 returns
- * one operand's, and numpy's own add loop picks a different operand from
- * one position to the next.
+ * the graph's CSR rows, H a row-major block; every entry takes the
+ * operations of the numpy path in the same order, so the bytes are the
+ * same.  The one exception is the sign of a NaN made where NaNs of both
+ * signs meet in an add: x86 returns one operand's, and numpy's own add
+ * loop picks a different operand from one position to the next.
  *
  * modembed_scan reads a file's bytes once.  It takes the file only when
  * the text is ASCII with no NUL, '\r', '\x0b', '\x0c' or '\x1c'-'\x1f',
@@ -397,28 +398,23 @@ struct modembed_loops {
 
 /* The operator a sweep reads and the aggregate it keeps.  A modularity
  * operator gives its CSR rows of p (indptr, indices, data), the marginal
- * and S (K values at byte stride agg_col); a Gram operator (indptr NULL)
- * gives the n x L cloud x at byte strides (x_row, x_col), its squared
- * row norms sq and W = X^T H (L x K at byte strides agg_row, agg_col).
- * gather holds max degree x K doubles. */
+ * and S (K values); a Gram operator (indptr NULL) gives the row-major
+ * n x L cloud x, its squared row norms sq and W = X^T H (row-major
+ * L x K).  gather holds max degree x K doubles. */
 struct modembed_operator {
-    const ptrdiff_t *indptr, *indices;
-    const double *data, *marginal;
-    const char *x;
-    const double *sq;
-    char *agg;
-    double *gather;
-    ptrdiff_t L, x_row, x_col, agg_row, agg_col;
+    const int64_t *indptr, *indices;
+    const double *data, *marginal, *x, *sq;
+    double *agg, *gather;
+    ptrdiff_t L;
 };
 
 #define ZERO_CLAMP 1e-300      /* clustering._ZERO_CLAMP */
 #define DEGENERATE_NORM 1e-300 /* sphere._DEGENERATE_NORM */
-#define AT(base, offset) (*(double *)((base) + (offset)))
 
-/* out = a @ b for a (m x n) and b (n x p) at the given byte strides, as
+/* out = a @ b for a (m x n) and b (n x p) at the given byte steps, as
  * np.matmul calls its loop; a 1-D operand is a row (a) or column (b). */
-static void matmul(const struct modembed_loops *lp, const void *a,
-                   const void *b, double *out, ptrdiff_t m, ptrdiff_t n,
+static void matmul(const struct modembed_loops *lp, const double *a,
+                   const double *b, double *out, ptrdiff_t m, ptrdiff_t n,
                    ptrdiff_t p, ptrdiff_t a_m, ptrdiff_t a_n, ptrdiff_t b_n,
                    ptrdiff_t b_p)
 {
@@ -455,10 +451,11 @@ static void covariance(const struct modembed_operator *op,
         matmul(lp, op->data + s, op->gather, z, 1, d, k, d * w, w, k * w, w);
         double pi = op->marginal[u];
         for (ptrdiff_t i = 0; i < k; i++)
-            z[i] -= pi * (AT(op->agg, i * op->agg_col) - pi * h[i]);
+            z[i] -= pi * (op->agg[i] - pi * h[i]);
     } else {
-        matmul(lp, op->agg, op->x + u * op->x_row, z, k, op->L, 1,
-               op->agg_col, op->agg_row, op->x_col, w);
+        /* W^T x_u: W^T is k x L at steps (w, k w), x_u a column at w. */
+        matmul(lp, op->agg, op->x + u * op->L, z, k, op->L, 1, w, k * w, w,
+               w);
         double sq = op->sq[u];
         for (ptrdiff_t i = 0; i < k; i++)
             z[i] -= sq * h[i];
@@ -472,14 +469,13 @@ static void update(const struct modembed_operator *op, ptrdiff_t k,
     if (op->indptr != NULL) {
         double pi = op->marginal[u];
         for (ptrdiff_t i = 0; i < k; i++)
-            AT(op->agg, i * op->agg_col) += pi * delta[i];
+            op->agg[i] += pi * delta[i];
         return;
     }
     for (ptrdiff_t l = 0; l < op->L; l++) {
-        double xl = AT(op->x, u * op->x_row + l * op->x_col);
-        char *wl = op->agg + l * op->agg_row;
+        double xl = op->x[u * op->L + l], *wl = op->agg + l * k;
         for (ptrdiff_t i = 0; i < k; i++)
-            AT(wl, i * op->agg_col) += xl * delta[i];
+            wl[i] += xl * delta[i];
     }
 }
 
@@ -566,7 +562,8 @@ ptrdiff_t modembed_sweep(const struct modembed_operator *op,
 
 /* --- Q @ H ---------------------------------------------------------------- */
 
-/* out = Q @ H for the modularity operator of op's graph, as
+/* out = Q @ H for the modularity operator of the graph on n nodes whose
+ * off-diagonal mass p is the CSR (indptr, indices, data), as
  * ModularityMatrix.apply forms it: h is the row-major n x k block H,
  * c = marginal @ H, diag the diagonal mass (or the squared marginal for a
  * zeroed diagonal), out a row-major n x k array.  Each entry's sparse
@@ -575,21 +572,22 @@ ptrdiff_t modembed_sweep(const struct modembed_operator *op,
  * do; then it becomes (sum - pi_i * c_j) + diag_i * H[i, j].  Four
  * columns are summed at a time in registers, so each stored entry is
  * read once per four columns and no partial sum goes through memory. */
-void modembed_apply(const struct modembed_operator *op, ptrdiff_t n,
-                    ptrdiff_t k, const double *h, const double *c,
+void modembed_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
+                    const int64_t *indices, const double *data,
+                    const double *marginal, const double *h, const double *c,
                     const double *diag, double *out)
 {
     for (ptrdiff_t i = 0; i < n; i++) {
-        const ptrdiff_t s = op->indptr[i], e = op->indptr[i + 1];
-        const double pi = op->marginal[i], d = diag[i];
+        const ptrdiff_t s = indptr[i], e = indptr[i + 1];
+        const double pi = marginal[i], d = diag[i];
         const double *hi = h + i * k;
         double *o = out + i * k;
         ptrdiff_t j = 0;
         for (; j + 4 <= k; j += 4) {
             double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
             for (ptrdiff_t p = s; p < e; p++) {
-                const double a = op->data[p];
-                const double *x = h + op->indices[p] * k + j;
+                const double a = data[p];
+                const double *x = h + indices[p] * k + j;
                 s0 = s0 + a * x[0];
                 s1 = s1 + a * x[1];
                 s2 = s2 + a * x[2];
@@ -603,7 +601,7 @@ void modembed_apply(const struct modembed_operator *op, ptrdiff_t n,
         for (; j < k; j++) {
             double s0 = 0.0;
             for (ptrdiff_t p = s; p < e; p++)
-                s0 = s0 + op->data[p] * h[op->indices[p] * k + j];
+                s0 = s0 + data[p] * h[indices[p] * k + j];
             o[j] = (s0 - pi * c[j]) + d * hi[j];
         }
     }

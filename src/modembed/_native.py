@@ -1,21 +1,23 @@
-"""Build-on-first-use loader for the compiled loops in `_native.c`.
+"""Build-on-first-use loader for the compiled loops in `_native.c`, and
+the one module that knows their C contracts.
 
-The library's entry points, each computing the same bytes as the Python
-code it stands in for, which stays as the fallback and the tests' oracle:
+Each entry point has one wrapper here, which returns None when the
+library is missing; the Python code it stands in for computes the same
+bytes and stays as the fallback and the tests' oracle:
 
-- `modembed_ql` and `modembed_jacobi`, the rotation loops of the dense
-  eigensolvers (`spectral`);
-- `modembed_format_rows`, the '%.17g' row formatter behind every TSV
-  writer (`graph._write_rows`);
-- `modembed_sweep`, one pass of the softmax or sphere rule, which `sweep`
-  prepares for the one kernel builder, `clustering._kernel`;
-- `modembed_apply`, the modularity operator's Q @ H in one pass over the
-  CSR rows, which `apply` calls for `graph.ModularityMatrix.apply`;
-- `modembed_scan`, the one scanner behind the edge-list, label and
-  embedding readers, which `scan` calls; a label file's nodes are found
-  among the labels of a scanned graph;
-- `modembed_build`, the CSR arrays of a sampled graph from its edges'
-  label ids and weights, which `build` calls for `graph._from_ids`.
+- `ql`, `jacobi`: `modembed_ql` and `modembed_jacobi`, the rotation loops
+  of the dense eigensolvers (`spectral`), on C-order arrays in place;
+- `row_formatter`: `modembed_format_rows`, the '%.17g' rows of every TSV
+  writer (`graph._write_rows`), in one buffer that it reuses;
+- `sweep`: `modembed_sweep`, one softmax or sphere pass for
+  `clustering._kernel`, over C-order arrays only;
+- `apply`: `modembed_apply`, Q @ H over a graph's own int64 CSR rows
+  for `graph.ModularityMatrix.apply`;
+- `scan`: `modembed_scan`, the scanner behind the edge-list, label and
+  embedding readers; a label file's nodes are found among the labels
+  of a scanned graph;
+- `build`: `modembed_build`, a sampled graph's CSR arrays from its
+  edges' label ids and weights, for `graph._from_ids`.
 
 The scanner reads only files that the readers' line loops would read the
 same way (ASCII, no NUL, '\\r', '\\x0b', '\\x0c' or '\\x1c'-'\\x1f', every
@@ -31,9 +33,8 @@ directory, keyed by the sha256 of the source, the flags and the machine,
 and loads it with ctypes.  It returns None when no compiler is found or
 the cache directory is not usable: not writable, not owned by this user,
 or writable by anyone else, since whoever can write there could plant a
-library this process would load.  Callers then run their Python loops,
-which compute the same bytes.  Importing this module compiles and loads
-nothing.
+library this process would load.  Importing this module compiles and
+loads nothing.
 """
 
 from __future__ import annotations
@@ -118,39 +119,27 @@ def library():
         lib = ctypes.CDLL(path)
     except OSError:
         return None
-    array = np.ctypeslib.ndpointer(
-        np.float64, flags=("C_CONTIGUOUS", "ALIGNED", "WRITEABLE"))
-    size = ctypes.c_ssize_t
-    lib.modembed_ql.argtypes = (size, size, array, array, array, size)
-    lib.modembed_ql.restype = size
-    lib.modembed_jacobi.argtypes = (size, array, array, ctypes.c_double,
-                                    ctypes.c_double, size)
-    lib.modembed_jacobi.restype = ctypes.c_int
-    rows = np.ctypeslib.ndpointer(np.float64, ndim=2,
-                                  flags=("C_CONTIGUOUS", "ALIGNED"))
-    offsets = np.ctypeslib.ndpointer(np.intp, ndim=1,
-                                     flags=("C_CONTIGUOUS", "ALIGNED"))
-    lib.modembed_format_rows.argtypes = (size, size, rows, ctypes.c_char_p,
-                                         offsets, ctypes.POINTER(ctypes.c_char))
-    lib.modembed_format_rows.restype = size
-    lib.modembed_sweep.argtypes = (
-        ctypes.POINTER(_Operator), ctypes.c_void_p * 8, array, size, offsets,
-        size, ctypes.c_int, ctypes.c_double, array)
-    lib.modembed_sweep.restype = size
-    vector = np.ctypeslib.ndpointer(np.float64, ndim=1,
-                                    flags=("C_CONTIGUOUS", "ALIGNED"))
-    lib.modembed_apply.argtypes = (ctypes.POINTER(_Operator), size, size,
-                                   rows, vector, vector, array)
-    lib.modembed_apply.restype = None
-    lib.modembed_scan.argtypes = (ctypes.c_int, ctypes.c_char_p, size,
-                                  ctypes.c_char_p, size,
-                                  ctypes.POINTER(_Scan))
-    lib.modembed_scan.restype = ctypes.c_int
-    int64 = np.ctypeslib.ndpointer(np.int64, ndim=1,
-                                   flags=("C_CONTIGUOUS", "ALIGNED"))
-    lib.modembed_build.argtypes = (size, size, int64, vector,
-                                   ctypes.POINTER(_Graph))
-    lib.modembed_build.restype = ctypes.c_int
+    flags = ("C_CONTIGUOUS", "ALIGNED")
+    array = np.ctypeslib.ndpointer(np.float64, flags=(*flags, "WRITEABLE"))
+    values = np.ctypeslib.ndpointer(np.float64, flags=flags)
+    offsets = np.ctypeslib.ndpointer(np.intp, flags=flags)
+    int64 = np.ctypeslib.ndpointer(np.int64, flags=flags)
+    size, c_int, double = ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double
+    for name, restype, *argtypes in (
+            ("ql", size, size, size, array, array, array, size),
+            ("jacobi", c_int, size, array, array, double, double, size),
+            ("format_rows", size, size, size, values, ctypes.c_char_p,
+             offsets, ctypes.POINTER(ctypes.c_char)),
+            ("sweep", size, ctypes.POINTER(_Operator), ctypes.c_void_p * 8,
+             array, size, offsets, size, c_int, double, array),
+            ("apply", None, size, size, int64, int64, values, values,
+             values, values, values, array),
+            ("scan", c_int, c_int, ctypes.c_char_p, size, ctypes.c_char_p,
+             size, ctypes.POINTER(_Scan)),
+            ("build", c_int, size, size, int64, values,
+             ctypes.POINTER(_Graph))):
+        entry = getattr(lib, f"modembed_{name}")
+        entry.restype, entry.argtypes = restype, argtypes
     return lib
 
 
@@ -215,27 +204,57 @@ def _probe(ufunc, types, loop, data):
     return got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def ql(d, e, zt, max_shifts):
+    """`spectral._ql_loop(d, e, zt, max_shifts)` compiled."""
+    lib = library()
+    return None if lib is None else lib.modembed_ql(
+        d.size, zt.shape[1], d, e, zt, max_shifts)
+
+
+def jacobi(a, v, tol, scale, max_sweeps):
+    """`spectral._jacobi_sweeps(a, v, tol, scale, max_sweeps)` compiled."""
+    lib = library()
+    return None if lib is None else bool(lib.modembed_jacobi(
+        a.shape[0], a, v, tol, scale, max_sweeps))
+
+
+def row_formatter():
+    """format(block, names, offsets): `label<TAB>v1...<TAB>vC<LF>` per row
+    of the block as float64, values as '%.17g', label i the bytes
+    names[offsets[i]:offsets[i + 1]], in a buffer the next call reuses."""
+    lib = library()
+    if lib is None:
+        return None
+    buffer = ctypes.create_string_buffer(0)
+
+    def format_rows(block, names, offsets):
+        nonlocal buffer
+        block = np.ascontiguousarray(block, dtype=np.float64)
+        k, c = block.shape
+        # The labels, at most 24 bytes a value (put_value's longest,
+        # "-1.2345678901234567e-308") and a tab, and 2 bytes a row.
+        need = int(offsets[-1] - offsets[0]) + k * (25 * c + 2)
+        if len(buffer) < need:
+            buffer = ctypes.create_string_buffer(need)
+        written = lib.modembed_format_rows(k, c, block, names, offsets,
+                                           buffer)
+        if written < 0:
+            raise MemoryError("no C locale for the row formatter")
+        return memoryview(buffer)[:written]
+    return format_rows
+
+
 class _Operator(ctypes.Structure):
     """The C struct modembed_operator."""
     _fields_ = [*((name, ctypes.c_void_p) for name in (
         "indptr", "indices", "data", "marginal", "x", "sq", "agg", "gather")),
-        *((name, ctypes.c_ssize_t) for name in (
-            "L", "x_row", "x_col", "agg_row", "agg_col"))]
-
-
-def _graph_arrays(graph):
-    """The graph's indptr, indices, data and marginal as the struct's
-    pointers read them: C-contiguous ptrdiff_t and float64 arrays (the
-    graph's own on 64-bit platforms)."""
-    return [np.ascontiguousarray(a, dtype=dtype) for a, dtype in (
-        (graph.indptr, np.intp), (graph.indices, np.intp),
-        (graph.data, np.float64), (graph.marginal, np.float64))]
+        ("L", ctypes.c_ssize_t)]
 
 
 def sweep(rule, Q, H, aggregate, rows, weight):
     """visit() that runs the compiled `rule` on `rows` of the C-ordered
     float64 matrix H in order, or None when the library or a numpy loop
-    is missing.
+    is missing, or a cloud or aggregate is not a C-order array.
 
     The rule is "softmax" at inverse temperature `weight` or "sphere" at
     blend weight `weight`; visit() returns the degenerate rows skipped, 0
@@ -253,22 +272,25 @@ def sweep(rule, Q, H, aggregate, rows, weight):
     K = H.shape[1]
     graph = getattr(Q, "graph", None)
     if graph is not None:
-        arrays = _graph_arrays(graph)
-        degree = int(np.diff(arrays[0]).max(initial=0))
+        # The graph's own arrays: int64 and float64, contiguous.
+        arrays = [graph.indptr, graph.indices, graph.data, graph.marginal]
+        degree = int(np.diff(graph.indptr).max(initial=0))
         op = _Operator(*(a.ctypes.data for a in arrays))
         shape, name = (K,), "S"
     else:
         arrays, degree = [Q.X, Q._sq], 0
-        op = _Operator(x=Q.X.ctypes.data, L=Q.X.shape[1], x_row=Q.X.strides[0],
-                       x_col=Q.X.strides[1], sq=Q._sq.ctypes.data)
+        op = _Operator(x=Q.X.ctypes.data, sq=Q._sq.ctypes.data,
+                       L=Q.X.shape[1])
         shape, name = Q.X.shape[1:] + (K,), "W"
     A = getattr(aggregate, name)
     if not (isinstance(A, np.ndarray) and A.dtype == np.float64 and
-            A.shape == shape and A.flags.aligned and A.flags.writeable):
+            A.shape == shape and A.flags.writeable):
         raise ValueError(f"aggregate {name} must be a writeable "
                          f"float64 array of shape {shape}")
-    op.agg, op.agg_col = A.ctypes.data, A.strides[-1]
-    op.agg_row = A.strides[0] if A.ndim == 2 else 0
+    # The struct reads them row-major; the plain rules take the rest.
+    if not all(a.flags.c_contiguous and a.flags.aligned for a in (*arrays, A)):
+        return None
+    op.agg = A.ctypes.data
     # Four K-vectors, then the gather buffer for the densest row.
     scratch = np.empty((4 + degree) * K)
     op.gather = scratch.ctypes.data + 4 * K * scratch.itemsize
@@ -289,11 +311,10 @@ def apply(graph, H, c, diag):
         return None
     # The pass gathers whole rows of H, so a column-major or strided H is
     # read from a C-order copy; the bytes do not depend on the layout.
-    if not (H.flags.aligned and H.flags.c_contiguous):
-        H = H.copy()
-    op = _Operator(*(a.ctypes.data for a in _graph_arrays(graph)))
+    H = np.require(H, requirements="CA")
     out = np.empty(H.shape)
-    lib.modembed_apply(ctypes.byref(op), *H.shape, H, c, diag, out)
+    lib.modembed_apply(*H.shape, graph.indptr, graph.indices, graph.data,
+                       graph.marginal, H, c, diag, out)
     return out
 
 

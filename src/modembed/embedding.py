@@ -143,12 +143,18 @@ def qr_embed(Q, H, drop_dependent=True):
     if drop_dependent:
         norms = np.linalg.norm(M, axis=0)
         scale = norms.max()
-        if scale == 0.0:
-            raise ValueError("Q H is identically zero; nothing to embed")
         # Neither rank test can rank a NaN or infinite column.
         if not np.isfinite(scale):
             raise ValueError(f"Q H is not finite: its largest column norm "
                              f"is {scale}")
+        # A modularity operator's apply rounds each entry's three terms,
+        # each at most pi_i max|H|, in at most n + 2 operations, so from
+        # an exact zero it makes columns up to gamma_{n+2} 3 ||pi|| max|H|.
+        graph = getattr(Q, "graph", None)
+        nu = (n + 2) * np.finfo(float).eps / 2.0
+        if scale <= (0.0 if graph is None else nu / (1.0 - nu) * 3.0 *
+                     np.linalg.norm(graph.marginal) * np.abs(H).max()):
+            raise ValueError("Q H is identically zero; nothing to embed")
         tol = n * np.finfo(float).eps * scale
         kept, rank_test = _residual_rank(M, norms, tol), "residuals"
         if kept is None:

@@ -14,7 +14,6 @@ separate, so applying Q to a matrix costs O((n + m) K).
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import os
 from collections import defaultdict
 from itertools import count
@@ -527,15 +526,13 @@ def save_edge_list(path, graph):
 # Rows formatted per write call: enough to amortize the call, few enough
 # that the block's buffers stay a few megabytes.
 _WRITE_ROWS = 4096
-# The longest '%.17g' of a double, "-1.2345678901234567e-308", and a tab.
-_VALUE_BYTES = 25
 
 
 @contextlib.contextmanager
-def _new_file(path, mode, **kwargs):
-    """open(path, mode) that removes the file when the block raises, so
+def _new_file(path):
+    """open(path, "wb") that removes the file when the block raises, so
     a failed write leaves no partial file behind."""
-    with open(path, mode, **kwargs) as fh:
+    with open(path, "wb") as fh:
         try:
             yield fh
         except BaseException:
@@ -566,20 +563,18 @@ def _write_rows(path, rows, labels):
                len(labels) == n else None)
     labels = iter(labels)
     kind, size = rows.dtype.kind, rows.dtype.itemsize
-    lib = (_native.library() if kind in "iub" or (kind == "f" and size <= 8)
-           else None)
+    format_rows = (_native.row_formatter()
+                   if kind in "iub" or (kind == "f" and size <= 8) else None)
     line = "%s\t" + "\t".join(["%.17g"] * c) + "\n"
-    buf = ctypes.create_string_buffer(0)
-    with _new_file(path, "wb") as fh:
+    with _new_file(path) as fh:
         for start in range(0, n, _WRITE_ROWS):
             block = rows[start:start + _WRITE_ROWS]
-            if lib is None:
+            if format_rows is None:
                 # zip ends on the block without taking another label.
                 fh.write("".join(line % (lab, *row) for row, lab in zip(
                     block.tolist(), labels)).encode("utf-8"))
                 continue
-            block = np.ascontiguousarray(block, dtype=np.float64)
-            k = block.shape[0]
+            k = len(block)
             if scanned is not None:
                 names, offsets = scanned
                 offsets = offsets[start:start + k + 1]
@@ -592,11 +587,4 @@ def _write_rows(path, rows, labels):
                 np.cumsum(np.fromiter(map(len, names), np.intp, k),
                           out=offsets[1:])
                 names = b"".join(names)
-            need = int(offsets[-1] - offsets[0]) + k * (_VALUE_BYTES * c + 2)
-            if len(buf) < need:
-                buf = ctypes.create_string_buffer(need)
-            written = lib.modembed_format_rows(k, c, block, names, offsets,
-                                               buf)
-            if written < 0:
-                raise MemoryError("no C locale for the row formatter")
-            fh.write(memoryview(buf)[:written])
+            fh.write(format_rows(block, names, offsets))

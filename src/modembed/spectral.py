@@ -48,7 +48,9 @@ __all__ = [
 _JACOBI_LIMIT = 200
 _JACOBI_TOL = 1e-14  # off-diagonal at which Jacobi stops, relative to |A|
 _JACOBI_SWEEPS = 100  # sweeps after which Jacobi gives up
+_QL_SHIFTS = 50  # shifts per eigenvalue after which QL gives up
 _RITZ_TOL = 1e-10  # Ritz residual at which orthogonal iteration stops
+_ORTHO_ITERATIONS = 10000  # steps after which orthogonal iteration gives up
 
 
 class ConvergenceError(RuntimeError):
@@ -86,8 +88,8 @@ def jacobi_eigh(A):
 
     Simple and very accurate; quadratic convergence keeps the sweep count
     in single digits.  Intended for n up to a couple hundred.  The sweeps
-    run compiled when `_native.library()` is available, with the same
-    bytes as `_jacobi_sweeps`.
+    run compiled (`_native.jacobi`) when the library is available, with
+    the same bytes as `_jacobi_sweeps`.
     """
     A = np.array(A, dtype=float, order="C")
     n = A.shape[0]
@@ -99,12 +101,9 @@ def jacobi_eigh(A):
     if scale == 0.0:
         return _finish(np.zeros(n), np.eye(n))
     V = np.eye(n)
-    lib = _native.library()
-    if lib is None:
+    converged = _native.jacobi(A, V, _JACOBI_TOL, scale, _JACOBI_SWEEPS)
+    if converged is None:
         converged = _jacobi_sweeps(A, V, _JACOBI_TOL, scale, _JACOBI_SWEEPS)
-    else:
-        converged = lib.modembed_jacobi(n, A, V, _JACOBI_TOL, scale,
-                                        _JACOBI_SWEEPS)
     if not converged:
         raise ConvergenceError(
             f"Jacobi failed to converge in {_JACOBI_SWEEPS} sweeps"
@@ -185,16 +184,14 @@ def _householder_tridiagonalize(A):
     return np.diag(T).copy(), np.diag(T, -1).copy(), B
 
 
-def _ql_implicit(d, e, Z, max_iter=50):
+def _ql_implicit(d, e, Z):
     """Implicit-shift QL on a tridiagonal matrix, rotations accumulated
     into Z.  Mutates and returns (d, Z).
 
-    Runs compiled when `_native.library()` is available, on copies
-    written back at the end, with the same bytes as `_ql_loop`.
+    Both paths run on copies, (d, e with a trailing 0.0, Z^T in C order),
+    written back at the end: the compiled loop (`_native.ql`) when the
+    library is available, else `_ql_loop`, with the same bytes.
     """
-    lib = _native.library()
-    if lib is None:
-        return _ql_loop(d, e, Z, max_iter)
     n = d.size
     dv = np.array(d, dtype=float)
     ev = np.zeros(n)
@@ -202,18 +199,22 @@ def _ql_implicit(d, e, Z, max_iter=50):
     ZT = np.array(Z.T, dtype=float, order="C")
     if ZT.shape[0] < n:
         raise ValueError(f"Z needs at least {n} columns, got {ZT.shape[0]}")
-    failed = lib.modembed_ql(n, ZT.shape[1], dv, ev, ZT, max_iter)
+    failed = _native.ql(dv, ev, ZT, _QL_SHIFTS)
+    if failed is None:
+        failed = _ql_loop(dv, ev, ZT, _QL_SHIFTS)
     if failed >= 0:
         raise ConvergenceError(
-            f"QL failed at eigenvalue {failed} after {max_iter} shifts"
+            f"QL failed at eigenvalue {failed} after {_QL_SHIFTS} shifts"
         )
     d[...] = dv
     Z[...] = ZT.T
     return d, Z
 
 
-def _ql_loop(d, e, Z, max_iter=50):
-    """`_ql_implicit` in Python.
+def _ql_loop(d, e, ZT, max_shifts):
+    """`modembed_ql` in Python: QL on (d, e), e[-1] == 0, rotating the
+    rows of the C-order ZT in place, the eigenvalues left in d; returns
+    -1, or the index of the eigenvalue whose shifts ran out.
 
     The scalar recurrences run on Python floats (the same doubles and the
     same operations as on numpy scalars, with less dispatch).  Each
@@ -224,17 +225,16 @@ def _ql_loop(d, e, Z, max_iter=50):
     """
     n = d.size
     dv = d.tolist()
-    ev = e.tolist() + [0.0]
+    ev = e.tolist()
     eps = float(np.finfo(float).eps)
-    ZT = np.ascontiguousarray(Z.T)
     cols = list(ZT)
-    lhs, rhs = np.empty(n), np.empty(n)
+    lhs, rhs = np.empty(ZT.shape[1]), np.empty(ZT.shape[1])
     sin, cos = np.empty(()), np.empty(())
     leg_f, leg_g, hyp = np.empty(()), np.empty(()), np.empty(())
     hypot, copysign = np.hypot, math.copysign
     multiply, add, subtract = np.multiply, np.add, np.subtract
     for l in range(n):
-        for iteration in range(max_iter + 1):
+        for iteration in range(max_shifts + 1):
             m = l
             while m < n - 1:
                 dd = abs(dv[m]) + abs(dv[m + 1])
@@ -243,10 +243,8 @@ def _ql_loop(d, e, Z, max_iter=50):
                 m += 1
             if m == l:
                 break
-            if iteration == max_iter:
-                raise ConvergenceError(
-                    f"QL failed at eigenvalue {l} after {max_iter} shifts"
-                )
+            if iteration == max_shifts:
+                return l
             try:
                 g = (dv[l + 1] - dv[l]) / (2.0 * ev[l])
             except ZeroDivisionError:
@@ -290,9 +288,8 @@ def _ql_loop(d, e, Z, max_iter=50):
                 dv[l] -= p
                 ev[l] = g
                 ev[m] = 0.0
-    d[...] = dv
-    Z[...] = ZT.T
-    return d, Z
+    d[:] = dv
+    return -1
 
 
 def tridiagonal_eigh(A):
@@ -335,7 +332,7 @@ def _thin_q(At):
     return np.ascontiguousarray(At.T)
 
 
-def _orthogonal_iteration(Q, k, max_iter=10000):
+def _orthogonal_iteration(Q, k):
     """Leading-k eigenpairs of an implicit symmetric operator.
 
     Iterates on a shifted operator (shift from the operator's own bound
@@ -359,7 +356,7 @@ def _orthogonal_iteration(Q, k, max_iter=10000):
     # overshoots the minimal sweep count by at most ~50% while keeping
     # the m x m Ritz solves to O(log) of the total.
     next_check = 0
-    for it in range(max_iter):
+    for it in range(_ORTHO_ITERATIONS):
         Y = Q.apply(Z)
         if it >= next_check:
             B = Z.T @ Y
@@ -376,7 +373,8 @@ def _orthogonal_iteration(Q, k, max_iter=10000):
         np.add(buf, Y.T, out=buf)
         Z = _thin_q(buf)
     raise ConvergenceError(
-        f"orthogonal iteration: no convergence in {max_iter} iterations"
+        f"orthogonal iteration: no convergence in {_ORTHO_ITERATIONS} "
+        f"iterations"
     )
 
 

@@ -248,6 +248,8 @@ def _evaluate(draw, train_fraction, repetitions, seed):
     class of y has a single member."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     accs, f1s, aucs = [], [], []
     for rep in range(repetitions):
         rng = np.random.default_rng([seed, rep])

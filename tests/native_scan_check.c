@@ -361,8 +361,49 @@ static void label_cases(void)
     }
 }
 
-int main(void)
+/* With the argument "layout", the program prints, instead of running the
+ * checks, the layout of the structs that _native.py mirrors in ctypes:
+ * `struct field offset size` per field, and `struct - 0 size` for the
+ * whole, for tests/test_io.py to compare with the mirrors. */
+#define FIELD(s, f)                                                       \
+    printf(#s " " #f " %zu %zu\n", offsetof(struct s, f),                 \
+           sizeof(((struct s *)0)->f))
+
+static void print_layout(void)
 {
+    printf("modembed_operator - 0 %zu\n", sizeof(struct modembed_operator));
+    FIELD(modembed_operator, indptr);
+    FIELD(modembed_operator, indices);
+    FIELD(modembed_operator, data);
+    FIELD(modembed_operator, marginal);
+    FIELD(modembed_operator, x);
+    FIELD(modembed_operator, sq);
+    FIELD(modembed_operator, agg);
+    FIELD(modembed_operator, gather);
+    FIELD(modembed_operator, L);
+    printf("modembed_scan - 0 %zu\n", sizeof(struct modembed_scan));
+    FIELD(modembed_scan, ids);
+    FIELD(modembed_scan, values);
+    FIELD(modembed_scan, names);
+    FIELD(modembed_scan, classes);
+    FIELD(modembed_scan, rows);
+    FIELD(modembed_scan, columns);
+    FIELD(modembed_scan, names_size);
+    FIELD(modembed_scan, classes_size);
+    printf("modembed_graph - 0 %zu\n", sizeof(struct modembed_graph));
+    FIELD(modembed_graph, indptr);
+    FIELD(modembed_graph, indices);
+    FIELD(modembed_graph, data);
+    FIELD(modembed_graph, diag);
+    FIELD(modembed_graph, nnz);
+}
+
+int main(int argc, char **argv)
+{
+    if (argc > 1 && strcmp(argv[1], "layout") == 0) {
+        print_layout();
+        return 0;
+    }
     build_cases();
     label_cases();
     for (int kind = SCAN_EDGES; kind <= SCAN_ROWS; kind++) {

@@ -418,16 +418,25 @@ def test_infinite_theta_and_bad_tol_are_user_errors(tmp_path, sbm_file,
     ["embed", "multilayer"], ["verify"],
     ["reduce", "--cloud", "circles", "--k", "2"],
     ["reduce", "--cloud", "circles", "--k", "2", "--method", "sphere"],
+    ["eval", "classify"], ["eval", "link"],
 ], ids=["cafe", "sphere", "multilayer", "verify", "reduce-cafe",
-        "reduce-sphere"])
+        "reduce-sphere", "eval-classify", "eval-link"])
 def test_a_negative_seed_is_a_user_error_naming_the_seed(tmp_path, sbm_file,
                                                          capsys, argv):
     """numpy's generator refuses a negative seed in words that name no
-    option; every sweep configuration refuses it first, by name."""
-    graph_path, _ = sbm_file
+    option; every sweep configuration and the eval tasks refuse it first,
+    by name."""
+    graph_path, labels_path = sbm_file
     out = tmp_path / "out.tsv"
     if argv[0] != "reduce":
         argv = argv + ["--graph", str(graph_path)]
+    if argv[0] == "eval":
+        emb = tmp_path / "emb.tsv"
+        assert main(["embed", "sphere", "--graph", str(graph_path), "--k",
+                     "2", "--out", str(emb)]) == 0
+        capsys.readouterr()
+        argv = argv + ["--embeddings", str(emb), "--labels",
+                       str(labels_path)]
     assert main(argv + ["--seed", "-1", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
     assert not out.exists()
@@ -479,21 +488,18 @@ def test_embed_multilayer_refuses_graphs_above_the_dense_limit(tmp_path,
     assert not out.exists()
 
 
-def test_embed_multilayer_on_a_saved_clique_reports_level_zero(tmp_path,
-                                                               capsys):
+def test_embed_multilayer_on_a_saved_clique_is_a_user_error(tmp_path,
+                                                            capsys):
     """A 5-clique read back from its file gives a one-cluster level 0
-    below the zero of the trivial partition, which ends the hierarchy."""
+    whose Q H is rounding noise, as the clique built in memory gives an
+    exact zero: both are nothing to embed, and nothing is written."""
     path, out = tmp_path / "clique.tsv", tmp_path / "ml.tsv"
     save_edge_list(path, from_edge_list(datasets.clique_edges(range(5))))
     assert main(["embed", "multilayer", "--graph", str(path),
-                 "--out", str(out)]) == 0
-    assert "level=0 clusters=1 modularity=-2.22044604925e-16\n" in \
-        capsys.readouterr().out
-    levels = _manifest(out)["levels"]
-    assert [(lv["level"], lv["clusters"], lv["columns"], lv["modularity"])
-            for lv in levels] == [(0, 1, 1, -2.220446049250313e-16)]
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "clique.tsv", "ml.membership.tsv", "ml.tsv", "ml.tsv.manifest.json"]
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: Q H is identically zero; nothing to embed\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clique.tsv"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

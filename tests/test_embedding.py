@@ -184,6 +184,20 @@ def test_qr_embed_refuses_a_non_finite_product(ba3000, bad, rank):
         rank(ba3000.modularity_matrix(), H)
 
 
+@pytest.mark.parametrize("rank", [qr_embed, loop_only], ids=["fast", "loop"])
+def test_qr_embed_refuses_a_product_of_rounding_noise(tmp_path, rank):
+    """Q 1 of a 5-clique is exactly zero when the clique is built in
+    memory, and rounding noise (largest column norm 1.2e-16, within the
+    apply's bound of 1.0e-15) when it is read back from its file: both
+    are nothing to embed, on either rank test."""
+    built = graph.from_edge_list(datasets.clique_edges(range(5)))
+    path = tmp_path / "clique.tsv"
+    graph.save_edge_list(path, built)
+    for g in (built, graph.load_edge_list(path)):
+        with pytest.raises(ValueError, match="^Q H is identically zero"):
+            rank(g.modularity_matrix(), np.ones((5, 1)))
+
+
 def test_no_rank_test_when_nothing_may_drop(karate):
     H = np.random.default_rng(1).random((34, 3))
     emb = qr_embed(karate.modularity_matrix(), H, drop_dependent=False)
@@ -426,16 +440,13 @@ def test_multilayer_stops_at_a_level_without_gain(graph_seed, seed, want):
     assert _levels(edges, seed=seed) == want
 
 
-@pytest.mark.parametrize("size, modularity", [
-    # Level 0 is one cluster at a modularity rounded above zero: the
-    # one-supernode level 1 merges nothing.
-    (6, 2.220446049250313e-16),
-    # Level 0 does not beat the one-cluster partition's zero.
-    (9, -2.220446049250313e-16),
-])
-def test_multilayer_on_a_clique_reports_level_zero_alone(size, modularity):
-    assert _levels(datasets.clique_edges(range(size))) == [
-        (0, 1, 1, modularity)]
+@pytest.mark.parametrize("size", [5, 6, 9])
+def test_multilayer_on_a_clique_has_nothing_to_embed(size):
+    """Level 0 of a clique is one cluster, whose Q H is zero (size 5) or
+    rounding noise (sizes 6 and 9, 6.8e-17 and 7.9e-17 against the
+    apply's bound of 1.1e-15 and 1.2e-15): nothing to embed."""
+    with pytest.raises(ValueError, match="^Q H is identically zero"):
+        _levels(datasets.clique_edges(range(size)))
 
 
 def test_embedding_tsv_roundtrip(tmp_path):

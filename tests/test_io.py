@@ -2,6 +2,7 @@
 replaced, which are kept below as oracles: graphs must match bit for bit,
 written files byte for byte, and errors in type, message and line."""
 
+import ctypes
 import decimal
 import locale
 import math
@@ -1153,6 +1154,32 @@ def test_scanner_survives_hostile_buffers_under_sanitizers(tmp_path):
     run = subprocess.run([str(binary)], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stderr == ""
+
+
+@needs_cc
+def test_ctypes_mirrors_match_the_c_structs(tmp_path):
+    """Each field of the ctypes mirrors in `_native` (`_Operator`,
+    `_Scan`, `_Graph`) has the offset and size that the compiler gives
+    it in the C struct, and each mirror the struct's size: a drift would
+    corrupt memory without an error."""
+    checker = os.path.join(os.path.dirname(__file__), "native_scan_check.c")
+    binary = tmp_path / "layout"
+    built = subprocess.run(["cc", "-I", os.path.dirname(_native._SOURCE),
+                            "-o", str(binary), checker, "-lm"],
+                           capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    run = subprocess.run([str(binary), "layout"], capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    want = []
+    for name, mirror in (("modembed_operator", _native._Operator),
+                         ("modembed_scan", _native._Scan),
+                         ("modembed_graph", _native._Graph)):
+        want.append(f"{name} - 0 {ctypes.sizeof(mirror)}")
+        want += [f"{name} {field} {getattr(mirror, field).offset} "
+                 f"{getattr(mirror, field).size}"
+                 for field, _ in mirror._fields_]
+    assert run.stdout.splitlines() == want
 
 
 # --- the compiled build and scanned label bytes ----------------------------

@@ -585,6 +585,22 @@ def test_numpy_loop_refuses_a_loop_that_fails_the_probe(monkeypatch):
                          Q.make_aggregate(H), [0], 1.0) is None
 
 
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_sweep_leaves_arrays_not_in_c_order_to_the_plain_rules():
+    """The compiled sweep reads the cloud and W = X^T H row-major, so a
+    cloud or an aggregate in another layout takes the plain rules."""
+    X = np.random.default_rng(6).standard_normal((9, 3))
+    H = np.full((9, 2), 0.5)
+    F = np.asfortranarray(X)
+    for cloud, layout, compiled in ((X, "C", True), (F, "C", False),
+                                    (X, "F", False)):
+        Q = GramOperator(cloud)
+        aggregate = Q.make_aggregate(H)
+        aggregate.W = np.array(aggregate.W, order=layout)
+        visit = _native.sweep("softmax", Q, H, aggregate, [0], 1.0)
+        assert (visit is not None) == compiled
+
+
 # --- sweep invariants ---------------------------------------------------------
 
 def fallback_rows(Q0, assignment, config, aggregate):
@@ -730,8 +746,8 @@ def symmetric_matrix(draw):
 
 
 def assert_same_ql(d, e, Z, max_iter=50):
-    got = outcome(spectral._ql_implicit, d.copy(), e.copy(), Z.copy(),
-                  max_iter=max_iter)
+    with mock.patch.object(spectral, "_QL_SHIFTS", max_iter):
+        got = outcome(spectral._ql_implicit, d.copy(), e.copy(), Z.copy())
     want = outcome(oracle_ql, d.copy(), e.copy(), Z.copy(),
                    max_iter=max_iter)
     assert got[0] == want[0]
@@ -797,8 +813,8 @@ def test_ql_python_loop_matches_oracle():
     want = oracle_ql(d.copy(), e.copy(), B.copy())
     assert got[0] == "ok"
     assert same_bytes(got[1][0], want[0]) and same_bytes(got[1][1], want[1])
-    got = in_python(spectral._ql_implicit, d.copy(), e.copy(), B.copy(),
-                    max_iter=1)
+    with mock.patch.object(spectral, "_QL_SHIFTS", 1):
+        got = in_python(spectral._ql_implicit, d.copy(), e.copy(), B.copy())
     assert got == outcome(oracle_ql, d.copy(), e.copy(), B.copy(),
                           max_iter=1)
 

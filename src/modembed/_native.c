@@ -22,11 +22,11 @@
  * run in the "C" locale because Python's % never reads LC_NUMERIC.
  *
  * modembed_sweep runs one row loop (the operator's row_covariance, the
- * rule, delta, aggregate update, store) with the two rules,
- * clustering.softmax_update and sphere.sphere_update, as static
- * helpers.  What numpy computes in a vectorised or BLAS loop (matmul,
- * the max and sum reductions, exp) goes through numpy's own inner loop
- * with numpy's arguments, read from the ufunc objects by
+ * rule, delta, the update of both operators' aggregate A = F^T H, store)
+ * with the two rules, clustering.softmax_update and sphere.sphere_update,
+ * as static helpers.  What numpy computes in a vectorised or BLAS loop
+ * (matmul, the max and sum reductions, exp) goes through numpy's own
+ * inner loop with numpy's arguments, read from the ufunc objects by
  * _native.numpy_loop; the elementwise + - * / and comparisons are plain
  * C, exact under -ffp-contract=off.
  *
@@ -396,15 +396,15 @@ struct modembed_loops {
     void *matmul_data, *maximum_data, *exp_data, *add_data;
 };
 
-/* The operator a sweep reads and the aggregate it keeps.  A modularity
- * operator gives its CSR rows of p (indptr, indices, data), the marginal
- * and S (K values); a Gram operator (indptr NULL) gives the row-major
- * n x L cloud x, its squared row norms sq and W = X^T H (row-major
- * L x K).  gather holds max degree x K doubles. */
+/* The operator a sweep reads and the aggregate A = F^T H it keeps, F
+ * the row-major n x L array x.  A modularity operator gives its CSR rows
+ * of p (indptr, indices, data) and the marginal as x with L = 1 (A is K
+ * values); a Gram operator (indptr NULL) gives the cloud as x and its
+ * squared row norms sq (A is row-major L x K). */
 struct modembed_operator {
     const int64_t *indptr, *indices;
-    const double *data, *marginal, *x, *sq;
-    double *agg, *gather;
+    const double *data, *x, *sq;
+    double *agg;
     ptrdiff_t L;
 };
 
@@ -436,24 +436,25 @@ static double reduce(numpy_loop loop, void *data, double seed,
     return seed;
 }
 
-/* z = row u's covariance, as the operator's row_covariance forms it. */
+/* z = row u's covariance, as the operator's row_covariance forms it;
+ * gather holds max degree x k doubles. */
 static void covariance(const struct modembed_operator *op,
                        const struct modembed_loops *lp, const double *hs,
-                       ptrdiff_t k, ptrdiff_t u, double *z)
+                       ptrdiff_t k, ptrdiff_t u, double *z, double *gather)
 {
     const double *h = hs + u * k;
     const ptrdiff_t w = sizeof(double);
     if (op->indptr != NULL) {
         ptrdiff_t s = op->indptr[u], d = op->indptr[u + 1] - s;
         for (ptrdiff_t j = 0; j < d; j++)
-            memcpy(op->gather + j * k, hs + op->indices[s + j] * k,
+            memcpy(gather + j * k, hs + op->indices[s + j] * k,
                    (size_t)k * sizeof(double));
-        matmul(lp, op->data + s, op->gather, z, 1, d, k, d * w, w, k * w, w);
-        double pi = op->marginal[u];
+        matmul(lp, op->data + s, gather, z, 1, d, k, d * w, w, k * w, w);
+        double pi = op->x[u];
         for (ptrdiff_t i = 0; i < k; i++)
             z[i] -= pi * (op->agg[i] - pi * h[i]);
     } else {
-        /* W^T x_u: W^T is k x L at steps (w, k w), x_u a column at w. */
+        /* A^T x_u: A^T is k x L at steps (w, k w), x_u a column at w. */
         matmul(lp, op->agg, op->x + u * op->L, z, k, op->L, 1, w, k * w, w,
                w);
         double sq = op->sq[u];
@@ -462,20 +463,15 @@ static void covariance(const struct modembed_operator *op,
     }
 }
 
-/* The aggregate's update for row u changing by delta. */
+/* The aggregate's update for row u changing by delta: A += F[u] (x)
+ * delta, one loop over the L rows of A. */
 static void update(const struct modembed_operator *op, ptrdiff_t k,
                    ptrdiff_t u, const double *delta)
 {
-    if (op->indptr != NULL) {
-        double pi = op->marginal[u];
-        for (ptrdiff_t i = 0; i < k; i++)
-            op->agg[i] += pi * delta[i];
-        return;
-    }
     for (ptrdiff_t l = 0; l < op->L; l++) {
-        double xl = op->x[u * op->L + l], *wl = op->agg + l * k;
+        double xl = op->x[u * op->L + l], *al = op->agg + l * k;
         for (ptrdiff_t i = 0; i < k; i++)
-            wl[i] += xl * delta[i];
+            al[i] += xl * delta[i];
     }
 }
 
@@ -535,18 +531,20 @@ static int sphere_row(const struct modembed_loops *lp, const double *h,
 /* One pass over the listed rows of the row-major n x k array hs, in
  * order: softmax_update at inverse temperature weight (sphere 0) or
  * sphere_update at blend weight weight (sphere 1), the aggregate kept
- * in step; scratch holds 4 k doubles.  Returns the rows skipped. */
+ * in step; scratch holds (4 + max degree) k doubles, four k-vectors and
+ * the gather buffer.  Returns the rows skipped. */
 ptrdiff_t modembed_sweep(const struct modembed_operator *op,
                          const struct modembed_loops *lp, double *hs,
                          ptrdiff_t k, const ptrdiff_t *rows, ptrdiff_t n_rows,
                          int sphere, double weight, double *scratch)
 {
     double *z = scratch, *row = z + k, *delta = row + k, *e = delta + k;
+    double *gather = e + k;
     ptrdiff_t skipped = 0;
     for (ptrdiff_t r = 0; r < n_rows; r++) {
         ptrdiff_t u = rows[r];
         double *h = hs + u * k;
-        covariance(op, lp, hs, k, u, z);
+        covariance(op, lp, hs, k, u, z, gather);
         if (!(sphere ? sphere_row(lp, h, z, k, weight, row)
                      : softmax_row(lp, h, z, k, weight, row, delta, e))) {
             skipped++;

@@ -247,7 +247,7 @@ def row_formatter():
 class _Operator(ctypes.Structure):
     """The C struct modembed_operator."""
     _fields_ = [*((name, ctypes.c_void_p) for name in (
-        "indptr", "indices", "data", "marginal", "x", "sq", "agg", "gather")),
+        "indptr", "indices", "data", "x", "sq", "agg")),
         ("L", ctypes.c_ssize_t)]
 
 
@@ -258,9 +258,10 @@ def sweep(rule, Q, H, aggregate, rows, weight):
 
     The rule is "softmax" at inverse temperature `weight` or "sphere" at
     blend weight `weight`; visit() returns the degenerate rows skipped, 0
-    for the softmax.  Q is a `ModularityMatrix` or a `GramOperator`.  The
-    aggregate's array (`S` or `W`) is checked and bound here, once; H, Q
-    and that array may then change only in place.
+    for the softmax.  Q is a `ModularityMatrix`, whose marginal is F, or
+    a `GramOperator`, whose cloud is.  The aggregate's array A = F^T H is
+    checked and bound here, once; H, Q and A may then change only in
+    place.
     """
     lib = library()
     found = [numpy_loop(np.matmul, "ddd"), numpy_loop(np.maximum, "ddd"),
@@ -273,28 +274,27 @@ def sweep(rule, Q, H, aggregate, rows, weight):
     graph = getattr(Q, "graph", None)
     if graph is not None:
         # The graph's own arrays: int64 and float64, contiguous.
-        arrays = [graph.indptr, graph.indices, graph.data, graph.marginal]
+        csr = [graph.indptr, graph.indices, graph.data]
+        F, sq = graph.marginal, None
         degree = int(np.diff(graph.indptr).max(initial=0))
-        op = _Operator(*(a.ctypes.data for a in arrays))
-        shape, name = (K,), "S"
     else:
-        arrays, degree = [Q.X, Q._sq], 0
-        op = _Operator(x=Q.X.ctypes.data, sq=Q._sq.ctypes.data,
-                       L=Q.X.shape[1])
-        shape, name = Q.X.shape[1:] + (K,), "W"
-    A = getattr(aggregate, name)
+        csr, F, sq, degree = [None] * 3, Q.X, Q._sq, 0
+    A, shape = aggregate.A, F.shape[1:] + (K,)
     if not (isinstance(A, np.ndarray) and A.dtype == np.float64 and
             A.shape == shape and A.flags.writeable):
-        raise ValueError(f"aggregate {name} must be a writeable "
-                         f"float64 array of shape {shape}")
+        raise ValueError(f"aggregate A must be a writeable float64 array "
+                         f"of shape {shape}")
+    fields = (*csr, F, sq, A)
+    arrays = [a for a in fields if a is not None]
     # The struct reads them row-major; the plain rules take the rest.
-    if not all(a.flags.c_contiguous and a.flags.aligned for a in (*arrays, A)):
+    if not all(a.flags.c_contiguous and a.flags.aligned for a in arrays):
         return None
-    op.agg = A.ctypes.data
+    # The marginal is F as one column: L = 1.
+    op = _Operator(*(a if a is None else a.ctypes.data for a in fields),
+                   L=F.shape[1] if F.ndim == 2 else 1)
+    op.arrays = arrays  # what op points into lives as long as op
     # Four K-vectors, then the gather buffer for the densest row.
     scratch = np.empty((4 + degree) * K)
-    op.gather = scratch.ctypes.data + 4 * K * scratch.itemsize
-    op.arrays = arrays, A  # what op points into lives as long as op
     rows = np.array(rows, dtype=np.intp)
     args = (op, loops, H, K, rows, rows.size,
             ("softmax", "sphere").index(rule), weight, scratch)

@@ -208,7 +208,7 @@ def _cmd_embed_sphere(args):
     params = {"mode": "sphere", "k": args.k, "beta": args.beta, **sweep}
     extra = {"objective_trace": result.objective_trace,
              "degenerate_updates": result.degenerate_updates,
-             "stop_reason": _stop_reason(result)}
+             "stop_reason": _stop_reason(result), **_rank(result.embedding)}
     return [args.out], {"graph": args.graph}, params, extra, 0
 
 

@@ -158,6 +158,11 @@ def _kernel(rule, update, Q, H, aggregate, rows, weight):
                            aggregate) is False for u in rows))
 
 
+def _objective(Q, H):
+    """The trace objective tr(H^T Q H) that every climb reports."""
+    return float(np.sum(H * Q.apply(H)))
+
+
 def sweep(Q, H, visit):
     """One pass of a prepared softmax kernel over H.
 
@@ -165,7 +170,7 @@ def sweep(Q, H, visit):
     count of touched sparse entries plus K-vector work per node.
     """
     ops = visit()
-    return float(np.sum(H * Q.apply(H))), ops
+    return _objective(Q, H), ops
 
 
 def climb(Q, H, visit, step, config):
@@ -178,7 +183,7 @@ def climb(Q, H, visit, step, config):
     order of the ClusterResult fields after `assignment`.
     """
     trace, counts = [], []
-    previous = float(np.sum(H * Q.apply(H)))
+    previous = _objective(Q, H)
     converged = False
     while not converged and len(trace) < config.max_sweeps:
         objective, count = step(Q, H, visit)

@@ -284,7 +284,7 @@ def cafe_embed(Q, config, pinned=None, labels=None):
     else:
         H = prune_zero_columns(indicator_matrix(labels, config.n_clusters))
         # No sweep runs; the objective is the one a sweep would report.
-        stats = (float(np.sum(H * Q.zero_diagonal().apply(H))), 0, True, [])
+        stats = (clustering._objective(Q.zero_diagonal(), H), 0, True, [])
     return CafeResult(qr_embed(Q, H), H, *stats)
 
 

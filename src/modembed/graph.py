@@ -25,7 +25,7 @@ from . import _native
 __all__ = [
     "SampledGraph",
     "ModularityMatrix",
-    "MarginalAggregate",
+    "Aggregate",
     "from_edge_list",
     "from_similarity",
     "from_bivariate",
@@ -169,20 +169,20 @@ def _indptr(counts):
     return indptr
 
 
-class MarginalAggregate:
-    """Running aggregate S[k] = sum_w p_W(w) h[w, k].
-
-    Lets a single row's expected covariance be computed from its sparse
-    neighborhood plus this K-vector instead of a full pass over nodes.
-    Kept in sync incrementally as assignment rows change.
+class Aggregate:
+    """Running aggregate A = F^T H that the sweeps keep beside H: F is a
+    graph's marginal (A a K-vector) or a cloud's n x L coordinates (A is
+    L x K).  A row's covariance is then its sparse neighborhood, or its
+    coordinates, against A instead of a full pass over the nodes; update
+    keeps A in step as a row changes, in O(L K).
     """
 
-    def __init__(self, marginal, H):
-        self.marginal = marginal
-        self.S = marginal @ H
+    def __init__(self, F, H):
+        self.F = F
+        self.A = F.T @ H
 
     def update(self, u, delta_row):
-        self.S += self.marginal[u] * delta_row
+        self.A += np.multiply.outer(self.F[u], delta_row)
 
 
 class ModularityMatrix:
@@ -241,7 +241,7 @@ class ModularityMatrix:
         return out[:, 0] if squeeze else out
 
     def make_aggregate(self, H):
-        return MarginalAggregate(self.graph.marginal, H)
+        return Aggregate(self.graph.marginal, H)
 
     def row_cost(self, rows):
         """Stored entries touched forming the covariances of `rows`."""
@@ -260,7 +260,7 @@ class ModularityMatrix:
         s, e = g.indptr[u], g.indptr[u + 1]
         z = g.data[s:e] @ H[g.indices[s:e]]
         pi_u = g.marginal[u]
-        z -= pi_u * (agg.S - pi_u * H[u])
+        z -= pi_u * (agg.A - pi_u * H[u])
         return z
 
     def partition_modularity(self, partition):

@@ -23,12 +23,12 @@ import numpy as np
 from . import clustering
 from .clustering import ClusterConfig
 from .embedding import qr_embed
+from .graph import Aggregate
 from .sphere import SphereConfig, run_sphere
 from .spectral import _fix_signs, jacobi_eigh, projection_residual
 
 __all__ = [
     "GramOperator",
-    "CoordinateAggregate",
     "ReduceResult",
     "center",
     "embed_lift",
@@ -42,21 +42,6 @@ __all__ = [
 # Embedding columns at or below this residual carry principal-subspace
 # coordinates; the rest are orthogonal-complement padding.
 RESIDUAL_SELECT = 1e-3
-
-
-class CoordinateAggregate:
-    """Running W = X^T H, the feature-space image of the assignment.
-
-    The per-row covariance against the implicit Gram operator is then
-    W^T x_u minus the row's own diagonal term, at O(L K) per node.
-    """
-
-    def __init__(self, X, H):
-        self.X = X
-        self.W = X.T @ H
-
-    def update(self, u, delta_row):
-        self.W += np.outer(self.X[u], delta_row)
 
 
 class GramOperator:
@@ -90,10 +75,10 @@ class GramOperator:
         return out
 
     def make_aggregate(self, H):
-        return CoordinateAggregate(self.X, H)
+        return Aggregate(self.X, H)
 
     def row_covariance(self, H, agg, u):
-        return agg.W.T @ self.X[u] - self._sq[u] * H[u]
+        return agg.A.T @ self.X[u] - self._sq[u] * H[u]
 
     def row_cost(self, rows):
         return self.X.shape[1] * len(rows)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _check_sweeps, _kernel, climb
+from .clustering import _check_sweeps, _kernel, _objective, climb
 from .embedding import EmbeddingMatrix, qr_embed
 
 __all__ = [
@@ -96,7 +96,7 @@ def sphere_sweep(Q, H, visit):
     constant, so monotonicity transfers to the reported objective.
     """
     degenerate = visit()
-    return float(np.sum(H * Q.apply(H))), degenerate
+    return _objective(Q, H), degenerate
 
 
 def run_sphere(Q, config):

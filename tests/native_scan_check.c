@@ -1,5 +1,6 @@
-/* Hostile inputs for modembed_scan, the TSV scanner in _native.c, and for
- * modembed_build, which reads what it gives, built with
+/* Hostile inputs for modembed_scan, the TSV scanner in _native.c, for
+ * modembed_build, which reads what it gives, and for the row writer
+ * modembed_format_rows and the operator pass modembed_apply, built with
  * -fsanitize=address,undefined by tests/test_io.py.  The driver is one
  * unit with _native.c, which it includes (the test puts its directory on
  * the include path), so every call and struct is checked against the
@@ -8,8 +9,9 @@
  * Each text is copied to a heap block of exactly its size, with no NUL
  * after it, and each output array is allocated at the size the entry's
  * contract names (struct modembed_scan and struct modembed_graph in
- * _native.c), so a read or write past any of them stops the run.  Exits 0
- * when every call returned what it should, 1 otherwise. */
+ * _native.c, the row budget of modembed_format_rows), so a read or write
+ * past any of them stops the run.  Exits 0 when every call returned what
+ * it should, 1 otherwise. */
 #include "_native.c"
 
 #define ANY (-1)
@@ -361,6 +363,142 @@ static void label_cases(void)
     }
 }
 
+/* A copy of the n bytes at p in a heap block of exactly n bytes. */
+static void *exact(const void *p, size_t n)
+{
+    void *block = malloc(n ? n : 1);
+    if (n)
+        memcpy(block, p, n);
+    return block;
+}
+
+/* Format the n x c values x with the labels (row i's label being
+ * labels[offsets[i]:offsets[i + 1]]) into a block of exactly the labels
+ * plus n (25 c + 2) bytes, the budget _native.row_formatter reserves,
+ * and compare each value with the C library's %.17g, whose one
+ * difference from Python's, "-nan", is mended. */
+static void check_rows(const char *name, ptrdiff_t n, ptrdiff_t c,
+                       const double *x, const char *labels,
+                       const ptrdiff_t *offsets)
+{
+    size_t text = (size_t)(offsets[n] - offsets[0]);
+    size_t budget = text + (size_t)(n * (25 * c + 2));
+    double *values = exact(x, (size_t)(n * c) * sizeof *x);
+    ptrdiff_t *at = exact(offsets, (size_t)(n + 1) * sizeof *offsets);
+    char *names = exact(labels, (size_t)offsets[n]);
+    char *out = malloc(budget ? budget : 1);
+    char *want = malloc(text + (size_t)(n * (32 * c + 2)) + 1), *w = want;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        w += sprintf(w, "%.*s", (int)(at[i + 1] - at[i]), labels + at[i]);
+        for (ptrdiff_t j = 0; j < c; j++) {
+            double v = x[i * c + j];
+            w += isnan(v) ? sprintf(w, "\tnan") : sprintf(w, "\t%.17g", v);
+        }
+        *w++ = '\n';
+    }
+    ptrdiff_t got = modembed_format_rows(n, c, values, names, at, out);
+    if (got != w - want || memcmp(out, want, (size_t)(w - want)) != 0) {
+        fprintf(stderr, "%s: rows differ from %%.17g\n", name);
+        failures++;
+    }
+    free(values);
+    free(at);
+    free(names);
+    free(out);
+    free(want);
+}
+
+static void format_cases(void)
+{
+    /* Rows of the longest values only, specials, both sides of the exact
+     * path's bounds 1e-16 and 1e17, and empty labels. */
+    enum { C = 6 };
+    const double longest = -1.2345678901234567e-308;
+    const double tiniest = -4.9406564584124654e-324;
+    double x[5 * C] = {
+        longest, longest, longest, longest, longest, longest,
+        tiniest, tiniest, tiniest, tiniest, tiniest, tiniest,
+        -INFINITY, NAN, -NAN, -0.0, 0.0, INFINITY,
+        nextafter(1e-16, 0.0), 1e-16, nextafter(1e-16, 1.0),
+        -nextafter(1e17, 0.0), -1e17, nextafter(1e17, INFINITY),
+        1.0, -2.5, 123456789.0, 0.1, 1e-5, 9.999999999999999e16,
+    };
+    const ptrdiff_t offsets[] = {0, 0, 6, 6, 7, 8};
+    /* The longest rows alone, so that a budget one byte short per value
+     * is overrun. */
+    check_rows("longest values", 2, C, x, "node_0", offsets);
+    check_rows("other values", 3, C, x + 2 * C, "node_0xz", offsets + 2);
+    check_rows("one column", 5 * C, 1, x, "",
+               (const ptrdiff_t[5 * C + 1]){0});
+    check_rows("no rows", 0, C, x, "", offsets);
+}
+
+/* modembed_apply on the n-node CSR with blocks of exactly their size,
+ * against the loop it must match: each entry's stored entries summed in
+ * order from 0.0, then (sum - pi_i c_j) + diag_i h_ij. */
+static void check_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
+                        const int64_t *indices, const double *data,
+                        const double *marginal, const double *h,
+                        const double *c, const double *diag)
+{
+    size_t nnz = (size_t)indptr[n], block = (size_t)(n * k) * sizeof *h;
+    int64_t *ip = exact(indptr, (size_t)(n + 1) * sizeof *ip);
+    int64_t *ix = exact(indices, nnz * sizeof *ix);
+    double *d = exact(data, nnz * sizeof *d);
+    double *pi = exact(marginal, (size_t)n * sizeof *pi);
+    double *hs = exact(h, block), *cs = exact(c, (size_t)k * sizeof *cs);
+    double *dg = exact(diag, (size_t)n * sizeof *dg);
+    double *out = malloc(block), *want = malloc(block);
+    for (ptrdiff_t i = 0; i < n; i++) {
+        for (ptrdiff_t j = 0; j < k; j++) {
+            double s = 0.0;
+            for (int64_t p = indptr[i]; p < indptr[i + 1]; p++)
+                s = s + data[p] * h[indices[p] * k + j];
+            double hij = h[i * k + j];
+            want[i * k + j] = (s - marginal[i] * c[j]) + diag[i] * hij;
+        }
+    }
+    modembed_apply(n, k, ip, ix, d, pi, hs, cs, dg, out);
+    if (memcmp(out, want, block) != 0) {
+        fprintf(stderr, "apply at k = %ld differs from the plain loop\n",
+                (long)k);
+        failures++;
+    }
+    free(ip);
+    free(ix);
+    free(d);
+    free(pi);
+    free(hs);
+    free(cs);
+    free(dg);
+    free(out);
+    free(want);
+}
+
+static void apply_cases(void)
+{
+    /* Seven nodes, rows 0, 3 and 6 of degree 0, row 4 of degree 5. */
+    enum { N = 7, K = 9 };
+    const int64_t indptr[N + 1] = {0, 0, 2, 4, 4, 9, 11, 11};
+    const int64_t indices[] = {2, 4, 1, 4, 0, 1, 2, 5, 6, 4, 3};
+    double data[11], marginal[N], diag[N], h[N * K], c[K];
+    uint64_t state = 2685821657736338717ULL;
+    double *all[] = {data, marginal, diag, h, c};
+    const int sizes[] = {11, N, N, N * K, K};
+    for (int a = 0; a < 5; a++) {
+        for (int i = 0; i < sizes[a]; i++) {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            all[a][i] = (double)(int64_t)state / 9223372036854775808.0;
+        }
+    }
+    for (ptrdiff_t k = 1; k <= K; k++) {
+        /* H is n x k: the first n k values. */
+        check_apply(N, k, indptr, indices, data, marginal, h, c, diag);
+    }
+}
+
 /* With the argument "layout", the program prints, instead of running the
  * checks, the layout of the structs that _native.py mirrors in ctypes:
  * `struct field offset size` per field, and `struct - 0 size` for the
@@ -375,11 +513,9 @@ static void print_layout(void)
     FIELD(modembed_operator, indptr);
     FIELD(modembed_operator, indices);
     FIELD(modembed_operator, data);
-    FIELD(modembed_operator, marginal);
     FIELD(modembed_operator, x);
     FIELD(modembed_operator, sq);
     FIELD(modembed_operator, agg);
-    FIELD(modembed_operator, gather);
     FIELD(modembed_operator, L);
     printf("modembed_scan - 0 %zu\n", sizeof(struct modembed_scan));
     FIELD(modembed_scan, ids);
@@ -406,6 +542,8 @@ int main(int argc, char **argv)
     }
     build_cases();
     label_cases();
+    format_cases();
+    apply_cases();
     for (int kind = SCAN_EDGES; kind <= SCAN_ROWS; kind++) {
         check("empty file", kind, "", 0, 0);
         check_text("comments only", kind, "# x\n#y\t1\n  # z", 0);

@@ -753,27 +753,33 @@ def test_full_label_ignores_the_sweep_options(tmp_path, sbm_file, option):
 
 @pytest.mark.filterwarnings("ignore::modembed.embedding.RankDeficiencyWarning")
 def test_manifests_record_the_rank_decision(tmp_path, sbm_file):
-    """cafe manifests and each multilayer level name the columns of Q H
-    dropped as dependent and the rank test that chose them."""
+    """cafe and sphere manifests and each multilayer level name the
+    columns of Q H dropped as dependent and the rank test that chose
+    them."""
     graph_path, labels_path = sbm_file
-    full, cafe, ml = (tmp_path / f"{name}.tsv"
-                      for name in ("full", "cafe", "ml"))
+    full, cafe, sph, ml = (tmp_path / f"{name}.tsv"
+                           for name in ("full", "cafe", "sphere", "ml"))
     assert main(["embed", "cafe", "--graph", str(graph_path), "--labels",
                  str(labels_path), "--full-label", "--out", str(full)]) == 0
     assert main(["embed", "cafe", "--graph", str(graph_path), "--k", "3",
                  "--out", str(cafe)]) == 0
+    assert main(["embed", "sphere", "--graph", str(graph_path), "--k", "26",
+                 "--out", str(sph)]) == 0
     assert main(["embed", "multilayer", "--graph", str(graph_path),
                  "--out", str(ml)]) == 0
     records = [_strict_manifest(full), _strict_manifest(cafe),
-               *_strict_manifest(ml)["levels"]]
+               _strict_manifest(sph), *_strict_manifest(ml)["levels"]]
     for record in records:
         # 24 nodes are too few for the fast test to tell a zero residual.
         assert record["rank_test"] == "loop"
         assert all(type(j) is int for j in record["dropped_columns"])
     # Two label columns sum to the all-ones vector, which Q maps to 0.
     assert records[0]["dropped_columns"] == [1]
+    # Q has rank at most n - 1 = 23, so at least 3 of 26 columns go.
+    kept = len(sph.read_text().splitlines()[0].split("\t")) - 1
+    assert len(records[2]["dropped_columns"]) == 26 - kept >= 3
     assert all(len(r["dropped_columns"]) ==
-               r["clusters"] - r["columns"] for r in records[2:])
+               r["clusters"] - r["columns"] for r in records[3:])
 
 
 def test_manifest_refuses_a_non_finite_value(tmp_path):

@@ -191,7 +191,7 @@ def test_underflow_falls_back_to_bare_softmax():
     """A row whose surviving mass underflows is rebuilt from e^{theta z}."""
     H = np.array([[1e-305, 1e-305, 1.0 - 2e-305]])
     z = np.array([800.0, 0.0, 0.0])
-    row = softmax_update(H, 0, z, 1.0, graph.MarginalAggregate(np.ones(1), H))
+    row = softmax_update(H, 0, z, 1.0, graph.Aggregate(np.ones(1), H))
     assert row[0] == 1.0 and row[1] == 0.0 and row[2] == 0.0
     assert np.array_equal(H[0], row)
 

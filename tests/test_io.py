@@ -1132,9 +1132,11 @@ def test_scanner_survives_hostile_buffers_under_sanitizers(tmp_path):
     and 100,000-field texts, every byte value and random texts, each in a
     block of its exact size; label files whose nodes are unknown, repeat
     with a longer or a shorter class or collide in their hash tags with
-    the graph's; and the graph build one edge, repeated pairs,
-    self-loops, ids up to n - 1, out-of-range ids and pairs whose hash
-    tags collide."""
+    the graph's; the graph build one edge, repeated pairs, self-loops,
+    ids up to n - 1, out-of-range ids and pairs whose hash tags collide;
+    the row writer the longest values, specials and empty labels in the
+    budget `_native.row_formatter` reserves; and Q @ H at k = 1-9 with
+    rows of degree 0, each against a plain loop."""
     flags = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all",
              "-g", "-O1", "-ffp-contract=off"]
     probe = tmp_path / "probe.c"

@@ -362,12 +362,8 @@ def assert_same_sweeps(Q, config, pinned, sweeps=3):
         want = oracle_sweep(Q0, slow, config, slow_agg, events)
         assert got == want and type(got[1]) is int
         assert same_bytes(fast.H, slow.H)
-        assert same_bytes(_aggregate(fast_agg), _aggregate(slow_agg))
+        assert same_bytes(fast_agg.A, slow_agg.A)
     return events
-
-
-def _aggregate(agg):
-    return agg.S if isinstance(agg, graph.MarginalAggregate) else agg.W
 
 
 @SETTINGS
@@ -433,7 +429,7 @@ def assert_same_sphere(Q, config, sweeps=3):
                                              slow_agg)
         degenerate += result[1]
         assert same_bytes(fast, slow)
-        assert same_bytes(_aggregate(fast_agg), _aggregate(slow_agg))
+        assert same_bytes(fast_agg.A, slow_agg.A)
     return degenerate
 
 
@@ -498,7 +494,7 @@ def assert_same_from(Q, H, pinned, theta, beta, sweeps=2):
                 want = oracle_sphere_sweep(Qr, slow, beta, slow_agg)[1]
             assert visit() == want
             assert same_bytes(fast, slow)
-            assert same_bytes(_aggregate(fast_agg), _aggregate(slow_agg))
+            assert same_bytes(fast_agg.A, slow_agg.A)
 
 
 @SETTINGS
@@ -587,7 +583,7 @@ def test_numpy_loop_refuses_a_loop_that_fails_the_probe(monkeypatch):
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_sweep_leaves_arrays_not_in_c_order_to_the_plain_rules():
-    """The compiled sweep reads the cloud and W = X^T H row-major, so a
+    """The compiled sweep reads the cloud and A = X^T H row-major, so a
     cloud or an aggregate in another layout takes the plain rules."""
     X = np.random.default_rng(6).standard_normal((9, 3))
     H = np.full((9, 2), 0.5)
@@ -596,9 +592,41 @@ def test_sweep_leaves_arrays_not_in_c_order_to_the_plain_rules():
                                     (X, "F", False)):
         Q = GramOperator(cloud)
         aggregate = Q.make_aggregate(H)
-        aggregate.W = np.array(aggregate.W, order=layout)
+        aggregate.A = np.array(aggregate.A, order=layout)
         visit = _native.sweep("softmax", Q, H, aggregate, [0], 1.0)
         assert (visit is not None) == compiled
+
+
+@SETTINGS
+@given(Q=OPERATOR, data=st.data())
+def test_one_aggregate_keeps_the_bytes_of_both_former_aggregates(Q, data):
+    """Both operators' aggregate is `graph.Aggregate`, A = F^T H, and after
+    any row updates it holds the bytes of the two formulas it replaced:
+    S = pi @ H, S += pi[u] * delta for a graph's marginal pi and
+    W = X^T H, W += outer(X[u], delta) for a cloud X."""
+    K = data.draw(st.integers(1, 6))
+    value = st.floats(-1e3, 1e3)
+    block = st.lists(value, min_size=Q.n * K, max_size=Q.n * K)
+    H = np.array(data.draw(block)).reshape(Q.n, K)
+    agg = Q.make_aggregate(H)
+    assert type(agg) is graph.Aggregate
+    is_graph = isinstance(Q, graph.ModularityMatrix)
+    if is_graph:
+        pi = Q.graph.marginal
+        want = pi @ H
+    else:
+        want = Q.X.T @ H
+    assert same_bytes(agg.A, want)
+    for u, delta in data.draw(st.lists(st.tuples(
+            st.integers(0, Q.n - 1), st.lists(value, min_size=K,
+                                              max_size=K)), max_size=8)):
+        delta = np.array(delta)
+        agg.update(u, delta)
+        if is_graph:
+            want += pi[u] * delta
+        else:
+            want += np.outer(Q.X[u], delta)
+        assert same_bytes(agg.A, want)
 
 
 # --- sweep invariants ---------------------------------------------------------

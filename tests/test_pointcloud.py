@@ -61,7 +61,7 @@ def test_weights_are_cluster_coordinate_sums():
     labels = rng.integers(0, 4, size=20)
     H = np.zeros((20, 4))
     H[np.arange(20), labels] = 1.0
-    W = GramOperator(X).make_aggregate(H).W
+    W = GramOperator(X).make_aggregate(H).A
     for k in range(4):
         assert np.abs(W[:, k] - X[labels == k].sum(axis=0)).max() < 1e-12
 

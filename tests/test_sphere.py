@@ -104,7 +104,7 @@ def test_degenerate_rows_are_skipped_and_counted():
 
 def test_sphere_update_reports_movement():
     H = init_sphere(2, 3, seed=1)
-    agg = graph.MarginalAggregate(np.full(2, 0.5), H)
+    agg = graph.Aggregate(np.full(2, 0.5), H)
     moved = sphere_update(H, 0, np.zeros(3), 1.0, agg)
     assert not moved
     moved = sphere_update(H, 0, np.array([1.0, 0.0, 0.0]), 1.0, agg)

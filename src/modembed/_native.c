@@ -5,9 +5,11 @@
  * behind clustering._kernel (modembed_sweep), the modularity operator's
  * Q @ H behind ModularityMatrix.apply (modembed_apply), the one TSV
  * scanner behind graph.load_edge_list, tasks.load_labels and
- * embedding.load_embedding_tsv (modembed_scan), and the graph build
- * behind graph._from_ids (modembed_build).  Every array they take is
- * contiguous: int64 indices, row-major doubles, bytes.
+ * embedding.load_embedding_tsv (modembed_scan), the graph build behind
+ * graph._from_ids (modembed_build), and the classifier's gradient descent
+ * behind tasks.SoftmaxRegression.fit (modembed_fit).  Every array they
+ * take is contiguous (int64 indices, row-major doubles, bytes) but the
+ * fit's features, which it reads at numpy's strides.
  *
  * Each rotation function repeats its Python loop operation for
  * operation: the same IEEE operations on the same doubles in the same
@@ -29,6 +31,13 @@
  * inner loop with numpy's arguments, read from the ufunc objects by
  * _native.numpy_loop; the elementwise + - * / and comparisons are plain
  * C, exact under -ffp-contract=off.
+ *
+ * modembed_fit runs all the fit's iterations in one call on the same
+ * bridge: numpy's matmul, exp and add loops with np.matmul's, np.exp's
+ * and the reductions' arguments, and one pass per row before and after
+ * the exp for what the loop does in nine whole-array ufunc calls.  The
+ * row passes work on pairs of doubles (GCC vector types), each lane the
+ * IEEE operation a scalar takes.
  *
  * modembed_apply forms Q @ H for ModularityMatrix.apply in one pass over
  * the graph's CSR rows, H a row-major block; every entry takes the
@@ -556,6 +565,125 @@ ptrdiff_t modembed_sweep(const struct modembed_operator *op,
         memcpy(h, row, (size_t)k * sizeof(double));
     }
     return skipped;
+}
+
+/* --- classifier fit ---------------------------------------------------- */
+
+/* Two doubles, for the fit's row passes; each lane takes the IEEE
+ * operation a scalar would, so the bytes are the same. */
+typedef double v2df __attribute__((vector_size(16)));
+typedef long long v2di __attribute__((vector_size(16)));
+
+static v2df load2(const double *p)
+{
+    v2df v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static void store2(double *p, v2df v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+/* Row g of c values plus b, then minus its maximum as the fit's chain of
+ * np.maximum over the columns forms it: the row's first NaN if it holds
+ * one, else its largest value.  A maximum does not round, so the two
+ * lanes' maxima give that value; only the sign of a zero maximum can
+ * differ, and exp(logit - max) loses it. */
+static void shift_row(double *g, const double *b, ptrdiff_t c)
+{
+    v2df top = {-INFINITY, -INFINITY};
+    v2di nan = {0, 0};
+    ptrdiff_t j = 0;
+    for (; j + 2 <= c; j += 2) {
+        v2df v = load2(g + j) + load2(b + j);
+        store2(g + j, v);
+        v2di up = v > top;
+        top = (v2df)(((v2di)v & up) | ((v2di)top & ~up));
+        nan |= v != v;
+    }
+    double max = top[1] > top[0] ? top[1] : top[0];
+    int any_nan = (nan[0] | nan[1]) != 0;
+    if (j < c) {
+        g[j] = g[j] + b[j];
+        max = g[j] > max ? g[j] : max;
+        any_nan |= g[j] != g[j];
+    }
+    for (j = 0; any_nan; j++)
+        if (g[j] != g[j]) {
+            max = g[j];
+            break;
+        }
+    v2df shift = {max, max};
+    for (j = 0; j + 2 <= c; j += 2)
+        store2(g + j, load2(g + j) - shift);
+    if (j < c)
+        g[j] = g[j] - max;
+}
+
+/* Row g of c values over its sum (the add loop seeded with 0.0) minus
+ * the one-hot row y, added to the bias gradient's column sums gb when
+ * c > 1. */
+static void gradient_row(const struct modembed_loops *lp, double *g,
+                         const double *y, double *gb, ptrdiff_t c)
+{
+    double total = reduce(lp->add, lp->add_data, 0.0, g, c);
+    v2df sum = {total, total};
+    ptrdiff_t j = 0;
+    for (; j + 2 <= c; j += 2) {
+        v2df v = load2(g + j) / sum - load2(y + j);
+        store2(g + j, v);
+        store2(gb + j, load2(gb + j) + v);
+    }
+    if (j < c) {
+        g[j] = g[j] / total - y[j];
+        if (c > 1)
+            gb[j] = gb[j] + g[j];
+    }
+}
+
+/* `iterations` steps of tasks.SoftmaxRegression.fit's gradient descent:
+ * z the m x d standardized features at byte steps (z_m, z_d), y the
+ * row-major m x c one-hot labels, w the row-major d x c weights and b the
+ * c biases, updated in place; scratch holds (m + d + 1) c doubles.  Each
+ * step takes numpy's operations in the loop's order: the two products and
+ * the exp through numpy's loops with the arguments np.matmul and np.exp
+ * pass, the row sums through the add loop seeded with 0.0, the bias
+ * gradient's column sums row after row from 0.0 as np.add.reduce adds a
+ * C-order array's rows (for c = 1 it takes the add loop's pairwise sum
+ * down the column), and the rest elementwise in plain C. */
+void modembed_fit(const struct modembed_loops *lp, ptrdiff_t m, ptrdiff_t d,
+                  ptrdiff_t c, const double *z, ptrdiff_t z_m, ptrdiff_t z_d,
+                  const double *y, ptrdiff_t iterations, double step,
+                  double l2, double *w, double *b, double *scratch)
+{
+    const ptrdiff_t unit[2] = {sizeof(double), sizeof(double)};
+    const ptrdiff_t row = c * (ptrdiff_t)sizeof(double), mc = m * c;
+    double *G = scratch, *gw = G + mc, *gb = gw + d * c;
+    char *flat[2] = {(char *)G, (char *)G};
+    for (ptrdiff_t it = 0; it < iterations; it++) {
+        /* logits = Z W + b, minus each row's maximum, then exp. */
+        matmul(lp, z, w, G, m, d, c, z_m, z_d, row, sizeof(double));
+        for (ptrdiff_t i = 0; i < m; i++)
+            shift_row(G + i * c, b, c);
+        lp->exp(flat, &mc, unit, lp->exp_data);
+        /* G = P - Y and its column sums. */
+        memset(gb, 0, (size_t)row);
+        for (ptrdiff_t i = 0; i < m; i++)
+            gradient_row(lp, G + i * c, y + i * c, gb, c);
+        if (c == 1)
+            gb[0] = reduce(lp->add, lp->add_data, 0.0, G, m);
+        /* W -= step (Z^T G / m + l2 W); b -= step gb / m. */
+        matmul(lp, z, G, gw, d, m, c, z_d, z_m, row, sizeof(double));
+        for (ptrdiff_t k = 0; k < d * c; k++) {
+            double g = gw[k] / (double)m;
+            g = g + l2 * w[k];
+            w[k] = w[k] - step * g;
+        }
+        for (ptrdiff_t j = 0; j < c; j++)
+            b[j] = b[j] - step * (gb[j] / (double)m);
+    }
 }
 
 /* --- Q @ H ---------------------------------------------------------------- */

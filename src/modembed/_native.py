@@ -17,7 +17,11 @@ bytes and stays as the fallback and the tests' oracle:
   embedding readers; a label file's nodes are found among the labels
   of a scanned graph;
 - `build`: `modembed_build`, a sampled graph's CSR arrays from its
-  edges' label ids and weights, for `graph._from_ids`.
+  edges' label ids and weights, for `graph._from_ids`;
+- `fit`: `modembed_fit`, every step of `tasks.SoftmaxRegression.fit`'s
+  gradient descent in one call.
+
+Each call records in `paths` which path it took, for the manifest.
 
 The scanner reads only files that the readers' line loops would read the
 same way (ASCII, no NUL, '\\r', '\\x0b', '\\x0c' or '\\x1c'-'\\x1f', every
@@ -25,8 +29,9 @@ line well formed, every number of the form
 `[+-]?digits[.digits][(e|E)[+-]digits]`) and leaves all others, errors
 included, to the loops.  The edge-list labels it reads come back as
 `Labels`, which keep their bytes for the label scan and the row writer.
-The sweep calls numpy's own inner loops for exp, the reductions and the
-matrix products, which `numpy_loop` reads from the ufunc objects.
+The sweep and the fit call numpy's own inner loops for exp, the
+reductions and the matrix products, which `numpy_loop` reads from the
+ufunc objects.
 `library()` compiles `_native.c` with the system C compiler the first
 time it is called, caches the shared library under the user cache
 directory, keyed by the sha256 of the source, the flags and the machine,
@@ -137,7 +142,10 @@ def library():
             ("scan", c_int, c_int, ctypes.c_char_p, size, ctypes.c_char_p,
              size, ctypes.POINTER(_Scan)),
             ("build", c_int, size, size, int64, values,
-             ctypes.POINTER(_Graph))):
+             ctypes.POINTER(_Graph)),
+            ("fit", None, ctypes.c_void_p * 8, size, size, size,
+             ctypes.c_void_p, size, size, values, size, double, double,
+             array, array, array)):
         entry = getattr(lib, f"modembed_{name}")
         entry.restype, entry.argtypes = restype, argtypes
     return lib
@@ -204,6 +212,36 @@ def _probe(ufunc, types, loop, data):
     return got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def _loops():
+    """numpy's float64 matmul, maximum, exp and add loops as the C struct
+    modembed_loops, or None when one is missing."""
+    found = [numpy_loop(np.matmul, "ddd"), numpy_loop(np.maximum, "ddd"),
+             numpy_loop(np.exp, "dd"), numpy_loop(np.add, "ddd")]
+    if None in found:
+        return None
+    return (ctypes.c_void_p * 8)(*(loop for loop, _ in found),
+                                 *(data for _, data in found))
+
+
+# The path each entry point's calls took since the last clear(): "python"
+# once any call fell back, else "compiled".  cli.main clears it per run.
+paths = {}
+
+
+def _recorded(wrapper):
+    """`wrapper` recording its path in `paths`: a None result means the
+    Python code runs instead."""
+    @functools.wraps(wrapper)
+    def call(*args, **kwargs):
+        result = wrapper(*args, **kwargs)
+        if paths.get(wrapper.__name__) != "python":
+            paths[wrapper.__name__] = ("python" if result is None
+                                       else "compiled")
+        return result
+    return call
+
+
+@_recorded
 def ql(d, e, zt, max_shifts):
     """`spectral._ql_loop(d, e, zt, max_shifts)` compiled."""
     lib = library()
@@ -211,6 +249,7 @@ def ql(d, e, zt, max_shifts):
         d.size, zt.shape[1], d, e, zt, max_shifts)
 
 
+@_recorded
 def jacobi(a, v, tol, scale, max_sweeps):
     """`spectral._jacobi_sweeps(a, v, tol, scale, max_sweeps)` compiled."""
     lib = library()
@@ -218,6 +257,7 @@ def jacobi(a, v, tol, scale, max_sweeps):
         a.shape[0], a, v, tol, scale, max_sweeps))
 
 
+@_recorded
 def row_formatter():
     """format(block, names, offsets): `label<TAB>v1...<TAB>vC<LF>` per row
     of the block as float64, values as '%.17g', label i the bytes
@@ -251,6 +291,7 @@ class _Operator(ctypes.Structure):
         ("L", ctypes.c_ssize_t)]
 
 
+@_recorded
 def sweep(rule, Q, H, aggregate, rows, weight):
     """visit() that runs the compiled `rule` on `rows` of the C-ordered
     float64 matrix H in order, or None when the library or a numpy loop
@@ -264,12 +305,9 @@ def sweep(rule, Q, H, aggregate, rows, weight):
     place.
     """
     lib = library()
-    found = [numpy_loop(np.matmul, "ddd"), numpy_loop(np.maximum, "ddd"),
-             numpy_loop(np.exp, "dd"), numpy_loop(np.add, "ddd")]
-    if lib is None or None in found:
+    loops = None if lib is None else _loops()
+    if loops is None:
         return None
-    loops = (ctypes.c_void_p * 8)(*(loop for loop, _ in found),
-                                  *(data for _, data in found))
     K = H.shape[1]
     graph = getattr(Q, "graph", None)
     if graph is not None:
@@ -301,6 +339,7 @@ def sweep(rule, Q, H, aggregate, rows, weight):
     return lambda: lib.modembed_sweep(*args)
 
 
+@_recorded
 def apply(graph, H, c, diag):
     """Q @ H for the modularity operator of `graph`, as a new C-order
     array, from the float64 n x K block H (any strides), c = marginal @ H
@@ -329,6 +368,7 @@ class _Scan(ctypes.Structure):
 _SCAN_KINDS = ("edges", "labels", "rows")
 
 
+@_recorded
 def scan(kind, path, nodes=None):
     """The file at `path` as the compiled scanner reads it, or None when
     the library is missing or the scanner leaves the file to the Python
@@ -404,6 +444,7 @@ class _Graph(ctypes.Structure):
         "indptr", "indices", "data", "diag")), ("nnz", ctypes.c_ssize_t)]
 
 
+@_recorded
 def build(ids, weights, n):
     """(indptr, indices, data, diag_mass) of the sampled graph on n nodes
     whose edges join the int64 ids u0, w0, u1, w1, ... with `weights`,
@@ -426,3 +467,25 @@ def build(ids, weights, n):
         return None
     indptr, indices, data, diag = arrays
     return indptr, indices[:out.nnz], data[:out.nnz], diag
+
+
+@_recorded
+def fit(Z, Y, W, b, iterations, step, l2):
+    """`iterations` steps of `tasks.SoftmaxRegression.fit`'s gradient
+    descent on the float64 m x d features Z (any strides) and the m x C
+    one-hot labels Y, updating the weights W (d x C) and biases b in
+    place; returns (W, b), or None when the library or a numpy loop is
+    missing.  The bytes are those of the fit's numpy loop."""
+    lib = library()
+    loops = None if lib is None else _loops()
+    if loops is None:
+        return None
+    (m, d), C = Z.shape, b.size
+    if not (Z.dtype == np.float64 and Z.flags.aligned and
+            Y.shape == (m, C) and W.shape == (d, C)):
+        raise ValueError("fit needs float64 Z (m x d), Y (m x C), W (d x C)")
+    # G, then the gradients of W and b.
+    scratch = np.empty((m + d + 1) * C)
+    lib.modembed_fit(loops, m, d, C, Z.ctypes.data, *Z.strides, Y,
+                     iterations, step, l2, W, b, scratch)
+    return W, b

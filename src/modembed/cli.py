@@ -85,9 +85,11 @@ def _write_manifest(command, params, input_paths, output_paths, started,
         },
         "outputs": {str(p): _sha256(p) for p in output_paths},
         "wall_clock_s": round(time.time() - started, 6),
-        # Whether the compiled loops ran; the Python loops give the same
-        # bytes, only slower.
+        # Whether the compiled loops ran, and which path each entry point
+        # the run used took; the Python loops give the same bytes, only
+        # slower.
         "compiled": _native.library() is not None,
+        "paths": dict(_native.paths),
     }
     if extra:
         manifest.update(extra)
@@ -475,6 +477,7 @@ def main(argv=None):
     (outputs, inputs, params, extra manifest fields, exit code)."""
     args = build_parser().parse_args(argv)
     started = time.time()
+    _native.paths.clear()
     try:
         outputs, inputs, params, extra, code = args.func(args)
         if outputs:

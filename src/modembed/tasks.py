@@ -83,7 +83,9 @@ class SoftmaxRegression:
         return (X - self._mean) / self._scale
 
     def fit(self, X, y):
-        """Gradient descent with every iterate in preallocated buffers.
+        """Gradient descent, all of it in one compiled call
+        (`_native.fit`) when the library is available, else in
+        preallocated numpy buffers.
 
         Each step computes the same values as the plain expression
         `P = softmax(Z W + b); G = P - Y; W -= step (Z^T G / m + l2 W);
@@ -101,6 +103,8 @@ class SoftmaxRegression:
         Y[np.arange(m), y] = 1.0
         self.W = W = np.zeros((d, C))
         self.b = b = np.zeros(C)
+        if _native.fit(Z, Y, W, b, _ITERATIONS, _STEP, _L2) is not None:
+            return self
         ZT = Z.T
         G = np.empty((m, C))  # logits, then P, then P - Y
         columns = list(G.T)

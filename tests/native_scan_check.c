@@ -1,6 +1,7 @@
 /* Hostile inputs for modembed_scan, the TSV scanner in _native.c, for
- * modembed_build, which reads what it gives, and for the row writer
- * modembed_format_rows and the operator pass modembed_apply, built with
+ * modembed_build, which reads what it gives, for the row writer
+ * modembed_format_rows, the operator pass modembed_apply and the
+ * classifier fit modembed_fit (on stand-ins for numpy's loops), built with
  * -fsanitize=address,undefined by tests/test_io.py.  The driver is one
  * unit with _native.c, which it includes (the test puts its directory on
  * the include path), so every call and struct is checked against the
@@ -499,6 +500,190 @@ static void apply_cases(void)
     }
 }
 
+/* Stand-ins for numpy's float64 matmul, exp and add loops, with numpy's
+ * PyUFuncGenericFunction signature and arguments: a naive strided
+ * product, libm exp and an add that serves as a reduction when its first
+ * operand and output are one accumulator at step 0. */
+static void naive_matmul(char **args, const ptrdiff_t *dims,
+                         const ptrdiff_t *steps, void *data)
+{
+    (void)data;
+    for (ptrdiff_t i = 0; i < dims[1]; i++) {
+        for (ptrdiff_t j = 0; j < dims[3]; j++) {
+            double s = 0.0;
+            for (ptrdiff_t k = 0; k < dims[2]; k++)
+                s += *(double *)(args[0] + i * steps[3] + k * steps[4]) *
+                     *(double *)(args[1] + k * steps[5] + j * steps[6]);
+            *(double *)(args[2] + i * steps[7] + j * steps[8]) = s;
+        }
+    }
+}
+
+static void libm_exp(char **args, const ptrdiff_t *dims,
+                     const ptrdiff_t *steps, void *data)
+{
+    (void)data;
+    for (ptrdiff_t i = 0; i < dims[0]; i++)
+        *(double *)(args[1] + i * steps[1]) =
+            exp(*(double *)(args[0] + i * steps[0]));
+}
+
+static void plain_add(char **args, const ptrdiff_t *dims,
+                      const ptrdiff_t *steps, void *data)
+{
+    (void)data;
+    for (ptrdiff_t i = 0; i < dims[0]; i++)
+        *(double *)(args[2] + i * steps[2]) =
+            *(double *)(args[0] + i * steps[0]) +
+            *(double *)(args[1] + i * steps[1]);
+}
+
+static const struct modembed_loops STAND_INS = {
+    naive_matmul, NULL, libm_exp, plain_add, NULL, NULL, NULL, NULL};
+
+/* numpy's maximum on doubles: the first operand when it is NaN or not
+ * smaller, so a chain from the first value keeps the first NaN. */
+static double chain_max(double a, double b)
+{
+    return a >= b || a != a ? a : b;
+}
+
+/* The fit's loop with the stand-ins' arithmetic written out: row-major z
+ * (m x d), y (m x c), w (d x c), b (c), each row's maximum the chain
+ * over its columns. */
+static void plain_fit(ptrdiff_t m, ptrdiff_t d, ptrdiff_t c, const double *z,
+                      const double *y, ptrdiff_t iterations, double step,
+                      double l2, double *w, double *b)
+{
+    double *G = malloc((size_t)(m * c) * sizeof *G);
+    for (ptrdiff_t it = 0; it < iterations; it++) {
+        for (ptrdiff_t i = 0; i < m; i++) {
+            double *g = G + i * c, top, total = 0.0;
+            for (ptrdiff_t j = 0; j < c; j++) {
+                double s = 0.0;
+                for (ptrdiff_t k = 0; k < d; k++)
+                    s += z[i * d + k] * w[k * c + j];
+                g[j] = s + b[j];
+            }
+            top = g[0];
+            for (ptrdiff_t j = 1; j < c; j++)
+                top = chain_max(top, g[j]);
+            for (ptrdiff_t j = 0; j < c; j++) {
+                g[j] = exp(g[j] - top);
+                total = total + g[j];
+            }
+            for (ptrdiff_t j = 0; j < c; j++)
+                g[j] = g[j] / total - y[i * c + j];
+        }
+        for (ptrdiff_t k = 0; k < d; k++) {
+            for (ptrdiff_t j = 0; j < c; j++) {
+                double s = 0.0;
+                for (ptrdiff_t i = 0; i < m; i++)
+                    s += z[i * d + k] * G[i * c + j];
+                w[k * c + j] = w[k * c + j] -
+                               step * (s / (double)m + l2 * w[k * c + j]);
+            }
+        }
+        for (ptrdiff_t j = 0; j < c; j++) {
+            double s = 0.0;
+            for (ptrdiff_t i = 0; i < m; i++)
+                s = s + G[i * c + j];
+            b[j] = b[j] - step * (s / (double)m);
+        }
+    }
+    free(G);
+}
+
+/* modembed_fit on the stand-ins, every array in a block of exactly its
+ * contract's size, against plain_fit. */
+static void check_fit(ptrdiff_t m, ptrdiff_t d, ptrdiff_t c, double step,
+                      uint64_t state)
+{
+    size_t mc = (size_t)(m * c), dc = (size_t)(d * c);
+    double *z = malloc((size_t)(m * d) * sizeof *z);
+    double *y = calloc(mc, sizeof *y), *w = calloc(dc, sizeof *w);
+    double *b = calloc((size_t)c, sizeof *b);
+    double *scratch = malloc((mc + dc + (size_t)c) * sizeof *scratch);
+    double *want_w = calloc(dc, sizeof *want_w);
+    double *want_b = calloc((size_t)c, sizeof *want_b);
+    for (ptrdiff_t i = 0; i < m * d; i++) {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        z[i] = (double)(int64_t)state / 4611686018427387904.0;
+    }
+    for (ptrdiff_t i = 0; i < m; i++) {
+        state *= 5;
+        y[i * c + (ptrdiff_t)(state >> 40) % c] = 1.0;
+    }
+    /* z row-major: steps (d, 1) doubles. */
+    modembed_fit(&STAND_INS, m, d, c, z, d * 8, 8, y, 20, step, 1e-4, w, b,
+                 scratch);
+    plain_fit(m, d, c, z, y, 20, step, 1e-4, want_w, want_b);
+    if (memcmp(w, want_w, dc * sizeof *w) != 0 ||
+        memcmp(b, want_b, (size_t)c * sizeof *b) != 0) {
+        fprintf(stderr, "fit at m = %ld, d = %ld, c = %ld, step %g differs "
+                "from the plain loop\n", (long)m, (long)d, (long)c, step);
+        failures++;
+    }
+    free(z);
+    free(y);
+    free(w);
+    free(b);
+    free(scratch);
+    free(want_w);
+    free(want_b);
+}
+
+/* shift_row, the fit's logits minus their maximum, on rows of c = 1-9
+ * values holding infinities and none, one or two NaNs of two payloads,
+ * against the chain numpy's maximum makes: with a NaN, every value minus
+ * the row's first NaN. */
+static void check_shift_rows(void)
+{
+    uint64_t bits[2] = {0x7ff8000000000001ULL, 0xfff8000000000002ULL};
+    double nan[2], row[9];
+    memcpy(nan, bits, sizeof nan);
+    for (ptrdiff_t c = 1; c <= 9; c++) {
+        for (ptrdiff_t first = 0; first <= c; first++) {
+            const double cycle[4] = {1.5, INFINITY, -2.0, -INFINITY};
+            for (ptrdiff_t j = 0; j < c; j++)
+                row[j] = cycle[j % 4];
+            if (first < c)
+                row[first] = nan[0];
+            if (first + 2 < c)
+                row[first + 2] = nan[1];
+            double *g = exact(row, (size_t)c * sizeof *g);
+            double *zero = calloc((size_t)c, sizeof *zero);
+            double top = row[0];
+            for (ptrdiff_t j = 1; j < c; j++)
+                top = chain_max(top, row[j]);
+            for (ptrdiff_t j = 0; j < c; j++)
+                row[j] = row[j] - top;
+            shift_row(g, zero, c);
+            if (memcmp(g, row, (size_t)c * sizeof *g) != 0) {
+                fprintf(stderr, "shift_row at c = %ld, NaN at %ld differs "
+                        "from numpy's chain\n", (long)c, (long)first);
+                failures++;
+            }
+            free(g);
+            free(zero);
+        }
+    }
+}
+
+static void fit_cases(void)
+{
+    check_shift_rows();
+    const ptrdiff_t shapes[][3] = {{1, 3, 4}, {7, 2, 1}, {1, 1, 1},
+                                   {40, 5, 16}, {33, 4, 7}, {12, 1, 2}};
+    for (size_t s = 0; s < sizeof shapes / sizeof *shapes; s++) {
+        for (int huge = 0; huge < 2; huge++)
+            check_fit(shapes[s][0], shapes[s][1], shapes[s][2],
+                      huge ? 1e300 : 0.1, 88172645463325252ULL + s);
+    }
+}
+
 /* With the argument "layout", the program prints, instead of running the
  * checks, the layout of the structs that _native.py mirrors in ctypes:
  * `struct field offset size` per field, and `struct - 0 size` for the
@@ -544,6 +729,7 @@ int main(int argc, char **argv)
     label_cases();
     format_cases();
     apply_cases();
+    fit_cases();
     for (int kind = SCAN_EDGES; kind <= SCAN_ROWS; kind++) {
         check("empty file", kind, "", 0, 0);
         check_text("comments only", kind, "# x\n#y\t1\n  # z", 0);

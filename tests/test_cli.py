@@ -991,7 +991,8 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
     """The benchmark's command shapes plus `embed cafe --full-label`,
     pinned `--labels`, the full `eigs` spectrum, `reduce --method sphere`
     and `eval link`, on a 120-node SBM: with the compiled library and
-    with every Python fallback, each `.tsv` has the same bytes."""
+    with every Python fallback, each `.tsv` has the same bytes, and each
+    manifest records the path every entry point it used took."""
     if _native.library() is None:
         pytest.skip("no compiled library")
     probs = np.full((3, 3), 0.03) + np.eye(3) * 0.27
@@ -1006,7 +1007,17 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
     points = tmp_path / "torus.xyz"
     np.savetxt(points, pointcloud.torus_cloud(200), fmt="%.17g")
     g = str(graph_path)
-    written = {}
+    # The entry points with a compiled path that each command runs.
+    used = {"cafe.tsv": "apply build row_formatter scan sweep",
+            "sphere.tsv": "apply build row_formatter scan sweep",
+            "classify.tsv": "build fit row_formatter scan",
+            "ml.tsv": "apply build row_formatter scan sweep",
+            "verify.tsv": "apply build jacobi row_formatter scan sweep",
+            "eigs.tsv": "apply build jacobi row_formatter scan",
+            "reduce.tsv": "jacobi row_formatter sweep",
+            "spectrum.tsv": "build jacobi row_formatter scan",
+            "link.tsv": "build fit row_formatter scan"}
+    written, paths = {}, {}
     for mode in ("compiled", "python"):
         d = tmp_path / mode
         d.mkdir()
@@ -1043,5 +1054,9 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
                 assert main(argv) == 0, argv
         assert _manifest(d / "cafe.tsv")["compiled"] is (mode == "compiled")
         written[mode] = {p.name: p.read_bytes() for p in d.glob("*.tsv")}
+        paths[mode] = {out: _manifest(d / out)["paths"] for out in used}
     assert len(written["compiled"]) == 19, sorted(written["compiled"])
     assert written["python"] == written["compiled"]
+    for mode, recorded in paths.items():
+        assert recorded == {out: dict.fromkeys(entries.split(), mode)
+                            for out, entries in used.items()}, mode

@@ -1029,7 +1029,11 @@ def ascii_file(draw, kind):
                 fields = draw(st.sampled_from([fields[:1], fields * 2]))
             line = sep.join(fields)
         elif kind == "labels":
-            label = draw(st.sampled_from(ASCII_LABELS + ["a b", " a", "q"]))
+            # A node outside the scanned graph sends the whole file to
+            # the loop, so each is drawn at a quarter of a graph node's
+            # weight.
+            label = draw(st.sampled_from(ASCII_LABELS * 4 +
+                                         ["a b", " a", "q"]))
             cls = f"k{len(label) % 3}"
             if shape == "odd":
                 cls = draw(st.sampled_from(["k0", "", "k1\tx"]))
@@ -1082,6 +1086,7 @@ def test_compiled_scanner_reads_most_ascii_files(tmp_path, monkeypatch,
     ("labels", "a\tk1\nb\tk2\n", "c\tk1\r"),
     ("labels", "a\tk1\nb\tk2\n", "c\tké"),
     ("labels", "a\tk1\nb\tk2\n", "a\tk2"),
+    ("labels", "a\tk1\nb\tk2\n", "q\tk1"),
     ("rows", "a\t1\t2\n", "b\t3\t1_0"),
     ("rows", "a\t1\t2\n", "b\t3\tnan"),
     ("rows", "a\t1\t2\n", "b\t3"),
@@ -1135,8 +1140,10 @@ def test_scanner_survives_hostile_buffers_under_sanitizers(tmp_path):
     the graph's; the graph build one edge, repeated pairs, self-loops,
     ids up to n - 1, out-of-range ids and pairs whose hash tags collide;
     the row writer the longest values, specials and empty labels in the
-    budget `_native.row_formatter` reserves; and Q @ H at k = 1-9 with
-    rows of degree 0, each against a plain loop."""
+    budget `_native.row_formatter` reserves; Q @ H at k = 1-9 with rows
+    of degree 0; and the classifier fit at m = 1, C = 1 and larger
+    shapes, on stand-ins for numpy's loops, with its row shift on NaNs of
+    two payloads: each against a plain loop."""
     flags = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all",
              "-g", "-O1", "-ffp-contract=off"]
     probe = tmp_path / "probe.c"

@@ -1122,3 +1122,64 @@ def test_fit_matches_oracle_at_default_recipe():
     got = SoftmaxRegression(16).fit(X, y)
     want = oracle_fit(SoftmaxRegression(16), X, y)
     assert same_bytes(got.W, want.W) and same_bytes(got.b, want.b)
+
+
+def assert_same_fit_without_the_library(X, y, C):
+    """The compiled fit (when the library loads) and the numpy loop it
+    falls back to give W, b and probabilities of the same bytes."""
+    _native.paths.clear()
+    # Overflow and NaN are expected at huge steps; numpy warns of them.
+    with np.errstate(all="ignore"):
+        got = SoftmaxRegression(C).fit(X, y)
+        path = _native.paths["fit"]
+        assert path == ("python" if _native.library() is None
+                        else "compiled")
+        with mock.patch.object(_native, "library", lambda: None):
+            want = SoftmaxRegression(C).fit(X, y)
+        assert same_bytes(got.W, want.W) and same_bytes(got.b, want.b)
+        assert same_bytes(got.predict_proba(X), want.predict_proba(X))
+    return got
+
+
+# A step this large sends the weights to inf within two iterations, and
+# the logits to inf and NaN.  Every NaN a fit makes has the same bits, so
+# how the row maximum takes NaNs of two payloads is checked on the
+# compiled row pass itself, in tests/native_scan_check.c.
+HUGE_STEP = 1e300
+
+
+@SETTINGS
+@given(case=fit_case(), step=st.sampled_from([tasks._STEP, 1e6, HUGE_STEP]),
+       order=st.sampled_from("CF"))
+@example(case=(np.ones((1, 1)), np.zeros(1, int), 1, 60), step=tasks._STEP,
+         order="C")
+@example(case=(np.arange(6.0).reshape(3, 2), np.array([0, 1, 1]), 2, 60),
+         step=HUGE_STEP, order="C")
+@example(case=(np.array([[1.5, -2.0]]), np.array([1]), 2, 7),
+         step=HUGE_STEP, order="F")
+def test_compiled_fit_matches_the_numpy_loop(case, step, order):
+    """C = 1 (the bias gradient's pairwise column sum), C = 2 (what `eval
+    link` fits), d = 1, m = 1, constant columns, any layout of X, and
+    logits that reach inf and NaN."""
+    X, y, C, iterations = case
+    X = np.asarray(X, order=order)
+    with mock.patch.multiple(tasks, _ITERATIONS=iterations, _STEP=step):
+        assert_same_fit_without_the_library(X, y, C)
+
+
+def test_huge_steps_make_the_fit_nan_on_both_paths():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((40, 3))
+    y = rng.integers(0, 4, 40)
+    with mock.patch.multiple(tasks, _ITERATIONS=7, _STEP=HUGE_STEP):
+        got = assert_same_fit_without_the_library(X, y, 4)
+    assert np.isnan(got.W).all() and np.isnan(got.b).all()
+
+
+def test_compiled_fit_matches_the_numpy_loop_at_bench_size():
+    """m = 10,000 rows of d = 15 features over C = 16 classes, the size
+    `eval classify` fits on the 20k-node benchmark graph."""
+    rng = np.random.default_rng(26)
+    y = rng.integers(0, 16, 10_000)
+    X = rng.standard_normal((10_000, 15)) + (y[:, None] % 3) * 0.5
+    assert_same_fit_without_the_library(X, y, 16)

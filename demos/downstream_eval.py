@@ -5,16 +5,11 @@ Embeds a planted two-block graph with both pipelines and reports
 aggregate metrics over seeded repeated splits, the same harness the
 `modembed eval` subcommand drives.
 """
-import warnings
-
 import numpy as np
 
 from modembed import ClusterConfig, SphereConfig, cafe_embed, from_edge_list, sphere_embed
 from modembed.datasets import sbm_edges
-from modembed.embedding import RankDeficiencyWarning
 from modembed.tasks import classify, link_predict
-
-warnings.simplefilter("ignore", RankDeficiencyWarning)
 
 
 def main():

@@ -5,15 +5,10 @@ Builds a graph of four blocks that merge pairwise into two superblocks,
 runs the multi-level pipeline, and prints how each level's clusters map
 onto the planted structure.
 """
-import warnings
-
 import numpy as np
 
 from modembed import from_edge_list, multilayer_embed
 from modembed.datasets import two_level_block_edges
-from modembed.embedding import RankDeficiencyWarning
-
-warnings.simplefilter("ignore", RankDeficiencyWarning)
 
 
 def main():

@@ -34,7 +34,6 @@ from .embedding import (
     EmbeddingMatrix,
     CafeResult,
     LayerResult,
-    RankDeficiencyWarning,
     prune_zero_columns,
     qr_embed,
     cafe_embed,

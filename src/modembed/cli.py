@@ -8,9 +8,9 @@ sub-parser that declares only the options the mode reads, so any other
 option is a usage error.  Every run is seeded, every output file is TSV
 with 17 significant digits, and `main` writes a JSON manifest next to
 each command's primary output recording resolved parameters, input
-digests, output digests, and the objective trace, so results can be
-audited and reproduced byte for byte.  `--digest` additionally prints
-each output file's sha256 to stdout.
+digests, output digests, and each climb's sweeps and stop reason, so
+results can be audited and reproduced byte for byte.  `--digest`
+additionally prints each output file's sha256 to stdout.
 
 Exit codes: 0 success (including a not-applicable verify), 1 on user
 errors (bad flags, unreadable or malformed inputs), 2 on internal
@@ -124,12 +124,6 @@ def _sibling(out, tag):
     return f"{stem}.{tag}{suffix or '.tsv'}"
 
 
-def _stop_reason(result):
-    """Why the sweeps stopped: the objective change fell below tol, or
-    the sweep cap came first."""
-    return "tol" if result.converged else "max_sweeps"
-
-
 def _rank(embedding):
     """The manifest record of a QR's rank decision: the columns of Q H
     dropped as dependent and the test that chose them."""
@@ -139,8 +133,8 @@ def _rank(embedding):
 
 def _print_run(result):
     print(
-        f"C={result.embedding.C} objective={result.objective:.12g} "
-        f"sweeps={result.sweeps} converged={result.converged}"
+        f"C={result.embedding.C} objective={result.climb.objective:.12g} "
+        f"sweeps={result.climb.sweeps} converged={result.climb.converged}"
     )
 
 
@@ -193,8 +187,8 @@ def _cmd_embed_cafe(args):
     extra = _rank(result.embedding)
     if labels is None:  # only a clustering run reads or makes these
         params.update(theta=args.theta, **sweep)
-        extra.update(objective_trace=result.objective_trace,
-                     stop_reason=_stop_reason(result))
+        extra.update(objective_trace=result.climb.objective_trace,
+                     stop_reason=result.climb.stop_reason)
     return outputs, inputs, params, extra, 0
 
 
@@ -208,9 +202,10 @@ def _cmd_embed_sphere(args):
     save_embedding_tsv(args.out, result.embedding.H_hat, graph.node_labels)
     _print_run(result)
     params = {"mode": "sphere", "k": args.k, "beta": args.beta, **sweep}
-    extra = {"objective_trace": result.objective_trace,
-             "degenerate_updates": result.degenerate_updates,
-             "stop_reason": _stop_reason(result), **_rank(result.embedding)}
+    extra = {"objective_trace": result.climb.objective_trace,
+             "degenerate_updates": sum(result.climb.counts),
+             "stop_reason": result.climb.stop_reason,
+             **_rank(result.embedding)}
     return [args.out], {"graph": args.graph}, params, extra, 0
 
 
@@ -237,6 +232,8 @@ def _cmd_embed_multilayer(args):
             "columns": int(layer.embedding.C),
             "modularity": layer.modularity,
             "file": str(path),
+            "sweeps": layer.climb.sweeps,
+            "stop_reason": layer.climb.stop_reason,
             **_rank(layer.embedding),
         })
         print(
@@ -257,7 +254,7 @@ def _cmd_verify(args):
     inputs = {"graph": args.graph}
     if args.k != 2:
         raise ValueError("verify checks two-cluster assignments; --k must be 2")
-    params = {"k": 2}
+    params, extra = {"k": 2}, None
     if args.assignment:
         inputs["assignment"] = args.assignment
         labels, H = _load_finite_rows(args.assignment)
@@ -269,7 +266,9 @@ def _cmd_verify(args):
         sweep = {"theta": args.theta, **_sweep(args)}
         params.update(sweep)
         config = ClusterConfig(n_clusters=2, **sweep)
-        H = clustering.run(Q, config).assignment.H
+        result = clustering.run(Q, config)
+        H, climb = result.assignment.H, result.climb
+        extra = {"sweeps": climb.sweeps, "stop_reason": climb.stop_reason}
     report = alignment_bounds(Q, H)
     rows = [(field.name, float(getattr(report, field.name)))
             for field in dataclasses.fields(report)]
@@ -283,7 +282,7 @@ def _cmd_verify(args):
     violated = report.applicable and not report.holds
     if violated:
         print("bound violation", file=sys.stderr)
-    return outputs, inputs, params, None, 2 if violated else 0
+    return outputs, inputs, params, extra, 2 if violated else 0
 
 
 def _cmd_eigs(args):
@@ -325,14 +324,14 @@ def _cmd_reduce(args):
     print(
         f"columns={args.k} selected={kept} "
         f"residuals={np.array2string(result.residuals, precision=4)} "
-        f"sweeps={result.sweeps} converged={result.converged}"
+        f"sweeps={result.climb.sweeps} converged={result.climb.converged}"
     )
     # Each method reads only its own weight.
     weight = "theta" if args.method == "cafe" else "beta"
     params = {"source": source, "k": args.k, "method": args.method,
               weight: getattr(args, weight), **sweep}
     return ([args.out, residual_path, recon_path], inputs, params,
-            {"stop_reason": _stop_reason(result)}, 0)
+            {"stop_reason": result.climb.stop_reason}, 0)
 
 
 def _cmd_eval(args):

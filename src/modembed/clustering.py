@@ -23,6 +23,7 @@ from . import _native
 __all__ = [
     "ClusterConfig",
     "SoftAssignment",
+    "Climb",
     "ClusterResult",
     "HARD_THETA",
     "init_assignment",
@@ -89,13 +90,34 @@ class SoftAssignment:
 
 
 @dataclass
+class Climb:
+    """The record of one climb of tr(H^T Q H): the objective before the
+    first sweep and after each sweep, each sweep's count (ops for the
+    softmax rule, skipped degenerate rows for the sphere rule), and
+    whether the tol exit fired rather than the sweep cap."""
+
+    start: float
+    objective_trace: list
+    counts: list
+    converged: bool
+
+    @property
+    def objective(self):
+        return self.objective_trace[-1] if self.objective_trace else self.start
+
+    @property
+    def sweeps(self):
+        return len(self.objective_trace)
+
+    @property
+    def stop_reason(self):
+        return "tol" if self.converged else "max_sweeps"
+
+
+@dataclass
 class ClusterResult:
     assignment: SoftAssignment
-    objective: float
-    sweeps: int
-    converged: bool
-    objective_trace: list
-    ops_per_sweep: list
+    climb: Climb
 
 
 def init_assignment(n, config, pinned=None):
@@ -179,11 +201,10 @@ def climb(Q, H, visit, step, config):
 
     step(Q, H, visit) makes one pass and returns (objective, count); the
     caller passes its module's sweep function so each pass is one call.
-    Returns (objective, sweeps, converged, objective trace, counts), the
-    order of the ClusterResult fields after `assignment`.
+    Returns the Climb.
     """
     trace, counts = [], []
-    previous = _objective(Q, H)
+    start = previous = _objective(Q, H)
     converged = False
     while not converged and len(trace) < config.max_sweeps:
         objective, count = step(Q, H, visit)
@@ -191,7 +212,7 @@ def climb(Q, H, visit, step, config):
         counts.append(count)
         converged = abs(objective - previous) < config.tol
         previous = objective
-    return previous, len(trace), converged, trace, counts
+    return Climb(start, trace, counts, converged)
 
 
 def run(Q, config, pinned=None):
@@ -199,7 +220,7 @@ def run(Q, config, pinned=None):
     the sweep cap is hit.
 
     Q may carry its true diagonal; the zeroed view is taken internally.
-    Returns a ClusterResult; `converged` records which exit fired.
+    Returns a ClusterResult; its climb records which exit fired.
     """
     Q0 = Q.zero_diagonal()
     assignment = init_assignment(Q0.n, config, pinned=pinned)
@@ -213,7 +234,7 @@ def run(Q, config, pinned=None):
         kernel()
         return ops
 
-    return ClusterResult(assignment, *climb(Q0, H, visit, sweep, config))
+    return ClusterResult(assignment, climb(Q0, H, visit, sweep, config))
 
 
 def hard_labels(H):

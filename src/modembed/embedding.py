@@ -13,20 +13,18 @@ multi-level embedding hierarchy.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _native, clustering
-from .clustering import ClusterConfig, HARD_THETA, hard_labels
+from .clustering import Climb, ClusterConfig, HARD_THETA, hard_labels
 from .graph import _DENSE_LIMIT, _write_rows, from_bivariate
 
 __all__ = [
     "EmbeddingMatrix",
     "CafeResult",
     "LayerResult",
-    "RankDeficiencyWarning",
     "ZERO_COLUMN_THRESHOLD",
     "prune_zero_columns",
     "qr_embed",
@@ -41,10 +39,6 @@ __all__ = [
 # A cluster column whose largest membership is below this never attracted
 # any node and is dropped before orthonormalization.
 ZERO_COLUMN_THRESHOLD = 1e-8
-
-
-class RankDeficiencyWarning(UserWarning):
-    """Q H had linearly dependent columns; the dependent ones were dropped."""
 
 
 @dataclass
@@ -74,10 +68,7 @@ class CafeResult:
 
     embedding: EmbeddingMatrix
     assignment: np.ndarray  # pruned soft assignment actually fed to QR
-    objective: float
-    sweeps: int
-    converged: bool
-    objective_trace: list
+    climb: Climb
 
 
 @dataclass
@@ -89,6 +80,7 @@ class LayerResult:
     embedding: EmbeddingMatrix
     membership: np.ndarray  # original node -> this level's cluster
     modularity: float
+    climb: Climb
 
 
 def prune_zero_columns(H):
@@ -124,10 +116,11 @@ def qr_embed(Q, H, drop_dependent=True):
 
     The triangular factor is sign-fixed to a nonnegative diagonal so the
     decomposition is unique and runs are reproducible.  If Q H is rank
-    deficient, dependent columns are dropped left-to-right with a
-    RankDeficiencyWarning (drop_dependent=True), or kept so the output
-    width always matches the input (drop_dependent=False; trailing
-    columns then pad the basis beyond range(Q H)).
+    deficient, dependent columns are dropped left-to-right and named in
+    the result's `dropped_columns` (drop_dependent=True), or kept so the
+    output width always matches the input (drop_dependent=False; trailing
+    columns then pad the basis beyond range(Q H)).  A row-stochastic H
+    always loses one column this way: Q maps the all-ones vector to 0.
 
     A column is dependent when its Gram-Schmidt residual against the
     columns kept before it is at most tol = n eps max_j ||Q H e_j||, as
@@ -161,12 +154,6 @@ def qr_embed(Q, H, drop_dependent=True):
             kept, rank_test = _loop_rank(M, tol), "loop"
         if len(kept) < C:
             dropped = tuple(sorted(set(range(C)) - set(kept)))
-            warnings.warn(
-                f"dropped {C - len(kept)} dependent column(s) of Q H "
-                f"(rank {len(kept)} < {C})",
-                RankDeficiencyWarning,
-                stacklevel=2,
-            )
             M = M[:, kept]
     H_hat, R = np.linalg.qr(M)
     signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
@@ -278,14 +265,13 @@ def cafe_embed(Q, config, pinned=None, labels=None):
     """
     if labels is None:
         result = clustering.run(Q, config, pinned=pinned)
-        H = prune_zero_columns(result.assignment.H)
-        stats = (result.objective, result.sweeps, result.converged,
-                 result.objective_trace)
+        H, record = prune_zero_columns(result.assignment.H), result.climb
     else:
         H = prune_zero_columns(indicator_matrix(labels, config.n_clusters))
         # No sweep runs; the objective is the one a sweep would report.
-        stats = (clustering._objective(Q.zero_diagonal(), H), 0, True, [])
-    return CafeResult(qr_embed(Q, H), H, *stats)
+        record = Climb(clustering._objective(Q.zero_diagonal(), H), [], [],
+                       True)
+    return CafeResult(qr_embed(Q, H), H, record)
 
 
 def coarsen(Q, partition):
@@ -359,7 +345,7 @@ def multilayer_embed(Q, theta=HARD_THETA, max_sweeps=200, tol=1e-9, seed=0):
         Q_next, coarse_membership = coarsen(Q_level, coarse_part)
         composed = coarse_membership[membership]
         levels.append(LayerResult(level, H_soft.shape[1], embedding, composed,
-                                  modularity))
+                                  modularity, result.climb))
         # Past level 0 the test above has made this false.
         if modularity <= incumbent:
             break

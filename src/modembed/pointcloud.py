@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clustering
-from .clustering import ClusterConfig
+from .clustering import Climb, ClusterConfig
 from .embedding import qr_embed
 from .graph import Aggregate
 from .sphere import SphereConfig, run_sphere
@@ -136,8 +136,7 @@ class ReduceResult:
     singular_values: np.ndarray
     selected: np.ndarray
     reconstruction: np.ndarray
-    sweeps: int
-    converged: bool
+    climb: Climb
 
 
 def reduce_cloud(points, n_dims, theta=0.010, method="cafe", seed=0,
@@ -159,11 +158,10 @@ def reduce_cloud(points, n_dims, theta=0.010, method="cafe", seed=0,
     if method == "cafe":
         config = ClusterConfig(n_clusters=n_dims, theta=theta, **sweep)
         result = clustering.run(gram, config)
-        H, sweeps, converged = (result.assignment.H, result.sweeps,
-                                result.converged)
+        H, record = result.assignment.H, result.climb
     elif method == "sphere":
         config = SphereConfig(n_dims=n_dims, beta=beta, **sweep)
-        H, _, sweeps, converged, _, _ = run_sphere(gram, config)
+        H, record = run_sphere(gram, config)
     else:
         raise ValueError(f"unknown method {method!r} (want cafe or sphere)")
     embedding = qr_embed(gram, H, drop_dependent=False).H_hat
@@ -174,7 +172,7 @@ def reduce_cloud(points, n_dims, theta=0.010, method="cafe", seed=0,
     scale[: sigma.size] = sigma
     reconstruction = embedding[:, selected] * scale[selected]
     return ReduceResult(embedding, residuals, sigma, selected,
-                        reconstruction, sweeps, converged)
+                        reconstruction, record)
 
 
 def concentric_circles():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _check_sweeps, _kernel, _objective, climb
+from .clustering import Climb, _check_sweeps, _kernel, _objective, climb
 from .embedding import EmbeddingMatrix, qr_embed
 
 __all__ = [
@@ -57,11 +57,7 @@ class SphereConfig:
 @dataclass
 class SphereResult:
     embedding: EmbeddingMatrix
-    objective: float
-    sweeps: int
-    converged: bool
-    objective_trace: list
-    degenerate_updates: int
+    climb: Climb
 
 
 def init_sphere(n, n_dims, seed=0):
@@ -101,18 +97,15 @@ def sphere_sweep(Q, H, visit):
 
 def run_sphere(Q, config):
     """Initialize and sweep until the objective stalls or the cap hits.
-    Returns the unit rows H, then the SphereResult fields after
-    `embedding`, as a tuple."""
+    Returns (H, climb): the unit rows and the Climb."""
     H = init_sphere(Q.n, config.n_dims, seed=config.seed)
     Q_full = Q.full_diagonal()
     visit = _kernel("sphere", sphere_update, Q_full, H,
                     Q_full.make_aggregate(H), np.arange(Q.n), config.beta)
-    objective, sweeps, converged, trace, skipped = climb(
-        Q_full, H, visit, sphere_sweep, config)
-    return H, objective, sweeps, converged, trace, sum(skipped)
+    return H, climb(Q_full, H, visit, sphere_sweep, config)
 
 
 def sphere_embed(Q, config):
     """Sphere iteration followed by the shared thin-QR orthonormalization."""
-    H, *fields = run_sphere(Q, config)
-    return SphereResult(qr_embed(Q, H), *fields)
+    H, record = run_sphere(Q, config)
+    return SphereResult(qr_embed(Q, H), record)

@@ -1,14 +1,16 @@
-"""The public surface: every exported name exists, every demo runs and
-every function the benchmark traces exists.
+"""The public surface: every exported name exists, every demo and the
+README's quick start run, and every function the benchmark traces
+exists.
 
 A name deleted from a module but left in its `__all__`, still used by a
-demo or still wrapped by `bench/traced.py`, fails here rather than in a
-user's script or a traced benchmark run."""
+demo or the README or still wrapped by `bench/traced.py`, fails here
+rather than in a user's script or a traced benchmark run."""
 
 import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +44,21 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run_and_hold_their_claims():
+    """The README's python blocks, run in order in one namespace, give
+    what their comments claim."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    trace = namespace["res"].climb.objective_trace
+    assert all(b >= a for a, b in zip(trace, trace[1:]))
+    assert namespace["report"].holds
+    assert int(namespace["red"].selected.sum()) == 2
 
 
 def test_every_bench_wrap_target_resolves(monkeypatch):

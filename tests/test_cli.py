@@ -229,6 +229,10 @@ def test_verify_records_clustering_params_only_when_it_clusters(
         return json.loads(Path(f"{path}.manifest.json").read_text())["params"]
 
     assert params(reused) == {"k": 2}
+    # Only a run that climbs records its sweeps and why it stopped.
+    reused_manifest = json.loads(Path(f"{reused}.manifest.json").read_text())
+    assert "sweeps" not in reused_manifest
+    assert "stop_reason" not in reused_manifest
     assert params(clustered) == {"k": 2, "theta": 123.0, "seed": 9,
                                  "tol": 0.5, "max_sweeps": 3}
     # The sweep options do not reach a reused assignment's report.
@@ -442,7 +446,6 @@ def test_a_negative_seed_is_a_user_error_naming_the_seed(tmp_path, sbm_file,
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::modembed.embedding.RankDeficiencyWarning")
 def test_digest_lines_are_the_manifest_digests(tmp_path, sbm_file, capsys,
                                                monkeypatch):
     """--digest prints the digests the manifest computed, without reading
@@ -732,7 +735,6 @@ def test_full_label_manifest_records_no_sweep_settings(tmp_path, sbm_file):
     assert "objective_trace" not in manifest
 
 
-@pytest.mark.filterwarnings("ignore::modembed.embedding.RankDeficiencyWarning")
 @pytest.mark.parametrize("option", [
     ["--theta", "inf"], ["--theta", "-1"], ["--tol", "nan"],
     ["--tol", "-1"], ["--max-sweeps", "-3"], ["--max-sweeps", "0"],
@@ -751,7 +753,6 @@ def test_full_label_ignores_the_sweep_options(tmp_path, sbm_file, option):
         _strict_manifest(plain)["params"]
 
 
-@pytest.mark.filterwarnings("ignore::modembed.embedding.RankDeficiencyWarning")
 def test_manifests_record_the_rank_decision(tmp_path, sbm_file):
     """cafe and sphere manifests and each multilayer level name the
     columns of Q H dropped as dependent and the rank test that chose
@@ -894,7 +895,11 @@ def test_manifests_record_the_path_and_the_stop_reason(tmp_path, sbm_file,
                    "--max-sweeps", "2", "--tol", "0"],
         "reduce": ["reduce", "--cloud", "circles", "--k", "2"],
         "multilayer": ["embed", "multilayer", "--graph", g],
+        "ml-capped": ["embed", "multilayer", "--graph", g,
+                      "--max-sweeps", "1", "--tol", "0"],
         "verify": ["verify", "--graph", g],
+        "verify-capped": ["verify", "--graph", g, "--max-sweeps", "1",
+                          "--tol", "0"],
         "eigs": ["eigs", "--graph", g, "--topk", "2"],
         "classify": ["eval", "classify", "--graph", g, "--embeddings",
                      str(tmp_path / "sphere.tsv"), "--labels",
@@ -912,11 +917,26 @@ def test_manifests_record_the_path_and_the_stop_reason(tmp_path, sbm_file,
                 assert "converged=False" in printed or converged
                 assert manifest["stop_reason"] == (
                     "tol" if converged else "max_sweeps"), name
+            elif name.startswith("ml"):
+                # Each level records its own climb.
+                assert "stop_reason" not in manifest, name
+                assert all(level["stop_reason"] in ("tol", "max_sweeps")
+                           and 1 <= level["sweeps"] <= 200
+                           for level in manifest["levels"]), name
+            elif name.startswith("verify"):
+                assert manifest["stop_reason"] in ("tol", "max_sweeps")
+                assert 1 <= manifest["sweeps"] <= 200, name
             else:
                 assert "stop_reason" not in manifest, name
-    for name in ("capped", "sphere"):
+    for name in ("capped", "sphere", "verify-capped"):
         assert _manifest(tmp_path / f"{name}.tsv")["stop_reason"] == \
             "max_sweeps"
+    assert _manifest(tmp_path / "verify-capped.tsv")["sweeps"] == 1
+    capped = _manifest(tmp_path / "ml-capped.tsv")["levels"]
+    assert {(level["sweeps"], level["stop_reason"]) for level in capped} == {
+        (1, "max_sweeps")}
+    level = _manifest(tmp_path / "multilayer.tsv")["levels"][0]
+    assert level["stop_reason"] == "tol" and level["sweeps"] > 1
     assert _manifest(tmp_path / "cafe.tsv")["stop_reason"] == "tol"
 
 
@@ -985,7 +1005,6 @@ def test_every_command_runs_the_same_without_scipy(tmp_path, sbm_file):
 
 # --- the compiled library and the Python fallbacks ---------------------------
 
-@pytest.mark.filterwarnings("ignore::modembed.embedding.RankDeficiencyWarning")
 def test_every_command_shape_writes_the_same_bytes_without_the_library(
         tmp_path):
     """The benchmark's command shapes plus `embed cafe --full-label`,

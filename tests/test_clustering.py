@@ -107,11 +107,13 @@ def test_run_trace_monotone_and_converges(karate):
     Q = karate.modularity_matrix()
     result = run(Q, ClusterConfig(n_clusters=5, theta=50.0, seed=0,
                                   max_sweeps=600))
-    trace = result.objective_trace
-    assert result.converged
-    assert result.objective == trace[-1]
+    climb = result.climb
+    trace = climb.objective_trace
+    assert climb.converged and climb.stop_reason == "tol"
+    assert climb.objective == trace[-1]
+    assert climb.start <= trace[0] + 1e-10
     assert all(b >= a - 1e-10 for a, b in zip(trace, trace[1:]))
-    assert len(trace) == result.sweeps
+    assert len(trace) == climb.sweeps
 
 
 def test_ops_counter_matches_degrees(karate):
@@ -120,14 +122,14 @@ def test_ops_counter_matches_degrees(karate):
     K = 4
     expected = karate.indices.size + karate.n * K  # every node unpinned
     result = run(Q, ClusterConfig(n_clusters=K, theta=10.0, seed=2))
-    assert all(ops == expected for ops in result.ops_per_sweep)
+    assert all(ops == expected for ops in result.climb.counts)
 
     pinned = {0: 0, 5: 1}
     deg0, deg5 = np.diff(karate.indptr)[[0, 5]]
     result = run(Q, ClusterConfig(n_clusters=K, theta=10.0, seed=2),
                  pinned=pinned)
     expected_pinned = expected - (deg0 + K) - (deg5 + K)
-    assert all(ops == expected_pinned for ops in result.ops_per_sweep)
+    assert all(ops == expected_pinned for ops in result.climb.counts)
 
 
 def test_pinned_rows_never_move(karate):
@@ -159,13 +161,15 @@ def test_each_pass_is_one_module_sweep_call(monkeypatch, karate, max_sweeps,
     pipelines = [
         ("sweep", lambda: clustering.run(Q, ClusterConfig(
             n_clusters=3, theta=100.0, max_sweeps=max_sweeps, tol=tol,
-            seed=1)).sweeps),
+            seed=1)).climb.sweeps),
         ("sphere_sweep", lambda: sphere.run_sphere(Q, sphere.SphereConfig(
-            n_dims=3, max_sweeps=max_sweeps, tol=tol, seed=1))[2]),
+            n_dims=3, max_sweeps=max_sweeps, tol=tol, seed=1))[1].sweeps),
         ("sweep", lambda: pointcloud.reduce_cloud(
-            cloud, 3, method="cafe", max_sweeps=max_sweeps, tol=tol).sweeps),
+            cloud, 3, method="cafe", max_sweeps=max_sweeps,
+            tol=tol).climb.sweeps),
         ("sphere_sweep", lambda: pointcloud.reduce_cloud(
-            cloud, 3, method="sphere", max_sweeps=max_sweeps, tol=tol).sweeps),
+            cloud, 3, method="sphere", max_sweeps=max_sweeps,
+            tol=tol).climb.sweeps),
     ]
     counts = []
     for name, pipeline in pipelines:
@@ -218,6 +222,6 @@ def test_seed_determinism_and_variation(karate):
     r1 = run(Q, ClusterConfig(n_clusters=4, theta=30.0, seed=7))
     r2 = run(Q, ClusterConfig(n_clusters=4, theta=30.0, seed=7))
     assert np.array_equal(r1.assignment.H, r2.assignment.H)
-    assert r1.objective_trace == r2.objective_trace
+    assert r1.climb == r2.climb
     r3 = run(Q, ClusterConfig(n_clusters=4, theta=30.0, seed=8))
     assert not np.array_equal(r1.assignment.H, r3.assignment.H)

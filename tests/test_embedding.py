@@ -1,6 +1,5 @@
 """Embedding: pruning, orthonormalization, coarsening, multilayer stack."""
 
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,7 +11,6 @@ from modembed import clustering, datasets, embedding, graph
 from modembed.clustering import ClusterConfig
 from modembed.embedding import (
     ZERO_COLUMN_THRESHOLD,
-    RankDeficiencyWarning,
     cafe_embed,
     coarsen,
     indicator_matrix,
@@ -40,10 +38,10 @@ def test_qr_embed_orthonormal_and_reconstructs(karate, karate_dense):
     Qd = dense_modularity(karate_dense)
     H = rng.random((34, 6))
     H /= H.sum(axis=1, keepdims=True)
-    with pytest.warns(RankDeficiencyWarning):
-        emb = qr_embed(Q, H)
+    emb = qr_embed(Q, H)
     Hhat = emb.H_hat
     assert Hhat.shape == (34, 5)  # ones-vector kernel costs one column
+    assert emb.dropped_columns == (5,)
     assert np.abs(Hhat.T @ Hhat - np.eye(5)).max() < 1e-10
     assert (np.diag(emb.R) >= 0.0).all()
     M = Qd @ H
@@ -52,27 +50,23 @@ def test_qr_embed_orthonormal_and_reconstructs(karate, karate_dense):
 
 
 def test_qr_embed_full_rank_input(karate):
-    """Non-stochastic H keeps all columns and raises no warning."""
+    """Non-stochastic H keeps all columns and drops none."""
     rng = np.random.default_rng(8)
     Q = karate.modularity_matrix()
     H = rng.standard_normal((34, 4))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        emb = qr_embed(Q, H)
-    assert emb.C == 4
+    emb = qr_embed(Q, H)
+    assert emb.C == 4 and emb.dropped_columns == ()
     assert np.abs(emb.H_hat.T @ emb.H_hat - np.eye(4)).max() < 1e-10
 
 
 def test_qr_embed_keep_width(karate):
-    """drop_dependent=False keeps the requested width without warning."""
+    """drop_dependent=False keeps the requested width, dropping none."""
     rng = np.random.default_rng(9)
     Q = karate.modularity_matrix()
     H = rng.random((34, 5))
     H /= H.sum(axis=1, keepdims=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        emb = qr_embed(Q, H, drop_dependent=False)
-    assert emb.H_hat.shape == (34, 5)
+    emb = qr_embed(Q, H, drop_dependent=False)
+    assert emb.H_hat.shape == (34, 5) and emb.dropped_columns == ()
     assert np.abs(emb.H_hat.T @ emb.H_hat - np.eye(5)).max() < 1e-10
 
 
@@ -137,9 +131,7 @@ def test_rank_tests_keep_the_same_columns(M, layout):
     gives the loop's bytes, with columns at 0.5-2x tol."""
     M = np.array(M, order=layout)
     Q, H = FixedProduct(M), np.zeros(M.shape)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficiencyWarning)
-        got, want = qr_embed(Q, H), loop_only(Q, H)
+    got, want = qr_embed(Q, H), loop_only(Q, H)
     assert_same_embedding(got, want)
     assert got.rank_test in ("residuals", "loop")
     assert want.rank_test == "loop"
@@ -158,13 +150,10 @@ def test_residuals_decide_far_from_tol():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((20000, 6))
     M[:, 5] = -M[:, :5].sum(axis=1)
-    with pytest.warns(RankDeficiencyWarning):
-        got = qr_embed(FixedProduct(M), np.zeros(M.shape))
+    got = qr_embed(FixedProduct(M), np.zeros(M.shape))
     assert got.rank_test == "residuals"
     assert got.dropped_columns == (5,)
-    with pytest.warns(RankDeficiencyWarning):
-        assert_same_embedding(got, loop_only(FixedProduct(M),
-                                             np.zeros(M.shape)))
+    assert_same_embedding(got, loop_only(FixedProduct(M), np.zeros(M.shape)))
 
 
 @pytest.fixture(scope="module")
@@ -256,8 +245,7 @@ def test_a_residual_near_tol_takes_the_loop():
     M = Q.apply(H)
     tol = n * np.finfo(float).eps * np.linalg.norm(M, axis=0).max()
     assert embedding._loop_rank(M, tol) == [0, 1, 2, 3]
-    with pytest.warns(RankDeficiencyWarning):
-        got = qr_embed(Q, H)
+    got = qr_embed(Q, H)
     assert got.rank_test == "loop"
     assert got.dropped_columns == (4, 5)
 
@@ -277,9 +265,10 @@ def test_cafe_embed_label_path(karate):
     labels = np.array([0] * 17 + [1] * 17)
     config = ClusterConfig(n_clusters=2)
     Q = karate.modularity_matrix()
-    with pytest.warns(RankDeficiencyWarning):
-        result = cafe_embed(Q, config, labels=labels)
-    assert result.sweeps == 0 and result.converged
+    result = cafe_embed(Q, config, labels=labels)
+    assert result.climb.sweeps == 0 and result.climb.converged
+    # The two label columns sum to the all-ones vector, which Q maps to 0.
+    assert result.embedding.dropped_columns == (1,)
     assert result.embedding.C == 1
     assert np.abs(np.linalg.norm(result.embedding.H_hat[:, 0]) - 1.0) < 1e-12
 
@@ -293,18 +282,16 @@ def test_cafe_embed_label_path_matches_its_former_branch(karate):
     for labels, K in [(rng.integers(0, 3, 34), 3),
                       (rng.choice([0, 2, 4], 34), 6),
                       (np.arange(34) % 5, 5)]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RankDeficiencyWarning)
-            result = cafe_embed(Q, ClusterConfig(n_clusters=K),
-                                labels=labels)
-            H = prune_zero_columns(indicator_matrix(labels, K))
-            want = qr_embed(Q, H)
+        result = cafe_embed(Q, ClusterConfig(n_clusters=K), labels=labels)
+        H = prune_zero_columns(indicator_matrix(labels, K))
+        want = qr_embed(Q, H)
         objective = float(np.sum(H * Q.zero_diagonal().apply(H)))
-        assert type(result.objective) is float
-        assert np.float64(result.objective).tobytes() == \
+        climb = result.climb
+        assert type(climb.objective) is type(climb.start) is float
+        assert np.float64(climb.objective).tobytes() == \
             np.float64(objective).tobytes()
-        assert result.sweeps == 0 and result.converged is True
-        assert result.objective_trace == []
+        assert climb.sweeps == 0 and climb.converged is True
+        assert climb.objective_trace == [] and climb.counts == []
         assert result.assignment.tobytes() == H.tobytes()
         assert result.embedding.H_hat.tobytes() == want.H_hat.tobytes()
         assert result.embedding.R.tobytes() == want.R.tobytes()
@@ -313,9 +300,10 @@ def test_cafe_embed_label_path_matches_its_former_branch(karate):
 def test_cafe_embed_clustered_path(karate):
     Q = karate.modularity_matrix()
     config = ClusterConfig(n_clusters=2, theta=50.0, seed=0)
-    with pytest.warns(RankDeficiencyWarning):
-        result = cafe_embed(Q, config)
-    assert result.objective == result.objective_trace[-1]
+    result = cafe_embed(Q, config)
+    assert result.climb.objective == result.climb.objective_trace[-1]
+    # Row-stochastic rows sum to the all-ones vector, which Q maps to 0.
+    assert result.embedding.dropped_columns == (1,)
     assert result.embedding.C == 1
     # The assignment fed to the QR keeps only columns that hold mass.
     assert (result.assignment.max(axis=0) >= ZERO_COLUMN_THRESHOLD).all()
@@ -369,9 +357,7 @@ def test_coarsen_drops_empty_clusters(karate):
 def test_multilayer_levels_structure():
     edges, _ = datasets.two_level_block_edges(25, 0.6, 0.22, 0.02, seed=1)
     g = graph.from_edge_list(edges)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficiencyWarning)
-        levels = multilayer_embed(g.modularity_matrix(), seed=0)
+    levels = multilayer_embed(g.modularity_matrix(), seed=0)
     assert levels[0].level == 0
     mods = [L.modularity for L in levels]
     assert all(b > a for a, b in zip(mods, mods[1:]))
@@ -382,6 +368,7 @@ def test_multilayer_levels_structure():
         assert abs(L.modularity - want) < 1e-12
         Hh = L.embedding.H_hat
         assert np.abs(Hh.T @ Hh - np.eye(Hh.shape[1])).max() < 1e-10
+        assert 1 <= L.climb.sweeps <= 200
     # Each finer cluster lands inside exactly one coarser cluster.
     for a, b in zip(levels, levels[1:]):
         for c in np.unique(a.membership):
@@ -400,9 +387,7 @@ def test_multilayer_refuses_graphs_above_the_dense_limit():
 
 def test_multilayer_rejects_noise_levels(karate):
     """One-ulp modularity 'gains' from recomputation must not add levels."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficiencyWarning)
-        levels = multilayer_embed(karate.modularity_matrix(), seed=0)
+    levels = multilayer_embed(karate.modularity_matrix(), seed=0)
     assert len(levels) == 1
     assert len(np.unique(levels[0].membership)) == 4
 
@@ -411,18 +396,14 @@ def test_multilayer_tol_zero_stops_when_nothing_merges(karate):
     """With tol=0 only the structural test stands between a level that
     keeps every supernode apart and its rounding-level 'gain' (karate,
     seed 0: the four clusters again, modularity larger by one ulp)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficiencyWarning)
-        levels = multilayer_embed(karate.modularity_matrix(), tol=0.0, seed=0)
+    levels = multilayer_embed(karate.modularity_matrix(), tol=0.0, seed=0)
     assert [len(np.unique(layer.membership)) for layer in levels] == [4]
 
 
 def _levels(edges, **kwargs):
     """(level, width, clusters, modularity) of each multilayer level."""
     Q = graph.from_edge_list(edges).modularity_matrix()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficiencyWarning)
-        levels = multilayer_embed(Q, **kwargs)
+    levels = multilayer_embed(Q, **kwargs)
     return [(layer.level, layer.C, len(np.unique(layer.membership)),
              layer.modularity) for layer in levels]
 

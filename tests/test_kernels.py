@@ -74,7 +74,7 @@ def oracle_run(Q, config, pinned=None):
     assignment = init_assignment(Q0.n, config, pinned=pinned)
     aggregate = Q0.make_aggregate(assignment.H)
     trace, ops_trace = [], []
-    previous = float(np.sum(assignment.H * Q0.apply(assignment.H)))
+    start = previous = float(np.sum(assignment.H * Q0.apply(assignment.H)))
     converged = False
     sweeps = 0
     for sweeps in range(1, config.max_sweeps + 1):
@@ -86,7 +86,7 @@ def oracle_run(Q, config, pinned=None):
             previous = objective
             break
         previous = objective
-    return assignment.H, previous, sweeps, converged, trace, ops_trace
+    return assignment.H, start, previous, sweeps, converged, trace, ops_trace
 
 
 def oracle_sphere_sweep(Q, H, beta, aggregate):
@@ -102,22 +102,21 @@ def oracle_run_sphere(Q, config):
     H = init_sphere(Q.n, config.n_dims, seed=config.seed)
     Q_full = Q.full_diagonal()
     aggregate = Q_full.make_aggregate(H)
-    trace = []
-    degenerate = 0
-    previous = float(np.sum(H * Q_full.apply(H)))
+    trace, degenerate = [], []
+    start = previous = float(np.sum(H * Q_full.apply(H)))
     converged = False
     sweeps = 0
     for sweeps in range(1, config.max_sweeps + 1):
         objective, skipped = oracle_sphere_sweep(Q_full, H, config.beta,
                                                  aggregate)
-        degenerate += skipped
+        degenerate.append(skipped)
         trace.append(objective)
         if abs(objective - previous) < config.tol:
             converged = True
             previous = objective
             break
         previous = objective
-    return H, previous, sweeps, converged, trace, degenerate
+    return H, start, previous, sweeps, converged, trace, degenerate
 
 
 def oracle_ql(d, e, Z, max_iter=50):
@@ -318,12 +317,14 @@ def _path_graph(n, isolated=0):
 
 def assert_same_run(Q, config, pinned):
     got = clustering.run(Q, config, pinned=pinned)
-    H, objective, sweeps, converged, trace, ops = oracle_run(Q, config,
-                                                             pinned)
+    H, start, objective, sweeps, converged, trace, ops = oracle_run(
+        Q, config, pinned)
+    climb = got.climb
     assert same_bytes(got.assignment.H, H)
-    assert same_bytes(got.objective_trace, trace)
-    assert same_bytes(got.ops_per_sweep, ops)
-    assert (got.objective, got.sweeps, got.converged) == (
+    assert same_bytes(climb.start, start)
+    assert same_bytes(climb.objective_trace, trace)
+    assert same_bytes(climb.counts, ops)
+    assert (climb.objective, climb.sweeps, climb.converged) == (
         objective, sweeps, converged)
 
 
@@ -410,11 +411,15 @@ def test_clamp_and_fallback_both_fire():
 # --- sphere sweeps -----------------------------------------------------------
 
 def assert_same_sphere(Q, config, sweeps=3):
-    got = sphere.run_sphere(Q, config)
-    want = oracle_run_sphere(Q, config)
-    assert same_bytes(got[0], want[0])
-    assert same_bytes(got[4], want[4])
-    assert got[1:4] == want[1:4] and got[5] == want[5]
+    H, climb = sphere.run_sphere(Q, config)
+    want_H, start, objective, passes, converged, trace, skipped = (
+        oracle_run_sphere(Q, config))
+    assert same_bytes(H, want_H)
+    assert same_bytes(climb.start, start)
+    assert same_bytes(climb.objective_trace, trace)
+    assert climb.counts == skipped
+    assert (climb.objective, climb.sweeps, climb.converged) == (
+        objective, passes, converged)
 
     Q_full = Q.full_diagonal()
     fast = init_sphere(Q.n, config.n_dims, seed=config.seed)

@@ -1,7 +1,5 @@
 """Unit-sphere embedding: blend updates, monotonicity, degenerate rows."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -82,13 +80,12 @@ def test_every_update_is_monotone():
 
 def test_run_keeps_unit_rows_and_monotone_trace(karate):
     Q = karate.modularity_matrix()
-    H, objective, sweeps, converged, trace, degenerate = run_sphere(
-        Q, SphereConfig(n_dims=4, beta=0.5, seed=0)
-    )
+    H, climb = run_sphere(Q, SphereConfig(n_dims=4, beta=0.5, seed=0))
+    trace = climb.objective_trace
     assert np.abs(np.linalg.norm(H, axis=1) - 1.0).max() < 1e-12
     assert all(b >= a - 1e-10 for a, b in zip(trace, trace[1:]))
-    assert objective == trace[sweeps - 1]
-    assert degenerate == 0
+    assert climb.start <= trace[0] + 1e-10
+    assert sum(climb.counts) == 0
 
 
 def test_degenerate_rows_are_skipped_and_counted():
@@ -97,8 +94,8 @@ def test_degenerate_rows_are_skipped_and_counted():
     Q = g.modularity_matrix()
     config = SphereConfig(n_dims=3, beta=1.0, seed=0, max_sweeps=10)
     H0 = init_sphere(g.n, 3, seed=0)[3].copy()
-    H, _, sweeps, _, _, degenerate = run_sphere(Q, config)
-    assert degenerate == sweeps  # node 3 skipped once per sweep
+    H, climb = run_sphere(Q, config)
+    assert climb.counts == [1] * climb.sweeps  # node 3, once per sweep
     assert np.array_equal(H[3], H0)
 
 
@@ -113,9 +110,9 @@ def test_sphere_update_reports_movement():
 
 def test_sphere_embed_orthonormal(karate):
     Q = karate.modularity_matrix()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # sphere rows are not stochastic
-        result = sphere_embed(Q, SphereConfig(n_dims=4, beta=0.5, seed=0))
+    result = sphere_embed(Q, SphereConfig(n_dims=4, beta=0.5, seed=0))
+    # Sphere rows are not stochastic, so no column of Q H is dependent.
+    assert result.embedding.dropped_columns == ()
     Hh = result.embedding.H_hat
     assert Hh.shape == (34, 4)
     assert np.abs(Hh.T @ Hh - np.eye(4)).max() < 1e-10
@@ -126,7 +123,7 @@ def test_seed_determinism(karate):
     a = sphere_embed(Q, SphereConfig(n_dims=3, beta=0.3, seed=5))
     b = sphere_embed(Q, SphereConfig(n_dims=3, beta=0.3, seed=5))
     assert np.array_equal(a.embedding.H_hat, b.embedding.H_hat)
-    assert a.objective_trace == b.objective_trace
+    assert a.climb == b.climb
 
 
 def test_sphere_at_beta_one_finds_the_planted_eigenspace():

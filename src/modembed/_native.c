@@ -1,9 +1,11 @@
 /* Compiled loops behind _native.library(), each called only through a
  * wrapper in _native.py: the rotation loops of the dense eigensolvers in
- * spectral.py (modembed_ql, modembed_jacobi), the %.17g row writer behind
- * every TSV writer (modembed_format_rows), the one CAFE and sphere sweep
- * behind clustering._kernel (modembed_sweep), the modularity operator's
- * Q @ H behind ModularityMatrix.apply (modembed_apply), the one TSV
+ * spectral.py (modembed_ql, modembed_jacobi) and the rank updates of its
+ * Householder reduction (modembed_householder), the %.17g row writer
+ * behind every TSV writer (modembed_format_rows), the one CAFE and sphere
+ * sweep behind clustering._kernel (modembed_sweep), the modularity
+ * operator's Q @ H behind ModularityMatrix.apply, with orthogonal
+ * iteration's shifted block as a second store (modembed_apply), the one TSV
  * scanner behind graph.load_edge_list, tasks.load_labels and
  * embedding.load_embedding_tsv (modembed_scan), the graph build behind
  * graph._from_ids (modembed_build), and the classifier's gradient descent
@@ -13,7 +15,9 @@
  *
  * Each rotation function repeats its Python loop operation for
  * operation: the same IEEE operations on the same doubles in the same
- * order, libm hypot where numpy calls np.hypot, no reassociation.  Built
+ * order, libm hypot where numpy calls np.hypot, no reassociation.  The
+ * Householder step takes only the elementwise updates; the norms and the
+ * matrix-vector products stay numpy's, so no BLAS byte is redone.  Built
  * with -ffp-contract=off so no multiply-add is fused; the results are
  * then bit for bit those of the Python loops, NaN and inf included.
  *
@@ -73,6 +77,24 @@
 #include <stdlib.h>
 #include <string.h>
 
+/* Two doubles, for the QL rotations, the Householder step and the fit's
+ * row passes; each lane takes the IEEE operation a scalar would, so the
+ * bytes are the same. */
+typedef double v2df __attribute__((vector_size(16)));
+typedef long long v2di __attribute__((vector_size(16)));
+
+static v2df load2(const double *p)
+{
+    v2df v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static void store2(double *p, v2df v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
 /* max of fabs over n doubles, NaN if any is NaN (numpy's max). */
 static double abs_max(const double *x, ptrdiff_t n)
 {
@@ -129,7 +151,14 @@ ptrdiff_t modembed_ql(ptrdiff_t n, ptrdiff_t k, double *d, double *e,
                 d[i + 1] = g + p;
                 g = c * r - b;
                 double *zi = zt + i * k, *zi1 = zi + k;
-                for (ptrdiff_t j = 0; j < k; j++) {
+                const v2df ss = {s, s}, cs = {c, c};
+                ptrdiff_t j = 0;
+                for (; j + 2 <= k; j += 2) {
+                    const v2df a = load2(zi + j), y = load2(zi1 + j);
+                    store2(zi1 + j, ss * a + cs * y);
+                    store2(zi + j, cs * a - ss * y);
+                }
+                if (j < k) {
                     double a = zi[j], y = zi1[j];
                     zi1[j] = s * a + c * y;
                     zi[j] = c * a - s * y;
@@ -202,6 +231,49 @@ int modembed_jacobi(ptrdiff_t n, double *a, double *v, double tol,
         }
     }
     return 0;
+}
+
+/* One step of spectral._householder_tridiagonalize's reduction at column
+ * k of the row-major n x n matrices t (T) and b (B), after the products
+ * numpy forms: with r = n - k - 1, v the unit reflector, p = S v for the
+ * trailing r x r block S of T, k4 = 4 (v . p) and w = A v for the
+ * trailing n x r block A of B, it updates
+ *     S[i, j] -= (2 (v_i p_j) + 2 (p_i v_j)) - k4 (v_i v_j),
+ *     A[i, j] -= 2 (w_i v_j),
+ * each entry by the operations of the numpy statements in their order:
+ * np.outer's products, the scalings, the sum, the difference, then the
+ * in-place subtract. */
+void modembed_householder(ptrdiff_t n, ptrdiff_t k, double *t, double *b,
+                          const double *v, const double *p, const double *w,
+                          double k4)
+{
+    const ptrdiff_t r = n - k - 1;
+    const v2df two = {2.0, 2.0}, k4s = {k4, k4};
+    for (ptrdiff_t i = 0; i < r; i++) {
+        const double vi = v[i], pi = p[i];
+        const v2df vis = {vi, vi}, pis = {pi, pi};
+        double *s = t + (k + 1 + i) * n + k + 1;
+        ptrdiff_t j = 0;
+        for (; j + 2 <= r; j += 2) {
+            const v2df pj = load2(p + j), vj = load2(v + j);
+            store2(s + j, load2(s + j) - ((two * (vis * pj)
+                                           + two * (pis * vj))
+                                          - k4s * (vis * vj)));
+        }
+        if (j < r)
+            s[j] = s[j] - ((2.0 * (vi * p[j]) + 2.0 * (pi * v[j]))
+                           - k4 * (vi * v[j]));
+    }
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const double wi = w[i];
+        const v2df wis = {wi, wi};
+        double *a = b + i * n + k + 1;
+        ptrdiff_t j = 0;
+        for (; j + 2 <= r; j += 2)
+            store2(a + j, load2(a + j) - two * (wis * load2(v + j)));
+        if (j < r)
+            a[j] = a[j] - 2.0 * (wi * v[j]);
+    }
 }
 
 /* --- %.17g rows ------------------------------------------------------- */
@@ -569,23 +641,6 @@ ptrdiff_t modembed_sweep(const struct modembed_operator *op,
 
 /* --- classifier fit ---------------------------------------------------- */
 
-/* Two doubles, for the fit's row passes; each lane takes the IEEE
- * operation a scalar would, so the bytes are the same. */
-typedef double v2df __attribute__((vector_size(16)));
-typedef long long v2di __attribute__((vector_size(16)));
-
-static v2df load2(const double *p)
-{
-    v2df v;
-    memcpy(&v, p, sizeof v);
-    return v;
-}
-
-static void store2(double *p, v2df v)
-{
-    memcpy(p, &v, sizeof v);
-}
-
 /* Row g of c values plus b, then minus its maximum as the fit's chain of
  * np.maximum over the columns forms it: the row's first NaN if it holds
  * one, else its largest value.  A maximum does not round, so the two
@@ -692,22 +747,30 @@ void modembed_fit(const struct modembed_loops *lp, ptrdiff_t m, ptrdiff_t d,
  * off-diagonal mass p is the CSR (indptr, indices, data), as
  * ModularityMatrix.apply forms it: h is the row-major n x k block H,
  * c = marginal @ H, diag the diagonal mass (or the squared marginal for a
- * zeroed diagonal), out a row-major n x k array.  Each entry's sparse
- * part starts at 0.0 and adds data[p] * H[indices[p], j] over the row's
- * stored entries in order, as scipy's csr_matvecs and the numpy fallback
- * do; then it becomes (sum - pi_i * c_j) + diag_i * H[i, j].  Four
- * columns are summed at a time in registers, so each stored entry is
- * read once per four columns and no partial sum goes through memory. */
+ * zeroed diagonal).  Each entry's sparse part starts at 0.0 and adds
+ * data[p] * H[indices[p], j] over the row's stored entries in order, as
+ * scipy's csr_matvecs and the numpy fallback do; then it becomes
+ * (sum - pi_i * c_j) + diag_i * H[i, j].  Four columns are summed at a
+ * time in registers, so each stored entry is read once per four columns
+ * and no partial sum goes through memory.
+ *
+ * Row i is stored at out + i * out_step: out_step = k gives the row-major
+ * n x k Q @ H, out_step = 0 reuses one row of k doubles.  When shifted is
+ * not NULL, each row is then also stored as shift * H[i, j] + out[i, j]
+ * at shifted[j * n + i]: the column-major n x k matrix shift H + Q H,
+ * each entry by np.multiply then np.add, that orthogonal iteration hands
+ * to LAPACK next. */
 void modembed_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
                     const int64_t *indices, const double *data,
                     const double *marginal, const double *h, const double *c,
-                    const double *diag, double *out)
+                    const double *diag, double *out, ptrdiff_t out_step,
+                    double shift, double *shifted)
 {
     for (ptrdiff_t i = 0; i < n; i++) {
         const ptrdiff_t s = indptr[i], e = indptr[i + 1];
         const double pi = marginal[i], d = diag[i];
         const double *hi = h + i * k;
-        double *o = out + i * k;
+        double *o = out + i * out_step;
         ptrdiff_t j = 0;
         for (; j + 4 <= k; j += 4) {
             double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
@@ -730,6 +793,9 @@ void modembed_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
                 s0 = s0 + data[p] * h[indices[p] * k + j];
             o[j] = (s0 - pi * c[j]) + d * hi[j];
         }
+        if (shifted != NULL)
+            for (j = 0; j < k; j++)
+                shifted[j * n + i] = shift * hi[j] + o[j];
     }
 }
 

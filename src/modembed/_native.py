@@ -11,8 +11,11 @@ bytes and stays as the fallback and the tests' oracle:
   writer (`graph._write_rows`), in one buffer that it reuses;
 - `sweep`: `modembed_sweep`, one softmax or sphere pass for
   `clustering._kernel`, over C-order arrays only;
-- `apply`: `modembed_apply`, Q @ H over a graph's own int64 CSR rows
-  for `graph.ModularityMatrix.apply`;
+- `householder`: `modembed_householder`, the two rank updates of each
+  step of the Householder reduction (`spectral`), in place;
+- `apply`, `shifted_apply`: `modembed_apply`, Q @ H over a graph's own
+  int64 CSR rows for `graph.ModularityMatrix.apply`, the second also
+  storing the shifted block of orthogonal iteration column-major;
 - `scan`: `modembed_scan`, the scanner behind the edge-list, label and
   embedding readers; a label file's nodes are found among the labels
   of a scanned graph;
@@ -137,8 +140,10 @@ def library():
              offsets, ctypes.POINTER(ctypes.c_char)),
             ("sweep", size, ctypes.POINTER(_Operator), ctypes.c_void_p * 8,
              array, size, offsets, size, c_int, double, array),
+            ("householder", None, size, size, array, array, values,
+             values, values, double),
             ("apply", None, size, size, int64, int64, values, values,
-             values, values, values, array),
+             values, values, values, array, size, double, ctypes.c_void_p),
             ("scan", c_int, c_int, ctypes.c_char_p, size, ctypes.c_char_p,
              size, ctypes.POINTER(_Scan)),
             ("build", c_int, size, size, int64, values,
@@ -340,21 +345,66 @@ def sweep(rule, Q, H, aggregate, rows, weight):
 
 
 @_recorded
-def apply(graph, H, c, diag):
-    """Q @ H for the modularity operator of `graph`, as a new C-order
-    array, from the float64 n x K block H (any strides), c = marginal @ H
-    and the diagonal `diag`; None when the library is missing.  The bytes
-    are those of `ModularityMatrix.apply`'s numpy path."""
+def householder(t, b, k, v, p, w, k4):
+    """One step of `spectral._householder_tridiagonalize` at column k,
+    compiled: the updates of the C-order n x n float64 T (`t`) and B
+    (`b`) in place from the reflector v, p = S v, w = A v and k4 = 4 v.p;
+    None when the library is missing or T is not in C order.  The bytes
+    are those of the step's numpy statements."""
+    lib = library()
+    n = t.shape[0]
+    r = n - k - 1
+    if lib is None or not t.flags.c_contiguous:
+        return None
+    if not (t.shape == b.shape == (n, n) and
+            v.shape == p.shape == (r,) and w.shape == (n,)):
+        raise ValueError("householder needs n x n T and B, v and p of "
+                         "length n - k - 1 and w of length n")
+    lib.modembed_householder(n, k, t, b, v, p, w, k4)
+    return t, b
+
+
+def _apply(graph, H, c, diag, shift=0.0, shifted=None, keep=True):
+    """modembed_apply on the float64 n x K block H (any strides), or None
+    when the library is missing."""
     lib = library()
     if lib is None:
         return None
     # The pass gathers whole rows of H, so a column-major or strided H is
     # read from a C-order copy; the bytes do not depend on the layout.
     H = np.require(H, requirements="CA")
-    out = np.empty(H.shape)
-    lib.modembed_apply(*H.shape, graph.indptr, graph.indices, graph.data,
-                       graph.marginal, H, c, diag, out)
+    n, k = H.shape
+    if shifted is not None and not (
+            isinstance(shifted, np.ndarray) and
+            shifted.dtype == np.float64 and shifted.shape == (k, n) and
+            shifted.flags.c_contiguous and shifted.flags.aligned and
+            shifted.flags.writeable):
+        raise ValueError(f"shifted must be a writeable C-order float64 "
+                         f"array of shape {(k, n)}")
+    out = np.empty(H.shape if keep else (1, k))
+    lib.modembed_apply(n, k, graph.indptr, graph.indices, graph.data,
+                       graph.marginal, H, c, diag, out, k if keep else 0,
+                       shift, None if shifted is None else shifted.ctypes.data)
     return out
+
+
+@_recorded
+def apply(graph, H, c, diag):
+    """Q @ H for the modularity operator of `graph`, as a new C-order
+    array, from the float64 n x K block H (any strides), c = marginal @ H
+    and the diagonal `diag`; None when the library is missing.  The bytes
+    are those of `ModularityMatrix.apply`'s numpy path."""
+    return _apply(graph, H, c, diag)
+
+
+@_recorded
+def shifted_apply(graph, H, c, diag, shift, shifted, keep):
+    """`apply` that also stores shift * H + Q @ H, transposed, into the
+    C-order K x n float64 array `shifted`, each entry as np.multiply then
+    np.add give it.  Returns Q @ H, or with keep=False only its last row
+    (the pass then reuses one row), or None when the library is
+    missing."""
+    return _apply(graph, H, c, diag, shift, shifted, keep)
 
 
 class _Scan(ctypes.Structure):

@@ -207,7 +207,7 @@ class ModularityMatrix:
     def full_diagonal(self):
         return ModularityMatrix(self.graph)
 
-    def apply(self, H):
+    def apply(self, H, shift=0.0, shifted=None, keep=True):
         """Q @ H without materializing Q.  Every entry is the sparse
         part, its row's stored entries summed in order from 0.0, minus
         the rank-one correction pi_i * (pi @ H)_k, plus the diagonal mass
@@ -216,7 +216,14 @@ class ModularityMatrix:
         sums the k-th stored entry of every row at step k, then subtracts
         and adds the last two terms over the whole block.  Both give the
         same bytes, but for the sign of a NaN made where NaNs of both
-        signs meet."""
+        signs meet.
+
+        With `shifted`, a C-order K x n float64 array, the block that
+        orthogonal iteration factors next, (shift * H + Q @ H)^T, is also
+        stored there, each entry by np.multiply then np.add; the compiled
+        pass (`_native.shifted_apply`) stores it as it forms each row.
+        keep=False returns None, and the compiled pass then holds only
+        one row of Q @ H at a time."""
         H = np.asarray(H, dtype=float)
         squeeze = H.ndim == 1
         if squeeze:
@@ -227,7 +234,10 @@ class ModularityMatrix:
         pi = g.marginal
         c = pi @ H
         diag = pi ** 2 if self.diag_zeroed else g.diag_mass
-        out = _native.apply(g, H, c, diag)
+        if shifted is None:
+            out = _native.apply(g, H, c, diag)
+        else:
+            out = _native.shifted_apply(g, H, c, diag, shift, shifted, keep)
         if out is None:
             out = np.zeros(H.shape)
             counts = np.diff(g.indptr)
@@ -238,6 +248,11 @@ class ModularityMatrix:
                 out[rows] += g.data[at, None] * H[g.indices[at]]
             out -= np.outer(pi, c)
             out += diag[:, None] * H
+            if shifted is not None:
+                np.multiply(shift, H.T, out=shifted)
+                np.add(shifted, out.T, out=shifted)
+        if not keep:
+            return None
         return out[:, 0] if squeeze else out
 
     def make_aggregate(self, H):

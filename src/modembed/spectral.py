@@ -5,9 +5,11 @@ truth, so the eigensolvers are implemented in-repo rather than delegated:
 cyclic Jacobi rotations for small dense matrices, Householder reduction
 plus implicit-shift QL for mid-sized ones, and orthogonal iteration on
 the implicit operator when only a few leading eigenvectors are needed.
-The Jacobi and QL rotation loops run compiled from `_native.c` when a
-C compiler is available (see `_native`), bit for bit as their numpy
-versions here, which run otherwise.
+The Jacobi and QL rotation loops, the Householder reduction's two rank
+updates per step and orthogonal iteration's shifted block (stored by the
+operator's apply, column-major for LAPACK) run compiled from `_native.c`
+when a C compiler is available (see `_native`), bit for bit as their
+numpy versions here and in `graph`, which run otherwise.
 
 The alignment report quantifies how close a two-cluster assignment's
 leading column is to the top modularity eigenvector: with
@@ -154,7 +156,10 @@ def _householder_tridiagonalize(A):
     """Reduce a symmetric matrix to tridiagonal form, A = B T B^T.
 
     Returns (d, e, B): diagonal, subdiagonal, and the accumulated
-    orthogonal transform.
+    orthogonal transform.  Each step's norms and products are numpy's;
+    its two rank updates run compiled (`_native.householder`) on a C-order
+    T when the library is available, else as the numpy statements below,
+    with the same bytes.
     """
     n = A.shape[0]
     T = np.array(A, dtype=float)
@@ -174,13 +179,16 @@ def _householder_tridiagonalize(A):
         sub = T[k + 1:, k + 1:]
         p = sub @ v
         K = v @ p
-        sub -= 2.0 * np.outer(v, p) + 2.0 * np.outer(p, v) - 4.0 * K * np.outer(v, v)
+        acc = B[:, k + 1:]
+        w = acc @ v
+        if _native.householder(T, B, k, v, p, w, 4.0 * K) is None:
+            sub -= (2.0 * np.outer(v, p) + 2.0 * np.outer(p, v)
+                    - 4.0 * K * np.outer(v, v))
+            acc -= 2.0 * np.outer(w, v)
         T[k + 1, k] = alpha
         T[k, k + 1] = alpha
         T[k + 2:, k] = 0.0
         T[k, k + 2:] = 0.0
-        acc = B[:, k + 1:]
-        acc -= 2.0 * np.outer(acc @ v, v)
     return np.diag(T).copy(), np.diag(T, -1).copy(), B
 
 
@@ -357,8 +365,10 @@ def _orthogonal_iteration(Q, k):
     # the m x m Ritz solves to O(log) of the total.
     next_check = 0
     for it in range(_ORTHO_ITERATIONS):
-        Y = Q.apply(Z)
-        if it >= next_check:
+        # buf = (Q Z + shift Z)^T, column-major for LAPACK; Y = Q Z only
+        # on the steps that check it.
+        Y = Q.apply(Z, shift, buf, keep=it >= next_check)
+        if Y is not None:
             B = Z.T @ Y
             inner = jacobi_eigh((B + B.T) / 2.0)
             mu = inner.eigenvalues[:k]
@@ -368,9 +378,6 @@ def _orthogonal_iteration(Q, k):
             if float(np.linalg.norm(residual, axis=0).max()) <= _RITZ_TOL:
                 return _finish(mu, ritz)
             next_check = it + 1 + min(it // 2, 63)
-        # Y + shift * Z, formed column-major for LAPACK.
-        np.multiply(shift, Z.T, out=buf)
-        np.add(buf, Y.T, out=buf)
         Z = _thin_q(buf)
     raise ConvergenceError(
         f"orthogonal iteration: no convergence in {_ORTHO_ITERATIONS} "

@@ -1,7 +1,8 @@
 /* Hostile inputs for modembed_scan, the TSV scanner in _native.c, for
  * modembed_build, which reads what it gives, for the row writer
- * modembed_format_rows, the operator pass modembed_apply and the
- * classifier fit modembed_fit (on stand-ins for numpy's loops), built with
+ * modembed_format_rows, the operator pass modembed_apply with both its
+ * stores, the Householder step modembed_householder and the classifier
+ * fit modembed_fit (on stand-ins for numpy's loops), built with
  * -fsanitize=address,undefined by tests/test_io.py.  The driver is one
  * unit with _native.c, which it includes (the test puts its directory on
  * the include path), so every call and struct is checked against the
@@ -436,13 +437,16 @@ static void format_cases(void)
 
 /* modembed_apply on the n-node CSR with blocks of exactly their size,
  * against the loop it must match: each entry's stored entries summed in
- * order from 0.0, then (sum - pi_i c_j) + diag_i h_ij. */
+ * order from 0.0, then (sum - pi_i c_j) + diag_i h_ij.  Then its second
+ * store, the column-major shift h_ij + out_ij in a block of n k doubles,
+ * once beside the whole out and once with out one reused row of k. */
 static void check_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
                         const int64_t *indices, const double *data,
                         const double *marginal, const double *h,
                         const double *c, const double *diag)
 {
     size_t nnz = (size_t)indptr[n], block = (size_t)(n * k) * sizeof *h;
+    const double shift = 0.375;
     int64_t *ip = exact(indptr, (size_t)(n + 1) * sizeof *ip);
     int64_t *ix = exact(indices, nnz * sizeof *ix);
     double *d = exact(data, nnz * sizeof *d);
@@ -450,6 +454,8 @@ static void check_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
     double *hs = exact(h, block), *cs = exact(c, (size_t)k * sizeof *cs);
     double *dg = exact(diag, (size_t)n * sizeof *dg);
     double *out = malloc(block), *want = malloc(block);
+    double *shifted = malloc(block), *want_shifted = malloc(block);
+    double *row = malloc((size_t)k * sizeof *row);
     for (ptrdiff_t i = 0; i < n; i++) {
         for (ptrdiff_t j = 0; j < k; j++) {
             double s = 0.0;
@@ -457,13 +463,26 @@ static void check_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
                 s = s + data[p] * h[indices[p] * k + j];
             double hij = h[i * k + j];
             want[i * k + j] = (s - marginal[i] * c[j]) + diag[i] * hij;
+            want_shifted[j * n + i] = shift * hij + want[i * k + j];
         }
     }
-    modembed_apply(n, k, ip, ix, d, pi, hs, cs, dg, out);
+    modembed_apply(n, k, ip, ix, d, pi, hs, cs, dg, out, k, 0.0, NULL);
     if (memcmp(out, want, block) != 0) {
         fprintf(stderr, "apply at k = %ld differs from the plain loop\n",
                 (long)k);
         failures++;
+    }
+    for (ptrdiff_t step = k; step >= 0; step -= k ? k : 1) {
+        memset(out, 0, block);
+        memset(shifted, 0, block);
+        modembed_apply(n, k, ip, ix, d, pi, hs, cs, dg, step ? out : row,
+                       step, shift, shifted);
+        if (memcmp(shifted, want_shifted, block) != 0 ||
+            (step && memcmp(out, want, block) != 0)) {
+            fprintf(stderr, "shifted apply at k = %ld, step %ld differs "
+                    "from the plain loop\n", (long)k, (long)step);
+            failures++;
+        }
     }
     free(ip);
     free(ix);
@@ -474,6 +493,9 @@ static void check_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
     free(dg);
     free(out);
     free(want);
+    free(shifted);
+    free(want_shifted);
+    free(row);
 }
 
 static void apply_cases(void)
@@ -498,6 +520,60 @@ static void apply_cases(void)
         /* H is n x k: the first n k values. */
         check_apply(N, k, indptr, indices, data, marginal, h, c, diag);
     }
+}
+
+/* modembed_householder at column k of n x n T and B, each argument in a
+ * block of exactly its size, against the plain loop of its contract. */
+static void check_householder(ptrdiff_t n, ptrdiff_t k, const double *values)
+{
+    const ptrdiff_t r = n - k - 1;
+    const size_t square = (size_t)(n * n) * sizeof(double);
+    const double k4 = values[0] * 4.0;
+    double *t = exact(values, square), *b = exact(values + 1, square);
+    double *v = exact(values + 2, (size_t)r * sizeof *v);
+    double *p = exact(values + 3, (size_t)r * sizeof *p);
+    double *w = exact(values + 4, (size_t)n * sizeof *w);
+    double *want_t = exact(values, square), *want_b = exact(values + 1, square);
+    for (ptrdiff_t i = 0; i < r; i++)
+        for (ptrdiff_t j = 0; j < r; j++) {
+            double *x = want_t + (k + 1 + i) * n + k + 1 + j;
+            double outer = 2.0 * (v[i] * p[j]) + 2.0 * (p[i] * v[j]);
+            *x = *x - (outer - k4 * (v[i] * v[j]));
+        }
+    for (ptrdiff_t i = 0; i < n; i++)
+        for (ptrdiff_t j = 0; j < r; j++) {
+            double *x = want_b + i * n + k + 1 + j;
+            *x = *x - 2.0 * (w[i] * v[j]);
+        }
+    modembed_householder(n, k, t, b, v, p, w, k4);
+    if (memcmp(t, want_t, square) != 0 || memcmp(b, want_b, square) != 0) {
+        fprintf(stderr, "householder at n = %ld, k = %ld differs from the "
+                "plain loop\n", (long)n, (long)k);
+        failures++;
+    }
+    free(t);
+    free(b);
+    free(v);
+    free(p);
+    free(w);
+    free(want_t);
+    free(want_b);
+}
+
+static void householder_cases(void)
+{
+    enum { N = 7 };
+    double values[N * N + 4];
+    uint64_t state = 1181783497276652981ULL;
+    for (int i = 0; i < N * N + 4; i++) {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        values[i] = (double)(int64_t)state / 9223372036854775808.0;
+    }
+    for (ptrdiff_t n = 1; n <= N; n++)
+        for (ptrdiff_t k = 0; k + 1 < n; k++)
+            check_householder(n, k, values);
 }
 
 /* Stand-ins for numpy's float64 matmul, exp and add loops, with numpy's
@@ -729,6 +805,7 @@ int main(int argc, char **argv)
     label_cases();
     format_cases();
     apply_cases();
+    householder_cases();
     fit_cases();
     for (int kind = SCAN_EDGES; kind <= SCAN_ROWS; kind++) {
         check("empty file", kind, "", 0, 0);

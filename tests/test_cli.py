@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from modembed import _native, cli, clustering, datasets, pointcloud
+from modembed import _native, cli, clustering, datasets, pointcloud, spectral
 from modembed.cli import build_parser, main
 from modembed.graph import from_edge_list, load_edge_list, save_edge_list
 from modembed.embedding import load_embedding_tsv, save_embedding_tsv
@@ -1009,15 +1009,22 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
         tmp_path):
     """The benchmark's command shapes plus `embed cafe --full-label`,
     pinned `--labels`, the full `eigs` spectrum, `reduce --method sphere`
-    and `eval link`, on a 120-node SBM: with the compiled library and
-    with every Python fallback, each `.tsv` has the same bytes, and each
-    manifest records the path every entry point it used took."""
+    and `eval link`, on a 120-node SBM, and `verify` on a 220-node SBM,
+    past the Jacobi limit, so the Householder reduction and QL run: with
+    the compiled library and with every Python fallback, each `.tsv` has
+    the same bytes, and each manifest records the path every entry point
+    it used took."""
     if _native.library() is None:
         pytest.skip("no compiled library")
     probs = np.full((3, 3), 0.03) + np.eye(3) * 0.27
     edges, blocks = datasets.sbm_edges([40, 40, 40], probs, seed=5)
     graph_path = tmp_path / "sbm.tsv"
     graph_path.write_text("".join(f"{u}\t{w}\n" for u, w in edges))
+    edges, _ = datasets.sbm_edges([110, 110], np.array(
+        [[0.2, 0.02], [0.02, 0.2]]), seed=6)
+    large = tmp_path / "sbm220.tsv"
+    large.write_text("".join(f"{u}\t{w}\n" for u, w in edges))
+    assert len({v for edge in edges for v in edge}) > spectral._JACOBI_LIMIT
     classes = [f"{u}\tc{b}\n" for u, b in enumerate(blocks)]
     labels = tmp_path / "labels.tsv"
     labels.write_text("".join(classes))
@@ -1032,7 +1039,9 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
             "classify.tsv": "build fit row_formatter scan",
             "ml.tsv": "apply build row_formatter scan sweep",
             "verify.tsv": "apply build jacobi row_formatter scan sweep",
-            "eigs.tsv": "apply build jacobi row_formatter scan",
+            "verify220.tsv": "apply build householder ql row_formatter "
+                             "scan sweep",
+            "eigs.tsv": "build jacobi row_formatter scan shifted_apply",
             "reduce.tsv": "jacobi row_formatter sweep",
             "spectrum.tsv": "build jacobi row_formatter scan",
             "link.tsv": "build fit row_formatter scan"}
@@ -1054,6 +1063,8 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
              "--out", f"{d}/ml.tsv"],
             ["verify", "--graph", g, "--k", "2", "--theta", "2e4",
              "--out", f"{d}/verify.tsv"],
+            ["verify", "--graph", str(large), "--k", "2", "--theta", "2e4",
+             "--out", f"{d}/verify220.tsv"],
             ["eigs", "--graph", g, "--topk", "4", "--out", f"{d}/eigs.tsv"],
             ["reduce", "--points", str(points), "--k", "6", "--max-sweeps",
              "20", "--tol", "0", "--out", f"{d}/reduce.tsv"],
@@ -1074,7 +1085,7 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
         assert _manifest(d / "cafe.tsv")["compiled"] is (mode == "compiled")
         written[mode] = {p.name: p.read_bytes() for p in d.glob("*.tsv")}
         paths[mode] = {out: _manifest(d / out)["paths"] for out in used}
-    assert len(written["compiled"]) == 19, sorted(written["compiled"])
+    assert len(written["compiled"]) == 20, sorted(written["compiled"])
     assert written["python"] == written["compiled"]
     for mode, recorded in paths.items():
         assert recorded == {out: dict.fromkeys(entries.split(), mode)

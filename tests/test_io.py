@@ -1141,7 +1141,8 @@ def test_scanner_survives_hostile_buffers_under_sanitizers(tmp_path):
     ids up to n - 1, out-of-range ids and pairs whose hash tags collide;
     the row writer the longest values, specials and empty labels in the
     budget `_native.row_formatter` reserves; Q @ H at k = 1-9 with rows
-    of degree 0; and the classifier fit at m = 1, C = 1 and larger
+    of degree 0, also with its column-major second store; the
+    Householder step at every column of n = 1-7; and the classifier fit at m = 1, C = 1 and larger
     shapes, on stand-ins for numpy's loops, with its row shift on NaNs of
     two payloads: each against a plain loop."""
     flags = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all",

@@ -1,7 +1,8 @@
 """Prepared and compiled fast paths against the plain implementations
 they replaced, which are kept below or in the package as oracles.
-Sweeps, the QL and Jacobi eigensolvers, the thin QR and the classifier
-fit must agree bit for bit: every array is compared with
+Sweeps, the QL and Jacobi eigensolvers, the Householder reduction,
+the operator's shifted store, the thin QR and the classifier fit must
+agree bit for bit: every array is compared with
 `tobytes()`, every count and trace exactly.  Every sweep check runs on
 the compiled sweeps and again on the plain rules they fall back to.
 The sweeps' row invariants are checked here too, one pass at a time,
@@ -852,6 +853,74 @@ def test_ql_python_loop_matches_oracle():
                           max_iter=1)
 
 
+# --- Householder reduction ----------------------------------------------------
+
+def assert_same_householder(A):
+    """`_householder_tridiagonalize` with the compiled rank updates and
+    with the numpy statements: same d, e and B bytes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = spectral._householder_tridiagonalize(A)
+        with mock.patch.object(_native, "library", lambda: None):
+            want = spectral._householder_tridiagonalize(A)
+    for a, b in zip(got, want):
+        assert same_bytes(a, b)
+
+
+def _with_column(n, column, seed=0):
+    """A random symmetric n x n matrix whose first column below the
+    diagonal (and first row beside it) is `column`."""
+    A = np.random.default_rng(seed).standard_normal((n, n))
+    A = A + A.T
+    A[1:, 0] = A[0, 1:] = column
+    return A
+
+
+def _with_value(i, j, value):
+    A = np.arange(36.0).reshape(6, 6)
+    A = A + A.T
+    A[i, j] = value
+    return A
+
+
+@SETTINGS
+@given(A=symmetric_matrix())
+# A zero sub-column skips its step (norm_x == 0).
+@example(A=_with_column(6, 0.0))
+@example(A=np.diag([3.0, -1.0, 2.0, 0.0]))
+# The vnorm == 0 branch: |v| >= |x| entry by entry, so once norm_x > 0
+# vnorm is too; the nearest case is a sub-column whose squared norm is
+# the smallest subnormal, where v[0] doubles it.
+@example(A=_with_column(5, [2.2e-162, 0.0, 0.0, 0.0]))
+@example(A=_with_column(5, [0.0, 2.2e-162, 0.0, 0.0]))
+@example(A=np.ones((1, 1)))
+@example(A=np.array([[1.0, 2.0], [2.0, -1.0]]))
+@example(A=_with_value(0, 0, np.nan))
+@example(A=_with_value(3, 1, np.nan))
+@example(A=_with_value(2, 2, np.inf))
+@example(A=_with_value(1, 4, -np.inf))
+@example(A=_with_column(400, np.linspace(-1.0, 1.0, 399), seed=1))
+def test_compiled_householder_matches_the_numpy_loop(A):
+    assert_same_householder(A)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_householder_records_its_path():
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((12, 12))
+    for library, path in ((_native.library, "compiled"),
+                          (lambda: None, "python")):
+        _native.paths.clear()
+        with mock.patch.object(_native, "library", library):
+            spectral._householder_tridiagonalize(A + A.T)
+        assert _native.paths == {"householder": path}
+    # A column-major T is left to the numpy statements, with its bytes.
+    _native.paths.clear()
+    B = np.asfortranarray(A + 0.5 * A.T)
+    assert_same_householder(B)
+    assert _native.paths == {"householder": "python"}
+
+
 # --- Jacobi -------------------------------------------------------------------
 
 def assert_same_jacobi(A, max_sweeps=100):
@@ -976,6 +1045,62 @@ def test_apply_rejects_a_block_of_another_height(karate):
         for path in PATHS:
             with apply_path(path), pytest.raises(ValueError, match="rows"):
                 Q.apply(H)
+
+
+@st.composite
+def shifted_case(draw):
+    """A weighted graph, an n x K block Z in C order (K = 1 to 13, across
+    the four-column chunks), a shift and whether the step checks."""
+    g = draw(weighted_graph())
+    K = draw(st.integers(1, 13))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    Z = rng.standard_normal((g.n, K)) * 10.0 ** draw(st.integers(-3, 3))
+    shift = draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                           st.floats(-1e3, 1e3)))
+    Q = g.modularity_matrix(diag_zeroed=draw(st.booleans()))
+    return Q, Z, shift, draw(st.booleans())
+
+
+def assert_same_shifted_step(Q, Z, shift, keep):
+    """`Q.apply(Z, shift, buf, keep)` on both paths against the numpy
+    statements of orthogonal iteration: Y = Q.apply(Z), then
+    buf = shift * Z^T and buf += Y^T."""
+    Y = oracle_apply(Q, Z)
+    want = np.empty(Z.shape[::-1])
+    np.multiply(shift, Z.T, out=want)
+    np.add(want, Y.T, out=want)
+    for path in PATHS:
+        buf = np.full(Z.shape[::-1], np.nan)
+        with apply_path(path):
+            got = Q.apply(Z, shift, buf, keep=keep)
+        assert same_bytes(buf, want), path
+        assert same_bytes(got, Y) if keep else got is None
+
+
+@SETTINGS
+@given(case=shifted_case())
+def test_shifted_store_matches_the_numpy_statements(case):
+    assert_same_shifted_step(*case)
+
+
+@pytest.mark.parametrize("K", range(1, 14))
+@pytest.mark.parametrize("keep", [False, True])
+def test_shifted_store_matches_at_every_width(karate, K, keep):
+    Z = np.random.default_rng(K).standard_normal((karate.n, K))
+    assert_same_shifted_step(karate.modularity_matrix(), Z, 0.25, keep)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_shifted_store_records_its_path_and_checks_its_buffer(karate):
+    Q = karate.modularity_matrix()
+    Z = np.ones((karate.n, 3))
+    _native.paths.clear()
+    Q.apply(Z, 1.0, np.empty((3, karate.n)), keep=False)
+    assert _native.paths == {"shifted_apply": "compiled"}
+    for buf in (np.empty((karate.n, 3)), np.empty((3, karate.n), order="F"),
+                np.empty((3, karate.n), np.float32)):
+        with pytest.raises(ValueError, match="shifted"):
+            Q.apply(Z, 1.0, buf)
 
 
 # --- thin QR ------------------------------------------------------------------

@@ -5,7 +5,9 @@
  * behind every TSV writer (modembed_format_rows), the one CAFE and sphere
  * sweep behind clustering._kernel (modembed_sweep), the modularity
  * operator's Q @ H behind ModularityMatrix.apply, with orthogonal
- * iteration's shifted block as a second store (modembed_apply), the one TSV
+ * iteration's shifted block as a second store and the trace objective's
+ * H * (Q @ H) behind clustering._objective as a third (modembed_apply),
+ * the one TSV
  * scanner behind graph.load_edge_list, tasks.load_labels and
  * embedding.load_embedding_tsv (modembed_scan), the graph build behind
  * graph._from_ids (modembed_build), and the classifier's gradient descent
@@ -49,6 +51,11 @@
  * same.  The one exception is the sign of a NaN made where NaNs of both
  * signs meet in an add: x86 returns one operand's, and numpy's own add
  * loop picks a different operand from one position to the next.
+ *
+ * Two paths skip the exact zeros of a hard assignment and keep every
+ * byte: the objective store sums over H's support when H is mostly
+ * zeros, and the softmax row takes the shift and the exp over h's
+ * support only when h is; each states why its bytes stay.
  *
  * modembed_scan reads a file's bytes once.  It takes the file only when
  * the text is ASCII with no NUL, '\r', '\x0b', '\x0c' or '\x1c'-'\x1f',
@@ -556,18 +563,70 @@ static void update(const struct modembed_operator *op, ptrdiff_t k,
     }
 }
 
+/* softmax_row reads only h's support when it holds at most 1 /
+ * SOFTMAX_SHARE of the row's k entries, so never for k < SOFTMAX_SHARE.
+ * Measured by sweep (2-core AVX-512 Xeon): at K = 1,500 on multilayer's
+ * level 0 of a 1,500-node planted partition, shares of 8, 32 and 64 alike
+ * cut sweeps of 25-28 ms by 2-5 ms once H was a third nonzero; on 20,000
+ * nodes with rows a quarter full, a share of 8 made sweeps at K = 32-128
+ * up to half slower, through rows that hold a few more nonzeros than
+ * the share and are scanned and then redone. */
+#define SOFTMAX_SHARE 32
+
 /* softmax_update's row for h and its covariance z at inverse temperature
- * theta, into row, with t and e as scratch; it never skips a row. */
+ * theta, into row, with t and e as scratch; it never skips a row, and
+ * leaves z as scratch too.  Returns 2 when only h's support took the
+ * shift, the exp and the division, else 1.
+ *
+ * With a finite maximum and few nonzeros in h, t - top and exp run only
+ * on h's support (NaN is nonzero), whose columns are kept at the front of
+ * z (as doubles, exact) and whose shifted values are compacted at the
+ * front of row for the exp, and the rest of the row is +0.0, the value
+ * the full row has there: h is +-0 and e lies in [0, 1] (a finite maximum
+ * leaves no NaN or +inf in t), so e h is +-0, which the clamp makes
+ * +0.0, and +0.0 / total is +0.0 for a positive total.  The support's
+ * exp bytes are the full row's because numpy's exp loop gives each
+ * element the same bytes at any call length and offset (pinned in
+ * tests/test_kernels.py).  The total is still the add loop over all k
+ * entries.  A total that is not positive (<= 0, whose fallback needs
+ * every exp, or NaN) redoes the full row from t, as does a NaN or
+ * infinite maximum. */
 static int softmax_row(const struct modembed_loops *lp, const double *h,
-                       const double *z, ptrdiff_t k, double theta,
-                       double *row, double *t, double *e)
+                       double *z, ptrdiff_t k, double theta, double *row,
+                       double *t, double *e)
 {
     ptrdiff_t unit[2] = {sizeof(double), sizeof(double)};
+    const ptrdiff_t most = k / SOFTMAX_SHARE;
     for (ptrdiff_t i = 0; i < k; i++)
         t[i] = theta * z[i];
+    ptrdiff_t m = 0;
+    for (ptrdiff_t i = 0; most > 0 && i < k && m <= most; i++)
+        if (h[i] != 0.0)
+            z[m++] = (double)i;
     /* np.maximum.reduce starts from the first value. */
     double top = k > 1 ? reduce(lp->maximum, lp->maximum_data, t[0],
                                 t + 1, k - 1) : t[0];
+    if (m > 0 && m <= most && isfinite(top)) {
+        for (ptrdiff_t j = 0; j < m; j++)
+            row[j] = t[(ptrdiff_t)z[j]] - top;
+        char *args[2] = {(char *)row, (char *)e};
+        lp->exp(args, &m, unit, lp->exp_data);
+        memset(row, 0, (size_t)k * sizeof *row);
+        for (ptrdiff_t j = 0; j < m; j++) {
+            const ptrdiff_t i = (ptrdiff_t)z[j];
+            row[i] = e[j] * h[i];
+            if (row[i] < ZERO_CLAMP)
+                row[i] = 0.0;
+        }
+        double total = reduce(lp->add, lp->add_data, 0.0, row, k);
+        if (total > 0.0) {
+            for (ptrdiff_t j = 0; j < m; j++) {
+                const ptrdiff_t i = (ptrdiff_t)z[j];
+                row[i] = row[i] / total;
+            }
+            return 2;
+        }
+    }
     for (ptrdiff_t i = 0; i < k; i++)
         t[i] -= top;
     char *args[2] = {(char *)t, (char *)e};
@@ -613,11 +672,13 @@ static int sphere_row(const struct modembed_loops *lp, const double *h,
  * order: softmax_update at inverse temperature weight (sphere 0) or
  * sphere_update at blend weight weight (sphere 1), the aggregate kept
  * in step; scratch holds (4 + max degree) k doubles, four k-vectors and
- * the gather buffer.  Returns the rows skipped. */
+ * the gather buffer.  Returns the rows skipped, and adds to *support_rows
+ * the softmax rows that read only h's support. */
 ptrdiff_t modembed_sweep(const struct modembed_operator *op,
                          const struct modembed_loops *lp, double *hs,
                          ptrdiff_t k, const ptrdiff_t *rows, ptrdiff_t n_rows,
-                         int sphere, double weight, double *scratch)
+                         int sphere, double weight, double *scratch,
+                         ptrdiff_t *support_rows)
 {
     double *z = scratch, *row = z + k, *delta = row + k, *e = delta + k;
     double *gather = e + k;
@@ -626,11 +687,13 @@ ptrdiff_t modembed_sweep(const struct modembed_operator *op,
         ptrdiff_t u = rows[r];
         double *h = hs + u * k;
         covariance(op, lp, hs, k, u, z, gather);
-        if (!(sphere ? sphere_row(lp, h, z, k, weight, row)
-                     : softmax_row(lp, h, z, k, weight, row, delta, e))) {
+        int taken = sphere ? sphere_row(lp, h, z, k, weight, row)
+                           : softmax_row(lp, h, z, k, weight, row, delta, e);
+        if (!taken) {
             skipped++;
             continue;
         }
+        *support_rows += taken == 2;
         for (ptrdiff_t i = 0; i < k; i++)
             delta[i] = row[i] - h[i];
         update(op, k, u, delta);
@@ -743,6 +806,77 @@ void modembed_fit(const struct modembed_loops *lp, ptrdiff_t m, ptrdiff_t d,
 
 /* --- Q @ H ---------------------------------------------------------------- */
 
+/* The sparse part of the objective store sums over H's support when it
+ * holds at most 1 / SPARSE_SHARE of H's entries.  Measured against the
+ * four-column loop (one call, 2-core AVX-512 Xeon): on the blocks of
+ * multilayer's level 0 on a 1,500-node planted partition (K = 1,500) the
+ * support sums were faster at every density up to 36 % (4.5 against
+ * 10.5 ms near one nonzero a row, 8.6 against 11.9 ms at 18 %); on
+ * 20,000 nodes they were slower at K = 16 and 64 with a quarter of H
+ * nonzero (4.5 against 2.4 ms, 12.0 against 10.1 ms) and faster one-hot
+ * (1.7 against 2.0 ms, 4.1 against 7.1 ms); on uniformly random supports
+ * at K = 1,500 the crossover fell to 6 %. */
+#define SPARSE_SHARE 8
+
+/* Entry q of the int32 lists at p.  The lists live in the product
+ * buffer, whose doubles later overwrite them, so they are read and
+ * written through memcpy and never as an int32 lvalue. */
+static ptrdiff_t list_entry(const unsigned char *p, ptrdiff_t q)
+{
+    int32_t v;
+    memcpy(&v, p + q * (ptrdiff_t)sizeof v, sizeof v);
+    return v;
+}
+
+static void set_list_entry(unsigned char *p, ptrdiff_t q, ptrdiff_t value)
+{
+    int32_t v = (int32_t)value;
+    memcpy(p + q * (ptrdiff_t)sizeof v, &v, sizeof v);
+}
+
+/* H's support, the entries of the row-major n x k block h whose bits are
+ * not those of +0.0 (so -0.0 and NaN are in it), as int32 lists written
+ * at the front of `store`, the n x k doubles of the product store: n + 1
+ * offsets, then the columns, so that row w's columns, ascending, are the
+ * entries n + 1 + offset[w] .. n + offset[w + 1].  *first is then the
+ * number of leading product rows the lists cover.  NULL when H holds
+ * more than n k / SPARSE_SHARE such entries, the lists would not leave a
+ * row free or n k needs more than 31 bits.  Some 64 rows spread over H
+ * are counted first, and a block they show at over twice the share is
+ * left at that; otherwise one pass fills the lists and stops once past
+ * the share.  The lists take no memory of their own. */
+static unsigned char *support(ptrdiff_t n, ptrdiff_t k, const double *h,
+                              double *store, ptrdiff_t *first)
+{
+    unsigned char *lists = (unsigned char *)store;
+    const ptrdiff_t room = n * k * 2 - (n + 1) - k;
+    const ptrdiff_t most = n * k / SPARSE_SHARE < room
+                         ? n * k / SPARSE_SHARE : room;
+    if (n * k > INT32_MAX || most < 0)
+        return NULL;
+    ptrdiff_t seen = 0, held = 0;
+    for (ptrdiff_t w = 0; w < n; w += n / 64 + 1, seen += k)
+        for (ptrdiff_t j = 0; j < k; j++)
+            held += h[w * k + j] != 0.0;
+    if (held * SPARSE_SHARE > 2 * seen)
+        return NULL;
+    set_list_entry(lists, 0, 0);
+    for (ptrdiff_t w = 0, m = 0; w < n; w++) {
+        for (ptrdiff_t j = 0; j < k; j++) {
+            uint64_t bits;
+            memcpy(&bits, h + w * k + j, sizeof bits);
+            if (bits != 0)
+                set_list_entry(lists, n + 1 + m++, j);
+        }
+        if (m > most)
+            return NULL;
+        set_list_entry(lists, w + 1, m);
+    }
+    /* 2 k int32 entries to a product row. */
+    *first = (n + 1 + list_entry(lists, n) + 2 * k - 1) / (2 * k);
+    return *first < n ? lists : NULL;
+}
+
 /* out = Q @ H for the modularity operator of the graph on n nodes whose
  * off-diagonal mass p is the CSR (indptr, indices, data), as
  * ModularityMatrix.apply forms it: h is the row-major n x k block H,
@@ -759,19 +893,68 @@ void modembed_fit(const struct modembed_loops *lp, ptrdiff_t m, ptrdiff_t d,
  * not NULL, each row is then also stored as shift * H[i, j] + out[i, j]
  * at shifted[j * n + i]: the column-major n x k matrix shift H + Q H,
  * each entry by np.multiply then np.add, that orthogonal iteration hands
- * to LAPACK next. */
-void modembed_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
-                    const int64_t *indices, const double *data,
-                    const double *marginal, const double *h, const double *c,
-                    const double *diag, double *out, ptrdiff_t out_step,
-                    double shift, double *shifted)
+ * to LAPACK next.  When product is not NULL, each row is also stored as
+ * H[i, j] * out[i, j] at product[i * k + j]: the row-major H * (Q @ H)
+ * whose sum is the trace objective, by np.multiply's operation.
+ *
+ * With product, when every weight is finite and H's support() is small,
+ * each row's sparse part adds only the terms of H's support, in the same
+ * stored-entry order, and the row's own entries are read from its
+ * support, the rest being +0.0.  The bytes stay: a skipped term is
+ * data[p] * (+0.0), which is +-0 for a finite weight (an inf or NaN
+ * weight would make it NaN, hence the check), and a round-to-nearest sum
+ * that starts at +0.0 never becomes -0, so adding +-0 leaves it as it
+ * was.  Rows do not depend on each other, so the order in which they are
+ * formed moves no byte.  The plain and shifted stores, whose callers
+ * pass dense blocks, a dense H and the rows whose product rows hold the
+ * support's lists keep the four-column loop.  Returns the rows summed
+ * over the support. */
+ptrdiff_t modembed_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
+                         const int64_t *indices, const double *data,
+                         const double *marginal, const double *h,
+                         const double *c, const double *diag, double *out,
+                         ptrdiff_t out_step, double shift, double *shifted,
+                         double *product)
 {
-    for (ptrdiff_t i = 0; i < n; i++) {
+    ptrdiff_t first = 0;
+    const unsigned char *lists =
+        product != NULL ? support(n, k, h, product, &first) : NULL;
+    for (ptrdiff_t p = 0; lists != NULL && p < indptr[n]; p++)
+        if (!isfinite(data[p]))
+            lists = NULL;
+    const unsigned char *cols =
+        lists != NULL ? lists + (n + 1) * sizeof(int32_t) : NULL;
+    /* With the lists, rows first .. n - 1 take the support sums; rows
+     * 0 .. first - 1, whose product rows hold the lists, come last. */
+    for (ptrdiff_t r = 0; r < n; r++) {
+        const ptrdiff_t i = lists != NULL ? (r + first) % n : r;
         const ptrdiff_t s = indptr[i], e = indptr[i + 1];
         const double pi = marginal[i], d = diag[i];
+        /* Row i of H as the stores read it. */
         const double *hi = h + i * k;
         double *o = out + i * out_step;
         ptrdiff_t j = 0;
+        if (lists != NULL && i >= first) {
+            /* Row i of H is built in its product row, which the product
+             * store then overwrites entry by entry. */
+            double *x = product + i * k;
+            for (; j < k; j++)
+                o[j] = x[j] = 0.0;
+            for (ptrdiff_t q = list_entry(lists, i),
+                 end = list_entry(lists, i + 1); q < end; q++)
+                x[list_entry(cols, q)] = hi[list_entry(cols, q)];
+            for (ptrdiff_t p = s; p < e; p++) {
+                const double a = data[p], *y = h + indices[p] * k;
+                for (ptrdiff_t q = list_entry(lists, indices[p]),
+                     end = list_entry(lists, indices[p] + 1); q < end; q++) {
+                    const ptrdiff_t col = list_entry(cols, q);
+                    o[col] = o[col] + a * y[col];
+                }
+            }
+            for (j = 0; j < k; j++)
+                o[j] = (o[j] - pi * c[j]) + d * x[j];
+            hi = x;
+        }
         for (; j + 4 <= k; j += 4) {
             double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
             for (ptrdiff_t p = s; p < e; p++) {
@@ -796,7 +979,15 @@ void modembed_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
         if (shifted != NULL)
             for (j = 0; j < k; j++)
                 shifted[j * n + i] = shift * hi[j] + o[j];
+        if (product != NULL) {
+            double *x = product + i * k;
+            for (j = 0; j + 2 <= k; j += 2)
+                store2(x + j, load2(hi + j) * load2(o + j));
+            if (j < k)
+                x[j] = hi[j] * o[j];
+        }
     }
+    return lists != NULL ? n - first : 0;
 }
 
 /* --- TSV readers ------------------------------------------------------- */

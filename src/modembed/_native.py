@@ -10,12 +10,16 @@ bytes and stays as the fallback and the tests' oracle:
 - `row_formatter`: `modembed_format_rows`, the '%.17g' rows of every TSV
   writer (`graph._write_rows`), in one buffer that it reuses;
 - `sweep`: `modembed_sweep`, one softmax or sphere pass for
-  `clustering._kernel`, over C-order arrays only;
+  `clustering._kernel`, over C-order arrays only; a softmax row with few
+  nonzeros takes the exp over them alone;
 - `householder`: `modembed_householder`, the two rank updates of each
   step of the Householder reduction (`spectral`), in place;
-- `apply`, `shifted_apply`: `modembed_apply`, Q @ H over a graph's own
-  int64 CSR rows for `graph.ModularityMatrix.apply`, the second also
-  storing the shifted block of orthogonal iteration column-major;
+- `apply`, `shifted_apply`, `objective`: `modembed_apply`, Q @ H over a
+  graph's own int64 CSR rows for `graph.ModularityMatrix.apply`, the
+  second also storing the shifted block of orthogonal iteration
+  column-major, the third storing only H * (Q @ H) for
+  `clustering._objective`, summed over H's nonzero entries when H is
+  mostly zeros;
 - `scan`: `modembed_scan`, the scanner behind the edge-list, label and
   embedding readers; a label file's nodes are found among the labels
   of a scanned graph;
@@ -24,7 +28,9 @@ bytes and stays as the fallback and the tests' oracle:
 - `fit`: `modembed_fit`, every step of `tasks.SoftmaxRegression.fit`'s
   gradient descent in one call.
 
-Each call records in `paths` which path it took, for the manifest.
+Each call records in `paths` which path it took, for the manifest, and
+while a run records them, `digests` keeps the sha256 of each file the
+scanner read, so the manifest does not read it again.
 
 The scanner reads only files that the readers' line loops would read the
 same way (ASCII, no NUL, '\\r', '\\x0b', '\\x0c' or '\\x1c'-'\\x1f', every
@@ -139,11 +145,12 @@ def library():
             ("format_rows", size, size, size, values, ctypes.c_char_p,
              offsets, ctypes.POINTER(ctypes.c_char)),
             ("sweep", size, ctypes.POINTER(_Operator), ctypes.c_void_p * 8,
-             array, size, offsets, size, c_int, double, array),
+             array, size, offsets, size, c_int, double, array, offsets),
             ("householder", None, size, size, array, array, values,
              values, values, double),
-            ("apply", None, size, size, int64, int64, values, values,
-             values, values, values, array, size, double, ctypes.c_void_p),
+            ("apply", size, size, size, int64, int64, values, values,
+             values, values, values, array, size, double, ctypes.c_void_p,
+             ctypes.c_void_p),
             ("scan", c_int, c_int, ctypes.c_char_p, size, ctypes.c_char_p,
              size, ctypes.POINTER(_Scan)),
             ("build", c_int, size, size, int64, values,
@@ -231,6 +238,29 @@ def _loops():
 # The path each entry point's calls took since the last clear(): "python"
 # once any call fell back, else "compiled".  cli.main clears it per run.
 paths = {}
+
+# The sha256 of each file that `scan` read or `graph._write_rows` wrote
+# while a run records them, so that its manifest reads no file again:
+# cli.main sets a dict per run, keyed by (device, inode), each hex digest
+# kept with the file's size and mtime then.  None records nothing.
+digests = None
+
+
+def record_digest(st, sha):
+    """Record the sha256 object `sha` of the bytes of the file whose
+    `os.fstat` is `st`, when a run records digests."""
+    if digests is not None:
+        digests[st.st_dev, st.st_ino] = (st.st_size, st.st_mtime_ns,
+                                         sha.hexdigest())
+
+
+def recorded_digest(path):
+    """The sha256 hex digest recorded for the file at `path`, or None
+    when none was or the file's size or mtime has changed since."""
+    st = os.stat(path)
+    size, mtime, digest = (digests or {}).get((st.st_dev, st.st_ino),
+                                              (None, None, None))
+    return digest if (size, mtime) == (st.st_size, st.st_mtime_ns) else None
 
 
 def _recorded(wrapper):
@@ -339,8 +369,10 @@ def sweep(rule, Q, H, aggregate, rows, weight):
     # Four K-vectors, then the gather buffer for the densest row.
     scratch = np.empty((4 + degree) * K)
     rows = np.array(rows, dtype=np.intp)
+    # The count of softmax rows that read only their support, for tests.
+    support_rows = np.zeros(1, np.intp)
     args = (op, loops, H, K, rows, rows.size,
-            ("softmax", "sphere").index(rule), weight, scratch)
+            ("softmax", "sphere").index(rule), weight, scratch, support_rows)
     return lambda: lib.modembed_sweep(*args)
 
 
@@ -384,7 +416,8 @@ def _apply(graph, H, c, diag, shift=0.0, shifted=None, keep=True):
     out = np.empty(H.shape if keep else (1, k))
     lib.modembed_apply(n, k, graph.indptr, graph.indices, graph.data,
                        graph.marginal, H, c, diag, out, k if keep else 0,
-                       shift, None if shifted is None else shifted.ctypes.data)
+                       shift, None if shifted is None else shifted.ctypes.data,
+                       None)
     return out
 
 
@@ -405,6 +438,35 @@ def shifted_apply(graph, H, c, diag, shift, shifted, keep):
     (the pass then reuses one row), or None when the library is
     missing."""
     return _apply(graph, H, c, diag, shift, shifted, keep)
+
+
+@_recorded
+def objective(Q, H):
+    """tr(H^T Q H) for the `graph.ModularityMatrix` Q and the C-order
+    float64 n x K block H, as `np.sum(H * Q.apply(H))` gives it, or None
+    when the library is missing or H is not such a block.
+
+    One compiled pass stores H * (Q @ H) row by row and never Q @ H;
+    c = marginal @ H and the sum over the product stay numpy's, so no BLAS
+    or pairwise-sum byte is redone.  When H is mostly exact zeros the pass
+    sums each row's sparse part over H's nonzero entries only, with the
+    same bytes (see `modembed_apply`).
+    """
+    lib = library()
+    graph = Q.graph
+    if lib is None or not (
+            isinstance(H, np.ndarray) and H.dtype == np.float64 and
+            H.ndim == 2 and H.shape[0] == graph.n and
+            H.flags.c_contiguous and H.flags.aligned):
+        return None
+    pi = graph.marginal
+    diag = pi ** 2 if Q.diag_zeroed else graph.diag_mass
+    product = np.empty(H.shape)
+    lib.modembed_apply(graph.n, H.shape[1], graph.indptr, graph.indices,
+                       graph.data, pi, H, pi @ H, diag,
+                       np.empty((1, H.shape[1])), 0, 0.0, None,
+                       product.ctypes.data)
+    return float(np.sum(product))
 
 
 class _Scan(ctypes.Structure):
@@ -443,6 +505,7 @@ def scan(kind, path, nodes=None):
         return None
     with open(path, "rb") as fh:
         text = fh.read()
+        read = os.fstat(fh.fileno())
     seed = nodes.text if labelled else b""
     # The sizes modembed_scan's contract asks for; pages never written
     # are never touched.
@@ -456,6 +519,8 @@ def scan(kind, path, nodes=None):
     if not lib.modembed_scan(_SCAN_KINDS.index(kind), text, len(text), seed,
                              len(seed), ctypes.byref(out)):
         return None
+    if digests is not None:
+        record_digest(read, hashlib.sha256(text))
     if kind == "rows":
         return (_lines(names, out.names_size),
                 values.reshape(out.rows, out.columns))

@@ -66,6 +66,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256(path):
+    """The sha256 hex digest of the file at `path`: the one recorded as
+    the run read or wrote it, else read from the file."""
+    recorded = _native.recorded_digest(path)
+    if recorded is not None:
+        return recorded
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -477,6 +482,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     started = time.time()
     _native.paths.clear()
+    _native.digests = {}
     try:
         outputs, inputs, params, extra, code = args.func(args)
         if outputs:
@@ -500,3 +506,5 @@ def main(argv=None):
     except Exception as exc:  # anything else is an internal failure
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        _native.digests = None

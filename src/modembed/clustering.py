@@ -181,8 +181,11 @@ def _kernel(rule, update, Q, H, aggregate, rows, weight):
 
 
 def _objective(Q, H):
-    """The trace objective tr(H^T Q H) that every climb reports."""
-    return float(np.sum(H * Q.apply(H)))
+    """The trace objective tr(H^T Q H) that every climb reports; for a
+    modularity operator, one compiled pass when it can
+    (`_native.objective`), with the same bytes."""
+    value = _native.objective(Q, H) if hasattr(Q, "graph") else None
+    return float(np.sum(H * Q.apply(H))) if value is None else value
 
 
 def sweep(Q, H, visit):

@@ -14,6 +14,7 @@ separate, so applying Q to a matrix costs O((n + m) K).
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 from collections import defaultdict
 from itertools import count
@@ -567,7 +568,9 @@ def _write_rows(path, rows, labels):
     rounded as Python's int -> float) and formatted by the compiled
     library; other rows, or no library, take Python's `%` format, with
     the same bytes.  An array that is not 2-D raises ValueError before
-    the file is opened; a write that raises removes the file.
+    the file is opened; a write that raises removes the file.  While a
+    run records digests (`_native.digests`), the bytes are hashed as they
+    are written.
     """
     if rows.ndim != 2:
         raise ValueError(f"expected a 2-D array of rows, got shape "
@@ -581,12 +584,20 @@ def _write_rows(path, rows, labels):
     format_rows = (_native.row_formatter()
                    if kind in "iub" or (kind == "f" and size <= 8) else None)
     line = "%s\t" + "\t".join(["%.17g"] * c) + "\n"
+    # A run that writes a manifest hashes the bytes as they are written.
+    sha = hashlib.sha256() if _native.digests is not None else None
     with _new_file(path) as fh:
+
+        def write(data):
+            fh.write(data)
+            if sha is not None:
+                sha.update(data)
+
         for start in range(0, n, _WRITE_ROWS):
             block = rows[start:start + _WRITE_ROWS]
             if format_rows is None:
                 # zip ends on the block without taking another label.
-                fh.write("".join(line % (lab, *row) for row, lab in zip(
+                write("".join(line % (lab, *row) for row, lab in zip(
                     block.tolist(), labels)).encode("utf-8"))
                 continue
             k = len(block)
@@ -602,4 +613,7 @@ def _write_rows(path, rows, labels):
                 np.cumsum(np.fromiter(map(len, names), np.intp, k),
                           out=offsets[1:])
                 names = b"".join(names)
-            fh.write(format_rows(block, names, offsets))
+            write(format_rows(block, names, offsets))
+        if sha is not None:
+            fh.flush()
+            _native.record_digest(os.fstat(fh.fileno()), sha)

@@ -8,7 +8,7 @@ the package — so tests compare two genuinely different computations.
 import numpy as np
 import pytest
 
-from modembed import datasets, graph
+from modembed import _native, datasets, graph
 
 
 def dense_masses(edges, n):
@@ -83,3 +83,40 @@ def karate_dense():
                 order[lab] = len(order)
     remapped = [(order[u], order[w]) for u, w in edges]
     return dense_masses(remapped, len(order))
+
+
+class SkipRecorder:
+    """The compiled library with each call that can skip H's zeros
+    logged as (K, rows that skipped them): the objective store of
+    `modembed_apply` in `objective` and `modembed_sweep` in `sweeps`."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.objective, self.sweeps = [], []
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def modembed_apply(self, *args):
+        summed = self._lib.modembed_apply(*args)
+        if args[-1] is not None:
+            self.objective.append((args[1], summed))
+        return summed
+
+    def modembed_sweep(self, *args):
+        counter = args[-1]
+        before = int(counter[0])
+        skipped = self._lib.modembed_sweep(*args)
+        self.sweeps.append((args[3], int(counter[0]) - before))
+        return skipped
+
+
+@pytest.fixture
+def zero_skips(monkeypatch):
+    """A SkipRecorder that `_native` calls for the test's duration."""
+    lib = _native.library()
+    if lib is None:
+        pytest.skip("no compiled library")
+    recorder = SkipRecorder(lib)
+    monkeypatch.setattr(_native, "library", lambda: recorder)
+    return recorder

@@ -1,8 +1,9 @@
 /* Hostile inputs for modembed_scan, the TSV scanner in _native.c, for
  * modembed_build, which reads what it gives, for the row writer
- * modembed_format_rows, the operator pass modembed_apply with both its
- * stores, the Householder step modembed_householder and the classifier
- * fit modembed_fit (on stand-ins for numpy's loops), built with
+ * modembed_format_rows, the operator pass modembed_apply with its three
+ * stores, the Householder step modembed_householder, the softmax pass of
+ * modembed_sweep and the classifier fit modembed_fit (these two on
+ * stand-ins for numpy's loops), built with
  * -fsanitize=address,undefined by tests/test_io.py.  The driver is one
  * unit with _native.c, which it includes (the test puts its directory on
  * the include path), so every call and struct is checked against the
@@ -439,11 +440,14 @@ static void format_cases(void)
  * against the loop it must match: each entry's stored entries summed in
  * order from 0.0, then (sum - pi_i c_j) + diag_i h_ij.  Then its second
  * store, the column-major shift h_ij + out_ij in a block of n k doubles,
- * once beside the whole out and once with out one reused row of k. */
+ * once beside the whole out and once with out one reused row of k, and
+ * its objective store h_ij out_ij, whose sums run over H's support for
+ * some rows when over_support is 1. */
 static void check_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
                         const int64_t *indices, const double *data,
                         const double *marginal, const double *h,
-                        const double *c, const double *diag)
+                        const double *c, const double *diag,
+                        int over_support)
 {
     size_t nnz = (size_t)indptr[n], block = (size_t)(n * k) * sizeof *h;
     const double shift = 0.375;
@@ -466,7 +470,7 @@ static void check_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
             want_shifted[j * n + i] = shift * hij + want[i * k + j];
         }
     }
-    modembed_apply(n, k, ip, ix, d, pi, hs, cs, dg, out, k, 0.0, NULL);
+    modembed_apply(n, k, ip, ix, d, pi, hs, cs, dg, out, k, 0.0, NULL, NULL);
     if (memcmp(out, want, block) != 0) {
         fprintf(stderr, "apply at k = %ld differs from the plain loop\n",
                 (long)k);
@@ -476,13 +480,24 @@ static void check_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
         memset(out, 0, block);
         memset(shifted, 0, block);
         modembed_apply(n, k, ip, ix, d, pi, hs, cs, dg, step ? out : row,
-                       step, shift, shifted);
+                       step, shift, shifted, NULL);
         if (memcmp(shifted, want_shifted, block) != 0 ||
             (step && memcmp(out, want, block) != 0)) {
             fprintf(stderr, "shifted apply at k = %ld, step %ld differs "
                     "from the plain loop\n", (long)k, (long)step);
             failures++;
         }
+    }
+    /* The objective store, one reused row of Q @ H beside it. */
+    for (ptrdiff_t q = 0; q < n * k; q++)
+        want_shifted[q] = h[q] * want[q];
+    memset(shifted, 0, block);
+    if ((modembed_apply(n, k, ip, ix, d, pi, hs, cs, dg, row, 0, 0.0, NULL,
+                        shifted) > 0) != over_support ||
+        memcmp(shifted, want_shifted, block) != 0) {
+        fprintf(stderr, "objective store at k = %ld (over the support: %d) "
+                "differs from the plain loop\n", (long)k, over_support);
+        failures++;
     }
     free(ip);
     free(ix);
@@ -518,7 +533,22 @@ static void apply_cases(void)
     }
     for (ptrdiff_t k = 1; k <= K; k++) {
         /* H is n x k: the first n k values. */
-        check_apply(N, k, indptr, indices, data, marginal, h, c, diag);
+        check_apply(N, k, indptr, indices, data, marginal, h, c, diag, 0);
+    }
+    /* H mostly +0.0, with -0.0, a NaN and an infinity among its five
+     * other entries: the objective store sums over the support from
+     * k = 6 on, where n k / 8 reaches 5.  Row 1 is empty; row 4, of
+     * degree 5, reads the others' supports. */
+    double sparse[N * K];
+    for (ptrdiff_t k = 1; k <= K; k++) {
+        memset(sparse, 0, sizeof sparse);
+        sparse[0 * k + 0] = 0.5;
+        sparse[2 * k + (k - 1)] = -0.0;
+        sparse[3 * k + k / 2] = NAN;
+        sparse[5 * k + 0] = -2.0;
+        sparse[6 * k + k / 3] = INFINITY;
+        check_apply(N, k, indptr, indices, data, marginal, sparse, c, diag,
+                    k >= 6);
     }
 }
 
@@ -614,14 +644,133 @@ static void plain_add(char **args, const ptrdiff_t *dims,
             *(double *)(args[1] + i * steps[1]);
 }
 
-static const struct modembed_loops STAND_INS = {
-    naive_matmul, NULL, libm_exp, plain_add, NULL, NULL, NULL, NULL};
-
 /* numpy's maximum on doubles: the first operand when it is NaN or not
  * smaller, so a chain from the first value keeps the first NaN. */
 static double chain_max(double a, double b)
 {
     return a >= b || a != a ? a : b;
+}
+
+static void chain_maximum(char **args, const ptrdiff_t *dims,
+                          const ptrdiff_t *steps, void *data)
+{
+    (void)data;
+    for (ptrdiff_t i = 0; i < dims[0]; i++)
+        *(double *)(args[2] + i * steps[2]) =
+            chain_max(*(double *)(args[0] + i * steps[0]),
+                      *(double *)(args[1] + i * steps[1]));
+}
+
+static const struct modembed_loops STAND_INS = {
+    naive_matmul, chain_maximum, libm_exp, plain_add, NULL, NULL, NULL, NULL};
+
+/* The softmax pass with the stand-ins' arithmetic written out, over
+ * every row in order, the aggregate agg = marginal^T H kept in step. */
+static void plain_softmax(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
+                          const int64_t *indices, const double *data,
+                          const double *marginal, double *h, double *agg,
+                          double theta)
+{
+    double *row = malloc((size_t)k * sizeof *row);
+    double *e = malloc((size_t)k * sizeof *e);
+    for (ptrdiff_t u = 0; u < n; u++) {
+        double *hu = h + u * k, pi = marginal[u], top = 0.0, total = 0.0;
+        for (ptrdiff_t j = 0; j < k; j++) {
+            double s = 0.0;
+            for (int64_t p = indptr[u]; p < indptr[u + 1]; p++)
+                s += data[p] * h[indices[p] * k + j];
+            s -= pi * (agg[j] - pi * hu[j]);
+            row[j] = theta * s;
+            top = j ? chain_max(top, row[j]) : row[j];
+        }
+        for (ptrdiff_t j = 0; j < k; j++) {
+            e[j] = exp(row[j] - top);
+            row[j] = e[j] * hu[j];
+            if (row[j] < 1e-300)
+                row[j] = 0.0;
+            total = total + row[j];
+        }
+        if (total <= 0.0) {
+            total = 0.0;
+            for (ptrdiff_t j = 0; j < k; j++) {
+                row[j] = e[j];
+                total = total + e[j];
+            }
+        }
+        for (ptrdiff_t j = 0; j < k; j++) {
+            row[j] = row[j] / total;
+            agg[j] += pi * (row[j] - hu[j]);
+            hu[j] = row[j];
+        }
+    }
+    free(row);
+    free(e);
+}
+
+/* modembed_sweep's softmax pass on the stand-ins over the seven-node CSR
+ * at K = 64, its rows holding no entry, one, two (-0.0 beside them) and
+ * many, every array in a block of exactly its size, against
+ * plain_softmax, twice; the support-only row must run. */
+static void softmax_cases(void)
+{
+    enum { N = 7, K = 64, DEGREE = 5 };
+    const int64_t indptr[N + 1] = {0, 0, 2, 4, 4, 9, 11, 11};
+    const int64_t indices[] = {2, 4, 1, 4, 0, 1, 2, 5, 6, 4, 3};
+    const double data[] = {0.05, 0.04, 0.05, 0.03, 0.04, 0.03, 0.03, 0.02,
+                           0.01, 0.02, 0.04};
+    const double marginal[N] = {0.04, 0.09, 0.08, 0.04, 0.13, 0.06, 0.01};
+    double h[N * K] = {0}, agg[K] = {0};
+    h[0 * K + 3] = 1.0;
+    h[1 * K + 5] = 0.25;
+    h[1 * K + 60] = 0.75;
+    h[1 * K + 6] = -0.0;
+    h[3 * K + 3] = 1.0;
+    for (ptrdiff_t j = 0; j < K; j++)
+        h[4 * K + j] = 1.0 / K;
+    h[5 * K + 0] = 0.5;
+    h[5 * K + 63] = 0.5;
+    h[6 * K + 40] = 1.0;
+    for (ptrdiff_t u = 0; u < N; u++)
+        for (ptrdiff_t j = 0; j < K; j++)
+            agg[j] += marginal[u] * h[u * K + j];
+    double *want = exact(h, sizeof h), *want_agg = exact(agg, sizeof agg);
+    double *hs = exact(h, sizeof h);
+    struct modembed_operator op = {
+        exact(indptr, sizeof indptr), exact(indices, sizeof indices),
+        exact(data, sizeof data), exact(marginal, sizeof marginal), NULL,
+        exact(agg, sizeof agg), 1};
+    ptrdiff_t *rows = malloc(N * sizeof *rows);
+    ptrdiff_t *support_rows = calloc(1, sizeof *support_rows);
+    double *scratch = malloc((4 + DEGREE) * K * sizeof *scratch);
+    for (ptrdiff_t u = 0; u < N; u++)
+        rows[u] = u;
+    for (int pass = 0; pass < 2; pass++) {
+        modembed_sweep(&op, &STAND_INS, hs, K, rows, N, 0, 1e3, scratch,
+                       support_rows);
+        plain_softmax(N, K, indptr, indices, data, marginal, want, want_agg,
+                      1e3);
+        if (memcmp(hs, want, sizeof h) != 0 ||
+            memcmp(op.agg, want_agg, sizeof agg) != 0) {
+            fprintf(stderr, "softmax pass %d differs from the plain loop\n",
+                    pass);
+            failures++;
+        }
+    }
+    if (*support_rows == 0) {
+        fprintf(stderr, "no softmax row read only its support\n");
+        failures++;
+    }
+    free((void *)op.indptr);
+    free((void *)op.indices);
+    free((void *)op.data);
+    free((void *)op.x);
+    free(op.agg);
+    free(want);
+    free(want_agg);
+    free(hs);
+    free(rows);
+    free(support_rows);
+    free(scratch);
 }
 
 /* The fit's loop with the stand-ins' arithmetic written out: row-major z
@@ -806,6 +955,7 @@ int main(int argc, char **argv)
     format_cases();
     apply_cases();
     householder_cases();
+    softmax_cases();
     fit_cases();
     for (int kind = SCAN_EDGES; kind <= SCAN_ROWS; kind++) {
         check("empty file", kind, "", 0, 0);

@@ -1003,17 +1003,66 @@ def test_every_command_runs_the_same_without_scipy(tmp_path, sbm_file):
     assert written["block"] == written["free"]
 
 
+@pytest.mark.parametrize("compiled", [True, False])
+def test_the_manifest_reads_no_file_again(tmp_path, sbm_file, monkeypatch,
+                                          compiled):
+    """Every manifest digest is its file's sha256, but the manifest reads
+    no output again, and no input the compiled scanner read: only inputs
+    the Python loops read (here every one without the library, and the
+    point file either way) are hashed from the file."""
+    graph_path, labels_path = sbm_file
+    points = tmp_path / "cloud.xyz"
+    np.savetxt(points, pointcloud.torus_cloud(60), fmt="%.17g")
+    real_open, reread = open, []
+
+    def watched(path, mode="r", *args, **kwargs):
+        if "r" in mode:
+            reread.append(Path(path).name)
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", watched, raising=False)
+    g, out = str(graph_path), tmp_path / "out"
+    runs = [
+        ["embed", "cafe", "--graph", g, "--k", "2", "--labels",
+         str(labels_path), "--assignment-out", f"{out}.assign.tsv",
+         "--out", f"{out}.tsv"],
+        ["eval", "classify", "--graph", g, "--embeddings", f"{out}.tsv",
+         "--labels", str(labels_path), "--reps", "1",
+         "--out", f"{out}.classify.tsv"],
+        ["reduce", "--points", str(points), "--k", "2", "--max-sweeps", "2",
+         "--out", f"{out}.reduce.tsv"],
+    ]
+    with _compiled_path(compiled):
+        for argv in runs:
+            reread.clear()
+            assert main(argv) == 0, argv
+            manifest = _manifest(argv[-1])
+            digests = {**manifest["outputs"], **{
+                entry["path"]: entry["sha256"]
+                for entry in manifest["inputs"].values()}}
+            for path, digest in digests.items():
+                assert digest == hashlib.sha256(
+                    Path(path).read_bytes()).hexdigest(), path
+            inputs = {Path(e["path"]).name
+                      for e in manifest["inputs"].values()}
+            assert set(reread) == (inputs if not compiled else
+                                   inputs & {points.name}), argv
+    assert _native.digests is None
+
+
 # --- the compiled library and the Python fallbacks ---------------------------
 
 def test_every_command_shape_writes_the_same_bytes_without_the_library(
-        tmp_path):
+        tmp_path, zero_skips):
     """The benchmark's command shapes plus `embed cafe --full-label`,
     pinned `--labels`, the full `eigs` spectrum, `reduce --method sphere`
     and `eval link`, on a 120-node SBM, and `verify` on a 220-node SBM,
     past the Jacobi limit, so the Householder reduction and QL run: with
     the compiled library and with every Python fallback, each `.tsv` has
     the same bytes, and each manifest records the path every entry point
-    it used took."""
+    it used took.  The compiled multilayer run's level 0 (K = n = 120)
+    reaches both passes that skip H's zeros: the objective's sums over
+    H's support and the support-only softmax row."""
     if _native.library() is None:
         pytest.skip("no compiled library")
     probs = np.full((3, 3), 0.03) + np.eye(3) * 0.27
@@ -1034,13 +1083,14 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
     np.savetxt(points, pointcloud.torus_cloud(200), fmt="%.17g")
     g = str(graph_path)
     # The entry points with a compiled path that each command runs.
-    used = {"cafe.tsv": "apply build row_formatter scan sweep",
-            "sphere.tsv": "apply build row_formatter scan sweep",
+    used = {"cafe.tsv": "apply build objective row_formatter scan sweep",
+            "sphere.tsv": "apply build objective row_formatter scan sweep",
             "classify.tsv": "build fit row_formatter scan",
-            "ml.tsv": "apply build row_formatter scan sweep",
-            "verify.tsv": "apply build jacobi row_formatter scan sweep",
-            "verify220.tsv": "apply build householder ql row_formatter "
-                             "scan sweep",
+            "ml.tsv": "apply build objective row_formatter scan sweep",
+            "verify.tsv": "apply build jacobi objective row_formatter scan "
+                          "sweep",
+            "verify220.tsv": "apply build householder objective ql "
+                             "row_formatter scan sweep",
             "eigs.tsv": "build jacobi row_formatter scan shifted_apply",
             "reduce.tsv": "jacobi row_formatter sweep",
             "spectrum.tsv": "build jacobi row_formatter scan",
@@ -1081,7 +1131,14 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
         ]
         with _compiled_path(mode == "compiled"):
             for argv in commands:
+                zero_skips.objective.clear()
+                zero_skips.sweeps.clear()
                 assert main(argv) == 0, argv
+                if mode == "compiled" and argv[1] == "multilayer":
+                    assert any(k == 120 and rows
+                               for k, rows in zero_skips.objective)
+                    assert any(k == 120 and rows
+                               for k, rows in zero_skips.sweeps)
         assert _manifest(d / "cafe.tsv")["compiled"] is (mode == "compiled")
         written[mode] = {p.name: p.read_bytes() for p in d.glob("*.tsv")}
         paths[mode] = {out: _manifest(d / out)["paths"] for out in used}

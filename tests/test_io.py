@@ -1141,9 +1141,12 @@ def test_scanner_survives_hostile_buffers_under_sanitizers(tmp_path):
     ids up to n - 1, out-of-range ids and pairs whose hash tags collide;
     the row writer the longest values, specials and empty labels in the
     budget `_native.row_formatter` reserves; Q @ H at k = 1-9 with rows
-    of degree 0, also with its column-major second store; the
-    Householder step at every column of n = 1-7; and the classifier fit at m = 1, C = 1 and larger
-    shapes, on stand-ins for numpy's loops, with its row shift on NaNs of
+    of degree 0, also with its column-major second store and its
+    objective store, the latter also on a mostly-zero H whose sums run
+    over its support; the Householder step at every column of n = 1-7;
+    a softmax pass at K = 64 whose sparse rows read only their support;
+    and the classifier fit at m = 1, C = 1 and larger shapes, these two
+    on stand-ins for numpy's loops, with the fit's row shift on NaNs of
     two payloads: each against a plain loop."""
     flags = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all",
              "-g", "-O1", "-ffp-contract=off"]

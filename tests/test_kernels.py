@@ -1103,6 +1103,267 @@ def test_shifted_store_records_its_path_and_checks_its_buffer(karate):
             Q.apply(Z, 1.0, buf)
 
 
+# --- trace objective and zero skipping ---------------------------------------
+
+def plain_objective(Q, H):
+    """`np.sum(H * Q.apply(H))` with `Q.apply` on its numpy path."""
+    with apply_path("plain"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return float(np.sum(H * Q.apply(H)))
+
+
+def row_pattern(draw, n, K):
+    """An n x K mask of the entries a start holds: every row dense,
+    one-hot, two-hot, empty or random, row by row."""
+    kind = st.sampled_from(["dense", "one-hot", "two-hot", "empty",
+                            "random"])
+    mask = np.zeros((n, K), bool)
+    for u in range(n):
+        pattern = draw(kind)
+        if pattern == "dense":
+            mask[u] = True
+        elif pattern in ("one-hot", "two-hot"):
+            mask[u, draw(st.integers(0, K - 1))] = True
+            mask[u, draw(st.integers(0, K - 1))] |= pattern == "two-hot"
+        elif pattern == "random":
+            mask[u] = draw(st.lists(st.booleans(), min_size=K, max_size=K))
+    return mask
+
+
+def masked_start(draw, n, K, value):
+    """An n x K block of `value`s held where `row_pattern` draws them,
+    -0.0 or +0.0 elsewhere."""
+    H = np.array(draw(st.lists(value, min_size=n * K,
+                               max_size=n * K))).reshape(n, K)
+    H[~row_pattern(draw, n, K)] = draw(st.sampled_from([0.0, -0.0]))
+    return H
+
+
+@st.composite
+def objective_case(draw):
+    """A weighted graph, either diagonal and a C-order block H with rows
+    of every density (empty rows included), K = 1-17 or n, with values
+    from one family of specials."""
+    g = draw(weighted_graph())
+    K = draw(st.one_of(st.integers(1, 17), st.just(g.n)))
+    value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(draw(SPECIALS)))
+    return (g.modularity_matrix(diag_zeroed=draw(st.booleans())),
+            masked_start(draw, g.n, K, value))
+
+
+def one_hot_block(n, K, seed=0):
+    H = np.zeros((n, K))
+    H[np.arange(n), np.random.default_rng(seed).integers(0, K, n)] = 1.0
+    return H
+
+
+@SETTINGS
+@given(case=objective_case())
+@example(case=(_path_graph(9).modularity_matrix(diag_zeroed=True),
+               one_hot_block(9, 9)))
+@example(case=(_path_graph(9).modularity_matrix(), -one_hot_block(9, 17)))
+@example(case=(_path_graph(9).modularity_matrix(),
+               np.where(one_hot_block(9, 9) > 0, np.nan, -0.0)))
+@example(case=(_path_graph(9).modularity_matrix(diag_zeroed=True),
+               np.where(one_hot_block(9, 9, 1) > 0, np.inf, 0.0)))
+@example(case=(_path_graph(9).modularity_matrix(), np.zeros((9, 9))))
+def test_objective_entry_matches_the_numpy_statement(case):
+    """`_native.objective` and `clustering._objective` give the bytes of
+    `np.sum(H * Q.apply(H))`, whether the pass sums over H's support or
+    not."""
+    Q, H = case
+    want = plain_objective(Q, H)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = _native.objective(Q, H)
+        if got is not None:
+            assert same_bytes(got, want)
+        assert same_bytes(clustering._objective(Q, H), want)
+
+
+def test_objective_entry_takes_both_accumulations(zero_skips, karate):
+    """One-hot, empty and sparse blocks sum over the support; dense ones,
+    and a graph with an infinite weight, keep the four-column loop."""
+    Q = karate.modularity_matrix()
+    n = karate.n
+    sparse = one_hot_block(n, n)
+    sparse[::3] = 0.0
+    dense = np.random.default_rng(1).random((n, 16))
+    for H in (sparse, np.zeros((n, 5)), dense, one_hot_block(n, 7)):
+        assert same_bytes(_native.objective(Q, H), plain_objective(Q, H))
+    assert [(k, rows > 0) for k, rows in zero_skips.objective] == [
+        (n, True), (5, True), (16, False), (7, False)]
+    g = karate
+    inf = graph.SampledGraph(g.indptr, g.indices, np.where(
+        np.arange(g.data.size) == 3, np.inf, g.data), g.diag_mass,
+        g.node_labels)
+    with np.errstate(invalid="ignore"):
+        assert same_bytes(_native.objective(inf.modularity_matrix(), sparse),
+                          plain_objective(inf.modularity_matrix(), sparse))
+    assert zero_skips.objective[-1] == (n, 0)
+
+
+def test_objective_entry_records_its_path_and_declines_other_blocks(karate):
+    Q = karate.modularity_matrix()
+    H = np.random.default_rng(2).random((karate.n, 3))
+    for other in (np.asfortranarray(H), H.astype(np.float32), H[:, 0],
+                  unaligned(H), np.ones((karate.n + 1, 3))):
+        _native.paths.clear()
+        assert _native.objective(Q, other) is None
+        assert _native.paths == {"objective": "python"}
+    want = plain_objective(Q, H)
+    _native.paths.clear()
+    assert same_bytes(clustering._objective(Q, H), want)
+    assert _native.paths == {"objective": ("python" if _native.library()
+                                           is None else "compiled")}
+    cloud = GramOperator(center(torus_cloud(9)))
+    _native.paths.clear()
+    clustering._objective(cloud, np.ones((9, 2)))
+    assert _native.paths == {}
+
+
+# The exp loop is called on a row's support only, compacted to the front
+# of a scratch vector: the bytes of each element must not depend on how
+# many elements the call takes or where its pointer starts.
+def test_numpy_exp_loop_gives_each_element_the_same_bytes_at_any_length():
+    rng = np.random.default_rng(29)
+    x = np.concatenate([
+        -rng.exponential(50.0, 3000),
+        -rng.uniform(700.0, 746.0, 1000),  # subnormal and zero results
+        rng.uniform(-1.0, 0.0, 1000) * 10.0 ** rng.integers(-300, 1, 1000),
+        [0.0, -0.0, -np.inf, -745.1332191019412, -708.3964185322641]])
+    want = np.exp(x)
+    buffer = np.empty(x.size + 8)
+    for trial in range(3000):
+        k = int(rng.integers(1, 2001))
+        chosen = np.sort(rng.choice(x.size, k, replace=False))
+        offset = int(rng.integers(0, 8))
+        part = buffer[offset:offset + k]
+        part[:] = x[chosen]
+        assert same_bytes(np.exp(part), want[chosen]), (trial, k, offset)
+
+
+def softmax_rows_case(Q, H, pinned, theta):
+    """The compiled kernel over each unpinned row alone, against
+    `softmax_update` on a copy: H and the aggregate after every row."""
+    Q0 = Q.zero_diagonal()
+    fast, slow = H.copy(), H.copy()
+    fast_agg, slow_agg = Q0.make_aggregate(fast), Q0.make_aggregate(slow)
+    for u in range(Q.n):
+        if u in pinned:
+            continue
+        update_row("softmax", Q0, fast, fast_agg, u, theta)
+        softmax_update(slow, u, Q0.row_covariance(slow, slow_agg, u), theta,
+                       slow_agg)
+        assert same_bytes(fast, slow), u
+        assert same_bytes(fast_agg.A, slow_agg.A), u
+
+
+@st.composite
+def sparse_start(draw):
+    """A weighted graph and a start whose rows are dense, one-hot, empty
+    or random over K = 1-3 or either side of the softmax row's share of
+    32, with -0.0 and tiny values among them, pinned rows and theta."""
+    g = draw(weighted_graph())
+    K = draw(st.one_of(st.integers(1, 3), st.sampled_from([31, 32, 63, 64,
+                                                           65, 96])))
+    value = st.one_of(st.floats(0.0, 2.0), st.sampled_from(
+        [1.0, 5e-324, 1e-300, 1e300]))
+    H = masked_start(draw, g.n, K, value)
+    pinned = draw(st.dictionaries(st.integers(0, g.n - 1),
+                                  st.integers(0, K - 1), max_size=g.n))
+    return g.modularity_matrix(), H, pinned, draw(THETA)
+
+
+def _toward(n, K, column, other):
+    """A path-graph start whose rows are one-hot at `other`, but row 0,
+    one-hot at `column`."""
+    H = np.zeros((n, K))
+    H[:, other] = 1.0
+    H[0] = 0.0
+    H[0, column] = 1.0
+    return H
+
+
+@SETTINGS
+@given(case=sparse_start())
+# NaN and infinite row maxima: a NaN neighbour, and theta * z overflowing.
+@example(case=(_path_graph(4).modularity_matrix(),
+               np.where(np.eye(4, 64) > 0, np.nan, 0.0), {}, 1.0))
+@example(case=(_path_graph(4).modularity_matrix(),
+               1e300 * np.eye(4, 64), {}, 1e8))
+# Rows 1 and 2 hold one entry that underflows: a total of 0.
+@example(case=(_path_graph(6).modularity_matrix(), _toward(6, 64, 0, 5), {},
+               1e8))
+# A clamped entry beside a kept one.
+@example(case=(_path_graph(4).modularity_matrix(),
+               np.eye(4, 64) + 5e-324 * np.eye(4, 64, 9), {}, 1.0))
+# -0.0 beside the support, and pinned rows.
+@example(case=(_path_graph(6).modularity_matrix(),
+               np.where(np.eye(6, 32) > 0, 1.0, -0.0), {2: 3, 4: 31}, 1e4))
+# K on either side of the share.
+@example(case=(_path_graph(6).modularity_matrix(), np.eye(6, 31), {}, 50.0))
+@example(case=(_path_graph(6).modularity_matrix(), np.eye(6, 32), {}, 50.0))
+def test_support_only_softmax_rows_match_softmax_update(case):
+    with np.errstate(all="ignore"):
+        softmax_rows_case(*case)
+
+
+def test_support_only_softmax_rows_and_their_fallbacks_run(zero_skips):
+    """The examples above reach the support-only row, and the full row
+    for a total of 0, a NaN maximum and K below the share: the rows that
+    read only their support, one list per start."""
+    Q = _path_graph(6).modularity_matrix()
+    cases = {"one-hot": (np.eye(6, 64), 1e4),
+             "below the share": (np.eye(6, 31), 1e4),
+             "total 0": (_toward(6, 64, 0, 5), 1e8),
+             "NaN maximum": (np.where(np.eye(6, 64) > 0, np.nan, 0.0), 1.0)}
+    support = {}
+    for name, (H, theta) in cases.items():
+        zero_skips.sweeps.clear()
+        with np.errstate(all="ignore"):
+            softmax_rows_case(Q, H, {}, theta)
+        support[name] = [u for u, (_, rows) in enumerate(zero_skips.sweeps)
+                         if rows]
+    # Rows 4 of the first start and 1-2 of the third hold one entry that
+    # underflows: a total of 0, so the full row is redone.
+    assert support == {"one-hot": [0, 1, 2, 3, 5], "below the share": [],
+                       "total 0": [0, 3, 4, 5], "NaN maximum": []}
+
+
+@st.composite
+def finite_start(draw):
+    """`sparse_start` on either operator with finite nonnegative rows."""
+    Q = draw(OPERATOR)
+    K = draw(st.one_of(st.integers(1, Q.n + 3), st.sampled_from([32, 64])))
+    value = st.one_of(st.floats(0.0, 2.0), st.sampled_from([1.0, 5e-324]))
+    H = masked_start(draw, Q.n, K, value)
+    pinned = draw(st.dictionaries(st.integers(0, Q.n - 1),
+                                  st.integers(0, K - 1), max_size=Q.n))
+    config = ClusterConfig(n_clusters=K, theta=draw(THETA))
+    return Q, H, pinned, config
+
+
+@SETTINGS
+@given(case=finite_start())
+@example(case=(_path_graph(6).modularity_matrix(), _toward(6, 64, 0, 5), {},
+               ClusterConfig(n_clusters=64, theta=1e8)))
+def test_softmax_sweeps_keep_exact_zeros(case):
+    """From any finite start, a compiled or plain softmax pass leaves
+    every exact zero of H zero, but in rows that took the fallback for a
+    total <= 0."""
+    Q, H, pinned, config = case
+    Q0 = Q.zero_diagonal()
+    for path in PATHS:
+        assignment = SoftAssignment(H.copy(), pinned)
+        aggregate = Q0.make_aggregate(assignment.H)
+        fallback = fallback_rows(Q0, assignment, config, aggregate)
+        with sweep_path(path):
+            softmax_kernel(Q0, assignment, config, aggregate)()
+        revived = ((H == 0.0) & (assignment.H != 0.0)).any(axis=1)
+        assert set(np.flatnonzero(revived).tolist()) <= fallback, path
+
+
 # --- thin QR ------------------------------------------------------------------
 
 @pytest.mark.parametrize("order", ["C", "F"])

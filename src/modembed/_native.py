@@ -14,12 +14,12 @@ bytes and stays as the fallback and the tests' oracle:
   nonzeros takes the exp over them alone;
 - `householder`: `modembed_householder`, the two rank updates of each
   step of the Householder reduction (`spectral`), in place;
-- `apply`, `shifted_apply`, `objective`: `modembed_apply`, Q @ H over a
-  graph's own int64 CSR rows for `graph.ModularityMatrix.apply`, the
-  second also storing the shifted block of orthogonal iteration
-  column-major, the third storing only H * (Q @ H) for
-  `clustering._objective`, summed over H's nonzero entries when H is
-  mostly zeros;
+- `apply`, `objective`: `modembed_apply`, through one driver: Q @ H
+  over a graph's own int64 CSR rows for `graph.ModularityMatrix.apply`,
+  also storing the shifted block of orthogonal iteration column-major
+  when asked, and tr(H^T Q H) for `clustering._objective`, which stores
+  only H * (Q @ H), summed over H's nonzero entries when H is mostly
+  zeros;
 - `scan`: `modembed_scan`, the scanner behind the edge-list, label and
   embedding readers; a label file's nodes are found among the labels
   of a scanned graph;
@@ -28,9 +28,7 @@ bytes and stays as the fallback and the tests' oracle:
 - `fit`: `modembed_fit`, every step of `tasks.SoftmaxRegression.fit`'s
   gradient descent in one call.
 
-Each call records in `paths` which path it took, for the manifest, and
-while a run records them, `digests` keeps the sha256 of each file the
-scanner read, so the manifest does not read it again.
+Each call records in `paths` which path it took, for the manifest.
 
 The scanner reads only files that the readers' line loops would read the
 same way (ASCII, no NUL, '\\r', '\\x0b', '\\x0c' or '\\x1c'-'\\x1f', every
@@ -239,30 +237,6 @@ def _loops():
 # once any call fell back, else "compiled".  cli.main clears it per run.
 paths = {}
 
-# The sha256 of each file that `scan` read or `graph._write_rows` wrote
-# while a run records them, so that its manifest reads no file again:
-# cli.main sets a dict per run, keyed by (device, inode), each hex digest
-# kept with the file's size and mtime then.  None records nothing.
-digests = None
-
-
-def record_digest(st, sha):
-    """Record the sha256 object `sha` of the bytes of the file whose
-    `os.fstat` is `st`, when a run records digests."""
-    if digests is not None:
-        digests[st.st_dev, st.st_ino] = (st.st_size, st.st_mtime_ns,
-                                         sha.hexdigest())
-
-
-def recorded_digest(path):
-    """The sha256 hex digest recorded for the file at `path`, or None
-    when none was or the file's size or mtime has changed since."""
-    st = os.stat(path)
-    size, mtime, digest = (digests or {}).get((st.st_dev, st.st_ino),
-                                              (None, None, None))
-    return digest if (size, mtime) == (st.st_size, st.st_mtime_ns) else None
-
-
 def _recorded(wrapper):
     """`wrapper` recording its path in `paths`: a None result means the
     Python code runs instead."""
@@ -396,9 +370,13 @@ def householder(t, b, k, v, p, w, k4):
     return t, b
 
 
-def _apply(graph, H, c, diag, shift=0.0, shifted=None, keep=True):
-    """modembed_apply on the float64 n x K block H (any strides), or None
-    when the library is missing."""
+def _apply(graph, H, c, diag, shift=0.0, shifted=None, keep=True,
+           product=None):
+    """The one modembed_apply call: Q @ H on the float64 n x K block H
+    (any strides) as a new C-order array, or with keep=False only its
+    last row (the pass then reuses one row), or None when the library is
+    missing.  `shifted` (C-order K x n) also receives shift * H + Q @ H,
+    transposed, and `product` (C-order n x K) receives H * (Q @ H)."""
     lib = library()
     if lib is None:
         return None
@@ -406,66 +384,53 @@ def _apply(graph, H, c, diag, shift=0.0, shifted=None, keep=True):
     # read from a C-order copy; the bytes do not depend on the layout.
     H = np.require(H, requirements="CA")
     n, k = H.shape
-    if shifted is not None and not (
-            isinstance(shifted, np.ndarray) and
-            shifted.dtype == np.float64 and shifted.shape == (k, n) and
-            shifted.flags.c_contiguous and shifted.flags.aligned and
-            shifted.flags.writeable):
-        raise ValueError(f"shifted must be a writeable C-order float64 "
-                         f"array of shape {(k, n)}")
+    for name, array, shape in (("shifted", shifted, (k, n)),
+                               ("product", product, (n, k))):
+        if array is not None and not (
+                isinstance(array, np.ndarray) and
+                array.dtype == np.float64 and array.shape == shape and
+                array.flags.c_contiguous and array.flags.aligned and
+                array.flags.writeable):
+            raise ValueError(f"{name} must be a writeable C-order float64 "
+                             f"array of shape {shape}")
     out = np.empty(H.shape if keep else (1, k))
     lib.modembed_apply(n, k, graph.indptr, graph.indices, graph.data,
                        graph.marginal, H, c, diag, out, k if keep else 0,
-                       shift, None if shifted is None else shifted.ctypes.data,
-                       None)
+                       shift, *(None if a is None else a.ctypes.data
+                                for a in (shifted, product)))
     return out
 
 
 @_recorded
-def apply(graph, H, c, diag):
-    """Q @ H for the modularity operator of `graph`, as a new C-order
-    array, from the float64 n x K block H (any strides), c = marginal @ H
-    and the diagonal `diag`; None when the library is missing.  The bytes
-    are those of `ModularityMatrix.apply`'s numpy path."""
-    return _apply(graph, H, c, diag)
-
-
-@_recorded
-def shifted_apply(graph, H, c, diag, shift, shifted, keep):
-    """`apply` that also stores shift * H + Q @ H, transposed, into the
-    C-order K x n float64 array `shifted`, each entry as np.multiply then
-    np.add give it.  Returns Q @ H, or with keep=False only its last row
-    (the pass then reuses one row), or None when the library is
-    missing."""
+def apply(graph, H, c, diag, shift=0.0, shifted=None, keep=True):
+    """`_apply` for `ModularityMatrix.apply`, with c = marginal @ H and
+    the diagonal `diag`: the bytes of its numpy path, `shifted` as
+    np.multiply then np.add give it."""
     return _apply(graph, H, c, diag, shift, shifted, keep)
 
 
 @_recorded
 def objective(Q, H):
-    """tr(H^T Q H) for the `graph.ModularityMatrix` Q and the C-order
-    float64 n x K block H, as `np.sum(H * Q.apply(H))` gives it, or None
-    when the library is missing or H is not such a block.
+    """tr(H^T Q H) for the `graph.ModularityMatrix` Q and the n x K block
+    H of any layout, as `np.sum(H * Q.apply(H))` gives it, or None when
+    the library is missing or H is not 2-D with n rows (numpy's path
+    takes a column and rejects the rest).
 
-    One compiled pass stores H * (Q @ H) row by row and never Q @ H;
-    c = marginal @ H and the sum over the product stay numpy's, so no BLAS
-    or pairwise-sum byte is redone.  When H is mostly exact zeros the pass
-    sums each row's sparse part over H's nonzero entries only, with the
-    same bytes (see `modembed_apply`).
+    One compiled pass stores H * (Q @ H) row by row, never Q @ H, and
+    over H's nonzero entries only when H is mostly exact zeros (see
+    `modembed_apply`).  c = marginal @ H on H's own layout, as in
+    `Q.apply`, and the sum over the C-order product, as over the C-order
+    `H * Q.apply(H)`, stay numpy's, so no BLAS or pairwise-sum byte is
+    redone.
     """
-    lib = library()
     graph = Q.graph
-    if lib is None or not (
-            isinstance(H, np.ndarray) and H.dtype == np.float64 and
-            H.ndim == 2 and H.shape[0] == graph.n and
-            H.flags.c_contiguous and H.flags.aligned):
+    H = np.asarray(H, dtype=float)
+    if library() is None or H.ndim != 2 or H.shape[0] != graph.n:
         return None
     pi = graph.marginal
     diag = pi ** 2 if Q.diag_zeroed else graph.diag_mass
     product = np.empty(H.shape)
-    lib.modembed_apply(graph.n, H.shape[1], graph.indptr, graph.indices,
-                       graph.data, pi, H, pi @ H, diag,
-                       np.empty((1, H.shape[1])), 0, 0.0, None,
-                       product.ctypes.data)
+    _apply(graph, H, pi @ H, diag, keep=False, product=product)
     return float(np.sum(product))
 
 
@@ -505,7 +470,6 @@ def scan(kind, path, nodes=None):
         return None
     with open(path, "rb") as fh:
         text = fh.read()
-        read = os.fstat(fh.fileno())
     seed = nodes.text if labelled else b""
     # The sizes modembed_scan's contract asks for; pages never written
     # are never touched.
@@ -519,8 +483,6 @@ def scan(kind, path, nodes=None):
     if not lib.modembed_scan(_SCAN_KINDS.index(kind), text, len(text), seed,
                              len(seed), ctypes.byref(out)):
         return None
-    if digests is not None:
-        record_digest(read, hashlib.sha256(text))
     if kind == "rows":
         return (_lines(names, out.names_size),
                 values.reshape(out.rows, out.columns))

@@ -14,7 +14,6 @@ separate, so applying Q to a matrix costs O((n + m) K).
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 from collections import defaultdict
 from itertools import count
@@ -222,7 +221,7 @@ class ModularityMatrix:
         With `shifted`, a C-order K x n float64 array, the block that
         orthogonal iteration factors next, (shift * H + Q @ H)^T, is also
         stored there, each entry by np.multiply then np.add; the compiled
-        pass (`_native.shifted_apply`) stores it as it forms each row.
+        pass stores it as it forms each row.
         keep=False returns None, and the compiled pass then holds only
         one row of Q @ H at a time."""
         H = np.asarray(H, dtype=float)
@@ -235,10 +234,7 @@ class ModularityMatrix:
         pi = g.marginal
         c = pi @ H
         diag = pi ** 2 if self.diag_zeroed else g.diag_mass
-        if shifted is None:
-            out = _native.apply(g, H, c, diag)
-        else:
-            out = _native.shifted_apply(g, H, c, diag, shift, shifted, keep)
+        out = _native.apply(g, H, c, diag, shift, shifted, keep)
         if out is None:
             out = np.zeros(H.shape)
             counts = np.diff(g.indptr)
@@ -568,9 +564,7 @@ def _write_rows(path, rows, labels):
     rounded as Python's int -> float) and formatted by the compiled
     library; other rows, or no library, take Python's `%` format, with
     the same bytes.  An array that is not 2-D raises ValueError before
-    the file is opened; a write that raises removes the file.  While a
-    run records digests (`_native.digests`), the bytes are hashed as they
-    are written.
+    the file is opened; a write that raises removes the file.
     """
     if rows.ndim != 2:
         raise ValueError(f"expected a 2-D array of rows, got shape "
@@ -584,20 +578,12 @@ def _write_rows(path, rows, labels):
     format_rows = (_native.row_formatter()
                    if kind in "iub" or (kind == "f" and size <= 8) else None)
     line = "%s\t" + "\t".join(["%.17g"] * c) + "\n"
-    # A run that writes a manifest hashes the bytes as they are written.
-    sha = hashlib.sha256() if _native.digests is not None else None
     with _new_file(path) as fh:
-
-        def write(data):
-            fh.write(data)
-            if sha is not None:
-                sha.update(data)
-
         for start in range(0, n, _WRITE_ROWS):
             block = rows[start:start + _WRITE_ROWS]
             if format_rows is None:
                 # zip ends on the block without taking another label.
-                write("".join(line % (lab, *row) for row, lab in zip(
+                fh.write("".join(line % (lab, *row) for row, lab in zip(
                     block.tolist(), labels)).encode("utf-8"))
                 continue
             k = len(block)
@@ -613,7 +599,4 @@ def _write_rows(path, rows, labels):
                 np.cumsum(np.fromiter(map(len, names), np.intp, k),
                           out=offsets[1:])
                 names = b"".join(names)
-            write(format_rows(block, names, offsets))
-        if sha is not None:
-            fh.flush()
-            _native.record_digest(os.fstat(fh.fileno()), sha)
+            fh.write(format_rows(block, names, offsets))

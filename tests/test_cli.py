@@ -1003,53 +1003,6 @@ def test_every_command_runs_the_same_without_scipy(tmp_path, sbm_file):
     assert written["block"] == written["free"]
 
 
-@pytest.mark.parametrize("compiled", [True, False])
-def test_the_manifest_reads_no_file_again(tmp_path, sbm_file, monkeypatch,
-                                          compiled):
-    """Every manifest digest is its file's sha256, but the manifest reads
-    no output again, and no input the compiled scanner read: only inputs
-    the Python loops read (here every one without the library, and the
-    point file either way) are hashed from the file."""
-    graph_path, labels_path = sbm_file
-    points = tmp_path / "cloud.xyz"
-    np.savetxt(points, pointcloud.torus_cloud(60), fmt="%.17g")
-    real_open, reread = open, []
-
-    def watched(path, mode="r", *args, **kwargs):
-        if "r" in mode:
-            reread.append(Path(path).name)
-        return real_open(path, mode, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "open", watched, raising=False)
-    g, out = str(graph_path), tmp_path / "out"
-    runs = [
-        ["embed", "cafe", "--graph", g, "--k", "2", "--labels",
-         str(labels_path), "--assignment-out", f"{out}.assign.tsv",
-         "--out", f"{out}.tsv"],
-        ["eval", "classify", "--graph", g, "--embeddings", f"{out}.tsv",
-         "--labels", str(labels_path), "--reps", "1",
-         "--out", f"{out}.classify.tsv"],
-        ["reduce", "--points", str(points), "--k", "2", "--max-sweeps", "2",
-         "--out", f"{out}.reduce.tsv"],
-    ]
-    with _compiled_path(compiled):
-        for argv in runs:
-            reread.clear()
-            assert main(argv) == 0, argv
-            manifest = _manifest(argv[-1])
-            digests = {**manifest["outputs"], **{
-                entry["path"]: entry["sha256"]
-                for entry in manifest["inputs"].values()}}
-            for path, digest in digests.items():
-                assert digest == hashlib.sha256(
-                    Path(path).read_bytes()).hexdigest(), path
-            inputs = {Path(e["path"]).name
-                      for e in manifest["inputs"].values()}
-            assert set(reread) == (inputs if not compiled else
-                                   inputs & {points.name}), argv
-    assert _native.digests is None
-
-
 # --- the compiled library and the Python fallbacks ---------------------------
 
 def test_every_command_shape_writes_the_same_bytes_without_the_library(
@@ -1059,10 +1012,11 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
     and `eval link`, on a 120-node SBM, and `verify` on a 220-node SBM,
     past the Jacobi limit, so the Householder reduction and QL run: with
     the compiled library and with every Python fallback, each `.tsv` has
-    the same bytes, and each manifest records the path every entry point
-    it used took.  The compiled multilayer run's level 0 (K = n = 120)
-    reaches both passes that skip H's zeros: the objective's sums over
-    H's support and the support-only softmax row."""
+    the same bytes, and each command's manifest records the path every
+    entry point it used took and the sha256 of every file it names.  The
+    compiled multilayer run's level 0 (K = n = 120) reaches both passes
+    that skip H's zeros: the objective's sums over H's support and the
+    support-only softmax row."""
     if _native.library() is None:
         pytest.skip("no compiled library")
     probs = np.full((3, 3), 0.03) + np.eye(3) * 0.27
@@ -1091,9 +1045,12 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
                           "sweep",
             "verify220.tsv": "apply build householder objective ql "
                              "row_formatter scan sweep",
-            "eigs.tsv": "build jacobi row_formatter scan shifted_apply",
+            "eigs.tsv": "apply build jacobi row_formatter scan",
             "reduce.tsv": "jacobi row_formatter sweep",
+            "labels.tsv": "apply build objective row_formatter scan",
+            "pinned.tsv": "apply build objective row_formatter scan sweep",
             "spectrum.tsv": "build jacobi row_formatter scan",
+            "circles.tsv": "jacobi row_formatter sweep",
             "link.tsv": "build fit row_formatter scan"}
     written, paths = {}, {}
     for mode in ("compiled", "python"):
@@ -1129,6 +1086,7 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
             ["eval", "link", "--graph", g, "--embeddings", f"{d}/sphere.tsv",
              "--reps", "1", "--out", f"{d}/link.tsv"],
         ]
+        assert {Path(argv[-1]).name for argv in commands} == set(used)
         with _compiled_path(mode == "compiled"):
             for argv in commands:
                 zero_skips.objective.clear()
@@ -1141,7 +1099,13 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
                                for k, rows in zero_skips.sweeps)
         assert _manifest(d / "cafe.tsv")["compiled"] is (mode == "compiled")
         written[mode] = {p.name: p.read_bytes() for p in d.glob("*.tsv")}
-        paths[mode] = {out: _manifest(d / out)["paths"] for out in used}
+        manifests = {out: _manifest(d / out) for out in used}
+        paths[mode] = {out: m["paths"] for out, m in manifests.items()}
+        for out, manifest in manifests.items():
+            named = [*manifest["outputs"].items(), *(
+                (e["path"], e["sha256"]) for e in manifest["inputs"].values())]
+            for path, digest in named:
+                assert digest == _sha(Path(path)), (out, path)
     assert len(written["compiled"]) == 20, sorted(written["compiled"])
     assert written["python"] == written["compiled"]
     for mode, recorded in paths.items():

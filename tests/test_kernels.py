@@ -1096,11 +1096,18 @@ def test_shifted_store_records_its_path_and_checks_its_buffer(karate):
     Z = np.ones((karate.n, 3))
     _native.paths.clear()
     Q.apply(Z, 1.0, np.empty((3, karate.n)), keep=False)
-    assert _native.paths == {"shifted_apply": "compiled"}
+    assert _native.paths == {"apply": "compiled"}
     for buf in (np.empty((karate.n, 3)), np.empty((3, karate.n), order="F"),
                 np.empty((3, karate.n), np.float32)):
         with pytest.raises(ValueError, match="shifted"):
             Q.apply(Z, 1.0, buf)
+    # The driver checks the objective's product buffer the same way.
+    c = karate.marginal @ Z
+    for buf in (np.empty((3, karate.n)), np.empty((karate.n, 3), order="F"),
+                np.empty((karate.n, 3), np.float32)):
+        with pytest.raises(ValueError, match="product"):
+            _native._apply(karate, Z, c, karate.diag_mass, keep=False,
+                           product=buf)
 
 
 # --- trace objective and zero skipping ---------------------------------------
@@ -1141,14 +1148,38 @@ def masked_start(draw, n, K, value):
 
 @st.composite
 def objective_case(draw):
-    """A weighted graph, either diagonal and a C-order block H with rows
-    of every density (empty rows included), K = 1-17 or n, with values
-    from one family of specials."""
+    """A weighted graph, either diagonal and a block H with rows of every
+    density (empty rows included), K = 1-17 or n, with values from one
+    family of specials."""
     g = draw(weighted_graph())
     K = draw(st.one_of(st.integers(1, 17), st.just(g.n)))
     value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(draw(SPECIALS)))
     return (g.modularity_matrix(diag_zeroed=draw(st.booleans())),
             masked_start(draw, g.n, K, value))
+
+
+# The blocks the objective is handed: any float64 layout (the F-order
+# H[:, keep] of `prune_zero_columns` among them), float32 and 1-D.
+OBJECTIVE_LAYOUTS = ("C", "F", "columns", "rows", "unaligned C",
+                     "unaligned F", "float32", "1-D")
+
+
+def laid_out(H, layout):
+    """H's values in `layout`: C or F order, every other column or row of
+    a larger block, unaligned in C or F order, as float32 or its first
+    column."""
+    n, K = H.shape
+    if layout in ("columns", "rows"):
+        shape, at = ((n, 2 * K), np.s_[:, 1::2]) if layout == "columns" else (
+            (2 * n, K), np.s_[1::2])
+        larger = np.full(shape, np.nan)
+        larger[at] = H
+        return larger[at]
+    if layout.startswith("unaligned"):
+        return unaligned(H, order=layout[-1])
+    if layout == "float32":
+        return H.astype(np.float32)
+    return H[:, 0] if layout == "1-D" else np.array(H, order=layout)
 
 
 def one_hot_block(n, K, seed=0):
@@ -1158,24 +1189,33 @@ def one_hot_block(n, K, seed=0):
 
 
 @SETTINGS
-@given(case=objective_case())
+@given(case=objective_case(), layout=st.sampled_from(OBJECTIVE_LAYOUTS))
 @example(case=(_path_graph(9).modularity_matrix(diag_zeroed=True),
-               one_hot_block(9, 9)))
-@example(case=(_path_graph(9).modularity_matrix(), -one_hot_block(9, 17)))
+               one_hot_block(9, 9)), layout="C")
+@example(case=(_path_graph(9).modularity_matrix(diag_zeroed=True),
+               one_hot_block(9, 9)), layout="F")
+@example(case=(_path_graph(9).modularity_matrix(), -one_hot_block(9, 17)),
+         layout="F")
 @example(case=(_path_graph(9).modularity_matrix(),
-               np.where(one_hot_block(9, 9) > 0, np.nan, -0.0)))
+               np.where(one_hot_block(9, 9) > 0, np.nan, -0.0)), layout="C")
 @example(case=(_path_graph(9).modularity_matrix(diag_zeroed=True),
-               np.where(one_hot_block(9, 9, 1) > 0, np.inf, 0.0)))
-@example(case=(_path_graph(9).modularity_matrix(), np.zeros((9, 9))))
-def test_objective_entry_matches_the_numpy_statement(case):
+               np.where(one_hot_block(9, 9, 1) > 0, np.inf, 0.0)),
+         layout="C")
+@example(case=(_path_graph(9).modularity_matrix(), np.zeros((9, 9))),
+         layout="C")
+def test_objective_entry_matches_the_numpy_statement(case, layout):
     """`_native.objective` and `clustering._objective` give the bytes of
-    `np.sum(H * Q.apply(H))`, whether the pass sums over H's support or
-    not."""
+    `np.sum(H * Q.apply(H))` on the numpy path, for H in any layout,
+    whether the pass sums over H's support or not; a 1-D H is left to
+    the numpy path."""
     Q, H = case
-    want = plain_objective(Q, H)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
+        H = laid_out(H, layout)
+        want = plain_objective(Q, H)
         got = _native.objective(Q, H)
+        assert (got is None) == (layout == "1-D" or
+                                 _native.library() is None)
         if got is not None:
             assert same_bytes(got, want)
         assert same_bytes(clustering._objective(Q, H), want)
@@ -1204,18 +1244,26 @@ def test_objective_entry_takes_both_accumulations(zero_skips, karate):
 
 
 def test_objective_entry_records_its_path_and_declines_other_blocks(karate):
+    """Every float64 layout and a float32 block take the compiled pass; a
+    1-D block, which the numpy path takes as a column, and one of another
+    height, which it rejects, are left to it."""
     Q = karate.modularity_matrix()
     H = np.random.default_rng(2).random((karate.n, 3))
-    for other in (np.asfortranarray(H), H.astype(np.float32), H[:, 0],
-                  unaligned(H), np.ones((karate.n + 1, 3))):
+    compiled = "python" if _native.library() is None else "compiled"
+    for block in (H, np.asfortranarray(H), H[:, ::-1], H.astype(np.float32),
+                  unaligned(H), unaligned(H, order="F")):
+        want = plain_objective(Q, block)
+        _native.paths.clear()
+        assert same_bytes(clustering._objective(Q, block), want)
+        assert _native.paths == {"objective": compiled}
+    for other in (H[:, 0], np.ones((karate.n + 1, 3))):
         _native.paths.clear()
         assert _native.objective(Q, other) is None
         assert _native.paths == {"objective": "python"}
-    want = plain_objective(Q, H)
-    _native.paths.clear()
-    assert same_bytes(clustering._objective(Q, H), want)
-    assert _native.paths == {"objective": ("python" if _native.library()
-                                           is None else "compiled")}
+    assert same_bytes(clustering._objective(Q, H[:, 0]),
+                      plain_objective(Q, H[:, 0]))
+    with pytest.raises(ValueError, match="rows"):
+        clustering._objective(Q, np.ones((karate.n + 1, 3)))
     cloud = GramOperator(center(torus_cloud(9)))
     _native.paths.clear()
     clustering._objective(cloud, np.ones((9, 2)))

@@ -233,6 +233,27 @@ def _loops():
                                  *(data for _, data in found))
 
 
+def blas_threads():
+    """Thread count of the OpenBLAS that numpy loaded, on which LAPACK's
+    bytes depend, or None when no mapped library exports its getter."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(lib for lib in libs if lib.startswith("/")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                return int(getter())
+    return None
+
+
 # The path each entry point's calls took since the last clear(): "python"
 # once any call fell back, else "compiled".  cli.main clears it per run.
 paths = {}

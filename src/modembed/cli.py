@@ -90,6 +90,8 @@ def _write_manifest(command, params, input_paths, output_paths, started,
         # slower.
         "compiled": _native.library() is not None,
         "paths": dict(_native.paths),
+        # LAPACK's QR bytes, and so some outputs', depend on it.
+        "blas_threads": _native.blas_threads(),
     }
     if extra:
         manifest.update(extra)
@@ -126,9 +128,8 @@ def _sibling(out, tag):
 
 def _rank(embedding):
     """The manifest record of a QR's rank decision: the columns of Q H
-    dropped as dependent and the test that chose them."""
-    return {"dropped_columns": list(embedding.dropped_columns),
-            "rank_test": embedding.rank_test}
+    dropped as dependent."""
+    return {"dropped_columns": list(embedding.dropped_columns)}
 
 
 def _print_run(result):

@@ -755,8 +755,7 @@ def test_full_label_ignores_the_sweep_options(tmp_path, sbm_file, option):
 
 def test_manifests_record_the_rank_decision(tmp_path, sbm_file):
     """cafe and sphere manifests and each multilayer level name the
-    columns of Q H dropped as dependent and the rank test that chose
-    them."""
+    columns of Q H dropped as dependent."""
     graph_path, labels_path = sbm_file
     full, cafe, sph, ml = (tmp_path / f"{name}.tsv"
                            for name in ("full", "cafe", "sphere", "ml"))
@@ -771,8 +770,6 @@ def test_manifests_record_the_rank_decision(tmp_path, sbm_file):
     records = [_strict_manifest(full), _strict_manifest(cafe),
                _strict_manifest(sph), *_strict_manifest(ml)["levels"]]
     for record in records:
-        # 24 nodes are too few for the fast test to tell a zero residual.
-        assert record["rank_test"] == "loop"
         assert all(type(j) is int for j in record["dropped_columns"])
     # Two label columns sum to the all-ones vector, which Q maps to 0.
     assert records[0]["dropped_columns"] == [1]
@@ -880,6 +877,27 @@ def _compiled_path(compiled):
             pytest.skip("no compiled library")
         return contextlib.nullcontext()
     return mock.patch.object(_native, "library", lambda: None)
+
+
+def test_manifests_record_the_blas_thread_count(tmp_path, sbm_file):
+    """The thread count of numpy's OpenBLAS, on which some output bytes
+    depend, is a positive int, recorded in the manifest; it is None, and
+    the manifest strict JSON, when no loaded library exports its getter."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas.get("name")):
+        pytest.skip("numpy is not built on OpenBLAS")
+    threads = _native.blas_threads()
+    assert type(threads) is int and threads > 0
+    with mock.patch.object(_native.ctypes, "CDLL", lambda path: object()):
+        assert _native.blas_threads() is None
+    graph_path, _ = sbm_file
+    run = ["embed", "cafe", "--graph", str(graph_path), "--k", "2", "--out"]
+    found, missing = tmp_path / "found.tsv", tmp_path / "missing.tsv"
+    assert main(run + [str(found)]) == 0
+    with mock.patch.object(_native, "blas_threads", lambda: None):
+        assert main(run + [str(missing)]) == 0
+    assert _strict_manifest(found)["blas_threads"] == threads
+    assert _strict_manifest(missing)["blas_threads"] is None
 
 
 @pytest.mark.parametrize("compiled", [True, False])
@@ -1052,7 +1070,7 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
             "spectrum.tsv": "build jacobi row_formatter scan",
             "circles.tsv": "jacobi row_formatter sweep",
             "link.tsv": "build fit row_formatter scan"}
-    written, paths = {}, {}
+    written, paths, threads = {}, {}, {}
     for mode in ("compiled", "python"):
         d = tmp_path / mode
         d.mkdir()
@@ -1101,6 +1119,7 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
         written[mode] = {p.name: p.read_bytes() for p in d.glob("*.tsv")}
         manifests = {out: _manifest(d / out) for out in used}
         paths[mode] = {out: m["paths"] for out, m in manifests.items()}
+        threads[mode] = {m["blas_threads"] for m in manifests.values()}
         for out, manifest in manifests.items():
             named = [*manifest["outputs"].items(), *(
                 (e["path"], e["sha256"]) for e in manifest["inputs"].values())]
@@ -1108,6 +1127,8 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
                 assert digest == _sha(Path(path)), (out, path)
     assert len(written["compiled"]) == 20, sorted(written["compiled"])
     assert written["python"] == written["compiled"]
+    assert threads["python"] == threads["compiled"] == {
+        _native.blas_threads()}
     for mode, recorded in paths.items():
         assert recorded == {out: dict.fromkeys(entries.split(), mode)
                             for out, entries in used.items()}, mode

@@ -1,10 +1,12 @@
 """Embedding: pruning, orthonormalization, coarsening, multilayer stack."""
 
+import operator
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modembed import clustering, datasets, embedding, graph
@@ -85,17 +87,51 @@ class FixedProduct:
         return self.M.copy()
 
 
-def loop_only(Q, H):
-    """qr_embed as it runs when the fast rank test cannot tell."""
-    with mock.patch.object(embedding, "_residual_rank",
-                           lambda M, norms, tol: None):
-        return qr_embed(Q, H)
+def exact_int(x):
+    """The double x times 2^1100, an integer for every finite double."""
+    num, den = float(x).as_integer_ratio()
+    return num * ((1 << 1100) // den)
 
 
-def assert_same_embedding(got, want):
-    assert got.H_hat.tobytes() == want.H_hat.tobytes()
-    assert got.R.tobytes() == want.R.tobytes()
-    assert got.dropped_columns == want.dropped_columns
+def exact_det(G):
+    """Determinant of a square integer matrix, by Bareiss elimination."""
+    A = [list(row) for row in G]
+    k = len(A)
+    sign, prev = 1, 1
+    for i in range(k):
+        pivot = next((r for r in range(i, k) if A[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            A[i], A[pivot] = A[pivot], A[i]
+            sign = -sign
+        for r in range(i + 1, k):
+            for c in range(i + 1, k):
+                A[r][c] = (A[r][c] * A[i][i] - A[r][i] * A[i][c]) // prev
+        prev = A[i][i]
+    return sign * (A[k - 1][k - 1] if k else 1)
+
+
+def exact_squared_residuals(M, tol):
+    """The columns K of M whose exact distance r_j from the span of the
+    columns of K before them exceeds tol, and every (r_j / tol)^2, from
+    the Gram determinants of M scaled to integers:
+    r_j^2 = det G_{K+j} / det G_K."""
+    A = [[exact_int(x) for x in M[:, j]] for j in range(M.shape[1])]
+    G = [[0] * len(A) for _ in A]
+    for a in range(len(A)):
+        for b in range(a + 1):
+            G[a][b] = G[b][a] = sum(map(operator.mul, A[a], A[b]))
+    bar = (Fraction(tol) * (1 << 1100)) ** 2
+    kept, residuals = [], []
+    for j in range(len(A)):
+        rows = kept + [j]
+        r2 = Fraction(exact_det([[G[a][b] for b in rows] for a in rows]),
+                      exact_det([[G[a][b] for b in kept] for a in kept]))
+        residuals.append(r2)
+        if r2 > bar:
+            kept.append(j)
+    return kept, [r2 / bar for r2 in residuals]
 
 
 @st.composite
@@ -103,8 +139,8 @@ def near_tol_columns(draw):
     """An n x C block whose chosen columns are earlier ones mixed, plus a
     part orthogonal to all earlier columns whose norm is t times the rank
     test's tol, t from 0.5 to 2 or far off (1e-4, 1e8)."""
-    n = draw(st.sampled_from([7, 60, 500, 4000, 30000]))
-    C = draw(st.integers(2, 8))
+    n = draw(st.sampled_from([7, 60, 500, 4000]))
+    C = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     M = rng.standard_normal((n, C))
     M /= np.linalg.norm(M, axis=0)
@@ -124,36 +160,31 @@ def near_tol_columns(draw):
     return M
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(M=near_tol_columns(), layout=st.sampled_from("CF"))
-def test_rank_tests_keep_the_same_columns(M, layout):
-    """Whichever test decides, qr_embed keeps the loop's columns and
-    gives the loop's bytes, with columns at 0.5-2x tol."""
+def test_kept_columns_match_exact_arithmetic(M, layout):
+    """Where every exact residual lies outside [tol/2, 2 tol], the rank
+    test keeps exactly the columns that exact arithmetic keeps, with
+    columns drawn at 0.5-2x tol; M is left as it was."""
     M = np.array(M, order=layout)
-    Q, H = FixedProduct(M), np.zeros(M.shape)
-    got, want = qr_embed(Q, H), loop_only(Q, H)
-    assert_same_embedding(got, want)
-    assert got.rank_test in ("residuals", "loop")
-    assert want.rank_test == "loop"
-    norms = np.linalg.norm(M, axis=0)
-    tol = M.shape[0] * np.finfo(float).eps * norms.max()
-    before = M.copy()
-    kept = embedding._residual_rank(M, norms, tol)
-    assert M.tobytes() == before.tobytes()
-    assert kept is None or kept == embedding._loop_rank(M, tol)
+    tol = M.shape[0] * np.finfo(float).eps * np.linalg.norm(M, axis=0).max()
+    want, ratios = exact_squared_residuals(M, tol)
+    assume(all(r < Fraction(1, 4) or r > 4 for r in ratios))
+    before = M.tobytes()
+    assert embedding._kept_columns(M, tol) == want
+    assert M.tobytes() == before
 
 
 def test_residuals_decide_far_from_tol():
     """At n = 20000 a dependent column (the sum of the others, as a
-    row-stochastic H makes) and independent ones lie far outside the
-    band, so the fast test decides."""
+    row-stochastic H makes) is dropped and the independent ones kept."""
     rng = np.random.default_rng(3)
     M = rng.standard_normal((20000, 6))
     M[:, 5] = -M[:, :5].sum(axis=1)
     got = qr_embed(FixedProduct(M), np.zeros(M.shape))
-    assert got.rank_test == "residuals"
     assert got.dropped_columns == (5,)
-    assert_same_embedding(got, loop_only(FixedProduct(M), np.zeros(M.shape)))
+    assert np.abs(got.H_hat.T @ got.H_hat - np.eye(5)).max() < 1e-12
+    assert np.abs(got.H_hat @ got.R - M[:, :5]).max() < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -162,42 +193,42 @@ def ba3000():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("rank", [qr_embed, loop_only], ids=["fast", "loop"])
-def test_qr_embed_refuses_a_non_finite_product(ba3000, bad, rank):
+def test_qr_embed_refuses_a_non_finite_product(ba3000, bad):
     """A NaN or infinity in H makes Q H non-finite and tol with it, so no
-    residual exceeds tol: both rank tests would keep no column (the fast
-    one then fails on the empty R).  Both refuse it first, by name."""
+    residual would exceed tol and the rank test would keep no column.
+    qr_embed refuses it first, by name."""
     H = np.random.default_rng(2).random((ba3000.n, 4))
     H[7, 1] = bad
     with pytest.raises(ValueError, match="^Q H is not finite"):
-        rank(ba3000.modularity_matrix(), H)
+        qr_embed(ba3000.modularity_matrix(), H)
 
 
-@pytest.mark.parametrize("rank", [qr_embed, loop_only], ids=["fast", "loop"])
-def test_qr_embed_refuses_a_product_of_rounding_noise(tmp_path, rank):
+def test_qr_embed_refuses_a_product_of_rounding_noise(tmp_path):
     """Q 1 of a 5-clique is exactly zero when the clique is built in
     memory, and rounding noise (largest column norm 1.2e-16, within the
     apply's bound of 1.0e-15) when it is read back from its file: both
-    are nothing to embed, on either rank test."""
+    are nothing to embed."""
     built = graph.from_edge_list(datasets.clique_edges(range(5)))
     path = tmp_path / "clique.tsv"
     graph.save_edge_list(path, built)
     for g in (built, graph.load_edge_list(path)):
         with pytest.raises(ValueError, match="^Q H is identically zero"):
-            rank(g.modularity_matrix(), np.ones((5, 1)))
+            qr_embed(g.modularity_matrix(), np.ones((5, 1)))
 
 
 def test_no_rank_test_when_nothing_may_drop(karate):
     H = np.random.default_rng(1).random((34, 3))
-    emb = qr_embed(karate.modularity_matrix(), H, drop_dependent=False)
-    assert emb.rank_test is None and emb.dropped_columns == ()
+    with mock.patch.object(embedding, "_kept_columns",
+                           side_effect=AssertionError("rank test ran")):
+        emb = qr_embed(karate.modularity_matrix(), H, drop_dependent=False)
+    assert emb.dropped_columns == ()
 
 
 # Level 1 of `embed multilayer --max-sweeps 30` on the multilevel-1k5
 # benchmark graph of seed 4: the 6-supernode pooled graph (complete, so
 # its CSR data are row by row) and the pruned assignment fed to qr_embed.
-# The loop's residual for column 4 is 0.62 tol, while LAPACK's |R_44|
-# reads 1.004 tol, so only the loop may decide it.
+# The rank test's residuals for columns 4 and 5 are 0.73 and 0.03 tol,
+# while LAPACK's |R_44| reads 1.004 tol.
 LEVEL1_DATA = [
     "0x1.d0f8355913bd4p-7", "0x1.9332c0316ac7ap-6", "0x1.dc3361ebeca42p-7",
     "0x1.af46afa089068p-13", "0x1.801af46afa0b8p-7", "0x1.d0f8355913bd4p-7",
@@ -231,9 +262,9 @@ LEVEL1_H = [
 ]
 
 
-def test_a_residual_near_tol_takes_the_loop():
-    """The closest rank decision on record is left to the loop, which
-    drops column 4 at 0.62 tol and column 5 at 0.04 tol."""
+def test_a_residual_near_tol_is_dropped():
+    """The closest rank decision on record: the rank test drops column 4
+    at 0.73 tol and column 5 at 0.03 tol."""
     n = 6
     indices = [j for i in range(n) for j in range(n) if j != i]
     g = graph.SampledGraph(np.arange(n + 1) * (n - 1), indices,
@@ -244,10 +275,8 @@ def test_a_residual_near_tol_takes_the_loop():
     Q = g.modularity_matrix()
     M = Q.apply(H)
     tol = n * np.finfo(float).eps * np.linalg.norm(M, axis=0).max()
-    assert embedding._loop_rank(M, tol) == [0, 1, 2, 3]
-    got = qr_embed(Q, H)
-    assert got.rank_test == "loop"
-    assert got.dropped_columns == (4, 5)
+    assert embedding._kept_columns(M, tol) == [0, 1, 2, 3]
+    assert qr_embed(Q, H).dropped_columns == (4, 5)
 
 
 def test_indicator_matrix():

@@ -7,8 +7,8 @@
  * operator's Q @ H behind ModularityMatrix.apply, with orthogonal
  * iteration's shifted block as a second store and the trace objective's
  * H * (Q @ H) behind clustering._objective as a third (modembed_apply),
- * the one TSV
- * scanner behind graph.load_edge_list, tasks.load_labels and
+ * that objective summed over a sparse H's support (modembed_objective),
+ * the one TSV scanner behind graph.load_edge_list, tasks.load_labels and
  * embedding.load_embedding_tsv (modembed_scan), the graph build behind
  * graph._from_ids (modembed_build), and the classifier's gradient descent
  * behind tasks.SoftmaxRegression.fit (modembed_fit).  Every array they
@@ -46,16 +46,19 @@
  * IEEE operation a scalar takes.
  *
  * modembed_apply forms Q @ H for ModularityMatrix.apply in one pass over
- * the graph's CSR rows, H a row-major block; every entry takes the
- * operations of the numpy path in the same order, so the bytes are the
- * same.  The one exception is the sign of a NaN made where NaNs of both
- * signs meet in an add: x86 returns one operand's, and numpy's own add
- * loop picks a different operand from one position to the next.
+ * the graph's CSR rows, H a row-major block, eight columns at a time in
+ * pairs of doubles; every entry takes the operations of the numpy path in
+ * the same order, so the bytes are the same.  The one exception is the
+ * sign of a NaN made where NaNs of both signs meet in an add: x86 returns
+ * one operand's, and numpy's own add loop picks a different operand from
+ * one position to the next.
  *
- * Two paths skip the exact zeros of a hard assignment and keep every
- * byte: the objective store sums over H's support when H is mostly
- * zeros, and the softmax row takes the shift and the exp over h's
- * support only when h is; each states why its bytes stay.
+ * Three paths skip the exact zeros of a hard assignment and keep every
+ * byte: the objective forms H * (Q @ H) on H's support alone and repeats
+ * np.sum's pairwise sum there when H is mostly zeros, the softmax row
+ * takes the shift and the exp over h's support only when h is, and the
+ * sweep scatters such rows into its gather buffer instead of copying
+ * them; each states why its bytes stay.
  *
  * modembed_scan reads a file's bytes once.  It takes the file only when
  * the text is ASCII with no NUL, '\r', '\x0b', '\x0c' or '\x1c'-'\x1f',
@@ -484,16 +487,16 @@ struct modembed_loops {
     void *matmul_data, *maximum_data, *exp_data, *add_data;
 };
 
-/* The operator a sweep reads and the aggregate A = F^T H it keeps, F
- * the row-major n x L array x.  A modularity operator gives its CSR rows
- * of p (indptr, indices, data) and the marginal as x with L = 1 (A is K
- * values); a Gram operator (indptr NULL) gives the cloud as x and its
- * squared row norms sq (A is row-major L x K). */
+/* The operator a sweep reads on n nodes and the aggregate A = F^T H it
+ * keeps, F the row-major n x L array x.  A modularity operator gives its
+ * CSR rows of p (indptr, indices, data) and the marginal as x with L = 1
+ * (A is K values); a Gram operator (indptr NULL) gives the cloud as x and
+ * its squared row norms sq (A is row-major L x K). */
 struct modembed_operator {
     const int64_t *indptr, *indices;
     const double *data, *x, *sq;
     double *agg;
-    ptrdiff_t L;
+    ptrdiff_t L, n;
 };
 
 #define ZERO_CLAMP 1e-300      /* clustering._ZERO_CLAMP */
@@ -524,20 +527,87 @@ static double reduce(numpy_loop loop, void *data, double seed,
     return seed;
 }
 
+/* 1 when some 64 rows spread over the row-major n x k block h hold more
+ * than 2 / share of their entries as nonzeros (NaN among them): too
+ * dense for a pass over its support to pay. */
+static int sampled_dense(ptrdiff_t n, ptrdiff_t k, const double *h,
+                         ptrdiff_t share)
+{
+    ptrdiff_t seen = 0, held = 0;
+    for (ptrdiff_t w = 0; w < n; w += n / 64 + 1, seen += k)
+        for (ptrdiff_t j = 0; j < k; j++)
+            held += h[w * k + j] != 0.0;
+    return held * share > 2 * seen;
+}
+
+/* The sweep's gather table, none while rows is NULL: for each row of H,
+ * at rows + row (most + 1), the number of its entries whose bits are not
+ * those of +0.0, then their columns, when there are at most `most` =
+ * k / SOFTMAX_SHARE of them, else -1 ("dense"); and for each gather slot
+ * whether it may hold anything but +0.0. */
+struct gather_table {
+    int32_t *rows;
+    unsigned char *dirty;
+    ptrdiff_t most;
+};
+
+/* Row h's entry of the table at `entry`. */
+static void table_row(int32_t *entry, const double *h, ptrdiff_t k,
+                      ptrdiff_t most)
+{
+    int32_t m = 0;
+    for (ptrdiff_t i = 0; i < k; i++) {
+        uint64_t bits;
+        memcpy(&bits, h + i, sizeof bits);
+        if (bits == 0)
+            continue;
+        if (m == most) {
+            entry[0] = -1;
+            return;
+        }
+        entry[++m] = (int32_t)i;
+    }
+    entry[0] = m;
+}
+
 /* z = row u's covariance, as the operator's row_covariance forms it;
- * gather holds max degree x k doubles. */
+ * gather holds max degree x k doubles.  With a table, a neighbour of few
+ * nonzeros is scattered into its gather slot, kept at +0.0 around it, so
+ * the slot holds the bytes of the whole row and the matmul reads what
+ * the row's copy would give; *scattered counts those neighbours. */
 static void covariance(const struct modembed_operator *op,
                        const struct modembed_loops *lp, const double *hs,
-                       ptrdiff_t k, ptrdiff_t u, double *z, double *gather)
+                       ptrdiff_t k, ptrdiff_t u, double *z, double *gather,
+                       const struct gather_table *t, ptrdiff_t *scattered)
 {
     const double *h = hs + u * k;
     const ptrdiff_t w = sizeof(double);
     if (op->indptr != NULL) {
         ptrdiff_t s = op->indptr[u], d = op->indptr[u + 1] - s;
-        for (ptrdiff_t j = 0; j < d; j++)
-            memcpy(gather + j * k, hs + op->indices[s + j] * k,
-                   (size_t)k * sizeof(double));
+        for (ptrdiff_t j = 0; j < d; j++) {
+            const ptrdiff_t v = op->indices[s + j];
+            const int32_t *entry =
+                t->rows != NULL ? t->rows + v * (t->most + 1) : NULL;
+            double *slot = gather + j * k;
+            if (entry == NULL || entry[0] < 0) {
+                memcpy(slot, hs + v * k, (size_t)k * sizeof(double));
+                if (t->rows != NULL)
+                    t->dirty[j] = 1;
+                continue;
+            }
+            if (t->dirty[j])
+                memset(slot, 0, (size_t)k * sizeof(double));
+            t->dirty[j] = 0;
+            for (int32_t q = 1; q <= entry[0]; q++)
+                slot[entry[q]] = hs[v * k + entry[q]];
+            ++*scattered;
+        }
         matmul(lp, op->data + s, gather, z, 1, d, k, d * w, w, k * w, w);
+        for (ptrdiff_t j = 0; t->rows != NULL && j < d; j++) {
+            const int32_t *entry = t->rows + op->indices[s + j] * (t->most + 1);
+            for (int32_t q = 1; !t->dirty[j] && q <= entry[0]; q++)
+                gather[j * k + entry[q]] = 0.0;
+        }
         double pi = op->x[u];
         for (ptrdiff_t i = 0; i < k; i++)
             z[i] -= pi * (op->agg[i] - pi * h[i]);
@@ -668,37 +738,73 @@ static int sphere_row(const struct modembed_loops *lp, const double *h,
     return 1;
 }
 
+/* The gather table of the n x k block hs for a pass of a modularity
+ * operator at k >= SOFTMAX_SHARE, with its slots unknown; none (every
+ * neighbour copied) for a Gram operator, a smaller k, a block that the
+ * sample shows dense, or no memory.  On multilayer's level 0 of a
+ * 1,500-node planted partition (K = 1,500; 2-core AVX-512 Xeon, medians
+ * of 5) a sweep once H is under a tenth nonzero took 17-19.5 ms against
+ * 19.5-22 ms with every neighbour copied. */
+static struct gather_table gather_table(const struct modembed_operator *op,
+                                        const double *hs, ptrdiff_t k)
+{
+    const ptrdiff_t n = op->n, most = k / SOFTMAX_SHARE;
+    struct gather_table t = {NULL, NULL, most};
+    if (op->indptr == NULL || most == 0 ||
+        sampled_dense(n, k, hs, SOFTMAX_SHARE))
+        return t;
+    ptrdiff_t degree = 0;
+    for (ptrdiff_t u = 0; u < n; u++)
+        if (op->indptr[u + 1] - op->indptr[u] > degree)
+            degree = op->indptr[u + 1] - op->indptr[u];
+    t.rows = malloc((size_t)(n * (most + 1)) * sizeof *t.rows +
+                    (size_t)degree);
+    if (t.rows == NULL)
+        return t;
+    t.dirty = (unsigned char *)(t.rows + n * (most + 1));
+    memset(t.dirty, 1, (size_t)degree);
+    for (ptrdiff_t u = 0; u < n; u++)
+        table_row(t.rows + u * (most + 1), hs + u * k, k, most);
+    return t;
+}
+
 /* One pass over the listed rows of the row-major n x k array hs, in
  * order: softmax_update at inverse temperature weight (sphere 0) or
  * sphere_update at blend weight weight (sphere 1), the aggregate kept
  * in step; scratch holds (4 + max degree) k doubles, four k-vectors and
- * the gather buffer.  Returns the rows skipped, and adds to *support_rows
- * the softmax rows that read only h's support. */
+ * the gather buffer.  Returns the rows skipped; adds to counts[0] the
+ * softmax rows that read only h's support and to counts[1] the
+ * neighbours scattered from the gather table, whose row entries follow
+ * each store. */
 ptrdiff_t modembed_sweep(const struct modembed_operator *op,
                          const struct modembed_loops *lp, double *hs,
                          ptrdiff_t k, const ptrdiff_t *rows, ptrdiff_t n_rows,
                          int sphere, double weight, double *scratch,
-                         ptrdiff_t *support_rows)
+                         ptrdiff_t *counts)
 {
     double *z = scratch, *row = z + k, *delta = row + k, *e = delta + k;
     double *gather = e + k;
+    struct gather_table t = gather_table(op, hs, k);
     ptrdiff_t skipped = 0;
     for (ptrdiff_t r = 0; r < n_rows; r++) {
         ptrdiff_t u = rows[r];
         double *h = hs + u * k;
-        covariance(op, lp, hs, k, u, z, gather);
+        covariance(op, lp, hs, k, u, z, gather, &t, counts + 1);
         int taken = sphere ? sphere_row(lp, h, z, k, weight, row)
                            : softmax_row(lp, h, z, k, weight, row, delta, e);
         if (!taken) {
             skipped++;
             continue;
         }
-        *support_rows += taken == 2;
+        counts[0] += taken == 2;
         for (ptrdiff_t i = 0; i < k; i++)
             delta[i] = row[i] - h[i];
         update(op, k, u, delta);
         memcpy(h, row, (size_t)k * sizeof(double));
+        if (t.rows != NULL)
+            table_row(t.rows + u * (t.most + 1), h, k, t.most);
     }
+    free(t.rows);
     return skipped;
 }
 
@@ -806,75 +912,32 @@ void modembed_fit(const struct modembed_loops *lp, ptrdiff_t m, ptrdiff_t d,
 
 /* --- Q @ H ---------------------------------------------------------------- */
 
-/* The sparse part of the objective store sums over H's support when it
- * holds at most 1 / SPARSE_SHARE of H's entries.  Measured against the
- * four-column loop (one call, 2-core AVX-512 Xeon): on the blocks of
- * multilayer's level 0 on a 1,500-node planted partition (K = 1,500) the
- * support sums were faster at every density up to 36 % (4.5 against
- * 10.5 ms near one nonzero a row, 8.6 against 11.9 ms at 18 %); on
- * 20,000 nodes they were slower at K = 16 and 64 with a quarter of H
- * nonzero (4.5 against 2.4 ms, 12.0 against 10.1 ms) and faster one-hot
- * (1.7 against 2.0 ms, 4.1 against 7.1 ms); on uniformly random supports
- * at K = 1,500 the crossover fell to 6 %. */
-#define SPARSE_SHARE 8
-
-/* Entry q of the int32 lists at p.  The lists live in the product
- * buffer, whose doubles later overwrite them, so they are read and
- * written through memcpy and never as an int32 lvalue. */
-static ptrdiff_t list_entry(const unsigned char *p, ptrdiff_t q)
+/* Row i's entries j .. j + 2 lanes - 1 of Q @ H into o, in `lanes` pairs
+ * of doubles: each lane adds data[p] * H[indices[p], j] in stored-entry
+ * order from 0.0, then takes (sum - pi_i c_j) + diag_i H[i, j], as the
+ * scalar loop does. */
+static inline __attribute__((always_inline)) void
+apply_columns(int lanes, const int64_t *indices, const double *data,
+              ptrdiff_t s, ptrdiff_t e, const double *h, ptrdiff_t k,
+              ptrdiff_t j, const double *c, const double *hi, double pi,
+              double d, double *o)
 {
-    int32_t v;
-    memcpy(&v, p + q * (ptrdiff_t)sizeof v, sizeof v);
-    return v;
-}
-
-static void set_list_entry(unsigned char *p, ptrdiff_t q, ptrdiff_t value)
-{
-    int32_t v = (int32_t)value;
-    memcpy(p + q * (ptrdiff_t)sizeof v, &v, sizeof v);
-}
-
-/* H's support, the entries of the row-major n x k block h whose bits are
- * not those of +0.0 (so -0.0 and NaN are in it), as int32 lists written
- * at the front of `store`, the n x k doubles of the product store: n + 1
- * offsets, then the columns, so that row w's columns, ascending, are the
- * entries n + 1 + offset[w] .. n + offset[w + 1].  *first is then the
- * number of leading product rows the lists cover.  NULL when H holds
- * more than n k / SPARSE_SHARE such entries, the lists would not leave a
- * row free or n k needs more than 31 bits.  Some 64 rows spread over H
- * are counted first, and a block they show at over twice the share is
- * left at that; otherwise one pass fills the lists and stops once past
- * the share.  The lists take no memory of their own. */
-static unsigned char *support(ptrdiff_t n, ptrdiff_t k, const double *h,
-                              double *store, ptrdiff_t *first)
-{
-    unsigned char *lists = (unsigned char *)store;
-    const ptrdiff_t room = n * k * 2 - (n + 1) - k;
-    const ptrdiff_t most = n * k / SPARSE_SHARE < room
-                         ? n * k / SPARSE_SHARE : room;
-    if (n * k > INT32_MAX || most < 0)
-        return NULL;
-    ptrdiff_t seen = 0, held = 0;
-    for (ptrdiff_t w = 0; w < n; w += n / 64 + 1, seen += k)
-        for (ptrdiff_t j = 0; j < k; j++)
-            held += h[w * k + j] != 0.0;
-    if (held * SPARSE_SHARE > 2 * seen)
-        return NULL;
-    set_list_entry(lists, 0, 0);
-    for (ptrdiff_t w = 0, m = 0; w < n; w++) {
-        for (ptrdiff_t j = 0; j < k; j++) {
-            uint64_t bits;
-            memcpy(&bits, h + w * k + j, sizeof bits);
-            if (bits != 0)
-                set_list_entry(lists, n + 1 + m++, j);
+    v2df s0 = {0.0, 0.0}, s1 = s0, s2 = s0, s3 = s0;
+    for (ptrdiff_t p = s; p < e; p++) {
+        const v2df a = {data[p], data[p]};
+        const double *x = h + indices[p] * k + j;
+        s0 = s0 + a * load2(x);
+        if (lanes > 1)
+            s1 = s1 + a * load2(x + 2);
+        if (lanes > 2) {
+            s2 = s2 + a * load2(x + 4);
+            s3 = s3 + a * load2(x + 6);
         }
-        if (m > most)
-            return NULL;
-        set_list_entry(lists, w + 1, m);
     }
-    /* 2 k int32 entries to a product row. */
-    *first = (n + 1 + list_entry(lists, n) + 2 * k - 1) / (2 * k);
-    return *first < n ? lists : NULL;
+    const v2df pis = {pi, pi}, ds = {d, d};
+    const v2df sums[4] = {s0, s1, s2, s3};
+    for (int b = 0; b < lanes; b++, j += 2)
+        store2(o + j, (sums[b] - pis * load2(c + j)) + ds * load2(hi + j));
 }
 
 /* out = Q @ H for the modularity operator of the graph on n nodes whose
@@ -884,9 +947,10 @@ static unsigned char *support(ptrdiff_t n, ptrdiff_t k, const double *h,
  * zeroed diagonal).  Each entry's sparse part starts at 0.0 and adds
  * data[p] * H[indices[p], j] over the row's stored entries in order, as
  * scipy's csr_matvecs and the numpy fallback do; then it becomes
- * (sum - pi_i * c_j) + diag_i * H[i, j].  Four columns are summed at a
- * time in registers, so each stored entry is read once per four columns
- * and no partial sum goes through memory.
+ * (sum - pi_i * c_j) + diag_i * H[i, j].  Eight columns are summed at a
+ * time in four pairs of doubles (v2df, SSE2 on x86-64), each lane the
+ * scalar operation, then four, two and one, so each stored entry is read
+ * once per eight columns and no partial sum goes through memory.
  *
  * Row i is stored at out + i * out_step: out_step = k gives the row-major
  * n x k Q @ H, out_step = 0 reuses one row of k doubles.  When shifted is
@@ -895,82 +959,29 @@ static unsigned char *support(ptrdiff_t n, ptrdiff_t k, const double *h,
  * each entry by np.multiply then np.add, that orthogonal iteration hands
  * to LAPACK next.  When product is not NULL, each row is also stored as
  * H[i, j] * out[i, j] at product[i * k + j]: the row-major H * (Q @ H)
- * whose sum is the trace objective, by np.multiply's operation.
- *
- * With product, when every weight is finite and H's support() is small,
- * each row's sparse part adds only the terms of H's support, in the same
- * stored-entry order, and the row's own entries are read from its
- * support, the rest being +0.0.  The bytes stay: a skipped term is
- * data[p] * (+0.0), which is +-0 for a finite weight (an inf or NaN
- * weight would make it NaN, hence the check), and a round-to-nearest sum
- * that starts at +0.0 never becomes -0, so adding +-0 leaves it as it
- * was.  Rows do not depend on each other, so the order in which they are
- * formed moves no byte.  The plain and shifted stores, whose callers
- * pass dense blocks, a dense H and the rows whose product rows hold the
- * support's lists keep the four-column loop.  Returns the rows summed
- * over the support. */
-ptrdiff_t modembed_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
-                         const int64_t *indices, const double *data,
-                         const double *marginal, const double *h,
-                         const double *c, const double *diag, double *out,
-                         ptrdiff_t out_step, double shift, double *shifted,
-                         double *product)
+ * whose sum is the trace objective, by np.multiply's operation. */
+void modembed_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
+                    const int64_t *indices, const double *data,
+                    const double *marginal, const double *h, const double *c,
+                    const double *diag, double *out, ptrdiff_t out_step,
+                    double shift, double *shifted, double *product)
 {
-    ptrdiff_t first = 0;
-    const unsigned char *lists =
-        product != NULL ? support(n, k, h, product, &first) : NULL;
-    for (ptrdiff_t p = 0; lists != NULL && p < indptr[n]; p++)
-        if (!isfinite(data[p]))
-            lists = NULL;
-    const unsigned char *cols =
-        lists != NULL ? lists + (n + 1) * sizeof(int32_t) : NULL;
-    /* With the lists, rows first .. n - 1 take the support sums; rows
-     * 0 .. first - 1, whose product rows hold the lists, come last. */
-    for (ptrdiff_t r = 0; r < n; r++) {
-        const ptrdiff_t i = lists != NULL ? (r + first) % n : r;
+    for (ptrdiff_t i = 0; i < n; i++) {
         const ptrdiff_t s = indptr[i], e = indptr[i + 1];
-        const double pi = marginal[i], d = diag[i];
-        /* Row i of H as the stores read it. */
-        const double *hi = h + i * k;
+        const double pi = marginal[i], d = diag[i], *hi = h + i * k;
         double *o = out + i * out_step;
         ptrdiff_t j = 0;
-        if (lists != NULL && i >= first) {
-            /* Row i of H is built in its product row, which the product
-             * store then overwrites entry by entry. */
-            double *x = product + i * k;
-            for (; j < k; j++)
-                o[j] = x[j] = 0.0;
-            for (ptrdiff_t q = list_entry(lists, i),
-                 end = list_entry(lists, i + 1); q < end; q++)
-                x[list_entry(cols, q)] = hi[list_entry(cols, q)];
-            for (ptrdiff_t p = s; p < e; p++) {
-                const double a = data[p], *y = h + indices[p] * k;
-                for (ptrdiff_t q = list_entry(lists, indices[p]),
-                     end = list_entry(lists, indices[p] + 1); q < end; q++) {
-                    const ptrdiff_t col = list_entry(cols, q);
-                    o[col] = o[col] + a * y[col];
-                }
-            }
-            for (j = 0; j < k; j++)
-                o[j] = (o[j] - pi * c[j]) + d * x[j];
-            hi = x;
+        for (; j + 8 <= k; j += 8)
+            apply_columns(4, indices, data, s, e, h, k, j, c, hi, pi, d, o);
+        if (j + 4 <= k) {
+            apply_columns(2, indices, data, s, e, h, k, j, c, hi, pi, d, o);
+            j += 4;
         }
-        for (; j + 4 <= k; j += 4) {
-            double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-            for (ptrdiff_t p = s; p < e; p++) {
-                const double a = data[p];
-                const double *x = h + indices[p] * k + j;
-                s0 = s0 + a * x[0];
-                s1 = s1 + a * x[1];
-                s2 = s2 + a * x[2];
-                s3 = s3 + a * x[3];
-            }
-            o[j] = (s0 - pi * c[j]) + d * hi[j];
-            o[j + 1] = (s1 - pi * c[j + 1]) + d * hi[j + 1];
-            o[j + 2] = (s2 - pi * c[j + 2]) + d * hi[j + 2];
-            o[j + 3] = (s3 - pi * c[j + 3]) + d * hi[j + 3];
+        if (j + 2 <= k) {
+            apply_columns(1, indices, data, s, e, h, k, j, c, hi, pi, d, o);
+            j += 2;
         }
-        for (; j < k; j++) {
+        if (j < k) {
             double s0 = 0.0;
             for (ptrdiff_t p = s; p < e; p++)
                 s0 = s0 + data[p] * h[indices[p] * k + j];
@@ -987,7 +998,137 @@ ptrdiff_t modembed_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
                 x[j] = hi[j] * o[j];
         }
     }
-    return lists != NULL ? n - first : 0;
+}
+
+/* The objective sums over H's support when it holds at most 1 /
+ * SPARSE_SHARE of H's entries.  On multilayer's level 0 of a 1,500-node
+ * planted partition (K = 1,500; 2-core AVX-512 Xeon, medians of 7 calls)
+ * a call took 5.3 ms at 8.7 % nonzero and 2.0-2.4 ms at 0.3 %, where the
+ * product store and np.sum take 9-11 ms at any density. */
+#define SPARSE_SHARE 8
+/* numpy's pairwise summation sums runs of up to PAIRWISE_LEAF values in
+ * one pass (PW_BLOCKSIZE in numpy's loops_utils.h). */
+#define PAIRWISE_LEAF 128
+
+/* The product H * (Q @ H) on H's support: the row-major n x k block h,
+ * the CSR and the vectors as modembed_apply reads them, and the flat
+ * positions of the support, ascending; leaf holds PAIRWISE_LEAF +0.0s
+ * between calls of pairwise(). */
+struct objective {
+    ptrdiff_t k;
+    const int64_t *indptr, *indices;
+    const double *data, *marginal, *h, *c, *diag;
+    const ptrdiff_t *at;
+    ptrdiff_t count, next, row;
+    const struct modembed_loops *lp;
+    double leaf[PAIRWISE_LEAF];
+};
+
+/* numpy's pairwise sum over the flat product's entries [lo, lo + len):
+ * runs of up to PAIRWISE_LEAF values by numpy's own add loop seeded with
+ * 0.0, and above that the two halves split at len / 2 rounded down to a
+ * multiple of 8, summed and added.  A half without a support entry is
+ * skipped: returns 0 then, else 1 with the sum in *sum. */
+static int pairwise(struct objective *ob, ptrdiff_t lo, ptrdiff_t len,
+                    double *sum)
+{
+    if (ob->next == ob->count || ob->at[ob->next] >= lo + len)
+        return 0;
+    if (len <= PAIRWISE_LEAF) {
+        const ptrdiff_t first = ob->next, k = ob->k;
+        for (; ob->next < ob->count && ob->at[ob->next] < lo + len;
+             ob->next++) {
+            /* The entries ascend, so their row only moves down. */
+            const ptrdiff_t q = ob->at[ob->next];
+            while (q >= (ob->row + 1) * k)
+                ob->row++;
+            const ptrdiff_t i = ob->row, j = q - i * k;
+            double s = 0.0;
+            for (int64_t p = ob->indptr[i]; p < ob->indptr[i + 1]; p++)
+                s = s + ob->data[p] * ob->h[ob->indices[p] * k + j];
+            const double qh = (s - ob->marginal[i] * ob->c[j])
+                              + ob->diag[i] * ob->h[q];
+            ob->leaf[q - lo] = ob->h[q] * qh;
+        }
+        *sum = reduce(ob->lp->add, ob->lp->add_data, 0.0, ob->leaf, len);
+        for (ptrdiff_t q = first; q < ob->next; q++)
+            ob->leaf[ob->at[q] - lo] = 0.0;
+        return 1;
+    }
+    ptrdiff_t half = len / 2;
+    half -= half % 8;
+    double left, right;
+    const int l = pairwise(ob, lo, half, &left);
+    const int r = pairwise(ob, lo + half, len - half, &right);
+    *sum = l && r ? left + right : l ? left : right;
+    return l || r;
+}
+
+/* tr(H^T Q H) as np.sum(H * (Q @ H)) gives it, from H's support alone:
+ * the entries of the row-major n x k block h whose bits are not those of
+ * +0.0 (so -0.0 and NaN are in it), arguments as modembed_apply's.  Sets
+ * *total and returns 1, or returns 0, having summed nothing, when H holds
+ * more than n k / SPARSE_SHARE such entries (some 64 rows spread over H
+ * are counted first, and a block they show at over twice the share is
+ * left at that), memory runs out, or a bound below fails.
+ *
+ * np.sum of the C-order product is numpy's add loop over its n k values
+ * from +0.0: their pairwise sum, which pairwise() repeats, plus +0.0.
+ * Off the support, H[i, j] * (Q @ H)[i, j] is +0.0 times a finite value,
+ * so +-0: every weight and diagonal entry is finite, the weights sum to
+ * at most 2^10 in absolute value, every |pi_i| is at most 2^10 and every
+ * |H[i, j]| and |c_j| at most 2^1000, so no entry of Q @ H passes 2^1012.
+ * Adding +-0 to a nonzero x gives x, so a skipped half changes no sum
+ * but the sign of a zero one, as does seeding a run with 0.0, and +0.0
+ * plus a zero total is +0.0 whatever its sign. */
+int modembed_objective(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
+                       const int64_t *indices, const double *data,
+                       const double *marginal, const double *h,
+                       const double *c, const double *diag,
+                       const struct modembed_loops *lp, double *total)
+{
+    const ptrdiff_t most = n * k / SPARSE_SHARE;
+    if (sampled_dense(n, k, h, SPARSE_SHARE))
+        return 0;
+    double mass = 0.0;
+    for (ptrdiff_t p = 0; p < indptr[n]; p++)
+        mass += fabs(data[p]);
+    int bounded = mass <= 0x1p10;
+    for (ptrdiff_t i = 0; bounded && i < n; i++)
+        bounded = fabs(marginal[i]) <= 0x1p10 && isfinite(diag[i]);
+    for (ptrdiff_t j = 0; bounded && j < k; j++)
+        bounded = fabs(c[j]) <= 0x1p1000;
+    if (!bounded)
+        return 0;
+    struct objective ob = {k, indptr, indices, data, marginal, h, c, diag,
+                           NULL, 0, 0, 0, lp, {0.0}};
+    ptrdiff_t *at = NULL, room = 0;
+    int summed = 1;
+    for (ptrdiff_t q = 0; summed && q < n * k; q++) {
+        uint64_t bits;
+        memcpy(&bits, h + q, sizeof bits);
+        if (bits == 0)
+            continue;
+        if (ob.count == most || !(fabs(h[q]) <= 0x1p1000)) {
+            summed = 0;
+        } else if (ob.count == room) {
+            room = room ? 2 * room : n + PAIRWISE_LEAF;
+            room = room < most ? room : most;
+            ptrdiff_t *grown = realloc(at, (size_t)room * sizeof *at);
+            summed = grown != NULL;
+            at = summed ? grown : at;
+        }
+        if (summed)
+            at[ob.count++] = q;
+    }
+    if (summed) {
+        double sum = 0.0;
+        ob.at = at;
+        pairwise(&ob, 0, n * k, &sum);
+        *total = 0.0 + sum;
+    }
+    free(at);
+    return summed;
 }
 
 /* --- TSV readers ------------------------------------------------------- */

@@ -11,15 +11,16 @@ bytes and stays as the fallback and the tests' oracle:
   writer (`graph._write_rows`), in one buffer that it reuses;
 - `sweep`: `modembed_sweep`, one softmax or sphere pass for
   `clustering._kernel`, over C-order arrays only; a softmax row with few
-  nonzeros takes the exp over them alone;
+  nonzeros takes the exp over them alone, and at K >= 32 a neighbour
+  with few nonzeros is scattered into the gather buffer, not copied;
 - `householder`: `modembed_householder`, the two rank updates of each
   step of the Householder reduction (`spectral`), in place;
 - `apply`, `objective`: `modembed_apply`, through one driver: Q @ H
   over a graph's own int64 CSR rows for `graph.ModularityMatrix.apply`,
   also storing the shifted block of orthogonal iteration column-major
   when asked, and tr(H^T Q H) for `clustering._objective`, which stores
-  only H * (Q @ H), summed over H's nonzero entries when H is mostly
-  zeros;
+  only H * (Q @ H); when H is mostly zeros, `modembed_objective` forms
+  that product on H's support alone and sums it as np.sum does;
 - `scan`: `modembed_scan`, the scanner behind the edge-list, label and
   embedding readers; a label file's nodes are found among the labels
   of a scanned graph;
@@ -146,9 +147,12 @@ def library():
              array, size, offsets, size, c_int, double, array, offsets),
             ("householder", None, size, size, array, array, values,
              values, values, double),
-            ("apply", size, size, size, int64, int64, values, values,
+            ("apply", None, size, size, int64, int64, values, values,
              values, values, values, array, size, double, ctypes.c_void_p,
              ctypes.c_void_p),
+            ("objective", c_int, size, size, int64, int64, values, values,
+             values, values, values, ctypes.c_void_p * 8,
+             ctypes.POINTER(double)),
             ("scan", c_int, c_int, ctypes.c_char_p, size, ctypes.c_char_p,
              size, ctypes.POINTER(_Scan)),
             ("build", c_int, size, size, int64, values,
@@ -318,7 +322,7 @@ class _Operator(ctypes.Structure):
     """The C struct modembed_operator."""
     _fields_ = [*((name, ctypes.c_void_p) for name in (
         "indptr", "indices", "data", "x", "sq", "agg")),
-        ("L", ctypes.c_ssize_t)]
+        ("L", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t)]
 
 
 @_recorded
@@ -359,15 +363,16 @@ def sweep(rule, Q, H, aggregate, rows, weight):
         return None
     # The marginal is F as one column: L = 1.
     op = _Operator(*(a if a is None else a.ctypes.data for a in fields),
-                   L=F.shape[1] if F.ndim == 2 else 1)
+                   L=F.shape[1] if F.ndim == 2 else 1, n=H.shape[0])
     op.arrays = arrays  # what op points into lives as long as op
     # Four K-vectors, then the gather buffer for the densest row.
     scratch = np.empty((4 + degree) * K)
     rows = np.array(rows, dtype=np.intp)
-    # The count of softmax rows that read only their support, for tests.
-    support_rows = np.zeros(1, np.intp)
+    # The softmax rows that read only their support and the neighbours
+    # scattered from the gather table, counted for tests.
+    counts = np.zeros(2, np.intp)
     args = (op, loops, H, K, rows, rows.size,
-            ("softmax", "sphere").index(rule), weight, scratch, support_rows)
+            ("softmax", "sphere").index(rule), weight, scratch, counts)
     return lambda: lib.modembed_sweep(*args)
 
 
@@ -437,21 +442,29 @@ def objective(Q, H):
     the library is missing or H is not 2-D with n rows (numpy's path
     takes a column and rejects the rest).
 
-    One compiled pass stores H * (Q @ H) row by row, never Q @ H, and
-    over H's nonzero entries only when H is mostly exact zeros (see
-    `modembed_apply`).  c = marginal @ H on H's own layout, as in
-    `Q.apply`, and the sum over the C-order product, as over the C-order
-    `H * Q.apply(H)`, stay numpy's, so no BLAS or pairwise-sum byte is
-    redone.
+    When H is mostly exact zeros, `modembed_objective` forms Q @ H on
+    H's support only and repeats np.sum's pairwise sum there, skipping
+    the runs that hold no support entry; otherwise one pass stores
+    H * (Q @ H) row by row, never Q @ H, and np.sum adds it up.
+    c = marginal @ H on H's own layout, as in `Q.apply`, stays numpy's,
+    so no BLAS byte is redone.
     """
     graph = Q.graph
     H = np.asarray(H, dtype=float)
-    if library() is None or H.ndim != 2 or H.shape[0] != graph.n:
+    lib = library()
+    if lib is None or H.ndim != 2 or H.shape[0] != graph.n:
         return None
     pi = graph.marginal
     diag = pi ** 2 if Q.diag_zeroed else graph.diag_mass
+    c = pi @ H
+    H = np.require(H, requirements="CA")
+    loops, total = _loops(), ctypes.c_double()
+    if loops is not None and lib.modembed_objective(
+            graph.n, H.shape[1], graph.indptr, graph.indices, graph.data,
+            pi, H, c, diag, loops, total):
+        return total.value
     product = np.empty(H.shape)
-    _apply(graph, H, pi @ H, diag, keep=False, product=product)
+    _apply(graph, H, c, diag, keep=False, product=product)
     return float(np.sum(product))
 
 

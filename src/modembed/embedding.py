@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _native, clustering
+from . import _native, clustering, spectral
 from .clustering import Climb, ClusterConfig, HARD_THETA, hard_labels
 from .graph import _DENSE_LIMIT, _write_rows, from_bivariate
 
@@ -106,12 +106,13 @@ def qr_embed(Q, H, drop_dependent=True):
 
     A column is dependent when its Gram-Schmidt residual against the
     columns kept before it is at most tol = n eps max_j ||Q H e_j||, as
-    `_kept_columns` computes it; `np.linalg.qr` of the kept columns gives
-    Hhat and R.
+    `_kept_columns` computes it.  The kept columns are copied once,
+    column-major, Q H is released, and LAPACK factors the copy in place
+    (`spectral._thin_q`), with the bytes of `np.linalg.qr`.
     """
     M = Q.full_diagonal().apply(H)
     n, C = M.shape
-    dropped = ()
+    kept, dropped = list(range(C)), ()
     if drop_dependent:
         scale = np.linalg.norm(M, axis=0).max()
         # The rank test cannot rank a NaN or infinite column.
@@ -124,16 +125,16 @@ def qr_embed(Q, H, drop_dependent=True):
         graph = getattr(Q, "graph", None)
         nu = (n + 2) * np.finfo(float).eps / 2.0
         if scale <= (0.0 if graph is None else nu / (1.0 - nu) * 3.0 *
-                     np.linalg.norm(graph.marginal) * np.abs(H).max()):
+                     np.linalg.norm(graph.marginal) * max(H.max(), -H.min())):
             raise ValueError("Q H is identically zero; nothing to embed")
         kept = _kept_columns(M, n * np.finfo(float).eps * scale)
-        if len(kept) < C:
-            dropped = tuple(sorted(set(range(C)) - set(kept)))
-            M = M[:, kept]
-    H_hat, R = np.linalg.qr(M)
+        dropped = tuple(sorted(set(range(C)) - set(kept)))
+    Mt = M.T[kept]
+    del M
+    H_hat, R = spectral._thin_q(Mt)
     signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
-    H_hat = H_hat * signs
-    R = R * signs[:, None]
+    H_hat *= signs
+    R *= signs[:, None]
     return EmbeddingMatrix(H_hat=H_hat, R=R, dropped_columns=dropped)
 
 

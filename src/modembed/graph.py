@@ -14,6 +14,7 @@ separate, so applying Q to a matrix costs O((n + m) K).
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 from collections import defaultdict
 from itertools import count
@@ -71,15 +72,23 @@ class SampledGraph:
         self.node_labels = (node_labels
                             if isinstance(node_labels, _native.Labels)
                             else list(node_labels))
-        self._index = dict(zip(self.node_labels, range(len(self.node_labels))))
-        if len(self._index) != self.n:
+        # A scan's labels are distinct by construction, so their index
+        # waits for the first lookup; a list's is built to check them.
+        distinct = (len(self.node_labels) if isinstance(
+            self.node_labels, _native.Labels) else len(self._index))
+        if distinct != self.n:
             raise ValueError(f"expected {self.n} distinct node labels, got "
-                             f"{len(self._index)}")
+                             f"{distinct}")
         row_mass = np.add.reduceat(
             np.append(self.data, 0.0), self.indptr[:-1]
         )
         row_mass[np.diff(self.indptr) == 0] = 0.0
         self.marginal = row_mass + self.diag_mass
+
+    @functools.cached_property
+    def _index(self):
+        """Label -> index, built on the first lookup."""
+        return dict(zip(self.node_labels, range(len(self.node_labels))))
 
     @property
     def total_mass(self):

@@ -315,21 +315,21 @@ def _dense_spectrum(A):
 
 
 def _thin_q(At):
-    """Q of the reduced QR of the tall matrix At.T, bit for bit
-    `np.linalg.qr(At.T)[0]`, as a new C-order array.
+    """(Q, R) of the reduced QR of the matrix At.T, bit for bit
+    `np.linalg.qr(At.T)`, Q as a new C-order array.
 
     At is that matrix in column-major order, a C-contiguous float64
     array, and is overwritten.  These are the LAPACK calls
     `np.linalg.qr` makes, dgeqrf then dorgqr with workspaces sized by
-    the same queries, without its copies and its R.  The C-order result
+    the same queries, without its copies; R is the upper triangle of the
+    leading rows that dgeqrf leaves, taken before dorgqr.  The C-order Q
     matters: of `Q.apply`'s work only `c = pi @ H` depends on the layout.
     """
     m, n = At.shape
-    if m > n:
-        raise ValueError(f"expected a tall matrix, got {n} x {m}")
-    tau = np.empty(m)
-    for routine, dims in ((lapack_lite.dgeqrf, (n, m)),
-                          (lapack_lite.dorgqr, (n, m, m))):
+    k = min(m, n)
+    tau = np.empty(k)
+
+    def call(routine, *dims):
         query = np.empty(1)
         routine(*dims, At, n, tau, query, -1, 0)
         work = np.empty(max(1, m, int(query[0])))
@@ -337,7 +337,11 @@ def _thin_q(At):
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"QR factorization failed (LAPACK info {info})")
-    return np.ascontiguousarray(At.T)
+
+    call(lapack_lite.dgeqrf, n, m)
+    R = np.triu(At[:, :k].T)
+    call(lapack_lite.dorgqr, n, k, k)
+    return np.ascontiguousarray(At[:k].T), R
 
 
 def _orthogonal_iteration(Q, k):
@@ -358,7 +362,7 @@ def _orthogonal_iteration(Q, k):
     shift = Q.spectral_shift()
     m = min(n, k + 8)
     rng = np.random.default_rng(0)
-    Z = _thin_q(np.array(rng.standard_normal(size=(n, m)).T, order="C"))
+    Z, _ = _thin_q(np.array(rng.standard_normal(size=(n, m)).T, order="C"))
     buf = np.empty((m, n))
     # Residuals shrink geometrically, so checking on a geometric schedule
     # overshoots the minimal sweep count by at most ~50% while keeping
@@ -378,7 +382,7 @@ def _orthogonal_iteration(Q, k):
             if float(np.linalg.norm(residual, axis=0).max()) <= _RITZ_TOL:
                 return _finish(mu, ritz)
             next_check = it + 1 + min(it // 2, 63)
-        Z = _thin_q(buf)
+        Z, _ = _thin_q(buf)
     raise ConvergenceError(
         f"orthogonal iteration: no convergence in {_ORTHO_ITERATIONS} "
         f"iterations"

@@ -87,8 +87,10 @@ def karate_dense():
 
 class SkipRecorder:
     """The compiled library with each call that can skip H's zeros
-    logged as (K, rows that skipped them): the objective store of
-    `modembed_apply` in `objective` and `modembed_sweep` in `sweeps`."""
+    logged: `modembed_objective` in `objective` as (K, 1 when it summed
+    over H's support, 0 when it declined), and `modembed_sweep` in
+    `sweeps` as (K, softmax rows that read only their support,
+    neighbours scattered from the gather table)."""
 
     def __init__(self, lib):
         self._lib = lib
@@ -97,17 +99,16 @@ class SkipRecorder:
     def __getattr__(self, name):
         return getattr(self._lib, name)
 
-    def modembed_apply(self, *args):
-        summed = self._lib.modembed_apply(*args)
-        if args[-1] is not None:
-            self.objective.append((args[1], summed))
+    def modembed_objective(self, *args):
+        summed = self._lib.modembed_objective(*args)
+        self.objective.append((args[1], summed))
         return summed
 
     def modembed_sweep(self, *args):
-        counter = args[-1]
-        before = int(counter[0])
+        counts = args[-1]
+        before = counts.copy()
         skipped = self._lib.modembed_sweep(*args)
-        self.sweeps.append((args[3], int(counter[0]) - before))
+        self.sweeps.append((args[3], *(int(c) for c in counts - before)))
         return skipped
 
 

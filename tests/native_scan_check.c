@@ -441,13 +441,11 @@ static void format_cases(void)
  * order from 0.0, then (sum - pi_i c_j) + diag_i h_ij.  Then its second
  * store, the column-major shift h_ij + out_ij in a block of n k doubles,
  * once beside the whole out and once with out one reused row of k, and
- * its objective store h_ij out_ij, whose sums run over H's support for
- * some rows when over_support is 1. */
+ * its objective store h_ij out_ij. */
 static void check_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
                         const int64_t *indices, const double *data,
                         const double *marginal, const double *h,
-                        const double *c, const double *diag,
-                        int over_support)
+                        const double *c, const double *diag)
 {
     size_t nnz = (size_t)indptr[n], block = (size_t)(n * k) * sizeof *h;
     const double shift = 0.375;
@@ -492,11 +490,11 @@ static void check_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
     for (ptrdiff_t q = 0; q < n * k; q++)
         want_shifted[q] = h[q] * want[q];
     memset(shifted, 0, block);
-    if ((modembed_apply(n, k, ip, ix, d, pi, hs, cs, dg, row, 0, 0.0, NULL,
-                        shifted) > 0) != over_support ||
-        memcmp(shifted, want_shifted, block) != 0) {
-        fprintf(stderr, "objective store at k = %ld (over the support: %d) "
-                "differs from the plain loop\n", (long)k, over_support);
+    modembed_apply(n, k, ip, ix, d, pi, hs, cs, dg, row, 0, 0.0, NULL,
+                   shifted);
+    if (memcmp(shifted, want_shifted, block) != 0) {
+        fprintf(stderr, "objective store at k = %ld differs from the plain "
+                "loop\n", (long)k);
         failures++;
     }
     free(ip);
@@ -533,12 +531,11 @@ static void apply_cases(void)
     }
     for (ptrdiff_t k = 1; k <= K; k++) {
         /* H is n x k: the first n k values. */
-        check_apply(N, k, indptr, indices, data, marginal, h, c, diag, 0);
+        check_apply(N, k, indptr, indices, data, marginal, h, c, diag);
     }
     /* H mostly +0.0, with -0.0, a NaN and an infinity among its five
-     * other entries: the objective store sums over the support from
-     * k = 6 on, where n k / 8 reaches 5.  Row 1 is empty; row 4, of
-     * degree 5, reads the others' supports. */
+     * other entries.  Row 1 is empty; row 4, of degree 5, reads the
+     * others. */
     double sparse[N * K];
     for (ptrdiff_t k = 1; k <= K; k++) {
         memset(sparse, 0, sizeof sparse);
@@ -547,8 +544,7 @@ static void apply_cases(void)
         sparse[3 * k + k / 2] = NAN;
         sparse[5 * k + 0] = -2.0;
         sparse[6 * k + k / 3] = INFINITY;
-        check_apply(N, k, indptr, indices, data, marginal, sparse, c, diag,
-                    k >= 6);
+        check_apply(N, k, indptr, indices, data, marginal, sparse, c, diag);
     }
 }
 
@@ -738,9 +734,9 @@ static void softmax_cases(void)
     struct modembed_operator op = {
         exact(indptr, sizeof indptr), exact(indices, sizeof indices),
         exact(data, sizeof data), exact(marginal, sizeof marginal), NULL,
-        exact(agg, sizeof agg), 1};
+        exact(agg, sizeof agg), 1, N};
     ptrdiff_t *rows = malloc(N * sizeof *rows);
-    ptrdiff_t *support_rows = calloc(1, sizeof *support_rows);
+    ptrdiff_t *support_rows = calloc(2, sizeof *support_rows);
     double *scratch = malloc((4 + DEGREE) * K * sizeof *scratch);
     for (ptrdiff_t u = 0; u < N; u++)
         rows[u] = u;
@@ -771,6 +767,221 @@ static void softmax_cases(void)
     free(rows);
     free(support_rows);
     free(scratch);
+}
+
+/* The next value of an xorshift stream, in [-1, 1). */
+static double next_value(uint64_t *state)
+{
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    return (double)(int64_t)*state / 9223372036854775808.0;
+}
+
+/* A symmetric CSR on n <= 9 nodes from the stream: each pair joined
+ * about half the time at a weight in (0, 1/64), the last node of degree
+ * 0 once n > 2.  Returns the largest degree. */
+static ptrdiff_t random_csr(ptrdiff_t n, uint64_t *state, int64_t *indptr,
+                            int64_t *indices, double *data)
+{
+    double w[9][9] = {{0.0}};
+    for (ptrdiff_t u = 0; u < n; u++)
+        for (ptrdiff_t v = u + 1; v < n - (n > 2); v++)
+            if (next_value(state) > 0.0)
+                w[u][v] = w[v][u] = fabs(next_value(state)) / 64.0 + 1e-3;
+    ptrdiff_t degree = 0;
+    indptr[0] = 0;
+    for (ptrdiff_t u = 0; u < n; u++) {
+        indptr[u + 1] = indptr[u];
+        for (ptrdiff_t v = 0; v < n; v++)
+            if (w[u][v] > 0.0) {
+                indices[indptr[u + 1]] = v;
+                data[indptr[u + 1]++] = w[u][v];
+            }
+        if (indptr[u + 1] - indptr[u] > degree)
+            degree = indptr[u + 1] - indptr[u];
+    }
+    return degree;
+}
+
+/* numpy's pairwise sum with the stand-in add: runs of up to 128 values
+ * summed in order from 0.0, longer ones split at len / 2 rounded down
+ * to a multiple of 8. */
+static double plain_pairwise(const double *x, ptrdiff_t len)
+{
+    if (len <= 128) {
+        double s = 0.0;
+        for (ptrdiff_t i = 0; i < len; i++)
+            s = s + x[i];
+        return s;
+    }
+    ptrdiff_t half = len / 2 - len / 2 % 8;
+    return plain_pairwise(x, half) + plain_pairwise(x + half, len - half);
+}
+
+/* modembed_objective on the stand-ins at n = 1-9, k = 1-40, every array
+ * in a block of exactly its size, with supports one below, at and one
+ * above the cap n k / 8 (some of them -0.0): summed over the support up
+ * to the cap, with 0.0 plus the pairwise sum of the whole product, and
+ * declined above it or with a NaN or a value past 2^1000 in H. */
+static void objective_cases(void)
+{
+    enum { N = 9, K = 40 };
+    uint64_t state = 6364136223846793005ULL;
+    int64_t indptr[N + 1], indices[N * N];
+    double data[N * N], marginal[N], diag[N], c[K], h[N * K], qh[N * K];
+    for (ptrdiff_t n = 1; n <= N; n++) {
+        random_csr(n, &state, indptr, indices, data);
+        for (ptrdiff_t i = 0; i < n; i++) {
+            marginal[i] = fabs(next_value(&state)) / 8.0;
+            diag[i] = fabs(next_value(&state)) / 64.0;
+        }
+        for (ptrdiff_t k = 1; k <= K; k++) {
+            const ptrdiff_t cap = n * k / 8;
+            for (ptrdiff_t j = 0; j < k; j++)
+                c[j] = next_value(&state);
+            /* cap - 1, cap and cap + 1 entries, then cap with a NaN or
+             * 2^1001 among them, 2^1001 in c or an infinite diagonal. */
+            for (int variant = 0; variant < 7; variant++) {
+                const ptrdiff_t count = cap - 1 + (variant < 3 ? variant : 1);
+                if (count < 0 || (variant >= 3 && cap == 0))
+                    continue;
+                memset(h, 0, sizeof h);
+                ptrdiff_t q = 0;
+                for (ptrdiff_t m = 0; m < count; m++) {
+                    do {
+                        q = (ptrdiff_t)(fabs(next_value(&state)) * n * k);
+                    } while (memcmp(h + q, &(double){0.0}, sizeof *h) != 0);
+                    h[q] = m % 5 == 4 ? -0.0 : next_value(&state);
+                }
+                if (variant == 3 || variant == 4)
+                    h[q] = variant == 3 ? NAN : 0x1p1001;
+                const int want = count <= cap && variant < 3;
+                for (ptrdiff_t i = 0; i < n; i++)
+                    for (ptrdiff_t j = 0; j < k; j++) {
+                        double s = 0.0;
+                        for (int64_t p = indptr[i]; p < indptr[i + 1]; p++)
+                            s = s + data[p] * h[indices[p] * k + j];
+                        qh[i * k + j] = h[i * k + j] *
+                            ((s - marginal[i] * c[j]) + diag[i] * h[i * k + j]);
+                    }
+                const double want_total = 0.0 + plain_pairwise(qh, n * k);
+                int64_t *ip = exact(indptr, (size_t)(n + 1) * sizeof *ip);
+                int64_t *ix = exact(indices, (size_t)indptr[n] * sizeof *ix);
+                double *d = exact(data, (size_t)indptr[n] * sizeof *d);
+                double *pi = exact(marginal, (size_t)n * sizeof *pi);
+                double *dg = exact(diag, (size_t)n * sizeof *dg);
+                double *cs = exact(c, (size_t)k * sizeof *cs);
+                double *hs = exact(h, (size_t)(n * k) * sizeof *hs);
+                if (variant == 5)
+                    cs[k - 1] = -0x1p1001;
+                if (variant == 6)
+                    dg[n - 1] = INFINITY;
+                double total = -1.0;
+                const int got = modembed_objective(n, k, ip, ix, d, pi, hs, cs,
+                                                   dg, &STAND_INS, &total);
+                if (got != want ||
+                    (got && memcmp(&total, &want_total, sizeof total) != 0)) {
+                    fprintf(stderr, "objective at n = %ld, k = %ld, %ld "
+                            "nonzeros (cap %ld, variant %d) gave %d\n",
+                            (long)n, (long)k, (long)count, (long)cap,
+                            variant, got);
+                    failures++;
+                }
+                free(ip);
+                free(ix);
+                free(d);
+                free(pi);
+                free(dg);
+                free(cs);
+                free(hs);
+            }
+        }
+    }
+}
+
+/* modembed_sweep's softmax pass on the stand-ins at n = 1-9, k = 1-40,
+ * twice, against plain_softmax: rows of no entry (whose fallback makes
+ * them dense), of one (the table's cap at k = 32-40), of two (one past
+ * it) and of one beside a -0.0.  Neighbours are scattered from the
+ * table at k >= 32 and never below. */
+static void gather_cases(void)
+{
+    enum { N = 9, K = 40 };
+    uint64_t state = 1442695040888963407ULL;
+    int64_t indptr[N + 1], indices[N * N];
+    double data[N * N], marginal[N];
+    int scattered_any = 0;
+    for (ptrdiff_t n = 1; n <= N; n++) {
+        const ptrdiff_t degree = random_csr(n, &state, indptr, indices, data);
+        for (ptrdiff_t i = 0; i < n; i++)
+            marginal[i] = fabs(next_value(&state)) / 8.0;
+        for (ptrdiff_t k = 1; k <= K; k++) {
+            double h[N * K] = {0.0}, agg[K] = {0.0};
+            for (ptrdiff_t u = 0; u < n; u++) {
+                double *hu = h + u * k;
+                ptrdiff_t j = (ptrdiff_t)(fabs(next_value(&state)) * k);
+                if (u % 4 == 1 || u % 4 == 3)
+                    hu[j] = 1.0;
+                if (u % 4 == 2) {
+                    hu[j] = 0.25;
+                    hu[(j + 1) % k] += 0.75;
+                }
+                if (u % 4 == 3 && k > 1)
+                    hu[(j + 1) % k] = -0.0;
+                for (ptrdiff_t i = 0; i < k; i++)
+                    agg[i] += marginal[u] * hu[i];
+            }
+            double *want = exact(h, (size_t)(n * k) * sizeof *want);
+            double *want_agg = exact(agg, (size_t)k * sizeof *want_agg);
+            double *hs = exact(h, (size_t)(n * k) * sizeof *hs);
+            struct modembed_operator op = {
+                exact(indptr, (size_t)(n + 1) * sizeof *indptr),
+                exact(indices, (size_t)indptr[n] * sizeof *indices),
+                exact(data, (size_t)indptr[n] * sizeof *data),
+                exact(marginal, (size_t)n * sizeof *marginal), NULL,
+                exact(agg, (size_t)k * sizeof *agg), 1, n};
+            ptrdiff_t *rows = malloc((size_t)n * sizeof *rows);
+            ptrdiff_t *counts = calloc(2, sizeof *counts);
+            double *scratch = malloc((size_t)((4 + degree) * k) *
+                                     sizeof *scratch);
+            for (ptrdiff_t u = 0; u < n; u++)
+                rows[u] = u;
+            for (int pass = 0; pass < 2; pass++) {
+                modembed_sweep(&op, &STAND_INS, hs, k, rows, n, 0, 1e3,
+                               scratch, counts);
+                plain_softmax(n, k, indptr, indices, data, marginal, want,
+                              want_agg, 1e3);
+                if (memcmp(hs, want, (size_t)(n * k) * sizeof *hs) != 0 ||
+                    memcmp(op.agg, want_agg, (size_t)k * sizeof *agg) != 0) {
+                    fprintf(stderr, "gathered softmax pass %d at n = %ld, "
+                            "k = %ld differs from the plain loop\n", pass,
+                            (long)n, (long)k);
+                    failures++;
+                }
+            }
+            if (k < SOFTMAX_SHARE && counts[1] != 0) {
+                fprintf(stderr, "a table at k = %ld\n", (long)k);
+                failures++;
+            }
+            scattered_any |= counts[1] > 0;
+            free((void *)op.indptr);
+            free((void *)op.indices);
+            free((void *)op.data);
+            free((void *)op.x);
+            free(op.agg);
+            free(want);
+            free(want_agg);
+            free(hs);
+            free(rows);
+            free(counts);
+            free(scratch);
+        }
+    }
+    if (!scattered_any) {
+        fprintf(stderr, "no neighbour was scattered from the table\n");
+        failures++;
+    }
 }
 
 /* The fit's loop with the stand-ins' arithmetic written out: row-major z
@@ -927,6 +1138,7 @@ static void print_layout(void)
     FIELD(modembed_operator, sq);
     FIELD(modembed_operator, agg);
     FIELD(modembed_operator, L);
+    FIELD(modembed_operator, n);
     printf("modembed_scan - 0 %zu\n", sizeof(struct modembed_scan));
     FIELD(modembed_scan, ids);
     FIELD(modembed_scan, values);
@@ -956,6 +1168,8 @@ int main(int argc, char **argv)
     apply_cases();
     householder_cases();
     softmax_cases();
+    objective_cases();
+    gather_cases();
     fit_cases();
     for (int kind = SCAN_EDGES; kind <= SCAN_ROWS; kind++) {
         check("empty file", kind, "", 0, 0);

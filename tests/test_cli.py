@@ -1023,6 +1023,29 @@ def test_every_command_runs_the_same_without_scipy(tmp_path, sbm_file):
 
 # --- the compiled library and the Python fallbacks ---------------------------
 
+def test_multilayer_level0_tail_skips_the_zeros_of_hard_rows(tmp_path,
+                                                             zero_skips):
+    """On a 300-node planted partition, `embed multilayer`'s level 0
+    (K = n) starts dense, so its objective takes the product store and
+    its sweeps build no gather table, and ends with hard rows, whose
+    objective sums over H's support and whose sweeps scatter neighbours
+    from the table; no sweep at K < 32 scatters."""
+    probs = np.full((6, 6), 0.005) + np.eye(6) * 0.2
+    edges, _ = datasets.sbm_edges([50] * 6, probs, seed=32)
+    path = tmp_path / "pp300.tsv"
+    path.write_text("".join(f"{u}\t{w}\n" for u, w in edges))
+    assert main(["embed", "multilayer", "--graph", str(path),
+                 "--max-sweeps", "30", "--out", str(tmp_path / "ml.tsv")]) == 0
+    level0 = [summed for k, summed in zero_skips.objective if k == 300]
+    assert level0[0] == 0 and level0[-1] == 1
+    gathers = [scattered for k, _, scattered in zero_skips.sweeps
+               if k == 300]
+    assert gathers[0] == 0 and gathers[-1] > 0
+    assert any(k < 32 for k, _, _ in zero_skips.sweeps)
+    assert all(scattered == 0 for k, _, scattered in zero_skips.sweeps
+               if k < 32)
+
+
 def test_every_command_shape_writes_the_same_bytes_without_the_library(
         tmp_path, zero_skips):
     """The benchmark's command shapes plus `embed cafe --full-label`,
@@ -1032,9 +1055,9 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
     the compiled library and with every Python fallback, each `.tsv` has
     the same bytes, and each command's manifest records the path every
     entry point it used took and the sha256 of every file it names.  The
-    compiled multilayer run's level 0 (K = n = 120) reaches both passes
-    that skip H's zeros: the objective's sums over H's support and the
-    support-only softmax row."""
+    compiled multilayer run's level 0 (K = n = 120) reaches the three
+    passes that skip H's zeros: the objective's sums over H's support,
+    the support-only softmax row and the sweep's scattered gathers."""
     if _native.library() is None:
         pytest.skip("no compiled library")
     probs = np.full((3, 3), 0.03) + np.eye(3) * 0.27
@@ -1113,8 +1136,8 @@ def test_every_command_shape_writes_the_same_bytes_without_the_library(
                 if mode == "compiled" and argv[1] == "multilayer":
                     assert any(k == 120 and rows
                                for k, rows in zero_skips.objective)
-                    assert any(k == 120 and rows
-                               for k, rows in zero_skips.sweeps)
+                    assert any(k == 120 and rows and scattered
+                               for k, rows, scattered in zero_skips.sweeps)
         assert _manifest(d / "cafe.tsv")["compiled"] is (mode == "compiled")
         written[mode] = {p.name: p.read_bytes() for p in d.glob("*.tsv")}
         manifests = {out: _manifest(d / out) for out in used}

@@ -1311,6 +1311,22 @@ def test_lookup_finds_labels_by_bytes(tmp_path):
 
 
 @needs_cc
+def test_scanned_ingest_builds_no_label_index(tmp_path):
+    """A scanned graph and its scanned label file never need the
+    label -> index dict; the first lookup builds it, and an unknown
+    label's KeyError keeps its text."""
+    g = scanned_graph(tmp_path, SCANNED_LABELS)
+    path = tmp_path / "l.tsv"
+    path.write_text("node_label\tk\na\tj\n")
+    indices, _, _ = load_labels(path, g)
+    assert "_index" not in vars(g)
+    assert g.indices_of(["node_label", "a"]).tolist() == indices.tolist()
+    assert "_index" in vars(g)
+    with pytest.raises(KeyError, match="^\"unknown node label: 'zz'\"$"):
+        g.index_of("zz")
+
+
+@needs_cc
 @pytest.mark.parametrize("n", [1, 4096, 4097, 9000])
 def test_writer_copies_scanned_label_bytes(tmp_path, n):
     """Rows written with a scanned graph's labels have the bytes of rows

@@ -18,6 +18,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import types
 import warnings
 from unittest import mock
 
@@ -25,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from numpy.linalg import lapack_lite
 from scipy import sparse
 
 from modembed import _native, clustering, graph, spectral, sphere, tasks
@@ -972,8 +975,8 @@ def apply_path(path):
     return contextlib.nullcontext()
 
 
-# Shapes on both sides of the 8192-value row blocks and of the compiled
-# pass's four-column chunks, K = 0 included.
+# Shapes on both sides of the 8192-value row blocks and across the
+# compiled pass's eight-, four- and two-column blocks, K = 0 included.
 @pytest.mark.parametrize("n, K", [(5, 0), (9000, 1), (3000, 3), (40, 205),
                                   (7, 8192), (5, 8193)])
 @pytest.mark.parametrize("diag_zeroed", [False, True])
@@ -1050,7 +1053,8 @@ def test_apply_rejects_a_block_of_another_height(karate):
 @st.composite
 def shifted_case(draw):
     """A weighted graph, an n x K block Z in C order (K = 1 to 13, across
-    the four-column chunks), a shift and whether the step checks."""
+    the eight-, four- and two-column blocks), a shift and whether the step
+    checks."""
     g = draw(weighted_graph())
     K = draw(st.integers(1, 13))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
@@ -1223,7 +1227,7 @@ def test_objective_entry_matches_the_numpy_statement(case, layout):
 
 def test_objective_entry_takes_both_accumulations(zero_skips, karate):
     """One-hot, empty and sparse blocks sum over the support; dense ones,
-    and a graph with an infinite weight, keep the four-column loop."""
+    and a graph with an infinite weight, take the product store."""
     Q = karate.modularity_matrix()
     n = karate.n
     sparse = one_hot_block(n, n)
@@ -1231,8 +1235,7 @@ def test_objective_entry_takes_both_accumulations(zero_skips, karate):
     dense = np.random.default_rng(1).random((n, 16))
     for H in (sparse, np.zeros((n, 5)), dense, one_hot_block(n, 7)):
         assert same_bytes(_native.objective(Q, H), plain_objective(Q, H))
-    assert [(k, rows > 0) for k, rows in zero_skips.objective] == [
-        (n, True), (5, True), (16, False), (7, False)]
+    assert zero_skips.objective == [(n, 1), (5, 1), (16, 0), (7, 0)]
     g = karate
     inf = graph.SampledGraph(g.indptr, g.indices, np.where(
         np.arange(g.data.size) == 3, np.inf, g.data), g.diag_mass,
@@ -1241,6 +1244,25 @@ def test_objective_entry_takes_both_accumulations(zero_skips, karate):
         assert same_bytes(_native.objective(inf.modularity_matrix(), sparse),
                           plain_objective(inf.modularity_matrix(), sparse))
     assert zero_skips.objective[-1] == (n, 0)
+
+
+def test_sparse_objective_allocates_no_block():
+    """An objective on a one-hot H forms no n x K array: numpy allocates
+    less than n K bytes for the whole call."""
+    n = 2000
+    g = graph.from_edge_list([(u, (u * 7 + 1) % n) for u in range(n)])
+    H = one_hot_block(n, n)
+    Q = g.modularity_matrix()
+    want = plain_objective(Q, H)
+    tracemalloc.start()
+    try:
+        got = _native.objective(Q, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if _native.library() is not None:
+        assert same_bytes(got, want)
+        assert peak < n * n
 
 
 def test_objective_entry_records_its_path_and_declines_other_blocks(karate):
@@ -1289,6 +1311,44 @@ def test_numpy_exp_loop_gives_each_element_the_same_bytes_at_any_length():
         part = buffer[offset:offset + k]
         part[:] = x[chosen]
         assert same_bytes(np.exp(part), want[chosen]), (trial, k, offset)
+
+
+# The objective sums a sparse product run by run as np.sum's pairwise
+# summation does, skipping the runs that hold only zeros: np.sum of a
+# C-order block must be +0.0 plus that split, each run of up to 128
+# values summed by the add loop seeded with 0.0 (np.add.reduce).
+def pairwise_split_sum(x):
+    def part(lo, n):
+        if n <= 128:
+            run = x[lo:lo + n]
+            return np.add.reduce(run) if run.any() else None
+        half = n // 2 - n // 2 % 8
+        left, right = part(lo, half), part(lo + half, n - half)
+        return left if right is None else right if left is None else (
+            left + right)
+
+    total = part(0, x.size)
+    return 0.0 + (0.0 if total is None else total)
+
+
+def sparse_block(rng, shape, density):
+    """Normal values at `density`, among them some -0.0, and +-0.0
+    elsewhere."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 6, shape)
+    x[rng.random(shape) >= density] = 0.0
+    x[rng.random(shape) < 0.3] *= -0.0
+    return x
+
+
+def test_numpy_sum_is_the_pairwise_split_with_empty_runs_skipped():
+    rng = np.random.default_rng(32)
+    for size in range(1, 2001):
+        block = sparse_block(rng, (size,), rng.choice([0.01, 0.1, 1.0]))
+        assert same_bytes(np.sum(block), pairwise_split_sum(block)), size
+    for density in (1e-3, 0.05):
+        block = sparse_block(rng, (1500, 1500), density)
+        assert same_bytes(np.sum(block), pairwise_split_sum(block.ravel()))
+    assert same_bytes(np.sum(np.full((3, 5), -0.0)), 0.0)
 
 
 def softmax_rows_case(Q, H, pinned, theta):
@@ -1371,7 +1431,7 @@ def test_support_only_softmax_rows_and_their_fallbacks_run(zero_skips):
         zero_skips.sweeps.clear()
         with np.errstate(all="ignore"):
             softmax_rows_case(Q, H, {}, theta)
-        support[name] = [u for u, (_, rows) in enumerate(zero_skips.sweeps)
+        support[name] = [u for u, (_, rows, _) in enumerate(zero_skips.sweeps)
                          if rows]
     # Rows 4 of the first start and 1-2 of the third hold one entry that
     # underflows: a total of 0, so the full row is redone.
@@ -1414,24 +1474,63 @@ def test_softmax_sweeps_keep_exact_zeros(case):
 
 # --- thin QR ------------------------------------------------------------------
 
+def assert_same_qr(M):
+    """`_thin_q` of M's column-major copy gives np.linalg.qr(M)'s bytes,
+    Q in C order, and leaves M as it was."""
+    before = M.tobytes()
+    got_q, got_r = spectral._thin_q(np.array(M.T, order="C"))
+    want_q, want_r = np.linalg.qr(M)
+    assert same_bytes(got_q, want_q) and same_bytes(got_r, want_r)
+    assert got_q.flags.c_contiguous and M.tobytes() == before
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_thin_q_matches_numpy_qr(order):
     """Widths 1-40 cross dgeqrf's block size of 32."""
     rng = np.random.default_rng(4)
     for width in range(1, 41):
         for rows in (width, 3 * width + 7):
-            A = np.array(rng.standard_normal((rows, width)), order=order)
-            got = spectral._thin_q(np.array(A.T, order="C"))
-            assert same_bytes(got, np.linalg.qr(A)[0])
-            assert got.flags.c_contiguous
-    A = np.array(rng.standard_normal((10000, 12)), order=order)
-    assert same_bytes(spectral._thin_q(np.array(A.T, order="C")),
-                      np.linalg.qr(A)[0])
+            assert_same_qr(np.array(rng.standard_normal((rows, width)),
+                                    order=order))
+    assert_same_qr(np.array(rng.standard_normal((10000, 12)), order=order))
 
 
-def test_thin_q_rejects_wide_input():
-    with pytest.raises(ValueError, match="tall"):
-        spectral._thin_q(np.ones((3, 2)))
+@st.composite
+def qr_input(draw):
+    """An n x C block, C = 1, n = C, tall or wide, C- or F-order, some
+    columns zero, repeated or sums of others."""
+    n = draw(st.integers(1, 40))
+    C = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n + 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    M = rng.standard_normal((n, C)) * 10.0 ** draw(st.integers(-200, 200))
+    for j in range(1, C):
+        kind = draw(st.sampled_from(["free", "free", "zero", "copy", "sum"]))
+        if kind == "zero":
+            M[:, j] = 0.0
+        elif kind == "copy":
+            M[:, j] = M[:, draw(st.integers(0, j - 1))]
+        elif kind == "sum":
+            M[:, j] = M[:, :j].sum(axis=1)
+    return np.array(M, order=draw(st.sampled_from("CF")))
+
+
+@SETTINGS
+@given(M=qr_input())
+def test_thin_q_matches_numpy_qr_on_any_shape(M):
+    assert_same_qr(M)
+
+
+def test_thin_q_raises_lapack_errors(monkeypatch):
+    """A LAPACK routine's nonzero info is a LinAlgError naming it."""
+    failing = dict(vars(lapack_lite))
+    for name in ("dgeqrf", "dorgqr"):
+        def fail(*args, routine=failing[name]):
+            result = routine(*args)
+            return dict(result, info=-4 if args[-2] != -1 else 0)
+        monkeypatch.setattr(spectral, "lapack_lite", types.SimpleNamespace(
+            **dict(failing, **{name: fail})))
+        with pytest.raises(np.linalg.LinAlgError, match="LAPACK info -4"):
+            spectral._thin_q(np.ones((2, 5)))
 
 
 # --- the compiled library -----------------------------------------------------

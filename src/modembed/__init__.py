@@ -10,6 +10,20 @@ spectral oracle checks the iterative results against eigenvector
 alignment bounds.
 """
 
+import os
+
+# numpy's bundled OpenBLAS keeps a second worker thread spinning for
+# 2^28 TSC ticks (about 0.13 s at 2.1 GHz) after every BLAS call, which
+# doubles a CLI run's CPU time and, in process, halves the speed of the
+# single-threaded compiled kernels.  Of 16, 20 and 24, 2^20 ticks (about
+# 0.5 ms) halved the bench's multilevel-1k5 CPU time and still spans the
+# gaps between the back-to-back BLAS calls of one QR, so oracle-400's
+# eigs lost no wall time; at 2^4 it did.  OpenBLAS reads the variable
+# once, when numpy loads it, so this must run before any import that
+# loads numpy.  It changes neither the thread count nor how the work is
+# split, so no output byte moves.  A value already set is kept.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from .graph import (
     SampledGraph,
     ModularityMatrix,

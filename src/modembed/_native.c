@@ -1002,27 +1002,55 @@ void modembed_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
 
 /* The objective sums over H's support when it holds at most 1 /
  * SPARSE_SHARE of H's entries.  On multilayer's level 0 of a 1,500-node
- * planted partition (K = 1,500; 2-core AVX-512 Xeon, medians of 7 calls)
- * a call took 5.3 ms at 8.7 % nonzero and 2.0-2.4 ms at 0.3 %, where the
- * product store and np.sum take 9-11 ms at any density. */
-#define SPARSE_SHARE 8
+ * planted partition (K = 1,500; 2-core AVX-512 Xeon, medians of 15
+ * calls) the compiled entry took 8.4 ms at 12.6 % nonzero, 11-12 ms at
+ * 15.5 % and 2-3 ms below 1 %, where the product store and np.sum take
+ * 10-12 ms at any density. */
+#define SPARSE_SHARE 6
 /* numpy's pairwise summation sums runs of up to PAIRWISE_LEAF values in
  * one pass (PW_BLOCKSIZE in numpy's loops_utils.h). */
 #define PAIRWISE_LEAF 128
 
+/* Whether the double at x has the bits of +0.0. */
+static int plus_zero(const double *x)
+{
+    uint64_t bits;
+    memcpy(&bits, x, sizeof bits);
+    return bits == 0;
+}
+
 /* The product H * (Q @ H) on H's support: the row-major n x k block h,
- * the CSR and the vectors as modembed_apply reads them, and the flat
- * positions of the support, ascending; leaf holds PAIRWISE_LEAF +0.0s
- * between calls of pairwise(). */
+ * the CSR and the vectors as modembed_apply reads them, and for each row
+ * i the flat positions [span[2 i], span[2 i + 1]) from its first support
+ * entry to its last; next is the first support entry not yet taken, n k
+ * when none is left, and row its row; big is set by a support entry past
+ * 2^1000 in absolute value or NaN; leaf holds PAIRWISE_LEAF +0.0s between
+ * calls of pairwise(). */
 struct objective {
-    ptrdiff_t k;
+    ptrdiff_t n, k;
     const int64_t *indptr, *indices;
     const double *data, *marginal, *h, *c, *diag;
-    const ptrdiff_t *at;
-    ptrdiff_t count, next, row;
+    const ptrdiff_t *span;
+    ptrdiff_t next, row;
+    int big;
     const struct modembed_loops *lp;
     double leaf[PAIRWISE_LEAF];
 };
+
+/* Moves ob->next to the first support entry at or after position q of
+ * row ob->row or a later row, reading H only within the rows' spans. */
+static void seek(struct objective *ob, ptrdiff_t q)
+{
+    for (; ob->row < ob->n; ob->row++) {
+        const ptrdiff_t *span = ob->span + 2 * ob->row;
+        for (q = q > span[0] ? q : span[0]; q < span[1]; q++)
+            if (!plus_zero(ob->h + q)) {
+                ob->next = q;
+                return;
+            }
+    }
+    ob->next = ob->n * ob->k;
+}
 
 /* numpy's pairwise sum over the flat product's entries [lo, lo + len):
  * runs of up to PAIRWISE_LEAF values by numpy's own add loop seeded with
@@ -1032,27 +1060,26 @@ struct objective {
 static int pairwise(struct objective *ob, ptrdiff_t lo, ptrdiff_t len,
                     double *sum)
 {
-    if (ob->next == ob->count || ob->at[ob->next] >= lo + len)
+    if (ob->next >= lo + len)
         return 0;
     if (len <= PAIRWISE_LEAF) {
-        const ptrdiff_t first = ob->next, k = ob->k;
-        for (; ob->next < ob->count && ob->at[ob->next] < lo + len;
-             ob->next++) {
-            /* The entries ascend, so their row only moves down. */
-            const ptrdiff_t q = ob->at[ob->next];
-            while (q >= (ob->row + 1) * k)
-                ob->row++;
-            const ptrdiff_t i = ob->row, j = q - i * k;
+        const ptrdiff_t k = ob->k;
+        ptrdiff_t held[PAIRWISE_LEAF], m = 0;
+        for (; ob->next < lo + len; m++) {
+            const ptrdiff_t q = ob->next, i = ob->row, j = q - i * k;
             double s = 0.0;
             for (int64_t p = ob->indptr[i]; p < ob->indptr[i + 1]; p++)
                 s = s + ob->data[p] * ob->h[ob->indices[p] * k + j];
             const double qh = (s - ob->marginal[i] * ob->c[j])
                               + ob->diag[i] * ob->h[q];
+            ob->big |= !(fabs(ob->h[q]) <= 0x1p1000);
             ob->leaf[q - lo] = ob->h[q] * qh;
+            held[m] = q;
+            seek(ob, q + 1);
         }
         *sum = reduce(ob->lp->add, ob->lp->add_data, 0.0, ob->leaf, len);
-        for (ptrdiff_t q = first; q < ob->next; q++)
-            ob->leaf[ob->at[q] - lo] = 0.0;
+        for (ptrdiff_t t = 0; t < m; t++)
+            ob->leaf[held[t] - lo] = 0.0;
         return 1;
     }
     ptrdiff_t half = len / 2;
@@ -1067,10 +1094,12 @@ static int pairwise(struct objective *ob, ptrdiff_t lo, ptrdiff_t len,
 /* tr(H^T Q H) as np.sum(H * (Q @ H)) gives it, from H's support alone:
  * the entries of the row-major n x k block h whose bits are not those of
  * +0.0 (so -0.0 and NaN are in it), arguments as modembed_apply's.  Sets
- * *total and returns 1, or returns 0, having summed nothing, when H holds
- * more than n k / SPARSE_SHARE such entries (some 64 rows spread over H
- * are counted first, and a block they show at over twice the share is
- * left at that), memory runs out, or a bound below fails.
+ * *total and returns 1, or returns 0 with *total untouched when H holds
+ * more than n k / SPARSE_SHARE such entries, memory runs out or a bound
+ * below fails.  Some 64 rows spread over H are counted first, and a
+ * block they show at over twice the share is left at that; then the
+ * support is counted, noting each row's span, and the count stops past
+ * the share, so a declined block costs at most one read of H.
  *
  * np.sum of the C-order product is numpy's add loop over its n k values
  * from +0.0: their pairwise sum, which pairwise() repeats, plus +0.0.
@@ -1087,7 +1116,6 @@ int modembed_objective(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
                        const double *c, const double *diag,
                        const struct modembed_loops *lp, double *total)
 {
-    const ptrdiff_t most = n * k / SPARSE_SHARE;
     if (sampled_dense(n, k, h, SPARSE_SHARE))
         return 0;
     double mass = 0.0;
@@ -1100,35 +1128,34 @@ int modembed_objective(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
         bounded = fabs(c[j]) <= 0x1p1000;
     if (!bounded)
         return 0;
-    struct objective ob = {k, indptr, indices, data, marginal, h, c, diag,
-                           NULL, 0, 0, 0, lp, {0.0}};
-    ptrdiff_t *at = NULL, room = 0;
-    int summed = 1;
-    for (ptrdiff_t q = 0; summed && q < n * k; q++) {
-        uint64_t bits;
-        memcpy(&bits, h + q, sizeof bits);
-        if (bits == 0)
-            continue;
-        if (ob.count == most || !(fabs(h[q]) <= 0x1p1000)) {
-            summed = 0;
-        } else if (ob.count == room) {
-            room = room ? 2 * room : n + PAIRWISE_LEAF;
-            room = room < most ? room : most;
-            ptrdiff_t *grown = realloc(at, (size_t)room * sizeof *at);
-            summed = grown != NULL;
-            at = summed ? grown : at;
-        }
-        if (summed)
-            at[ob.count++] = q;
+    ptrdiff_t *span = malloc((size_t)(n ? 2 * n : 1) * sizeof *span);
+    if (span == NULL)
+        return 0;
+    const ptrdiff_t most = n * k / SPARSE_SHARE;
+    ptrdiff_t count = 0;
+    for (ptrdiff_t i = 0; i < n && count <= most; i++) {
+        ptrdiff_t first = i * k, end = first + k;
+        while (first < end && plus_zero(h + first))
+            first++;
+        while (end > first && plus_zero(h + end - 1))
+            end--;
+        span[2 * i] = first;
+        span[2 * i + 1] = end;
+        for (ptrdiff_t q = first; q < end; q++)
+            count += !plus_zero(h + q);
     }
-    if (summed) {
-        double sum = 0.0;
-        ob.at = at;
+    struct objective ob = {n, k, indptr, indices, data, marginal, h, c,
+                           diag, span, 0, 0, 0, lp, {0.0}};
+    double sum = 0.0;
+    if (count <= most) {
+        seek(&ob, 0);
         pairwise(&ob, 0, n * k, &sum);
-        *total = 0.0 + sum;
     }
-    free(at);
-    return summed;
+    free(span);
+    if (count > most || ob.big)
+        return 0;
+    *total = 0.0 + sum;
+    return 1;
 }
 
 /* --- TSV readers ------------------------------------------------------- */

@@ -237,9 +237,9 @@ def _loops():
                                  *(data for _, data in found))
 
 
-def blas_threads():
-    """Thread count of the OpenBLAS that numpy loaded, on which LAPACK's
-    bytes depend, or None when no mapped library exports its getter."""
+def _openblas(*symbols):
+    """The int that the first of `symbols` exported by a mapped OpenBLAS
+    returns, or None when no mapped library exports one."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = {line.split()[-1] for line in fh if "openblas" in line}
@@ -247,15 +247,29 @@ def blas_threads():
         return None
     for path in sorted(lib for lib in libs if lib.startswith("/")):
         lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_num_threads64_",
-                       "scipy_openblas_get_num_threads",
-                       "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
+        for symbol in symbols:
             getter = getattr(lib, symbol, None)
             if getter is not None:
                 getter.restype = ctypes.c_int
                 return int(getter())
     return None
+
+
+def blas_threads():
+    """Thread count of the OpenBLAS that numpy loaded, on which LAPACK's
+    bytes depend, or None when no mapped library exports its getter."""
+    return _openblas("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_",
+                     "openblas_get_num_threads")
+
+
+def blas_thread_timeout():
+    """The OPENBLAS_THREAD_TIMEOUT that the OpenBLAS numpy loaded read
+    when it loaded, 0 when unset, or None when no mapped library exports
+    its getter.  An idle worker spins for 2^value ticks (value clamped to
+    4-30), 2^28 when unset; no byte depends on it."""
+    return _openblas("openblas_thread_timeout")
 
 
 # The path each entry point's calls took since the last clear(): "python"

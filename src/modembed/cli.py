@@ -92,6 +92,8 @@ def _write_manifest(command, params, input_paths, output_paths, started,
         "paths": dict(_native.paths),
         # LAPACK's QR bytes, and so some outputs', depend on it.
         "blas_threads": _native.blas_threads(),
+        # How long its idle worker spins (see modembed/__init__.py).
+        "blas_thread_timeout": _native.blas_thread_timeout(),
     }
     if extra:
         manifest.update(extra)

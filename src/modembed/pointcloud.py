@@ -25,7 +25,7 @@ from .clustering import Climb, ClusterConfig
 from .embedding import qr_embed
 from .graph import Aggregate
 from .sphere import SphereConfig, run_sphere
-from .spectral import _fix_signs, jacobi_eigh, projection_residual
+from .spectral import _fix_signs, _thin_q, jacobi_eigh, projection_residual
 
 __all__ = [
     "GramOperator",
@@ -99,7 +99,7 @@ def embed_lift(X, L, seed=0):
         raise ValueError(f"lift dimension {L} below input dimension {d}")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal(size=(L, d))
-    Qfac, _ = np.linalg.qr(G)
+    Qfac, _ = _thin_q(np.ascontiguousarray(G.T))
     return X @ Qfac.T
 
 

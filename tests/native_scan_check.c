@@ -821,9 +821,10 @@ static double plain_pairwise(const double *x, ptrdiff_t len)
 
 /* modembed_objective on the stand-ins at n = 1-9, k = 1-40, every array
  * in a block of exactly its size, with supports one below, at and one
- * above the cap n k / 8 (some of them -0.0): summed over the support up
- * to the cap, with 0.0 plus the pairwise sum of the whole product, and
- * declined above it or with a NaN or a value past 2^1000 in H. */
+ * above the cap n k / SPARSE_SHARE (some of them -0.0), and none: summed
+ * over the support up to the cap, with 0.0 plus the pairwise sum of the
+ * whole product, and declined above it or with a NaN or a value past
+ * 2^1000 in H. */
 static void objective_cases(void)
 {
     enum { N = 9, K = 40 };
@@ -837,14 +838,16 @@ static void objective_cases(void)
             diag[i] = fabs(next_value(&state)) / 64.0;
         }
         for (ptrdiff_t k = 1; k <= K; k++) {
-            const ptrdiff_t cap = n * k / 8;
+            const ptrdiff_t cap = n * k / SPARSE_SHARE;
             for (ptrdiff_t j = 0; j < k; j++)
                 c[j] = next_value(&state);
             /* cap - 1, cap and cap + 1 entries, then cap with a NaN or
-             * 2^1001 among them, 2^1001 in c or an infinite diagonal. */
-            for (int variant = 0; variant < 7; variant++) {
-                const ptrdiff_t count = cap - 1 + (variant < 3 ? variant : 1);
-                if (count < 0 || (variant >= 3 && cap == 0))
+             * 2^1001 among them, 2^1001 in c or an infinite diagonal;
+             * last no entry at all. */
+            for (int variant = 0; variant < 8; variant++) {
+                const ptrdiff_t count = variant == 7 ? 0
+                    : cap - 1 + (variant < 3 ? variant : 1);
+                if (count < 0 || (variant >= 3 && variant < 7 && cap == 0))
                     continue;
                 memset(h, 0, sizeof h);
                 ptrdiff_t q = 0;
@@ -856,7 +859,7 @@ static void objective_cases(void)
                 }
                 if (variant == 3 || variant == 4)
                     h[q] = variant == 3 ? NAN : 0x1p1001;
-                const int want = count <= cap && variant < 3;
+                const int want = count <= cap && (variant < 3 || variant == 7);
                 for (ptrdiff_t i = 0; i < n; i++)
                     for (ptrdiff_t j = 0; j < k; j++) {
                         double s = 0.0;

@@ -879,17 +879,24 @@ def _compiled_path(compiled):
     return mock.patch.object(_native, "library", lambda: None)
 
 
+def _needs_openblas():
+    """Skip unless numpy is built on OpenBLAS, whose getters the manifests
+    read."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas.get("name")):
+        pytest.skip("numpy is not built on OpenBLAS")
+
+
 def test_manifests_record_the_blas_thread_count(tmp_path, sbm_file):
     """The thread count of numpy's OpenBLAS, on which some output bytes
     depend, is a positive int, recorded in the manifest; it is None, and
     the manifest strict JSON, when no loaded library exports its getter."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    if "openblas" not in str(blas.get("name")):
-        pytest.skip("numpy is not built on OpenBLAS")
+    _needs_openblas()
     threads = _native.blas_threads()
     assert type(threads) is int and threads > 0
     with mock.patch.object(_native.ctypes, "CDLL", lambda path: object()):
         assert _native.blas_threads() is None
+        assert _native.blas_thread_timeout() is None
     graph_path, _ = sbm_file
     run = ["embed", "cafe", "--graph", str(graph_path), "--k", "2", "--out"]
     found, missing = tmp_path / "found.tsv", tmp_path / "missing.tsv"
@@ -898,6 +905,89 @@ def test_manifests_record_the_blas_thread_count(tmp_path, sbm_file):
         assert main(run + [str(missing)]) == 0
     assert _strict_manifest(found)["blas_threads"] == threads
     assert _strict_manifest(missing)["blas_threads"] is None
+
+
+def _child_env(timeout):
+    """This process's environment with src/ on the path and
+    OPENBLAS_THREAD_TIMEOUT set to `timeout`, or unset when None."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+    return env
+
+
+# `python -m modembed` with the timeout getter patched away.
+_NO_TIMEOUT_GETTER = """
+import runpy
+from modembed import _native
+_native.blas_thread_timeout = lambda: None
+runpy.run_module("modembed", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_manifests_record_the_blas_thread_timeout(tmp_path, sbm_file):
+    """A CLI run sets OPENBLAS_THREAD_TIMEOUT before numpy loads OpenBLAS
+    unless the caller set it, and its manifest records the value that
+    OpenBLAS read; null, in strict JSON, when no library exports the
+    getter."""
+    _needs_openblas()
+    graph_path, _ = sbm_file
+    run = ["embed", "cafe", "--graph", str(graph_path), "--k", "2", "--out"]
+    cases = {"default": (["-m", "modembed"], None, 20),
+             "set": (["-m", "modembed"], "28", 28),
+             "missing": (["-c", _NO_TIMEOUT_GETTER], None, None)}
+    for name, (entry, timeout, recorded) in cases.items():
+        out = tmp_path / f"{name}.tsv"
+        proc = subprocess.run([sys.executable, *entry, *run, str(out)],
+                              env=_child_env(timeout), capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        manifest = _strict_manifest(out)
+        assert manifest["blas_thread_timeout"] == recorded, name
+        assert manifest["blas_threads"] == _native.blas_threads(), name
+
+
+def test_the_blas_thread_timeout_moves_no_output_byte(tmp_path):
+    """The idle worker's spin decides no byte: each command shape writes
+    the same files under the package's default timeout and under
+    OpenBLAS's own (2^28 ticks), at the same thread count."""
+    _needs_openblas()
+    edges = datasets.barabasi_albert_edges(3000, 3, seed=5)
+    big = tmp_path / "ba3k.tsv"
+    big.write_text("".join(f"{u}\t{w}\n" for u, w in edges))
+    edges, _ = datasets.sbm_edges([100, 100, 100], [
+        [0.3, 0.02, 0.02], [0.02, 0.3, 0.02], [0.02, 0.02, 0.3]], seed=6)
+    small = tmp_path / "sbm300.tsv"
+    small.write_text("".join(f"{u}\t{w}\n" for u, w in edges))
+    commands = [
+        ["embed", "cafe", "--graph", str(big), "--k", "16", "--max-sweeps",
+         "4", "--tol", "0", "--out", "cafe.tsv"],
+        ["embed", "sphere", "--graph", str(big), "--k", "8",
+         "--max-sweeps", "4", "--tol", "0", "--out", "sphere.tsv"],
+        ["embed", "multilayer", "--graph", str(small), "--out", "ml.tsv"],
+        ["eigs", "--graph", str(small), "--topk", "4", "--out", "eigs.tsv"],
+        ["reduce", "--cloud", "torus", "--k", "6", "--out", "reduce.tsv"],
+    ]
+    written, threads = {}, {}
+    for timeout in (None, "28"):
+        work = tmp_path / str(timeout)
+        work.mkdir()
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "modembed", *argv],
+                                  cwd=work, env=_child_env(timeout),
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, (argv, proc.stderr)
+        manifests = [_strict_manifest(work / argv[-1]) for argv in commands]
+        assert {m["blas_thread_timeout"] for m in manifests} == {
+            20 if timeout is None else 28}
+        threads[timeout] = {m["blas_threads"] for m in manifests}
+        written[timeout] = {p.name: p.read_bytes()
+                            for p in sorted(work.glob("*.tsv"))}
+    assert len(written[None]) >= len(commands)
+    assert written[None] == written["28"]
+    assert threads[None] == threads["28"] == {_native.blas_threads()}
 
 
 @pytest.mark.parametrize("compiled", [True, False])

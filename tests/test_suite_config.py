@@ -2,6 +2,7 @@
 into an error, but a failing hypothesis example must still be reported
 and the run go on."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +43,19 @@ def test_a_failing_hypothesis_example_is_reported_and_the_run_goes_on(
     assert "INTERNALERROR" not in out
     assert "Falsifying example: test_fails(" in out
     assert "1 failed, 2 passed" in out
+
+
+def test_the_blas_thread_timeout_is_set_before_anything_loads_numpy():
+    """OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, when numpy loads it,
+    so the package sets it before every import other than `import os`."""
+    tree = ast.parse((ROOT / "src" / "modembed" / "__init__.py").read_text())
+    setting = [node.lineno for node in tree.body
+               if isinstance(node, ast.Expr)
+               and ast.unparse(node).startswith(
+                   "os.environ.setdefault('OPENBLAS_THREAD_TIMEOUT', ")]
+    assert len(setting) == 1
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               and ast.unparse(node) != "import os"]
+    assert imports
+    assert all(node.lineno > setting[0] for node in imports)

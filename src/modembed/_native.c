@@ -13,7 +13,9 @@
  * graph._from_ids (modembed_build), and the classifier's gradient descent
  * behind tasks.SoftmaxRegression.fit (modembed_fit).  Every array they
  * take is contiguous (int64 indices, row-major doubles, bytes) but the
- * fit's features, which it reads at numpy's strides.
+ * fit's features, which it reads at numpy's strides.  The passes over an
+ * operator (apply, objective, sweep) read its arrays through one struct
+ * modembed_operator, which _native._operator builds and checks.
  *
  * Each rotation function repeats its Python loop operation for
  * operation: the same IEEE operations on the same doubles in the same
@@ -46,7 +48,7 @@
  * IEEE operation a scalar takes.
  *
  * modembed_apply forms Q @ H for ModularityMatrix.apply in one pass over
- * the graph's CSR rows, H a row-major block, eight columns at a time in
+ * the operator's CSR rows, H a row-major block, eight columns at a time in
  * pairs of doubles; every entry takes the operations of the numpy path in
  * the same order, so the bytes are the same.  The one exception is the
  * sign of a NaN made where NaNs of both signs meet in an add: x86 returns
@@ -487,14 +489,16 @@ struct modembed_loops {
     void *matmul_data, *maximum_data, *exp_data, *add_data;
 };
 
-/* The operator a sweep reads on n nodes and the aggregate A = F^T H it
- * keeps, F the row-major n x L array x.  A modularity operator gives its
- * CSR rows of p (indptr, indices, data) and the marginal as x with L = 1
- * (A is K values); a Gram operator (indptr NULL) gives the cloud as x and
- * its squared row norms sq (A is row-major L x K). */
+/* The one record by which modembed_apply, modembed_objective and
+ * modembed_sweep read an operator on n nodes, F the row-major n x L
+ * array x: a modularity operator's CSR rows of p, its marginal (L = 1)
+ * and the view's diagonal, Q @ H = p H - x (x^T H) + diag H; or a Gram
+ * operator's cloud and squared row norms sq (indptr NULL, sweep only).
+ * agg is the sweep's aggregate A = F^T H (K values, or row-major L x K
+ * for a cloud), NULL for the other passes. */
 struct modembed_operator {
     const int64_t *indptr, *indices;
-    const double *data, *x, *sq;
+    const double *data, *x, *diag, *sq;
     double *agg;
     ptrdiff_t L, n;
 };
@@ -551,15 +555,21 @@ struct gather_table {
     ptrdiff_t most;
 };
 
+/* Whether the double at x has the bits of +0.0. */
+static int plus_zero(const double *x)
+{
+    uint64_t bits;
+    memcpy(&bits, x, sizeof bits);
+    return bits == 0;
+}
+
 /* Row h's entry of the table at `entry`. */
 static void table_row(int32_t *entry, const double *h, ptrdiff_t k,
                       ptrdiff_t most)
 {
     int32_t m = 0;
     for (ptrdiff_t i = 0; i < k; i++) {
-        uint64_t bits;
-        memcpy(&bits, h + i, sizeof bits);
-        if (bits == 0)
+        if (plus_zero(h + i))
             continue;
         if (m == most) {
             entry[0] = -1;
@@ -912,20 +922,31 @@ void modembed_fit(const struct modembed_loops *lp, ptrdiff_t m, ptrdiff_t d,
 
 /* --- Q @ H ---------------------------------------------------------------- */
 
+/* Entry (i, j) of Q @ H for the modularity operator op, h the row-major
+ * n x k block H and c = marginal @ H: row i's data[p] * H[indices[p], j]
+ * summed in stored-entry order from 0.0, as scipy's csr_matvecs and the
+ * numpy fallback do, then (sum - pi_i c_j) + diag_i H[i, j]. */
+static inline double apply_entry(const struct modembed_operator *op,
+                                 const double *h, ptrdiff_t k,
+                                 const double *c, ptrdiff_t i, ptrdiff_t j)
+{
+    double s = 0.0;
+    for (int64_t p = op->indptr[i]; p < op->indptr[i + 1]; p++)
+        s = s + op->data[p] * h[op->indices[p] * k + j];
+    return (s - op->x[i] * c[j]) + op->diag[i] * h[i * k + j];
+}
+
 /* Row i's entries j .. j + 2 lanes - 1 of Q @ H into o, in `lanes` pairs
- * of doubles: each lane adds data[p] * H[indices[p], j] in stored-entry
- * order from 0.0, then takes (sum - pi_i c_j) + diag_i H[i, j], as the
- * scalar loop does. */
+ * of doubles, each lane apply_entry's operations. */
 static inline __attribute__((always_inline)) void
-apply_columns(int lanes, const int64_t *indices, const double *data,
-              ptrdiff_t s, ptrdiff_t e, const double *h, ptrdiff_t k,
-              ptrdiff_t j, const double *c, const double *hi, double pi,
-              double d, double *o)
+apply_columns(int lanes, const struct modembed_operator *op,
+              const double *h, ptrdiff_t k, const double *c, ptrdiff_t i,
+              ptrdiff_t j, double *o)
 {
     v2df s0 = {0.0, 0.0}, s1 = s0, s2 = s0, s3 = s0;
-    for (ptrdiff_t p = s; p < e; p++) {
-        const v2df a = {data[p], data[p]};
-        const double *x = h + indices[p] * k + j;
+    for (int64_t p = op->indptr[i]; p < op->indptr[i + 1]; p++) {
+        const v2df a = {op->data[p], op->data[p]};
+        const double *x = h + op->indices[p] * k + j;
         s0 = s0 + a * load2(x);
         if (lanes > 1)
             s1 = s1 + a * load2(x + 2);
@@ -934,23 +955,19 @@ apply_columns(int lanes, const int64_t *indices, const double *data,
             s3 = s3 + a * load2(x + 6);
         }
     }
-    const v2df pis = {pi, pi}, ds = {d, d};
+    const v2df pis = {op->x[i], op->x[i]}, ds = {op->diag[i], op->diag[i]};
     const v2df sums[4] = {s0, s1, s2, s3};
     for (int b = 0; b < lanes; b++, j += 2)
-        store2(o + j, (sums[b] - pis * load2(c + j)) + ds * load2(hi + j));
+        store2(o + j, (sums[b] - pis * load2(c + j)) +
+                      ds * load2(h + i * k + j));
 }
 
-/* out = Q @ H for the modularity operator of the graph on n nodes whose
- * off-diagonal mass p is the CSR (indptr, indices, data), as
- * ModularityMatrix.apply forms it: h is the row-major n x k block H,
- * c = marginal @ H, diag the diagonal mass (or the squared marginal for a
- * zeroed diagonal).  Each entry's sparse part starts at 0.0 and adds
- * data[p] * H[indices[p], j] over the row's stored entries in order, as
- * scipy's csr_matvecs and the numpy fallback do; then it becomes
- * (sum - pi_i * c_j) + diag_i * H[i, j].  Eight columns are summed at a
- * time in four pairs of doubles (v2df, SSE2 on x86-64), each lane the
- * scalar operation, then four, two and one, so each stored entry is read
- * once per eight columns and no partial sum goes through memory.
+/* out = Q @ H for the modularity operator op, as ModularityMatrix.apply
+ * forms it: h is the row-major n x k block H and c = marginal @ H, and
+ * every entry is apply_entry's.  Eight columns are summed at a time in
+ * four pairs of doubles (v2df, SSE2 on x86-64), each lane the scalar
+ * operation, then four, two and one, so each stored entry is read once
+ * per eight columns and no partial sum goes through memory.
  *
  * Row i is stored at out + i * out_step: out_step = k gives the row-major
  * n x k Q @ H, out_step = 0 reuses one row of k doubles.  When shifted is
@@ -960,33 +977,28 @@ apply_columns(int lanes, const int64_t *indices, const double *data,
  * to LAPACK next.  When product is not NULL, each row is also stored as
  * H[i, j] * out[i, j] at product[i * k + j]: the row-major H * (Q @ H)
  * whose sum is the trace objective, by np.multiply's operation. */
-void modembed_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
-                    const int64_t *indices, const double *data,
-                    const double *marginal, const double *h, const double *c,
-                    const double *diag, double *out, ptrdiff_t out_step,
-                    double shift, double *shifted, double *product)
+void modembed_apply(const struct modembed_operator *op, ptrdiff_t k,
+                    const double *h, const double *c, double *out,
+                    ptrdiff_t out_step, double shift, double *shifted,
+                    double *product)
 {
+    const ptrdiff_t n = op->n;
     for (ptrdiff_t i = 0; i < n; i++) {
-        const ptrdiff_t s = indptr[i], e = indptr[i + 1];
-        const double pi = marginal[i], d = diag[i], *hi = h + i * k;
+        const double *hi = h + i * k;
         double *o = out + i * out_step;
         ptrdiff_t j = 0;
         for (; j + 8 <= k; j += 8)
-            apply_columns(4, indices, data, s, e, h, k, j, c, hi, pi, d, o);
+            apply_columns(4, op, h, k, c, i, j, o);
         if (j + 4 <= k) {
-            apply_columns(2, indices, data, s, e, h, k, j, c, hi, pi, d, o);
+            apply_columns(2, op, h, k, c, i, j, o);
             j += 4;
         }
         if (j + 2 <= k) {
-            apply_columns(1, indices, data, s, e, h, k, j, c, hi, pi, d, o);
+            apply_columns(1, op, h, k, c, i, j, o);
             j += 2;
         }
-        if (j < k) {
-            double s0 = 0.0;
-            for (ptrdiff_t p = s; p < e; p++)
-                s0 = s0 + data[p] * h[indices[p] * k + j];
-            o[j] = (s0 - pi * c[j]) + d * hi[j];
-        }
+        if (j < k)
+            o[j] = apply_entry(op, h, k, c, i, j);
         if (shifted != NULL)
             for (j = 0; j < k; j++)
                 shifted[j * n + i] = shift * hi[j] + o[j];
@@ -1000,36 +1012,28 @@ void modembed_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
     }
 }
 
-/* The objective sums over H's support when it holds at most 1 /
- * SPARSE_SHARE of H's entries.  On multilayer's level 0 of a 1,500-node
- * planted partition (K = 1,500; 2-core AVX-512 Xeon, medians of 15
- * calls) the compiled entry took 8.4 ms at 12.6 % nonzero, 11-12 ms at
- * 15.5 % and 2-3 ms below 1 %, where the product store and np.sum take
- * 10-12 ms at any density. */
+/* The objective sums over H's support when some 64 rows spread over H
+ * show at most 1 / SPARSE_SHARE of their entries nonzero.  On
+ * multilayer's level 0 of a 1,500-node planted partition (K = 1,500;
+ * 2-core AVX-512 Xeon, medians of 15 calls) the compiled entry took
+ * 8.4 ms at 12.6 % nonzero, 11-12 ms at 15.5 % and 2-3 ms below 1 %,
+ * where the product store and np.sum take 10-12 ms at any density. */
 #define SPARSE_SHARE 6
 /* numpy's pairwise summation sums runs of up to PAIRWISE_LEAF values in
  * one pass (PW_BLOCKSIZE in numpy's loops_utils.h). */
 #define PAIRWISE_LEAF 128
 
-/* Whether the double at x has the bits of +0.0. */
-static int plus_zero(const double *x)
-{
-    uint64_t bits;
-    memcpy(&bits, x, sizeof bits);
-    return bits == 0;
-}
-
-/* The product H * (Q @ H) on H's support: the row-major n x k block h,
- * the CSR and the vectors as modembed_apply reads them, and for each row
- * i the flat positions [span[2 i], span[2 i + 1]) from its first support
+/* The product H * (Q @ H) on H's support: the operator op, the row-major
+ * n x k block h and c as modembed_apply reads them, and for each row i
+ * the flat positions [span[2 i], span[2 i + 1]) from its first support
  * entry to its last; next is the first support entry not yet taken, n k
  * when none is left, and row its row; big is set by a support entry past
  * 2^1000 in absolute value or NaN; leaf holds PAIRWISE_LEAF +0.0s between
  * calls of pairwise(). */
 struct objective {
-    ptrdiff_t n, k;
-    const int64_t *indptr, *indices;
-    const double *data, *marginal, *h, *c, *diag;
+    const struct modembed_operator *op;
+    ptrdiff_t k;
+    const double *h, *c;
     const ptrdiff_t *span;
     ptrdiff_t next, row;
     int big;
@@ -1041,7 +1045,7 @@ struct objective {
  * row ob->row or a later row, reading H only within the rows' spans. */
 static void seek(struct objective *ob, ptrdiff_t q)
 {
-    for (; ob->row < ob->n; ob->row++) {
+    for (; ob->row < ob->op->n; ob->row++) {
         const ptrdiff_t *span = ob->span + 2 * ob->row;
         for (q = q > span[0] ? q : span[0]; q < span[1]; q++)
             if (!plus_zero(ob->h + q)) {
@@ -1049,7 +1053,7 @@ static void seek(struct objective *ob, ptrdiff_t q)
                 return;
             }
     }
-    ob->next = ob->n * ob->k;
+    ob->next = ob->op->n * ob->k;
 }
 
 /* numpy's pairwise sum over the flat product's entries [lo, lo + len):
@@ -1067,11 +1071,7 @@ static int pairwise(struct objective *ob, ptrdiff_t lo, ptrdiff_t len,
         ptrdiff_t held[PAIRWISE_LEAF], m = 0;
         for (; ob->next < lo + len; m++) {
             const ptrdiff_t q = ob->next, i = ob->row, j = q - i * k;
-            double s = 0.0;
-            for (int64_t p = ob->indptr[i]; p < ob->indptr[i + 1]; p++)
-                s = s + ob->data[p] * ob->h[ob->indices[p] * k + j];
-            const double qh = (s - ob->marginal[i] * ob->c[j])
-                              + ob->diag[i] * ob->h[q];
+            const double qh = apply_entry(ob->op, ob->h, k, ob->c, i, j);
             ob->big |= !(fabs(ob->h[q]) <= 0x1p1000);
             ob->leaf[q - lo] = ob->h[q] * qh;
             held[m] = q;
@@ -1093,13 +1093,10 @@ static int pairwise(struct objective *ob, ptrdiff_t lo, ptrdiff_t len,
 
 /* tr(H^T Q H) as np.sum(H * (Q @ H)) gives it, from H's support alone:
  * the entries of the row-major n x k block h whose bits are not those of
- * +0.0 (so -0.0 and NaN are in it), arguments as modembed_apply's.  Sets
- * *total and returns 1, or returns 0 with *total untouched when H holds
- * more than n k / SPARSE_SHARE such entries, memory runs out or a bound
- * below fails.  Some 64 rows spread over H are counted first, and a
- * block they show at over twice the share is left at that; then the
- * support is counted, noting each row's span, and the count stops past
- * the share, so a declined block costs at most one read of H.
+ * +0.0 (so -0.0 and NaN are in it), op and c as modembed_apply reads
+ * them.  Sets *total and returns 1, or returns 0 with *total untouched
+ * when 64 rows spread over H show more than 1 / SPARSE_SHARE of their
+ * entries nonzero, memory runs out or a bound below fails.
  *
  * np.sum of the C-order product is numpy's add loop over its n k values
  * from +0.0: their pairwise sum, which pairwise() repeats, plus +0.0.
@@ -1110,20 +1107,19 @@ static int pairwise(struct objective *ob, ptrdiff_t lo, ptrdiff_t len,
  * Adding +-0 to a nonzero x gives x, so a skipped half changes no sum
  * but the sign of a zero one, as does seeding a run with 0.0, and +0.0
  * plus a zero total is +0.0 whatever its sign. */
-int modembed_objective(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
-                       const int64_t *indices, const double *data,
-                       const double *marginal, const double *h,
-                       const double *c, const double *diag,
+int modembed_objective(const struct modembed_operator *op, ptrdiff_t k,
+                       const double *h, const double *c,
                        const struct modembed_loops *lp, double *total)
 {
-    if (sampled_dense(n, k, h, SPARSE_SHARE))
+    const ptrdiff_t n = op->n;
+    if (sampled_dense(n, k, h, 2 * SPARSE_SHARE))
         return 0;
     double mass = 0.0;
-    for (ptrdiff_t p = 0; p < indptr[n]; p++)
-        mass += fabs(data[p]);
+    for (ptrdiff_t p = 0; p < op->indptr[n]; p++)
+        mass += fabs(op->data[p]);
     int bounded = mass <= 0x1p10;
     for (ptrdiff_t i = 0; bounded && i < n; i++)
-        bounded = fabs(marginal[i]) <= 0x1p10 && isfinite(diag[i]);
+        bounded = fabs(op->x[i]) <= 0x1p10 && isfinite(op->diag[i]);
     for (ptrdiff_t j = 0; bounded && j < k; j++)
         bounded = fabs(c[j]) <= 0x1p1000;
     if (!bounded)
@@ -1131,9 +1127,7 @@ int modembed_objective(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
     ptrdiff_t *span = malloc((size_t)(n ? 2 * n : 1) * sizeof *span);
     if (span == NULL)
         return 0;
-    const ptrdiff_t most = n * k / SPARSE_SHARE;
-    ptrdiff_t count = 0;
-    for (ptrdiff_t i = 0; i < n && count <= most; i++) {
+    for (ptrdiff_t i = 0; i < n; i++) {
         ptrdiff_t first = i * k, end = first + k;
         while (first < end && plus_zero(h + first))
             first++;
@@ -1141,18 +1135,13 @@ int modembed_objective(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
             end--;
         span[2 * i] = first;
         span[2 * i + 1] = end;
-        for (ptrdiff_t q = first; q < end; q++)
-            count += !plus_zero(h + q);
     }
-    struct objective ob = {n, k, indptr, indices, data, marginal, h, c,
-                           diag, span, 0, 0, 0, lp, {0.0}};
+    struct objective ob = {op, k, h, c, span, 0, 0, 0, lp, {0.0}};
     double sum = 0.0;
-    if (count <= most) {
-        seek(&ob, 0);
-        pairwise(&ob, 0, n * k, &sum);
-    }
+    seek(&ob, 0);
+    pairwise(&ob, 0, n * k, &sum);
     free(span);
-    if (count > most || ob.big)
+    if (ob.big)
         return 0;
     *total = 0.0 + sum;
     return 1;

@@ -21,6 +21,8 @@ bytes and stays as the fallback and the tests' oracle:
   when asked, and tr(H^T Q H) for `clustering._objective`, which stores
   only H * (Q @ H); when H is mostly zeros, `modembed_objective` forms
   that product on H's support alone and sums it as np.sum does;
+- `apply`, `objective` and `sweep` hand C the operator one way, the
+  struct modembed_operator that `_operator(Q)` builds and checks;
 - `scan`: `modembed_scan`, the scanner behind the edge-list, label and
   embedding readers; a label file's nodes are found among the labels
   of a scanned graph;
@@ -138,28 +140,26 @@ def library():
     offsets = np.ctypeslib.ndpointer(np.intp, flags=flags)
     int64 = np.ctypeslib.ndpointer(np.int64, flags=flags)
     size, c_int, double = ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double
+    operator, loops = ctypes.POINTER(_Operator), ctypes.c_void_p * 8
     for name, restype, *argtypes in (
             ("ql", size, size, size, array, array, array, size),
             ("jacobi", c_int, size, array, array, double, double, size),
             ("format_rows", size, size, size, values, ctypes.c_char_p,
              offsets, ctypes.POINTER(ctypes.c_char)),
-            ("sweep", size, ctypes.POINTER(_Operator), ctypes.c_void_p * 8,
-             array, size, offsets, size, c_int, double, array, offsets),
+            ("sweep", size, operator, loops, array, size, offsets, size,
+             c_int, double, array, offsets),
             ("householder", None, size, size, array, array, values,
              values, values, double),
-            ("apply", None, size, size, int64, int64, values, values,
-             values, values, values, array, size, double, ctypes.c_void_p,
-             ctypes.c_void_p),
-            ("objective", c_int, size, size, int64, int64, values, values,
-             values, values, values, ctypes.c_void_p * 8,
+            ("apply", None, operator, size, values, values, array, size,
+             double, ctypes.c_void_p, ctypes.c_void_p),
+            ("objective", c_int, operator, size, values, values, loops,
              ctypes.POINTER(double)),
             ("scan", c_int, c_int, ctypes.c_char_p, size, ctypes.c_char_p,
              size, ctypes.POINTER(_Scan)),
             ("build", c_int, size, size, int64, values,
              ctypes.POINTER(_Graph)),
-            ("fit", None, ctypes.c_void_p * 8, size, size, size,
-             ctypes.c_void_p, size, size, values, size, double, double,
-             array, array, array)):
+            ("fit", None, loops, size, size, size, ctypes.c_void_p, size,
+             size, values, size, double, double, array, array, array)):
         entry = getattr(lib, f"modembed_{name}")
         entry.restype, entry.argtypes = restype, argtypes
     return lib
@@ -335,15 +335,39 @@ def row_formatter():
 class _Operator(ctypes.Structure):
     """The C struct modembed_operator."""
     _fields_ = [*((name, ctypes.c_void_p) for name in (
-        "indptr", "indices", "data", "x", "sq", "agg")),
+        "indptr", "indices", "data", "x", "diag", "sq", "agg")),
         ("L", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t)]
+
+
+def _operator(Q):
+    """The record by which every compiled pass reads Q, holding the
+    arrays it points into: a `ModularityMatrix`'s CSR, marginal (x) and
+    diagonal, or a `GramOperator`'s cloud (x) and squared row norms; the
+    aggregate is left for the sweep to bind.  None when an array is not
+    the C-order, aligned int64 or float64 one C reads: numpy runs then."""
+    graph = getattr(Q, "graph", None)
+    arrays = (dict(indptr=graph.indptr, indices=graph.indices,
+                   data=graph.data, x=graph.marginal, diag=Q.diag)
+              if graph is not None else dict(x=Q.X, sq=Q._sq))
+    for name, a in arrays.items():
+        dtype = np.int64 if name in ("indptr", "indices") else np.float64
+        if not (isinstance(a, np.ndarray) and a.dtype == dtype and
+                a.flags.c_contiguous and a.flags.aligned):
+            return None
+    x = arrays["x"]
+    # The marginal is F as one column: L = 1.
+    op = _Operator(**{name: a.ctypes.data for name, a in arrays.items()},
+                   L=x.shape[1] if x.ndim == 2 else 1, n=Q.n)
+    op.arrays = arrays  # what op points into lives as long as op
+    return op
 
 
 @_recorded
 def sweep(rule, Q, H, aggregate, rows, weight):
     """visit() that runs the compiled `rule` on `rows` of the C-ordered
     float64 matrix H in order, or None when the library or a numpy loop
-    is missing, or a cloud or aggregate is not a C-order array.
+    is missing, or `_operator` declines Q or the aggregate is not a
+    C-order array.
 
     The rule is "softmax" at inverse temperature `weight` or "sphere" at
     blend weight `weight`; visit() returns the degenerate rows skipped, 0
@@ -354,31 +378,22 @@ def sweep(rule, Q, H, aggregate, rows, weight):
     """
     lib = library()
     loops = None if lib is None else _loops()
-    if loops is None:
+    op = None if loops is None else _operator(Q)
+    if op is None:
         return None
     K = H.shape[1]
-    graph = getattr(Q, "graph", None)
-    if graph is not None:
-        # The graph's own arrays: int64 and float64, contiguous.
-        csr = [graph.indptr, graph.indices, graph.data]
-        F, sq = graph.marginal, None
-        degree = int(np.diff(graph.indptr).max(initial=0))
-    else:
-        csr, F, sq, degree = [None] * 3, Q.X, Q._sq, 0
-    A, shape = aggregate.A, F.shape[1:] + (K,)
+    if H.shape[0] != op.n:
+        raise ValueError(f"expected {op.n} rows, got shape {H.shape}")
+    A, shape = aggregate.A, (K,) if op.indptr else (op.L, K)
     if not (isinstance(A, np.ndarray) and A.dtype == np.float64 and
             A.shape == shape and A.flags.writeable):
         raise ValueError(f"aggregate A must be a writeable float64 array "
                          f"of shape {shape}")
-    fields = (*csr, F, sq, A)
-    arrays = [a for a in fields if a is not None]
-    # The struct reads them row-major; the plain rules take the rest.
-    if not all(a.flags.c_contiguous and a.flags.aligned for a in arrays):
+    # The struct reads it row-major; the plain rules take the rest.
+    if not (A.flags.c_contiguous and A.flags.aligned):
         return None
-    # The marginal is F as one column: L = 1.
-    op = _Operator(*(a if a is None else a.ctypes.data for a in fields),
-                   L=F.shape[1] if F.ndim == 2 else 1, n=H.shape[0])
-    op.arrays = arrays  # what op points into lives as long as op
+    op.agg, op.arrays["agg"] = A.ctypes.data, A
+    degree = int(np.diff(Q.graph.indptr).max(initial=0)) if op.indptr else 0
     # Four K-vectors, then the gather buffer for the densest row.
     scratch = np.empty((4 + degree) * K)
     rows = np.array(rows, dtype=np.intp)
@@ -410,15 +425,19 @@ def householder(t, b, k, v, p, w, k4):
     return t, b
 
 
-def _apply(graph, H, c, diag, shift=0.0, shifted=None, keep=True,
-           product=None):
-    """The one modembed_apply call: Q @ H on the float64 n x K block H
-    (any strides) as a new C-order array, or with keep=False only its
-    last row (the pass then reuses one row), or None when the library is
-    missing.  `shifted` (C-order K x n) also receives shift * H + Q @ H,
-    transposed, and `product` (C-order n x K) receives H * (Q @ H)."""
+@_recorded
+def apply(Q, H, c, shift=0.0, shifted=None, keep=True, product=None):
+    """The one modembed_apply call: Q @ H for the `ModularityMatrix` Q
+    and c = marginal @ H on the float64 n x K block H (any strides) as a
+    new C-order array, or with keep=False only its last row (the pass
+    then reuses one row), or None when the library is missing or
+    `_operator` declines Q; the bytes of `Q.apply`'s numpy path.
+    `shifted` (C-order K x n) also receives shift * H + Q @ H, transposed,
+    as np.multiply then np.add give it, and `product` (C-order n x K)
+    receives H * (Q @ H)."""
     lib = library()
-    if lib is None:
+    op = None if lib is None else _operator(Q)
+    if op is None:
         return None
     # The pass gathers whole rows of H, so a column-major or strided H is
     # read from a C-order copy; the bytes do not depend on the layout.
@@ -434,51 +453,40 @@ def _apply(graph, H, c, diag, shift=0.0, shifted=None, keep=True,
             raise ValueError(f"{name} must be a writeable C-order float64 "
                              f"array of shape {shape}")
     out = np.empty(H.shape if keep else (1, k))
-    lib.modembed_apply(n, k, graph.indptr, graph.indices, graph.data,
-                       graph.marginal, H, c, diag, out, k if keep else 0,
-                       shift, *(None if a is None else a.ctypes.data
-                                for a in (shifted, product)))
+    lib.modembed_apply(op, k, H, c, out, k if keep else 0, shift,
+                       *(None if a is None else a.ctypes.data
+                         for a in (shifted, product)))
     return out
-
-
-@_recorded
-def apply(graph, H, c, diag, shift=0.0, shifted=None, keep=True):
-    """`_apply` for `ModularityMatrix.apply`, with c = marginal @ H and
-    the diagonal `diag`: the bytes of its numpy path, `shifted` as
-    np.multiply then np.add give it."""
-    return _apply(graph, H, c, diag, shift, shifted, keep)
 
 
 @_recorded
 def objective(Q, H):
     """tr(H^T Q H) for the `graph.ModularityMatrix` Q and the n x K block
     H of any layout, as `np.sum(H * Q.apply(H))` gives it, or None when
-    the library is missing or H is not 2-D with n rows (numpy's path
-    takes a column and rejects the rest).
+    the library is missing, `_operator` declines Q or H is not 2-D with
+    n rows (numpy's path takes a column and rejects the rest).
 
-    When H is mostly exact zeros, `modembed_objective` forms Q @ H on
-    H's support only and repeats np.sum's pairwise sum there, skipping
-    the runs that hold no support entry; otherwise one pass stores
-    H * (Q @ H) row by row, never Q @ H, and np.sum adds it up.
-    c = marginal @ H on H's own layout, as in `Q.apply`, stays numpy's,
-    so no BLAS byte is redone.
+    When a sample of H's rows shows it mostly exact zeros,
+    `modembed_objective` forms Q @ H on H's support only and repeats
+    np.sum's pairwise sum there, skipping the runs that hold no support
+    entry; otherwise one pass stores H * (Q @ H) row by row, never
+    Q @ H, and np.sum adds it up.  c = marginal @ H on H's own layout,
+    as in `Q.apply`, stays numpy's, so no BLAS byte is redone.
     """
-    graph = Q.graph
     H = np.asarray(H, dtype=float)
     lib = library()
-    if lib is None or H.ndim != 2 or H.shape[0] != graph.n:
+    op = None if lib is None else _operator(Q)
+    if op is None or H.ndim != 2 or H.shape[0] != op.n:
         return None
-    pi = graph.marginal
-    diag = pi ** 2 if Q.diag_zeroed else graph.diag_mass
-    c = pi @ H
+    c = Q.graph.marginal @ H
     H = np.require(H, requirements="CA")
     loops, total = _loops(), ctypes.c_double()
-    if loops is not None and lib.modembed_objective(
-            graph.n, H.shape[1], graph.indptr, graph.indices, graph.data,
-            pi, H, c, diag, loops, total):
+    if loops is not None and lib.modembed_objective(op, H.shape[1], H, c,
+                                                    loops, total):
         return total.value
     product = np.empty(H.shape)
-    _apply(graph, H, c, diag, keep=False, product=product)
+    # Unrecorded: the call is the objective's path, not the apply's.
+    apply.__wrapped__(Q, H, c, keep=False, product=product)
     return float(np.sum(product))
 
 

@@ -205,6 +205,8 @@ class ModularityMatrix:
     def __init__(self, graph, diag_zeroed=False):
         self.graph = graph
         self.diag_zeroed = bool(diag_zeroed)
+        # The view's diagonal d in Q @ H = p H - pi (pi @ H) + d H.
+        self.diag = graph.marginal ** 2 if diag_zeroed else graph.diag_mass
 
     @property
     def n(self):
@@ -242,8 +244,7 @@ class ModularityMatrix:
             raise ValueError(f"expected {g.n} rows, got shape {H.shape}")
         pi = g.marginal
         c = pi @ H
-        diag = pi ** 2 if self.diag_zeroed else g.diag_mass
-        out = _native.apply(g, H, c, diag, shift, shifted, keep)
+        out = _native.apply(self, H, c, shift, shifted, keep)
         if out is None:
             out = np.zeros(H.shape)
             counts = np.diff(g.indptr)
@@ -253,7 +254,7 @@ class ModularityMatrix:
                 at = g.indptr[rows] + k
                 out[rows] += g.data[at, None] * H[g.indices[at]]
             out -= np.outer(pi, c)
-            out += diag[:, None] * H
+            out += self.diag[:, None] * H
             if shifted is not None:
                 np.multiply(shift, H.T, out=shifted)
                 np.add(shifted, out.T, out=shifted)
@@ -302,7 +303,7 @@ class ModularityMatrix:
         cluster_marginal = np.bincount(labels, weights=g.marginal)
         value = pair_mass - float((cluster_marginal ** 2).sum())
         if self.diag_zeroed:
-            value -= float((g.diag_mass - g.marginal ** 2).sum())
+            value -= float((g.diag_mass - self.diag).sum())
         return value
 
     def dense(self):

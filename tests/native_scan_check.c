@@ -1,9 +1,10 @@
 /* Hostile inputs for modembed_scan, the TSV scanner in _native.c, for
  * modembed_build, which reads what it gives, for the row writer
- * modembed_format_rows, the operator pass modembed_apply with its three
- * stores, the Householder step modembed_householder, the softmax pass of
- * modembed_sweep and the classifier fit modembed_fit (these two on
- * stand-ins for numpy's loops), built with
+ * modembed_format_rows, the operator passes modembed_apply with its three
+ * stores, modembed_objective and the softmax pass of modembed_sweep, all
+ * three through one struct modembed_operator, the Householder step
+ * modembed_householder and the classifier fit modembed_fit (the last
+ * three passes on stand-ins for numpy's loops), built with
  * -fsanitize=address,undefined by tests/test_io.py.  The driver is one
  * unit with _native.c, which it includes (the test puts its directory on
  * the include path), so every call and struct is checked against the
@@ -375,6 +376,38 @@ static void *exact(const void *p, size_t n)
     return block;
 }
 
+/* The record of the modularity operator on the n-node CSR with the
+ * marginal and the diagonal, and the k-value aggregate unless agg is
+ * NULL, each array in a heap block of exactly its size; drop() frees
+ * them. */
+static struct modembed_operator record(ptrdiff_t n, const int64_t *indptr,
+                                       const int64_t *indices,
+                                       const double *data,
+                                       const double *marginal,
+                                       const double *diag, const double *agg,
+                                       ptrdiff_t k)
+{
+    const size_t nnz = (size_t)indptr[n], n_bytes = (size_t)n * sizeof *diag;
+    struct modembed_operator op = {
+        .indptr = exact(indptr, (size_t)(n + 1) * sizeof *indptr),
+        .indices = exact(indices, nnz * sizeof *indices),
+        .data = exact(data, nnz * sizeof *data),
+        .x = exact(marginal, n_bytes), .diag = exact(diag, n_bytes),
+        .agg = agg ? exact(agg, (size_t)k * sizeof *agg) : NULL,
+        .L = 1, .n = n};
+    return op;
+}
+
+static void drop(struct modembed_operator *op)
+{
+    free((void *)op->indptr);
+    free((void *)op->indices);
+    free((void *)op->data);
+    free((void *)op->x);
+    free((void *)op->diag);
+    free(op->agg);
+}
+
 /* Format the n x c values x with the labels (row i's label being
  * labels[offsets[i]:offsets[i + 1]]) into a block of exactly the labels
  * plus n (25 c + 2) bytes, the budget _native.row_formatter reserves,
@@ -447,14 +480,11 @@ static void check_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
                         const double *marginal, const double *h,
                         const double *c, const double *diag)
 {
-    size_t nnz = (size_t)indptr[n], block = (size_t)(n * k) * sizeof *h;
+    size_t block = (size_t)(n * k) * sizeof *h;
     const double shift = 0.375;
-    int64_t *ip = exact(indptr, (size_t)(n + 1) * sizeof *ip);
-    int64_t *ix = exact(indices, nnz * sizeof *ix);
-    double *d = exact(data, nnz * sizeof *d);
-    double *pi = exact(marginal, (size_t)n * sizeof *pi);
+    struct modembed_operator op =
+        record(n, indptr, indices, data, marginal, diag, NULL, k);
     double *hs = exact(h, block), *cs = exact(c, (size_t)k * sizeof *cs);
-    double *dg = exact(diag, (size_t)n * sizeof *dg);
     double *out = malloc(block), *want = malloc(block);
     double *shifted = malloc(block), *want_shifted = malloc(block);
     double *row = malloc((size_t)k * sizeof *row);
@@ -468,7 +498,7 @@ static void check_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
             want_shifted[j * n + i] = shift * hij + want[i * k + j];
         }
     }
-    modembed_apply(n, k, ip, ix, d, pi, hs, cs, dg, out, k, 0.0, NULL, NULL);
+    modembed_apply(&op, k, hs, cs, out, k, 0.0, NULL, NULL);
     if (memcmp(out, want, block) != 0) {
         fprintf(stderr, "apply at k = %ld differs from the plain loop\n",
                 (long)k);
@@ -477,8 +507,8 @@ static void check_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
     for (ptrdiff_t step = k; step >= 0; step -= k ? k : 1) {
         memset(out, 0, block);
         memset(shifted, 0, block);
-        modembed_apply(n, k, ip, ix, d, pi, hs, cs, dg, step ? out : row,
-                       step, shift, shifted, NULL);
+        modembed_apply(&op, k, hs, cs, step ? out : row, step, shift,
+                       shifted, NULL);
         if (memcmp(shifted, want_shifted, block) != 0 ||
             (step && memcmp(out, want, block) != 0)) {
             fprintf(stderr, "shifted apply at k = %ld, step %ld differs "
@@ -490,20 +520,15 @@ static void check_apply(ptrdiff_t n, ptrdiff_t k, const int64_t *indptr,
     for (ptrdiff_t q = 0; q < n * k; q++)
         want_shifted[q] = h[q] * want[q];
     memset(shifted, 0, block);
-    modembed_apply(n, k, ip, ix, d, pi, hs, cs, dg, row, 0, 0.0, NULL,
-                   shifted);
+    modembed_apply(&op, k, hs, cs, row, 0, 0.0, NULL, shifted);
     if (memcmp(shifted, want_shifted, block) != 0) {
         fprintf(stderr, "objective store at k = %ld differs from the plain "
                 "loop\n", (long)k);
         failures++;
     }
-    free(ip);
-    free(ix);
-    free(d);
-    free(pi);
+    drop(&op);
     free(hs);
     free(cs);
-    free(dg);
     free(out);
     free(want);
     free(shifted);
@@ -715,7 +740,7 @@ static void softmax_cases(void)
     const double data[] = {0.05, 0.04, 0.05, 0.03, 0.04, 0.03, 0.03, 0.02,
                            0.01, 0.02, 0.04};
     const double marginal[N] = {0.04, 0.09, 0.08, 0.04, 0.13, 0.06, 0.01};
-    double h[N * K] = {0}, agg[K] = {0};
+    double h[N * K] = {0}, agg[K] = {0}, diag[N] = {0};
     h[0 * K + 3] = 1.0;
     h[1 * K + 5] = 0.25;
     h[1 * K + 60] = 0.75;
@@ -731,10 +756,8 @@ static void softmax_cases(void)
             agg[j] += marginal[u] * h[u * K + j];
     double *want = exact(h, sizeof h), *want_agg = exact(agg, sizeof agg);
     double *hs = exact(h, sizeof h);
-    struct modembed_operator op = {
-        exact(indptr, sizeof indptr), exact(indices, sizeof indices),
-        exact(data, sizeof data), exact(marginal, sizeof marginal), NULL,
-        exact(agg, sizeof agg), 1, N};
+    struct modembed_operator op =
+        record(N, indptr, indices, data, marginal, diag, agg, K);
     ptrdiff_t *rows = malloc(N * sizeof *rows);
     ptrdiff_t *support_rows = calloc(2, sizeof *support_rows);
     double *scratch = malloc((4 + DEGREE) * K * sizeof *scratch);
@@ -756,11 +779,7 @@ static void softmax_cases(void)
         fprintf(stderr, "no softmax row read only its support\n");
         failures++;
     }
-    free((void *)op.indptr);
-    free((void *)op.indices);
-    free((void *)op.data);
-    free((void *)op.x);
-    free(op.agg);
+    drop(&op);
     free(want);
     free(want_agg);
     free(hs);
@@ -820,11 +839,12 @@ static double plain_pairwise(const double *x, ptrdiff_t len)
 }
 
 /* modembed_objective on the stand-ins at n = 1-9, k = 1-40, every array
- * in a block of exactly its size, with supports one below, at and one
- * above the cap n k / SPARSE_SHARE (some of them -0.0), and none: summed
- * over the support up to the cap, with 0.0 plus the pairwise sum of the
- * whole product, and declined above it or with a NaN or a value past
- * 2^1000 in H. */
+ * in a block of exactly its size, with one below, at and one above the
+ * cap n k / SPARSE_SHARE of nonzero values (a quarter as many -0.0
+ * entries beside them), and none.  At n <= 64 the sample reads every
+ * row, so the entry sums over the support up to the cap, with 0.0 plus
+ * the pairwise sum of the whole product, and declines above it or with a
+ * NaN or a value past 2^1000 in H. */
 static void objective_cases(void)
 {
     enum { N = 9, K = 40 };
@@ -851,11 +871,11 @@ static void objective_cases(void)
                     continue;
                 memset(h, 0, sizeof h);
                 ptrdiff_t q = 0;
-                for (ptrdiff_t m = 0; m < count; m++) {
+                for (ptrdiff_t m = 0; m < count + count / 4; m++) {
                     do {
                         q = (ptrdiff_t)(fabs(next_value(&state)) * n * k);
                     } while (memcmp(h + q, &(double){0.0}, sizeof *h) != 0);
-                    h[q] = m % 5 == 4 ? -0.0 : next_value(&state);
+                    h[q] = m < count ? next_value(&state) : -0.0;
                 }
                 if (variant == 3 || variant == 4)
                     h[q] = variant == 3 ? NAN : 0x1p1001;
@@ -869,20 +889,17 @@ static void objective_cases(void)
                             ((s - marginal[i] * c[j]) + diag[i] * h[i * k + j]);
                     }
                 const double want_total = 0.0 + plain_pairwise(qh, n * k);
-                int64_t *ip = exact(indptr, (size_t)(n + 1) * sizeof *ip);
-                int64_t *ix = exact(indices, (size_t)indptr[n] * sizeof *ix);
-                double *d = exact(data, (size_t)indptr[n] * sizeof *d);
-                double *pi = exact(marginal, (size_t)n * sizeof *pi);
-                double *dg = exact(diag, (size_t)n * sizeof *dg);
+                struct modembed_operator op =
+                    record(n, indptr, indices, data, marginal, diag, NULL, k);
                 double *cs = exact(c, (size_t)k * sizeof *cs);
                 double *hs = exact(h, (size_t)(n * k) * sizeof *hs);
                 if (variant == 5)
                     cs[k - 1] = -0x1p1001;
                 if (variant == 6)
-                    dg[n - 1] = INFINITY;
+                    ((double *)op.diag)[n - 1] = INFINITY;
                 double total = -1.0;
-                const int got = modembed_objective(n, k, ip, ix, d, pi, hs, cs,
-                                                   dg, &STAND_INS, &total);
+                const int got = modembed_objective(&op, k, hs, cs,
+                                                   &STAND_INS, &total);
                 if (got != want ||
                     (got && memcmp(&total, &want_total, sizeof total) != 0)) {
                     fprintf(stderr, "objective at n = %ld, k = %ld, %ld "
@@ -891,11 +908,7 @@ static void objective_cases(void)
                             variant, got);
                     failures++;
                 }
-                free(ip);
-                free(ix);
-                free(d);
-                free(pi);
-                free(dg);
+                drop(&op);
                 free(cs);
                 free(hs);
             }
@@ -913,7 +926,7 @@ static void gather_cases(void)
     enum { N = 9, K = 40 };
     uint64_t state = 1442695040888963407ULL;
     int64_t indptr[N + 1], indices[N * N];
-    double data[N * N], marginal[N];
+    double data[N * N], marginal[N], diag[N] = {0.0};
     int scattered_any = 0;
     for (ptrdiff_t n = 1; n <= N; n++) {
         const ptrdiff_t degree = random_csr(n, &state, indptr, indices, data);
@@ -938,12 +951,8 @@ static void gather_cases(void)
             double *want = exact(h, (size_t)(n * k) * sizeof *want);
             double *want_agg = exact(agg, (size_t)k * sizeof *want_agg);
             double *hs = exact(h, (size_t)(n * k) * sizeof *hs);
-            struct modembed_operator op = {
-                exact(indptr, (size_t)(n + 1) * sizeof *indptr),
-                exact(indices, (size_t)indptr[n] * sizeof *indices),
-                exact(data, (size_t)indptr[n] * sizeof *data),
-                exact(marginal, (size_t)n * sizeof *marginal), NULL,
-                exact(agg, (size_t)k * sizeof *agg), 1, n};
+            struct modembed_operator op =
+                record(n, indptr, indices, data, marginal, diag, agg, k);
             ptrdiff_t *rows = malloc((size_t)n * sizeof *rows);
             ptrdiff_t *counts = calloc(2, sizeof *counts);
             double *scratch = malloc((size_t)((4 + degree) * k) *
@@ -968,11 +977,7 @@ static void gather_cases(void)
                 failures++;
             }
             scattered_any |= counts[1] > 0;
-            free((void *)op.indptr);
-            free((void *)op.indices);
-            free((void *)op.data);
-            free((void *)op.x);
-            free(op.agg);
+            drop(&op);
             free(want);
             free(want_agg);
             free(hs);
@@ -1138,6 +1143,7 @@ static void print_layout(void)
     FIELD(modembed_operator, indices);
     FIELD(modembed_operator, data);
     FIELD(modembed_operator, x);
+    FIELD(modembed_operator, diag);
     FIELD(modembed_operator, sq);
     FIELD(modembed_operator, agg);
     FIELD(modembed_operator, L);

@@ -1110,8 +1110,45 @@ def test_shifted_store_records_its_path_and_checks_its_buffer(karate):
     for buf in (np.empty((3, karate.n)), np.empty((karate.n, 3), order="F"),
                 np.empty((karate.n, 3), np.float32)):
         with pytest.raises(ValueError, match="product"):
-            _native._apply(karate, Z, c, karate.diag_mass, keep=False,
-                           product=buf)
+            _native.apply(Q, Z, c, keep=False, product=buf)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize("name, spoil", [
+    ("indices", lambda a: a.astype(np.int32)),
+    ("data", lambda a: np.repeat(a, 2)[::2]),
+    ("data", unaligned)])
+def test_operator_refuses_arrays_the_passes_cannot_read(karate, monkeypatch,
+                                                        name, spoil):
+    """The record hands C raw pointers, so `_operator` checks each
+    array's dtype, order and alignment itself: a CSR array of another
+    dtype, order or alignment is refused, and apply, objective and sweep
+    take their numpy paths, with the same bytes, without calling into
+    C."""
+    g = graph.SampledGraph(karate.indptr, karate.indices, karate.data,
+                           karate.diag_mass, karate.node_labels)
+    Q = g.modularity_matrix()
+    H = np.random.default_rng(3).random((g.n, 3))
+    want_apply, want_objective = Q.apply(H), clustering._objective(Q, H)
+    setattr(g, name, spoil(getattr(g, name)))
+    assert _native._operator(Q) is None
+    lib = _native.library()
+    passes = ("modembed_apply", "modembed_objective", "modembed_sweep")
+
+    class NoPass:
+        def __getattr__(self, entry):
+            assert entry not in passes, f"{entry} was called"
+            return getattr(lib, entry)
+
+    monkeypatch.setattr(_native, "library", NoPass)
+    _native.paths.clear()
+    assert same_bytes(Q.apply(H), want_apply)
+    assert same_bytes(clustering._objective(Q, H), want_objective)
+    zeroed = Q.zero_diagonal()
+    assert _native.sweep("softmax", zeroed, H, zeroed.make_aggregate(H),
+                         [0], 1.0) is None
+    assert _native.paths == dict.fromkeys(("apply", "objective", "sweep"),
+                                          "python")
 
 
 # --- trace objective and zero skipping ---------------------------------------
